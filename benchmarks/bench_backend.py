@@ -1,11 +1,11 @@
-"""P3 (extension) — the code-generator backend vs the interpreter.
+"""P3 (extension) — the code generator on the paper's own workloads.
 
-The paper's architecture names a *code generator* distinct from the
-evaluator (Section 3: primitives are "known to the code generator so a
-more efficient query plan can be generated").  Our compiled backend
-translates core expressions into Python closures once; this benchmark
-quantifies what that buys on repeated evaluation of the paper's own
-workloads.
+The paper's architecture ends in a *code generator* (Section 3:
+primitives are "known to the code generator so a more efficient query
+plan can be generated").  The engine translates core expressions into
+Python closures once; this benchmark times repeated evaluation of that
+generated code, and the two fast paths it dispatches to (numpy kernels,
+dense block handoff) against their own kill switches.
 """
 
 import pytest
@@ -13,7 +13,6 @@ import pytest
 from repro.core import ast
 from repro.core import builders as B
 from repro.core.compile import CompiledEvaluator
-from repro.core.eval import Evaluator
 from repro.objects.array import Array
 
 from conftest import median_time
@@ -47,36 +46,14 @@ def workloads():
     }
 
 
-@pytest.mark.benchmark(group="P3-backend-interpreter")
+@pytest.mark.benchmark(group="P3-backend")
 @pytest.mark.parametrize("name", ["hist-index", "reverse-map",
                                   "transpose", "sum-squares"])
-def test_interpreter(benchmark, workloads, name):
-    expr, env = workloads[name]
-    runner = Evaluator()
-    benchmark(lambda: runner.run(expr, env))
-
-
-@pytest.mark.benchmark(group="P3-backend-compiled")
-@pytest.mark.parametrize("name", ["hist-index", "reverse-map",
-                                  "transpose", "sum-squares"])
-def test_compiled(benchmark, workloads, name):
+def test_engine(benchmark, workloads, name):
     expr, env = workloads[name]
     runner = CompiledEvaluator()
     runner.run(expr, env)  # compile once, outside the timed region
     benchmark(lambda: runner.run(expr, env))
-
-
-@pytest.mark.benchmark(group="P3-backend-shape")
-def test_shape_compiled_wins_on_repeated_evaluation(benchmark, workloads):
-    expr, env = workloads["reverse-map"]
-    interp = Evaluator()
-    compiled = CompiledEvaluator()
-    compiled.run(expr, env)
-    assert compiled.run(expr, env) == interp.run(expr, env)
-    t_interp = median_time(lambda: interp.run(expr, env))
-    t_compiled = median_time(lambda: compiled.run(expr, env))
-    assert t_compiled < t_interp, (t_interp, t_compiled)
-    benchmark(lambda: compiled.run(expr, env))
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +69,7 @@ def _dense_grid(n: int) -> ast.Expr:
 
 
 @pytest.mark.benchmark(group="vector-backend-shape")
-@pytest.mark.parametrize("engine_name,engine",
-                         [("interpreter", Evaluator),
-                          ("compiled", CompiledEvaluator)])
-def test_shape_vectorized_tabulation(benchmark, bench_record,
-                                     engine_name, engine):
+def test_shape_vectorized_tabulation(benchmark, bench_record):
     """Vectorized ≥5× faster than scalar on a 1000×1000 x*y grid.
 
     The two paths must also agree value-for-value (same dims, same
@@ -111,11 +84,8 @@ def test_shape_vectorized_tabulation(benchmark, bench_record,
 
     n = 1000
     expr = _dense_grid(n)
-    runner = engine()
-    if engine is CompiledEvaluator:
-        runner.run(expr)  # compile outside the timed region
-
-    vectorized = runner.run(expr)
+    runner = CompiledEvaluator()
+    vectorized = runner.run(expr)  # also compiles, outside the timed region
     try:
         kernels.ENABLED = False
         scalar = runner.run(expr)
@@ -129,7 +99,7 @@ def test_shape_vectorized_tabulation(benchmark, bench_record,
     assert all(type(cell) is int for cell in vectorized.flat)
 
     metrics = EvalMetrics()
-    engine(probe=metrics).run(expr)
+    CompiledEvaluator(probe=metrics).run(expr)
     assert metrics.cells_vectorized == n * n
     assert metrics.cells_materialized == 0
 
@@ -137,7 +107,6 @@ def test_shape_vectorized_tabulation(benchmark, bench_record,
     bench_record(
         file="vector_backend",
         seconds=t_vectorized,
-        engine=engine_name,
         cells=n * n,
         seconds_scalar=t_scalar,
         seconds_vectorized=t_vectorized,
@@ -145,7 +114,7 @@ def test_shape_vectorized_tabulation(benchmark, bench_record,
         cells_vectorized=metrics.cells_vectorized,
     )
     assert speedup >= 5.0, (
-        f"{engine_name}: vectorized {t_vectorized:.4f}s vs scalar "
+        f"vectorized {t_vectorized:.4f}s vs scalar "
         f"{t_scalar:.4f}s — only {speedup:.1f}x"
     )
     benchmark(lambda: runner.run(expr))
@@ -180,7 +149,7 @@ def test_shape_dense_store_pipeline(benchmark, bench_record):
                   ast.Subscript(ast.Var("A"),
                                 (ast.Var("x"), ast.Var("y"))),
                   ast.NatLit(1)))
-    runner = Evaluator()
+    runner = CompiledEvaluator()
 
     def pipeline():
         produced = runner.run(grid_expr)

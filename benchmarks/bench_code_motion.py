@@ -8,7 +8,7 @@ motion workload: hoisting turns O(n·m) into O(n + m).
 import pytest
 
 from repro.core import ast
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.optimizer.engine import default_optimizer
 
 from conftest import median_time

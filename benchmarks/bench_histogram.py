@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import ast
 from repro.core.builders import hist, hist_fast
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.objects.array import Array
 
 from conftest import median_time

@@ -10,8 +10,8 @@ Grouping n (key, value) pairs with keys below m:
 
 import pytest
 
-from repro.core import ast, setops
-from repro.core.eval import evaluate, index_set_stats
+from repro.core import ast, evaluate, setops
+from repro.objects.array import index_set_stats
 
 from conftest import median_time
 

@@ -2,12 +2,12 @@
 
 The optimizer's NRC rules leave a relational join in filter-promotion
 normal form — ``ext{λx. ext{λy. if κ(x) = κ'(y) then {e} else {}}(T)}(S)``
-— which the naive engines execute as |S|·|T| condition evaluations.
+— which the naive loops execute as |S|·|T| condition evaluations.
 The set-engine fast path (:mod:`repro.core.setops`) builds a hash index
 on the smaller side and evaluates the match body only for key-equal
 pairs: O(|S| + |T| + matches).
 
-This benchmark measures that claim on both engines at 2000×2000
+This benchmark measures that claim at 2000×2000
 (4,000,000 candidate pairs, ~2,000 matches).  The naive run is timed
 once (it is the whole point that it is slow); the asserted ≥5× factor
 is gated on the full-size input so the small smoke size never flakes.
@@ -19,7 +19,6 @@ import pytest
 
 from repro.core import ast
 from repro.core.compile import CompiledEvaluator
-from repro.core.eval import Evaluator
 from repro.core.fastpath import DispatchConfig
 from repro.obs.metrics import EvalMetrics
 
@@ -32,8 +31,6 @@ V = ast.Var
 ASSERT_FLOOR = 4_000_000
 
 SIZES = [(200, 200), (2000, 2000)]
-
-ENGINES = {"interp": Evaluator, "compiled": CompiledEvaluator}
 
 
 def _relations(n, m):
@@ -54,16 +51,15 @@ def _join_query():
     return ast.Ext("x", inner, V("S"))
 
 
-def _run(engine, env, config, probe=None):
-    return engine(probe=probe, parallel=config).run(_join_query(), env)
+def _run(env, config, probe=None):
+    return CompiledEvaluator(probe=probe, parallel=config) \
+        .run(_join_query(), env)
 
 
 @pytest.mark.benchmark(group="setops-hash-join")
-@pytest.mark.parametrize("engine_name", list(ENGINES))
 @pytest.mark.parametrize("n,m", SIZES,
                          ids=[f"{n}x{m}" for n, m in SIZES])
-def test_hash_join_vs_naive(benchmark, bench_record, engine_name, n, m):
-    engine = ENGINES[engine_name]
+def test_hash_join_vs_naive(benchmark, bench_record, n, m):
     s, t = _relations(n, m)
     env = {"S": s, "T": t}
     fast_config = DispatchConfig(min_cells=64, workers=0)
@@ -72,23 +68,20 @@ def test_hash_join_vs_naive(benchmark, bench_record, engine_name, n, m):
     # correctness first: the fast path must be indistinguishable, and
     # the probe must prove the hash path actually ran
     metrics = EvalMetrics()
-    fast_result = _run(engine, env, fast_config, probe=metrics)
-    naive_result = _run(engine, env, naive_config)
+    fast_result = _run(env, fast_config, probe=metrics)
+    naive_result = _run(env, naive_config)
     assert fast_result == naive_result
     assert metrics.joins_hashed == 1
     assert metrics.join_pairs_matched + metrics.join_pairs_skipped == n * m
 
-    t_fast = median_time(lambda: _run(engine, env, fast_config),
-                         repeats=3)
+    t_fast = median_time(lambda: _run(env, fast_config), repeats=3)
     # the naive quadratic loop is timed once: at full size it costs
     # seconds per run, and the comparison needs one honest sample
-    t_naive = median_time(lambda: _run(engine, env, naive_config),
-                          repeats=1)
+    t_naive = median_time(lambda: _run(env, naive_config), repeats=1)
     speedup = t_naive / t_fast if t_fast > 0 else float("inf")
 
     bench_record(
         seconds=t_fast,
-        engine=engine_name,
         rows=[n, m],
         candidate_pairs=n * m,
         pairs_matched=metrics.join_pairs_matched,
@@ -101,4 +94,4 @@ def test_hash_join_vs_naive(benchmark, bench_record, engine_name, n, m):
         assert speedup >= 5.0, (
             f"hash join must beat the {n}x{m} nested loops by >=5x, "
             f"got {speedup:.2f}x ({t_naive:.3f}s vs {t_fast:.3f}s)")
-    benchmark(lambda: _run(engine, env, fast_config))
+    benchmark(lambda: _run(env, fast_config))

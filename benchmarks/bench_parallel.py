@@ -4,8 +4,9 @@ Measures the perf claim behind ``Session(parallel_workers=...)``: on an
 evaluator-bound workload too irregular for the numpy kernel backend — a
 data-dependent branch in every cell — partitioning the tabulation
 domain (or the Σ source) across a **process** pool should approach
-linear speedup in the worker count, because each shard runs a private
-interpreter on its own core with no GIL contention.
+linear speedup in the worker count, because each shard runs its
+compiled body in a private process on its own core with no GIL
+contention.
 
 Honesty over wishful asserting: the speedup physically depends on the
 machine, so every record carries ``cpus`` (the scheduler affinity
@@ -31,7 +32,7 @@ import os
 
 from repro.core import ast
 from repro.core import parallel
-from repro.core.eval import Evaluator
+from repro.core.compile import CompiledEvaluator
 from repro.core.fastpath import DispatchConfig
 from repro.obs.metrics import EvalMetrics
 
@@ -63,11 +64,11 @@ BIG_SUM = ast.Sum(
 
 
 def _serial():
-    return Evaluator(parallel=DispatchConfig(workers=0))
+    return CompiledEvaluator(parallel=DispatchConfig(workers=0))
 
 
 def _parallel(workers):
-    return Evaluator(parallel=DispatchConfig(
+    return CompiledEvaluator(parallel=DispatchConfig(
         min_cells=64, workers=workers, backend="process"))
 
 
@@ -88,7 +89,7 @@ def _measure(expr, bench_record, label, cells):
 
     # one probed run so the record shows the dispatch actually sharded
     probe = EvalMetrics()
-    probed = Evaluator(probe=probe, parallel=DispatchConfig(
+    probed = CompiledEvaluator(probe=probe, parallel=DispatchConfig(
         min_cells=64, workers=WORKER_COUNTS[-1], backend="process"))
     assert probed.run(expr) == expected
     assert probe.shards_executed == WORKER_COUNTS[-1]

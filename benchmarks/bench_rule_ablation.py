@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import ast
 from repro.core.builders import array_len, map_array
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.objects.array import Array
 from repro.optimizer.engine import default_optimizer
 

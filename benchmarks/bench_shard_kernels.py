@@ -8,7 +8,7 @@ written straight into the shared output slab — should beat both
 * the **serial kernel** (one numpy evaluation on one core), because the
   per-core grids are a fraction of the domain; and
 * **scalar shards** (the pre-fusion parallel path), because each worker
-  replaces its per-cell interpreter loop with a handful of bulk array
+  replaces its per-cell scalar loop with a handful of bulk array
   operations.
 
 Honesty over wishful asserting (same policy as ``bench_parallel``):
@@ -29,7 +29,7 @@ import os
 from repro.core import ast
 from repro.core import kernels
 from repro.core import parallel
-from repro.core.eval import Evaluator
+from repro.core.compile import CompiledEvaluator
 from repro.core.fastpath import DispatchConfig
 from repro.obs.metrics import EvalMetrics
 
@@ -64,11 +64,11 @@ BIG_SUM = ast.Sum(
 
 
 def _serial_kernel():
-    return Evaluator(parallel=DispatchConfig(workers=0))
+    return CompiledEvaluator(parallel=DispatchConfig(workers=0))
 
 
 def _fused(workers=WORKERS):
-    return Evaluator(parallel=DispatchConfig(
+    return CompiledEvaluator(parallel=DispatchConfig(
         min_cells=64, workers=workers, backend="process",
         kernel_min_cells=64))
 
@@ -110,7 +110,7 @@ def test_fused_tabulation(bench_record):
     # one probed run proving the vectorized path actually served it:
     # every shard fused, every cell kernel-computed, none interpreted
     probe = EvalMetrics()
-    probed = Evaluator(probe=probe, parallel=DispatchConfig(
+    probed = CompiledEvaluator(probe=probe, parallel=DispatchConfig(
         min_cells=64, workers=WORKERS, backend="process",
         kernel_min_cells=64))
     assert probed.run(KERNEL_TAB) == expected
@@ -142,7 +142,7 @@ def test_fused_tabulation(bench_record):
 
     _leak_check()
 
-    # replacing each worker's per-cell interpreter loop with bulk numpy
+    # replacing each worker's per-cell scalar loop with bulk numpy
     # is an algorithmic win, visible as soon as the pool isn't sharing
     # one core with the parent
     if CPUS >= 2:
@@ -163,7 +163,7 @@ def test_vectorized_sum_partials(bench_record):
     expected = serial.run(BIG_SUM)
     t_serial = median_time(lambda: serial.run(BIG_SUM), repeats=REPEATS)
 
-    fused = Evaluator(parallel=DispatchConfig(
+    fused = CompiledEvaluator(parallel=DispatchConfig(
         min_cells=64, workers=WORKERS, backend="process"))
     got = fused.run(BIG_SUM)
     assert got == expected and type(got) is type(expected)

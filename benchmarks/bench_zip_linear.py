@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import ast
 from repro.core.builders import zip2
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.expressiveness.array_elim import encode_value
 from repro.objects.array import Array
 

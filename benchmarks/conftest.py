@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict
 
 import pytest
 
-from repro.core.eval import Evaluator
+from repro.core.compile import CompiledEvaluator
 from repro.env.environment import TopEnv
 
 #: observations accumulated by :func:`bench_record`, keyed by benchmark
@@ -49,7 +49,7 @@ def std_env() -> TopEnv:
 
 
 @pytest.fixture(scope="session")
-def evaluator(std_env) -> Evaluator:
+def evaluator(std_env) -> CompiledEvaluator:
     return std_env.evaluator()
 
 

@@ -8,8 +8,11 @@ plays for AQL the role relational algebra plays for SQL.
   substitution and α-equivalence.
 * :mod:`repro.core.typecheck` — the typing rules of Figure 1, implemented
   with unification so AQL needs no type annotations.
-* :mod:`repro.core.eval` — the evaluator, mapping closed expressions to
-  complex-object values (⊥ raises :class:`~repro.errors.BottomError`).
+* :mod:`repro.core.compile` — the execution engine: compiles closed
+  expressions to closures that produce complex-object values (⊥ raises
+  :class:`~repro.errors.BottomError`).
+* :mod:`repro.core.eval` — the reference semantics (a naive tree-walker)
+  the engine is tested against.
 * :mod:`repro.core.builders` — the derived operators of Sections 2–3
   (map, zip, subseq, transpose, multiply, hist, ...), built from the
   minimal construct set exactly as the paper defines them.
@@ -19,6 +22,7 @@ plays for AQL the role relational algebra plays for SQL.
 
 from repro.core import ast
 from repro.core.typecheck import TypeChecker, infer_type
-from repro.core.eval import Evaluator, evaluate
+from repro.core.compile import CompiledEvaluator, evaluate
 
-__all__ = ["ast", "TypeChecker", "infer_type", "Evaluator", "evaluate"]
+__all__ = ["ast", "TypeChecker", "infer_type", "CompiledEvaluator",
+           "evaluate"]

@@ -1,29 +1,32 @@
-"""A code generator: core NRCA expressions → Python closures.
+"""The execution engine: core NRCA expressions → Python closures.
 
-The paper's architecture distinguishes the *evaluator* from the *code
-generator* ("The first reason is to make the primitive known to the code
-generator so a more efficient query plan can be generated", Section 3).
-Our interpreter (:mod:`repro.core.eval`) walks the AST per evaluation;
-this module instead compiles the AST **once** into nested Python
-closures with slot-indexed environments — the Python analogue of the
-prototype's compilation into SML.
+The paper's pipeline ends in a *code generator* ("The first reason is to
+make the primitive known to the code generator so a more efficient query
+plan can be generated", Section 3; Section 4.1 compiles the optimized
+query before running it).  This module compiles the AST **once** into
+nested Python closures with slot-indexed environments — the Python
+analogue of the prototype's compilation into SML — and every query a
+:class:`~repro.system.session.Session` or
+:class:`~repro.env.environment.TopEnv` runs goes through it.
 
-Semantics are identical to the interpreter (the test suite cross-checks
-them property-style); only the constant factors change.  Use it through
-:class:`CompiledEvaluator`, a drop-in for
-:class:`~repro.core.eval.Evaluator`, or ``Session(backend="compiled")``.
+It is also the one place physical choices are made: the emitted code
+for ``Tabulate``, ``Σ``, ``Ext`` and ``index_k`` dispatches to
+:mod:`repro.core.kernels`, :mod:`repro.core.parallel` and
+:mod:`repro.core.setops` under the live
+:class:`~repro.core.fastpath.DispatchConfig` and falls through to the
+naive loop.  The semantics are those of the reference tree-walker
+(:mod:`repro.core.eval`), which the test suite checks it against.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 from repro.core import ast
 from repro.core import kernels
 from repro.core import parallel
 from repro.core import setops
-from repro.core.eval import NativePrim, apply_arith, index_set_dispatch
 from repro.core.fastpath import DEFAULT_CONFIG, DispatchConfig
 from repro.errors import BottomError, EvalError
 from repro.objects.array import Array, iter_indices
@@ -34,35 +37,15 @@ from repro.objects.ordering import (
     rank_elements,
     sort_values,
 )
-from repro.objects.values import value_equal
+from repro.objects.values import apply_arith, value_equal
 
 #: a compiled expression: environment stack -> value
 Code = Callable[[List[Any]], Any]
 
-
-class _PrimShim:
-    """The evaluator handle passed to native primitives.
-
-    Compiled function values are plain Python callables, so applying one
-    is just a call; this shim lets primitives written against the
-    interpreter's ``evaluator.apply_function`` protocol work unchanged.
-    """
-
-    @staticmethod
-    def apply_function(fn_value: Any, argument: Any) -> Any:
-        """Apply a compiled function value, mapping host ``ValueError``
-        to ⊥ exactly like the interpreter's ``apply_function`` boundary
-        (a primitive-triggered ``Array`` size mismatch must surface as
-        the calculus's undefined, not a Python crash)."""
-        if callable(fn_value):
-            try:
-                return fn_value(argument)
-            except ValueError as exc:
-                raise BottomError(f"host value error: {exc}") from exc
-        raise EvalError(f"not a function: {fn_value!r}")
-
-
-_SHIM = _PrimShim()
+#: native primitives receive ``(argument_value, evaluator)`` so that
+#: higher-order primitives (e.g. ``summap``) can apply AQL functions
+#: through ``evaluator.apply_function``
+NativePrim = Callable[[Any, Any], Any]
 
 
 class Compiler:
@@ -78,11 +61,33 @@ class Compiler:
     def __init__(self, prims: Optional[Mapping[str, NativePrim]] = None,
                  probe: Any = None,
                  parallel: Optional[DispatchConfig] = None):
-        self.prims: Dict[str, NativePrim] = dict(prims or {})
+        #: the primitive table, held by reference: an environment builds
+        #: an engine per statement and per cached plan, so a copy would
+        #: cost the whole table each time; a later registration bumps
+        #: the environment's generation, which drops the cached plans
+        self.prims: Mapping[str, NativePrim] = \
+            prims if prims is not None else {}
         self.probe = probe
-        #: fast-path gating (shared with the interpreter; held by
-        #: reference so session-level mutation retunes emitted code)
+        #: fast-path gating, held by reference so session-level
+        #: mutation retunes already-emitted code
         self.parallel = parallel if parallel is not None else DEFAULT_CONFIG
+
+    @staticmethod
+    def apply_function(fn_value: Any, argument: Any) -> Any:
+        """Apply a compiled function value (a plain Python callable) to
+        an argument; the protocol native primitives, which are handed
+        the compiler as their evaluator, apply AQL functions through.
+
+        A ⊥-mapping boundary like :meth:`CompiledEvaluator.run`: a
+        primitive-triggered ``Array`` size mismatch (host ``ValueError``)
+        must surface as the calculus's undefined, not a Python crash.
+        """
+        if callable(fn_value):
+            try:
+                return fn_value(argument)
+            except ValueError as exc:
+                raise BottomError(f"host value error: {exc}") from exc
+        raise EvalError(f"not a function: {fn_value!r}")
 
     def compile(self, expr: ast.Expr,
                 scope: Tuple[str, ...] = ()) -> Code:
@@ -212,7 +217,7 @@ class Compiler:
             src = source(env)
             if (shape is not None and isinstance(src, frozenset)
                     and len(src) >= 2 and setops.available(config)):
-                result = setops.join_compiled(
+                result = setops.hash_join(
                     compiler, expr, shape, ext_scope, pieces, env, src)
                 if result is not None:
                     return result
@@ -223,9 +228,10 @@ class Compiler:
 
         return run_join
 
-    # -- booleans and conditionals ------------------------------------------------------
+    # -- literals, booleans and conditionals ---------------------------------------------
 
-    def _bool(self, expr: ast.BoolLit, scope) -> Code:
+    def _literal(self, expr, scope) -> Code:
+        """``BoolLit``/``NatLit``/``RealLit``/``StrLit``/``Const``."""
         value = expr.value
         return lambda env: value
 
@@ -253,18 +259,6 @@ class Compiler:
 
     # -- naturals -------------------------------------------------------------------------
 
-    def _nat(self, expr: ast.NatLit, scope) -> Code:
-        value = expr.value
-        return lambda env: value
-
-    def _real(self, expr: ast.RealLit, scope) -> Code:
-        value = expr.value
-        return lambda env: value
-
-    def _str(self, expr: ast.StrLit, scope) -> Code:
-        value = expr.value
-        return lambda env: value
-
     def _arith(self, expr: ast.Arith, scope) -> Code:
         left = self.compile(expr.left, scope)
         right = self.compile(expr.right, scope)
@@ -291,15 +285,20 @@ class Compiler:
         sum_scope = scope
 
         def run(env):
-            # canonical order, not hash order: see Evaluator._sum
+            # canonical order, NOT frozenset hash order: float addition
+            # is non-associative, so a hash-ordered Σ over reals would
+            # differ between runs and platforms
             elements = canonical_elements(source(env))
             if parallel.available(config) \
                     and config.wants_shards(len(elements)):
-                sharded = parallel.sum_compiled(
+                sharded = parallel.shard_sum(
                     compiler, expr, sum_scope, body, env, elements
                 )
                 if sharded is not None:
                     return sharded[0]
+            # adaptive dispatch and the cost model learn the serial rate
+            # from real loops; the measurement is only armed on loops
+            # big enough to time reliably
             timed = (config.adaptive or config.cost is not None) \
                 and len(elements) >= config.min_cells
             started = time.perf_counter() if timed else 0.0
@@ -350,7 +349,7 @@ class Compiler:
                 # to the serial kernel below
                 if parallel.available(config) \
                         and config.wants_kernel_shards(total):
-                    result = parallel.tabulate_kernel_compiled(
+                    result = parallel.shard_kernel_tabulate(
                         compiler, expr, tab_scope, env, extents, total
                     )
                     if result is not None:
@@ -361,8 +360,10 @@ class Compiler:
                 result = kernels.execute(kernel, extents, inputs)
                 if result is not None:
                     if timed:
-                        # calibrate the cost model's kernel rate (see
-                        # Evaluator._tabulate_vectorized)
+                        # the kernel's cells-per-second calibrates the
+                        # cost model's kernel coefficient (a distinct
+                        # rate bucket: it is orders of magnitude above
+                        # the scalar loop)
                         config.observe("kernel", total,
                                        time.perf_counter() - started)
                     if probe is not None:
@@ -371,7 +372,7 @@ class Compiler:
             # vectorization wins when the body is kernel-shaped;
             # otherwise shard the domain by flat cell ranges
             if parallel.available(config) and config.wants_shards(total):
-                result = parallel.tabulate_compiled(
+                result = parallel.shard_tabulate(
                     compiler, expr, tab_scope, body, env, extents, total
                 )
                 if result is not None:
@@ -425,13 +426,13 @@ class Compiler:
         probe = self.probe
         config = self.parallel
         if probe is None:
-            return lambda env: index_set_dispatch(inner(env), rank,
-                                                  config)[0]
+            return lambda env: setops.index_set_dispatch(inner(env), rank,
+                                                         config)[0]
 
         def run(env):
             source = inner(env)
-            result, groups, max_group, sorted_used = index_set_dispatch(
-                source, rank, config)
+            result, groups, max_group, sorted_used = \
+                setops.index_set_dispatch(source, rank, config)
             probe.on_index(result.size, groups, len(source),
                            max_group=max_group, sorted_path=sorted_used)
             return result
@@ -493,13 +494,9 @@ class Compiler:
             raise EvalError(f"unknown primitive {expr.name!r}")
 
         def as_callable(argument):
-            return native(argument, _SHIM)
+            return native(argument, self)
 
         return lambda env: as_callable
-
-    def _const(self, expr: ast.Const, scope) -> Code:
-        value = expr.value
-        return lambda env: value
 
     # -- Section 6 extensions ---------------------------------------------------------------------
 
@@ -562,12 +559,12 @@ class Compiler:
         ast.Singleton: _singleton,
         ast.Union: _union,
         ast.Ext: _ext,
-        ast.BoolLit: _bool,
+        ast.BoolLit: _literal,
         ast.If: _if,
         ast.Cmp: _cmp,
-        ast.NatLit: _nat,
-        ast.RealLit: _real,
-        ast.StrLit: _str,
+        ast.NatLit: _literal,
+        ast.RealLit: _literal,
+        ast.StrLit: _literal,
         ast.Arith: _arith,
         ast.Gen: _gen,
         ast.Sum: _sum,
@@ -579,7 +576,7 @@ class Compiler:
         ast.Bottom: _bottom,
         ast.MkArray: _mk_array,
         ast.Prim: _prim,
-        ast.Const: _const,
+        ast.Const: _literal,
         ast.EmptyBag: _empty_bag,
         ast.SingletonBag: _singleton_bag,
         ast.BagUnion: _bag_union,
@@ -590,49 +587,52 @@ class Compiler:
 
 
 class CompiledEvaluator:
-    """Drop-in for :class:`~repro.core.eval.Evaluator` using compilation.
+    """Generates code for an expression and runs it.
 
-    Compiled code is cached per expression identity, so repeated ``run``
-    calls on the same query pay compilation once.
+    The generated code is kept for the most recent expression only, and
+    together with the node itself: a plan-cache entry's evaluator runs
+    one core over and over without regenerating, while a bare ``id``
+    key would be recycled by the allocator once a node dies and serve
+    one expression's code for another.
     """
 
     def __init__(self, prims: Optional[Mapping[str, NativePrim]] = None,
                  probe: Any = None,
                  parallel: Optional[DispatchConfig] = None):
         self.compiler = Compiler(prims, probe, parallel=parallel)
-        self.probe = probe
-        self.parallel = self.compiler.parallel
-        self._cache: Dict[int, Tuple[Tuple[str, ...], Code]] = {}
+        self._prepared: Optional[Tuple[ast.Expr, Tuple[str, ...], Code]] = None
 
     def prepare(self, expr: ast.Expr,
                 names: Tuple[str, ...] = ()) -> Code:
-        """Compile ``expr`` now (cached) and return the generated code.
+        """Generate (or reuse) the code for ``expr`` and return it.
 
-        ``run`` does this lazily on first evaluation; ``prepare`` exists
-        so a plan cache can pay code generation once at plan-build time
-        and have every subsequent hit go straight to execution.
+        ``run`` does this on demand; ``prepare`` exists so the plan
+        cache can account code generation separately from execution.
         """
-        cached = self._cache.get(id(expr))
-        if cached is not None and cached[0] == names:
-            return cached[1]
+        prepared = self._prepared
+        if prepared is not None and prepared[0] is expr \
+                and prepared[1] == names:
+            return prepared[2]
         try:
             code = self.compiler.compile(expr, names)
         except RecursionError:
             raise EvalError(
                 "expression nesting exceeds the evaluator depth limit"
             ) from None
-        self._cache[id(expr)] = (names, code)
+        self._prepared = (expr, names, code)
         return code
 
     def run(self, expr: ast.Expr,
             bindings: Optional[Mapping[str, Any]] = None) -> Any:
-        """Compile (cached) and evaluate with the given value bindings.
+        """Evaluate ``expr`` with optional top-level value bindings.
 
-        The same boundary mapping as the interpreter's
-        :meth:`~repro.core.eval.Evaluator.run` applies: host
-        ``ValueError`` becomes ⊥ and stack exhaustion (at compile time
-        or runtime, for out-nesting expressions) becomes
-        :class:`~repro.errors.EvalError`.
+        Host-level failures are mapped at this boundary so callers only
+        ever see the calculus's own errors: a stray ``ValueError`` from
+        complex-object code (e.g. :class:`~repro.objects.array.Array`
+        construction inside a primitive) becomes ⊥, and blowing the host
+        stack on a deeply nested expression — while generating code or
+        while running it — surfaces as :class:`~repro.errors.EvalError`
+        instead of a bare ``RecursionError``.
         """
         names = tuple(sorted(bindings)) if bindings else ()
         code = self.prepare(expr, names)
@@ -648,14 +648,14 @@ class CompiledEvaluator:
 
     def apply_function(self, fn_value: Any, argument: Any) -> Any:
         """Apply a compiled function value to an argument."""
-        return _SHIM.apply_function(fn_value, argument)
+        return self.compiler.apply_function(fn_value, argument)
 
 
-def run_compiled(expr: ast.Expr,
-                 bindings: Optional[Mapping[str, Any]] = None,
-                 prims: Optional[Mapping[str, NativePrim]] = None) -> Any:
+def evaluate(expr: ast.Expr,
+             bindings: Optional[Mapping[str, Any]] = None,
+             prims: Optional[Mapping[str, NativePrim]] = None) -> Any:
     """One-shot compile-and-run."""
     return CompiledEvaluator(prims).run(expr, bindings)
 
 
-__all__ = ["Compiler", "CompiledEvaluator", "run_compiled", "Code"]
+__all__ = ["Compiler", "CompiledEvaluator", "NativePrim", "evaluate", "Code"]

@@ -1,13 +1,16 @@
-"""The NRCA evaluator: closed expressions → complex-object values.
+"""The reference semantics of NRCA: one naive rule per construct.
 
-Semantics follow Section 2 exactly:
+Queries are *executed* by the code generator (:mod:`repro.core.compile`);
+this tree-walker is the oracle the test suite compares it against.  It
+makes no physical choice — no kernels, shards, hash joins, dispatch
+config or probes — so a rule here is the definition that every fast
+path has to reproduce.  Semantics follow Section 2 exactly:
 
 * sets are genuine sets (``⋃`` deduplicates; ``Σ`` sums over *distinct*
-  elements);
+  elements, in canonical order);
 * ``gen(n) = {0, ..., n-1}``;
 * tabulation *materializes*: the defining function is applied at every
-  index of the rectangular domain (the optimizer, not the evaluator, is
-  what avoids materialization — see Section 5);
+  index of the rectangular domain;
 * subscripting out of bounds, ``get`` of a non-singleton, the ``Bottom``
   construct, division by zero, and a ``MkArray`` whose value count does
   not match its dimensions are all *undefined*: they raise
@@ -16,16 +19,13 @@ Semantics follow Section 2 exactly:
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict, Mapping, Optional
+import operator
+from functools import reduce
+from typing import Any, Dict, Mapping, Optional
 
 from repro.core import ast
-from repro.core import kernels
-from repro.core import parallel
-from repro.core import setops
-from repro.core.fastpath import DEFAULT_CONFIG, DispatchConfig, NodeCache
 from repro.errors import BottomError, EvalError
-from repro.objects.array import Array, iter_indices
+from repro.objects.array import Array, index_set, iter_indices
 from repro.objects.bag import Bag
 from repro.objects.ordering import (
     canonical_elements,
@@ -33,109 +33,38 @@ from repro.objects.ordering import (
     rank_elements,
     sort_values,
 )
-from repro.objects.values import value_equal
+from repro.objects.values import apply_arith, value_equal
 
-#: native primitives receive ``(argument_value, evaluator)`` so that
-#: higher-order primitives (e.g. ``summap``) can apply AQL functions
-NativePrim = Callable[[Any, "Evaluator"], Any]
-
-
-class Env:
-    """A persistent (linked) evaluation environment."""
-
-    __slots__ = ("name", "value", "parent")
-
-    def __init__(self, name: str, value: Any, parent: Optional["Env"]):
-        self.name = name
-        self.value = value
-        self.parent = parent
-
-    @staticmethod
-    def empty() -> Optional["Env"]:
-        return None
-
-    @staticmethod
-    def extend(env: Optional["Env"], name: str, value: Any) -> "Env":
-        return Env(name, value, env)
-
-    @staticmethod
-    def lookup(env: Optional["Env"], name: str) -> Any:
-        node = env
-        while node is not None:
-            if node.name == name:
-                return node.value
-            node = node.parent
-        raise EvalError(f"unbound variable {name!r} at evaluation time")
+_ORDER_TESTS = {"<": operator.lt, "<=": operator.le,
+                ">": operator.gt, ">=": operator.ge}
 
 
-class Closure:
-    """The value of a lambda abstraction."""
-
-    __slots__ = ("param", "body", "env")
-
-    def __init__(self, param: str, body: ast.Expr, env: Optional[Env]):
-        self.param = param
-        self.body = body
-        self.env = env
-
-    def __repr__(self) -> str:
-        return f"<closure \\{self.param}>"
+def _is_natural(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
 
 
 class Evaluator:
     """Interprets NRCA expressions against a primitive registry.
 
-    ``probe`` (an :class:`~repro.obs.metrics.EvalProbe`) turns on
-    per-node instrumentation: node counts by AST class, ⊥ raises, and
-    produced collection cardinalities.  The hook is installed once at
-    construction by swapping the dispatch entry point, so the default
-    (``probe=None``) evaluator pays nothing for the feature.
-
-    ``parallel`` (a :class:`~repro.core.fastpath.DispatchConfig`) gates
-    both fast paths: its ``min_cells`` floor guards the vectorized and
-    sharded dispatches alike, and ``workers``/``backend`` configure the
-    sharded executor (:mod:`repro.core.parallel`).  The config is held
-    by reference, so a session mutating its
-    :class:`~repro.env.environment.TopEnv`'s config retunes live
-    evaluators.
+    Environments are dicts copied at every binder and function values
+    are host closures: the obvious representations, not fast ones.
     """
 
-    def __init__(self, prims: Optional[Mapping[str, NativePrim]] = None,
-                 probe: Any = None,
-                 parallel: Optional[DispatchConfig] = None):
-        self.prims: Dict[str, NativePrim] = dict(prims or {})
-        self.probe = probe
-        self.parallel = parallel if parallel is not None else DEFAULT_CONFIG
-        #: memoized recognition per AST node, LRU-bounded like the plan
-        #: cache so long-lived sessions do not accumulate one entry per
-        #: dead node (see :class:`~repro.core.fastpath.NodeCache` for
-        #: the id-recycling guard)
-        self._kernel_cache = NodeCache()
-        self._join_cache = NodeCache()
-        if probe is not None:
-            # instance attribute shadows the method: every interior
-            # self._eval call routes through the counting wrapper
-            self._eval = self._eval_probed
-
-    # -- public API ----------------------------------------------------------
+    def __init__(self, prims: Optional[Mapping[str, Any]] = None):
+        self.prims = prims if prims is not None else {}
 
     def run(self, expr: ast.Expr,
             bindings: Optional[Mapping[str, Any]] = None) -> Any:
         """Evaluate ``expr`` with optional top-level value bindings.
 
-        Host-level failures are mapped at this boundary so callers only
-        ever see the calculus's own errors: a stray ``ValueError`` from
-        complex-object code (e.g. :class:`~repro.objects.array.Array`
-        construction inside a primitive) becomes ⊥, and blowing the host
-        interpreter's stack on a deeply nested expression surfaces as
-        :class:`~repro.errors.EvalError` instead of a bare
-        ``RecursionError``.
+        Host-level failures are mapped at this boundary exactly as the
+        production engine maps them: a stray ``ValueError`` from
+        complex-object code becomes ⊥ and host stack exhaustion becomes
+        :class:`~repro.errors.EvalError`.
         """
-        env: Optional[Env] = None
-        for name, value in (bindings or {}).items():
-            env = Env.extend(env, name, value)
         try:
-            return self._eval(expr, env)
+            return self._eval(expr, dict(bindings or {}))
         except RecursionError:
             raise EvalError(
                 "expression nesting exceeds the evaluator depth limit"
@@ -144,549 +73,178 @@ class Evaluator:
             raise BottomError(f"host value error: {exc}") from exc
 
     def apply_function(self, fn_value: Any, argument: Any) -> Any:
-        """Apply an AQL function value (closure or native) to an argument.
-
-        This is a ⊥-mapping boundary like :meth:`run`: a native
-        primitive that trips host complex-object validation (e.g. an
-        ``Array.reshape``/``Array.__init__`` size mismatch raising
-        ``ValueError``) surfaces as the calculus's ⊥, never as a bare
-        Python crash — the entry point is reachable from primitives and
-        API callers without passing through :meth:`run`.
-        """
+        """Apply an AQL function value to an argument; a ⊥-mapping
+        boundary like :meth:`run`, because primitives call it without
+        passing through there."""
+        if not callable(fn_value):
+            raise EvalError(f"not a function: {fn_value!r}")
         try:
-            if isinstance(fn_value, Closure):
-                return self._eval(
-                    fn_value.body,
-                    Env.extend(fn_value.env, fn_value.param, argument)
-                )
-            if callable(fn_value):
-                return fn_value(argument, self)
+            return fn_value(argument)
         except ValueError as exc:
             raise BottomError(f"host value error: {exc}") from exc
-        raise EvalError(f"not a function: {fn_value!r}")
 
-    # -- the interpreter -----------------------------------------------------
-
-    def _eval(self, expr: ast.Expr, env: Optional[Env]) -> Any:
-        method = self._DISPATCH.get(type(expr))
-        if method is None:
+    def _eval(self, expr: ast.Expr, env: Dict[str, Any]) -> Any:
+        strict = self._STRICT.get(type(expr))
+        if strict is not None:
+            return strict(expr, *[self._eval(child, env)
+                                  for child in expr.children()])
+        rule = self._BINDING.get(type(expr))
+        if rule is None:
             raise EvalError(f"no evaluation rule for {type(expr).__name__}")
-        return method(self, expr, env)
+        return rule(self, expr, env)
 
-    def _eval_probed(self, expr: ast.Expr, env: Optional[Env]) -> Any:
-        """The instrumented twin of :meth:`_eval` (installed by probe).
+    # -- strict constructs: a function of the construct and its children's
+    # -- values, which _eval computes left to right in the current env
 
-        Counts every node evaluation by AST class, every produced
-        set/bag cardinality, and every *distinct* ⊥ raise (a BottomError
-        is tagged the first time it passes a probe so strict propagation
-        through ancestors is not over-counted).
-        """
-        probe = self.probe
-        node_type = type(expr)
-        probe.on_node(node_type.__name__)
-        method = self._DISPATCH.get(node_type)
-        if method is None:
-            raise EvalError(f"no evaluation rule for {node_type.__name__}")
-        try:
-            result = method(self, expr, env)
-        except BottomError as exc:
-            if not getattr(exc, "_obs_counted", False):
-                exc._obs_counted = True
-                probe.on_bottom(exc.reason)
-            raise
-        if isinstance(result, (frozenset, Bag)):
-            probe.on_collection(len(result))
-        return result
-
-    def _var(self, expr: ast.Var, env):
-        return Env.lookup(env, expr.name)
-
-    def _lam(self, expr: ast.Lam, env):
-        return Closure(expr.param, expr.body, env)
-
-    def _app(self, expr: ast.App, env):
-        fn_value = self._eval(expr.fn, env)
-        argument = self._eval(expr.arg, env)
-        return self.apply_function(fn_value, argument)
-
-    def _tuple(self, expr: ast.TupleE, env):
-        return tuple(self._eval(item, env) for item in expr.items)
-
-    def _proj(self, expr: ast.Proj, env):
-        value = self._eval(expr.expr, env)
+    def _proj(expr: ast.Proj, value):
         if not isinstance(value, tuple) or len(value) != expr.arity:
-            raise EvalError(
-                f"π_{expr.index},{expr.arity} applied to {value!r}"
-            )
+            raise EvalError(f"π applied to {value!r}")
         return value[expr.index - 1]
 
-    def _empty_set(self, expr: ast.EmptySet, env):
-        return frozenset()
+    def _cmp(expr: ast.Cmp, left, right):
+        if expr.op in ("=", "<>"):
+            return value_equal(left, right) == (expr.op == "=")
+        return _ORDER_TESTS[expr.op](compare_values(left, right), 0)
 
-    def _singleton(self, expr: ast.Singleton, env):
-        return frozenset((self._eval(expr.expr, env),))
-
-    def _union(self, expr: ast.Union, env):
-        return self._eval(expr.left, env) | self._eval(expr.right, env)
-
-    def _ext(self, expr: ast.Ext, env):
-        source = self._eval(expr.source, env)
-        if (isinstance(source, frozenset) and len(source) >= 2
-                and setops.available(self.parallel)):
-            shape = self._join_cache.get(expr, setops.recognize_join)
-            if shape is not None:
-                result = setops.join_interp(self, expr, shape, env, source)
-                if result is not None:
-                    return result
-        out: set = set()
-        for element in source:
-            out |= self._eval(expr.body, Env.extend(env, expr.var, element))
-        return frozenset(out)
-
-    def _bool(self, expr: ast.BoolLit, env):
-        return expr.value
-
-    def _if(self, expr: ast.If, env):
-        if self._eval(expr.cond, env):
-            return self._eval(expr.then, env)
-        return self._eval(expr.orelse, env)
-
-    def _cmp(self, expr: ast.Cmp, env):
-        left = self._eval(expr.left, env)
-        right = self._eval(expr.right, env)
-        if expr.op == "=":
-            return value_equal(left, right)
-        if expr.op == "<>":
-            return not value_equal(left, right)
-        outcome = compare_values(left, right)
-        if expr.op == "<":
-            return outcome < 0
-        if expr.op == "<=":
-            return outcome <= 0
-        if expr.op == ">":
-            return outcome > 0
-        return outcome >= 0
-
-    def _nat(self, expr: ast.NatLit, env):
-        return expr.value
-
-    def _real(self, expr: ast.RealLit, env):
-        return expr.value
-
-    def _str(self, expr: ast.StrLit, env):
-        return expr.value
-
-    def _arith(self, expr: ast.Arith, env):
-        left = self._eval(expr.left, env)
-        right = self._eval(expr.right, env)
-        return apply_arith(expr.op, left, right)
-
-    def _gen(self, expr: ast.Gen, env):
-        bound = self._eval(expr.expr, env)
-        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+    def _gen(expr: ast.Gen, bound):
+        if not _is_natural(bound):
             raise BottomError(f"gen of non-natural {bound!r}")
         return frozenset(range(bound))
 
-    def _sum(self, expr: ast.Sum, env):
-        # iterate in canonical order, NOT frozenset hash order: float
-        # addition is non-associative, so a hash-ordered Σ over reals
-        # would differ between runs and platforms
-        source = canonical_elements(self._eval(expr.source, env))
-        config = self.parallel
-        if parallel.available(config) and config.wants_shards(len(source)):
-            sharded = parallel.sum_interp(self, expr, env, source)
-            if sharded is not None:
-                return sharded[0]
-        # adaptive dispatch and the cost model learn the serial rate
-        # from real loops; the measurement is only armed on loops big
-        # enough to time reliably
-        timed = (config.adaptive or config.cost is not None) \
-            and len(source) >= config.min_cells
-        started = time.perf_counter() if timed else 0.0
-        total: Any = 0
-        for element in source:
-            total = total + self._eval(
-                expr.body, Env.extend(env, expr.var, element)
-            )
-        if timed:
-            config.observe("serial", len(source),
-                           time.perf_counter() - started)
-        return total
-
-    def _tabulate(self, expr: ast.Tabulate, env):
-        bounds = []
-        total = 1
-        for bound in expr.bounds:
-            value = self._eval(bound, env)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise BottomError(f"tabulation bound {value!r} is not natural")
-            bounds.append(value)
-            total *= value
-        config = self.parallel
-        if total >= config.min_cells and kernels.available():
-            result = self._tabulate_vectorized(expr, env, bounds, total)
-            if result is not None:
-                return result
-        # vectorization first: a kernel-shaped body beats sharding, and
-        # inside shards workers still take the numpy path
-        if parallel.available(config) and config.wants_shards(total):
-            result = parallel.tabulate_interp(self, expr, env, bounds,
-                                              total)
-            if result is not None:
-                return result
-        timed = (config.adaptive or config.cost is not None) \
-            and total >= config.min_cells
-        started = time.perf_counter() if timed else 0.0
-        values = []
-        for index in iter_indices(bounds):
-            inner = env
-            for var, position in zip(expr.vars, index):
-                inner = Env.extend(inner, var, position)
-            values.append(self._eval(expr.body, inner))
-        if timed:
-            config.observe("serial", total, time.perf_counter() - started)
-        if self.probe is not None:
-            self.probe.on_cells(len(values))
-        return Array(bounds, values)
-
-    def _tabulate_vectorized(self, expr: ast.Tabulate, env,
-                             bounds, total) -> Optional[Array]:
-        """Try the numpy fast path; ``None`` means run the scalar loop.
-
-        Recognition is memoized per node; input resolution failures
-        (e.g. an unbound variable, which the scalar loop would also hit
-        on its first cell) simply decline so the scalar loop raises the
-        canonical error itself.  Domains past the fused floor
-        (``kernel_min_cells``) try the sharded kernel first — the numpy
-        body runs once per core over a flat cell range — falling back to
-        the serial kernel when the pool declines.
-        """
-        kernel = self._kernel_cache.get(expr, kernels.recognize)
-        if kernel is None:
-            return None
-        try:
-            inputs = [
-                Env.lookup(env, leaf.name) if isinstance(leaf, ast.Var)
-                else leaf.value
-                for leaf in kernel.inputs
-            ]
-        except EvalError:
-            return None
-        config = self.parallel
-        if parallel.available(config) and config.wants_kernel_shards(total):
-            result = parallel.tabulate_kernel_interp(self, expr, env,
-                                                     bounds, total)
-            if result is not None:
-                return result
-        timed = config.cost is not None or config.adaptive
-        started = time.perf_counter() if timed else 0.0
-        result = kernels.execute(kernel, bounds, inputs)
-        if result is not None:
-            if timed:
-                # the kernel's cells-per-second calibrates the cost
-                # model's kernel coefficient (a distinct rate bucket:
-                # it is orders of magnitude above the scalar loop)
-                config.observe("kernel", total,
-                               time.perf_counter() - started)
-            if self.probe is not None:
-                self.probe.on_cells_vectorized(result.size)
-        return result
-
-    def _subscript(self, expr: ast.Subscript, env):
-        array = self._eval(expr.array, env)
+    def _subscript(expr: ast.Subscript, array, *index):
         if not isinstance(array, Array):
             raise EvalError(f"subscript into non-array {array!r}")
-        index = tuple(self._eval(i, env) for i in expr.indices)
         return array[index]  # Array raises BottomError when out of bounds
 
-    def _dim(self, expr: ast.Dim, env):
-        array = self._eval(expr.expr, env)
+    def _dim(expr: ast.Dim, array):
         if not isinstance(array, Array) or array.rank != expr.rank:
-            raise BottomError(
-                f"dim_{expr.rank} of {array!r}"
-            )
-        if expr.rank == 1:
-            return array.dims[0]
-        return array.dims
+            raise BottomError(f"dim_{expr.rank} of {array!r}")
+        return array.dims[0] if expr.rank == 1 else array.dims
 
-    def _index(self, expr: ast.IndexSet, env):
-        source = self._eval(expr.expr, env)
-        result, groups, max_group, sorted_used = index_set_dispatch(
-            source, expr.rank, self.parallel)
-        if self.probe is not None:
-            self.probe.on_index(result.size, groups, len(source),
-                                max_group=max_group,
-                                sorted_path=sorted_used)
-        return result
-
-    def _get(self, expr: ast.Get, env):
-        source = self._eval(expr.expr, env)
+    def _get(expr: ast.Get, source):
         if not isinstance(source, frozenset) or len(source) != 1:
             raise BottomError(f"get of non-singleton ({len(source)} elements)")
         (element,) = source
         return element
 
+    _STRICT = {
+        **dict.fromkeys((ast.BoolLit, ast.NatLit, ast.RealLit, ast.StrLit,
+                         ast.Const), lambda expr: expr.value),
+        ast.TupleE: lambda expr, *items: items,
+        ast.Proj: _proj,
+        ast.EmptySet: lambda expr: frozenset(),
+        ast.Singleton: lambda expr, value: frozenset((value,)),
+        ast.Union: lambda expr, left, right: left | right,
+        ast.Cmp: _cmp,
+        ast.Arith: lambda expr, left, right: apply_arith(expr.op, left, right),
+        ast.Gen: _gen,
+        ast.Subscript: _subscript,
+        ast.Dim: _dim,
+        ast.IndexSet: lambda expr, pairs: index_set(pairs, expr.rank),
+        ast.Get: _get,
+        ast.EmptyBag: lambda expr: Bag(),
+        ast.SingletonBag: lambda expr, value: Bag((value,)),
+        ast.BagUnion: lambda expr, left, right: left.union(right),
+    }
+
+    # -- constructs that bind variables or choose what to evaluate ------------
+
+    def _var(self, expr: ast.Var, env):
+        if expr.name not in env:
+            raise EvalError(
+                f"unbound variable {expr.name!r} at evaluation time")
+        return env[expr.name]
+
+    def _lam(self, expr: ast.Lam, env):
+        return lambda argument: self._eval(expr.body,
+                                           {**env, expr.param: argument})
+
+    def _app(self, expr: ast.App, env):
+        fn_value = self._eval(expr.fn, env)
+        return self.apply_function(fn_value, self._eval(expr.arg, env))
+
+    def _if(self, expr: ast.If, env):
+        branch = expr.then if self._eval(expr.cond, env) else expr.orelse
+        return self._eval(branch, env)
+
     def _bottom(self, expr: ast.Bottom, env):
         raise BottomError("explicit bottom")
 
-    def _mk_array(self, expr: ast.MkArray, env):
-        dims = []
-        for dim in expr.dims:
-            value = self._eval(dim, env)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise BottomError(f"array dimension {value!r} is not natural")
-            dims.append(value)
-        expected = 1
-        for d in dims:
-            expected *= d
-        if expected != len(expr.items):
-            raise BottomError(
-                f"array literal has {len(expr.items)} values for dims {dims}"
-            )
-        if self.probe is not None:
-            self.probe.on_cells(len(expr.items))
-        return Array(dims, (self._eval(item, env) for item in expr.items))
-
     def _prim(self, expr: ast.Prim, env):
-        native = self.prims.get(expr.name)
-        if native is None:
+        if expr.name not in self.prims:
             raise EvalError(f"unknown primitive {expr.name!r}")
-        return native
+        native = self.prims[expr.name]
+        return lambda argument: native(argument, self)
 
-    def _const(self, expr: ast.Const, env):
-        return expr.value
+    def _naturals(self, exprs, env, what: str) -> list:
+        values = []
+        for expr in exprs:
+            value = self._eval(expr, env)
+            if not _is_natural(value):
+                raise BottomError(f"{what} {value!r} is not natural")
+            values.append(value)
+        return values
 
-    # -- Section 6 extensions --------------------------------------------------
+    def _mk_array(self, expr: ast.MkArray, env):
+        dims = self._naturals(expr.dims, env, "array dimension")
+        if reduce(operator.mul, dims, 1) != len(expr.items):
+            raise BottomError(
+                f"array literal has {len(expr.items)} values for dims {dims}")
+        return Array(dims, [self._eval(item, env) for item in expr.items])
 
-    def _empty_bag(self, expr: ast.EmptyBag, env):
-        return Bag()
+    def _bodies(self, expr, env, names, rows) -> list:
+        """The body's value under each row of bindings for ``names``: what
+        every comprehension-like construct combines."""
+        return [self._eval(expr.body, {**env, **dict(zip(names, row))})
+                for row in rows]
 
-    def _singleton_bag(self, expr: ast.SingletonBag, env):
-        return Bag((self._eval(expr.expr, env),))
+    def _tabulate(self, expr: ast.Tabulate, env):
+        bounds = self._naturals(expr.bounds, env, "tabulation bound")
+        return Array(bounds, self._bodies(expr, env, expr.vars,
+                                          iter_indices(bounds)))
 
-    def _bag_union(self, expr: ast.BagUnion, env):
-        left = self._eval(expr.left, env)
-        right = self._eval(expr.right, env)
-        return left.union(right)
+    def _sum(self, expr: ast.Sum, env):
+        # canonical order, NOT frozenset hash order: float addition is
+        # non-associative, so a hash-ordered Σ over reals would differ
+        # between runs and platforms
+        rows = [(x,) for x in canonical_elements(self._eval(expr.source, env))]
+        return reduce(operator.add,
+                      self._bodies(expr, env, (expr.var,), rows), 0)
+
+    def _ext(self, expr: ast.Ext, env):
+        rows = [(x,) for x in self._eval(expr.source, env)]
+        return frozenset().union(*self._bodies(expr, env, (expr.var,), rows))
 
     def _bag_ext(self, expr: ast.BagExt, env):
-        source = self._eval(expr.source, env)
-        out = Bag()
-        for element in source:  # iterates with multiplicity
-            out = out.union(
-                self._eval(expr.body, Env.extend(env, expr.var, element))
-            )
-        return out
+        rows = [(x,) for x in self._eval(expr.source, env)]  # with multiplicity
+        return reduce(Bag.union,
+                      self._bodies(expr, env, (expr.var,), rows), Bag())
 
     def _ext_rank(self, expr: ast.ExtRank, env):
-        source = self._eval(expr.source, env)
-        out: set = set()
-        for element, position in rank_elements(source):
-            inner = Env.extend(env, expr.var, element)
-            inner = Env.extend(inner, expr.idx, position)
-            out |= self._eval(expr.body, inner)
-        return frozenset(out)
+        rows = rank_elements(self._eval(expr.source, env))
+        return frozenset().union(
+            *self._bodies(expr, env, (expr.var, expr.idx), rows))
 
     def _bag_ext_rank(self, expr: ast.BagExtRank, env):
-        source = self._eval(expr.source, env)
         # equal values get consecutive ranks, per Section 6
-        ordered = sort_values(source)
-        out = Bag()
-        for position, element in enumerate(ordered, start=1):
-            inner = Env.extend(env, expr.var, element)
-            inner = Env.extend(inner, expr.idx, position)
-            out = out.union(self._eval(expr.body, inner))
-        return out
+        ordered = sort_values(self._eval(expr.source, env))
+        rows = [(x, rank) for rank, x in enumerate(ordered, start=1)]
+        return reduce(Bag.union, self._bodies(
+            expr, env, (expr.var, expr.idx), rows), Bag())
 
-    _DISPATCH = {
-        ast.Var: _var,
-        ast.Lam: _lam,
-        ast.App: _app,
-        ast.TupleE: _tuple,
-        ast.Proj: _proj,
-        ast.EmptySet: _empty_set,
-        ast.Singleton: _singleton,
-        ast.Union: _union,
-        ast.Ext: _ext,
-        ast.BoolLit: _bool,
-        ast.If: _if,
-        ast.Cmp: _cmp,
-        ast.NatLit: _nat,
-        ast.RealLit: _real,
-        ast.StrLit: _str,
-        ast.Arith: _arith,
-        ast.Gen: _gen,
-        ast.Sum: _sum,
-        ast.Tabulate: _tabulate,
-        ast.Subscript: _subscript,
-        ast.Dim: _dim,
-        ast.IndexSet: _index,
-        ast.Get: _get,
-        ast.Bottom: _bottom,
-        ast.MkArray: _mk_array,
-        ast.Prim: _prim,
-        ast.Const: _const,
-        ast.EmptyBag: _empty_bag,
-        ast.SingletonBag: _singleton_bag,
-        ast.BagUnion: _bag_union,
-        ast.BagExt: _bag_ext,
-        ast.ExtRank: _ext_rank,
+    _BINDING = {
+        ast.Var: _var, ast.Lam: _lam, ast.App: _app, ast.If: _if,
+        ast.Bottom: _bottom, ast.Prim: _prim, ast.MkArray: _mk_array,
+        ast.Tabulate: _tabulate, ast.Sum: _sum, ast.Ext: _ext,
+        ast.BagExt: _bag_ext, ast.ExtRank: _ext_rank,
         ast.BagExtRank: _bag_ext_rank,
     }
 
 
-def apply_arith(op: str, left: Any, right: Any) -> Any:
-    """Overloaded arithmetic: monus/integer ops on nats, field ops on reals."""
-    nat_left = isinstance(left, int) and not isinstance(left, bool)
-    nat_right = isinstance(right, int) and not isinstance(right, bool)
-    if nat_left and nat_right:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return max(0, left - right)  # monus
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise BottomError("division by zero")
-            return left // right
-        if op == "%":
-            if right == 0:
-                raise BottomError("modulo by zero")
-            return left % right
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)) \
-            and not isinstance(left, bool) and not isinstance(right, bool):
-        if op == "+":
-            return float(left) + float(right)
-        if op == "-":
-            return float(left) - float(right)
-        if op == "*":
-            return float(left) * float(right)
-        if op == "/":
-            if right == 0:
-                raise BottomError("division by zero")
-            return float(left) / float(right)
-        raise BottomError(f"operator {op} is not defined on reals")
-    raise EvalError(f"arithmetic {op} on {left!r} and {right!r}")
-
-
-def collect_index_pairs(pairs, rank: int):
-    """Validate ``index_k`` input: ``([(key_tuple, value), ...], maxima)``.
-
-    Shared by the naive dict grouping below and the sort-based grouping
-    in :mod:`repro.core.setops`, so both paths reject a malformed pair
-    with the identical error at the identical point of the iteration.
-    """
-    items: list = []
-    maxima = [0] * rank
-    for pair in pairs:
-        if not isinstance(pair, tuple) or len(pair) != 2:
-            raise EvalError(f"index expects (key, value) pairs, got {pair!r}")
-        key, value = pair
-        if rank == 1:
-            key_tuple = (key,)
-        else:
-            key_tuple = key
-        if (not isinstance(key_tuple, tuple) or len(key_tuple) != rank
-                or any(isinstance(k, bool) or not isinstance(k, int) or k < 0
-                       for k in key_tuple)):
-            raise EvalError(f"bad index key {key!r} for rank {rank}")
-        for axis, position in enumerate(key_tuple):
-            if position > maxima[axis]:
-                maxima[axis] = position
-        items.append((key_tuple, value))
-    return items, maxima
-
-
-def index_set_stats(pairs, rank: int):
-    """Naive dict-grouping ``index_k``: ``(Array, groups, max_group)``.
-
-    The reference semantics the sort-based path is property-tested
-    against; ``groups`` counts non-empty cells and ``max_group`` is the
-    cardinality of the largest one (after deduplication).
-    """
-    items, maxima = collect_index_pairs(pairs, rank)
-    if not items:
-        return Array((0,) * rank, []), 0, 0
-    return stats_from_items(items, maxima)
-
-
-def stats_from_items(items, maxima):
-    """Dict grouping over pre-validated non-empty ``(key, value)`` items."""
-    keyed: Dict[tuple, set] = {}
-    for key_tuple, value in items:
-        keyed.setdefault(key_tuple, set()).add(value)
-    dims = [m + 1 for m in maxima]
-    values = [
-        frozenset(keyed.get(index, ())) for index in iter_indices(dims)
-    ]
-    max_group = 0
-    for group in keyed.values():
-        if len(group) > max_group:
-            max_group = len(group)
-    return Array(dims, values), len(keyed), max_group
-
-
-def index_set(pairs: frozenset, rank: int) -> Array:
-    """The semantics of ``index_k`` (Section 2).
-
-    Builds the k-dimensional array whose j-th dimension runs to the maximum
-    j-th key; holes get ``{}``; duplicate keys group all their values.
-    Runs in O(m + n log n) as the paper's cost analysis assumes.
-    """
-    return index_set_stats(pairs, rank)[0]
-
-
-def index_set_dispatch(pairs, rank: int, config):
-    """Build an ``index_k`` array the fastest provable way.
-
-    Returns ``(Array, groups, max_group, sorted_used)``.  Validation
-    runs exactly once (it raises the canonical error regardless of
-    path); the sort-based sweep
-    (:func:`repro.core.setops.sorted_from_items`) engages above the
-    ``config.min_cells`` floor and only when holes dominate — the dense
-    extent is at least ``setops.SPARSITY_FACTOR`` times the pair count
-    — because on dense key domains the dict pass is measurably faster
-    (see ``benchmarks/BENCH_index_groupby.json``).  Any failure inside
-    the sweep falls back to the dict path.  Both engines route through
-    here so their results and probe payloads cannot diverge.
-    """
-    items, maxima = collect_index_pairs(pairs, rank)
-    if not items:
-        return Array((0,) * rank, []), 0, 0, False
-    if setops.available(config) and isinstance(pairs, frozenset):
-        cells = 1
-        for m in maxima:
-            cells *= m + 1
-        # an active cost model weighs n·log n sort comparisons against
-        # the dict pass + per-cell materialization; otherwise the
-        # historical static gate (min_cells floor + sparsity ratio)
-        cost = getattr(config, "cost", None)
-        take_sorted = cost.group_decision(len(items), cells) \
-            if cost is not None else None
-        if take_sorted is None:
-            take_sorted = (len(items) >= config.min_cells
-                           and cells >= setops.SPARSITY_FACTOR * len(items))
-        if take_sorted:
-            try:
-                array, groups, max_group = setops.sorted_from_items(
-                    items, maxima)
-                return array, groups, max_group, True
-            except Exception:
-                pass
-    array, groups, max_group = stats_from_items(items, maxima)
-    return array, groups, max_group, False
-
-
-def evaluate(expr: ast.Expr,
-             bindings: Optional[Mapping[str, Any]] = None,
-             prims: Optional[Mapping[str, NativePrim]] = None) -> Any:
-    """One-shot evaluation with an ad-hoc evaluator."""
+def evaluate(expr: ast.Expr, bindings: Optional[Mapping[str, Any]] = None,
+             prims: Optional[Mapping[str, Any]] = None) -> Any:
+    """One-shot evaluation with the reference evaluator."""
     return Evaluator(prims).run(expr, bindings)
 
 
-__all__ = [
-    "Env", "Closure", "Evaluator", "NativePrim",
-    "apply_arith", "collect_index_pairs", "index_set", "index_set_stats",
-    "stats_from_items", "index_set_dispatch", "evaluate",
-]
+__all__ = ["Evaluator", "evaluate"]

@@ -13,10 +13,10 @@ here means the dispatches cannot drift apart, and a single
 ``Session(min_cells=…)`` override moves them all at once.
 
 A :class:`DispatchConfig` travels from the :class:`~repro.system.session.Session`
-through the :class:`~repro.env.environment.TopEnv` into both evaluation
-engines.  It is deliberately a plain mutable object read at dispatch
-time: tuning ``workers`` mid-session affects every evaluator (including
-plan-cache-resident compiled ones) without recompilation.
+through the :class:`~repro.env.environment.TopEnv` into the code the
+engine emits.  It is deliberately a plain mutable object read at
+dispatch time: tuning ``workers`` mid-session affects every evaluator
+(including plan-cache-resident ones) without recompilation.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class DispatchConfig:
         Worker-pool size for the sharded executor; ``<= 1`` disables
         parallel execution entirely (the vectorized path is unaffected).
     ``backend``
-        ``"thread"`` (default; shares the interpreter, no pickling) or
+        ``"thread"`` (default; shares the process, no pickling) or
         ``"process"`` (true CPU parallelism for evaluator-bound bodies,
         at the cost of forking workers and pickling shard inputs).
     ``setops``
@@ -250,8 +250,9 @@ class DispatchConfig:
 
 
 #: the config used by evaluators constructed without an explicit one
-#: (direct ``Evaluator()`` builds in tests and benchmarks); sessions get
-#: their own per-:class:`~repro.env.environment.TopEnv` instance
+#: (direct ``CompiledEvaluator()`` builds in tests and benchmarks);
+#: sessions get their own per-:class:`~repro.env.environment.TopEnv`
+#: instance
 DEFAULT_CONFIG = DispatchConfig.from_env()
 
 #: bound on the per-evaluator recognition memos below — the same order

@@ -41,8 +41,8 @@ Semantics preserved cell-for-cell:
   ``//``/``%`` match exactly; a zero anywhere in the divisor grid means
   some cell is ⊥ → fall back to the scalar loop to raise it;
 * mixed nat/real arithmetic promotes to float64, the same
-  ``float(x) op float(y)`` the scalar :func:`~repro.core.eval.apply_arith`
-  performs (int→double conversion rounds identically in both);
+  ``float(x) op float(y)`` the scalar
+  :func:`~repro.objects.values.apply_arith` performs (int→double conversion rounds identically in both);
 * Python ints are unbounded but int64 is not: an interval analysis runs
   alongside evaluation and falls back before any intermediate could
   exceed ``±2**62``.
@@ -59,6 +59,7 @@ from repro.core import fastpath
 from repro.errors import EvalError
 from repro.objects import dense
 from repro.objects.array import Array
+from repro.objects.values import apply_arith
 
 try:  # pragma: no cover - exercised by the no-numpy CI lane
     import numpy as _np
@@ -100,8 +101,7 @@ class Kernel:
     ``inputs`` are the index-variable-free leaves the executor needs
     values for: bare ``Var``/``Const`` scalars and the ``Var``/``Const``
     operands of subscripts.  The caller evaluates each in its own
-    environment (interpreter ``Env`` or compiled slot stack) and passes
-    the values to :func:`execute` positionally.
+    environment and passes the values to :func:`execute` positionally.
     """
 
     body: ast.Expr
@@ -432,8 +432,6 @@ def _arith(op: str, left, right):
     b, lb, hb = right
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         # exact Python arithmetic, the very code the scalar loop runs
-        # (imported lazily: eval imports this module for dispatch)
-        from repro.core.eval import apply_arith
         try:
             result = apply_arith(op, a, b)
         except EvalError:  # ⊥ (zero divisor, real %) → scalar raises it

@@ -15,7 +15,7 @@ so the output is bit-identical to the serial loop.
 Fused shard-kernel execution (docs/PARALLEL.md, docs/VECTOR_BACKEND.md):
 when the parent recognizes a tabulation body as a numpy kernel
 (:func:`repro.core.kernels.recognize`), process shards skip the scalar
-interpreter entirely — each worker runs
+loop entirely — each worker runs
 :func:`~repro.core.kernels.execute_range` over its cell range against
 the *mapped* operand segments and writes the result ndarray straight
 into its slice of the parent's output slab (outcome ``"vec"``).  Decline
@@ -56,10 +56,13 @@ Discipline (same proof-or-fallback contract as :mod:`repro.core.kernels`):
 Backends: ``"thread"`` shares the interpreter (no pickling, no copies;
 the GIL serializes pure-Python bodies, so it helps only when bodies
 release the GIL, e.g. numpy-heavy primitives) and ``"process"`` forks
-true CPU-parallel workers that re-interpret the shard body against
-shipped bindings (a worker that cannot reconstruct the body — native
-primitives in scope, unpicklable values — fails its shard and the
-whole construct falls back to serial).
+true CPU-parallel workers that compile the shipped shard body against
+shipped bindings and run the same shard loop the thread tasks run (a
+worker that cannot reconstruct the body — native primitives in scope,
+unpicklable values — fails its shard and the whole construct falls
+back to serial).  Either way the worker's counters come from the same
+code generator as the parent's, so a probed dispatch is served like an
+unprobed one.
 
 Shared-memory transport (the process backend's wire format)
 -----------------------------------------------------------
@@ -116,10 +119,10 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import ast
+from repro.core import ast, kernels
 from repro.core.fastpath import DispatchConfig
 from repro.objects import dense
-from repro.objects.array import Array, iter_indices
+from repro.objects.array import Array
 
 try:  # numpy is optional; the shm transport degrades to pickle without it
     import numpy as _np
@@ -491,7 +494,7 @@ def _merge_probes(probe: Any, worker_probes: List[Any],
     probe.on_parallel(shards, cells)
 
 
-# -- interpreter (repro.core.eval) entry points -----------------------------
+# -- shard loops and entry points -------------------------------------------
 
 
 def _unflatten(pos: int, extents: Sequence[int]) -> List[int]:
@@ -506,31 +509,21 @@ def _unflatten(pos: int, extents: Sequence[int]) -> List[int]:
     return index
 
 
-def _interp_cells(evaluator, expr: ast.Tabulate, env, extents: Sequence[int],
-                  lo: int, hi: int, cancel: Optional[threading.Event]) -> list:
-    """Evaluate flat row-major cells ``lo..hi`` of the tabulation domain —
-    exactly the cells the serial loop would produce at those positions.
-
-    An odometer walks the index vector; the per-axis ``Env`` chain is
-    rebuilt only from the deepest axis that changed, so the amortized
-    extends per cell match the serial loop's nesting."""
-    from repro.core.eval import Env
-
+def _cells(body, env: List[Any], extents: Sequence[int], lo: int, hi: int,
+           cancel: Optional[threading.Event]) -> list:
+    """Body values at flat row-major cells ``lo..hi`` of the tabulation
+    domain — exactly the cells the serial loop would produce at those
+    positions, with an odometer walking the index vector.  ``body`` is
+    compiled code over ``env`` extended by the index; thread tasks and
+    process workers both run this loop."""
     values: list = []
-    eval_ = evaluator._eval
-    body = expr.body
-    variables = expr.vars
+    extents = list(extents)
     rank = len(extents)
     index = _unflatten(lo, extents)
-    chain: list = [None] * rank
-    parent = env
-    for axis in range(rank):
-        parent = Env.extend(parent, variables[axis], index[axis])
-        chain[axis] = parent
     for _ in range(lo, hi):
         if cancel is not None and cancel.is_set():
             raise _Cancelled()
-        values.append(eval_(body, chain[rank - 1]))
+        values.append(body(env + index))
         axis = rank - 1
         while axis >= 0:
             index[axis] += 1
@@ -540,27 +533,17 @@ def _interp_cells(evaluator, expr: ast.Tabulate, env, extents: Sequence[int],
             axis -= 1
         if axis < 0:
             break  # walked off the domain: hi was the total
-        parent = env if axis == 0 else chain[axis - 1]
-        for a in range(axis, rank):
-            parent = Env.extend(parent, variables[a], index[a])
-            chain[a] = parent
     return values
 
 
-def _interp_sum_slice(evaluator, expr: ast.Sum, env, elements: Sequence[Any],
-                      lo: int, hi: int,
-                      cancel: Optional[threading.Event]) -> list:
+def _slice(body, env: List[Any], elements: Sequence[Any], lo: int, hi: int,
+           cancel: Optional[threading.Event]) -> list:
     """Body values for elements ``lo..hi`` of the canonical order."""
-    from repro.core.eval import Env
-
     values: list = []
-    eval_ = evaluator._eval
-    body = expr.body
-    var = expr.var
     for k in range(lo, hi):
         if cancel is not None and cancel.is_set():
             raise _Cancelled()
-        values.append(eval_(body, Env.extend(env, var, elements[k])))
+        values.append(body(env + [elements[k]]))
     return values
 
 
@@ -573,29 +556,21 @@ def _guarded(fn):
         _WORKER.active = False
 
 
-def _env_bindings(env, needed) -> Optional[List[Tuple[str, Any]]]:
-    """The innermost binding of each ``needed`` name from an
-    :class:`~repro.core.eval.Env` chain; ``None`` if any is unbound
-    (the serial loop raises the canonical error for that)."""
-    bindings: List[Tuple[str, Any]] = []
-    seen = set()
-    node = env
-    while node is not None and len(seen) < len(needed):
-        if node.name in needed and node.name not in seen:
-            seen.add(node.name)
-            bindings.append((node.name, node.value))
-        node = node.parent
-    if len(seen) < len(needed):
-        return None
-    return bindings
+def _run_threads(compiler, body_expr: ast.Expr, body_scope: Tuple[str, ...],
+                 body_code, shards, run_shard) -> Optional[List[list]]:
+    """Thread-backend driver: one task per shard, each returning
+    ``run_shard(body, lo, hi, cancel)``; the parts in shard order, or
+    ``None``.
 
+    An unprobed dispatch shares the parent's ``body_code`` (pure
+    closures, and the worker flag blocks re-entry).  A probed one
+    regenerates the body per shard against a private forked probe, and
+    the forks are merged back only once every shard has succeeded.
+    """
+    from repro.core.compile import Compiler
 
-def _dispatch_threads(evaluator, probe, config, make_task, shards):
-    """Common thread-backend driver: fork probes, build one worker
-    evaluator per shard (or share the parent when unprobed), run, and
-    return ``(parts, worker_probes)`` or ``None``."""
-    from repro.core.eval import Evaluator
-
+    config = compiler.parallel
+    probe = compiler.probe
     worker_probes = _fork_probes(probe, len(shards))
     if worker_probes is None:
         return None
@@ -603,61 +578,65 @@ def _dispatch_threads(evaluator, probe, config, make_task, shards):
     if pool is None:
         return None
     cancel = threading.Event()
-    tasks = []
-    for position, (lo, hi) in enumerate(shards):
-        if probe is None:
-            worker = evaluator  # read-only sharing; guard blocks re-entry
-        else:
-            worker = Evaluator(evaluator.prims,
-                               probe=worker_probes[position],
-                               parallel=_worker_config(config))
-        tasks.append(make_task(worker, lo, hi, cancel))
-    futures = [pool.submit(_guarded, task) for task in tasks]
+
+    def make_task(position: int, lo: int, hi: int):
+        def task():
+            body = body_code
+            if probe is not None:
+                worker = Compiler(compiler.prims,
+                                  probe=worker_probes[position],
+                                  parallel=_worker_config(config))
+                body = worker.compile(body_expr, body_scope)
+            return run_shard(body, lo, hi, cancel)
+
+        return task
+
+    futures = [
+        pool.submit(_guarded, make_task(position, lo, hi))
+        for position, (lo, hi) in enumerate(shards)
+    ]
     parts = _collect(futures, cancel, "thread", config.workers)
     if parts is None:
         return None
-    return parts, worker_probes
+    cells = shards[-1][1]  # split() tiles range(cells) exactly
+    _merge_probes(probe, worker_probes, len(shards), cells)
+    return parts
 
 
-def tabulate_interp(evaluator, expr: ast.Tabulate, env,
-                    extents: Sequence[int], total: int) -> Optional[Array]:
-    """Parallel interpreter tabulation, or ``None`` for the scalar loop."""
-    config = evaluator.parallel
+def shard_tabulate(compiler, expr: ast.Tabulate, scope: Tuple[str, ...],
+                   body_code, env: List[Any], extents: Sequence[int],
+                   total: int) -> Optional[Array]:
+    """Sharded scalar tabulation, or ``None`` for the serial loop."""
+    config = compiler.parallel
     shards = split(total, config.workers)
     if len(shards) < 2:
         return None
-    probe = evaluator.probe
+    probe = compiler.probe
     backend = config.shard_backend()
     started = time.perf_counter()
     if backend == "process":
-        result = _tabulate_process(
-            expr, _env_bindings_for(expr, env), extents, shards, probe,
-            config)
-        if result is not None and (config.adaptive or config.cost is not None):
-            config.observe("process", total, time.perf_counter() - started)
-        return result
-
-    def make_task(worker, lo, hi, cancel):
-        return lambda: _interp_cells(worker, expr, env, extents, lo, hi,
-                                     cancel)
-
-    outcome = _dispatch_threads(evaluator, probe, config, make_task, shards)
-    if outcome is None:
-        return None
-    parts, worker_probes = outcome
-    values = [value for part in parts for value in part]
-    _merge_probes(probe, worker_probes, len(shards), total)
-    if probe is not None:
-        probe.on_cells(total)
-    if config.adaptive or config.cost is not None:
-        config.observe("thread", total, time.perf_counter() - started)
-    return Array(extents, values)
+        result = _tabulate_process(expr, _scope_bindings(expr, scope, env),
+                                   extents, shards, probe, config)
+    else:
+        parts = _run_threads(
+            compiler, expr.body, scope + expr.vars, body_code, shards,
+            lambda body, lo, hi, cancel: _cells(body, env, extents, lo, hi,
+                                                cancel))
+        if parts is None:
+            return None
+        if probe is not None:
+            probe.on_cells(total)
+        result = Array(extents, [value for part in parts for value in part])
+    if result is not None and (config.adaptive or config.cost is not None):
+        config.observe(backend, total, time.perf_counter() - started)
+    return result
 
 
-def tabulate_kernel_interp(evaluator, expr: ast.Tabulate, env,
-                           extents: Sequence[int],
-                           total: int) -> Optional[Array]:
-    """Fused shard-kernel tabulation (interpreter), or ``None``.
+def shard_kernel_tabulate(compiler, expr: ast.Tabulate,
+                          scope: Tuple[str, ...], env: List[Any],
+                          extents: Sequence[int],
+                          total: int) -> Optional[Array]:
+    """Fused shard-kernel tabulation, or ``None``.
 
     Only the process backend fuses: each forked worker runs
     :func:`repro.core.kernels.execute_range` on its own core against
@@ -666,242 +645,55 @@ def tabulate_kernel_interp(evaluator, expr: ast.Tabulate, env,
     other backends decline and the caller runs :func:`kernels.execute`
     serially.
     """
-    config = evaluator.parallel
+    config = compiler.parallel
     if config.shard_backend() != "process":
         return None
     shards = split(total, config.workers)
     if len(shards) < 2:
         return None
-    return _tabulate_process(expr, _env_bindings_for(expr, env), extents,
-                             shards, evaluator.probe, config, kernel=True)
+    return _tabulate_process(expr, _scope_bindings(expr, scope, env), extents,
+                             shards, compiler.probe, config, kernel=True)
 
 
-def sum_interp(evaluator, expr: ast.Sum, env,
-               elements: Sequence[Any]) -> Optional[Tuple[Any]]:
-    """Parallel interpreter Σ: ``(total,)`` on success, else ``None``.
+def shard_sum(compiler, expr: ast.Sum, scope: Tuple[str, ...], body_code,
+              env: List[Any], elements: Sequence[Any]) -> Optional[Tuple[Any]]:
+    """Sharded Σ: ``(total,)`` on success, else ``None``.
 
     The 1-tuple distinguishes a computed total (which may itself be 0 or
     any falsy value) from the fallback signal.
     """
-    config = evaluator.parallel
-    shards = split(len(elements), config.workers)
-    if len(shards) < 2:
-        return None
-    probe = evaluator.probe
-    backend = config.shard_backend()
-    started = time.perf_counter()
-    if backend == "process":
-        result = _sum_process(expr, _env_bindings_for(expr, env), elements,
-                              shards, probe, config)
-        if result is not None and (config.adaptive or config.cost is not None):
-            config.observe("process", len(elements),
-                           time.perf_counter() - started)
-        return result
-
-    def make_task(worker, lo, hi, cancel):
-        return lambda: _interp_sum_slice(worker, expr, env, elements,
-                                         lo, hi, cancel)
-
-    outcome = _dispatch_threads(evaluator, probe, config, make_task, shards)
-    if outcome is None:
-        return None
-    parts, worker_probes = outcome
-    _merge_probes(probe, worker_probes, len(shards), len(elements))
-    total: Any = 0
-    for part in parts:
-        for value in part:  # canonical order: float-exact vs serial
-            total = total + value
-    if config.adaptive or config.cost is not None:
-        config.observe("thread", len(elements),
-                       time.perf_counter() - started)
-    return (total,)
-
-
-def _env_bindings_for(expr, env):
-    """Bindings a process worker needs to rebuild ``expr``'s body env."""
-    bound = set(expr.vars) if isinstance(expr, ast.Tabulate) else {expr.var}
-    needed = ast.free_vars(expr.body) - bound
-    return _env_bindings(env, needed)
-
-
-# -- compiled engine (repro.core.compile) entry points ----------------------
-
-
-def tabulate_compiled(compiler, expr: ast.Tabulate, scope: Tuple[str, ...],
-                      body_code, env: List[Any], extents: Sequence[int],
-                      total: int) -> Optional[Array]:
-    """Parallel compiled tabulation, or ``None`` for the scalar loop."""
     config = compiler.parallel
-    shards = split(total, config.workers)
+    count = len(elements)
+    shards = split(count, config.workers)
     if len(shards) < 2:
         return None
-    probe = compiler.probe
     backend = config.shard_backend()
     started = time.perf_counter()
     if backend == "process":
-        if probe is not None:
-            # process workers re-interpret the body; interpreter-side
-            # counters are only provably identical to the *interpreter's*
-            # serial counters, so the compiled engine declines
+        result = _sum_process(expr, _scope_bindings(expr, scope, env),
+                              elements, shards, compiler.probe, config)
+    else:
+        parts = _run_threads(
+            compiler, expr.body, scope + (expr.var,), body_code, shards,
+            lambda body, lo, hi, cancel: _slice(body, env, elements, lo, hi,
+                                                cancel))
+        if parts is None:
             return None
-        bindings = _scope_bindings(expr, scope, env)
-        result = _tabulate_process(expr, bindings, extents, shards, None,
-                                   config)
-        if result is not None and (config.adaptive or config.cost is not None):
-            config.observe("process", total, time.perf_counter() - started)
-        return result
-    worker_probes = _fork_probes(probe, len(shards))
-    if worker_probes is None:
-        return None
-    pool = _get_pool("thread", config.workers)
-    if pool is None:
-        return None
-    cancel = threading.Event()
-    extents_list = list(extents)
-
-    def make_task(position: int, lo: int, hi: int):
-        def task():
-            if probe is None:
-                body = body_code  # pure closures: safe to share
-            else:
-                from repro.core.compile import Compiler
-
-                worker = Compiler(compiler.prims,
-                                  probe=worker_probes[position],
-                                  parallel=_worker_config(config))
-                body = worker.compile(expr.body, scope + expr.vars)
-            values: list = []
-            index = _unflatten(lo, extents_list)
-            rank = len(extents_list)
-            for _ in range(lo, hi):
-                if cancel.is_set():
-                    raise _Cancelled()
-                values.append(body(env + index))
-                axis = rank - 1
-                while axis >= 0:
-                    index[axis] += 1
-                    if index[axis] < extents_list[axis]:
-                        break
-                    index[axis] = 0
-                    axis -= 1
-                if axis < 0:
-                    break
-            return values
-
-        return task
-
-    futures = [
-        pool.submit(_guarded, make_task(position, lo, hi))
-        for position, (lo, hi) in enumerate(shards)
-    ]
-    parts = _collect(futures, cancel, "thread", config.workers)
-    if parts is None:
-        return None
-    values = [value for part in parts for value in part]
-    _merge_probes(probe, worker_probes, len(shards), total)
-    if probe is not None:
-        probe.on_cells(total)
-    if config.adaptive or config.cost is not None:
-        config.observe("thread", total, time.perf_counter() - started)
-    return Array(extents, values)
-
-
-def tabulate_kernel_compiled(compiler, expr: ast.Tabulate,
-                             scope: Tuple[str, ...], env: List[Any],
-                             extents: Sequence[int],
-                             total: int) -> Optional[Array]:
-    """Fused shard-kernel tabulation (compiled engine), or ``None``.
-
-    Unlike the scalar process path, a *probed* compiled dispatch is
-    allowed here — but only as all-or-nothing (``vec_only``): when every
-    shard vectorizes, worker probes carry no interpreter counters (the
-    kernel evaluates zero AST nodes), so merging them cannot pollute the
-    compiled engine's counts; if any shard falls back to the scalar
-    interpreter the whole dispatch declines instead.
-    """
-    config = compiler.parallel
-    if config.shard_backend() != "process":
-        return None
-    shards = split(total, config.workers)
-    if len(shards) < 2:
-        return None
-    probe = compiler.probe
-    bindings = _scope_bindings(expr, scope, env)
-    return _tabulate_process(expr, bindings, extents, shards, probe, config,
-                             kernel=True, vec_only=probe is not None)
-
-
-def sum_compiled(compiler, expr: ast.Sum, scope: Tuple[str, ...],
-                 body_code, env: List[Any],
-                 elements: Sequence[Any]) -> Optional[Tuple[Any]]:
-    """Parallel compiled Σ: ``(total,)`` on success, else ``None``."""
-    config = compiler.parallel
-    shards = split(len(elements), config.workers)
-    if len(shards) < 2:
-        return None
-    probe = compiler.probe
-    backend = config.shard_backend()
-    started = time.perf_counter()
-    if backend == "process":
-        if probe is not None:
-            return None  # see tabulate_compiled
-        bindings = _scope_bindings(expr, scope, env)
-        result = _sum_process(expr, bindings, elements, shards, None,
-                              config)
-        if result is not None and (config.adaptive or config.cost is not None):
-            config.observe("process", len(elements),
-                           time.perf_counter() - started)
-        return result
-    worker_probes = _fork_probes(probe, len(shards))
-    if worker_probes is None:
-        return None
-    pool = _get_pool("thread", config.workers)
-    if pool is None:
-        return None
-    cancel = threading.Event()
-
-    def make_task(position: int, lo: int, hi: int):
-        def task():
-            if probe is None:
-                body = body_code
-            else:
-                from repro.core.compile import Compiler
-
-                worker = Compiler(compiler.prims,
-                                  probe=worker_probes[position],
-                                  parallel=_worker_config(config))
-                body = worker.compile(expr.body, scope + (expr.var,))
-            values: list = []
-            for k in range(lo, hi):
-                if cancel.is_set():
-                    raise _Cancelled()
-                values.append(body(env + [elements[k]]))
-            return values
-
-        return task
-
-    futures = [
-        pool.submit(_guarded, make_task(position, lo, hi))
-        for position, (lo, hi) in enumerate(shards)
-    ]
-    parts = _collect(futures, cancel, "thread", config.workers)
-    if parts is None:
-        return None
-    _merge_probes(probe, worker_probes, len(shards), len(elements))
-    total: Any = 0
-    for part in parts:
-        for value in part:
-            total = total + value
-    if config.adaptive or config.cost is not None:
-        config.observe("thread", len(elements),
-                       time.perf_counter() - started)
-    return (total,)
+        total: Any = 0
+        for part in parts:
+            for value in part:  # canonical order: float-exact vs serial
+                total = total + value
+        result = (total,)
+    if result is not None and (config.adaptive or config.cost is not None):
+        config.observe(backend, count, time.perf_counter() - started)
+    return result
 
 
 def _scope_bindings(expr, scope: Tuple[str, ...],
                     env: List[Any]) -> Optional[List[Tuple[str, Any]]]:
     """Free-variable bindings of ``expr.body`` from a compiled env list
-    (innermost occurrence of a shadowed name wins)."""
+    (innermost occurrence of a shadowed name wins); ``None`` if any is
+    unbound (the serial loop raises the canonical error for that)."""
     bound = set(expr.vars) if isinstance(expr, ast.Tabulate) else {expr.var}
     needed = ast.free_vars(expr.body) - bound
     latest: Dict[str, Any] = {}
@@ -916,8 +708,9 @@ def _scope_bindings(expr, scope: Tuple[str, ...],
 # -- the process backend ----------------------------------------------------
 #
 # Workers are forked interpreters: the shard body is shipped as the AST
-# plus the values of its free variables, and re-evaluated by a fresh
-# serial Evaluator in the child.  Anything that cannot make the trip —
+# plus the values of its free variables, and the child compiles it with
+# a serial worker Compiler and runs the same shard loop (`_cells` /
+# `_slice`) the thread tasks run.  Anything that cannot make the trip —
 # native primitives in the body, unpicklable environment values — fails
 # the shard, which falls the whole construct back to serial.  Dense data
 # rides shared-memory segments (see the module docstring); everything
@@ -989,8 +782,6 @@ def _payload(kind: str, expr, plain, shm_binds, config: DispatchConfig,
     configuration still takes exactly the paths the parent's own serial
     run would.
     """
-    from repro.core import kernels
-
     return {
         "kind": kind,
         "expr": expr,
@@ -1064,39 +855,34 @@ def _drain_worker_segments() -> None:
             pass
 
 
-def _kernel_inputs(kernel, env):
-    """Resolve kernel input leaves from the worker's rebuilt env, or
+def _kernel_inputs(kernel, bound: Dict[str, Any]):
+    """Resolve kernel input leaves from the worker's rebuilt bindings, or
     ``None`` (an unbound name — the scalar fallback raises it)."""
-    from repro.core.eval import Env
-
     try:
         return [
-            Env.lookup(env, leaf.name) if isinstance(leaf, ast.Var)
-            else leaf.value
+            bound[leaf.name] if isinstance(leaf, ast.Var) else leaf.value
             for leaf in kernel.inputs
         ]
-    except Exception:
+    except KeyError:
         return None
 
 
-def _vec_shard(payload: dict, env) -> Optional[str]:
+def _vec_shard(payload: dict, bound: Dict[str, Any]) -> Optional[str]:
     """Run the recognized kernel over this shard's cell range (worker).
 
     Writes the result straight into the shard's slice of the parent's
     output slab and returns the slab tag, or ``None`` to fall back to
-    the scalar interpreter.  Every ``None`` here is either shard-global
+    the scalar loop.  Every ``None`` here is either shard-global
     (recognition, dtype, interval proofs — identical in all shards, see
     :func:`repro.core.kernels.execute_range`) or implies a ⊥ cell in
     this shard (so the fallback raises and the parent reruns serially).
     """
-    from repro.core import kernels
-
     if not kernels.available():
         return None
     kernel = kernels.recognize(payload["expr"])
     if kernel is None:
         return None
-    inputs = _kernel_inputs(kernel, env)
+    inputs = _kernel_inputs(kernel, bound)
     if inputs is None:
         return None
     lo, hi = payload["lo"], payload["hi"]
@@ -1119,8 +905,8 @@ def _vec_shard(payload: dict, env) -> Optional[str]:
     return tag
 
 
-def _vec_sum_slice(payload: dict, env, view, tag: str, count: int,
-                   elo, ehi) -> Optional[tuple]:
+def _vec_sum_slice(payload: dict, bound: Dict[str, Any], view, tag: str,
+                   count: int, elo, ehi) -> Optional[tuple]:
     """Vectorized partial Σ over this shard's element slice (worker).
 
     ``(partial,)`` — an exact int — or ``None`` for the boxed scalar
@@ -1129,14 +915,12 @@ def _vec_sum_slice(payload: dict, env, view, tag: str, count: int,
     proof-based decline) identical across shards
     (:func:`repro.core.kernels.execute_elements`).
     """
-    from repro.core import kernels
-
     if not kernels.available() or tag != dense.TAG_INT:
         return None
     kernel = kernels.recognize_sum(payload["expr"])
     if kernel is None:
         return None
-    inputs = _kernel_inputs(kernel, env)
+    inputs = _kernel_inputs(kernel, bound)
     if inputs is None:
         return None
     return kernels.execute_elements(
@@ -1159,8 +943,7 @@ def _process_worker(payload_bytes: bytes):
     defensive copy) and held open past the return — see
     ``_WORKER_SEGMENTS``.
     """
-    from repro.core import kernels
-    from repro.core.eval import Env, Evaluator
+    from repro.core.compile import Compiler
 
     _drain_worker_segments()
     try:
@@ -1174,9 +957,7 @@ def _process_worker(payload_bytes: bytes):
             from repro.obs.metrics import EvalMetrics
 
             probe = EvalMetrics()
-        env = None
-        for name, value in payload["bindings"]:
-            env = Env.extend(env, name, value)
+        bound: Dict[str, Any] = dict(payload["bindings"])
         for name, seg_name, tag, dims in payload["shm_bindings"]:
             seg = _shm_attach(seg_name)
             _WORKER_SEGMENTS.append(seg)
@@ -1186,21 +967,24 @@ def _process_worker(payload_bytes: bytes):
             data = _np.frombuffer(seg.buf, dtype=_tag_dtype(tag),
                                   count=size).reshape(dims)
             data.flags.writeable = False
-            env = Env.extend(env, name, Array(dims, data))
+            bound[name] = Array(dims, data)
         if probe is not None and payload["shm_bindings"]:
             probe.on_shm_copies_avoided(len(payload["shm_bindings"]))
         worker_cfg = DispatchConfig(min_cells=payload["min_cells"],
                                     workers=0, setops=payload["setops"])
-        worker = Evaluator({}, probe=probe, parallel=worker_cfg)
+        worker = Compiler({}, probe=probe, parallel=worker_cfg)
+        expr = payload["expr"]
+        scope = tuple(bound)
+        env = list(bound.values())
         if payload["kind"] == "tabulate":
             if payload["kernel"] and payload["out"] is not None:
-                tag = _vec_shard(payload, env)
+                tag = _vec_shard(payload, bound)
                 if tag is not None:
                     return ("vec", tag, payload["out"][1],
                             payload["out"][2], probe)
-            values = _interp_cells(worker, payload["expr"], env,
-                                   payload["extents"], payload["lo"],
-                                   payload["hi"], None)
+            body = worker.compile(expr.body, scope + expr.vars)
+            values = _cells(body, env, payload["extents"], payload["lo"],
+                            payload["hi"], None)
         elif payload["elements_shm"] is not None:
             seg_name, tag, count, elo, ehi = payload["elements_shm"]
             seg = _shm_attach(seg_name)
@@ -1208,7 +992,7 @@ def _process_worker(payload_bytes: bytes):
             view = _np.frombuffer(seg.buf, dtype=_tag_dtype(tag),
                                   count=count)
             if payload["kernel"]:
-                partial = _vec_sum_slice(payload, env, view, tag, count,
+                partial = _vec_sum_slice(payload, bound, view, tag, count,
                                          elo, ehi)
                 if partial is not None:
                     del view
@@ -1217,12 +1001,12 @@ def _process_worker(payload_bytes: bytes):
                 elements = view[payload["lo"]:payload["hi"]].tolist()
             finally:
                 del view
-            values = _interp_sum_slice(worker, payload["expr"], env,
-                                       elements, 0, len(elements), None)
+            body = worker.compile(expr.body, scope + (expr.var,))
+            values = _slice(body, env, elements, 0, len(elements), None)
         else:
-            values = _interp_sum_slice(worker, payload["expr"], env,
-                                       payload["elements"], payload["lo"],
-                                       payload["hi"], None)
+            body = worker.compile(expr.body, scope + (expr.var,))
+            values = _slice(body, env, payload["elements"], payload["lo"],
+                            payload["hi"], None)
         if payload["out"] is not None:
             written = _slab_write(payload["out"], values)
             if written is not None:
@@ -1372,8 +1156,7 @@ def _fold_sum(outcomes, out_seg, shards, count) -> Optional[tuple]:
 
 def _tabulate_process(expr: ast.Tabulate, bindings, extents, shards,
                       probe, config: DispatchConfig,
-                      kernel: bool = False,
-                      vec_only: bool = False) -> Optional[Array]:
+                      kernel: bool = False) -> Optional[Array]:
     """Process-backend tabulation over the shared-memory transport.
 
     ``shards`` are flat row-major cell ranges (see :func:`split` over
@@ -1382,9 +1165,7 @@ def _tabulate_process(expr: ast.Tabulate, bindings, extents, shards,
     :func:`repro.core.kernels.execute_range` over its range before the
     scalar fallback; shard-global decline proofs guarantee the
     outcomes are all-vectorized or all-scalar, and a mix is treated as
-    a protocol anomaly (serial rerun).  ``vec_only=True`` (the probed
-    compiled engine) additionally declines the all-scalar case, whose
-    worker counters would be the interpreter's, not the compiler's.
+    a protocol anomaly (serial rerun).
     """
     if bindings is None or _contains_prim(expr.body):
         return None
@@ -1419,8 +1200,6 @@ def _tabulate_process(expr: ast.Tabulate, bindings, extents, shards,
         vec_count = sum(1 for outcome in outcomes if outcome[0] == "vec")
         if vec_count and vec_count != len(outcomes):
             return None  # decline decisions are shard-global; see above
-        if vec_only and vec_count != len(outcomes):
-            return None
         stitched = _stitch_tabulate(outcomes, out_seg, list(shards),
                                     extents, total)
         if stitched is None:
@@ -1455,12 +1234,10 @@ def _sum_process(expr: ast.Sum, bindings, elements, shards, probe,
     the body is kernel-shaped, workers attempt the vectorized partial
     fold (``"vsum"`` outcomes — see
     :func:`repro.core.kernels.execute_elements`) before the boxed
-    scalar path.  Probed runs never ship the kernel flag: serial Σ is
-    always interpreted per element, so a vectorized shard would report
+    scalar path.  Probed runs never ship the kernel flag: serial Σ
+    always runs its body per element, so a vectorized shard would report
     different counters than the serial run it must agree with.
     """
-    from repro.core import kernels
-
     if bindings is None or _contains_prim(expr.body):
         return None
     probed = _probed_for_process(probe)
@@ -1480,7 +1257,7 @@ def _sum_process(expr: ast.Sum, bindings, elements, shards, probe,
                     _copy_into(seg, block.data)
                     elements_ref = (seg.name, block.tag, count,
                                     block.lo, block.hi)
-        kernel_sum = (not probed and probe is None
+        kernel_sum = (not probed
                       and elements_ref is not None
                       and elements_ref[1] == dense.TAG_INT
                       and kernels.available()
@@ -1524,6 +1301,5 @@ __all__ = [
     "ENABLED", "SHM_ENABLED", "SHM_MIN_BYTES", "SHUTDOWN_GRACE",
     "available", "split", "in_worker", "shutdown_pools",
     "shm_live_segments", "shm_unlink_all",
-    "tabulate_interp", "sum_interp", "tabulate_compiled", "sum_compiled",
-    "tabulate_kernel_interp", "tabulate_kernel_compiled",
+    "shard_tabulate", "shard_kernel_tabulate", "shard_sum",
 ]

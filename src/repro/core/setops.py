@@ -2,8 +2,8 @@
 
 PRs 2–4 made the paper's *array* half fast (vectorized tabulation,
 sharded Σ); this module does the same for the NRC *set* half.  Two
-fast paths, both dispatched from :class:`~repro.core.eval.Evaluator`
-and the compiled :class:`~repro.core.compile.Compiler` closures:
+fast paths, both dispatched from the code
+:class:`~repro.core.compile.Compiler` emits:
 
 **Hash equi-join** — the filter-promotion normal form the optimizer's
 NRC rules leave a relational join in is::
@@ -20,12 +20,13 @@ else-branch is syntactically ``{}``: a non-matching pair contributes
 the empty set and *cannot* raise, so leaving it out changes nothing.
 
 **Sort-based grouping** — :func:`index_set_sorted` replaces the
-dict-of-sets materialization of :func:`repro.core.eval.index_set` with
-a sort of the (key, value) pairs and one sweep emitting group slices
+dict-of-sets materialization of :func:`repro.objects.array.index_set`
+with a sort of the (key, value) pairs and one sweep emitting group slices
 into a stride-addressed flat cell list.  Holes share one empty
 frozenset instead of allocating per cell, which is what makes
 sparse/skewed domains cheap; the sweep also yields the *true* largest
-group size for the probe (``max_group_size``).
+group size for the probe (``max_group_size``).  Which of the two an
+``index_k`` takes is decided in :func:`index_set_dispatch`.
 
 Discipline (the proof-or-fallback contract of :mod:`repro.core.kernels`
 and :mod:`repro.core.parallel`):
@@ -60,6 +61,7 @@ from operator import itemgetter
 from typing import Any, List, Optional, Tuple
 
 from repro.core import ast
+from repro.objects.array import Array, collect_index_pairs, stats_from_items
 from repro.objects.values import value_equal
 
 #: kill switch — mirrors ``kernels.ENABLED`` / ``parallel.ENABLED``
@@ -191,75 +193,6 @@ def _fork_probe(probe):
     return True, forked
 
 
-def join_interp(evaluator, expr: ast.Ext, shape: JoinShape, env,
-                source: frozenset) -> Optional[frozenset]:
-    """Hash-join on the interpreter, or ``None`` for the naive loops."""
-    from repro.core.eval import Env, Evaluator
-
-    probe = evaluator.probe
-    ok, forked = _fork_probe(probe)
-    if not ok:
-        return None
-    worker = evaluator
-    if forked is not None:
-        worker = Evaluator(evaluator.prims, probe=forked,
-                           parallel=evaluator.parallel)
-    eval_ = worker._eval
-    outer_var, inner_var = shape.outer_var, shape.inner_var
-    try:
-        inner_source = eval_(shape.inner_source, env)
-        if not isinstance(inner_source, frozenset):
-            return None
-        total = len(source) * len(inner_source)
-        if not _join_worthwhile(evaluator.parallel, source,
-                                inner_source, total, shape):
-            return None  # below the floor: recognition cost wins
-        matched = 0
-        out: set = set()
-        if len(inner_source) <= len(source):
-            index: dict = {}
-            for y in inner_source:
-                key = HashKey(eval_(shape.inner_key,
-                                    Env.extend(env, inner_var, y)))
-                index.setdefault(key, []).append(y)
-            for x in source:
-                bucket = index.get(
-                    HashKey(eval_(shape.outer_key,
-                                  Env.extend(env, outer_var, x))))
-                if bucket:
-                    with_x = Env.extend(env, outer_var, x)
-                    for y in bucket:
-                        out |= eval_(shape.match_body,
-                                     Env.extend(with_x, inner_var, y))
-                        matched += 1
-        else:
-            index = {}
-            for x in source:
-                key = HashKey(eval_(shape.outer_key,
-                                    Env.extend(env, outer_var, x)))
-                index.setdefault(key, []).append(x)
-            for y in inner_source:
-                bucket = index.get(
-                    HashKey(eval_(shape.inner_key,
-                                  Env.extend(env, inner_var, y))))
-                if bucket:
-                    for x in bucket:
-                        out |= eval_(
-                            shape.match_body,
-                            Env.extend(Env.extend(env, outer_var, x),
-                                       inner_var, y))
-                        matched += 1
-        result = frozenset(out)
-    except Exception:
-        # the naive rerun raises the canonical error with canonical
-        # probe counts; everything counted into `forked` is discarded
-        return None
-    if probe is not None:
-        probe.merge(forked)
-        probe.on_join(matched, total - matched)
-    return result
-
-
 def compile_join_pieces(compiler, expr: ast.Ext, shape: JoinShape,
                         scope: Tuple[str, ...]):
     """Compile the four join sub-expressions under their own scopes.
@@ -277,10 +210,10 @@ def compile_join_pieces(compiler, expr: ast.Ext, shape: JoinShape,
     )
 
 
-def join_compiled(compiler, expr: ast.Ext, shape: JoinShape,
-                  scope: Tuple[str, ...], pieces, env: List[Any],
-                  source: frozenset) -> Optional[frozenset]:
-    """Hash-join on the compiled engine, or ``None`` for the naive loop.
+def hash_join(compiler, expr: ast.Ext, shape: JoinShape,
+              scope: Tuple[str, ...], pieces, env: List[Any],
+              source: frozenset) -> Optional[frozenset]:
+    """Hash-join a recognized ``ext``, or ``None`` for the naive loop.
 
     ``pieces`` are the unprobed closures prebuilt at compile time; a
     probed dispatch recompiles them against a worker compiler bound to
@@ -311,7 +244,7 @@ def join_compiled(compiler, expr: ast.Ext, shape: JoinShape,
         total = len(source) * len(inner_source)
         if not _join_worthwhile(compiler.parallel, source,
                                 inner_source, total, shape):
-            return None
+            return None  # below the floor: recognition cost wins
         matched = 0
         out: set = set()
         if len(inner_source) <= len(source):
@@ -338,6 +271,8 @@ def join_compiled(compiler, expr: ast.Ext, shape: JoinShape,
                         matched += 1
         result = frozenset(out)
     except Exception:
+        # the naive rerun raises the canonical error with canonical
+        # probe counts; everything counted into `forked` is discarded
         return None
     if probe is not None:
         probe.merge(forked)
@@ -347,13 +282,13 @@ def join_compiled(compiler, expr: ast.Ext, shape: JoinShape,
 
 # -- sort-based index_k grouping ---------------------------------------------
 
-#: The dispatch gate (:func:`repro.core.eval.index_set_dispatch`) takes
-#: the sort-based path only when the dense extent is at least this many
-#: times the pair count.  On dense key domains the dict path's single
-#: hash pass beats sort-and-sweep (BENCH_index_groupby.json measures it
-#: ~1.1-1.3x faster there); the sorted path wins when holes dominate,
-#: because it shares one empty frozenset across every hole instead of
-#: allocating per cell (~34x on 2k pairs over a 200k-cell extent).
+#: :func:`index_set_dispatch` takes the sort-based path only when the
+#: dense extent is at least this many times the pair count.  On dense
+#: key domains the dict path's single hash pass beats sort-and-sweep
+#: (BENCH_index_groupby.json measures it ~1.1-1.3x faster there); the
+#: sorted path wins when holes dominate, because it shares one empty
+#: frozenset across every hole instead of allocating per cell (~34x on
+#: 2k pairs over a 200k-cell extent).
 SPARSITY_FACTOR = 4
 
 
@@ -361,12 +296,9 @@ def index_set_sorted(pairs, rank: int):
     """Sort-and-sweep ``index_k``: ``(Array, groups, max_group)``.
 
     Shares pair validation with the naive path
-    (:func:`repro.core.eval.collect_index_pairs`) so a malformed pair
-    raises the identical error either way.
+    (:func:`repro.objects.array.collect_index_pairs`) so a malformed
+    pair raises the identical error either way.
     """
-    from repro.core.eval import collect_index_pairs
-    from repro.objects.array import Array
-
     items, maxima = collect_index_pairs(pairs, rank)
     if not items:
         return Array((0,) * rank, []), 0, 0
@@ -379,8 +311,6 @@ def sorted_from_items(items, maxima):
     the canonical order; the sort compares keys only (values of mixed
     kinds are not mutually orderable and never need to be).
     """
-    from repro.objects.array import Array
-
     rank = len(maxima)
     dims = [m + 1 for m in maxima]
     strides = [0] * rank
@@ -412,8 +342,47 @@ def sorted_from_items(items, maxima):
     return Array(dims, values), groups, max_group
 
 
+def index_set_dispatch(pairs, rank: int, config):
+    """Build an ``index_k`` array the fastest provable way.
+
+    Returns ``(Array, groups, max_group, sorted_used)``.  Validation
+    runs exactly once (it raises the canonical error regardless of
+    path); the sort-based sweep (:func:`sorted_from_items`) engages
+    above the ``config.min_cells`` floor and only when holes dominate —
+    the dense extent is at least :data:`SPARSITY_FACTOR` times the pair
+    count — because on dense key domains the dict pass is measurably
+    faster (see ``benchmarks/BENCH_index_groupby.json``).  Any failure
+    inside the sweep falls back to the dict path.
+    """
+    items, maxima = collect_index_pairs(pairs, rank)
+    if not items:
+        return Array((0,) * rank, []), 0, 0, False
+    if available(config) and isinstance(pairs, frozenset):
+        cells = 1
+        for m in maxima:
+            cells *= m + 1
+        # an active cost model weighs n·log n sort comparisons against
+        # the dict pass + per-cell materialization; otherwise the
+        # historical static gate (min_cells floor + sparsity ratio)
+        cost = getattr(config, "cost", None)
+        take_sorted = cost.group_decision(len(items), cells) \
+            if cost is not None else None
+        if take_sorted is None:
+            take_sorted = (len(items) >= config.min_cells
+                           and cells >= SPARSITY_FACTOR * len(items))
+        if take_sorted:
+            try:
+                array, groups, max_group = sorted_from_items(items, maxima)
+                return array, groups, max_group, True
+            except Exception:
+                pass
+    array, groups, max_group = stats_from_items(items, maxima)
+    return array, groups, max_group, False
+
+
 __all__ = [
     "ENABLED", "available", "HashKey", "JoinShape", "recognize_join",
-    "join_interp", "compile_join_pieces", "join_compiled",
-    "index_set_sorted", "sorted_from_items", "SPARSITY_FACTOR",
+    "compile_join_pieces", "hash_join",
+    "index_set_sorted", "sorted_from_items", "index_set_dispatch",
+    "SPARSITY_FACTOR",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import ast
-from repro.core.eval import Evaluator
+from repro.core.compile import CompiledEvaluator, NativePrim
 from repro.core.fastpath import DispatchConfig
 from repro.core.typecheck import TypeChecker
 from repro.errors import RegistrationError, TypeCheckError
@@ -41,22 +41,18 @@ class TopEnv:
     def __init__(self,
                  drivers: Optional[DriverRegistry] = None,
                  optimizer: Optional[Optimizer] = None,
-                 backend: str = "interpreter",
                  observe: bool = False):
-        if backend not in ("interpreter", "compiled"):
-            raise RegistrationError(f"unknown backend {backend!r}")
-        self._prim_impls: Dict[str, Callable[[Any, Evaluator], Any]] = {}
+        self._prim_impls: Dict[str, NativePrim] = {}
         self._prim_schemes: Dict[str, TypeScheme] = {}
         self._macros: Dict[str, Tuple[ast.Expr, TypeScheme]] = {}
         self._vals: Dict[str, Any] = {}
         self.drivers = drivers if drivers is not None else default_registry()
         self.optimizer = (optimizer if optimizer is not None
                           else default_optimizer())
-        self.backend = backend
         #: fast-path gating shared by every evaluator this environment
         #: builds (vectorized + sharded dispatch); handed out by
         #: reference, so Session-level tuning retunes live engines —
-        #: including compiled evaluators resident in a plan cache
+        #: including evaluators resident in a plan cache
         self.parallel = DispatchConfig.from_env()
         #: the calibrated cost model (None under ``REPRO_NO_COST=1``),
         #: shared by reference with the dispatch config (cost-gated
@@ -82,7 +78,7 @@ class TopEnv:
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def standard(cls, backend: str = "interpreter") -> "TopEnv":
+    def standard(cls) -> "TopEnv":
         """The stock environment: builtins + the AQL standard library."""
         from repro.env.primitives import builtin_primitives
         from repro.env.stdlib import STDLIB_SOURCE
@@ -90,7 +86,7 @@ class TopEnv:
         from repro.surface.sast import MacroDecl
         from repro.surface.desugar import Desugarer
 
-        env = cls(backend=backend)
+        env = cls()
         for name, (impl, sig) in builtin_primitives().items():
             env.register_primitive(name, impl, sig)
         desugarer = Desugarer()
@@ -135,7 +131,7 @@ class TopEnv:
     # -- registration (Section 4.1) ------------------------------------------------
 
     def register_primitive(self, name: str,
-                           impl: Callable[[Any, Evaluator], Any],
+                           impl: NativePrim,
                            signature: TypeScheme | Type,
                            replace: bool = False) -> None:
         """Register a native primitive (``impl(value, evaluator)``)."""
@@ -235,39 +231,22 @@ class TopEnv:
         """A typechecker primed with this environment's primitive schemes."""
         return TypeChecker(self._prim_schemes)
 
-    def evaluator(self):
-        """The evaluation engine for the configured backend.
-
-        Both engines expose ``run(expr, bindings)`` and
-        ``apply_function``; "compiled" trades a one-time code-generation
-        pass for faster repeated evaluation (Section 3's code-generator
-        motivation).
-        """
+    def evaluator(self) -> CompiledEvaluator:
+        """The execution engine (``run(expr, bindings)`` and
+        ``apply_function``), reporting into the environment's metrics
+        while observability is on."""
         probe = self.obs.metrics if self.obs.enabled else None
-        if self.backend == "compiled":
-            from repro.core.compile import CompiledEvaluator
+        return CompiledEvaluator(self._prim_impls, probe=probe,
+                                 parallel=self.parallel)
 
-            return CompiledEvaluator(self._prim_impls, probe=probe,
-                                     parallel=self.parallel)
-        return Evaluator(self._prim_impls, probe=probe,
-                         parallel=self.parallel)
-
-    def plan_evaluator(self):
-        """An *uninstrumented* evaluator suitable for caching inside a
-        query plan, or None when the backend has no reusable state.
-
-        Only the "compiled" backend benefits: a cached
-        :class:`~repro.core.compile.CompiledEvaluator` keeps the
-        generated closure, so a plan-cache hit skips code generation
-        entirely.  (The interpreter walks the AST per run; there is
-        nothing to keep.)  Cached evaluators are deliberately built
-        without a probe — an observed run re-generates probed code so
-        instrumentation never leaks into the fast path.
+    def plan_evaluator(self) -> CompiledEvaluator:
+        """An *uninstrumented* engine suitable for keeping inside a
+        query plan: it holds on to the closure it generates, so running
+        the plan again skips code generation.  Deliberately built
+        without a probe — an observed run generates probed code through
+        :meth:`evaluator` instead, so instrumentation never leaks into
+        the fast path.
         """
-        if self.backend != "compiled":
-            return None
-        from repro.core.compile import CompiledEvaluator
-
         return CompiledEvaluator(self._prim_impls, parallel=self.parallel)
 
     def compile(self, expr: ast.Expr,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, Tuple
 
-from repro.core.eval import Evaluator
+from repro.core.compile import NativePrim
 from repro.errors import BottomError, EvalError
 from repro.objects.ordering import sort_values
 from repro.types.types import (
@@ -31,14 +31,14 @@ from repro.types.types import (
 )
 from repro.types.unify import generalize
 
-NativeImpl = Callable[[Any, Evaluator], Any]
+NativeImpl = NativePrim
 PrimEntry = Tuple[NativeImpl, TypeScheme]
 
 
 def simple_prim(fn: Callable[[Any], Any]) -> NativeImpl:
     """Wrap a plain function of the argument value as a native primitive."""
 
-    def native(value: Any, evaluator: Evaluator) -> Any:
+    def native(value: Any, evaluator: Any) -> Any:
         return fn(value)
 
     return native

@@ -45,9 +45,9 @@ Readers must snapshot a slot into a local before branching on it.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence
 
-from repro.errors import BottomError
+from repro.errors import BottomError, EvalError
 from repro.objects import dense
 
 
@@ -445,3 +445,70 @@ def iter_indices(dims: Sequence[int]) -> Iterator[tuple[int, ...]]:
             axis -= 1
         if axis < 0:
             return
+
+
+def collect_index_pairs(pairs, rank: int):
+    """Validate ``index_k`` input: ``([(key_tuple, value), ...], maxima)``.
+
+    Shared by the naive dict grouping below and the sort-based grouping
+    in :mod:`repro.core.setops`, so both paths reject a malformed pair
+    with the identical error at the identical point of the iteration.
+    """
+    items: list = []
+    maxima = [0] * rank
+    for pair in pairs:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            raise EvalError(f"index expects (key, value) pairs, got {pair!r}")
+        key, value = pair
+        if rank == 1:
+            key_tuple = (key,)
+        else:
+            key_tuple = key
+        if (not isinstance(key_tuple, tuple) or len(key_tuple) != rank
+                or any(isinstance(k, bool) or not isinstance(k, int) or k < 0
+                       for k in key_tuple)):
+            raise EvalError(f"bad index key {key!r} for rank {rank}")
+        for axis, position in enumerate(key_tuple):
+            if position > maxima[axis]:
+                maxima[axis] = position
+        items.append((key_tuple, value))
+    return items, maxima
+
+
+def index_set_stats(pairs, rank: int):
+    """Naive dict-grouping ``index_k``: ``(Array, groups, max_group)``.
+
+    The reference semantics the sort-based path is property-tested
+    against; ``groups`` counts non-empty cells and ``max_group`` is the
+    cardinality of the largest one (after deduplication).
+    """
+    items, maxima = collect_index_pairs(pairs, rank)
+    if not items:
+        return Array((0,) * rank, []), 0, 0
+    return stats_from_items(items, maxima)
+
+
+def stats_from_items(items, maxima):
+    """Dict grouping over pre-validated non-empty ``(key, value)`` items."""
+    keyed: Dict[tuple, set] = {}
+    for key_tuple, value in items:
+        keyed.setdefault(key_tuple, set()).add(value)
+    dims = [m + 1 for m in maxima]
+    values = [
+        frozenset(keyed.get(index, ())) for index in iter_indices(dims)
+    ]
+    max_group = 0
+    for group in keyed.values():
+        if len(group) > max_group:
+            max_group = len(group)
+    return Array(dims, values), len(keyed), max_group
+
+
+def index_set(pairs: frozenset, rank: int) -> Array:
+    """The semantics of ``index_k`` (Section 2).
+
+    Builds the k-dimensional array whose j-th dimension runs to the maximum
+    j-th key; holes get ``{}``; duplicate keys group all their values.
+    Runs in O(m + n log n) as the paper's cost analysis assumes.
+    """
+    return index_set_stats(pairs, rank)[0]

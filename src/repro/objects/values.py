@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.errors import BottomError, EvalError
 from repro.objects.array import Array
 from repro.objects.bag import Bag
 
@@ -97,6 +98,41 @@ def value_equal(a: Any, b: Any) -> bool:
     if kind_a == "bag":
         return a == b
     return a == b
+
+
+def apply_arith(op: str, left: Any, right: Any) -> Any:
+    """Overloaded arithmetic: monus/integer ops on nats, field ops on reals."""
+    nat_left = isinstance(left, int) and not isinstance(left, bool)
+    nat_right = isinstance(right, int) and not isinstance(right, bool)
+    if nat_left and nat_right:
+        if op == "+":
+            return left + right
+        if op == "-":
+            return max(0, left - right)  # monus
+        if op == "*":
+            return left * right
+        if op == "/":
+            if right == 0:
+                raise BottomError("division by zero")
+            return left // right
+        if op == "%":
+            if right == 0:
+                raise BottomError("modulo by zero")
+            return left % right
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)) \
+            and not isinstance(left, bool) and not isinstance(right, bool):
+        if op == "+":
+            return float(left) + float(right)
+        if op == "-":
+            return float(left) - float(right)
+        if op == "*":
+            return float(left) * float(right)
+        if op == "/":
+            if right == 0:
+                raise BottomError("division by zero")
+            return float(left) / float(right)
+        raise BottomError(f"operator {op} is not defined on reals")
+    raise EvalError(f"arithmetic {op} on {left!r} and {right!r}")
 
 
 def value_repr(value: Any) -> str:

@@ -1,10 +1,9 @@
 """Evaluator counters, collected behind a hook interface.
 
-The evaluator (:mod:`repro.core.eval`) and the code generator
-(:mod:`repro.core.compile`) accept an optional *probe* implementing the
-:class:`EvalProbe` protocol.  When no probe is supplied the engines run
-their original uninstrumented code paths — instrumentation is selected
-once per evaluator/compile, never per node, so the disabled case is
+The code generator (:mod:`repro.core.compile`) accepts an optional
+*probe* implementing the :class:`EvalProbe` protocol.  When no probe is
+supplied it emits the plain uninstrumented closures — instrumentation
+is selected once per compile, never per node, so the disabled case is
 zero-cost.
 
 :class:`EvalMetrics` is the stock probe: plain counters answering the

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core import ast
-from repro.core.eval import apply_arith
+from repro.objects.values import apply_arith
 from repro.errors import BottomError
 from repro.optimizer.analysis import (
     effective_occurrences,

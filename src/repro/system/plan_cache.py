@@ -5,8 +5,8 @@ optimize → evaluate) is re-run from scratch for every statement a
 :class:`~repro.system.session.Session` executes, and the observability
 layer shows the ``optimize`` span dominating repeated-query latency.
 This module caches the *result* of that pipeline — the optimized core,
-its inferred type, and (for the compiled backend) the generated closure
-— so the second execution of a query goes straight to evaluation.
+its inferred type, and (from the entry's first hit on) the generated
+closure — so a repeated query goes straight to evaluation.
 
 Keying
 ------
@@ -127,7 +127,11 @@ class PlanEntry:
     free_names: FrozenSet[str]        # free vars of the *pre-resolve* core
     generation: int                   # TopEnv.generation at compile time
     val_generations: Dict[str, int]   # per-free-name val generations
-    evaluator: Any = None             # CompiledEvaluator ('compiled' only)
+    #: the :class:`~repro.core.compile.CompiledEvaluator` holding the
+    #: generated closure; ``None`` until the entry's first hit (and
+    #: again after a re-plan), because most entries of a cold workload
+    #: are never hit and a closure is the bulk of an entry
+    evaluator: Any = None
     #: the *pre-resolve* desugared core, kept so adaptive
     #: re-optimization can recompile the query through the full
     #: pipeline when observed cost diverges from the estimate
@@ -151,8 +155,9 @@ class Plan:
     core: ast.Expr
     inferred: Any
     cached: bool = False
-    #: a reusable :class:`~repro.core.compile.CompiledEvaluator` holding
-    #: the generated closure, or None for the interpreter backend
+    #: the :class:`~repro.core.compile.CompiledEvaluator` holding the
+    #: unprobed closure for :attr:`core`, or None when the plan was
+    #: prepared with observability on (the run generates probed code)
     evaluator: Any = None
     #: the backing :class:`PlanEntry` (None when caching is disabled);
     #: the session folds observed run stats into it and re-plans it on
@@ -217,9 +222,9 @@ class PlanCache:
         return len(self._entries)
 
     @staticmethod
-    def key_for(core: ast.Expr, optimize: bool, backend: str) -> Hashable:
+    def key_for(core: ast.Expr, optimize: bool) -> Hashable:
         """The cache key: canonical fingerprint + pipeline configuration."""
-        return (fingerprint(core), bool(optimize), backend)
+        return (fingerprint(core), bool(optimize))
 
     # -- lookup / insert --------------------------------------------------
 
@@ -252,8 +257,7 @@ class PlanCache:
         return True
 
     def insert(self, key: Hashable, core: ast.Expr, inferred: Any,
-               free_names: Iterable[str], env,
-               evaluator: Any = None, source_core: Any = None,
+               free_names: Iterable[str], env, source_core: Any = None,
                estimated_units: Optional[float] = None
                ) -> Optional[PlanEntry]:
         """Record a freshly compiled plan; evicts LRU entries over capacity."""
@@ -268,7 +272,6 @@ class PlanCache:
             generation=env.generation,
             val_generations={name: env.val_generation(name)
                              for name in names},
-            evaluator=evaluator,
             source_core=source_core,
             estimated_units=estimated_units,
         )

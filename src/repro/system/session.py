@@ -9,8 +9,8 @@ the query-processing pipeline of Section 4.1:
 with one serving-path refinement: compilation results are memoized in a
 per-session :class:`~repro.system.plan_cache.PlanCache`, so a repeated
 query (the million-user serving path) skips resolve → typecheck →
-optimize — and, on the compiled backend, code generation — and goes
-straight to evaluation.  Environment mutations invalidate affected
+optimize — and, from its second repetition on, code generation — and
+goes straight to evaluation.  Environment mutations invalidate affected
 plans (see ``docs/PLAN_CACHE.md``).
 
 Each statement yields an :class:`Output` that renders exactly like the
@@ -93,7 +93,6 @@ class Session:
     """An AQL top-level session over a :class:`~repro.env.TopEnv`."""
 
     def __init__(self, env: Optional[TopEnv] = None, optimize: bool = True,
-                 backend: str = "interpreter",
                  plan_cache_capacity: int = DEFAULT_CAPACITY,
                  parallel_workers: Optional[int] = None,
                  parallel_backend: Optional[str] = None,
@@ -102,11 +101,11 @@ class Session:
                  setops: Optional[bool] = None,
                  adaptive: Optional[bool] = None,
                  cost: Any = None):
-        self.env = env if env is not None else TopEnv.standard(backend)
+        self.env = env if env is not None else TopEnv.standard()
         self.optimize = optimize
         # fast-path tuning mutates the TopEnv's shared DispatchConfig in
-        # place: every evaluator the env hands out (including compiled
-        # plans already resident in the cache) reads it at dispatch time
+        # place: every evaluator the env hands out (including plans
+        # already resident in the cache) reads it at dispatch time
         if parallel_backend is not None:
             if parallel_backend not in PARALLEL_BACKENDS:
                 raise SessionError(
@@ -270,36 +269,50 @@ class Session:
         """Compile a core expression into an executable :class:`Plan`,
         consulting the plan cache first.
 
-        A hit returns the stored optimized core (plus, on the compiled
-        backend, the already-generated closure) without running
-        resolve, typecheck, optimize, or codegen; a miss runs the full
-        pipeline and records the result.  Cache keying and invalidation
-        are described in :mod:`repro.system.plan_cache`.
+        A miss runs the full pipeline, generates code exactly once and
+        hands that closure to the returned plan; the recorded entry
+        keeps only the optimized core.  The first hit generates the
+        closure the entry then keeps, so every later hit runs without
+        resolve, typecheck, optimize or codegen.  (Most entries of a
+        cold workload are never hit again, and a closure is the bulk of
+        an entry — see ``docs/PLAN_CACHE.md``.)  Cache keying and
+        invalidation are described in :mod:`repro.system.plan_cache`.
         """
         env, cache = self.env, self.plan_cache
         if not cache.enabled:
             compiled, inferred = env.compile(core, optimize=self.optimize)
             return Plan(compiled, inferred,
+                        evaluator=self._codegen(compiled),
                         estimated_units=self._estimate_units(compiled))
         tracer = env.obs.tracer
         with tracer.span("plan_cache"):
-            key = cache.key_for(core, self.optimize, env.backend)
+            key = cache.key_for(core, self.optimize)
             entry = cache.lookup(key, env)
             tracer.annotate(hit=entry is not None, entries=len(cache))
         if entry is not None:
+            if entry.evaluator is None:
+                entry.evaluator = self._codegen(entry.core)
             return Plan(entry.core, entry.inferred, cached=True,
                         evaluator=entry.evaluator, entry=entry,
                         estimated_units=entry.estimated_units)
         compiled, inferred = env.compile(core, optimize=self.optimize)
-        evaluator = env.plan_evaluator()
-        if evaluator is not None:
-            with tracer.span("codegen"):
-                evaluator.prepare(compiled)
+        evaluator = self._codegen(compiled)
         units = self._estimate_units(compiled)
         entry = cache.insert(key, compiled, inferred, ast.free_vars(core),
-                             env, evaluator, source_core=core,
-                             estimated_units=units)
-        return Plan(compiled, inferred, entry=entry, estimated_units=units)
+                             env, source_core=core, estimated_units=units)
+        return Plan(compiled, inferred, evaluator=evaluator, entry=entry,
+                    estimated_units=units)
+
+    def _codegen(self, core: ast.Expr) -> Any:
+        """An evaluator holding the unprobed closure for ``core``, or
+        ``None`` while observability is on: an observed run executes
+        probed code (see :meth:`_evaluate`), so the plain closure would
+        be built for nothing."""
+        if self.env.obs.enabled:
+            return None
+        evaluator = self.env.plan_evaluator()
+        evaluator.prepare(core)
+        return evaluator
 
     def _estimate_units(self, core: ast.Expr) -> Optional[float]:
         """The cost model's unit estimate for ``core`` (None: model off)."""
@@ -325,9 +338,10 @@ class Session:
     def _evaluate(self, plan: Plan) -> Any:
         """Run a plan to a value inside the ``evaluate`` span.
 
-        The cached closure is used only on the unobserved fast path; an
-        instrumented run regenerates probed code through the
-        environment's evaluator so counters stay accurate.
+        The plan's closure is used only on the unobserved fast path; an
+        instrumented run generates probed code through the
+        environment's evaluator (the ``codegen`` span) so counters stay
+        accurate.
 
         When the cost model is enabled and the plan carries a unit
         estimate, the run is timed and the observation fed back: the
@@ -337,18 +351,17 @@ class Session:
         """
         env = self.env
         cost = env.cost
+        evaluator = plan.evaluator
+        if evaluator is None or env.obs.enabled:
+            evaluator = env.evaluator()
+            with env.obs.tracer.span("codegen"):
+                evaluator.prepare(plan.core)
         with env.obs.tracer.span("evaluate"):
-            use_cached = plan.evaluator is not None and not env.obs.enabled
             if cost is None or not cost.enabled \
                     or plan.estimated_units is None:
-                if use_cached:
-                    return plan.evaluator.run(plan.core)
-                return env.evaluator().run(plan.core)
+                return evaluator.run(plan.core)
             started = time.perf_counter()
-            if use_cached:
-                value = plan.evaluator.run(plan.core)
-            else:
-                value = env.evaluator().run(plan.core)
+            value = evaluator.run(plan.core)
             elapsed = time.perf_counter() - started
             self._observe_run(plan, cost, elapsed)
             return value
@@ -385,12 +398,9 @@ class Session:
         with env.obs.tracer.span("replan"), cost.full_pipeline():
             compiled, inferred = env.compile(entry.source_core,
                                              optimize=self.optimize)
-            evaluator = env.plan_evaluator()
-            if evaluator is not None:
-                evaluator.prepare(compiled)
         entry.core = compiled
         entry.inferred = inferred
-        entry.evaluator = evaluator
+        entry.evaluator = None  # the next hit generates the new closure
         entry.estimated_units = cost.estimate(compiled)
         entry.runs = 0
         entry.observed_seconds = 0.0

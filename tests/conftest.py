@@ -5,9 +5,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from expr_strategies import ENV_VALUES
+
+from repro.core.compile import CompiledEvaluator
+from repro.core.eval import Evaluator
 from repro.env.environment import TopEnv
+from repro.errors import BottomError
 from repro.objects.array import Array
 from repro.objects.bag import Bag
+from repro.objects.ordering import canonical_elements
+from repro.surface.desugar import desugar_expression
+from repro.surface.parser import parse_expression
 from repro.system.session import Session
 
 
@@ -41,6 +49,71 @@ def env() -> TopEnv:
 def session() -> Session:
     """A fresh AQL session."""
     return Session()
+
+
+# ---------------------------------------------------------------------------
+# the one agreement helper: production engine vs. reference semantics
+# ---------------------------------------------------------------------------
+
+def outcome(expr, config=None, probe=None, binds=ENV_VALUES, prims=None):
+    """Run the production engine (``repro.core.compile``) under a
+    ``DispatchConfig``: ``('value', v)`` or ``('bottom', reason)``."""
+    evaluator = CompiledEvaluator(prims, probe=probe, parallel=config)
+    try:
+        return ("value", evaluator.run(expr, binds))
+    except BottomError as exc:
+        return ("bottom", exc.reason)
+
+
+def reference_outcome(expr, binds=ENV_VALUES, prims=None):
+    """The same, from the reference tree-walker (``repro.core.eval``)."""
+    try:
+        return ("value", Evaluator(prims).run(expr, binds))
+    except BottomError as exc:
+        return ("bottom", exc.reason)
+
+
+def assert_identical(got, want):
+    """Deep agreement between two values: equality, Python scalar types
+    (an Array's per-cell kind signature; never numpy scalars), ``repr``
+    of floats (``-0.0`` vs ``0.0``, low-bit drift), hash, and — for
+    sets — the canonical element order."""
+    assert type(got) is type(want), (got, want)
+    assert got == want
+    if isinstance(got, Array):
+        assert got.dims == want.dims
+        for got_cell, want_cell in zip(got.flat, want.flat):
+            assert type(got_cell) is type(want_cell), (got_cell, want_cell)
+    if isinstance(got, float):
+        assert repr(got) == repr(want)
+    if isinstance(got, frozenset):
+        assert canonical_elements(got) == canonical_elements(want)
+    try:
+        assert hash(got) == hash(want)
+    except TypeError:
+        pass  # unhashable values (bags) are covered by == above
+
+
+def agree(expr, config=None, probe=None, binds=ENV_VALUES, prims=None):
+    """Assert the production engine under ``config`` agrees with the
+    reference evaluator — on the value (:func:`assert_identical`) or on
+    the ⊥ reason — and return the production outcome."""
+    got = outcome(expr, config, probe, binds, prims)
+    want = reference_outcome(expr, binds, prims)
+    assert got[0] == want[0], (got, want)
+    if want[0] == "value":
+        assert_identical(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+    return got
+
+
+def reference_query_value(env, source, optimize=True):
+    """An AQL expression taken through ``env``'s front end (resolve,
+    typecheck, optionally optimize) and run by the reference evaluator."""
+    core, _ = env.compile(desugar_expression(parse_expression(source)),
+                          optimize=optimize)
+    return Evaluator(env._prim_impls).run(core)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ external primitive, a data reader, and an optimization rule — then use
 all three from AQL without restarting anything.
 """
 
+import ast as pyast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import ast
 from repro.objects.array import Array
 from repro.optimizer.engine import Rule
@@ -125,3 +129,58 @@ class TestTwoViews:
                     f'using CO at "{path}";')
         session.run(f'readval \\back using CO at "{path}";')
         assert session.env.get_val("back") == Array((2, 2), [1, 3, 2, 4])
+
+
+SRC = Path(repro.__file__).parent
+PHYSICAL = ("kernels", "parallel", "setops")
+
+
+def _module_file(name):
+    """The source file of dotted module ``name`` under ``repro``, if any."""
+    path = SRC.joinpath(*name.split(".")[1:]).with_suffix(".py")
+    return path if path.is_file() else None
+
+
+def _imports(path):
+    """Dotted ``repro`` modules a source file imports, at any depth of
+    nesting (``from pkg import mod`` counts as ``pkg.mod``)."""
+    found = set()
+    for node in pyast.walk(pyast.parse(path.read_text())):
+        if isinstance(node, pyast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, pyast.ImportFrom) and node.module:
+            for alias in node.names:
+                nested = f"{node.module}.{alias.name}"
+                found.add(nested if _module_file(nested) else node.module)
+    return {name for name in found if name.startswith("repro.")}
+
+
+class TestOneEngine:
+    """One production engine makes every physical choice; the reference
+    semantics stays free of them so it can serve as the oracle."""
+
+    def test_reference_evaluator_imports_no_physical_layer(self):
+        seen, frontier = set(), {"repro.core.eval"}
+        while frontier:
+            name = frontier.pop()
+            seen.add(name)
+            path = _module_file(name)
+            if path is not None:
+                frontier |= _imports(path) - seen
+        banned = {f"repro.core.{name}"
+                  for name in PHYSICAL + ("fastpath", "compile")}
+        assert not seen & banned
+
+    def test_exactly_one_class_dispatches_to_the_fast_paths(self):
+        dispatchers = {}
+        for path in SRC.rglob("*.py"):
+            for node in pyast.walk(pyast.parse(path.read_text())):
+                if not isinstance(node, pyast.ClassDef):
+                    continue
+                used = {sub.value.id for sub in pyast.walk(node)
+                        if isinstance(sub, pyast.Attribute)
+                        and isinstance(sub.value, pyast.Name)
+                        and sub.value.id in PHYSICAL}
+                if used:
+                    dispatchers[node.name] = used
+        assert dispatchers == {"Compiler": set(PHYSICAL)}

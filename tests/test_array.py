@@ -216,31 +216,25 @@ class TestBottomBoundary:
     bare Python exception (the seed leaked
     ``ValueError: dims (2, 2) require 4 values, got 3``)."""
 
-    def test_interpreter_apply_maps_reshape_mismatch_to_bottom(self):
-        from repro.core.eval import Evaluator
-
-        bad = Array.from_list([1, 2, 3])
-        with pytest.raises(BottomError) as err:
-            Evaluator().apply_function(
-                lambda v, _ev: v.reshape((2, 2)), bad)
-        assert "host value error" in str(err.value)
-
-    def test_interpreter_apply_maps_init_mismatch_to_bottom(self):
-        from repro.core.eval import Evaluator
-
-        with pytest.raises(BottomError) as err:
-            Evaluator().apply_function(
-                lambda v, _ev: Array((2, 2), v), [1, 2, 3])
-        assert "host value error" in str(err.value)
-
-    def test_compiled_shim_maps_reshape_mismatch_to_bottom(self):
+    @staticmethod
+    def _engines():
         from repro.core.compile import CompiledEvaluator
+        from repro.core.eval import Evaluator
 
+        return [CompiledEvaluator(), Evaluator()]
+
+    def test_apply_maps_reshape_mismatch_to_bottom(self):
         bad = Array.from_list([1, 2, 3])
-        with pytest.raises(BottomError) as err:
-            CompiledEvaluator().apply_function(
-                lambda v: v.reshape((2, 2)), bad)
-        assert "host value error" in str(err.value)
+        for engine in self._engines():
+            with pytest.raises(BottomError) as err:
+                engine.apply_function(lambda v: v.reshape((2, 2)), bad)
+            assert "host value error" in str(err.value)
+
+    def test_apply_maps_init_mismatch_to_bottom(self):
+        for engine in self._engines():
+            with pytest.raises(BottomError) as err:
+                engine.apply_function(lambda v: Array((2, 2), v), [1, 2, 3])
+            assert "host value error" in str(err.value)
 
 
 class TestDenseProbeThreads:

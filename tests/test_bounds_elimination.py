@@ -8,7 +8,7 @@ four Section 5 rules, and must never remove a live check.
 import pytest
 
 from repro.core import ast
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.errors import BottomError
 from repro.optimizer.engine import Phase, RuleBase, default_optimizer
 from repro.optimizer.rules_bounds import bounds_rules

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import ast, builders as B
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.errors import BottomError
 from repro.objects.array import Array
 

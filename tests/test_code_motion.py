@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from repro.core import ast
 from repro.core.builders import count, hist_fast, let_in
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.objects.array import Array
 from repro.optimizer.analysis import effective_occurrences
 from repro.optimizer.engine import default_optimizer

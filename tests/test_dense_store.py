@@ -173,7 +173,7 @@ class TestKernelHandoff:
                         reason="dense store unavailable or disabled")
     def test_chained_tabulation_never_materializes(self):
         from repro.core import kernels
-        from repro.core.eval import Evaluator
+        from repro.core.compile import CompiledEvaluator
 
         if not kernels.available() or not kernels.ENABLED:
             pytest.skip("vectorized backend off")
@@ -187,7 +187,7 @@ class TestKernelHandoff:
                       ast.Subscript(ast.Var("A"),
                                     (ast.Var("x"), ast.Var("y"))),
                       ast.NatLit(1)))
-        runner = Evaluator()
+        runner = CompiledEvaluator()
         produced = runner.run(grid_expr)
         assert produced.block is not None  # tabulation emitted a block
         before = dense.COUNTERS.snapshot()

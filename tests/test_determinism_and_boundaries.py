@@ -2,7 +2,7 @@
 
 Three historical bugs pinned down:
 
-* ``Evaluator._sum`` iterated its frozenset source in hash order, so a
+* Σ iterated its frozenset source in hash order, so a
   Σ over reals could differ between runs/platforms (float addition is
   non-associative) — now it iterates in canonical sorted order;
 * host-level ``ValueError``/``RecursionError`` escaped ``run`` as-is,
@@ -24,6 +24,8 @@ from repro.objects.ordering import canonical_elements
 from repro.optimizer.engine import default_optimizer
 from repro.surface.parser import parse_program
 from repro.types.types import TArrow, TNat
+
+from conftest import agree
 
 
 class ForwardSet(frozenset):
@@ -60,28 +62,23 @@ class TestSumDeterminism:
             descending += v
         assert ascending != descending  # otherwise the test proves nothing
 
-    @pytest.mark.parametrize("engine", [Evaluator, CompiledEvaluator])
-    def test_sum_ignores_source_iteration_order(self, engine):
+    def test_sum_ignores_source_iteration_order(self):
         results = set()
         for set_type in (frozenset, ForwardSet, ReversedSet):
-            value = engine().run(_sum_expr(),
-                                 {"s": set_type(ORDER_SENSITIVE)})
-            results.add(value)
+            results.add(agree(_sum_expr(),
+                              binds={"s": set_type(ORDER_SENSITIVE)})[1])
         assert len(results) == 1, f"order-dependent Σ: {results}"
 
     def test_sum_is_pinned_to_canonical_order(self):
         expected = 0
         for v in canonical_elements(frozenset(ORDER_SENSITIVE)):
             expected = expected + v
-        got = Evaluator().run(_sum_expr(),
-                              {"s": ReversedSet(ORDER_SENSITIVE)})
-        assert got == expected
+        got = agree(_sum_expr(), binds={"s": ReversedSet(ORDER_SENSITIVE)})
+        assert got == ("value", expected)
 
-    def test_backends_agree_on_real_sum(self):
+    def test_engine_agrees_with_reference_on_real_sum(self):
         source = frozenset({0.25, -2.75, 1.5, 1e15, -0.125})
-        interpreted = Evaluator().run(_sum_expr(), {"s": source})
-        compiled = CompiledEvaluator().run(_sum_expr(), {"s": source})
-        assert interpreted == compiled
+        assert agree(_sum_expr(), binds={"s": source})[0] == "value"
 
     def test_canonical_elements_sorts_scalars_and_structures(self):
         assert canonical_elements(frozenset({3, 1, 2})) == [1, 2, 3]
@@ -102,12 +99,12 @@ def _deep_arith(depth: int) -> ast.Expr:
 class TestHostErrorBoundaries:
     DEPTH = 100_000
 
-    def test_interpreter_maps_recursion_to_eval_error(self):
+    def test_reference_maps_recursion_to_eval_error(self):
         with pytest.raises(EvalError) as err:
             Evaluator().run(_deep_arith(self.DEPTH))
         assert "depth limit" in str(err.value)
 
-    def test_compiled_backend_maps_recursion_to_eval_error(self):
+    def test_engine_maps_recursion_to_eval_error(self):
         with pytest.raises(EvalError) as err:
             CompiledEvaluator().run(_deep_arith(self.DEPTH))
         assert "depth limit" in str(err.value)

@@ -1,50 +1,42 @@
-"""Evaluator internals and edge cases (beyond Figure 1 conformance)."""
+"""The reference evaluator's own edge cases (beyond Figure 1
+conformance), and the value-level rules it shares with the engine."""
 
 import pytest
 
 from repro.core import ast
-from repro.core.eval import (
-    Closure,
-    Env,
-    Evaluator,
-    apply_arith,
-    evaluate,
-    index_set,
-)
+from repro.core.eval import Evaluator, evaluate
 from repro.errors import BottomError, EvalError
-from repro.objects.array import Array
+from repro.objects.array import Array, index_set
 from repro.objects.bag import Bag
+from repro.objects.values import apply_arith
 
 N = ast.NatLit
 V = ast.Var
 
 
-class TestEnv:
+class TestEnvironments:
     def test_lookup_innermost_binding(self):
-        env = Env.extend(Env.extend(None, "x", 1), "x", 2)
-        assert Env.lookup(env, "x") == 2
+        inner = ast.App(ast.Lam("x", V("x")), N(2))
+        assert evaluate(ast.App(ast.Lam("x", inner), N(1))) == 2
 
-    def test_lookup_through_parents(self):
-        env = Env.extend(Env.extend(None, "a", 1), "b", 2)
-        assert Env.lookup(env, "a") == 1
+    def test_lookup_through_enclosing_binders(self):
+        inner = ast.App(ast.Lam("b", V("a")), N(2))
+        assert evaluate(ast.App(ast.Lam("a", inner), N(1))) == 1
 
     def test_unbound_raises(self):
         with pytest.raises(EvalError):
-            Env.lookup(None, "ghost")
+            evaluate(V("ghost"))
 
 
 class TestClosures:
-    def test_closure_repr(self):
-        assert "closure" in repr(Closure("x", V("x"), None))
-
     def test_apply_function_on_closure(self):
         ev = Evaluator()
-        closure = Closure("x", ast.Arith("+", V("x"), N(1)), None)
+        closure = ev.run(ast.Lam("x", ast.Arith("+", V("x"), N(1))))
         assert ev.apply_function(closure, 5) == 6
 
     def test_apply_function_on_native(self):
-        ev = Evaluator()
-        assert ev.apply_function(lambda v, e: v * 2, 21) == 42
+        ev = Evaluator({"double": lambda v, e: v * 2})
+        assert ev.apply_function(ev.run(ast.Prim("double")), 21) == 42
 
     def test_apply_function_on_non_function(self):
         with pytest.raises(EvalError):

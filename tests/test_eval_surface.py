@@ -7,7 +7,7 @@ hypothesis round-trips between AQL and Python semantics.
 import pytest
 from hypothesis import given
 
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.errors import BottomError
 from repro.objects.array import Array
 from repro.objects.bag import Bag

@@ -8,7 +8,7 @@ Section 2.
 import pytest
 
 from repro.core import ast
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.core.typecheck import infer_type
 from repro.errors import BottomError, TypeCheckError
 from repro.objects.array import Array

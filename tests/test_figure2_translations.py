@@ -6,7 +6,7 @@ against the hand-built calculus expression the table specifies.
 """
 
 from repro.core import ast as C
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression
 

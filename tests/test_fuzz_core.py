@@ -6,7 +6,7 @@ Using the type-directed generator in ``expr_strategies``:
 * optimization (strict mode) preserves values *and* ⊥;
 * optimization (paper mode, `assume_error_free`) preserves values of
   error-free runs;
-* the compiled backend agrees with the interpreter everywhere;
+* the execution engine agrees with the reference semantics everywhere;
 * the exchange format round-trips every produced value.
 """
 
@@ -14,8 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core import ast
-from repro.core.compile import run_compiled
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.core.typecheck import TypeChecker
 from repro.env.environment import TopEnv
 from repro.errors import AQLError, BottomError
@@ -24,6 +23,7 @@ from repro.optimizer.engine import default_optimizer
 from repro.types.types import TypeScheme
 from repro.types.unify import instantiate, unify
 
+from conftest import agree
 from expr_strategies import ENV_TYPES, ENV_VALUES, typed_exprs
 
 #: hypothesis-heavy; excluded from the quick CI lane (-m "not slow")
@@ -74,14 +74,9 @@ class TestFuzz:
 
     @given(pair=typed_exprs())
     @_SETTINGS
-    def test_backends_agree(self, pair):
+    def test_engine_agrees_with_reference(self, pair):
         expr, _ = pair
-        expected = _run(expr)
-        try:
-            got = ("value", run_compiled(expr, ENV_VALUES))
-        except BottomError:
-            got = ("bottom",)
-        assert got == expected
+        agree(expr)
 
     @given(pair=typed_exprs())
     @_SETTINGS

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core import ast
 from repro.core import builders as B
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.objects.array import Array
 from repro.optimizer.analysis import strip_bounds_checks
 from repro.optimizer.engine import default_optimizer

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core import ast
 from repro.core.compile import CompiledEvaluator
-from repro.core.eval import Evaluator
 from repro.errors import BottomError
 from repro.obs import (
     NULL_TRACER,
@@ -20,7 +19,8 @@ from repro.obs import (
 from repro.system import repl
 from repro.system.session import Session
 
-from expr_strategies import ENV_VALUES, typed_exprs
+from conftest import agree
+from expr_strategies import typed_exprs
 
 _SETTINGS = settings(
     max_examples=80,
@@ -260,8 +260,8 @@ class TestSessionProfile:
         assert outputs[-1].explain is not None
         assert session.query_value("ten;") == 10
 
-    def test_profile_on_compiled_backend(self):
-        session = Session(backend="compiled")
+    def test_explain_counts_nodes_of_generated_code(self):
+        session = Session()
         report = session.explain("summap(fn \\x => x * x)!(gen!6);")
         assert report.metrics.node_evals > 0
         assert report.value == 55
@@ -296,41 +296,16 @@ class TestReplProfile:
         assert "val it = 6" in out
 
 
-def _run_plain(expr):
-    try:
-        return ("value", Evaluator().run(expr, ENV_VALUES))
-    except BottomError:
-        return ("bottom",)
-
-
 @pytest.mark.slow
 class TestInstrumentationIsPure:
     """Tracing/metrics hooks must never change evaluation results."""
 
     @given(pair=typed_exprs())
     @_SETTINGS
-    def test_probed_interpreter_agrees_with_plain(self, pair):
+    def test_probed_engine_agrees_with_reference(self, pair):
         expr, _ = pair
         metrics = EvalMetrics()
-        probed = Evaluator(probe=metrics)
-        try:
-            outcome = ("value", probed.run(expr, ENV_VALUES))
-        except BottomError:
-            outcome = ("bottom",)
-        assert outcome == _run_plain(expr)
-        assert metrics.node_evals > 0
-
-    @given(pair=typed_exprs())
-    @_SETTINGS
-    def test_probed_compiled_backend_agrees_with_plain(self, pair):
-        expr, _ = pair
-        metrics = EvalMetrics()
-        probed = CompiledEvaluator(probe=metrics)
-        try:
-            outcome = ("value", probed.run(expr, ENV_VALUES))
-        except BottomError:
-            outcome = ("bottom",)
-        assert outcome == _run_plain(expr)
+        agree(expr, probe=metrics)
         assert metrics.node_evals > 0
 
     def test_bottom_counted_once_not_per_ancestor(self):
@@ -343,5 +318,5 @@ class TestInstrumentationIsPure:
         )
         metrics = EvalMetrics()
         with pytest.raises(BottomError):
-            Evaluator(probe=metrics).run(expr)
+            CompiledEvaluator(probe=metrics).run(expr)
         assert metrics.bottom_raises == 1

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import ast
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.core.odmg import (
     odmg_concat,
     odmg_create,

@@ -4,7 +4,7 @@ shouldn't, and preserves semantics."""
 import pytest
 
 from repro.core import ast
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.errors import BottomError
 from repro.objects.array import Array
 from repro.optimizer.analysis import (

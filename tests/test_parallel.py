@@ -1,9 +1,10 @@
 """The sharded parallel executor (``repro.core.parallel``).
 
 The contract under test (``docs/PARALLEL.md``): whenever the parallel
-path runs, its result is *indistinguishable* from the serial loop's —
-identical values down to scalar types and hashes, identical probe
-counters (shard-merged equals single-writer serial) — and whenever it
+path runs, its result is *indistinguishable* from the reference
+semantics' — identical values down to scalar types and hashes — and
+its probe counters from the serial loop's (shard-merged equals
+single-writer serial) — and whenever it
 cannot guarantee that, evaluation falls back to the unchanged serial
 loop.  A shard raising ⊥ poisons the whole construct exactly as the
 serial loop would, with the serial error identity.
@@ -15,20 +16,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from expr_strategies import ENV_VALUES, typed_exprs
+from conftest import agree, assert_identical, outcome
+from expr_strategies import typed_exprs
 
 from repro.core import ast
 from repro.core import parallel
-from repro.core.compile import CompiledEvaluator
-from repro.core.eval import Evaluator
 from repro.core.fastpath import DEFAULT_MIN_CELLS, DispatchConfig
-from repro.errors import BottomError, SessionError
+from repro.errors import SessionError
 from repro.obs.metrics import EvalMetrics, EvalProbe
 from repro.objects.array import Array
 from repro.system.repl import parallel_command
 from repro.system.session import Session
-
-ENGINES = [Evaluator, CompiledEvaluator]
 
 #: the keys only a sharded run reports; everything else must match
 #: a serial run exactly
@@ -53,33 +51,6 @@ def serial_config():
 def parallel_config(workers=3, backend="thread", min_cells=1):
     return DispatchConfig(min_cells=min_cells, workers=workers,
                           backend=backend)
-
-
-def outcome(engine, expr, config, probe=None, binds=ENV_VALUES):
-    """Evaluate to ('value', v) or ('bottom', reason)."""
-    evaluator = engine(probe=probe, parallel=config)
-    try:
-        return ("value", evaluator.run(expr, binds))
-    except BottomError as exc:
-        return ("bottom", exc.reason)
-
-
-def assert_identical(parallel_value, serial_value):
-    """Deep agreement: equality, scalar types, and hashes."""
-    assert type(parallel_value) is type(serial_value)
-    assert parallel_value == serial_value
-    if isinstance(parallel_value, Array):
-        for par_cell, ref_cell in zip(parallel_value.flat,
-                                      serial_value.flat):
-            assert type(par_cell) is type(ref_cell), (par_cell, ref_cell)
-    if isinstance(parallel_value, float):
-        # catches -0.0 vs 0.0 and any low-bit drift a partial-sum
-        # merge would introduce
-        assert repr(parallel_value) == repr(serial_value)
-    try:
-        assert hash(parallel_value) == hash(serial_value)
-    except TypeError:
-        pass  # unhashable values (bags) are covered by == above
 
 
 def counters(metrics):
@@ -131,53 +102,42 @@ class TestParallelSerialAgreement:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
-    @given(typed_exprs(), st.sampled_from(ENGINES),
-           st.integers(2, 3))
-    def test_random_exprs_agree(self, pair, engine, workers):
+    @given(typed_exprs(), st.integers(2, 3))
+    def test_random_exprs_agree(self, pair, workers):
         expr, _ = pair
-        reference = outcome(engine, expr, serial_config())
-        sharded = outcome(engine, expr, parallel_config(workers))
-        assert sharded[0] == reference[0]
-        if reference[0] == "value":
-            assert_identical(sharded[1], reference[1])
-        else:
-            # ⊥ carries the serial loop's exact reason (fallback ran)
-            assert sharded[1] == reference[1]
+        # a ⊥ carries the serial loop's exact reason (fallback ran)
+        agree(expr, parallel_config(workers))
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
-    @given(typed_exprs(), st.sampled_from(ENGINES))
-    def test_probe_counters_match_serial(self, pair, engine):
+    @given(typed_exprs())
+    def test_probe_counters_match_serial(self, pair):
         expr, _ = pair
         serial_metrics = EvalMetrics()
         sharded_metrics = EvalMetrics()
-        reference = outcome(engine, expr, serial_config(),
+        reference = outcome(expr, serial_config(),
                             probe=serial_metrics)
-        sharded = outcome(engine, expr, parallel_config(3),
+        sharded = outcome(expr, parallel_config(3),
                           probe=sharded_metrics)
         assert sharded[0] == reference[0]
         assert counters(sharded_metrics) == counters(serial_metrics)
 
 
 class TestDeterministicAgreement:
-    """The fixture shapes, on every engine × backend combination."""
+    """The fixture shapes, on every backend."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("expr", [BRANCHY, FLOAT_SUM, BIG_SUM],
                              ids=["branchy-tab", "float-sum", "big-sum"])
-    def test_agree(self, engine, backend, expr):
-        reference = outcome(engine, expr, serial_config())
-        sharded = outcome(engine, expr, parallel_config(4, backend))
-        assert sharded[0] == reference[0] == "value"
-        assert_identical(sharded[1], reference[1])
+    def test_agree(self, backend, expr):
+        assert agree(expr, parallel_config(4, backend))[0] == "value"
 
     def test_process_backend_probed_counters_match(self):
         serial_metrics = EvalMetrics()
         sharded_metrics = EvalMetrics()
-        outcome(Evaluator, BRANCHY, serial_config(), probe=serial_metrics)
-        result = outcome(Evaluator, BRANCHY,
+        outcome(BRANCHY, serial_config(), probe=serial_metrics)
+        result = outcome(BRANCHY,
                          parallel_config(3, "process"),
                          probe=sharded_metrics)
         assert result[0] == "value"
@@ -186,7 +146,7 @@ class TestDeterministicAgreement:
 
     def test_parallel_dispatch_is_recorded(self):
         metrics = EvalMetrics()
-        outcome(Evaluator, BRANCHY, parallel_config(3), probe=metrics)
+        outcome(BRANCHY, parallel_config(3), probe=metrics)
         assert metrics.shards_executed == 3
         assert metrics.cells_parallel == 144
         assert metrics.tabulations == 1
@@ -199,13 +159,10 @@ class TestDeterministicAgreement:
 
 class TestBottomPropagation:
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_poisoned_shard_yields_bottom(self, engine, backend):
-        reference = outcome(engine, POISONED, serial_config())
-        sharded = outcome(engine, POISONED, parallel_config(4, backend))
-        assert reference[0] == "bottom"
-        assert sharded == reference  # same reason, serial identity
+    def test_poisoned_shard_yields_bottom(self, backend):
+        # same reason, serial identity
+        assert agree(POISONED, parallel_config(4, backend))[0] == "bottom"
 
     def test_poisoned_counters_equal_serial(self):
         """The failed parallel attempt is fully discarded: the serial
@@ -213,8 +170,8 @@ class TestBottomPropagation:
         parallel-only keys stay at zero."""
         serial_metrics = EvalMetrics()
         sharded_metrics = EvalMetrics()
-        outcome(Evaluator, POISONED, serial_config(), probe=serial_metrics)
-        outcome(Evaluator, POISONED, parallel_config(4),
+        outcome(POISONED, serial_config(), probe=serial_metrics)
+        outcome(POISONED, parallel_config(4),
                 probe=sharded_metrics)
         assert sharded_metrics.to_dict() == serial_metrics.to_dict()
 
@@ -226,11 +183,7 @@ class TestBottomPropagation:
                       ast.Arith("-", ast.NatLit(50), ast.Var("e"))),
             ast.Gen(ast.NatLit(120)),
         )
-        reference = outcome(Evaluator, poisoned, serial_config())
-        sharded = outcome(Evaluator, poisoned,
-                          parallel_config(4, backend))
-        assert reference[0] == "bottom"
-        assert sharded == reference
+        assert agree(poisoned, parallel_config(4, backend))[0] == "bottom"
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +195,7 @@ class TestGating:
     @pytest.mark.parametrize("workers", [0, 1])
     def test_low_worker_counts_stay_serial(self, workers):
         metrics = EvalMetrics()
-        result = outcome(Evaluator, BRANCHY,
+        result = outcome(BRANCHY,
                          parallel_config(workers), probe=metrics)
         assert result[0] == "value"
         assert metrics.shards_executed == 0
@@ -252,7 +205,7 @@ class TestGating:
         zero = ast.Tabulate(("x", "y"),
                             (ast.NatLit(0), ast.NatLit(5)), ast.Var("x"))
         metrics = EvalMetrics()
-        result = outcome(Evaluator, zero, parallel_config(4),
+        result = outcome(zero, parallel_config(4),
                          probe=metrics)
         assert result[0] == "value"
         assert result[1].dims == (0, 5)
@@ -263,19 +216,19 @@ class TestGating:
         config = parallel_config(4, min_cells=DEFAULT_MIN_CELLS)
         small = ast.Tabulate(("x",), (ast.NatLit(DEFAULT_MIN_CELLS - 1),),
                              ast.Arith("+", ast.Var("x"), ast.NatLit(1)))
-        result = outcome(Evaluator, small, config, probe=metrics)
+        result = outcome(small, config, probe=metrics)
         assert result[0] == "value"
         assert metrics.shards_executed == 0
 
     def test_kill_switch_wins(self, monkeypatch):
         monkeypatch.setattr(parallel, "ENABLED", False)
         metrics = EvalMetrics()
-        result = outcome(Evaluator, BRANCHY, parallel_config(4),
+        result = outcome(BRANCHY, parallel_config(4),
                          probe=metrics)
         assert result[0] == "value"
         assert metrics.shards_executed == 0
         assert_identical(result[1],
-                         outcome(Evaluator, BRANCHY, serial_config())[1])
+                         outcome(BRANCHY, serial_config())[1])
 
     def test_unforkable_probe_declines_parallelism(self):
         class Tally(EvalProbe):
@@ -289,7 +242,7 @@ class TestGating:
             # fork() inherited: returns None
 
         tally = Tally()
-        result = outcome(Evaluator, BRANCHY, parallel_config(4),
+        result = outcome(BRANCHY, parallel_config(4),
                          probe=tally)
         assert result[0] == "value"
         assert tally.cells == 144  # serial loop counted every cell once
@@ -302,7 +255,7 @@ class TestGating:
                             (ast.NatLit(12), ast.NatLit(12)),
                             ast.Arith("*", ast.Var("x"), ast.Var("y")))
         metrics = EvalMetrics()
-        result = outcome(Evaluator, grid, parallel_config(4),
+        result = outcome(grid, parallel_config(4),
                          probe=metrics)
         assert result[0] == "value"
         assert metrics.cells_vectorized == 144
@@ -355,17 +308,16 @@ class TestCounterMerge:
         assert forked.cells_materialized == 0
         assert EvalProbe().fork() is None
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_shards_never_lose_or_double_count(self, engine):
+    def test_shards_never_lose_or_double_count(self):
         """Regression for concurrent accumulation: many repetitions of
         the same sharded run must produce byte-identical counters, all
         equal to the serial run's (plus the dispatch record)."""
         serial_metrics = EvalMetrics()
-        outcome(engine, BRANCHY, serial_config(), probe=serial_metrics)
+        outcome(BRANCHY, serial_config(), probe=serial_metrics)
         expected = counters(serial_metrics)
         for _ in range(12):
             metrics = EvalMetrics()
-            result = outcome(engine, BRANCHY, parallel_config(4),
+            result = outcome(BRANCHY, parallel_config(4),
                              probe=metrics)
             assert result[0] == "value"
             assert counters(metrics) == expected
@@ -382,17 +334,13 @@ class TestCounterMerge:
 
 class TestNesting:
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_nested_tabulations_stay_correct(self, engine):
+    def test_nested_tabulations_stay_correct(self):
         nested = ast.Tabulate(
             ("x",), (ast.NatLit(8),),
             ast.Sum("e", ast.Arith("+", ast.Var("e"), ast.Var("x")),
                     ast.Gen(ast.NatLit(50))),
         )
-        reference = outcome(engine, nested, serial_config())
-        sharded = outcome(engine, nested, parallel_config(3))
-        assert sharded[0] == reference[0] == "value"
-        assert_identical(sharded[1], reference[1])
+        assert agree(nested, parallel_config(3))[0] == "value"
 
     def test_worker_guard_blocks_re_entry(self):
         assert not parallel.in_worker()
@@ -469,11 +417,24 @@ class TestSessionSurface:
         # failed updates leave the config untouched
         assert session.env.parallel.workers == 4
 
-    def test_compiled_backend_session_agrees(self):
-        sharded = Session(backend="compiled", parallel_workers=3,
-                          min_cells=1)
-        serial = Session(backend="compiled")
-        assert sharded.query_value(QUERY) == serial.query_value(QUERY)
+    def test_sharded_session_agrees_with_serial(self):
+        sharded = Session(parallel_workers=3, min_cells=1)
+        assert sharded.query_value(QUERY) == Session().query_value(QUERY)
+
+    def test_probed_process_shards_report_serial_counters(self):
+        """A probed process dispatch used to be declined by the closure
+        engine (its workers re-interpreted the body, so their counters
+        were another engine's); workers now compile the shipped body, so
+        it runs and every shared counter equals the serial run's."""
+        query = r"summap(fn \i => i % 7)!(gen!100000);"
+        sharded = Session(parallel_workers=2, parallel_backend="process") \
+            .explain(query).to_dict()["metrics"]
+        serial = Session().explain(query).to_dict()["metrics"]
+        assert sharded["shards_executed"] > 0
+        assert {key: value for key, value in sharded.items()
+                if key not in PARALLEL_ONLY} \
+            == {key: value for key, value in serial.items()
+                if key not in PARALLEL_ONLY}
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ import time
 
 import pytest
 
-from test_parallel import (BIG_SUM, BRANCHY, POISONED, assert_identical,
-                           counters, outcome, parallel_config, serial_config)
+from conftest import agree, assert_identical, outcome
+from test_parallel import (BIG_SUM, BRANCHY, POISONED, counters,
+                           parallel_config, serial_config)
 
 from repro.core import ast
 from repro.core import parallel
-from repro.core.eval import Evaluator
 from repro.core.fastpath import (ADAPTIVE_MIN_SECONDS, DispatchConfig)
 from repro.errors import SessionError
 from repro.obs.metrics import EvalMetrics
@@ -84,12 +84,10 @@ class TestShmTransport:
         """A dense process dispatch reports its transport economy, and
         every shard lands in the slab (zero per-element pickling)."""
         _shm_required()
-        reference = outcome(Evaluator, BRANCHY, serial_config())
         metrics = EvalMetrics()
-        sharded = outcome(Evaluator, BRANCHY,
-                          parallel_config(3, "process"), probe=metrics)
+        sharded = agree(BRANCHY, parallel_config(3, "process"),
+                        probe=metrics)
         assert sharded[0] == "value"
-        assert_identical(sharded[1], reference[1])
         assert metrics.shards_executed == 3
         assert metrics.shards_zero_copy == 3
         assert metrics.shm_segments >= 1
@@ -101,14 +99,10 @@ class TestShmTransport:
         so the parent's in-order fold equals the serial fold exactly."""
         _shm_required()
         binds = {"ar": FLOAT_ELEMENTS}
-        reference = outcome(Evaluator, FLOAT_SLAB_SUM, serial_config(),
-                            binds=binds)
         metrics = EvalMetrics()
-        sharded = outcome(Evaluator, FLOAT_SLAB_SUM,
-                          parallel_config(3, "process"), probe=metrics,
-                          binds=binds)
-        assert sharded[0] == reference[0] == "value"
-        assert_identical(sharded[1], reference[1])
+        sharded = agree(FLOAT_SLAB_SUM, parallel_config(3, "process"),
+                        probe=metrics, binds=binds)
+        assert sharded[0] == "value"
         assert metrics.shards_zero_copy == metrics.shards_executed == 3
         assert metrics.shm_segments >= 2  # elements in + slab out
 
@@ -118,14 +112,10 @@ class TestShmTransport:
         to the boxed format without failing."""
         _shm_required()
         binds = {"big": BIG_OPERAND}
-        reference = outcome(Evaluator, USES_OPERAND, serial_config(),
-                            binds=binds)
         metrics = EvalMetrics()
-        sharded = outcome(Evaluator, USES_OPERAND,
-                          parallel_config(3, "process"), probe=metrics,
-                          binds=binds)
+        sharded = agree(USES_OPERAND, parallel_config(3, "process"),
+                        probe=metrics, binds=binds)
         assert sharded[0] == "value"
-        assert_identical(sharded[1], reference[1])
         assert metrics.shards_executed == 3
         assert metrics.shards_zero_copy == 0  # boxed degradation
         assert metrics.shm_segments == 2  # operand + (unused) out slab
@@ -135,12 +125,10 @@ class TestShmTransport:
         """``REPRO_NO_SHM=1``: dispatches still run (boxed pickle wire
         format), results agree, and no segments are ever created."""
         monkeypatch.setattr(parallel, "SHM_ENABLED", False)
-        reference = outcome(Evaluator, BRANCHY, serial_config())
         metrics = EvalMetrics()
-        sharded = outcome(Evaluator, BRANCHY,
-                          parallel_config(3, "process"), probe=metrics)
+        sharded = agree(BRANCHY, parallel_config(3, "process"),
+                        probe=metrics)
         assert sharded[0] == "value"
-        assert_identical(sharded[1], reference[1])
         assert metrics.shards_executed == 3
         assert metrics.shm_segments == 0
         assert metrics.shm_bytes == 0
@@ -148,7 +136,7 @@ class TestShmTransport:
 
     def test_serial_runs_never_report_shm(self):
         metrics = EvalMetrics()
-        outcome(Evaluator, BRANCHY, serial_config(), probe=metrics)
+        outcome(BRANCHY, serial_config(), probe=metrics)
         assert metrics.shm_segments == 0
         assert metrics.shm_bytes == 0
         assert metrics.shards_zero_copy == 0
@@ -166,9 +154,9 @@ class TestSegmentLifecycle:
         no segment survives the discarded dispatch."""
         serial_metrics = EvalMetrics()
         sharded_metrics = EvalMetrics()
-        reference = outcome(Evaluator, POISONED, serial_config(),
+        reference = outcome(POISONED, serial_config(),
                             probe=serial_metrics)
-        sharded = outcome(Evaluator, POISONED,
+        sharded = outcome(POISONED,
                           parallel_config(4, "process"),
                           probe=sharded_metrics)
         assert reference[0] == "bottom"
@@ -197,7 +185,7 @@ class TestSegmentLifecycle:
         """The OS view agrees with the registry: no ``repro_shm_*``
         file survives a burst of dense dispatches."""
         for expr in (BRANCHY, BIG_SUM):
-            result = outcome(Evaluator, expr,
+            result = outcome(expr,
                              parallel_config(2, "process"))
             assert result[0] == "value"
         assert parallel.shm_live_segments() == 0
@@ -241,24 +229,24 @@ class TestPoolLifecycle:
         counters, no leaked segments) and the broken pool is evicted so
         the *next* dispatch shards again on a fresh one."""
         config = parallel_config(2, "process")
-        reference = outcome(Evaluator, BRANCHY, serial_config())
+        reference = outcome(BRANCHY, serial_config())
         ref_metrics = EvalMetrics()
-        outcome(Evaluator, BRANCHY, serial_config(), probe=ref_metrics)
-        warm = outcome(Evaluator, BRANCHY, config)
+        outcome(BRANCHY, serial_config(), probe=ref_metrics)
+        warm = outcome(BRANCHY, config)
         if warm[0] != "value":  # pragma: no cover - no fork platform
             pytest.skip("no process pool on this platform")
         pool = parallel._get_pool("process", 2)
         for proc in list(pool._processes.values()):
             proc.kill()
         metrics = EvalMetrics()
-        result = outcome(Evaluator, BRANCHY, config, probe=metrics)
+        result = outcome(BRANCHY, config, probe=metrics)
         assert result[0] == "value"
         assert_identical(result[1], reference[1])
         assert metrics.shards_executed == 0  # dispatch failed, serial ran
         assert metrics.to_dict() == ref_metrics.to_dict()
         assert parallel.shm_live_segments() == 0
         again = EvalMetrics()
-        recovered = outcome(Evaluator, BRANCHY, config, probe=again)
+        recovered = outcome(BRANCHY, config, probe=again)
         assert recovered[0] == "value"
         assert_identical(recovered[1], reference[1])
         assert again.shards_executed == 2  # fresh pool after eviction
@@ -277,22 +265,18 @@ class TestWorkerInheritance:
         binds = {"big": BIG_OPERAND}
         # warm the pool with the dense store ON, so the workers' forked
         # module state disagrees with the parent's flip below
-        warm = outcome(Evaluator, BRANCHY, parallel_config(3, "process"))
+        warm = outcome(BRANCHY, parallel_config(3, "process"))
         if warm[0] != "value":  # pragma: no cover - no fork platform
             pytest.skip("no process pool on this platform")
         monkeypatch.setattr(dense, "STORE_ENABLED", False)
-        reference = outcome(Evaluator, NESTED, serial_config(),
-                            binds=binds)
         metrics = EvalMetrics()
-        sharded = outcome(Evaluator, NESTED,
-                          parallel_config(3, "process"), probe=metrics,
-                          binds=binds)
+        sharded = agree(NESTED, parallel_config(3, "process"),
+                        probe=metrics, binds=binds)
         assert sharded[0] == "value"
         assert metrics.shards_executed == 3
         assert metrics.shm_segments == 0  # no dense store, no transport
         for cell in sharded[1].flat:
             assert cell._block is None  # boxed, exactly as the parent is
-        assert_identical(sharded[1], reference[1])
 
     def test_worker_config_drops_adaptive_and_sharding(self):
         config = DispatchConfig(min_cells=7, workers=4,
@@ -313,10 +297,10 @@ class TestConcurrentDispatch:
         """Two evaluators sharding simultaneously against the same
         cached pool: per-probe counters stay single-writer-exact and
         every segment is retired."""
-        reference = outcome(Evaluator, BRANCHY, serial_config())
+        reference = outcome(BRANCHY, serial_config())
         ref_metrics = EvalMetrics()
-        outcome(Evaluator, BRANCHY, serial_config(), probe=ref_metrics)
-        warm = outcome(Evaluator, BRANCHY, parallel_config(2, "process"))
+        outcome(BRANCHY, serial_config(), probe=ref_metrics)
+        warm = outcome(BRANCHY, parallel_config(2, "process"))
         if warm[0] != "value":  # pragma: no cover - no fork platform
             pytest.skip("no process pool on this platform")
         errors = []
@@ -326,7 +310,7 @@ class TestConcurrentDispatch:
             try:
                 for _ in range(3):
                     metrics = EvalMetrics()
-                    got = outcome(Evaluator, BRANCHY,
+                    got = outcome(BRANCHY,
                                   parallel_config(2, "process"),
                                   probe=metrics)
                     assert got[0] == "value"
@@ -356,13 +340,13 @@ class TestAdaptiveDispatch:
 
     def test_serial_rate_is_observed(self):
         config = DispatchConfig(min_cells=1, workers=0, adaptive=True)
-        result = outcome(Evaluator, BRANCHY, config)
+        result = outcome(BRANCHY, config)
         assert result[0] == "value"
         assert config.rates().get("serial", 0) > 0
 
     def test_static_config_records_nothing(self):
         config = DispatchConfig(min_cells=1, workers=0, adaptive=False)
-        outcome(Evaluator, BRANCHY, config)
+        outcome(BRANCHY, config)
         assert config.rates() == {}
 
     def test_adaptive_declines_sub_dispatch_work(self):
@@ -401,10 +385,7 @@ class TestAdaptiveDispatch:
         the backend's measured rate on a successful dispatch."""
         config = DispatchConfig(min_cells=1, workers=3,
                                 backend="thread", adaptive=True)
-        reference = outcome(Evaluator, BRANCHY, serial_config())
-        sharded = outcome(Evaluator, BRANCHY, config)
-        assert sharded[0] == "value"
-        assert_identical(sharded[1], reference[1])
+        assert agree(BRANCHY, config)[0] == "value"
         assert config.rates().get("thread", 0) > 0
 
 

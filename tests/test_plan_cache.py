@@ -3,16 +3,21 @@
 Covers the fingerprint (α-equivalence), the :class:`PlanCache` data
 structure in isolation, the session wiring (hits skip the optimize
 pipeline; every ``TopEnv`` mutation path invalidates what it must and
-nothing more), the compiled-backend closure reuse, and — as a property —
-that a cache hit computes the same value as a cold pipeline run.
+nothing more), the closure contract (one codegen per miss, retained from
+the first hit on), and — as a property — that a cache hit computes the
+same value as a cold pipeline run.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core import ast
+from repro.core.compile import Compiler
 from repro.core.eval import Evaluator
+from repro.env.environment import TopEnv
 from repro.errors import BottomError, SessionError
+from repro.surface.desugar import desugar_expression
+from repro.surface.parser import parse_expression
 from repro.system.plan_cache import (
     DEFAULT_CAPACITY,
     PlanCache,
@@ -279,36 +284,101 @@ class TestInvalidation:
         assert session.query_value("m + 1;") == 10
 
 
-class TestCompiledBackend:
-    def test_hit_reuses_cached_closure(self):
-        session = Session(backend="compiled")
-        assert session.query_value("total!{1,2,3};") == 6
-        assert session.query_value("total!{1,2,3};") == 6
-        assert session.plan_cache.stats.hits == 1
-        (entry,) = session.plan_cache._entries.values()
-        assert entry.evaluator is not None
+def _core(source):
+    return desugar_expression(parse_expression(source))
 
-    def test_interpreter_plans_cache_no_evaluator(self, session):
-        session.query_value("1 + 1;")
+
+class TestPlanClosures:
+    """The closure contract of ``Session.prepare`` (docs/PLAN_CACHE.md)."""
+
+    SOURCE = "summap(fn \\x => x)!(gen!5)"
+
+    def test_miss_generates_code_exactly_once(self, session, monkeypatch):
+        """A miss used to compile twice on the closure engine: once in
+        ``prepare`` and again, ignoring that closure, in ``_evaluate``."""
+        compiled = []
+        generate = Compiler.compile
+
+        def counting(self, expr, scope=()):
+            compiled.append(expr)
+            return generate(self, expr, scope)
+
+        monkeypatch.setattr(Compiler, "compile", counting)
+        assert session.query_value(self.SOURCE + ";") == 10
+        (entry,) = session.plan_cache._entries.values()
+        assert sum(1 for expr in compiled if expr is entry.core) == 1
+
+    def test_closure_is_retained_from_the_first_hit_on(self, session):
+        core = _core(self.SOURCE)
+        miss = session.prepare(core)
+        assert not miss.cached
+        assert miss.evaluator is not None     # the miss runs its own closure
+        assert miss.entry.evaluator is None   # ... and the entry keeps none
+        first = session.prepare(core)
+        assert first.cached and first.entry is miss.entry
+        assert first.evaluator is first.entry.evaluator is not None
+        code = first.evaluator.prepare(first.core)
+        for _ in range(3):
+            hit = session.prepare(core)
+            assert hit.evaluator is first.evaluator
+            assert hit.evaluator.prepare(hit.core) is code
+        assert session._evaluate(hit) == 10
+
+    def test_replan_replaces_the_closure(self):
+        session = Session(cost="observe")
+        if session.env.cost is None:
+            pytest.skip("cost model disabled on this lane")
+        core = _core(self.SOURCE)
+        session.prepare(core)
+        stale = session.prepare(core).evaluator
+        entry = session.prepare(core).entry
+        session._replan(entry)
+        assert entry.evaluator is not stale
+        fresh = session.prepare(core)
+        assert fresh.evaluator is entry.evaluator is not stale
+        assert fresh.evaluator.prepare(fresh.core) \
+            is not stale.prepare(fresh.core)
+        assert session._evaluate(fresh) == 10
+
+    def test_observed_run_never_builds_the_plain_closure(self, session,
+                                                         monkeypatch):
+        built = []
+        plan_evaluator = TopEnv.plan_evaluator
+
+        def recording(self):
+            built.append(self.obs.enabled)
+            return plan_evaluator(self)
+
+        monkeypatch.setattr(TopEnv, "plan_evaluator", recording)
+        source = self.SOURCE + ";"
+        cold = session.explain(source)            # observed miss
+        hot = session.explain(source)             # observed first hit
+        assert built == []
         (entry,) = session.plan_cache._entries.values()
         assert entry.evaluator is None
+        assert cold.metrics.node_evals == hot.metrics.node_evals > 0
+        assert session.query_value(source) == 10  # plain hit: builds it now
+        assert built == [False]
+        assert entry.evaluator is not None
+        assert session.explain(source).metrics.node_evals \
+            == cold.metrics.node_evals            # and never runs it probed
 
-    def test_hit_skips_codegen_span(self):
-        session = Session(backend="compiled")
-        source = "summap(fn \\x => x)!(gen!5);"
+    def test_hit_skips_the_pipeline_but_profiles_probed_codegen(self):
+        session = Session()
+        source = self.SOURCE + ";"
         cold = session.explain(source)
-        assert cold.span("codegen") is not None
+        assert cold.span("optimize") is not None
         hot = session.explain(source)
-        assert hot.span("codegen") is None
+        assert hot.span("plan_cache").meta["hit"] is True
         assert hot.span("optimize") is None
+        # probed code is generated per observed run, outside `evaluate`
+        assert cold.span("codegen") is not None
+        assert hot.span("codegen") is not None
         assert hot.value == cold.value == 10
 
-    def test_profiled_hit_still_counts_evaluator_metrics(self):
-        session = Session(backend="compiled")
-        session.query_value("summap(fn \\x => x)!(gen!5);")
-        report = session.explain("summap(fn \\x => x)!(gen!5);")
-        assert report.span("plan_cache").meta["hit"] is True
-        assert report.metrics.node_evals > 0
+    def test_key_has_no_engine_component(self):
+        core = _core("1 + 1")
+        assert PlanCache.key_for(core, True) == (fingerprint(core), True)
 
 
 class TestSessionBugfixes:

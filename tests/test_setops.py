@@ -2,9 +2,9 @@
 
 The contract under test (``docs/SETOPS.md``): whenever a fast path
 runs — hash equi-join or sort-based ``index_k`` grouping — its result
-is *indistinguishable* from the naive loop's: identical frozensets
-(equality and hashes), identical ⊥ identity, identical probe counters
-except the setops-only keys.  Whenever the fast path cannot guarantee
+is *indistinguishable* from the reference semantics': identical
+frozensets (equality and hashes), identical ⊥ identity — and its probe
+counters from the naive loop's, except the setops-only keys.  Whenever the fast path cannot guarantee
 that, it declines and the naive loop runs unchanged.
 """
 
@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 
 from repro.core import ast
 from repro.core import setops
-from repro.core.compile import CompiledEvaluator
-from repro.core.eval import Evaluator, index_set_dispatch, index_set_stats
-from repro.core.fastpath import NODE_CACHE_CAPACITY, DispatchConfig, NodeCache
-from repro.errors import BottomError, SessionError
+from repro.core.fastpath import DispatchConfig, NodeCache
+from repro.core.setops import index_set_dispatch
+from repro.errors import SessionError
+from repro.objects.array import index_set_stats
 from repro.obs.metrics import EvalMetrics
 from repro.system.repl import setops_command
 from repro.system.session import Session
 
-ENGINES = [Evaluator, CompiledEvaluator]
+from conftest import agree
+from conftest import outcome as engine_outcome
 
 #: the counter keys only a set-engine fast path reports; everything
 #: else must match a naive run exactly
@@ -42,13 +43,9 @@ def cfg(min_cells=1, setops_on=True):
     return DispatchConfig(min_cells=min_cells, workers=0, setops=setops_on)
 
 
-def outcome(engine, expr, config, probe=None):
-    """Evaluate to ('value', v) or ('bottom', reason)."""
-    evaluator = engine(probe=probe, parallel=config)
-    try:
-        return ("value", evaluator.run(expr, {}))
-    except BottomError as exc:
-        return ("bottom", str(exc))
+def outcome(expr, config, probe=None):
+    """The production engine's outcome on a closed expression."""
+    return engine_outcome(expr, config, probe=probe, binds={})
 
 
 def counters(metrics):
@@ -161,20 +158,14 @@ class TestRecognition:
 
 class TestJoinAgreement:
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_fixture_join_matches_naive(self, engine):
+    def test_fixture_join_matches_naive(self):
         expr = join_query(relation(S_REL), relation(T_REL))
-        fast = outcome(engine, expr, cfg())
-        naive = outcome(engine, expr, cfg(setops_on=False))
-        assert fast == naive
-        assert fast[0] == "value"
-        assert hash(fast[1]) == hash(naive[1])
+        assert agree(expr, cfg(), binds={})[0] == "value"
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_probe_reports_join(self, engine):
+    def test_probe_reports_join(self):
         metrics = EvalMetrics()
         expr = join_query(relation(S_REL), relation(T_REL))
-        result = outcome(engine, expr, cfg(), probe=metrics)
+        result = outcome(expr, cfg(), probe=metrics)
         assert result[0] == "value"
         assert metrics.joins_hashed == 1
         assert (metrics.join_pairs_matched + metrics.join_pairs_skipped
@@ -183,13 +174,12 @@ class TestJoinAgreement:
         expected = sum(1 for a in S_REL for b in T_REL if a[0] == b[0])
         assert metrics.join_pairs_matched == expected
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_probed_counters_match_naive(self, engine):
+    def test_probed_counters_match_naive(self):
         """Fast-path counters == naive counters + the setops-only keys."""
         expr = join_query(relation(S_REL), relation(T_REL))
         fast_metrics, naive_metrics = EvalMetrics(), EvalMetrics()
-        fast = outcome(engine, expr, cfg(), probe=fast_metrics)
-        naive = outcome(engine, expr, cfg(setops_on=False),
+        fast = outcome(expr, cfg(), probe=fast_metrics)
+        naive = outcome(expr, cfg(setops_on=False),
                         probe=naive_metrics)
         assert fast == naive
         assert fast_metrics.joins_hashed == 1
@@ -200,35 +190,31 @@ class TestJoinAgreement:
         assert (fast_metrics.max_collection_size
                 == naive_metrics.max_collection_size)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_kill_switch_disables(self, engine, monkeypatch):
+    def test_kill_switch_disables(self, monkeypatch):
         monkeypatch.setattr(setops, "ENABLED", False)
         metrics = EvalMetrics()
         expr = join_query(relation(S_REL), relation(T_REL))
-        result = outcome(engine, expr, cfg(), probe=metrics)
+        result = outcome(expr, cfg(), probe=metrics)
         assert result[0] == "value"
         assert metrics.joins_hashed == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_session_switch_disables(self, engine):
+    def test_session_switch_disables(self):
         metrics = EvalMetrics()
         expr = join_query(relation(S_REL), relation(T_REL))
-        result = outcome(engine, expr, cfg(setops_on=False),
+        result = outcome(expr, cfg(setops_on=False),
                          probe=metrics)
         assert result[0] == "value"
         assert metrics.joins_hashed == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_min_cells_floor(self, engine):
+    def test_min_cells_floor(self):
         metrics = EvalMetrics()
         expr = join_query(relation(S_REL), relation(T_REL))
-        result = outcome(engine, expr,
+        result = outcome(expr,
                          cfg(min_cells=10 ** 9), probe=metrics)
         assert result[0] == "value"
         assert metrics.joins_hashed == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_bottom_in_body_is_canonical(self, engine):
+    def test_bottom_in_body_is_canonical(self):
         # 100/snd y raises division by zero on the pair whose payload
         # is 0; the fast path must discard its work and let the naive
         # loops raise the identical reason
@@ -236,20 +222,16 @@ class TestJoinAgreement:
         s = frozenset([(0, 1), (1, 2), (2, 3)])
         body = ast.Singleton(ast.Arith("/", N(100), snd(V("y"))))
         expr = join_query(relation(s), relation(t), body=body)
-        fast = outcome(engine, expr, cfg())
-        naive = outcome(engine, expr, cfg(setops_on=False))
-        assert fast[0] == "bottom"
-        assert fast == naive
+        assert agree(expr, cfg(), binds={})[0] == "bottom"
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_bottom_discards_forked_probe(self, engine):
+    def test_bottom_discards_forked_probe(self):
         t = frozenset([(0, 0), (0, 4), (1, 5)])
         s = frozenset([(0, 1), (1, 2), (2, 3)])
         body = ast.Singleton(ast.Arith("/", N(100), snd(V("y"))))
         expr = join_query(relation(s), relation(t), body=body)
         fast_metrics, naive_metrics = EvalMetrics(), EvalMetrics()
-        fast = outcome(engine, expr, cfg(), probe=fast_metrics)
-        naive = outcome(engine, expr, cfg(setops_on=False),
+        fast = outcome(expr, cfg(), probe=fast_metrics)
+        naive = outcome(expr, cfg(setops_on=False),
                         probe=naive_metrics)
         assert fast == naive
         # the failed fast path contributes nothing: counters are the
@@ -257,16 +239,13 @@ class TestJoinAgreement:
         assert counters(fast_metrics) == counters(naive_metrics)
         assert fast_metrics.joins_hashed == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_mixed_kind_keys_stay_distinct(self, engine):
+    def test_mixed_kind_keys_stay_distinct(self):
         # 1, 1.0 and true collide under Python hashing but are distinct
         # calculus values; HashKey must keep them apart
         s = frozenset([(1, 10), (True, 20), (2, 30)])
         t = frozenset([(1.0, 100), (1, 200), (True, 300)])
         expr = join_query(relation(s), relation(t))
-        fast = outcome(engine, expr, cfg())
-        naive = outcome(engine, expr, cfg(setops_on=False))
-        assert fast == naive
+        fast = agree(expr, cfg(), binds={})
         assert fast[1] == frozenset({(10, 200), (20, 300)})
 
     @settings(max_examples=40, deadline=None,
@@ -276,15 +255,9 @@ class TestJoinAgreement:
                          max_size=12),
            st.frozensets(st.tuples(st.integers(0, 4),
                                    st.integers(0, 50)),
-                         max_size=12),
-           st.sampled_from(ENGINES))
-    def test_random_relations_agree(self, s, t, engine):
-        expr = join_query(relation(s), relation(t))
-        fast = outcome(engine, expr, cfg())
-        naive = outcome(engine, expr, cfg(setops_on=False))
-        assert fast == naive
-        if fast[0] == "value":
-            assert hash(fast[1]) == hash(naive[1])
+                         max_size=12))
+    def test_random_relations_agree(self, s, t):
+        agree(join_query(relation(s), relation(t)), cfg(), binds={})
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +367,7 @@ class TestSortedGrouping:
         _, _, _, sorted_used = index_set_dispatch(self.SPARSE_PAIRS, 1, cfg())
         assert not sorted_used
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_max_group_size_is_exact(self, engine):
+    def test_max_group_size_is_exact(self):
         """Regression: the old ``pairs - groups + 1`` derived bound
         overstated the watermark whenever more than one group held
         duplicates (here it would claim 3; the truth is 2)."""
@@ -403,21 +375,21 @@ class TestSortedGrouping:
         expr = ast.IndexSet(relation(pairs), 1)
         for config in (cfg(), cfg(setops_on=False)):
             metrics = EvalMetrics()
-            result = outcome(engine, expr, config, probe=metrics)
+            result = outcome(expr, config, probe=metrics)
             assert result[0] == "value"
             assert metrics.max_group_size == 2
             assert metrics.index_groups == 2
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_engine_results_agree(self, engine):
-        # sparse enough that the setops=True run takes the sorted path
+    def test_sorted_path_agrees_with_reference(self):
+        # sparse enough that the run takes the sorted path
         pairs = frozenset((i * 2654435761 % 500, i) for i in range(40))
         expr = ast.IndexSet(relation(pairs), 1)
-        fast = outcome(engine, expr, cfg())
-        naive = outcome(engine, expr, cfg(setops_on=False))
-        assert fast[0] == naive[0] == "value"
-        assert fast[1] == naive[1]
-        for fast_cell, naive_cell in zip(fast[1].flat, naive[1].flat):
+        metrics = EvalMetrics()
+        fast = agree(expr, cfg(), binds={}, probe=metrics)
+        assert fast[0] == "value"
+        assert metrics.index_sorted == 1
+        reference = index_set_stats(pairs, 1)[0]
+        for fast_cell, naive_cell in zip(fast[1].flat, reference.flat):
             assert hash(fast_cell) == hash(naive_cell)
 
 
@@ -458,11 +430,6 @@ class TestNodeCache:
         cache._entries[id(fresh)] = (stale, "stale-payload")
         assert cache.get(fresh, lambda n: "fresh-payload") \
             == "fresh-payload"
-
-    def test_evaluator_kernel_cache_is_bounded(self):
-        evaluator = Evaluator()
-        assert isinstance(evaluator._kernel_cache, NodeCache)
-        assert evaluator._kernel_cache.capacity == NODE_CACHE_CAPACITY
 
 
 # ---------------------------------------------------------------------------

@@ -5,34 +5,29 @@ Contract under test (``docs/PARALLEL.md``, ``docs/VECTOR_BACKEND.md``):
 when a tabulation body is kernel-shaped and the domain clears
 ``kernel_min_cells``, the process shards run the numpy kernel per core
 over flat row-major cell ranges — and the result is *indistinguishable*
-from both the serial kernel and the serial scalar loop: identical
-values, scalar kinds, hashes, and (vs the serial kernel) identical
-probe counters modulo the ``PARALLEL_ONLY`` keys.  Whenever the fused
-path cannot prove that, it declines: a ⊥ cell reruns serially with the
-serial error identity, a missing output slab falls back to the serial
-kernel, and a probed compiled dispatch is all-vectorized or nothing.
+from the reference semantics (identical values, scalar kinds, hashes)
+and, in its probe counters modulo the ``PARALLEL_ONLY`` keys, from the
+serial kernel.  Whenever the fused path cannot prove that, it declines:
+a ⊥ cell reruns serially with the serial error identity and a missing
+output slab falls back to the serial kernel.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from test_parallel import (PARALLEL_ONLY, assert_identical, counters,
-                           outcome, serial_config)
+from conftest import agree, assert_identical, outcome
+from test_parallel import counters, serial_config
 
 from repro.core import ast
 from repro.core import kernels
 from repro.core import parallel
-from repro.core.compile import CompiledEvaluator
-from repro.core.eval import Evaluator
 from repro.core.fastpath import DEFAULT_KERNEL_MIN_CELLS, DispatchConfig
 from repro.errors import SessionError
 from repro.obs.metrics import EvalMetrics
 from repro.objects.array import Array
 from repro.system.repl import parallel_command
 from repro.system.session import Session
-
-ENGINES = [Evaluator, CompiledEvaluator]
 
 
 @pytest.fixture(autouse=True)
@@ -126,7 +121,7 @@ GRID_TAB = ast.Tabulate(
 
 
 # ---------------------------------------------------------------------------
-# property: fused == serial kernel == serial scalar
+# property: fused == reference semantics; counters == serial kernel
 # ---------------------------------------------------------------------------
 
 def _small_kernel_tabs():
@@ -158,55 +153,31 @@ class TestFusedSerialAgreement:
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(_small_kernel_tabs(), st.sampled_from(ENGINES))
-    def test_random_kernel_tabs_agree(self, expr, engine):
+    @given(_small_kernel_tabs())
+    def test_random_kernel_tabs_agree(self, expr):
         _kernels_required()
-        reference = outcome(engine, expr, serial_config(), binds={})
-        fused = outcome(engine, expr, fused_config(), binds={})
-        assert fused[0] == reference[0]
-        if reference[0] == "value":
-            assert_identical(fused[1], reference[1])
+        agree(expr, fused_config(), binds={})
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("expr,binds", [
         (KERNEL_TAB, {}),
         (FLOAT_TAB, {}),
         (SKEWED_KERNEL, {}),
         (GRID_TAB, {"a": GRID_OPERAND}),
     ])
-    def test_fused_matches_serial_kernel(self, engine, expr, binds):
+    def test_fused_matches_reference(self, expr, binds):
+        """Agreement with the numpy-free, shard-free naive loop."""
         _kernels_required()
-        reference = outcome(engine, expr, serial_config(), binds=binds)
-        fused = outcome(engine, expr, fused_config(), binds=binds)
-        assert fused[0] == reference[0] == "value"
-        assert_identical(fused[1], reference[1])
+        assert agree(expr, fused_config(), binds=binds)[0] == "value"
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("expr,binds", [
-        (KERNEL_TAB, {}),
-        (FLOAT_TAB, {}),
-        (GRID_TAB, {"a": GRID_OPERAND}),
-    ])
-    def test_fused_matches_serial_scalar(self, engine, expr, binds,
-                                         monkeypatch):
-        """The other leg: agreement with the numpy-free scalar loop."""
-        _kernels_required()
-        fused = outcome(engine, expr, fused_config(), binds=binds)
-        monkeypatch.setattr(kernels, "ENABLED", False)
-        scalar = outcome(engine, expr, serial_config(), binds=binds)
-        assert fused[0] == scalar[0] == "value"
-        assert_identical(fused[1], scalar[1])
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_fused_counters_match_serial_kernel(self, engine):
+    def test_fused_counters_match_serial_kernel(self):
         """Shared counters agree with the serial-kernel run exactly;
         only the ``PARALLEL_ONLY`` keys may differ."""
         _kernels_required()
         _shm_required()
         serial_metrics, fused_metrics = EvalMetrics(), EvalMetrics()
-        reference = outcome(engine, KERNEL_TAB, serial_config(),
+        reference = outcome(KERNEL_TAB, serial_config(),
                             probe=serial_metrics, binds={})
-        fused = outcome(engine, KERNEL_TAB, fused_config(),
+        fused = outcome(KERNEL_TAB, fused_config(),
                         probe=fused_metrics, binds={})
         assert fused[0] == reference[0] == "value"
         assert_identical(fused[1], reference[1])
@@ -229,9 +200,9 @@ class TestFusedCounters:
         _kernels_required()
         _shm_required()
         metrics = EvalMetrics()
-        fused = outcome(Evaluator, GRID_TAB, fused_config(), probe=metrics,
+        fused = outcome(GRID_TAB, fused_config(), probe=metrics,
                         binds={"a": GRID_OPERAND})
-        reference = outcome(Evaluator, GRID_TAB, serial_config(),
+        reference = outcome(GRID_TAB, serial_config(),
                             binds={"a": GRID_OPERAND})
         assert fused[0] == "value"
         assert_identical(fused[1], reference[1])
@@ -258,9 +229,9 @@ class TestFusedCounters:
         )
         metrics = EvalMetrics()
         config = DispatchConfig(min_cells=1, workers=3, backend="process")
-        fused = outcome(Evaluator, branchy, config, probe=metrics,
+        fused = outcome(branchy, config, probe=metrics,
                         binds={"a": GRID_OPERAND})
-        reference = outcome(Evaluator, branchy, serial_config(),
+        reference = outcome(branchy, serial_config(),
                             binds={"a": GRID_OPERAND})
         assert fused[0] == "value"
         assert_identical(fused[1], reference[1])
@@ -274,9 +245,9 @@ class TestFusedCounters:
         gated = DispatchConfig(min_cells=1, workers=3, backend="process",
                                kernel_min_cells=10**9)
         serial_metrics, gated_metrics = EvalMetrics(), EvalMetrics()
-        reference = outcome(Evaluator, KERNEL_TAB, serial_config(),
+        reference = outcome(KERNEL_TAB, serial_config(),
                             probe=serial_metrics, binds={})
-        result = outcome(Evaluator, KERNEL_TAB, gated,
+        result = outcome(KERNEL_TAB, gated,
                          probe=gated_metrics, binds={})
         assert_identical(result[1], reference[1])
         assert gated_metrics.to_dict() == serial_metrics.to_dict()
@@ -288,9 +259,9 @@ class TestFusedCounters:
         _kernels_required()
         monkeypatch.setattr(parallel, "SHM_ENABLED", False)
         serial_metrics, fused_metrics = EvalMetrics(), EvalMetrics()
-        reference = outcome(Evaluator, KERNEL_TAB, serial_config(),
+        reference = outcome(KERNEL_TAB, serial_config(),
                             probe=serial_metrics, binds={})
-        result = outcome(Evaluator, KERNEL_TAB, fused_config(),
+        result = outcome(KERNEL_TAB, fused_config(),
                          probe=fused_metrics, binds={})
         assert_identical(result[1], reference[1])
         assert fused_metrics.to_dict() == serial_metrics.to_dict()
@@ -302,20 +273,19 @@ class TestFusedCounters:
 
 class TestFusedFallbacks:
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_poisoned_kernel_keeps_serial_error_identity(self, engine):
+    @pytest.mark.parametrize("probed", [False, True])
+    def test_poisoned_kernel_keeps_serial_error_identity(self, probed):
         """x=0 divides by zero: the shard's kernel declines on an
         actual-value check, its scalar fallback raises, and the parent
         reruns serially — producing the serial reason and counters."""
-        serial_metrics = EvalMetrics() if engine is Evaluator else None
-        fused_metrics = EvalMetrics() if engine is Evaluator else None
-        reference = outcome(engine, POISONED_KERNEL, serial_config(),
-                            probe=serial_metrics, binds={})
-        fused = outcome(engine, POISONED_KERNEL, fused_config(),
-                        probe=fused_metrics, binds={})
-        assert reference[0] == fused[0] == "bottom"
-        assert fused[1] == reference[1]
-        if engine is Evaluator:
+        serial_metrics = EvalMetrics() if probed else None
+        fused_metrics = EvalMetrics() if probed else None
+        outcome(POISONED_KERNEL, serial_config(), probe=serial_metrics,
+                binds={})
+        fused = agree(POISONED_KERNEL, fused_config(), probe=fused_metrics,
+                      binds={})
+        assert fused[0] == "bottom"
+        if probed:
             assert counters(fused_metrics) == counters(serial_metrics)
             assert fused_metrics.shards_vectorized == 0
 
@@ -326,9 +296,9 @@ class TestFusedFallbacks:
         assert parallel.split(2 * 600, 3) == [(0, 400), (400, 800),
                                               (800, 1200)]
         metrics = EvalMetrics()
-        fused = outcome(Evaluator, SKEWED_BRANCHY, fused_config(),
+        fused = outcome(SKEWED_BRANCHY, fused_config(),
                         probe=metrics, binds={})
-        reference = outcome(Evaluator, SKEWED_BRANCHY, serial_config(),
+        reference = outcome(SKEWED_BRANCHY, serial_config(),
                             binds={})
         assert fused[0] == "value"
         assert_identical(fused[1], reference[1])
@@ -338,7 +308,7 @@ class TestFusedFallbacks:
         _kernels_required()
         _shm_required()
         metrics = EvalMetrics()
-        fused = outcome(Evaluator, SKEWED_KERNEL, fused_config(),
+        fused = outcome(SKEWED_KERNEL, fused_config(),
                         probe=metrics, binds={})
         assert fused[0] == "value"
         assert metrics.shards_vectorized == 3
@@ -351,24 +321,21 @@ class TestFusedFallbacks:
 
 class TestVectorizedSum:
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_unprobed_int_sum_agrees(self, engine):
+    def test_unprobed_int_sum_agrees(self):
         """The vsum fold returns the exact serial total (same value,
         same int type)."""
-        reference = outcome(engine, BIG_SUM, serial_config(), binds={})
-        fused = outcome(engine, BIG_SUM,
-                        DispatchConfig(min_cells=1, workers=3,
-                                       backend="process"), binds={})
-        assert fused[0] == reference[0] == "value"
-        assert_identical(fused[1], reference[1])
+        fused = agree(BIG_SUM,
+                      DispatchConfig(min_cells=1, workers=3,
+                                     backend="process"), binds={})
+        assert fused[0] == "value"
 
     def test_probed_sum_keeps_scalar_counters(self):
         """Serial Σ is never vectorized, so a probed sharded Σ must
-        interpret every element — counters prove it did."""
+        run its body per element — counters prove it did."""
         serial_metrics, sharded_metrics = EvalMetrics(), EvalMetrics()
-        reference = outcome(Evaluator, BIG_SUM, serial_config(),
+        reference = outcome(BIG_SUM, serial_config(),
                             probe=serial_metrics, binds={})
-        sharded = outcome(Evaluator, BIG_SUM,
+        sharded = outcome(BIG_SUM,
                           DispatchConfig(min_cells=1, workers=3,
                                          backend="process"),
                           probe=sharded_metrics, binds={})
@@ -378,14 +345,11 @@ class TestVectorizedSum:
     def test_float_sum_stays_bit_exact(self):
         """Float elements decline the vectorized fold; the boxed
         in-order fold reproduces serial rounding bit for bit."""
-        reference = outcome(Evaluator, FLOAT_SUM, serial_config(),
-                            binds={"ar": FLOAT_ELEMENTS})
-        sharded = outcome(Evaluator, FLOAT_SUM,
-                          DispatchConfig(min_cells=1, workers=3,
-                                         backend="process"),
-                          binds={"ar": FLOAT_ELEMENTS})
-        assert sharded[0] == reference[0] == "value"
-        assert_identical(sharded[1], reference[1])
+        sharded = agree(FLOAT_SUM,
+                        DispatchConfig(min_cells=1, workers=3,
+                                       backend="process"),
+                        binds={"ar": FLOAT_ELEMENTS})
+        assert sharded[0] == "value"
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,6 @@ class TestInsideAQL:
         from repro.expressiveness.rank import set_to_array_by_rank
         from repro.core import ast
         expr = set_to_array_by_rank(ast.Const(session.env.get_val("sal")))
-        from repro.core.eval import evaluate
+        from repro.core import evaluate
         from repro.objects.array import Array
         assert evaluate(expr) == Array.from_list([110, 120, 130])

@@ -34,7 +34,7 @@ class TestSortPrimitive:
 
     def test_sort_agrees_with_derived_ranking(self, s):
         from repro.core import ast
-        from repro.core.eval import evaluate
+        from repro.core import evaluate
         from repro.expressiveness.rank import set_to_array_by_rank
 
         values = frozenset({9, 1, 5, 3})

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import ast
 from repro.core import builders as B
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.errors import BottomError
 from repro.expressiveness.array_elim import (
     decode_value,

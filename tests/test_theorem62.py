@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ast
-from repro.core.eval import evaluate
+from repro.core import evaluate
 from repro.expressiveness.bags import (
     bag_of_nat,
     bag_rank_expr,

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from repro.core import ast
 from repro.core import kernels
 from repro.core.compile import CompiledEvaluator
-from repro.core.eval import Evaluator
-from repro.errors import BottomError, EvalError
+from repro.errors import EvalError
 from repro.obs.metrics import EvalMetrics
 from repro.objects.array import Array
+
+from conftest import agree
 
 numpy_required = pytest.mark.skipif(
     kernels._np is None, reason="numpy not installed"
@@ -32,8 +33,6 @@ def _vectorization_on(monkeypatch):
     need it off flip it themselves)."""
     monkeypatch.setattr(kernels, "ENABLED", True)
 
-ENGINES = [Evaluator, CompiledEvaluator]
-
 #: a 10×10 domain: 100 cells, comfortably above kernels.MIN_CELLS
 EXTENTS = (ast.NatLit(10), ast.NatLit(10))
 
@@ -43,32 +42,6 @@ FLOAT_GRID = Array((10, 10), [float(i % 9) * 0.25 for i in range(100)])
 
 def _tab(body, bounds=EXTENTS, vars=("x", "y")):
     return ast.Tabulate(vars, bounds, body)
-
-
-def _scalar_result(engine, expr, binds):
-    """The pure-python reference result (vectorization disabled)."""
-    return _outcome(engine, expr, binds, enabled=False)
-
-
-def _outcome(engine, expr, binds, enabled=True):
-    """Evaluate to ('value', array) or ('bottom', reason)."""
-    original = kernels.ENABLED
-    kernels.ENABLED = enabled
-    try:
-        return ("value", engine().run(expr, binds))
-    except BottomError as exc:
-        return ("bottom", exc.reason)
-    finally:
-        kernels.ENABLED = original
-
-
-def assert_identical(vectorized: Array, scalar: Array):
-    """The full boundary contract: dims, values, *types*, and hash."""
-    assert vectorized.dims == scalar.dims
-    assert vectorized.flat == scalar.flat
-    for vec_cell, ref_cell in zip(vectorized.flat, scalar.flat):
-        assert type(vec_cell) is type(ref_cell), (vec_cell, ref_cell)
-    assert hash(vectorized) == hash(scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -109,102 +82,74 @@ class TestScalarVectorAgreement:
     """Property: both paths agree on every kernel-shaped body."""
 
     @settings(max_examples=120, deadline=None)
-    @given(_BODIES, st.sampled_from(ENGINES))
-    def test_random_kernels_agree(self, tag, engine):
-        expr = _tab(_build(tag))
-        binds = {"A": INT_GRID, "B": FLOAT_GRID}
-        reference = _scalar_result(engine, expr, binds)
-        vectorized = _outcome(engine, expr, binds)
-        assert vectorized[0] == reference[0]
-        if reference[0] == "value":
-            assert_identical(vectorized[1], reference[1])
-        else:
-            # ⊥ must carry the scalar loop's exact reason (fallback ran)
-            assert vectorized[1] == reference[1]
+    @given(_BODIES)
+    def test_random_kernels_agree(self, tag):
+        # a ⊥ must carry the scalar loop's exact reason (fallback ran)
+        agree(_tab(_build(tag)), binds={"A": INT_GRID, "B": FLOAT_GRID})
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_monus_clamps_like_the_scalar_loop(self, engine):
-        expr = _tab(ast.Arith("-", ast.Var("x"), ast.Var("y")))
-        reference = _scalar_result(engine, expr, {})[1]
-        assert_identical(_outcome(engine, expr, {})[1], reference)
+    def test_monus_clamps_like_the_scalar_loop(self):
+        agree(_tab(ast.Arith("-", ast.Var("x"), ast.Var("y"))))
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_mixed_nat_real_promotes_to_float(self, engine):
+    def test_mixed_nat_real_promotes_to_float(self):
         expr = _tab(ast.Arith("*", ast.Var("x"), ast.RealLit(0.5)))
-        result = _outcome(engine, expr, {})[1]
+        result = agree(expr)[1]
         assert all(type(cell) is float for cell in result.flat)
-        assert_identical(result, _scalar_result(engine, expr, {})[1])
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_gather_from_bound_array(self, engine):
+    def test_gather_from_bound_array(self):
         body = ast.Arith(
             "+",
             ast.Subscript(ast.Var("A"), (ast.Var("x"), ast.Var("y"))),
             ast.Arith("*", ast.Var("x"), ast.Var("y")),
         )
-        expr = _tab(body)
-        binds = {"A": INT_GRID}
-        assert_identical(_outcome(engine, expr, binds)[1],
-                         _scalar_result(engine, expr, binds)[1])
+        agree(_tab(body), binds={"A": INT_GRID})
 
 
 @numpy_required
 class TestBottomFallsBackToScalar:
     """⊥-raising bodies must run the scalar loop and raise its error."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_division_by_zero(self, engine):
+    def test_division_by_zero(self):
         expr = _tab(ast.Arith("/", ast.Var("x"), ast.Var("y")))
-        kind, reason = _outcome(engine, expr, {})
-        assert (kind, reason) == ("bottom", "division by zero")
+        assert agree(expr) == ("bottom", "division by zero")
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_out_of_bounds_subscript(self, engine):
+    def test_out_of_bounds_subscript(self):
         body = ast.Subscript(ast.Var("A"), (ast.Var("x"), ast.Var("x")))
         expr = ast.Tabulate(("x",), (ast.NatLit(100),), body)
         binds = {"A": Array((100, 50), list(range(5000)))}
-        kind, reason = _outcome(engine, expr, binds)
+        kind, reason = agree(expr, binds=binds)
         assert kind == "bottom"
         assert "out of bounds" in reason
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_real_modulo_is_bottom(self, engine):
+    def test_real_modulo_is_bottom(self):
         expr = _tab(ast.Arith("%", ast.RealLit(1.5), ast.Var("x")))
-        kind, reason = _outcome(engine, expr, {})
-        assert kind == "bottom"
-        assert reason == _scalar_result(engine, expr, {})[1]
+        assert agree(expr)[0] == "bottom"
 
 
 @numpy_required
 class TestFallbackConditions:
     """Cases the executor must decline (and still compute correctly)."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_huge_ints_avoid_int64_overflow(self, engine):
+    def test_huge_ints_avoid_int64_overflow(self):
         big = 2 ** 40
         expr = _tab(ast.Arith(
             "*",
             ast.Arith("+", ast.Var("x"), ast.NatLit(big)),
             ast.Arith("+", ast.Var("y"), ast.NatLit(big)),
         ))
-        result = _outcome(engine, expr, {})[1]
+        result = agree(expr)[1]
         # exact Python bignum arithmetic, not wrapped int64
         assert result[(0, 0)] == big * big
-        assert_identical(result, _scalar_result(engine, expr, {})[1])
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_mixed_element_array_falls_back(self, engine):
+    def test_mixed_element_array_falls_back(self):
         mixed = Array((10, 10), [0.5 if i % 2 else i for i in range(100)])
         body = ast.Subscript(ast.Var("A"), (ast.Var("x"), ast.Var("y")))
-        expr = _tab(body)
-        assert_identical(_outcome(engine, expr, {"A": mixed})[1],
-                         _scalar_result(engine, expr, {"A": mixed})[1])
+        agree(_tab(body), binds={"A": mixed})
 
     def test_unrecognizable_body_stays_scalar(self):
         body = ast.If(ast.BoolLit(True), ast.Var("x"), ast.Var("y"))
         assert kernels.recognize(_tab(body)) is None
         metrics = EvalMetrics()
-        result = Evaluator(probe=metrics).run(_tab(body))
+        result = CompiledEvaluator(probe=metrics).run(_tab(body))
         assert result == Array((10, 10), [i // 10 for i in range(100)])
         assert metrics.cells_vectorized == 0
         assert metrics.cells_materialized == 100
@@ -213,7 +158,7 @@ class TestFallbackConditions:
         expr = ast.Tabulate(("x",), (ast.NatLit(kernels.MIN_CELLS - 1),),
                             ast.Var("x"))
         metrics = EvalMetrics()
-        Evaluator(probe=metrics).run(expr)
+        CompiledEvaluator(probe=metrics).run(expr)
         assert metrics.cells_vectorized == 0
         assert metrics.cells_materialized == kernels.MIN_CELLS - 1
 
@@ -221,12 +166,11 @@ class TestFallbackConditions:
 class TestNumpyAbsent:
     """With numpy gone (or the switch off) everything evaluates scalar."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_simulated_absence(self, engine, monkeypatch):
+    def test_simulated_absence(self, monkeypatch):
         monkeypatch.setattr(kernels, "_np", None)
         assert not kernels.available()
         expr = _tab(ast.Arith("*", ast.Var("x"), ast.Var("y")))
-        result = engine().run(expr)
+        result = agree(expr)[1]
         assert result == Array((10, 10),
                                [(i // 10) * (i % 10) for i in range(100)])
 
@@ -234,7 +178,7 @@ class TestNumpyAbsent:
         monkeypatch.setattr(kernels, "ENABLED", False)
         metrics = EvalMetrics()
         expr = _tab(ast.Arith("*", ast.Var("x"), ast.Var("y")))
-        Evaluator(probe=metrics).run(expr)
+        CompiledEvaluator(probe=metrics).run(expr)
         assert metrics.cells_vectorized == 0
         assert metrics.cells_materialized == 100
 
@@ -244,7 +188,7 @@ class TestObservability:
     def test_probe_counts_vectorized_cells(self):
         expr = _tab(ast.Arith("*", ast.Var("x"), ast.Var("y")))
         metrics = EvalMetrics()
-        Evaluator(probe=metrics).run(expr)
+        CompiledEvaluator(probe=metrics).run(expr)
         assert metrics.cells_vectorized == 100
         assert metrics.tabulations_vectorized == 1
         assert metrics.cells_materialized == 0  # disjoint counters
@@ -261,13 +205,6 @@ class TestObservability:
         assert outputs[-1].value == Array(
             (20, 20), [i * j for i in range(20) for j in range(20)]
         )
-
-    def test_compiled_probe_counts_vectorized_cells(self):
-        expr = _tab(ast.Arith("+", ast.Var("x"), ast.Var("y")))
-        metrics = EvalMetrics()
-        CompiledEvaluator(probe=metrics).run(expr)
-        assert metrics.cells_vectorized == 100
-        assert metrics.cells_materialized == 0
 
 
 @numpy_required

@@ -16,11 +16,19 @@ for ``Tabulate``, ``Σ``, ``Ext`` and ``index_k`` dispatches to
 :class:`~repro.core.fastpath.DispatchConfig` and falls through to the
 naive loop.  The semantics are those of the reference tree-walker
 (:mod:`repro.core.eval`), which the test suite checks it against.
+
+Each emitted closure is specialised on what is static at codegen time —
+operator, arity, rank, loop shape — guards on *exact* host types
+(``type(x) is int``), and falls through to the one general routine,
+which owns every error.  Loops allocate one frame per invocation, inside
+``run``: the same code is re-entered recursively and from thread shards.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
+from itertools import product
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 from repro.core import ast
@@ -29,15 +37,15 @@ from repro.core import parallel
 from repro.core import setops
 from repro.core.fastpath import DEFAULT_CONFIG, DispatchConfig
 from repro.errors import BottomError, EvalError
-from repro.objects.array import Array, iter_indices
+from repro.objects.array import Array
 from repro.objects.bag import Bag
 from repro.objects.ordering import (
+    COMPARISONS,
     canonical_elements,
-    compare_values,
     rank_elements,
     sort_values,
 )
-from repro.objects.values import apply_arith, value_equal
+from repro.objects.values import ARITH_HOST, apply_arith
 
 #: a compiled expression: environment stack -> value
 Code = Callable[[List[Any]], Any]
@@ -46,6 +54,30 @@ Code = Callable[[List[Any]], Any]
 #: higher-order primitives (e.g. ``summap``) can apply AQL functions
 #: through ``evaluator.apply_function``
 NativePrim = Callable[[Any, Any], Any]
+
+
+def _binary(left: Code, right: Code,
+            host: Mapping[type, Callable[[Any, Any], Any]],
+            general: Callable[[Any, Any], Any]) -> Code:
+    """Code for a binary operator: the host operator tabled for the
+    operands' type when both have exactly that type (``type(x) is``:
+    no ``bool`` as ``int``, no ``numpy.float64`` as ``float``), else
+    ``general``, which owns every error — a zero divisor included."""
+    host_for = host.get
+
+    def run(env):
+        a = left(env)
+        b = right(env)
+        kind = type(a)
+        fast = host_for(kind)
+        if fast is not None and type(b) is kind:
+            try:
+                return fast(a, b)
+            except ZeroDivisionError:
+                pass
+        return general(a, b)
+
+    return run
 
 
 class Compiler:
@@ -159,7 +191,13 @@ class Compiler:
 
     def _tuple(self, expr: ast.TupleE, scope) -> Code:
         items = [self.compile(item, scope) for item in expr.items]
-        return lambda env: tuple(code(env) for code in items)
+        if len(items) == 2:
+            first, second = items
+            return lambda env: (first(env), second(env))
+        if len(items) == 3:
+            first, second, third = items
+            return lambda env: (first(env), second(env), third(env))
+        return lambda env: tuple([code(env) for code in items])
 
     def _proj(self, expr: ast.Proj, scope) -> Code:
         target = self.compile(expr.expr, scope)
@@ -187,22 +225,17 @@ class Compiler:
         return lambda env: left(env) | right(env)
 
     def _ext(self, expr: ast.Ext, scope) -> Code:
-        source = self.compile(expr.source, scope)
-        body = self.compile(expr.body, scope + (expr.var,))
         # join recognition happens once, at compile time (the kill
         # switch is compile-time too: it cannot be un-thrown within a
         # process); the emitted code still gates per run on the live
         # config and falls through to the naive loop
         shape = setops.recognize_join(expr) if setops.ENABLED else None
+        # the hash join needs the set; the naive loop only its elements
+        source = self._elements(expr.source, scope) if shape is None \
+            else self.compile(expr.source, scope)
+        loop = self._ext_loop(expr, scope)
         if shape is None:
-            def run(env):
-                out: set = set()
-                for element in source(env):
-                    out |= body(env + [element])
-                return frozenset(out)
-
-            return run
-
+            return lambda env: loop(env, source(env))
         pieces = None
         if self.probe is None:
             try:
@@ -210,23 +243,64 @@ class Compiler:
             except Exception:
                 shape = None  # compile like the naive loop would
         config = self.parallel
-        compiler = self
-        ext_scope = scope
 
         def run_join(env):
             src = source(env)
             if (shape is not None and isinstance(src, frozenset)
                     and len(src) >= 2 and setops.available(config)):
                 result = setops.hash_join(
-                    compiler, expr, shape, ext_scope, pieces, env, src)
+                    self, expr, shape, scope, pieces, env, src)
                 if result is not None:
                     return result
-            out: set = set()
-            for element in src:
-                out |= body(env + [element])
-            return frozenset(out)
+            return loop(env, src)
 
         return run_join
+
+    def _ext_loop(self, expr: ast.Ext, scope):
+        """The naive loop ``(env, elements) -> set``, by body shape:
+        ``{e}`` and ``if c then {e} else {}`` — every desugared
+        comprehension — add ``e`` instead of building and unioning a
+        singleton per element.  A probe counts the nodes that fuses
+        away, so probed code keeps the general shape."""
+        inner = scope + (expr.var,)
+        depth = len(scope)
+        test, body = None, expr.body
+        if isinstance(body, ast.If) and isinstance(body.orelse, ast.EmptySet):
+            test, body = body.cond, body.then
+        if self.probe is None and isinstance(body, ast.Singleton):
+            cond = self.compile(test, inner) if test is not None else None
+            member = self.compile(body.expr, inner)
+
+            def run_adding(env, elements):
+                out: set = set()
+                frame = env + [None]
+                for element in elements:
+                    frame[depth] = element
+                    if cond is None or cond(frame):
+                        out.add(member(frame))
+                return frozenset(out)
+
+            return run_adding
+        body_code = self.compile(expr.body, inner)
+
+        def run(env, elements):
+            out: set = set()
+            frame = env + [None]
+            for element in elements:
+                frame[depth] = element
+                out |= body_code(frame)
+            return frozenset(out)
+
+        return run
+
+    def _elements(self, source: ast.Expr, scope) -> Code:
+        """Code for the collection a loop ranges over.  A source that is
+        syntactically ``gen!n`` is ``range(n)``, no set built; a probe
+        counts the ``Gen`` node and its result, so probed code runs it."""
+        if self.probe is None and isinstance(source, ast.Gen):
+            bound = self._gen_bound(source, scope)
+            return lambda env: range(bound(env))
+        return self.compile(source, scope)
 
     # -- literals, booleans and conditionals ---------------------------------------------
 
@@ -242,30 +316,18 @@ class Compiler:
         return lambda env: then(env) if cond(env) else orelse(env)
 
     def _cmp(self, expr: ast.Cmp, scope) -> Code:
-        left = self.compile(expr.left, scope)
-        right = self.compile(expr.right, scope)
-        op = expr.op
-        if op == "=":
-            return lambda env: value_equal(left(env), right(env))
-        if op == "<>":
-            return lambda env: not value_equal(left(env), right(env))
-        if op == "<":
-            return lambda env: compare_values(left(env), right(env)) < 0
-        if op == "<=":
-            return lambda env: compare_values(left(env), right(env)) <= 0
-        if op == ">":
-            return lambda env: compare_values(left(env), right(env)) > 0
-        return lambda env: compare_values(left(env), right(env)) >= 0
+        return _binary(self.compile(expr.left, scope),
+                       self.compile(expr.right, scope),
+                       *COMPARISONS[expr.op])
 
     # -- naturals -------------------------------------------------------------------------
 
     def _arith(self, expr: ast.Arith, scope) -> Code:
-        left = self.compile(expr.left, scope)
-        right = self.compile(expr.right, scope)
-        op = expr.op
-        return lambda env: apply_arith(op, left(env), right(env))
+        return _binary(self.compile(expr.left, scope),
+                       self.compile(expr.right, scope),
+                       ARITH_HOST[expr.op], partial(apply_arith, expr.op))
 
-    def _gen(self, expr: ast.Gen, scope) -> Code:
+    def _gen_bound(self, expr: ast.Gen, scope) -> Code:
         inner = self.compile(expr.expr, scope)
 
         def run(env):
@@ -273,16 +335,19 @@ class Compiler:
             if not isinstance(bound, int) or isinstance(bound, bool) \
                     or bound < 0:
                 raise BottomError(f"gen of non-natural {bound!r}")
-            return frozenset(range(bound))
+            return bound
 
         return run
 
+    def _gen(self, expr: ast.Gen, scope) -> Code:
+        bound = self._gen_bound(expr, scope)
+        return lambda env: frozenset(range(bound(env)))
+
     def _sum(self, expr: ast.Sum, scope) -> Code:
-        source = self.compile(expr.source, scope)
+        source = self._elements(expr.source, scope)
         body = self.compile(expr.body, scope + (expr.var,))
         config = self.parallel
-        compiler = self
-        sum_scope = scope
+        depth = len(scope)
 
         def run(env):
             # canonical order, NOT frozenset hash order: float addition
@@ -292,7 +357,7 @@ class Compiler:
             if parallel.available(config) \
                     and config.wants_shards(len(elements)):
                 sharded = parallel.shard_sum(
-                    compiler, expr, sum_scope, body, env, elements
+                    self, expr, scope, body, env, elements
                 )
                 if sharded is not None:
                     return sharded[0]
@@ -303,8 +368,10 @@ class Compiler:
                 and len(elements) >= config.min_cells
             started = time.perf_counter() if timed else 0.0
             total: Any = 0
+            frame = env + [None]
             for element in elements:
-                total = total + body(env + [element])
+                frame[depth] = element
+                total = total + body(frame)
             if timed:
                 config.observe("serial", len(elements),
                                time.perf_counter() - started)
@@ -327,8 +394,7 @@ class Compiler:
         if kernel is not None:
             input_codes = [self.compile(leaf, scope) for leaf in kernel.inputs]
         config = self.parallel
-        compiler = self
-        tab_scope = scope
+        depth = len(scope)
 
         def run(env):
             extents = []
@@ -350,7 +416,7 @@ class Compiler:
                 if parallel.available(config) \
                         and config.wants_kernel_shards(total):
                     result = parallel.shard_kernel_tabulate(
-                        compiler, expr, tab_scope, env, extents, total
+                        self, expr, scope, env, extents, total
                     )
                     if result is not None:
                         return result
@@ -373,20 +439,23 @@ class Compiler:
             # otherwise shard the domain by flat cell ranges
             if parallel.available(config) and config.wants_shards(total):
                 result = parallel.shard_tabulate(
-                    compiler, expr, tab_scope, body, env, extents, total
+                    self, expr, scope, body, env, extents, total
                 )
                 if result is not None:
                     return result
             timed = (config.adaptive or config.cost is not None) \
                 and total >= config.min_cells
             started = time.perf_counter() if timed else 0.0
+            values: list = []
+            frame = env + [None] * rank
             if rank == 1:
-                values = [body(env + [i]) for i in range(extents[0])]
-            else:
-                values = [
-                    body(env + list(index))
-                    for index in iter_indices(extents)
-                ]
+                for i in range(extents[0]):
+                    frame[depth] = i
+                    values.append(body(frame))
+            elif total:  # product() would unroll every axis up front
+                for index in product(*map(range, extents)):
+                    frame[depth:] = index
+                    values.append(body(frame))
             if timed:
                 config.observe("serial", total,
                                time.perf_counter() - started)
@@ -400,11 +469,41 @@ class Compiler:
         array_code = self.compile(expr.array, scope)
         index_codes = [self.compile(index, scope) for index in expr.indices]
 
-        def run(env):
-            array = array_code(env)
+        def general(array, env):
             if not isinstance(array, Array):
                 raise EvalError(f"subscript into non-array {array!r}")
-            return array[tuple(code(env) for code in index_codes)]
+            return array[tuple([code(env) for code in index_codes])]
+
+        # the arity is static: ranks 1-3 evaluate their indices into
+        # arguments of the array's reader for that rank, which ends in
+        # the same ``array[(i, j, ...)]`` as the general code
+        if len(index_codes) == 1:
+            (first,) = index_codes
+
+            def run(env):
+                array = array_code(env)
+                if type(array) is Array:
+                    return array.at1(first(env))
+                return general(array, env)
+        elif len(index_codes) == 2:
+            first, second = index_codes
+
+            def run(env):
+                array = array_code(env)
+                if type(array) is Array:
+                    return array.at2(first(env), second(env))
+                return general(array, env)
+        elif len(index_codes) == 3:
+            first, second, third = index_codes
+
+            def run(env):
+                array = array_code(env)
+                if type(array) is Array:
+                    return array.at3(first(env), second(env), third(env))
+                return general(array, env)
+        else:
+            def run(env):
+                return general(array_code(env), env)
 
         return run
 

@@ -519,17 +519,19 @@ def _cells(body, env: List[Any], extents: Sequence[int], lo: int, hi: int,
     values: list = []
     extents = list(extents)
     rank = len(extents)
-    index = _unflatten(lo, extents)
+    # one frame per shard (this call), its tail slots the odometer
+    depth = len(env)
+    frame = env + _unflatten(lo, extents)
     for _ in range(lo, hi):
         if cancel is not None and cancel.is_set():
             raise _Cancelled()
-        values.append(body(env + index))
+        values.append(body(frame))
         axis = rank - 1
         while axis >= 0:
-            index[axis] += 1
-            if index[axis] < extents[axis]:
+            frame[depth + axis] += 1
+            if frame[depth + axis] < extents[axis]:
                 break
-            index[axis] = 0
+            frame[depth + axis] = 0
             axis -= 1
         if axis < 0:
             break  # walked off the domain: hi was the total
@@ -540,10 +542,12 @@ def _slice(body, env: List[Any], elements: Sequence[Any], lo: int, hi: int,
            cancel: Optional[threading.Event]) -> list:
     """Body values for elements ``lo..hi`` of the canonical order."""
     values: list = []
+    frame = env + [None]
     for k in range(lo, hi):
         if cancel is not None and cancel.is_set():
             raise _Cancelled()
-        values.append(body(env + [elements[k]]))
+        frame[-1] = elements[k]
+        values.append(body(frame))
     return values
 
 

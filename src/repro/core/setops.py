@@ -247,27 +247,39 @@ def hash_join(compiler, expr: ast.Ext, shape: JoinShape,
             return None  # below the floor: recognition cost wins
         matched = 0
         out: set = set()
+        # one frame per dispatch, not one list per element: ``keyed``
+        # binds the element being keyed, ``frame`` binds (x, y)
+        depth = len(env)
+        keyed = env + [None]
+        frame = env + [None, None]
+        index: dict = {}
         if len(inner_source) <= len(source):
-            index: dict = {}
             for y in inner_source:
-                index.setdefault(HashKey(inner_key_code(env + [y])),
+                keyed[depth] = y
+                index.setdefault(HashKey(inner_key_code(keyed)),
                                  []).append(y)
             for x in source:
-                bucket = index.get(HashKey(outer_key_code(env + [x])))
+                keyed[depth] = x
+                bucket = index.get(HashKey(outer_key_code(keyed)))
                 if bucket:
+                    frame[depth] = x
                     for y in bucket:
-                        out |= body_code(env + [x, y])
+                        frame[depth + 1] = y
+                        out |= body_code(frame)
                         matched += 1
         else:
-            index = {}
             for x in source:
-                index.setdefault(HashKey(outer_key_code(env + [x])),
+                keyed[depth] = x
+                index.setdefault(HashKey(outer_key_code(keyed)),
                                  []).append(x)
             for y in inner_source:
-                bucket = index.get(HashKey(inner_key_code(env + [y])))
+                keyed[depth] = y
+                bucket = index.get(HashKey(inner_key_code(keyed)))
                 if bucket:
+                    frame[depth + 1] = y
                     for x in bucket:
-                        out |= body_code(env + [x, y])
+                        frame[depth] = x
+                        out |= body_code(frame)
                         matched += 1
         result = frozenset(out)
     except Exception:

@@ -248,11 +248,46 @@ class Array:
                     f"index {index} out of bounds for dims {self._dims}"
                 )
             offset += position * stride
+        return self._cell(offset)
+
+    def _cell(self, offset: int) -> Any:
+        """The boxed element at a validated row-major ``offset``."""
         flat = self._flat
         if flat is not None:
             return flat[offset]
         dense.COUNTERS.dense_hits += 1
         return self._block.data.item(offset)
+
+    # Rank-specialised subscripts for the code generator, where the
+    # arity is static: the offset is computed inline when the array has
+    # that rank and every index is an exact ``int`` (not ``bool``, not
+    # a numpy scalar) inside its extent; else ``__getitem__``, which
+    # owns every error, gets the index *tuple* (so a tuple-valued
+    # single index stays a ⊥ and never becomes a rank-k subscript).
+
+    def at1(self, i: Any) -> Any:
+        """``self[(i,)]``."""
+        dims = self._dims
+        if type(i) is int and len(dims) == 1 and 0 <= i < dims[0]:
+            return self._cell(i)
+        return self[(i,)]
+
+    def at2(self, i: Any, j: Any) -> Any:
+        """``self[(i, j)]``."""
+        dims = self._dims
+        if type(i) is int and type(j) is int and len(dims) == 2 \
+                and 0 <= i < dims[0] and 0 <= j < dims[1]:
+            return self._cell(i * dims[1] + j)
+        return self[(i, j)]
+
+    def at3(self, i: Any, j: Any, k: Any) -> Any:
+        """``self[(i, j, k)]``."""
+        dims = self._dims
+        if type(i) is int and type(j) is int and type(k) is int \
+                and len(dims) == 3 and 0 <= i < dims[0] \
+                and 0 <= j < dims[1] and 0 <= k < dims[2]:
+            return self._cell((i * dims[1] + j) * dims[2] + k)
+        return self[(i, j, k)]
 
     # -- the backing store --------------------------------------------------
 
@@ -457,6 +492,14 @@ def collect_index_pairs(pairs, rank: int):
     items: list = []
     maxima = [0] * rank
     for pair in pairs:
+        if rank == 1 and type(pair) is tuple and len(pair) == 2 \
+                and type(pair[0]) is int and pair[0] >= 0:
+            # the rank-1 case, a bare natural key: nothing left to check
+            key, value = pair
+            if key > maxima[0]:
+                maxima[0] = key
+            items.append(((key,), value))
+            continue
         if not isinstance(pair, tuple) or len(pair) != 2:
             raise EvalError(f"index expects (key, value) pairs, got {pair!r}")
         key, value = pair

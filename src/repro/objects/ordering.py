@@ -19,11 +19,12 @@ handy for deterministic printing.
 
 from __future__ import annotations
 
+import operator
 from functools import cmp_to_key
 from typing import Any, Iterable, List
 
 from repro.objects import dense
-from repro.objects.values import value_kind
+from repro.objects.values import value_equal, value_kind
 
 _KIND_RANK = {
     "bool": 0,
@@ -108,6 +109,25 @@ def value_le(a: Any, b: Any) -> bool:
     return compare_values(a, b) <= 0
 
 
+#: The six comparisons, for the code generator: operator -> ({type:
+#: host test}, general test).  The host test is the general one's
+#: answer when *both* operands have exactly that scalar type.  ``<=``
+#: and ``>=`` are the negated strict tests, not the host operators:
+#: ``compare_values`` is 0 for NaN against anything, so ``nan <= x``
+#: and ``x >= nan`` hold.
+COMPARISONS = {
+    op: (dict.fromkeys((bool, int, float, str), host), general)
+    for op, host, general in (
+        ("=", operator.eq, value_equal),
+        ("<>", operator.ne, lambda a, b: not value_equal(a, b)),
+        ("<", operator.lt, value_lt),
+        ("<=", lambda a, b: not a > b, value_le),
+        (">", operator.gt, lambda a, b: compare_values(a, b) > 0),
+        (">=", lambda a, b: not a < b, lambda a, b: compare_values(a, b) >= 0),
+    )
+}
+
+
 def sort_values(values: Iterable[Any]) -> List[Any]:
     """Sort values ascending under ``<_t`` (stable, deterministic)."""
     return sorted(values, key=cmp_to_key(compare_values))
@@ -155,6 +175,7 @@ def rank_elements(values: Iterable[Any]) -> List[tuple]:
 
 
 __all__ = [
+    "COMPARISONS",
     "compare_values",
     "value_lt",
     "value_le",

@@ -22,6 +22,7 @@ requires.
 
 from __future__ import annotations
 
+import operator
 from typing import Any
 
 from repro.errors import BottomError, EvalError
@@ -87,9 +88,13 @@ def value_equal(a: Any, b: Any) -> bool:
     if kind_a == "tuple":
         return len(a) == len(b) and all(value_equal(x, y) for x, y in zip(a, b))
     if kind_a == "set":
-        if len(a) != len(b):
+        # value_equal refines host ==: unequal hosts settle it, and in
+        # equal ones each x has exactly one host-equal partner in b,
+        # found by hash, against which only the kinds are left to check
+        if a != b:
             return False
-        return all(any(value_equal(x, y) for y in b) for x in a)
+        partner = {y: y for y in b}
+        return all(value_equal(x, partner[x]) for x in a)
     if kind_a == "array":
         # Array.__eq__ is kind-first (and block-aware) since the dense
         # store landed, so delegation preserves this function's contract
@@ -133,6 +138,21 @@ def apply_arith(op: str, left: Any, right: Any) -> Any:
             return float(left) / float(right)
         raise BottomError(f"operator {op} is not defined on reals")
     raise EvalError(f"arithmetic {op} on {left!r} and {right!r}")
+
+
+#: Where the host agrees with :func:`apply_arith`, for the code
+#: generator: operator -> {type: host operator}, valid when *both*
+#: operands have exactly that type (``type(x) is``: no ``bool`` as
+#: ``int``, no ``numpy.float64`` as ``float``).  ``ZeroDivisionError``,
+#: like any pair not tabled, is ``apply_arith``'s to answer.
+ARITH_HOST = {
+    "+": dict.fromkeys((int, float), operator.add),
+    "-": {int: lambda a, b: a - b if a > b else 0,  # monus
+          float: operator.sub},
+    "*": dict.fromkeys((int, float), operator.mul),
+    "/": {int: operator.floordiv, float: operator.truediv},
+    "%": {int: operator.mod},
+}
 
 
 def value_repr(value: Any) -> str:

@@ -184,3 +184,16 @@ class TestOneEngine:
                 if used:
                     dispatchers[node.name] = used
         assert dispatchers == {"Compiler": set(PHYSICAL)}
+
+    def test_array_layout_stays_in_objects(self):
+        """The code generator's rank-specialised subscripts go through
+        ``Array``'s own readers: nothing under ``core/`` touches the
+        backing store or the stride arithmetic."""
+        private = {"_flat", "_dims", "_strides", "_block"}
+        offenders = [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for path in (SRC / "core").rglob("*.py")
+            for node in pyast.walk(pyast.parse(path.read_text()))
+            if isinstance(node, pyast.Attribute) and node.attr in private
+        ]
+        assert not offenders

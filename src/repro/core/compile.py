@@ -26,7 +26,6 @@ which owns every error.  Loops allocate one frame per invocation, inside
 
 from __future__ import annotations
 
-import time
 from functools import partial
 from itertools import product
 from typing import Any, Callable, List, Mapping, Optional, Tuple
@@ -361,20 +360,11 @@ class Compiler:
                 )
                 if sharded is not None:
                     return sharded[0]
-            # adaptive dispatch and the cost model learn the serial rate
-            # from real loops; the measurement is only armed on loops
-            # big enough to time reliably
-            timed = (config.adaptive or config.cost is not None) \
-                and len(elements) >= config.min_cells
-            started = time.perf_counter() if timed else 0.0
             total: Any = 0
             frame = env + [None]
             for element in elements:
                 frame[depth] = element
                 total = total + body(frame)
-            if timed:
-                config.observe("serial", len(elements),
-                               time.perf_counter() - started)
             return total
 
         return run
@@ -408,7 +398,7 @@ class Compiler:
                     )
                 extents.append(value)
                 total *= value
-            if total >= config.min_cells and kernel is not None \
+            if kernel is not None and config.wants_kernel(total) \
                     and kernels.available():
                 # past the fused floor the kernel runs once per core
                 # over flat cell ranges; the pool declining falls back
@@ -421,17 +411,8 @@ class Compiler:
                     if result is not None:
                         return result
                 inputs = [code(env) for code in input_codes]
-                timed = config.cost is not None or config.adaptive
-                started = time.perf_counter() if timed else 0.0
                 result = kernels.execute(kernel, extents, inputs)
                 if result is not None:
-                    if timed:
-                        # the kernel's cells-per-second calibrates the
-                        # cost model's kernel coefficient (a distinct
-                        # rate bucket: it is orders of magnitude above
-                        # the scalar loop)
-                        config.observe("kernel", total,
-                                       time.perf_counter() - started)
                     if probe is not None:
                         probe.on_cells_vectorized(result.size)
                     return result
@@ -443,9 +424,6 @@ class Compiler:
                 )
                 if result is not None:
                     return result
-            timed = (config.adaptive or config.cost is not None) \
-                and total >= config.min_cells
-            started = time.perf_counter() if timed else 0.0
             values: list = []
             frame = env + [None] * rank
             if rank == 1:
@@ -456,9 +434,6 @@ class Compiler:
                 for index in product(*map(range, extents)):
                     frame[depth:] = index
                     values.append(body(frame))
-            if timed:
-                config.observe("serial", total,
-                               time.perf_counter() - started)
             if probe is not None:
                 probe.on_cells(len(values))
             return Array(extents, values)

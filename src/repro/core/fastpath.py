@@ -1,4 +1,4 @@
-"""Shared gating configuration for the evaluator fast paths.
+"""The dispatch policy of the evaluator fast paths.
 
 Three fast paths sit in front of the scalar loops: the numpy-vectorized
 kernel backend (:mod:`repro.core.kernels`), the sharded parallel
@@ -41,24 +41,31 @@ DEFAULT_KERNEL_MIN_CELLS = 1 << 17
 #: worker-pool strategies understood by :mod:`repro.core.parallel`
 PARALLEL_BACKENDS = ("thread", "process")
 
-#: adaptive mode: a construct whose *projected serial time* (from the
-#: measured serial cells-per-second) is below this never dispatches —
-#: pool hand-off plus shard bookkeeping costs on the order of
-#: milliseconds, so shorter work cannot win
-ADAPTIVE_MIN_SECONDS = 0.005
-
-#: adaptive mode: a parallel backend must beat the measured serial rate
-#: by this factor before it keeps winning dispatches (hysteresis so a
-#: noisy measurement does not flap the decision)
-ADAPTIVE_MARGIN = 1.05
+#: sorted ``index_k`` grouping is taken only when the dense extent is at
+#: least this many times the pair count.  On dense key domains the dict
+#: path's single hash pass beats sort-and-sweep
+#: (BENCH_index_groupby.json measures it ~1.1-1.3x faster there); the
+#: sorted path wins when holes dominate, because it shares one empty
+#: frozenset across every hole instead of allocating per cell (~34x on
+#: 2k pairs over a 200k-cell extent).
+SPARSITY_FACTOR = 4
 
 
 class DispatchConfig:
-    """Gating knobs shared by the vectorized and parallel fast paths.
+    """The dispatch policy: five fields and the size predicates over them.
+
+    Every physical choice the engine makes — scalar loop or numpy
+    kernel, serial or sharded, kernel or kernel shards, nested-loop or
+    hash join, dict or sorted grouping — is a pure function of an
+    operand size and these fields, decided by one of the ``wants_*``
+    methods below and nowhere else.
 
     ``min_cells``
-        Floor (in cells for tabulation, elements for Σ) below which
-        neither fast path engages.
+        Floor (in cells for tabulation, elements for Σ, |S|·|T| for
+        joins, pairs for grouping) below which no fast path engages.
+    ``kernel_min_cells``
+        Floor for the fused shard-kernel path
+        (:data:`DEFAULT_KERNEL_MIN_CELLS`).
     ``workers``
         Worker-pool size for the sharded executor; ``<= 1`` disables
         parallel execution entirely (the vectorized path is unaffected).
@@ -70,13 +77,6 @@ class DispatchConfig:
         Per-session switch for the set-engine fast paths
         (:mod:`repro.core.setops`); ``REPRO_NO_SETOPS=1`` wins over it
         process-wide.
-    ``adaptive``
-        When true, the serial-vs-shard decision is made from *measured*
-        cells-per-second (see :meth:`wants_shards`) instead of the
-        static ``min_cells`` floor; the floor still serves as the
-        bootstrap gate until a serial rate has been observed.  Off by
-        default: explicit worker/floor settings stay exactly
-        reproducible, which the agreement test suite depends on.
 
     One instance is owned by each :class:`~repro.env.environment.TopEnv`
     and handed by reference to every evaluator it builds, so mutating it
@@ -86,110 +86,30 @@ class DispatchConfig:
     """
 
     __slots__ = ("min_cells", "kernel_min_cells", "workers", "backend",
-                 "setops", "adaptive", "cost", "_rates")
+                 "setops")
 
     def __init__(self, min_cells: int = DEFAULT_MIN_CELLS,
                  workers: int = 0, backend: str = "thread",
-                 setops: bool = True, adaptive: bool = False,
-                 kernel_min_cells: int = DEFAULT_KERNEL_MIN_CELLS,
-                 cost: Any = None):
+                 setops: bool = True,
+                 kernel_min_cells: int = DEFAULT_KERNEL_MIN_CELLS):
         self.min_cells = min_cells
         self.kernel_min_cells = kernel_min_cells
         self.workers = workers
         self.backend = backend
         self.setops = setops
-        self.adaptive = adaptive
-        #: the session's :class:`~repro.optimizer.cost.CostModel`, or
-        #: ``None`` (bare configs, worker configs, ``REPRO_NO_COST=1``).
-        #: Attached by :class:`~repro.env.environment.TopEnv` — never by
-        #: :meth:`from_env`, so direct ``DispatchConfig()``/
-        #: ``DEFAULT_CONFIG`` construction stays exactly the static
-        #: pre-cost-model dispatcher.  When present, :meth:`observe`
-        #: forwards rates into it and an *active* model's projections
-        #: take precedence in :meth:`wants_shards`/
-        #: :meth:`wants_kernel_shards`.
-        self.cost = cost
-        #: measured throughput per execution mode, cells/second —
-        #: keys are ``"serial"`` and the backend names; written by
-        #: :meth:`observe` (the engines record every large serial loop
-        #: and every successful sharded dispatch back into the config)
-        self._rates: dict = {}
 
-    # -- adaptive dispatch selection ------------------------------------
+    # -- the size predicates --------------------------------------------
 
-    def observe(self, mode: str, cells: int, seconds: float) -> None:
-        """Record a measured run of ``mode`` (``"serial"``/``"thread"``/
-        ``"process"``) over ``cells`` cells taking ``seconds``.
-
-        Rates are folded with an equal-weight exponential moving average
-        so one noisy measurement cannot dominate, and recorded straight
-        into the config — the next dispatch decision sees them.
-        Degenerate measurements (zero cells, sub-resolution timings) are
-        dropped rather than poison the average.
-        """
-        if cells <= 0 or seconds <= 0.0:
-            return
-        rate = cells / seconds
-        old = self._rates.get(mode)
-        self._rates[mode] = rate if old is None else 0.5 * old + 0.5 * rate
-        if self.cost is not None:
-            self.cost.observe_rate(mode, cells, seconds)
-
-    def rates(self) -> dict:
-        """A snapshot of the measured cells-per-second by mode."""
-        return dict(self._rates)
-
-    def shard_backend(self) -> str:
-        """The backend a dispatch should use.
-
-        Static config: always ``backend``.  Adaptive: the *measured
-        fastest* of the known backends — a session that has tried both
-        ``thread`` and ``process`` keeps using whichever actually won on
-        this machine; an unmeasured configured backend is trusted until
-        measured.
-        """
-        if not self.adaptive:
-            return self.backend
-        best = self.backend
-        best_rate = self._rates.get(best)
-        for candidate in PARALLEL_BACKENDS:
-            rate = self._rates.get(candidate)
-            if rate is not None and (best_rate is None or rate > best_rate):
-                best, best_rate = candidate, rate
-        return best
+    def wants_kernel(self, cells: int) -> bool:
+        """Should a kernel-shaped tabulation of ``cells`` cells run as a
+        numpy kernel?  Below the floor, recognition and grid setup cost
+        more than the scalar loop."""
+        return cells >= self.min_cells
 
     def wants_shards(self, cells: int) -> bool:
-        """Should a construct of ``cells`` cells/elements be sharded?
-
-        Static config reproduces the historical gate: ``cells >=
-        min_cells``.  Adaptive config projects the serial time from the
-        measured serial rate and declines when the whole construct
-        finishes faster than a dispatch costs
-        (:data:`ADAPTIVE_MIN_SECONDS`), or when the chosen backend has
-        been measured and does not beat serial by
-        :data:`ADAPTIVE_MARGIN`; an unmeasured backend gets one
-        dispatch so its rate becomes known.
-
-        An *active* cost model projects the decision from its own
-        calibrated rates first; it answers ``None`` (defer) when it
-        has nothing measured to project from.
-        """
-        if self.cost is not None:
-            decision = self.cost.shards_decision(cells,
-                                                 self.shard_backend())
-            if decision is not None:
-                return decision
-        if not self.adaptive:
-            return cells >= self.min_cells
-        serial_rate = self._rates.get("serial")
-        if serial_rate is None or serial_rate <= 0.0:
-            return cells >= self.min_cells
-        if cells / serial_rate < ADAPTIVE_MIN_SECONDS:
-            return False
-        shard_rate = self._rates.get(self.shard_backend())
-        if shard_rate is None:
-            return True
-        return shard_rate > serial_rate * ADAPTIVE_MARGIN
+        """Should a scalar construct of ``cells`` cells/elements be
+        sharded across the worker pool?"""
+        return cells >= self.min_cells
 
     def wants_kernel_shards(self, cells: int) -> bool:
         """Should a *kernel-shaped* construct of ``cells`` cells be
@@ -197,17 +117,21 @@ class DispatchConfig:
 
         The serial kernel is itself a fast path, so the fused
         shard-kernel dispatch competes with it, not with the scalar
-        loop — hence its own (much higher) floor.  A static gate on
-        purpose: the adaptive rates measure scalar-loop throughput and
-        would wildly mispredict kernel throughput.  An *active* cost
-        model, which tracks the kernel rate separately, may project the
-        decision instead.
+        loop — hence its own (much higher) floor.
         """
-        if self.cost is not None:
-            decision = self.cost.kernel_shards_decision(cells)
-            if decision is not None:
-                return decision
         return cells >= self.kernel_min_cells
+
+    def wants_hash_join(self, total: int, inner: int) -> bool:
+        """Should a recognized equi-join over ``total`` = |S|·|T| pairs
+        with ``inner`` = |T| inner elements take the hash path?  At
+        least two inner elements, so the index has something to share."""
+        return total >= self.min_cells and inner >= 2
+
+    def wants_sorted_grouping(self, pairs: int, cells: int) -> bool:
+        """Should an ``index_k`` over ``pairs`` pairs spanning a dense
+        extent of ``cells`` cells sort-and-sweep instead of hashing?
+        Only when holes dominate (:data:`SPARSITY_FACTOR`)."""
+        return pairs >= self.min_cells and cells >= SPARSITY_FACTOR * pairs
 
     @classmethod
     def from_env(cls) -> "DispatchConfig":
@@ -215,10 +139,9 @@ class DispatchConfig:
 
         ``REPRO_PARALLEL_WORKERS`` (default 0 → serial),
         ``REPRO_PARALLEL_BACKEND`` (default ``thread``),
-        ``REPRO_MIN_CELLS`` (default :data:`DEFAULT_MIN_CELLS`),
+        ``REPRO_MIN_CELLS`` (default :data:`DEFAULT_MIN_CELLS`) and
         ``REPRO_KERNEL_MIN_CELLS`` (default
-        :data:`DEFAULT_KERNEL_MIN_CELLS`), and ``REPRO_ADAPTIVE=1``
-        (measured-rate dispatch selection).  The ``REPRO_NO_PARALLEL``
+        :data:`DEFAULT_KERNEL_MIN_CELLS`).  The ``REPRO_NO_PARALLEL``
         kill switch is honoured separately by :mod:`repro.core.parallel`
         so it wins over any workers setting.
         """
@@ -237,7 +160,6 @@ class DispatchConfig:
             min_cells=_int("REPRO_MIN_CELLS", DEFAULT_MIN_CELLS),
             workers=_int("REPRO_PARALLEL_WORKERS", 0),
             backend=backend,
-            adaptive=os.environ.get("REPRO_ADAPTIVE", "") == "1",
             kernel_min_cells=_int("REPRO_KERNEL_MIN_CELLS",
                                   DEFAULT_KERNEL_MIN_CELLS),
         )
@@ -246,7 +168,7 @@ class DispatchConfig:
         return (f"DispatchConfig(min_cells={self.min_cells}, "
                 f"kernel_min_cells={self.kernel_min_cells}, "
                 f"workers={self.workers}, backend={self.backend!r}, "
-                f"setops={self.setops}, adaptive={self.adaptive})")
+                f"setops={self.setops})")
 
 
 #: the config used by evaluators constructed without an explicit one
@@ -297,6 +219,5 @@ class NodeCache:
 
 
 __all__ = ["DEFAULT_MIN_CELLS", "DEFAULT_KERNEL_MIN_CELLS",
-           "PARALLEL_BACKENDS",
-           "ADAPTIVE_MIN_SECONDS", "ADAPTIVE_MARGIN", "DispatchConfig",
+           "PARALLEL_BACKENDS", "SPARSITY_FACTOR", "DispatchConfig",
            "DEFAULT_CONFIG", "NODE_CACHE_CAPACITY", "NodeCache"]

@@ -160,9 +160,7 @@ def _worker_config(config: DispatchConfig) -> DispatchConfig:
     set-engine switch — must match the parent's, or a sharded run's
     nested tabulations and group-bys would take different paths (and
     report different counters) than the serial run they must agree
-    with.  ``adaptive`` is deliberately dropped: with ``workers=0`` the
-    shard decision never arises, and the vectorization floor stays the
-    propagated ``min_cells`` in both modes.
+    with.
     """
     return DispatchConfig(min_cells=config.min_cells, workers=0,
                           backend=config.backend, setops=config.setops)
@@ -186,8 +184,8 @@ def in_worker() -> bool:
 def available(config: Optional[DispatchConfig]) -> bool:
     """Can a parallel dispatch be attempted under ``config`` at all?
 
-    The cells floor — static ``min_cells`` or the adaptive projection
-    (:meth:`~repro.core.fastpath.DispatchConfig.wants_shards`) — is the
+    The cells floor
+    (:meth:`~repro.core.fastpath.DispatchConfig.wants_shards`) is the
     *caller's* gate; this checks everything else.
     """
     return (
@@ -616,24 +614,18 @@ def shard_tabulate(compiler, expr: ast.Tabulate, scope: Tuple[str, ...],
     if len(shards) < 2:
         return None
     probe = compiler.probe
-    backend = config.shard_backend()
-    started = time.perf_counter()
-    if backend == "process":
-        result = _tabulate_process(expr, _scope_bindings(expr, scope, env),
-                                   extents, shards, probe, config)
-    else:
-        parts = _run_threads(
-            compiler, expr.body, scope + expr.vars, body_code, shards,
-            lambda body, lo, hi, cancel: _cells(body, env, extents, lo, hi,
-                                                cancel))
-        if parts is None:
-            return None
-        if probe is not None:
-            probe.on_cells(total)
-        result = Array(extents, [value for part in parts for value in part])
-    if result is not None and (config.adaptive or config.cost is not None):
-        config.observe(backend, total, time.perf_counter() - started)
-    return result
+    if config.backend == "process":
+        return _tabulate_process(expr, _scope_bindings(expr, scope, env),
+                                 extents, shards, probe, config)
+    parts = _run_threads(
+        compiler, expr.body, scope + expr.vars, body_code, shards,
+        lambda body, lo, hi, cancel: _cells(body, env, extents, lo, hi,
+                                            cancel))
+    if parts is None:
+        return None
+    if probe is not None:
+        probe.on_cells(total)
+    return Array(extents, [value for part in parts for value in part])
 
 
 def shard_kernel_tabulate(compiler, expr: ast.Tabulate,
@@ -650,7 +642,7 @@ def shard_kernel_tabulate(compiler, expr: ast.Tabulate,
     serially.
     """
     config = compiler.parallel
-    if config.shard_backend() != "process":
+    if config.backend != "process":
         return None
     shards = split(total, config.workers)
     if len(shards) < 2:
@@ -671,26 +663,20 @@ def shard_sum(compiler, expr: ast.Sum, scope: Tuple[str, ...], body_code,
     shards = split(count, config.workers)
     if len(shards) < 2:
         return None
-    backend = config.shard_backend()
-    started = time.perf_counter()
-    if backend == "process":
-        result = _sum_process(expr, _scope_bindings(expr, scope, env),
-                              elements, shards, compiler.probe, config)
-    else:
-        parts = _run_threads(
-            compiler, expr.body, scope + (expr.var,), body_code, shards,
-            lambda body, lo, hi, cancel: _slice(body, env, elements, lo, hi,
-                                                cancel))
-        if parts is None:
-            return None
-        total: Any = 0
-        for part in parts:
-            for value in part:  # canonical order: float-exact vs serial
-                total = total + value
-        result = (total,)
-    if result is not None and (config.adaptive or config.cost is not None):
-        config.observe(backend, count, time.perf_counter() - started)
-    return result
+    if config.backend == "process":
+        return _sum_process(expr, _scope_bindings(expr, scope, env),
+                            elements, shards, compiler.probe, config)
+    parts = _run_threads(
+        compiler, expr.body, scope + (expr.var,), body_code, shards,
+        lambda body, lo, hi, cancel: _slice(body, env, elements, lo, hi,
+                                            cancel))
+    if parts is None:
+        return None
+    total: Any = 0
+    for part in parts:
+        for value in part:  # canonical order: float-exact vs serial
+            total = total + value
+    return (total,)
 
 
 def _scope_bindings(expr, scope: Tuple[str, ...],

@@ -8,6 +8,19 @@ messages, and by the documentation examples.
 from __future__ import annotations
 
 from repro.core import ast
+from repro.objects.array import Array
+from repro.objects.bag import Bag
+from repro.objects.values import value_kind
+
+#: array/set/bag constants with more cells than this print as a one-line
+#: summary: the text is for reading a plan, not for carrying its data (a
+#: resolved ``val`` is spliced in as a ``Const``, so the optimized core
+#: of a query over a 1000×1000 array would otherwise print a million
+#: cells)
+CONST_CELL_LIMIT = 64
+
+#: element names of dense blocks, by dtype tag
+_BLOCK_ELEMENTS = {"int": "nat", "real": "real", "bool": "bool"}
 
 
 def pprint(expr: ast.Expr) -> str:
@@ -157,10 +170,30 @@ def _prim(e: ast.Prim, d):
 def _const(e: ast.Const, d):
     from repro.objects.exchange import dumps
 
+    value = e.value
     try:
-        return dumps(e.value)
+        return _summary(value) or dumps(value)
     except Exception:
-        return repr(e.value)
+        return repr(value)
+
+
+def _summary(value) -> str:
+    """``<array 1000×1000 of nat>`` for a collection constant past
+    :data:`CONST_CELL_LIMIT`, else ``""``.  Never boxes a dense array."""
+    if isinstance(value, Array):
+        if value.size <= CONST_CELL_LIMIT:
+            return ""
+        block = value.block
+        element = _BLOCK_ELEMENTS[block.tag] if block is not None \
+            else value_kind(value.flat[0])
+        dims = "×".join(str(dim) for dim in value.dims)
+        return f"<array {dims} of {element}>"
+    if isinstance(value, (frozenset, Bag)):
+        if len(value) <= CONST_CELL_LIMIT:
+            return ""
+        kind = "set" if isinstance(value, frozenset) else "bag"
+        return f"<{kind} of {len(value)} {value_kind(next(iter(value)))}>"
+    return ""
 
 
 def _empty_bag(e: ast.EmptyBag, d):

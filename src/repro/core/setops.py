@@ -46,8 +46,9 @@ and :mod:`repro.core.parallel`):
   ``probe.fork()`` worker merged back only on success; a probe that
   cannot fork opts out of the fast path entirely.
 
-Gating: a :class:`~repro.core.fastpath.DispatchConfig` floor
-(``min_cells``, on |S|·|T| for joins and |pairs| for grouping), a
+Gating: the size predicates of
+:class:`~repro.core.fastpath.DispatchConfig` (``wants_hash_join`` on
+|S|·|T| and |T|, ``wants_sorted_grouping`` on |pairs| and the extent), a
 per-session ``config.setops`` switch (``Session(setops=False)``,
 ``:setops off``), and the process-wide ``REPRO_NO_SETOPS=1`` kill
 switch.  See ``docs/SETOPS.md``.
@@ -160,26 +161,6 @@ def recognize_join(expr: ast.Ext) -> Optional[JoinShape]:
 # -- hash-join execution -----------------------------------------------------
 
 
-def _join_worthwhile(config: Any, source, inner_source, total: int,
-                     shape: JoinShape) -> bool:
-    """Should the hash path serve this join, or the naive loop?
-
-    An *active* :class:`~repro.optimizer.cost.CostModel` compares the
-    estimated naive cost (which re-evaluates the inner *source
-    expression* per outer element — the term the static rule cannot
-    see) against the hash build+probe cost.  Otherwise the historical
-    static gate applies: the |S|·|T| floor, and at least two inner
-    elements so the index has something to share.
-    """
-    cost = getattr(config, "cost", None)
-    if cost is not None:
-        decision = cost.join_decision(len(source), len(inner_source),
-                                      shape.inner_source)
-        if decision is not None:
-            return decision
-    return total >= config.min_cells and len(inner_source) >= 2
-
-
 def _fork_probe(probe):
     """``(ok, forked)`` — ``ok`` False declines the whole dispatch."""
     if probe is None:
@@ -242,8 +223,7 @@ def hash_join(compiler, expr: ast.Ext, shape: JoinShape,
         if not isinstance(inner_source, frozenset):
             return None
         total = len(source) * len(inner_source)
-        if not _join_worthwhile(compiler.parallel, source,
-                                inner_source, total, shape):
+        if not compiler.parallel.wants_hash_join(total, len(inner_source)):
             return None  # below the floor: recognition cost wins
         matched = 0
         out: set = set()
@@ -293,16 +273,6 @@ def hash_join(compiler, expr: ast.Ext, shape: JoinShape,
 
 
 # -- sort-based index_k grouping ---------------------------------------------
-
-#: :func:`index_set_dispatch` takes the sort-based path only when the
-#: dense extent is at least this many times the pair count.  On dense
-#: key domains the dict path's single hash pass beats sort-and-sweep
-#: (BENCH_index_groupby.json measures it ~1.1-1.3x faster there); the
-#: sorted path wins when holes dominate, because it shares one empty
-#: frozenset across every hole instead of allocating per cell (~34x on
-#: 2k pairs over a 200k-cell extent).
-SPARSITY_FACTOR = 4
-
 
 def index_set_sorted(pairs, rank: int):
     """Sort-and-sweep ``index_k``: ``(Array, groups, max_group)``.
@@ -360,11 +330,10 @@ def index_set_dispatch(pairs, rank: int, config):
     Returns ``(Array, groups, max_group, sorted_used)``.  Validation
     runs exactly once (it raises the canonical error regardless of
     path); the sort-based sweep (:func:`sorted_from_items`) engages
-    above the ``config.min_cells`` floor and only when holes dominate —
-    the dense extent is at least :data:`SPARSITY_FACTOR` times the pair
-    count — because on dense key domains the dict pass is measurably
-    faster (see ``benchmarks/BENCH_index_groupby.json``).  Any failure
-    inside the sweep falls back to the dict path.
+    when :meth:`~repro.core.fastpath.DispatchConfig.wants_sorted_grouping`
+    says holes dominate, because on dense key domains the dict pass is
+    measurably faster (see ``benchmarks/BENCH_index_groupby.json``).
+    Any failure inside the sweep falls back to the dict path.
     """
     items, maxima = collect_index_pairs(pairs, rank)
     if not items:
@@ -373,16 +342,7 @@ def index_set_dispatch(pairs, rank: int, config):
         cells = 1
         for m in maxima:
             cells *= m + 1
-        # an active cost model weighs n·log n sort comparisons against
-        # the dict pass + per-cell materialization; otherwise the
-        # historical static gate (min_cells floor + sparsity ratio)
-        cost = getattr(config, "cost", None)
-        take_sorted = cost.group_decision(len(items), cells) \
-            if cost is not None else None
-        if take_sorted is None:
-            take_sorted = (len(items) >= config.min_cells
-                           and cells >= SPARSITY_FACTOR * len(items))
-        if take_sorted:
+        if config.wants_sorted_grouping(len(items), cells):
             try:
                 array, groups, max_group = sorted_from_items(items, maxima)
                 return array, groups, max_group, True
@@ -396,5 +356,4 @@ __all__ = [
     "ENABLED", "available", "HashKey", "JoinShape", "recognize_join",
     "compile_join_pieces", "hash_join",
     "index_set_sorted", "sorted_from_items", "index_set_dispatch",
-    "SPARSITY_FACTOR",
 ]

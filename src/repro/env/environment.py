@@ -29,7 +29,7 @@ from repro.core.typecheck import TypeChecker
 from repro.errors import RegistrationError, TypeCheckError
 from repro.io.drivers import DriverRegistry, default_registry
 from repro.obs import Observability
-from repro.optimizer.cost import CostModel
+from repro.optimizer.cost import CostRecord
 from repro.optimizer.engine import Optimizer, Rule, default_optimizer
 from repro.types.types import Type, TypeScheme
 from repro.types.unify import generalize
@@ -54,14 +54,10 @@ class TopEnv:
         #: reference, so Session-level tuning retunes live engines —
         #: including evaluators resident in a plan cache
         self.parallel = DispatchConfig.from_env()
-        #: the calibrated cost model (None under ``REPRO_NO_COST=1``),
-        #: shared by reference with the dispatch config (cost-gated
-        #: shard/kernel choices, rate feedback) and the optimizer
-        #: (phase skipping) — the paper's "rules/cost functions"
-        #: registered into the environment together
-        self.cost = CostModel.from_env()
-        self.parallel.cost = self.cost
-        self.optimizer.cost = self.cost
+        #: static unit-cost estimates and how the last one fared — the
+        #: paper's "rules/cost functions" registered into the
+        #: environment; shown by EXPLAIN, read by no dispatch decision
+        self.cost = CostRecord()
         #: the observability switch threaded through the whole pipeline
         #: (Section 4.1's openness applied to measurement); disabled by
         #: default, in which case every instrument is the zero-cost null

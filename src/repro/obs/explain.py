@@ -21,6 +21,7 @@ JSON schema (documented in ``docs/OBSERVABILITY.md``) that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Optional
 
 from repro.obs.metrics import EvalMetrics
@@ -33,7 +34,8 @@ class ExplainReport:
 
     source: str
     type_text: str
-    core_text: str
+    #: the optimized core expression (rendered by :attr:`core_text`)
+    core: Any = None
     spans: Optional[Span] = None
     phase_stats: Dict[str, Any] = field(default_factory=dict)
     metrics: Optional[EvalMetrics] = None
@@ -42,12 +44,19 @@ class ExplainReport:
     #: dense-store counter *deltas* over the profiled block
     #: (``repro.objects.dense.COUNTERS`` before/after difference)
     dense: Optional[Dict[str, int]] = None
-    #: cost-model snapshot (``CostModel.snapshot()``): mode,
-    #: calibrated coefficients, decision counters, and the last
-    #: estimate-vs-observed comparison; None when ``REPRO_NO_COST=1``
+    #: ``CostRecord.snapshot()``: the estimate count and the last
+    #: estimate-vs-observed comparison
     cost: Optional[Dict[str, Any]] = None
     value: Any = None
     has_value: bool = False
+
+    @cached_property
+    def core_text(self) -> str:
+        """The optimized core as text, rendered on first use: a report
+        nobody prints or exports never pays for the printer."""
+        from repro.core.printer import pprint
+
+        return pprint(self.core) if self.core is not None else ""
 
     def span(self, name: str) -> Optional[Span]:
         """Look up a recorded pipeline span by name (e.g. ``"parse"``)."""
@@ -131,17 +140,12 @@ def _render_cache(cache: Dict[str, Any]) -> str:
             f"hits {cache.get('hits', 0)}  "
             f"misses {cache.get('misses', 0)}  "
             f"evictions {cache.get('evictions', 0)}  "
-            f"invalidations {cache.get('invalidations', 0)}  "
-            f"replans {cache.get('replans', 0)}")
+            f"invalidations {cache.get('invalidations', 0)}")
 
 
 def _render_cost(cost: Dict[str, Any]) -> str:
-    """The cost-model mode, counters, and last estimate-vs-actual line."""
-    counters = {key: value for key, value in sorted(cost.items())
-                if key.startswith("cost_")}
-    lines = [f"mode                  {cost.get('mode', '?')}",
-             "  ".join(f"{key[len('cost_'):]} {value}"
-                       for key, value in counters.items())]
+    """The estimate count and the last estimate-vs-observed line."""
+    lines = [f"estimates             {cost.get('cost_estimates', 0)}"]
     last = cost.get("last_estimate")
     if last:
         predicted = last.get("predicted_seconds") or 0.0

@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core import ast
 from repro.errors import RegistrationError
 from repro.obs.trace import NULL_TRACER
+from repro.optimizer.analysis import node_classes
 
 RewriteFn = Callable[[ast.Expr], Optional[ast.Expr]]
 
@@ -136,11 +137,10 @@ class PhaseStats:
     #: would have been without pruning.
     pruned: int = 0
     time_by_rule: Dict[str, float] = field(default_factory=dict)
-    #: non-empty when the cost model skipped the whole phase without
+    #: non-empty when the engine skipped the whole phase without
     #: running a single pass: ``"absent-roots"`` (no node of any rule's
     #: root class occurs in the expression, so the phase is provably
-    #: identity) or ``"below-floor"`` (the query's estimated cost is
-    #: under the model's floor — see ``docs/COST_MODEL.md``)
+    #: identity)
     skipped: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
@@ -288,13 +288,6 @@ class Optimizer:
 
     def __init__(self, phases: Optional[List[Phase]] = None):
         self.phases: List[Phase] = list(phases or [])
-        #: the session's :class:`~repro.optimizer.cost.CostModel`, or
-        #: ``None`` (bare optimizers, ``REPRO_NO_COST=1``).  Attached by
-        #: :class:`~repro.env.environment.TopEnv`; with a model enabled,
-        #: :meth:`optimize` skips phases it can prove are identity
-        #: (absence of every rule-root class) and — in active mode —
-        #: phases the query's estimated cost does not justify.
-        self.cost: Any = None
 
     def phase(self, name: str) -> Phase:
         """Look up a phase by name (for rule registration/ablation)."""
@@ -327,46 +320,28 @@ class Optimizer:
         on the per-rule timing instrumentation of :meth:`Phase.run`.
         """
         instrument = tracer.enabled
-        cost = self.cost
-        classes = None
-        if cost is not None and cost.enabled:
-            from repro.optimizer.analysis import node_classes
-
-            classes = node_classes(expr)
-        units: Optional[float] = None
+        classes = node_classes(expr)
         for phase in self.phases:
             with tracer.span(f"phase:{phase.name}"):
-                skip = ""
-                if classes is not None:
-                    roots = phase.root_classes()
-                    if roots is not None and not (roots & classes):
-                        skip = "absent-roots"
-                    if (not skip and cost.active and not cost.force_full
-                            and cost.floor_units > 0
-                            and phase.name in cost.floor_phases):
-                        if units is None:
-                            units = cost.estimate(expr)
-                        if units is not None and units < cost.floor_units:
-                            skip = "below-floor"
-                if skip:
-                    # the span is still emitted (profiles always show
-                    # all phases) with zeroed stats carrying the reason
-                    phase.stats = PhaseStats(skipped=skip)
-                    cost.on_phase_skip(phase.name, skip)
+                roots = phase.root_classes()
+                if roots is not None and not (roots & classes):
+                    # no rule of the phase can match any node: running
+                    # it is provably the identity.  The span is still
+                    # emitted (profiles always show all phases) with
+                    # zeroed stats carrying the reason
+                    phase.stats = PhaseStats(skipped="absent-roots")
                     if instrument:
-                        tracer.annotate(passes=0, firings=0, skipped=skip)
+                        tracer.annotate(passes=0, firings=0,
+                                        skipped="absent-roots")
                     continue
                 expr = phase.run(expr, instrument=instrument)
                 if instrument:
                     tracer.annotate(passes=phase.stats.passes,
                                     firings=phase.stats.applications)
-                if classes is not None and phase.stats.applications:
+                if phase.stats.applications:
                     # rewrites may introduce or remove node classes; the
                     # absence proof for later phases must see the result
-                    from repro.optimizer.analysis import node_classes
-
                     classes = node_classes(expr)
-                    units = None
         return expr
 
     def report(self) -> Dict[str, PhaseStats]:

@@ -128,24 +128,12 @@ class PlanEntry:
     generation: int                   # TopEnv.generation at compile time
     val_generations: Dict[str, int]   # per-free-name val generations
     #: the :class:`~repro.core.compile.CompiledEvaluator` holding the
-    #: generated closure; ``None`` until the entry's first hit (and
-    #: again after a re-plan), because most entries of a cold workload
-    #: are never hit and a closure is the bulk of an entry
+    #: generated closure; ``None`` until the entry's first hit, because
+    #: most entries of a cold workload are never hit and a closure is
+    #: the bulk of an entry
     evaluator: Any = None
-    #: the *pre-resolve* desugared core, kept so adaptive
-    #: re-optimization can recompile the query through the full
-    #: pipeline when observed cost diverges from the estimate
-    source_core: Any = None
-    #: the cost model's unit estimate for :attr:`core` (None: model off)
+    #: the unit-cost estimate for :attr:`core` (None: not estimable)
     estimated_units: Optional[float] = None
-    #: observed run statistics, folded in by the session after every
-    #: execution of this plan (an equal-weight EMA over seconds)
-    runs: int = 0
-    observed_seconds: float = 0.0
-    #: set once this entry has been re-planned — divergence re-plans at
-    #: most once per entry, so a query the estimator simply cannot see
-    #: through (e.g. data-dependent extents) does not thrash
-    replanned: bool = False
 
 
 @dataclass
@@ -159,25 +147,20 @@ class Plan:
     #: unprobed closure for :attr:`core`, or None when the plan was
     #: prepared with observability on (the run generates probed code)
     evaluator: Any = None
-    #: the backing :class:`PlanEntry` (None when caching is disabled);
-    #: the session folds observed run stats into it and re-plans it on
-    #: estimate divergence
+    #: the backing :class:`PlanEntry` (None when caching is disabled)
     entry: Any = None
-    #: the cost model's unit estimate for :attr:`core` (None: model off)
+    #: the unit-cost estimate for :attr:`core` (None: not estimable)
     estimated_units: Optional[float] = None
 
 
 @dataclass
 class PlanCacheStats:
-    """Hit/miss/eviction/invalidation/replan counters, per cache."""
+    """Hit/miss/eviction/invalidation counters, per cache."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
-    #: entries recompiled by adaptive re-optimization (observed cost
-    #: diverged from the estimate — see ``docs/COST_MODEL.md``)
-    replans: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         """A JSON-safe snapshot of every counter."""
@@ -186,15 +169,13 @@ class PlanCacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "replans": self.replans,
         }
 
     def render(self) -> str:
         """The one-line counter summary used by ``:cache``/``:profile``."""
         return (f"hits {self.hits}  misses {self.misses}  "
                 f"evictions {self.evictions}  "
-                f"invalidations {self.invalidations}  "
-                f"replans {self.replans}")
+                f"invalidations {self.invalidations}")
 
 
 class PlanCache:
@@ -257,7 +238,7 @@ class PlanCache:
         return True
 
     def insert(self, key: Hashable, core: ast.Expr, inferred: Any,
-               free_names: Iterable[str], env, source_core: Any = None,
+               free_names: Iterable[str], env,
                estimated_units: Optional[float] = None
                ) -> Optional[PlanEntry]:
         """Record a freshly compiled plan; evicts LRU entries over capacity."""
@@ -272,7 +253,6 @@ class PlanCache:
             generation=env.generation,
             val_generations={name: env.val_generation(name)
                              for name in names},
-            source_core=source_core,
             estimated_units=estimated_units,
         )
         self._entries[key] = entry
@@ -320,9 +300,13 @@ class PlanCache:
     # -- reporting --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, int]:
-        """Occupancy + counters, JSON-safe (embedded in ExplainReport)."""
+        """Occupancy + counters, JSON-safe (embedded in ExplainReport).
+
+        ``replans`` is a constant 0 — a cached plan is never recompiled —
+        kept because ``benchmarks/suite/trial.py`` reads the key.
+        """
         return {"capacity": self.capacity, "entries": len(self._entries),
-                **self.stats.to_dict()}
+                **self.stats.to_dict(), "replans": 0}
 
     def render(self) -> str:
         """The human-readable ``:cache`` text."""

@@ -13,12 +13,9 @@ the optimizer, ``:load FILE`` runs an AQL script into the session,
 ``:cache`` prints the plan-cache occupancy and counters (``:cache
 clear`` empties it — see ``docs/PLAN_CACHE.md``), ``:parallel
 [WORKERS [BACKEND [MIN_CELLS]]]`` shows or tunes the sharded executor
-and ``:parallel adaptive on|off`` toggles measured-rate dispatch
-selection (see ``docs/PARALLEL.md``), ``:setops [on|off]`` shows or toggles the
+(see ``docs/PARALLEL.md``), ``:setops [on|off]`` shows or toggles the
 set-engine fast paths (hash equi-joins and sort-based ``index_k``
-grouping — see ``docs/SETOPS.md``), ``:cost [off|observe|active]``
-shows or switches the calibrated cost model (``:cost floor N`` and
-``:cost replan N`` tune its thresholds — see ``docs/COST_MODEL.md``),
+grouping — see ``docs/SETOPS.md``),
 and ``:profile QUERY;`` runs a statement
 with observability on and prints the EXPLAIN report (optimized core,
 per-stage spans, rule firings, evaluator counters — see
@@ -47,11 +44,9 @@ def parallel_command(session: Session, args: str) -> str:
 
     ``:parallel`` prints the current config; ``:parallel WORKERS
     [BACKEND] [MIN_CELLS]`` updates it (``:parallel 4 process``,
-    ``:parallel 0`` back to serial); ``:parallel adaptive on|off``
-    toggles measured-rate dispatch selection (the status line then
-    shows the learned cells-per-second rates).  Every field is
-    validated before anything is mutated, so a rejected update leaves
-    the config untouched.  See ``docs/PARALLEL.md``.
+    ``:parallel 0`` back to serial).  Every field is validated before
+    anything is mutated, so a rejected update leaves the config
+    untouched.  See ``docs/PARALLEL.md``.
     """
     from repro.core import parallel
     from repro.core.fastpath import PARALLEL_BACKENDS
@@ -59,53 +54,36 @@ def parallel_command(session: Session, args: str) -> str:
     config = session.env.parallel
     if args:
         fields = args.split()
-        if fields[0] == "adaptive":
-            if len(fields) > 1:
-                if fields[1] == "on":
-                    config.adaptive = True
-                elif fields[1] == "off":
-                    config.adaptive = False
-                else:
-                    return (f"usage: :parallel adaptive [on|off] "
-                            f"(got {fields[1]!r})")
-        else:
+        try:
+            workers = int(fields[0])
+            if workers < 0:
+                raise ValueError
+        except ValueError:
+            return (f"workers must be a non-negative int, "
+                    f"got {fields[0]!r}")
+        backend = config.backend
+        if len(fields) > 1:
+            backend = fields[1]
+            if backend not in PARALLEL_BACKENDS:
+                return (f"unknown backend {backend!r} (expected one of "
+                        f"{', '.join(PARALLEL_BACKENDS)})")
+        min_cells = config.min_cells
+        if len(fields) > 2:
             try:
-                workers = int(fields[0])
-                if workers < 0:
+                min_cells = int(fields[2])
+                if min_cells < 0:
                     raise ValueError
             except ValueError:
-                return (f"workers must be a non-negative int, "
-                        f"got {fields[0]!r}")
-            backend = config.backend
-            if len(fields) > 1:
-                backend = fields[1]
-                if backend not in PARALLEL_BACKENDS:
-                    return (f"unknown backend {backend!r} (expected one of "
-                            f"{', '.join(PARALLEL_BACKENDS)})")
-            min_cells = config.min_cells
-            if len(fields) > 2:
-                try:
-                    min_cells = int(fields[2])
-                    if min_cells < 0:
-                        raise ValueError
-                except ValueError:
-                    return (f"min_cells must be a non-negative int, "
-                            f"got {fields[2]!r}")
-            config.workers = workers
-            config.backend = backend
-            config.min_cells = min_cells
+                return (f"min_cells must be a non-negative int, "
+                        f"got {fields[2]!r}")
+        config.workers = workers
+        config.backend = backend
+        config.min_cells = min_cells
     state = "enabled" if parallel.ENABLED else \
         "disabled (REPRO_NO_PARALLEL=1)"
-    line = (f"parallel {state}: workers={config.workers} "
+    return (f"parallel {state}: workers={config.workers} "
             f"backend={config.backend} min_cells={config.min_cells} "
-            f"kernel_min_cells={config.kernel_min_cells} "
-            f"adaptive={'on' if config.adaptive else 'off'}")
-    rates = config.rates()
-    if rates:
-        shown = " ".join(f"{mode}={rate:.0f}"
-                         for mode, rate in sorted(rates.items()))
-        line += f" rates[cells/s]: {shown}"
-    return line
+            f"kernel_min_cells={config.kernel_min_cells}")
 
 
 def setops_command(session: Session, args: str) -> str:
@@ -129,48 +107,6 @@ def setops_command(session: Session, args: str) -> str:
     return (f"setops {state}: session="
             f"{'on' if config.setops else 'off'} "
             f"min_cells={config.min_cells}")
-
-
-def cost_command(session: Session, args: str) -> str:
-    """Implement ``:cost`` — show or tune the calibrated cost model.
-
-    ``:cost`` prints the model state (mode, coefficients, counters,
-    last estimate-vs-actual); ``:cost off|observe|active`` switches
-    the mode; ``:cost floor N`` sets the unit floor below which an
-    active model skips the motion phase; ``:cost replan N`` sets the
-    divergence factor that triggers adaptive re-planning.  Every
-    argument is validated before anything is mutated.  The
-    ``REPRO_NO_COST=1`` kill switch wins over the session setting.
-    See ``docs/COST_MODEL.md``.
-    """
-    from repro.optimizer.cost import COST_MODES
-
-    cost = session.env.cost
-    if cost is None:
-        return "cost model disabled (REPRO_NO_COST=1)"
-    if args:
-        fields = args.split()
-        if fields[0] in ("floor", "replan"):
-            if len(fields) != 2:
-                return f"usage: :cost {fields[0]} N (got {args!r})"
-            try:
-                value = float(fields[1])
-                if value < 0 or (fields[0] == "replan" and value < 1.0):
-                    raise ValueError
-            except ValueError:
-                kind = ("a non-negative number" if fields[0] == "floor"
-                        else "a number >= 1")
-                return f"{fields[0]} must be {kind}, got {fields[1]!r}"
-            if fields[0] == "floor":
-                cost.floor_units = value
-            else:
-                cost.replan_factor = value
-        elif fields[0] in COST_MODES and len(fields) == 1:
-            cost.mode = fields[0]
-        else:
-            return (f"usage: :cost [{'|'.join(COST_MODES)}"
-                    f"|floor N|replan N] (got {args!r})")
-    return cost.render()
 
 
 def run_file(session: Session, path: str) -> bool:
@@ -250,10 +186,6 @@ def main(argv=None) -> int:
             if stripped == ":setops" or stripped.startswith(":setops "):
                 print(setops_command(session,
                                      stripped[len(":setops"):].strip()))
-                continue
-            if stripped == ":cost" or stripped.startswith(":cost "):
-                print(cost_command(session,
-                                   stripped[len(":cost"):].strip()))
                 continue
             print(f"unknown command {stripped!r}")
             continue

@@ -28,7 +28,6 @@ from typing import Any, List, Optional
 
 from repro.core import ast
 from repro.core.fastpath import PARALLEL_BACKENDS
-from repro.core.printer import pprint
 from repro.env.environment import TopEnv
 from repro.errors import BottomError, SessionError
 from repro.obs import ExplainReport
@@ -98,9 +97,7 @@ class Session:
                  parallel_backend: Optional[str] = None,
                  min_cells: Optional[int] = None,
                  kernel_min_cells: Optional[int] = None,
-                 setops: Optional[bool] = None,
-                 adaptive: Optional[bool] = None,
-                 cost: Any = None):
+                 setops: Optional[bool] = None):
         self.env = env if env is not None else TopEnv.standard()
         self.optimize = optimize
         # fast-path tuning mutates the TopEnv's shared DispatchConfig in
@@ -145,31 +142,6 @@ class Session:
                     f"setops must be a bool, got {setops!r}"
                 )
             self.env.parallel.setops = setops
-        if adaptive is not None:
-            if not isinstance(adaptive, bool):
-                raise SessionError(
-                    f"adaptive must be a bool, got {adaptive!r}"
-                )
-            self.env.parallel.adaptive = adaptive
-        if cost is not None:
-            # validated before mutation, like every knob above; a bool
-            # maps to the extreme modes ("active"/"off"), a string must
-            # name a mode.  The REPRO_NO_COST kill switch wins: with no
-            # model constructed there is nothing to set, silently —
-            # mirroring how :setops defers to REPRO_NO_SETOPS.
-            from repro.optimizer.cost import COST_MODES
-
-            if isinstance(cost, bool):
-                mode = "active" if cost else "off"
-            elif isinstance(cost, str) and cost in COST_MODES:
-                mode = cost
-            else:
-                raise SessionError(
-                    f"cost must be a bool or one of "
-                    f"{', '.join(COST_MODES)}, got {cost!r}"
-                )
-            if self.env.cost is not None:
-                self.env.cost.mode = mode
         self._desugarer = Desugarer()
         #: the optimized core of the most recent compilation (EXPLAIN)
         self._last_core: Optional[ast.Expr] = None
@@ -283,7 +255,7 @@ class Session:
             compiled, inferred = env.compile(core, optimize=self.optimize)
             return Plan(compiled, inferred,
                         evaluator=self._codegen(compiled),
-                        estimated_units=self._estimate_units(compiled))
+                        estimated_units=env.cost.estimate(compiled))
         tracer = env.obs.tracer
         with tracer.span("plan_cache"):
             key = cache.key_for(core, self.optimize)
@@ -297,9 +269,9 @@ class Session:
                         estimated_units=entry.estimated_units)
         compiled, inferred = env.compile(core, optimize=self.optimize)
         evaluator = self._codegen(compiled)
-        units = self._estimate_units(compiled)
+        units = env.cost.estimate(compiled)
         entry = cache.insert(key, compiled, inferred, ast.free_vars(core),
-                             env, source_core=core, estimated_units=units)
+                             env, estimated_units=units)
         return Plan(compiled, inferred, evaluator=evaluator, entry=entry,
                     estimated_units=units)
 
@@ -313,13 +285,6 @@ class Session:
         evaluator = self.env.plan_evaluator()
         evaluator.prepare(core)
         return evaluator
-
-    def _estimate_units(self, core: ast.Expr) -> Optional[float]:
-        """The cost model's unit estimate for ``core`` (None: model off)."""
-        cost = self.env.cost
-        if cost is None or not cost.enabled:
-            return None
-        return cost.estimate(core)
 
     # -- helpers ---------------------------------------------------------------------
 
@@ -343,69 +308,22 @@ class Session:
         environment's evaluator (the ``codegen`` span) so counters stay
         accurate.
 
-        When the cost model is enabled and the plan carries a unit
-        estimate, the run is timed and the observation fed back: the
-        model calibrates its scalar coefficient, and estimate-vs-actual
-        divergence may trigger an adaptive re-plan of the backing cache
-        entry (see :meth:`_observe_run`).
+        The run is timed and reported to ``env.cost`` next to the
+        plan's unit estimate, which is what EXPLAIN's estimate-vs-observed
+        line shows.
         """
         env = self.env
-        cost = env.cost
         evaluator = plan.evaluator
         if evaluator is None or env.obs.enabled:
             evaluator = env.evaluator()
             with env.obs.tracer.span("codegen"):
                 evaluator.prepare(plan.core)
         with env.obs.tracer.span("evaluate"):
-            if cost is None or not cost.enabled \
-                    or plan.estimated_units is None:
-                return evaluator.run(plan.core)
             started = time.perf_counter()
             value = evaluator.run(plan.core)
-            elapsed = time.perf_counter() - started
-            self._observe_run(plan, cost, elapsed)
+            env.cost.record_run(plan.estimated_units,
+                                time.perf_counter() - started)
             return value
-
-    def _observe_run(self, plan: Plan, cost: Any, seconds: float) -> None:
-        """Fold one observed execution into the cost model and the plan's
-        cache entry; re-plan the entry when the model reports divergence.
-        """
-        replan = cost.record_run(plan.estimated_units, seconds)
-        entry = plan.entry
-        if entry is not None:
-            entry.runs += 1
-            if entry.runs == 1:
-                entry.observed_seconds = seconds
-            else:
-                entry.observed_seconds = \
-                    0.5 * entry.observed_seconds + 0.5 * seconds
-            if replan and not entry.replanned \
-                    and entry.source_core is not None:
-                self._replan(entry)
-
-    def _replan(self, entry: Any) -> None:
-        """Recompile a divergent entry through the *full* pipeline.
-
-        The first plan may have been compiled with cost-floor phase
-        skipping; when the observed run proves the query expensive, the
-        skipped phases (e.g. loop motion) are exactly the ones that
-        matter, so the re-plan forces every phase back on.  Re-planning
-        happens at most once per entry (:attr:`PlanEntry.replanned`), so
-        a query the estimator cannot see through does not thrash.
-        """
-        env, cost = self.env, self.env.cost
-        entry.replanned = True
-        with env.obs.tracer.span("replan"), cost.full_pipeline():
-            compiled, inferred = env.compile(entry.source_core,
-                                             optimize=self.optimize)
-        entry.core = compiled
-        entry.inferred = inferred
-        entry.evaluator = None  # the next hit generates the new closure
-        entry.estimated_units = cost.estimate(compiled)
-        entry.runs = 0
-        entry.observed_seconds = 0.0
-        cost.counters["cost_replans"] += 1
-        self.plan_cache.stats.replans += 1
 
     def _query(self, surface: S.SExpr, name: str) -> Output:
         plan = self._compile(surface)
@@ -464,15 +382,13 @@ class Session:
             last.explain = ExplainReport(
                 source=source.strip(),
                 type_text=last.type_text,
-                core_text=(pprint(self._last_core)
-                           if self._last_core is not None else ""),
+                core=self._last_core,
                 spans=spans,
                 phase_stats=dict(self.env.optimizer.report()),
                 metrics=obs.metrics,
                 cache=self.plan_cache.snapshot(),
                 dense=dense_delta,
-                cost=(self.env.cost.snapshot()
-                      if self.env.cost is not None else None),
+                cost=self.env.cost.snapshot(),
                 value=last.value,
                 has_value=last.has_value,
             )

@@ -6,12 +6,15 @@ all three from AQL without restarting anything.
 """
 
 import ast as pyast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.core import ast
+from repro.core.fastpath import DispatchConfig
 from repro.objects.array import Array
 from repro.optimizer.engine import Rule
 from repro.system.session import Session
@@ -197,3 +200,46 @@ class TestOneEngine:
             if isinstance(node, pyast.Attribute) and node.attr in private
         ]
         assert not offenders
+
+
+class TestKnobCensus:
+    """Every option is counted here, so adding one is a decision that
+    has to edit this test (and README's knob table) to land."""
+
+    KNOBS = {"REPRO_MIN_CELLS", "REPRO_KERNEL_MIN_CELLS",
+             "REPRO_PARALLEL_WORKERS", "REPRO_PARALLEL_BACKEND",
+             "REPRO_NO_VECTORIZE", "REPRO_NO_PARALLEL", "REPRO_NO_SETOPS",
+             "REPRO_NO_DENSE", "REPRO_NO_SHM"}
+
+    def test_environment_variables(self):
+        named, reads = set(), 0
+        for path in SRC.rglob("*.py"):
+            text = path.read_text()
+            named.update(re.findall(r"REPRO_[A-Z_]+", text))
+            reads += sum(
+                1 for node in pyast.walk(pyast.parse(text))
+                if isinstance(node, pyast.Attribute)
+                and node.attr == "environ"
+                and isinstance(node.value, pyast.Name)
+                and node.value.id == "os")
+        assert named == self.KNOBS
+        assert reads <= 7
+
+    def test_session_and_dispatch_config_surface(self):
+        parameters = list(inspect.signature(Session.__init__).parameters)
+        assert parameters[1:] == [
+            "env", "optimize", "plan_cache_capacity", "parallel_workers",
+            "parallel_backend", "min_cells", "kernel_min_cells", "setops"]
+        assert set(DispatchConfig.__slots__) == {
+            "min_cells", "kernel_min_cells", "workers", "backend", "setops"}
+
+    @pytest.mark.parametrize("removed", [{"adaptive": True},
+                                         {"cost": "active"}])
+    def test_removed_session_keywords_are_type_errors(self, removed):
+        with pytest.raises(TypeError):
+            Session(**removed)
+
+    def test_core_does_not_import_the_cost_estimator(self):
+        importers = [path.name for path in (SRC / "core").rglob("*.py")
+                     if "repro.optimizer.cost" in _imports(path)]
+        assert not importers

@@ -6,6 +6,12 @@ inputs; ``GOLDEN`` holds what ``Session.explain`` reported for each on
 the commit *before* the code generator specialised anything (default
 configuration, numpy present).  Probed code keeps the general loop
 shapes precisely so these stay put.
+
+``SHARDED`` does the same for the dispatch policy: the suite's three
+``dense_sharded`` statements over small inputs, under a 2-worker process
+pool with both floors lowered, pinned to what the commit before
+``DispatchConfig`` became the single static policy reported — and
+``test_dispatch_predicates_at_their_boundaries`` pins the policy itself.
 """
 
 import math
@@ -13,8 +19,10 @@ import os
 
 import pytest
 
-from repro.core import ast, kernels
+from repro.core import ast, kernels, parallel
 from repro.core.compile import CompiledEvaluator
+from repro.core.fastpath import (DEFAULT_KERNEL_MIN_CELLS, DEFAULT_MIN_CELLS,
+                                 SPARSITY_FACTOR, DispatchConfig)
 from repro.objects import dense
 from repro.objects.array import Array
 from repro.system.session import Session
@@ -59,6 +67,18 @@ GOLDEN = {
     "year-mean": (32, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0),
     "slab-filter": (483, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 98, 82, 0),
     "slab-column": (242, 48, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+}
+
+SHARDED_KEYS = ("shards_executed", "shards_vectorized", "cells_vectorized",
+                "joins_hashed", "index_sorted", "index_groupbys")
+
+#: label -> (statement, counters in SHARDED_KEYS order, phases skipped)
+SHARDED = {
+    "grid": (r"[[ x*y+x | \x < 40, \y < 40 ]];", (2, 2, 1600, 0, 0, 0), {}),
+    "gather": (r"[[ G[x, y] + 1 | \x < 40, \y < 40 ]];",
+               (2, 2, 1600, 0, 0, 0), {}),
+    "int-sum": (r"summap(fn \i => i % 7)!(gen!2000);",
+                (2, 0, 0, 0, 0, 0), {}),
 }
 
 
@@ -117,6 +137,48 @@ def test_explain_counters_equal_the_unspecialised_engine(tmp_path):
     for label in QUERIES:
         assert dict(zip(KEYS, found[label])) == \
             dict(zip(KEYS, GOLDEN[label])), label
+
+
+def test_sharded_counters_equal_the_pre_policy_engine():
+    if not kernels.available() or not parallel.ENABLED \
+            or any(name.startswith("REPRO_") for name in os.environ):
+        pytest.skip("the counters are pinned for the default configuration")
+    session = Session(parallel_workers=2, parallel_backend="process",
+                      min_cells=16, kernel_min_cells=1024)
+    session.env.set_val("G", Array((40, 40), [c * 7 % 11
+                                              for c in range(1600)]))
+    for label, (text, counters, skipped) in SHARDED.items():
+        report = session.explain(text).to_dict()
+        assert {key: report["metrics"][key] for key in SHARDED_KEYS} == \
+            dict(zip(SHARDED_KEYS, counters)), label
+        assert {name: stats["skipped"]
+                for name, stats in report["phases"].items()
+                if stats["skipped"]} == skipped, label
+
+
+def test_dispatch_predicates_at_their_boundaries():
+    """The whole policy, as a table: each predicate flips exactly at its
+    threshold, and the defaults are the values every benchmark ran on."""
+    assert (DEFAULT_MIN_CELLS, DEFAULT_KERNEL_MIN_CELLS, SPARSITY_FACTOR) \
+        == (64, 1 << 17, 4)
+    config = DispatchConfig()
+    floor, kernel_floor = config.min_cells, config.kernel_min_cells
+    table = [
+        (config.wants_kernel(floor - 1), False),
+        (config.wants_kernel(floor), True),
+        (config.wants_shards(floor - 1), False),
+        (config.wants_shards(floor), True),
+        (config.wants_kernel_shards(kernel_floor - 1), False),
+        (config.wants_kernel_shards(kernel_floor), True),
+        (config.wants_hash_join(floor - 1, 8), False),
+        (config.wants_hash_join(floor, 2), True),
+        (config.wants_hash_join(floor * floor, 1), False),   # |inner| = 1
+        (config.wants_sorted_grouping(floor - 1, 1 << 20), False),
+        (config.wants_sorted_grouping(floor, SPARSITY_FACTOR * floor), True),
+        (config.wants_sorted_grouping(floor, SPARSITY_FACTOR * floor - 1),
+         False),
+    ]
+    assert [got for got, _ in table] == [want for _, want in table]
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])

@@ -1,6 +1,8 @@
 """Tests for the heuristic cost model."""
 
+import gc
 import time
+import weakref
 
 from repro.core import ast
 from repro.core.builders import map_array, transpose, zip2
@@ -9,6 +11,7 @@ from repro.objects.bag import Bag
 from repro.optimizer.cost import (ASSUMED_CARDINALITY, CardinalityEstimator,
                                   estimate_cost)
 from repro.optimizer.engine import default_optimizer
+from repro.system.session import Session
 
 N = ast.NatLit
 V = ast.Var
@@ -162,3 +165,59 @@ class TestOptimizationReducesCost:
         e = map_array(lambda x: ast.Arith("+", x, N(1)),
                       map_array(lambda x: ast.Arith("*", x, N(2)), V("A")))
         assert estimate_cost(opt.optimize(e)) < estimate_cost(e)
+
+
+class _Tracked(Array):
+    """An ``Array`` a test can hold weakly (``Array`` has no
+    ``__weakref__`` slot)."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _cells_held(root):
+    """Total length of every container reachable from ``root`` through
+    instance attributes, slots and builtin containers."""
+    total, seen, stack = 0, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            total += len(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            total += len(obj)
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                stack.extend(getattr(obj, slot, None)
+                             for slot in getattr(cls, "__slots__", ()))
+    return total
+
+
+class TestEstimatorPinsNothing:
+    """ROADMAP 0a: estimating a plan over a ``val`` must not keep the
+    plan — and with it the ``Const`` holding the val's *old* array —
+    alive after the val is rebound."""
+
+    def test_rebound_vals_are_collected(self):
+        session = Session()
+        bound = []
+
+        def reader(args):
+            array = _Tracked((64,), [float(cell) for cell in range(64)])
+            bound.append(weakref.ref(array))
+            return array
+
+        session.env.drivers.register_reader("TRACKED", reader)
+        held = []
+        for _ in range(50):
+            session.run('readval \\Y using TRACKED at "anywhere";'
+                        ' summap(fn \\i => Y[i])!(gen!64);')
+            held.append(_cells_held(session.env.cost))
+        gc.collect()
+        assert bound[0]() is None
+        assert sum(1 for ref in bound if ref() is not None) <= 2
+        assert held[-1] == held[4]

@@ -1,381 +1,62 @@
-"""Tests for the calibrated, feedback-driven cost model.
+"""What EXPLAIN shows of the static cost estimate, and absent-root
+phase skipping.
 
-Covers the :class:`~repro.optimizer.cost.CostModel` layers the unit
-estimator tests (``test_cost.py``) do not: online calibration from
-observed runs, rate feedback through ``DispatchConfig.observe``,
-cost-gated physical decisions, rewrite-phase skipping, adaptive
-re-planning through the session, the ``REPRO_NO_COST=1`` kill switch,
-and the ``Session(cost=...)`` / ``:cost`` knob surfaces.
+The unit estimator itself is covered by ``test_cost.py``; this module
+checks the two places its consumers look: the estimate-vs-observed
+record in ``:profile``, and the ``skipped`` reason a phase carries when
+the engine proves it cannot fire.
 """
 
-import pytest
-
 from repro.core import ast
-from repro.core.fastpath import DispatchConfig
-from repro.core.parallel import _worker_config
-from repro.env.environment import TopEnv
-from repro.errors import SessionError
-from repro.optimizer.cost import (ASSUMED_CARDINALITY, COST_MODES,
-                                  CostModel)
-from repro.system.repl import cost_command
+from repro.optimizer.engine import default_optimizer
 from repro.system.session import Session
 
 N = ast.NatLit
-V = ast.Var
-
-
-@pytest.fixture(autouse=True)
-def _neutral_cost_env(monkeypatch):
-    # CI runs the tier-1 suite under a REPRO_NO_COST=1 lane (and could
-    # set the other knobs); these tests construct the exact model state
-    # they need, so strip the ambient variables.  The kill-switch tests
-    # re-set REPRO_NO_COST explicitly through their own monkeypatch.
-    for var in ("REPRO_NO_COST", "REPRO_COST", "REPRO_COST_FLOOR",
-                "REPRO_COST_REPLAN"):
-        monkeypatch.delenv(var, raising=False)
-
-
-class TestObserveRates:
-    """DispatchConfig.observe()/rates(): the calibration feed."""
-
-    def test_first_observation_sets_rate(self):
-        config = DispatchConfig()
-        config.observe("serial", 1000, 0.001)
-        assert config.rates() == {"serial": 1_000_000.0}
-
-    def test_ema_convergence(self):
-        # the equal-weight EMA halves the distance to a new steady rate
-        # on every observation: after a few it has converged
-        config = DispatchConfig()
-        config.observe("serial", 1000, 0.001)        # 1e6 cells/s
-        for _ in range(20):
-            config.observe("serial", 4000, 0.001)    # steady 4e6
-        rate = config.rates()["serial"]
-        assert abs(rate - 4_000_000.0) < 10_000.0
-
-    def test_single_noisy_measurement_cannot_dominate(self):
-        config = DispatchConfig()
-        config.observe("serial", 1000, 0.001)        # 1e6
-        config.observe("serial", 100_000, 0.001)     # 1e8 outlier
-        assert config.rates()["serial"] == pytest.approx(5.05e7)
-
-    def test_degenerate_measurements_dropped(self):
-        config = DispatchConfig()
-        config.observe("serial", 0, 0.001)
-        config.observe("serial", 1000, 0.0)
-        config.observe("serial", -5, 0.001)
-        assert config.rates() == {}
-
-    def test_adaptive_hysteresis_margin(self):
-        # a backend must beat serial by ADAPTIVE_MARGIN (5%) before it
-        # keeps winning dispatches; a 1% edge stays serial
-        config = DispatchConfig(adaptive=True, workers=2, backend="thread")
-        config.observe("serial", 100_000, 1.0)       # 1e5 cells/s
-        config.observe("thread", 101_000, 1.0)       # +1%: inside margin
-        assert not config.wants_shards(10_000)
-        fresh = DispatchConfig(adaptive=True, workers=2, backend="thread")
-        fresh.observe("serial", 100_000, 1.0)
-        fresh.observe("thread", 200_000, 1.0)        # 2x: clears margin
-        assert fresh.wants_shards(10_000)
-
-    def test_observe_forwards_into_cost_model(self):
-        config = DispatchConfig(cost=CostModel(mode="observe"))
-        config.observe("kernel", 1_000_000, 0.01)
-        assert config.cost.rates["kernel"] == pytest.approx(1e8)
-        assert config.cost.kernel_cell_seconds == pytest.approx(1e-8)
-
-    def test_worker_config_never_feeds_parent(self):
-        # shard workers run under a detached config: cost and adaptive
-        # are deliberately dropped, so a worker's own observe() can
-        # neither mutate the parent's rates nor double-count into the
-        # session cost model (the parent records the dispatch once)
-        parent = DispatchConfig(workers=2, backend="thread",
-                                cost=CostModel(mode="observe"))
-        parent.observe("serial", 1000, 0.001)
-        worker = _worker_config(parent)
-        assert worker.cost is None
-        assert worker.adaptive is False
-        assert worker.workers == 0
-        worker.observe("serial", 9_999_999, 0.001)
-        assert parent.rates() == {"serial": 1_000_000.0}
-        assert parent.cost.rates == {"serial": 1_000_000.0}
-
-
-class TestCalibration:
-    """record_run: the EMA calibration and its poisoning guards."""
-
-    def test_agreeing_run_calibrates(self):
-        model = CostModel(mode="observe")
-        units = 100_000.0
-        seconds = units * model.scalar_seconds * 2.0  # 2x: inside band
-        assert model.record_run(units, seconds) is False
-        assert model.counters["cost_calibrations"] == 1
-        assert model.scalar_seconds == pytest.approx(1.5 * 2e-7)
-
-    def test_divergent_run_not_calibrated(self):
-        model = CostModel(mode="observe")
-        before = model.scalar_seconds
-        assert model.record_run(100.0, 10.0) is False  # wildly slow
-        assert model.counters["cost_divergences"] == 1
-        assert model.counters["cost_calibrations"] == 0
-        assert model.scalar_seconds == before
-
-    def test_sub_resolution_timing_not_calibrated(self):
-        model = CostModel(mode="observe")
-        before = model.scalar_seconds
-        model.record_run(10.0, 5e-6)  # error 2.5: agreeing, but tiny
-        assert model.counters["cost_calibrations"] == 0
-        assert model.scalar_seconds == before
-
-    def test_replan_requested_only_when_active_and_slow(self):
-        observe = CostModel(mode="observe")
-        assert observe.record_run(100.0, 10.0) is False
-        active = CostModel(mode="active")
-        assert active.record_run(100.0, 10.0) is True
-        # overestimates (running *faster* than predicted) never re-plan
-        fast = CostModel(mode="active")
-        assert fast.record_run(1e9, 1e-4) is False
-        assert fast.counters["cost_divergences"] == 1
-
-    def test_off_mode_records_nothing(self):
-        model = CostModel(mode="off")
-        assert model.estimate(N(1)) is None
-        assert model.record_run(100.0, 1.0) is False
-        assert model.counters["cost_estimates"] == 0
-
-
-class TestDecisions:
-    """Cost-gated physical choices defer (None) unless active."""
-
-    def test_non_active_modes_defer_everything(self):
-        for mode in ("off", "observe"):
-            model = CostModel(mode=mode)
-            assert model.join_decision(10, 10, V("T")) is None
-            assert model.group_decision(100, 10_000) is None
-            assert model.shards_decision(100_000, "thread") is None
-            assert model.kernel_shards_decision(1 << 20) is None
-
-    def test_join_accepts_expensive_inner_source(self):
-        # the naive loop re-evaluates the inner source per outer
-        # element; a costly source makes hashing win even at |T| = 1,
-        # where the static gate always declines
-        model = CostModel(mode="active")
-        expensive = ast.Tabulate(("i",), (N(5000),),
-                                 ast.Arith("*", V("i"), V("i")))
-        assert model.join_decision(100, 1, expensive) is True
-
-    def test_join_declines_tiny_cheap_shape(self):
-        model = CostModel(mode="active")
-        assert model.join_decision(2, 2, V("T")) is False
-
-    def test_group_decision_sparsity(self):
-        model = CostModel(mode="active")
-        # holes dominate: sorted grouping avoids materializing cells
-        assert model.group_decision(100, 1_000_000) is True
-        # dense: the dict path's per-pair hashing is cheaper
-        assert model.group_decision(1000, 1000) is False
-
-    def test_shards_decision_needs_measured_rates(self):
-        model = CostModel(mode="active")
-        assert model.shards_decision(1 << 20, "thread") is None
-        model.observe_rate("serial", 1_000_000, 1.0)      # 1e6 cells/s
-        # 1000 cells: 1 ms serial, under the 5 ms shard overhead
-        assert model.shards_decision(1000, "thread") is False
-        # big input, backend unmeasured: defer to the static gate
-        assert model.shards_decision(1 << 24, "thread") is None
-        model.observe_rate("thread", 3_000_000, 1.0)
-        assert model.shards_decision(1 << 24, "thread") is True
-
-    def test_kernel_shards_projected_from_kernel_rate(self):
-        model = CostModel(mode="active")
-        assert model.kernel_shards_decision(1 << 20) is None
-        model.observe_rate("kernel", 100_000_000, 1.0)    # 1e8 cells/s
-        # 10x the 5 ms overhead at 1e8 cells/s = 5e6 cells
-        assert model.kernel_shards_decision(4_000_000) is False
-        assert model.kernel_shards_decision(6_000_000) is True
-
-
-class TestKillSwitch:
-    """REPRO_NO_COST=1: no model object, bit-identical static paths."""
-
-    def test_from_env_returns_none(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COST", "1")
-        assert CostModel.from_env() is None
-        env = TopEnv()
-        assert env.cost is None
-        assert env.parallel.cost is None
-        assert env.optimizer.cost is None
-
-    def test_from_env_modes_and_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_COST", raising=False)
-        monkeypatch.setenv("REPRO_COST", "active")
-        monkeypatch.setenv("REPRO_COST_FLOOR", "5000")
-        monkeypatch.setenv("REPRO_COST_REPLAN", "4.5")
-        model = CostModel.from_env()
-        assert model is not None and model.mode == "active"
-        assert model.floor_units == 5000.0
-        assert model.replan_factor == 4.5
-        monkeypatch.setenv("REPRO_COST", "bogus")
-        monkeypatch.setenv("REPRO_COST_REPLAN", "0.1")  # below minimum
-        fallback = CostModel.from_env()
-        assert fallback.mode == "observe"
-        assert fallback.replan_factor == CostModel().replan_factor
-
-    def test_cost_off_values_match_kill_switch(self, monkeypatch):
-        queries = [
-            "summap(fn \\x => x * x)!(gen!50);",
-            "{(x, y) | \\x <- gen!6, \\y <- gen!6, x = y};",
-            "[[ i * 2 | \\i < 40 ]];",
-        ]
-        with_model = Session(cost="observe")
-        expected = [with_model.query_value(q) for q in queries]
-        monkeypatch.setenv("REPRO_NO_COST", "1")
-        without = Session()
-        assert without.env.cost is None
-        assert [without.query_value(q) for q in queries] == expected
 
 
 class TestSessionSurface:
-    """Session(cost=...) and :cost — validated before mutation."""
-
-    def test_session_kwarg_modes(self):
-        assert Session(cost=True).env.cost.mode == "active"
-        assert Session(cost=False).env.cost.mode == "off"
-        for mode in COST_MODES:
-            assert Session(cost=mode).env.cost.mode == mode
-
-    def test_session_kwarg_rejects_garbage(self):
-        for bad in ("bogus", 3, 1.5, ["active"]):
-            with pytest.raises(SessionError):
-                Session(cost=bad)
-
-    def test_cost_command_show_and_switch(self):
-        session = Session()
-        assert "mode=observe" in cost_command(session, "")
-        assert "mode=active" in cost_command(session, "active")
-        assert session.env.cost.mode == "active"
-
-    def test_cost_command_validates_before_mutating(self):
-        session = Session()
-        model = session.env.cost
-        assert "usage" in cost_command(session, "bogus")
-        assert model.mode == "observe"
-        assert "must be" in cost_command(session, "floor x")
-        assert model.floor_units == 0.0
-        assert "must be" in cost_command(session, "replan 0.5")
-        assert model.replan_factor == CostModel().replan_factor
-        cost_command(session, "floor 100")
-        assert model.floor_units == 100.0
-        cost_command(session, "replan 4")
-        assert model.replan_factor == 4.0
-
-    def test_cost_command_under_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COST", "1")
-        session = Session()
-        assert "disabled" in cost_command(session, "active")
 
     def test_profile_reports_estimate_vs_observed(self):
         session = Session()
         report = session.explain("summap(fn \\x => x)!(gen!20);")
         assert report.cost is not None
-        assert report.cost["mode"] == "observe"
         assert report.cost["cost_estimates"] >= 1
         assert "last_estimate" in report.cost
         last = report.cost["last_estimate"]
         assert last["units"] > 0
         assert last["observed_seconds"] > 0
+        assert last["error_factor"] > 0
         assert "cost_model" in report.to_dict()
         assert "== cost model ==" in report.render()
-        assert "replans" in report.render()
 
 
 class TestPhaseSkipping:
-    """Absence proofs and the cost floor skip whole rewrite phases."""
+    """A phase none of whose rule roots occur is provably the identity;
+    a bare optimizer skips it, no cost record involved."""
+
+    ARITH = ast.Arith("+", N(1), ast.Arith("*", N(2), N(3)))
 
     def test_absent_roots_skips_loop_phases(self):
-        session = Session()
-        report = session.explain("1 + 2 * 3;")
-        stats = report.phase_stats
+        optimizer = default_optimizer()
+        assert optimizer.optimize(self.ARITH) == N(7)
+        stats = optimizer.report()
         assert stats["motion"].skipped == "absent-roots"
         assert stats["bounds"].skipped == "absent-roots"
+        assert stats["normalize"].skipped == ""
         # profiles still show every phase: spans are emitted regardless
+        report = Session().explain("1 + 2 * 3;")
         for name in ("normalize", "bounds", "cleanup", "motion"):
             assert report.span(f"phase:{name}") is not None
-        assert session.env.cost.counters["cost_phase_skips"] >= 2
+        assert report.phase_stats["motion"].skipped == "absent-roots"
 
     def test_skipping_preserves_values(self):
         query = "summap(fn \\x => x + 1)!(gen!30);"
-        assert Session(cost="observe").query_value(query) \
-            == Session(cost="off").query_value(query)
-
-    def test_floor_skips_motion_only_when_active(self):
-        query = "summap(fn \\x => x)!(gen!10);"
-        observing = Session(cost="observe")
-        observing.env.cost.floor_units = 1e12
-        report = observing.explain(query)
-        assert report.phase_stats["motion"].skipped == ""
-        active = Session(cost="active")
-        active.env.cost.floor_units = 1e12
-        report = active.explain(query)
-        assert report.phase_stats["motion"].skipped == "below-floor"
-        assert report.phase_stats["normalize"].skipped == ""
+        assert Session().query_value(query) \
+            == Session(optimize=False).query_value(query)
 
     def test_skipped_stats_serialize(self):
-        session = Session(cost="active")
-        session.env.cost.floor_units = 1e12
-        report = session.explain("summap(fn \\x => x)!(gen!10);")
-        payload = report.to_dict()["phases"]["motion"]
-        assert payload["skipped"] == "below-floor"
+        optimizer = default_optimizer()
+        optimizer.optimize(self.ARITH)
+        payload = optimizer.report()["motion"].to_dict()
+        assert payload["skipped"] == "absent-roots"
         assert payload["passes"] == 0
-
-
-class TestAdaptiveReplan:
-    """Divergence between estimated and observed cost re-plans the
-    cached entry — at most once per entry."""
-
-    def _divergent_session(self):
-        session = Session(cost="active")
-        # make any real run look wildly slower than predicted, and let
-        # even micro-queries re-plan (the default floor keeps
-        # overhead-dominated runs from triggering; these tests need
-        # determinism, not realism)
-        session.env.cost.scalar_seconds = 1e-15
-        session.env.cost.min_replan_seconds = 0.0
-        return session
-
-    def test_divergence_replans_cached_entry(self):
-        session = self._divergent_session()
-        query = "summap(fn \\x => x * x)!(gen!40);"
-        session.query_value(query)
-        assert session.plan_cache.stats.replans == 1
-        assert session.env.cost.counters["cost_replans"] == 1
-        # the replanned entry still computes the right answer
-        assert session.query_value(query) == sum(x * x for x in range(40))
-
-    def test_replan_happens_at_most_once(self):
-        session = self._divergent_session()
-        query = "summap(fn \\x => x)!(gen!40);"
-        for _ in range(4):
-            session.query_value(query)
-        assert session.plan_cache.stats.replans == 1
-        # later runs still diverge (the coefficient is pinned absurdly
-        # low) but the entry's replanned flag stops the thrash
-        assert session.env.cost.counters["cost_divergences"] >= 2
-
-    def test_replanned_entry_ran_full_pipeline(self):
-        # floor skipping suppresses motion on the first plan; the
-        # re-plan compiles under force_full, so the second plan gets it
-        session = self._divergent_session()
-        session.env.cost.floor_units = 1e12
-        query = "summap(fn \\i => summap(fn \\y => y)!(gen!8))!(gen!12);"
-        first = session.query_value(query)
-        assert session.plan_cache.stats.replans == 1
-        assert session.query_value(query) == first
-
-    def test_no_replan_when_model_observes(self):
-        session = Session(cost="observe")
-        session.env.cost.scalar_seconds = 1e-15
-        query = "summap(fn \\x => x)!(gen!40);"
-        session.query_value(query)
-        session.query_value(query)
-        assert session.plan_cache.stats.replans == 0

@@ -3,11 +3,10 @@
 Contract under test (``docs/PARALLEL.md``): dense shard payloads and
 results travel as ``multiprocessing.shared_memory`` segments, every
 segment is unlinked on every exit path (success, strict-⊥ discard,
-broken pool), a wedged worker can never hang interpreter exit, a
-no-dense parent never receives dense-backed shard results, and the
-adaptive dispatcher's measured-rate decisions never change *what* is
-computed — only whether it shards.  ``tests/conftest.py`` additionally
-asserts zero live segments after every test in the whole suite.
+broken pool), a wedged worker can never hang interpreter exit, and a
+no-dense parent never receives dense-backed shard results.
+``tests/conftest.py`` additionally asserts zero live segments after
+every test in the whole suite.
 """
 
 import glob
@@ -24,8 +23,7 @@ from test_parallel import (BIG_SUM, BRANCHY, POISONED, counters,
 
 from repro.core import ast
 from repro.core import parallel
-from repro.core.fastpath import (ADAPTIVE_MIN_SECONDS, DispatchConfig)
-from repro.errors import SessionError
+from repro.core.fastpath import DispatchConfig
 from repro.obs.metrics import EvalMetrics
 from repro.objects import dense
 from repro.objects.array import Array
@@ -278,13 +276,11 @@ class TestWorkerInheritance:
         for cell in sharded[1].flat:
             assert cell._block is None  # boxed, exactly as the parent is
 
-    def test_worker_config_drops_adaptive_and_sharding(self):
-        config = DispatchConfig(min_cells=7, workers=4,
-                                backend="process", adaptive=True)
+    def test_worker_config_drops_sharding(self):
+        config = DispatchConfig(min_cells=7, workers=4, backend="process")
         worker = parallel._worker_config(config)
         assert worker.workers == 0
         assert worker.min_cells == 7
-        assert worker.adaptive is False
 
 
 # ---------------------------------------------------------------------------
@@ -333,95 +329,10 @@ class TestConcurrentDispatch:
 
 
 # ---------------------------------------------------------------------------
-# adaptive dispatch selection
+# the REPL surface
 # ---------------------------------------------------------------------------
 
-class TestAdaptiveDispatch:
-
-    def test_serial_rate_is_observed(self):
-        config = DispatchConfig(min_cells=1, workers=0, adaptive=True)
-        result = outcome(BRANCHY, config)
-        assert result[0] == "value"
-        assert config.rates().get("serial", 0) > 0
-
-    def test_static_config_records_nothing(self):
-        config = DispatchConfig(min_cells=1, workers=0, adaptive=False)
-        outcome(BRANCHY, config)
-        assert config.rates() == {}
-
-    def test_adaptive_declines_sub_dispatch_work(self):
-        """Work projected to finish faster than a dispatch costs stays
-        serial no matter how many cells the static floor would shard."""
-        config = DispatchConfig(min_cells=1, workers=4, adaptive=True)
-        config.observe("serial", 10_000_000, 0.1)  # 1e8 cells/s
-        assert config.wants_shards(100) is False
-        # same hundred cells shard under the static gate
-        static = DispatchConfig(min_cells=1, workers=4, adaptive=False)
-        assert static.wants_shards(100) is True
-        # big enough work projects past the floor and gets its dispatch
-        big = int(config.rates()["serial"] * ADAPTIVE_MIN_SECONDS * 10)
-        assert config.wants_shards(big) is True
-
-    def test_adaptive_backend_prefers_measured_fastest(self):
-        config = DispatchConfig(min_cells=1, workers=4,
-                                backend="thread", adaptive=True)
-        config.observe("thread", 1000, 1.0)
-        config.observe("process", 1000, 0.001)
-        assert config.shard_backend() == "process"
-        config.adaptive = False
-        assert config.shard_backend() == "thread"  # static: as configured
-
-    def test_adaptive_margin_gives_hysteresis(self):
-        config = DispatchConfig(min_cells=1, workers=4,
-                                backend="thread", adaptive=True)
-        config.observe("serial", 1_000_000, 1.0)
-        config.observe("thread", 1_010_000, 1.0)  # 1% faster: not enough
-        assert config.wants_shards(1_000_000) is False
-        config.observe("thread", 10_000_000, 1.0)  # now decisively faster
-        assert config.wants_shards(1_000_000) is True
-
-    def test_adaptive_dispatch_end_to_end(self):
-        """Adaptive mode still bootstraps off ``min_cells`` and records
-        the backend's measured rate on a successful dispatch."""
-        config = DispatchConfig(min_cells=1, workers=3,
-                                backend="thread", adaptive=True)
-        assert agree(BRANCHY, config)[0] == "value"
-        assert config.rates().get("thread", 0) > 0
-
-
-# ---------------------------------------------------------------------------
-# the session and REPL surface
-# ---------------------------------------------------------------------------
-
-class TestAdaptiveSurface:
-
-    def test_session_kwarg(self):
-        assert Session(adaptive=True).env.parallel.adaptive is True
-        assert Session(adaptive=False).env.parallel.adaptive is False
-        assert Session().env.parallel.adaptive is False
-
-    @pytest.mark.parametrize("bad", ["yes", 1, 0, None.__class__])
-    def test_session_kwarg_rejects_non_bools(self, bad):
-        with pytest.raises(SessionError):
-            Session(adaptive=bad)
-
-    def test_repl_adaptive_toggle(self):
-        session = Session()
-        shown = parallel_command(session, "adaptive on")
-        assert session.env.parallel.adaptive is True
-        assert "adaptive=on" in shown
-        shown = parallel_command(session, "adaptive off")
-        assert session.env.parallel.adaptive is False
-        assert "adaptive=off" in shown
-        assert "usage" in parallel_command(session, "adaptive maybe")
-        assert session.env.parallel.adaptive is False
-
-    def test_repl_status_shows_learned_rates(self):
-        session = Session()
-        session.env.parallel.adaptive = True
-        session.env.parallel.observe("serial", 1000, 0.5)
-        shown = parallel_command(session, "")
-        assert "rates[cells/s]" in shown and "serial=2000" in shown
+class TestReplSurface:
 
     def test_repl_rejects_negative_min_cells_untouched(self):
         """A rejected field leaves *every* field untouched — including

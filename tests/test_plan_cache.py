@@ -177,8 +177,7 @@ class TestSessionCaching:
         session.query_value("1 + 1;")
         session.query_value("1 + 1;")
         assert session.plan_cache.stats.to_dict() == {
-            "hits": 0, "misses": 0, "evictions": 0, "invalidations": 0,
-            "replans": 0}
+            "hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
 
     def test_lru_bound_respected_end_to_end(self):
         session = Session(plan_cache_capacity=2)
@@ -323,22 +322,6 @@ class TestPlanClosures:
             assert hit.evaluator is first.evaluator
             assert hit.evaluator.prepare(hit.core) is code
         assert session._evaluate(hit) == 10
-
-    def test_replan_replaces_the_closure(self):
-        session = Session(cost="observe")
-        if session.env.cost is None:
-            pytest.skip("cost model disabled on this lane")
-        core = _core(self.SOURCE)
-        session.prepare(core)
-        stale = session.prepare(core).evaluator
-        entry = session.prepare(core).entry
-        session._replan(entry)
-        assert entry.evaluator is not stale
-        fresh = session.prepare(core)
-        assert fresh.evaluator is entry.evaluator is not stale
-        assert fresh.evaluator.prepare(fresh.core) \
-            is not stale.prepare(fresh.core)
-        assert session._evaluate(fresh) == 10
 
     def test_observed_run_never_builds_the_plain_closure(self, session,
                                                          monkeypatch):

@@ -2,7 +2,12 @@
 
 from repro.core import ast
 from repro.core.builders import transpose, zip2
-from repro.core.printer import pprint
+from repro.core.printer import CONST_CELL_LIMIT, pprint
+from repro.objects import exchange
+from repro.objects.array import Array
+from repro.objects.bag import Bag
+from repro.system.plan_cache import fingerprint
+from repro.system.session import Session
 
 N = ast.NatLit
 V = ast.Var
@@ -72,6 +77,60 @@ class TestCompound:
             ast.BagExt("x", ast.SingletonBag(V("x")), V("B")))
         assert "bigunion_r" in pprint(
             ast.ExtRank("x", "i", ast.Singleton(V("x")), V("S")))
+
+
+class TestLargeConstants:
+    """ROADMAP 0b: a resolved ``val`` is spliced into the core as a
+    ``Const``; printing the plan must not print the data."""
+
+    def test_collections_past_the_limit_are_summarised(self):
+        cells = CONST_CELL_LIMIT + 1
+        assert pprint(ast.Const(Array((cells,), range(cells)))) \
+            == f"<array {cells} of nat>"
+        assert pprint(ast.Const(Array((3, cells), [0.5] * 3 * cells))) \
+            == f"<array 3×{cells} of real>"
+        assert pprint(ast.Const(frozenset(range(cells)))) \
+            == f"<set of {cells} nat>"
+        assert pprint(ast.Const(Bag(["a"] * cells))) \
+            == f"<bag of {cells} string>"
+        at_limit = Array((CONST_CELL_LIMIT,), range(CONST_CELL_LIMIT))
+        assert pprint(ast.Const(at_limit)) == exchange.dumps(at_limit)
+
+    @staticmethod
+    def _record_dumps(monkeypatch):
+        """Sizes (``None`` for scalars) of the values ``dumps`` is
+        called on from here on."""
+        dumped = []
+        dumps = exchange.dumps
+
+        def counting(value):
+            dumped.append(getattr(value, "size", None))
+            return dumps(value)
+
+        monkeypatch.setattr(exchange, "dumps", counting)
+        return dumped
+
+    def test_explain_never_dumps_a_large_constant(self, monkeypatch):
+        dumped = self._record_dumps(monkeypatch)
+        session = Session()
+        session.run(r"val \G = [[ i * j | \i < 300, \j < 300 ]];")
+        report = session.explain("transpose!G;")
+        assert len(report.to_dict()["core"]) < 2048
+        assert "<array 300×300 of nat>" in report.core_text
+        assert all(size is None or size <= CONST_CELL_LIMIT
+                   for size in dumped)
+
+    def test_fingerprint_does_not_go_through_the_printer(self, monkeypatch):
+        # two large constants the printer renders alike must still key
+        # different plans
+        left = ast.Const(Array((100,), range(100)))
+        right = ast.Const(Array((100,), range(1, 101)))
+        assert pprint(left) == pprint(right)
+        dumped = self._record_dumps(monkeypatch)
+        assert fingerprint(left) != fingerprint(right)
+        assert fingerprint(left) == fingerprint(
+            ast.Const(Array((100,), range(100))))
+        assert not dumped
 
 
 class TestRealistic:

@@ -3,7 +3,7 @@
 Measures the perf claim behind ``Session(parallel_workers=...)``: on an
 evaluator-bound workload too irregular for the numpy kernel backend — a
 data-dependent branch in every cell — partitioning the tabulation
-domain (or the Σ source) across a **process** pool should approach
+domain (or the Σ source) across the forked process pool should approach
 linear speedup in the worker count, because each shard runs its
 compiled body in a private process on its own core with no GIL
 contention.
@@ -17,8 +17,8 @@ measured and nothing is asserted that the hardware cannot deliver.
 Correctness (parallel == serial, shard accounting visible in the probe)
 is asserted unconditionally.
 
-The process backend's shared-memory transport is counter-asserted: on
-this dense workload every shard must land in the output slab
+The shared-memory transport is counter-asserted: every shard must land
+in the output slab
 (``shards_zero_copy == shards_executed`` — zero per-element pickling),
 the segment economy is recorded into the JSON, and every run ends with
 a leak check that no segment survives (registry *and* ``/dev/shm``).
@@ -30,6 +30,8 @@ Everything lands in ``benchmarks/BENCH_parallel.json`` via
 import glob
 import os
 
+import pytest
+
 from repro.core import ast
 from repro.core import parallel
 from repro.core.compile import CompiledEvaluator
@@ -37,6 +39,10 @@ from repro.core.fastpath import DispatchConfig
 from repro.obs.metrics import EvalMetrics
 
 from conftest import median_time
+
+pytestmark = pytest.mark.skipif(
+    not parallel.transport_on(),
+    reason="no shared-memory transport: every dispatch runs serially")
 
 #: what the worker pool can actually use (affinity, not box size)
 CPUS = len(os.sched_getaffinity(0))
@@ -69,7 +75,7 @@ def _serial():
 
 def _parallel(workers):
     return CompiledEvaluator(parallel=DispatchConfig(
-        min_cells=64, workers=workers, backend="process"))
+        min_cells=64, workers=workers))
 
 
 def _measure(expr, bench_record, label, cells):
@@ -90,17 +96,15 @@ def _measure(expr, bench_record, label, cells):
     # one probed run so the record shows the dispatch actually sharded
     probe = EvalMetrics()
     probed = CompiledEvaluator(probe=probe, parallel=DispatchConfig(
-        min_cells=64, workers=WORKER_COUNTS[-1], backend="process"))
+        min_cells=64, workers=WORKER_COUNTS[-1]))
     assert probed.run(expr) == expected
     assert probe.shards_executed == WORKER_COUNTS[-1]
     assert probe.cells_parallel == cells
-    if parallel._shm_transport_on():
-        # dense workload: every shard's results must land in the output
-        # slab — zero per-element pickling on the way back
-        assert probe.shards_zero_copy == probe.shards_executed, \
-            (label, probe.shards_zero_copy, probe.shards_executed)
-        assert probe.shm_segments >= 1
-        assert probe.shm_bytes >= cells * 8
+    # every shard's results land in the output slab
+    assert probe.shards_zero_copy == probe.shards_executed, \
+        (label, probe.shards_zero_copy, probe.shards_executed)
+    assert probe.shm_segments >= 1
+    assert probe.shm_bytes >= cells * 8
 
     bench_record(
         file="parallel",

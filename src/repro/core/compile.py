@@ -21,7 +21,7 @@ Each emitted closure is specialised on what is static at codegen time —
 operator, arity, rank, loop shape — guards on *exact* host types
 (``type(x) is int``), and falls through to the one general routine,
 which owns every error.  Loops allocate one frame per invocation, inside
-``run``: the same code is re-entered recursively and from thread shards.
+``run``: the same code is re-entered recursively.
 """
 
 from __future__ import annotations
@@ -355,9 +355,8 @@ class Compiler:
             elements = canonical_elements(source(env))
             if parallel.available(config) \
                     and config.wants_shards(len(elements)):
-                sharded = parallel.shard_sum(
-                    self, expr, scope, body, env, elements
-                )
+                sharded = parallel.shard_sum(self, expr, scope, env,
+                                             elements)
                 if sharded is not None:
                     return sharded[0]
             total: Any = 0
@@ -400,16 +399,6 @@ class Compiler:
                 total *= value
             if kernel is not None and config.wants_kernel(total) \
                     and kernels.available():
-                # past the fused floor the kernel runs once per core
-                # over flat cell ranges; the pool declining falls back
-                # to the serial kernel below
-                if parallel.available(config) \
-                        and config.wants_kernel_shards(total):
-                    result = parallel.shard_kernel_tabulate(
-                        self, expr, scope, env, extents, total
-                    )
-                    if result is not None:
-                        return result
                 inputs = [code(env) for code in input_codes]
                 result = kernels.execute(kernel, extents, inputs)
                 if result is not None:
@@ -420,7 +409,7 @@ class Compiler:
             # otherwise shard the domain by flat cell ranges
             if parallel.available(config) and config.wants_shards(total):
                 result = parallel.shard_tabulate(
-                    self, expr, scope, body, env, extents, total
+                    self, expr, scope, env, extents, total
                 )
                 if result is not None:
                     return result

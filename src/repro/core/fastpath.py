@@ -30,17 +30,6 @@ from typing import Any, Callable
 #: cost more than they save on tiny inputs
 DEFAULT_MIN_CELLS = 64
 
-#: floor for the *fused* shard-kernel path (numpy kernels running inside
-#: process shards, docs/PARALLEL.md): the serial kernel already clears
-#: hundreds of millions of cells per second, so splitting it across a
-#: process pool only wins once the domain is large enough that per-core
-#: compute dominates pool hand-off and slab stitching.  Deliberately
-#: much higher than :data:`DEFAULT_MIN_CELLS`.
-DEFAULT_KERNEL_MIN_CELLS = 1 << 17
-
-#: worker-pool strategies understood by :mod:`repro.core.parallel`
-PARALLEL_BACKENDS = ("thread", "process")
-
 #: sorted ``index_k`` grouping is taken only when the dense extent is at
 #: least this many times the pair count.  On dense key domains the dict
 #: path's single hash pass beats sort-and-sweep
@@ -52,27 +41,20 @@ SPARSITY_FACTOR = 4
 
 
 class DispatchConfig:
-    """The dispatch policy: five fields and the size predicates over them.
+    """The dispatch policy: three fields and the size predicates over them.
 
     Every physical choice the engine makes — scalar loop or numpy
-    kernel, serial or sharded, kernel or kernel shards, nested-loop or
-    hash join, dict or sorted grouping — is a pure function of an
-    operand size and these fields, decided by one of the ``wants_*``
-    methods below and nowhere else.
+    kernel, serial or sharded, nested-loop or hash join, dict or sorted
+    grouping — is a pure function of an operand size and these fields,
+    decided by one of the ``wants_*`` methods below and nowhere else.
 
     ``min_cells``
         Floor (in cells for tabulation, elements for Σ, |S|·|T| for
         joins, pairs for grouping) below which no fast path engages.
-    ``kernel_min_cells``
-        Floor for the fused shard-kernel path
-        (:data:`DEFAULT_KERNEL_MIN_CELLS`).
     ``workers``
-        Worker-pool size for the sharded executor; ``<= 1`` disables
-        parallel execution entirely (the vectorized path is unaffected).
-    ``backend``
-        ``"thread"`` (default; shares the process, no pickling) or
-        ``"process"`` (true CPU parallelism for evaluator-bound bodies,
-        at the cost of forking workers and pickling shard inputs).
+        Size of the sharded executor's forked process pool
+        (:mod:`repro.core.parallel`); ``<= 1`` disables parallel
+        execution entirely (the vectorized path is unaffected).
     ``setops``
         Per-session switch for the set-engine fast paths
         (:mod:`repro.core.setops`); ``REPRO_NO_SETOPS=1`` wins over it
@@ -85,17 +67,12 @@ class DispatchConfig:
     keyword surface before mutating the config.
     """
 
-    __slots__ = ("min_cells", "kernel_min_cells", "workers", "backend",
-                 "setops")
+    __slots__ = ("min_cells", "workers", "setops")
 
     def __init__(self, min_cells: int = DEFAULT_MIN_CELLS,
-                 workers: int = 0, backend: str = "thread",
-                 setops: bool = True,
-                 kernel_min_cells: int = DEFAULT_KERNEL_MIN_CELLS):
+                 workers: int = 0, setops: bool = True):
         self.min_cells = min_cells
-        self.kernel_min_cells = kernel_min_cells
         self.workers = workers
-        self.backend = backend
         self.setops = setops
 
     # -- the size predicates --------------------------------------------
@@ -110,16 +87,6 @@ class DispatchConfig:
         """Should a scalar construct of ``cells`` cells/elements be
         sharded across the worker pool?"""
         return cells >= self.min_cells
-
-    def wants_kernel_shards(self, cells: int) -> bool:
-        """Should a *kernel-shaped* construct of ``cells`` cells be
-        sharded instead of executed by the serial numpy kernel?
-
-        The serial kernel is itself a fast path, so the fused
-        shard-kernel dispatch competes with it, not with the scalar
-        loop — hence its own (much higher) floor.
-        """
-        return cells >= self.kernel_min_cells
 
     def wants_hash_join(self, total: int, inner: int) -> bool:
         """Should a recognized equi-join over ``total`` = |S|·|T| pairs
@@ -137,13 +104,10 @@ class DispatchConfig:
     def from_env(cls) -> "DispatchConfig":
         """Defaults overridable through the process environment.
 
-        ``REPRO_PARALLEL_WORKERS`` (default 0 → serial),
-        ``REPRO_PARALLEL_BACKEND`` (default ``thread``),
-        ``REPRO_MIN_CELLS`` (default :data:`DEFAULT_MIN_CELLS`) and
-        ``REPRO_KERNEL_MIN_CELLS`` (default
-        :data:`DEFAULT_KERNEL_MIN_CELLS`).  The ``REPRO_NO_PARALLEL``
-        kill switch is honoured separately by :mod:`repro.core.parallel`
-        so it wins over any workers setting.
+        ``REPRO_PARALLEL_WORKERS`` (default 0 → serial) and
+        ``REPRO_MIN_CELLS`` (default :data:`DEFAULT_MIN_CELLS`).  The
+        ``REPRO_NO_PARALLEL`` kill switch is honoured separately by
+        :mod:`repro.core.parallel` so it wins over any workers setting.
         """
 
         def _int(name: str, default: int) -> int:
@@ -153,22 +117,14 @@ class DispatchConfig:
             except ValueError:
                 return default
 
-        backend = os.environ.get("REPRO_PARALLEL_BACKEND", "thread")
-        if backend not in PARALLEL_BACKENDS:
-            backend = "thread"
         return cls(
             min_cells=_int("REPRO_MIN_CELLS", DEFAULT_MIN_CELLS),
             workers=_int("REPRO_PARALLEL_WORKERS", 0),
-            backend=backend,
-            kernel_min_cells=_int("REPRO_KERNEL_MIN_CELLS",
-                                  DEFAULT_KERNEL_MIN_CELLS),
         )
 
     def __repr__(self) -> str:
         return (f"DispatchConfig(min_cells={self.min_cells}, "
-                f"kernel_min_cells={self.kernel_min_cells}, "
-                f"workers={self.workers}, backend={self.backend!r}, "
-                f"setops={self.setops})")
+                f"workers={self.workers}, setops={self.setops})")
 
 
 #: the config used by evaluators constructed without an explicit one
@@ -218,6 +174,5 @@ class NodeCache:
         return payload
 
 
-__all__ = ["DEFAULT_MIN_CELLS", "DEFAULT_KERNEL_MIN_CELLS",
-           "PARALLEL_BACKENDS", "SPARSITY_FACTOR", "DispatchConfig",
+__all__ = ["DEFAULT_MIN_CELLS", "SPARSITY_FACTOR", "DispatchConfig",
            "DEFAULT_CONFIG", "NODE_CACHE_CAPACITY", "NodeCache"]

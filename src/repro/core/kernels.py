@@ -244,64 +244,14 @@ def execute(kernel: Kernel, extents: Sequence[int],
     return Array(extents, block.ravel().tolist())
 
 
-def execute_range(kernel: Kernel, extents: Sequence[int],
-                  input_values: Sequence[Any], lo: int, hi: int):
-    """Evaluate ``kernel`` over flat row-major cells ``lo..hi``, or ``None``.
-
-    The cell-range form of :func:`execute`, built for the fused
-    shard-kernel path (docs/PARALLEL.md): a process shard owns one
-    contiguous slice ``[lo, hi)`` of the flattened domain and computes
-    it with 1-D index grids recovered per "An Array Algebra" block
-    addressing — the index along axis ``a`` of flat position ``p`` is
-    ``(p // stride_a) % extent_a``.  Returns a contiguous 1-D
-    int64/float64 ndarray of ``hi - lo`` values, ready to land in the
-    shard's slice of the output slab.
-
-    **Shard-global declines**: the interval analysis runs against the
-    *full-domain* index bounds ``[0, extent-1]``, never the shard's
-    sub-range, so every proof-based decline (overflow, possible ⊥,
-    dtype) is decided identically in every shard and in the serial
-    executor.  The only shard-local declines left are actual-value
-    checks (a zero divisor, an out-of-bounds subscript *in this
-    shard's cells*) — and those imply the shard contains a ⊥ cell, so
-    its scalar fallback raises and the whole dispatch reruns serially
-    anyway.  Shards therefore never split into a mix of vectorized and
-    scalar *successes*.
-    """
-    if not available():
-        return None
-    extents = tuple(int(e) for e in extents)
-    count = hi - lo
-    if count <= 0:
-        return None
-    rank = len(extents)
-    strides = [1] * rank
-    for axis in range(rank - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * extents[axis + 1]
-    values = dict(zip(kernel.inputs, input_values))
-    positions = _np.arange(lo, hi, dtype=_np.int64)
-    grids: Dict[str, Tuple[Any, int, int]] = {}
-    for axis, name in enumerate(kernel.index_vars):
-        grid = (positions // strides[axis]) % extents[axis]
-        grids[name] = (grid, 0, extents[axis] - 1)
-    try:
-        out, _, _ = _vec(kernel.body, grids, values)
-    except _Fallback:
-        return None
-    if type(out) is int or type(out) is float:
-        dtype = _np.int64 if type(out) is int else _np.float64
-        return _np.full(count, out, dtype=dtype)
-    return _np.ascontiguousarray(_np.broadcast_to(out, (count,)))
-
-
 def execute_elements(kernel: Kernel, elements, bounds: Tuple[Any, Any],
                      total_count: int, input_values: Sequence[Any]):
     """Fold ``kernel`` over an int64 element slice; ``(partial,)`` or ``None``.
 
-    The Σ form of :func:`execute_range`: ``elements`` is one shard's
-    slice of the canonical element list (an int64 ndarray mapped from
-    shared memory), and the return value is the exact partial sum of
-    the body over that slice, for the parent to fold in shard order.
+    The Σ form of :func:`execute`: ``elements`` is one shard's slice
+    of the canonical element list (an int64 ndarray mapped from shared
+    memory), and the return value is the exact partial sum of the body
+    over that slice, for the parent to fold in shard order.
 
     Exactness argument: integer addition is associative, and the
     overflow guard ``total_count * max(|lo|, |hi|) <= INT_GUARD``
@@ -311,8 +261,11 @@ def execute_elements(kernel: Kernel, elements, bounds: Tuple[Any, Any],
     equals the serial left-to-right fold bit for bit.  Float bodies
     return ``None``: float addition is non-associative and only the
     boxed in-order fold reproduces the serial rounding.  ``bounds``
-    are the *global* element bounds, so every decline decision here is
-    identical in all shards (see :func:`execute_range`).
+    are the *global* element bounds, so every proof-based decline here
+    is decided identically in all shards; the only shard-local declines
+    left are actual-value checks (a zero divisor, an out-of-bounds
+    subscript *among this shard's elements*), which imply a ⊥ element,
+    so the shard's scalar fold raises and the Σ reruns serially.
     """
     if not available():
         return None
@@ -495,5 +448,4 @@ def _float_arith(op: str, a, int_a: bool, b, int_b: bool):
 
 
 __all__ = ["Kernel", "recognize", "recognize_sum", "execute",
-           "execute_range", "execute_elements", "available",
-           "MIN_CELLS", "ENABLED"]
+           "execute_elements", "available", "MIN_CELLS", "ENABLED"]

@@ -38,8 +38,8 @@ any values and that feeds the hash.
 
 Thread-safety contract: the lazy slots (``_flat``, ``_block``,
 ``_ksig``, ``_hash``) are only ever assigned fully-built immutable
-values, and recomputation is deterministic — concurrent fills under the
-thread backend race benignly (last write wins, all writes equivalent).
+values, and recomputation is deterministic — concurrent fills from host
+threads race benignly (last write wins, all writes equivalent).
 Readers must snapshot a slot into a local before branching on it.
 """
 
@@ -301,9 +301,9 @@ class Array:
         """The dense block, probing the object tuple on first demand.
 
         The probe result is cached idempotently: ``False`` marks a
-        scanned-and-declined array so the scan never reruns.  Under the
-        thread backend two workers may race the first probe; both build
-        equivalent read-only blocks and either publish is fine.
+        scanned-and-declined array so the scan never reruns.  Two host
+        threads may race the first probe; both build equivalent
+        read-only blocks and either publish is fine.
         """
         b = self._block
         if b is None:

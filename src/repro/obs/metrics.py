@@ -18,13 +18,14 @@ Concurrency contract (the sharded executor depends on it)
 A probe is **single-writer**: every hook mutates plain Python counters
 with unguarded read-modify-write sequences, so exactly one thread may
 report into a given probe instance.  Parallel shard execution therefore
-never shares the parent probe with its workers; instead each worker
-runs against a private probe obtained from :meth:`EvalProbe.fork`, and
-the parent folds the finished workers back in — in deterministic shard
-order — through :meth:`EvalMetrics.merge`.  A probe class that cannot
-be forked (``fork()`` returning ``None``, the base default) opts its
-runs out of parallel execution entirely rather than risk losing or
-double-counting events.
+never shares the parent probe with its workers: each worker process
+counts into a fresh :class:`EvalMetrics` of its own, and the parent
+folds the finished workers back in — in deterministic shard order —
+through :meth:`EvalMetrics.merge`; a parent probe of any other class
+opts its runs out of parallel execution rather than risk losing or
+double-counting events.  The set-engine fast paths follow the same
+protocol in-process through :meth:`EvalProbe.fork`, whose base default
+(``None``) declines the fast path.
 """
 
 from __future__ import annotations
@@ -70,25 +71,15 @@ class EvalProbe:
         Like :meth:`on_parallel`, only a sharded run reports this — a
         serial run's counters stay at zero."""
 
-    def on_shards_vectorized(self, shards: int, cells: int) -> None:
-        """A sharded tabulation ran the numpy kernel *inside* its
-        process shards (the fused path of :mod:`repro.core.parallel`):
-        ``shards`` shards computed ``cells`` cells total via
-        :func:`repro.core.kernels.execute_range` against mapped
-        segments, no scalar interpretation anywhere.  Reported in
-        addition to :meth:`on_cells_vectorized` (which the parent still
-        fires so serial-kernel and sharded-kernel runs agree); only a
-        sharded run reports this."""
-
     def on_shm_copies_avoided(self, count: int) -> None:
         """A shard worker adopted ``count`` mapped shared-memory operand
         segments as read-only array views instead of copying them out
         of the segment (:mod:`repro.core.parallel`).  Workers report
-        this into their forked probes; like :meth:`on_shm`, a serial
+        this into their own probes; like :meth:`on_shm`, a serial
         run's counter stays at zero."""
 
     def fork(self):
-        """A fresh probe of this kind for one shard worker, or ``None``.
+        """A fresh probe of this kind for one fast-path worker, or ``None``.
 
         The default declines: a probe that does not know how to fork
         (and later :meth:`EvalMetrics.merge`-style fold back) must not
@@ -126,7 +117,6 @@ class EvalMetrics(EvalProbe):
                  "cells_vectorized", "tabulations", "tabulations_vectorized",
                  "shards_executed", "cells_parallel",
                  "shm_segments", "shm_bytes", "shards_zero_copy",
-                 "shards_vectorized", "cells_vectorized_parallel",
                  "shm_copies_avoided",
                  "index_groupbys", "index_cells",
                  "index_groups", "index_pairs", "index_sorted",
@@ -147,8 +137,6 @@ class EvalMetrics(EvalProbe):
         self.shm_segments = 0
         self.shm_bytes = 0
         self.shards_zero_copy = 0
-        self.shards_vectorized = 0
-        self.cells_vectorized_parallel = 0
         self.shm_copies_avoided = 0
         self.index_groupbys = 0
         self.index_cells = 0
@@ -193,12 +181,6 @@ class EvalMetrics(EvalProbe):
         self.shm_bytes += nbytes
         self.shards_zero_copy += zero_copy
 
-    def on_shards_vectorized(self, shards: int, cells: int) -> None:
-        """Count one fused shard-kernel dispatch: every shard ran the
-        numpy kernel over its cell range."""
-        self.shards_vectorized += shards
-        self.cells_vectorized_parallel += cells
-
     def on_shm_copies_avoided(self, count: int) -> None:
         """Count operand segments adopted as views instead of copied."""
         self.shm_copies_avoided += count
@@ -232,8 +214,6 @@ class EvalMetrics(EvalProbe):
         self.shm_segments += other.shm_segments
         self.shm_bytes += other.shm_bytes
         self.shards_zero_copy += other.shards_zero_copy
-        self.shards_vectorized += other.shards_vectorized
-        self.cells_vectorized_parallel += other.cells_vectorized_parallel
         self.shm_copies_avoided += other.shm_copies_avoided
         self.index_groupbys += other.index_groupbys
         self.index_cells += other.index_cells
@@ -310,8 +290,9 @@ class EvalMetrics(EvalProbe):
             "shm_segments": self.shm_segments,
             "shm_bytes": self.shm_bytes,
             "shards_zero_copy": self.shards_zero_copy,
-            "shards_vectorized": self.shards_vectorized,
-            "cells_vectorized_parallel": self.cells_vectorized_parallel,
+            # always 0: kernels no longer run inside shards, but
+            # benchmarks/suite/layers.py indexes the key
+            "shards_vectorized": 0,
             "shm_copies_avoided": self.shm_copies_avoided,
             "index_groupbys": self.index_groupbys,
             "index_cells": self.index_cells,
@@ -338,9 +319,7 @@ class EvalMetrics(EvalProbe):
             f"cells vectorized      {self.cells_vectorized} "
             f"(in {self.tabulations_vectorized} tabulations)",
             f"parallel shards       {self.shards_executed} "
-            f"({self.cells_parallel} cells, "
-            f"{self.shards_vectorized} vectorized over "
-            f"{self.cells_vectorized_parallel} cells)",
+            f"({self.cells_parallel} cells)",
             f"shared memory         {self.shm_segments} segments "
             f"({self.shm_bytes} bytes, "
             f"{self.shards_zero_copy} zero-copy shards, "

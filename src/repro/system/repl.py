@@ -12,7 +12,7 @@ Commands: ``:quit`` exits, ``:macros`` lists registered macros,
 the optimizer, ``:load FILE`` runs an AQL script into the session,
 ``:cache`` prints the plan-cache occupancy and counters (``:cache
 clear`` empties it — see ``docs/PLAN_CACHE.md``), ``:parallel
-[WORKERS [BACKEND [MIN_CELLS]]]`` shows or tunes the sharded executor
+[WORKERS [MIN_CELLS]]`` shows or tunes the sharded executor
 (see ``docs/PARALLEL.md``), ``:setops [on|off]`` shows or toggles the
 set-engine fast paths (hash equi-joins and sort-based ``index_k``
 grouping — see ``docs/SETOPS.md``),
@@ -43,13 +43,12 @@ def parallel_command(session: Session, args: str) -> str:
     """Implement ``:parallel`` — show or tune the sharded executor.
 
     ``:parallel`` prints the current config; ``:parallel WORKERS
-    [BACKEND] [MIN_CELLS]`` updates it (``:parallel 4 process``,
-    ``:parallel 0`` back to serial).  Every field is validated before
-    anything is mutated, so a rejected update leaves the config
-    untouched.  See ``docs/PARALLEL.md``.
+    [MIN_CELLS]`` updates it (``:parallel 4 256``, ``:parallel 0`` back
+    to serial).  Every field is validated before anything is mutated,
+    so a rejected update leaves the config untouched.  See
+    ``docs/PARALLEL.md``.
     """
     from repro.core import parallel
-    from repro.core.fastpath import PARALLEL_BACKENDS
 
     config = session.env.parallel
     if args:
@@ -61,29 +60,25 @@ def parallel_command(session: Session, args: str) -> str:
         except ValueError:
             return (f"workers must be a non-negative int, "
                     f"got {fields[0]!r}")
-        backend = config.backend
-        if len(fields) > 1:
-            backend = fields[1]
-            if backend not in PARALLEL_BACKENDS:
-                return (f"unknown backend {backend!r} (expected one of "
-                        f"{', '.join(PARALLEL_BACKENDS)})")
         min_cells = config.min_cells
-        if len(fields) > 2:
+        if len(fields) > 1:
             try:
-                min_cells = int(fields[2])
+                min_cells = int(fields[1])
                 if min_cells < 0:
                     raise ValueError
             except ValueError:
                 return (f"min_cells must be a non-negative int, "
-                        f"got {fields[2]!r}")
+                        f"got {fields[1]!r}")
         config.workers = workers
-        config.backend = backend
         config.min_cells = min_cells
-    state = "enabled" if parallel.ENABLED else \
-        "disabled (REPRO_NO_PARALLEL=1)"
+    if not parallel.ENABLED:
+        state = "disabled (REPRO_NO_PARALLEL=1)"
+    elif not parallel.transport_on():
+        state = "disabled (no shared-memory transport)"
+    else:
+        state = "enabled"
     return (f"parallel {state}: workers={config.workers} "
-            f"backend={config.backend} min_cells={config.min_cells} "
-            f"kernel_min_cells={config.kernel_min_cells}")
+            f"min_cells={config.min_cells}")
 
 
 def setops_command(session: Session, args: str) -> str:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from repro.core import ast
-from repro.core.fastpath import PARALLEL_BACKENDS
 from repro.env.environment import TopEnv
 from repro.errors import BottomError, SessionError
 from repro.obs import ExplainReport
@@ -96,20 +95,19 @@ class Session:
                  parallel_workers: Optional[int] = None,
                  parallel_backend: Optional[str] = None,
                  min_cells: Optional[int] = None,
-                 kernel_min_cells: Optional[int] = None,
                  setops: Optional[bool] = None):
         self.env = env if env is not None else TopEnv.standard()
         self.optimize = optimize
+        # sets nothing; still in the signature because benchmarks/suite
+        # passes "process"
+        if parallel_backend not in (None, "process"):
+            raise SessionError(
+                f"parallel backend {parallel_backend!r} was removed: "
+                f"shards always run on forked processes"
+            )
         # fast-path tuning mutates the TopEnv's shared DispatchConfig in
         # place: every evaluator the env hands out (including plans
         # already resident in the cache) reads it at dispatch time
-        if parallel_backend is not None:
-            if parallel_backend not in PARALLEL_BACKENDS:
-                raise SessionError(
-                    f"unknown parallel backend {parallel_backend!r} "
-                    f"(expected one of {', '.join(PARALLEL_BACKENDS)})"
-                )
-            self.env.parallel.backend = parallel_backend
         if parallel_workers is not None:
             if not isinstance(parallel_workers, int) \
                     or isinstance(parallel_workers, bool) \
@@ -127,15 +125,6 @@ class Session:
                     f"got {min_cells!r}"
                 )
             self.env.parallel.min_cells = min_cells
-        if kernel_min_cells is not None:
-            if not isinstance(kernel_min_cells, int) \
-                    or isinstance(kernel_min_cells, bool) \
-                    or kernel_min_cells < 0:
-                raise SessionError(
-                    f"kernel_min_cells must be a non-negative int, "
-                    f"got {kernel_min_cells!r}"
-                )
-            self.env.parallel.kernel_min_cells = kernel_min_cells
         if setops is not None:
             if not isinstance(setops, bool):
                 raise SessionError(

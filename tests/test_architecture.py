@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.core import ast
 from repro.core.fastpath import DispatchConfig
+from repro.errors import SessionError
 from repro.objects.array import Array
 from repro.optimizer.engine import Rule
 from repro.system.session import Session
@@ -206,10 +207,9 @@ class TestKnobCensus:
     """Every option is counted here, so adding one is a decision that
     has to edit this test (and README's knob table) to land."""
 
-    KNOBS = {"REPRO_MIN_CELLS", "REPRO_KERNEL_MIN_CELLS",
-             "REPRO_PARALLEL_WORKERS", "REPRO_PARALLEL_BACKEND",
+    KNOBS = {"REPRO_MIN_CELLS", "REPRO_PARALLEL_WORKERS",
              "REPRO_NO_VECTORIZE", "REPRO_NO_PARALLEL", "REPRO_NO_SETOPS",
-             "REPRO_NO_DENSE", "REPRO_NO_SHM"}
+             "REPRO_NO_DENSE"}
 
     def test_environment_variables(self):
         named, reads = set(), 0
@@ -223,21 +223,39 @@ class TestKnobCensus:
                 and isinstance(node.value, pyast.Name)
                 and node.value.id == "os")
         assert named == self.KNOBS
-        assert reads <= 7
+        assert reads <= 5
 
     def test_session_and_dispatch_config_surface(self):
         parameters = list(inspect.signature(Session.__init__).parameters)
         assert parameters[1:] == [
             "env", "optimize", "plan_cache_capacity", "parallel_workers",
-            "parallel_backend", "min_cells", "kernel_min_cells", "setops"]
+            "parallel_backend", "min_cells", "setops"]
         assert set(DispatchConfig.__slots__) == {
-            "min_cells", "kernel_min_cells", "workers", "backend", "setops"}
+            "min_cells", "workers", "setops"}
 
     @pytest.mark.parametrize("removed", [{"adaptive": True},
-                                         {"cost": "active"}])
+                                         {"cost": "active"},
+                                         {"kernel_min_cells": 1}])
     def test_removed_session_keywords_are_type_errors(self, removed):
         with pytest.raises(TypeError):
             Session(**removed)
+
+    def test_removed_thread_backend_is_a_named_session_error(self):
+        """``parallel_backend`` survives only because the benchmark
+        suite passes ``"process"``; it selects nothing."""
+        with pytest.raises(SessionError, match="removed"):
+            Session(parallel_backend="thread")
+        with pytest.raises(TypeError):
+            DispatchConfig(backend="thread")
+        assert repr(Session(parallel_backend="process").env.parallel) == \
+            repr(Session().env.parallel)
+
+    def test_the_sharded_executor_has_no_thread_backend(self):
+        """``threading`` serves the pool and segment registries' two
+        locks and nothing else."""
+        text = (SRC / "core" / "parallel.py").read_text()
+        assert "ThreadPoolExecutor" not in text
+        assert re.findall(r"threading\.(\w+)", text) == ["Lock", "Lock"]
 
     def test_core_does_not_import_the_cost_estimator(self):
         importers = [path.name for path in (SRC / "core").rglob("*.py")

@@ -239,7 +239,7 @@ class TestBottomBoundary:
 
 class TestDenseProbeThreads:
     """The lazy ``_block`` probe must be idempotent under concurrent
-    callers (the thread backend shares Array values across workers)."""
+    callers (host threads may share Array values)."""
 
     WORKERS = 8
 

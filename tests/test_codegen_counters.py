@@ -9,9 +9,12 @@ shapes precisely so these stay put.
 
 ``SHARDED`` does the same for the dispatch policy: the suite's three
 ``dense_sharded`` statements over small inputs, under a 2-worker process
-pool with both floors lowered, pinned to what the commit before
-``DispatchConfig`` became the single static policy reported — and
-``test_dispatch_predicates_at_their_boundaries`` pins the policy itself.
+pool with the floor lowered.  The int Σ is pinned to what the commit
+before ``DispatchConfig`` became the single static policy reported; the
+two kernel-shaped tabulations report the serial kernel (the same
+``cells_vectorized``, no shards) since kernels stopped running inside
+shards — and ``test_dispatch_predicates_at_their_boundaries`` pins the
+policy itself.
 """
 
 import math
@@ -21,8 +24,8 @@ import pytest
 
 from repro.core import ast, kernels, parallel
 from repro.core.compile import CompiledEvaluator
-from repro.core.fastpath import (DEFAULT_KERNEL_MIN_CELLS, DEFAULT_MIN_CELLS,
-                                 SPARSITY_FACTOR, DispatchConfig)
+from repro.core.fastpath import (DEFAULT_MIN_CELLS, SPARSITY_FACTOR,
+                                 DispatchConfig)
 from repro.objects import dense
 from repro.objects.array import Array
 from repro.system.session import Session
@@ -74,9 +77,9 @@ SHARDED_KEYS = ("shards_executed", "shards_vectorized", "cells_vectorized",
 
 #: label -> (statement, counters in SHARDED_KEYS order, phases skipped)
 SHARDED = {
-    "grid": (r"[[ x*y+x | \x < 40, \y < 40 ]];", (2, 2, 1600, 0, 0, 0), {}),
+    "grid": (r"[[ x*y+x | \x < 40, \y < 40 ]];", (0, 0, 1600, 0, 0, 0), {}),
     "gather": (r"[[ G[x, y] + 1 | \x < 40, \y < 40 ]];",
-               (2, 2, 1600, 0, 0, 0), {}),
+               (0, 0, 1600, 0, 0, 0), {}),
     "int-sum": (r"summap(fn \i => i % 7)!(gen!2000);",
                 (2, 0, 0, 0, 0, 0), {}),
 }
@@ -143,8 +146,7 @@ def test_sharded_counters_equal_the_pre_policy_engine():
     if not kernels.available() or not parallel.ENABLED \
             or any(name.startswith("REPRO_") for name in os.environ):
         pytest.skip("the counters are pinned for the default configuration")
-    session = Session(parallel_workers=2, parallel_backend="process",
-                      min_cells=16, kernel_min_cells=1024)
+    session = Session(parallel_workers=2, min_cells=16)
     session.env.set_val("G", Array((40, 40), [c * 7 % 11
                                               for c in range(1600)]))
     for label, (text, counters, skipped) in SHARDED.items():
@@ -159,17 +161,14 @@ def test_sharded_counters_equal_the_pre_policy_engine():
 def test_dispatch_predicates_at_their_boundaries():
     """The whole policy, as a table: each predicate flips exactly at its
     threshold, and the defaults are the values every benchmark ran on."""
-    assert (DEFAULT_MIN_CELLS, DEFAULT_KERNEL_MIN_CELLS, SPARSITY_FACTOR) \
-        == (64, 1 << 17, 4)
+    assert (DEFAULT_MIN_CELLS, SPARSITY_FACTOR) == (64, 4)
     config = DispatchConfig()
-    floor, kernel_floor = config.min_cells, config.kernel_min_cells
+    floor = config.min_cells
     table = [
         (config.wants_kernel(floor - 1), False),
         (config.wants_kernel(floor), True),
         (config.wants_shards(floor - 1), False),
         (config.wants_shards(floor), True),
-        (config.wants_kernel_shards(kernel_floor - 1), False),
-        (config.wants_kernel_shards(kernel_floor), True),
         (config.wants_hash_join(floor - 1, 8), False),
         (config.wants_hash_join(floor, 2), True),
         (config.wants_hash_join(floor * floor, 1), False),   # |inner| = 1

@@ -19,11 +19,8 @@ import pytest
 from conftest import agree, outcome, reference_outcome
 
 from repro.core import ast
-from repro.core import parallel
 from repro.core.compile import CompiledEvaluator
-from repro.core.fastpath import DispatchConfig
 from repro.errors import EvalError
-from repro.obs.metrics import EvalMetrics
 from repro.objects import dense, values
 from repro.objects.array import Array, collect_index_pairs
 from repro.objects.ordering import COMPARISONS
@@ -340,24 +337,6 @@ class TestFramesArePrivate:
             return sum(set(per_i)) if loop == "ext" else sum(per_i)
 
         assert agree(expr, binds={}) == ("value", expected(5))
-
-    @pytest.mark.parametrize("expr", [
-        ast.Tabulate(("x", "y"), (ast.NatLit(7), ast.NatLit(5)),
-                     ast.If(ast.Cmp("<=", X, Y), ast.Arith("*", X, Y),
-                            ast.Arith("-", X, Y))),
-        ast.Sum("x", ast.Arith("%", ast.Arith("*", X, X), ast.NatLit(7)),
-                ast.Gen(ast.NatLit(40))),
-    ], ids=["tabulate", "sum"])
-    def test_thread_shards_give_the_serial_answer(self, expr, monkeypatch):
-        monkeypatch.setattr(parallel, "ENABLED", True)
-        threads = DispatchConfig(min_cells=1, workers=3, backend="thread")
-        metrics = EvalMetrics()
-        probed = outcome(expr, threads, probe=metrics, binds={})
-        assert metrics.shards_executed > 0
-        # unprobed shards share one body closure across the pool threads
-        assert agree(expr, threads, binds={}) == probed
-        assert probed == outcome(expr, DispatchConfig(min_cells=1, workers=0),
-                                 binds={})
 
     @pytest.mark.parametrize("loop", ["sum", "ext", "tabulate"])
     def test_bottom_mid_loop_leaves_nothing_behind(self, loop):

@@ -10,8 +10,6 @@ loop.  A shard raising ⊥ poisons the whole construct exactly as the
 serial loop would, with the serial error identity.
 """
 
-import threading
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,7 +30,6 @@ from repro.system.session import Session
 #: a serial run exactly
 PARALLEL_ONLY = ("shards_executed", "cells_parallel",
                  "shm_segments", "shm_bytes", "shards_zero_copy",
-                 "shards_vectorized", "cells_vectorized_parallel",
                  "shm_copies_avoided")
 
 
@@ -48,9 +45,18 @@ def serial_config():
     return DispatchConfig(min_cells=1, workers=0)
 
 
-def parallel_config(workers=3, backend="thread", min_cells=1):
-    return DispatchConfig(min_cells=min_cells, workers=workers,
-                          backend=backend)
+def parallel_config(workers=3, min_cells=1):
+    """Forked-process shards; the suite uses worker counts 2-4, so at
+    most three pools are ever forked and every test after the first
+    runs on a warm one."""
+    return DispatchConfig(min_cells=min_cells, workers=workers)
+
+
+def shards_required():
+    """Skip a test that asserts shards ran on a lane where they cannot
+    (no numpy, ``REPRO_NO_DENSE=1``, no ``fork`` or ``/dev/shm``)."""
+    if not parallel.transport_on():
+        pytest.skip("no shared-memory transport on this lane")
 
 
 def counters(metrics):
@@ -91,6 +97,21 @@ POISONED = ast.Tabulate(
               ast.Arith("-", ast.NatLit(100), ast.Var("x"))),
 )
 
+#: tuple-valued cells: the output slab cannot carry them
+TUPLE_CELLS = ast.Tabulate(
+    ("x", "y"), (ast.NatLit(12), ast.NatLit(12)),
+    ast.TupleE((ast.Var("x"), ast.Var("y"))),
+)
+
+#: an operand with no dense block (string cells), read by a branchy body
+BOXED_OPERAND = Array.from_list(["a", "bb", "ccc"] * 50)
+READS_BOXED = ast.Tabulate(
+    ("x",), (ast.NatLit(150),),
+    ast.If(ast.Cmp("=", ast.Subscript(ast.Var("names"), (ast.Var("x"),)),
+                   ast.Subscript(ast.Var("names"), (ast.NatLit(0),))),
+           ast.Var("x"), ast.NatLit(0)),
+)
+
 
 # ---------------------------------------------------------------------------
 # property: parallel == serial, down to types, hashes, and counters
@@ -125,26 +146,26 @@ class TestParallelSerialAgreement:
 
 
 class TestDeterministicAgreement:
-    """The fixture shapes, on every backend."""
+    """The fixture shapes."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("expr", [BRANCHY, FLOAT_SUM, BIG_SUM],
                              ids=["branchy-tab", "float-sum", "big-sum"])
-    def test_agree(self, backend, expr):
-        assert agree(expr, parallel_config(4, backend))[0] == "value"
+    def test_agree(self, expr):
+        assert agree(expr, parallel_config(4))[0] == "value"
 
     def test_process_backend_probed_counters_match(self):
+        shards_required()
         serial_metrics = EvalMetrics()
         sharded_metrics = EvalMetrics()
         outcome(BRANCHY, serial_config(), probe=serial_metrics)
-        result = outcome(BRANCHY,
-                         parallel_config(3, "process"),
+        result = outcome(BRANCHY, parallel_config(3),
                          probe=sharded_metrics)
         assert result[0] == "value"
         assert counters(sharded_metrics) == counters(serial_metrics)
         assert sharded_metrics.shards_executed == 3
 
     def test_parallel_dispatch_is_recorded(self):
+        shards_required()
         metrics = EvalMetrics()
         outcome(BRANCHY, parallel_config(3), probe=metrics)
         assert metrics.shards_executed == 3
@@ -159,10 +180,9 @@ class TestDeterministicAgreement:
 
 class TestBottomPropagation:
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_poisoned_shard_yields_bottom(self, backend):
+    def test_poisoned_shard_yields_bottom(self):
         # same reason, serial identity
-        assert agree(POISONED, parallel_config(4, backend))[0] == "bottom"
+        assert agree(POISONED, parallel_config(4))[0] == "bottom"
 
     def test_poisoned_counters_equal_serial(self):
         """The failed parallel attempt is fully discarded: the serial
@@ -175,15 +195,14 @@ class TestBottomPropagation:
                 probe=sharded_metrics)
         assert sharded_metrics.to_dict() == serial_metrics.to_dict()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_poisoned_sum(self, backend):
+    def test_poisoned_sum(self):
         poisoned = ast.Sum(
             "e",
             ast.Arith("/", ast.NatLit(1),
                       ast.Arith("-", ast.NatLit(50), ast.Var("e"))),
             ast.Gen(ast.NatLit(120)),
         )
-        assert agree(poisoned, parallel_config(4, backend))[0] == "bottom"
+        assert agree(poisoned, parallel_config(4))[0] == "bottom"
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +280,38 @@ class TestGating:
         assert metrics.cells_vectorized == 144
         assert metrics.shards_executed == 0  # numpy path won
 
+    @pytest.mark.parametrize("expr,binds", [
+        (TUPLE_CELLS, {}),
+        (READS_BOXED, {"names": BOXED_OPERAND}),
+    ], ids=["tuple-cells", "boxed-operand"])
+    def test_what_the_slab_cannot_carry_runs_serially(self, expr, binds):
+        """No boxed wire format: tuple-valued cells fail their shards at
+        the first value, an operand with no dense block declines before
+        anything is pickled, and either way the serial loop's value and
+        counters are the only ones that land."""
+        serial_metrics, sharded_metrics = EvalMetrics(), EvalMetrics()
+        outcome(expr, serial_config(), probe=serial_metrics, binds=binds)
+        sharded = agree(expr, parallel_config(2), probe=sharded_metrics,
+                        binds=binds)
+        assert sharded[0] == "value"
+        assert sharded_metrics.shards_executed == 0
+        assert sharded_metrics.to_dict() == serial_metrics.to_dict()
+        assert parallel.shm_live_segments() == 0
+
+    def test_boxed_operand_declines_before_the_pool(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_get_pool", lambda workers: 1 / 0)
+        assert agree(READS_BOXED, parallel_config(2),
+                     binds={"names": BOXED_OPERAND})[0] == "value"
+
+    def test_no_transport_means_serial(self, monkeypatch):
+        """No ``/dev/shm`` (or no numpy, or no ``fork``): ``available``
+        is false and nothing degrades to pickling."""
+        monkeypatch.setattr(parallel, "_shm_mod", None)
+        assert not parallel.available(parallel_config(4))
+        metrics = EvalMetrics()
+        assert agree(BRANCHY, parallel_config(4), probe=metrics)[0] == "value"
+        assert metrics.shards_executed == 0
+
     def test_split_is_balanced_and_ordered(self):
         assert parallel.split(10, 3) == [(0, 4), (4, 7), (7, 10)]
         assert parallel.split(2, 4) == [(0, 1), (1, 2)]
@@ -312,6 +363,7 @@ class TestCounterMerge:
         """Regression for concurrent accumulation: many repetitions of
         the same sharded run must produce byte-identical counters, all
         equal to the serial run's (plus the dispatch record)."""
+        shards_required()
         serial_metrics = EvalMetrics()
         outcome(BRANCHY, serial_config(), probe=serial_metrics)
         expected = counters(serial_metrics)
@@ -329,7 +381,7 @@ class TestCounterMerge:
 
 
 # ---------------------------------------------------------------------------
-# nested parallelism and worker re-entry
+# nested parallelism
 # ---------------------------------------------------------------------------
 
 class TestNesting:
@@ -342,20 +394,6 @@ class TestNesting:
         )
         assert agree(nested, parallel_config(3))[0] == "value"
 
-    def test_worker_guard_blocks_re_entry(self):
-        assert not parallel.in_worker()
-        seen = []
-
-        def probe_flag():
-            seen.append(parallel.in_worker())
-
-        thread = threading.Thread(
-            target=lambda: parallel._guarded(probe_flag))
-        thread.start()
-        thread.join()
-        assert seen == [True]
-        assert not parallel.in_worker()
-
 
 # ---------------------------------------------------------------------------
 # the session surface
@@ -367,10 +405,8 @@ QUERY = ("[[ if x <= y then x*y else x+y | \\x < 16, \\y < 16 ]];")
 class TestSessionSurface:
 
     def test_session_kwargs_configure_the_env(self):
-        session = Session(parallel_workers=3, parallel_backend="thread",
-                          min_cells=8)
+        session = Session(parallel_workers=3, min_cells=8)
         assert session.env.parallel.workers == 3
-        assert session.env.parallel.backend == "thread"
         assert session.env.parallel.min_cells == 8
         assert session.query_value(QUERY) == \
             Session().query_value(QUERY)
@@ -386,6 +422,7 @@ class TestSessionSurface:
             Session(**kwargs)
 
     def test_profile_reports_shards(self):
+        shards_required()
         session = Session(parallel_workers=2, min_cells=16)
         outputs = session.run(
             ":profile summap(fn \\e => e*e)!(gen!200);")
@@ -407,15 +444,24 @@ class TestSessionSurface:
         session = Session()
         shown = parallel_command(session, "")
         assert "workers=0" in shown
-        shown = parallel_command(session, "4 process 32")
+        shown = parallel_command(session, "4 32")
         assert session.env.parallel.workers == 4
-        assert session.env.parallel.backend == "process"
         assert session.env.parallel.min_cells == 32
-        assert "workers=4" in shown and "process" in shown
-        assert "unknown backend" in parallel_command(session, "2 gpu")
+        assert "workers=4" in shown and "min_cells=32" in shown
+        assert "backend" not in shown
+        assert "min_cells must be" in parallel_command(session, "2 process")
         assert "non-negative" in parallel_command(session, "-3")
         # failed updates leave the config untouched
         assert session.env.parallel.workers == 4
+
+    def test_repl_status_names_what_disabled_it(self, monkeypatch):
+        session = Session(parallel_workers=4)
+        monkeypatch.setattr(parallel, "_shm_mod", None)
+        assert parallel_command(session, "").startswith(
+            "parallel disabled (no shared-memory transport): workers=4")
+        monkeypatch.setattr(parallel, "ENABLED", False)
+        assert "disabled (REPRO_NO_PARALLEL=1)" in \
+            parallel_command(session, "")
 
     def test_sharded_session_agrees_with_serial(self):
         sharded = Session(parallel_workers=3, min_cells=1)
@@ -426,8 +472,9 @@ class TestSessionSurface:
         engine (its workers re-interpreted the body, so their counters
         were another engine's); workers now compile the shipped body, so
         it runs and every shared counter equals the serial run's."""
+        shards_required()
         query = r"summap(fn \i => i % 7)!(gen!100000);"
-        sharded = Session(parallel_workers=2, parallel_backend="process") \
+        sharded = Session(parallel_workers=2) \
             .explain(query).to_dict()["metrics"]
         serial = Session().explain(query).to_dict()["metrics"]
         assert sharded["shards_executed"] > 0
@@ -435,6 +482,20 @@ class TestSessionSurface:
                 if key not in PARALLEL_ONLY} \
             == {key: value for key, value in serial.items()
                 if key not in PARALLEL_ONLY}
+
+
+    def test_kernel_shaped_tabulation_never_shards(self):
+        """Past what used to be the fused floor (2^17 cells) the serial
+        kernel still runs, in the parent, whatever ``workers`` is."""
+        from repro.core import kernels
+        if not kernels.available():
+            pytest.skip("numpy not installed")
+        query = r"[[ x*y+x | \x < 400, \y < 400 ]];"
+        sharded = Session(parallel_workers=2) \
+            .explain(query).to_dict()["metrics"]
+        assert sharded["cells_vectorized"] == 400 * 400
+        assert sharded["shards_executed"] == 0
+        assert sharded == Session().explain(query).to_dict()["metrics"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The shared-memory transport and lifecycle of ``repro.core.parallel``.
 
-Contract under test (``docs/PARALLEL.md``): dense shard payloads and
-results travel as ``multiprocessing.shared_memory`` segments, every
-segment is unlinked on every exit path (success, strict-⊥ discard,
-broken pool), a wedged worker can never hang interpreter exit, and a
-no-dense parent never receives dense-backed shard results.
+Contract under test (``docs/PARALLEL.md``): shard payloads and results
+travel as ``multiprocessing.shared_memory`` segments, every segment is
+unlinked on every exit path (success, strict-⊥ discard, broken pool), a
+wedged worker can never hang interpreter exit, and a no-dense parent
+never shards at all.
 ``tests/conftest.py`` additionally asserts zero live segments after
 every test in the whole suite.
 """
@@ -19,7 +19,7 @@ import pytest
 
 from conftest import agree, assert_identical, outcome
 from test_parallel import (BIG_SUM, BRANCHY, POISONED, counters,
-                           parallel_config, serial_config)
+                           parallel_config, serial_config, shards_required)
 
 from repro.core import ast
 from repro.core import parallel
@@ -41,13 +41,15 @@ def _parallel_on(monkeypatch):
 #: shared segment instead of being re-pickled into every shard payload
 BIG_OPERAND = Array((64, 16), list(range(1024)))
 
-#: branchy tabulation whose every cell is the big operand — exercises
-#: payload export (one segment, many shards) and the boxed-result
-#: degradation (Array cells are not slab-representable)
+#: branchy tabulation reading the big operand — exercises payload
+#: export (one segment, many shards)
 USES_OPERAND = ast.Tabulate(
     ("x",), (ast.NatLit(128),),
     ast.If(ast.Cmp("<=", ast.Var("x"), ast.NatLit(64)),
-           ast.Var("big"), ast.Var("big")),
+           ast.Subscript(ast.Var("big"),
+                         (ast.Arith("%", ast.Var("x"), ast.NatLit(64)),
+                          ast.NatLit(3))),
+           ast.Var("x")),
 )
 
 #: order-sensitive float Σ over a 300-element dense source — elements
@@ -58,18 +60,12 @@ FLOAT_SLAB_SUM = ast.Sum(
     "e", ast.Arith("+", ast.Var("e"), ast.RealLit(0.0)), ast.Var("ar"),
 )
 
-#: nested tabulation whose cells are themselves arrays — exercises the
-#: ``dense_on`` propagation through ``Array.__reduce__`` on the way back
+#: nested tabulation whose cells are themselves arrays
 NESTED = ast.Tabulate(
     ("x",), (ast.NatLit(20),),
     ast.Tabulate(("y",), (ast.NatLit(30),),
                  ast.Arith("*", ast.Var("x"), ast.Var("y"))),
 )
-
-
-def _shm_required():
-    if not parallel._shm_transport_on():
-        pytest.skip("shared-memory transport unavailable on this lane")
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +77,9 @@ class TestShmTransport:
     def test_zero_copy_counters_recorded(self):
         """A dense process dispatch reports its transport economy, and
         every shard lands in the slab (zero per-element pickling)."""
-        _shm_required()
+        shards_required()
         metrics = EvalMetrics()
-        sharded = agree(BRANCHY, parallel_config(3, "process"),
+        sharded = agree(BRANCHY, parallel_config(3),
                         probe=metrics)
         assert sharded[0] == "value"
         assert metrics.shards_executed == 3
@@ -95,42 +91,28 @@ class TestShmTransport:
     def test_float_slab_sum_is_bit_exact(self):
         """Float body values round-trip the float64 slab bit-for-bit,
         so the parent's in-order fold equals the serial fold exactly."""
-        _shm_required()
+        shards_required()
         binds = {"ar": FLOAT_ELEMENTS}
         metrics = EvalMetrics()
-        sharded = agree(FLOAT_SLAB_SUM, parallel_config(3, "process"),
+        sharded = agree(FLOAT_SLAB_SUM, parallel_config(3),
                         probe=metrics, binds=binds)
         assert sharded[0] == "value"
         assert metrics.shards_zero_copy == metrics.shards_executed == 3
         assert metrics.shm_segments >= 2  # elements in + slab out
 
     def test_big_operand_rides_one_segment(self):
-        """An operand above ``SHM_MIN_BYTES`` is exported once and
-        referenced by all shards; Array-valued cells degrade the result
-        to the boxed format without failing."""
-        _shm_required()
+        """An operand above ``SHM_MIN_BYTES`` is exported once,
+        referenced by all shards and adopted by each as a view."""
+        shards_required()
         binds = {"big": BIG_OPERAND}
         metrics = EvalMetrics()
-        sharded = agree(USES_OPERAND, parallel_config(3, "process"),
+        sharded = agree(USES_OPERAND, parallel_config(3),
                         probe=metrics, binds=binds)
         assert sharded[0] == "value"
-        assert metrics.shards_executed == 3
-        assert metrics.shards_zero_copy == 0  # boxed degradation
-        assert metrics.shm_segments == 2  # operand + (unused) out slab
+        assert metrics.shards_executed == metrics.shards_zero_copy == 3
+        assert metrics.shm_segments == 2  # operand + out slab
         assert metrics.shm_bytes >= BIG_OPERAND.dense_block().data.nbytes
-
-    def test_no_shm_kill_switch_keeps_sharding(self, monkeypatch):
-        """``REPRO_NO_SHM=1``: dispatches still run (boxed pickle wire
-        format), results agree, and no segments are ever created."""
-        monkeypatch.setattr(parallel, "SHM_ENABLED", False)
-        metrics = EvalMetrics()
-        sharded = agree(BRANCHY, parallel_config(3, "process"),
-                        probe=metrics)
-        assert sharded[0] == "value"
-        assert metrics.shards_executed == 3
-        assert metrics.shm_segments == 0
-        assert metrics.shm_bytes == 0
-        assert metrics.shards_zero_copy == 0
+        assert metrics.shm_copies_avoided == 3
 
     def test_serial_runs_never_report_shm(self):
         metrics = EvalMetrics()
@@ -155,7 +137,7 @@ class TestSegmentLifecycle:
         reference = outcome(POISONED, serial_config(),
                             probe=serial_metrics)
         sharded = outcome(POISONED,
-                          parallel_config(4, "process"),
+                          parallel_config(4),
                           probe=sharded_metrics)
         assert reference[0] == "bottom"
         assert sharded == reference
@@ -184,7 +166,7 @@ class TestSegmentLifecycle:
         file survives a burst of dense dispatches."""
         for expr in (BRANCHY, BIG_SUM):
             result = outcome(expr,
-                             parallel_config(2, "process"))
+                             parallel_config(2))
             assert result[0] == "value"
         assert parallel.shm_live_segments() == 0
         if os.path.isdir("/dev/shm"):
@@ -207,9 +189,8 @@ class TestPoolLifecycle:
         """``shutdown_pools`` escalates join → terminate → kill within
         its grace budget, so a SIGTERM-ignoring worker cannot wedge
         interpreter exit."""
-        pool = parallel._get_pool("process", 2)
-        if pool is None:
-            pytest.skip("no process pool on this platform")
+        shards_required()
+        pool = parallel._get_pool(2)
         pool.submit(_wedge)
         time.sleep(0.3)  # let a worker pick the task up
         procs = list(pool._processes.values())
@@ -226,14 +207,13 @@ class TestPoolLifecycle:
         falls back to the serial loop (serial-identical result and
         counters, no leaked segments) and the broken pool is evicted so
         the *next* dispatch shards again on a fresh one."""
-        config = parallel_config(2, "process")
+        config = parallel_config(2)
         reference = outcome(BRANCHY, serial_config())
         ref_metrics = EvalMetrics()
         outcome(BRANCHY, serial_config(), probe=ref_metrics)
-        warm = outcome(BRANCHY, config)
-        if warm[0] != "value":  # pragma: no cover - no fork platform
-            pytest.skip("no process pool on this platform")
-        pool = parallel._get_pool("process", 2)
+        shards_required()
+        outcome(BRANCHY, config)  # warm the pool
+        pool = parallel._get_pool(2)
         for proc in list(pool._processes.values()):
             proc.kill()
         metrics = EvalMetrics()
@@ -257,30 +237,25 @@ class TestPoolLifecycle:
 class TestWorkerInheritance:
 
     def test_no_dense_parent_receives_boxed_results(self, monkeypatch):
-        """``REPRO_NO_DENSE`` propagates: a warm worker forked under
-        any configuration must pickle results the no-dense parent's
-        way, so no cell arrives dense-backed."""
-        binds = {"big": BIG_OPERAND}
-        # warm the pool with the dense store ON, so the workers' forked
-        # module state disagrees with the parent's flip below
-        warm = outcome(BRANCHY, parallel_config(3, "process"))
-        if warm[0] != "value":  # pragma: no cover - no fork platform
-            pytest.skip("no process pool on this platform")
+        """``REPRO_NO_DENSE`` means no transport: a warm pool forked
+        with the store on is never handed work by a no-dense parent, so
+        no cell arrives dense-backed."""
+        outcome(BRANCHY, parallel_config(3))  # warm, dense store ON
         monkeypatch.setattr(dense, "STORE_ENABLED", False)
+        assert not parallel.available(parallel_config(3))
         metrics = EvalMetrics()
-        sharded = agree(NESTED, parallel_config(3, "process"),
-                        probe=metrics, binds=binds)
-        assert sharded[0] == "value"
-        assert metrics.shards_executed == 3
-        assert metrics.shm_segments == 0  # no dense store, no transport
-        for cell in sharded[1].flat:
+        result = agree(NESTED, parallel_config(3), probe=metrics)
+        assert result[0] == "value"
+        assert metrics.shards_executed == 0
+        assert metrics.shm_segments == 0
+        for cell in result[1].flat:
             assert cell._block is None  # boxed, exactly as the parent is
 
     def test_worker_config_drops_sharding(self):
-        config = DispatchConfig(min_cells=7, workers=4, backend="process")
+        config = DispatchConfig(min_cells=7, workers=4, setops=False)
         worker = parallel._worker_config(config)
         assert worker.workers == 0
-        assert worker.min_cells == 7
+        assert (worker.min_cells, worker.setops) == (7, False)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +271,8 @@ class TestConcurrentDispatch:
         reference = outcome(BRANCHY, serial_config())
         ref_metrics = EvalMetrics()
         outcome(BRANCHY, serial_config(), probe=ref_metrics)
-        warm = outcome(BRANCHY, parallel_config(2, "process"))
-        if warm[0] != "value":  # pragma: no cover - no fork platform
-            pytest.skip("no process pool on this platform")
+        shards_required()
+        outcome(BRANCHY, parallel_config(2))  # warm the pool
         errors = []
         done = [False, False]
 
@@ -307,7 +281,7 @@ class TestConcurrentDispatch:
                 for _ in range(3):
                     metrics = EvalMetrics()
                     got = outcome(BRANCHY,
-                                  parallel_config(2, "process"),
+                                  parallel_config(2),
                                   probe=metrics)
                     assert got[0] == "value"
                     assert_identical(got[1], reference[1])
@@ -340,7 +314,7 @@ class TestReplSurface:
         session = Session()
         before_workers = session.env.parallel.workers
         before_min = session.env.parallel.min_cells
-        shown = parallel_command(session, "2 thread -5")
+        shown = parallel_command(session, "2 -5")
         assert "min_cells must be a non-negative int" in shown
         assert session.env.parallel.workers == before_workers
         assert session.env.parallel.min_cells == before_min

@@ -16,13 +16,31 @@ library of the paper's citation [28] wrote:
   UNLIMITED dimension.
 
 Supported external types: NC_BYTE, NC_CHAR, NC_SHORT, NC_INT, NC_FLOAT,
-NC_DOUBLE.  Reads support subslab extraction without loading the whole
-variable; writes produce files readable by any conforming NetCDF
+NC_DOUBLE.  Writes produce files readable by any conforming NetCDF
 implementation.
+
+A read touches only the requested region.  A subslab is described once
+as ``(base offset, per-axis byte strides, count)``; strides are
+row-major over the element size, except that axis 0 of a record
+variable strides by the file's record size, so interleaved record
+variables are the same case as everything else.  The slab's last byte
+is checked against the file size before any data is touched; then it
+is gathered from a read-only ``mmap`` as one slice per maximal
+contiguous run — trailing fully-covered axes merge into the run, so a
+whole variable or a block of leading rows is a single slice — and the
+joined bytes decode in one pass: into the array's dense backing block
+(:func:`repro.objects.dense.decode_bytes`) for a numeric type with the
+store on, through ``struct`` otherwise.  A malformed or truncated file
+is a :class:`~repro.errors.NetCDFError` naming the path and the byte
+offset.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Tuple
@@ -138,11 +156,11 @@ class NetCDFDataset:
         zero-rank (scalar) variables return a 1-element array.
         """
         var = self.variable(name)
-        shape = self._effective_shape(var)
-        if var.rank == 0:
-            with open(self.path, "rb") as handle:
-                raw = self._read_raw(handle, var, var.begin, 1)
-            return self._build_array(var, raw, (1,))
+        shape = var.shape
+        if var.is_record:
+            shape = (self.numrecs,) + shape[1:]
+        if not shape:  # a scalar is the one cell of a 1-element vector
+            shape, start, count = (1,), None, None
         if start is None:
             start = (0,) * len(shape)
         if count is None:
@@ -160,59 +178,57 @@ class NetCDFDataset:
                     f"subslab [{start}..{count}] out of bounds for "
                     f"{name!r} with shape {shape}"
                 )
-        with open(self.path, "rb") as handle:
-            raw = self._read_subslab(handle, var, shape, start, count)
-        return self._build_array(var, raw, count)
-
-    def _effective_shape(self, var: NetCDFVariable) -> Tuple[int, ...]:
+        if 0 in count:
+            return Array(count, [])  # an empty slab touches no byte
+        _, size = _TYPE_INFO[var.nc_type]
+        strides = [size] * len(shape)
+        for axis in range(len(shape) - 2, -1, -1):
+            strides[axis] = strides[axis + 1] * shape[axis + 1]
         if var.is_record:
-            return (self.numrecs,) + var.shape[1:]
-        return var.shape
+            strides[0] = self._record_size
+        base = var.begin + sum(o * s for o, s in zip(start, strides))
+        last = base + sum((c - 1) * s for c, s in zip(count, strides)) + size
+        with open(self.path, "rb") as handle:
+            file_size = os.fstat(handle.fileno()).st_size
+            if base < 0 or last > file_size:
+                raise NetCDFError(
+                    f"{self.path}: subslab of {name!r} spans bytes "
+                    f"{base}..{last} but the file ends at offset {file_size}"
+                )
+            with mmap.mmap(handle.fileno(), 0,
+                           access=mmap.ACCESS_READ) as view:
+                return self._gather(var, view, base, strides, count)
 
     # -- low-level readers ---------------------------------------------------
 
-    def _element_offset(self, var: NetCDFVariable,
-                        index: Tuple[int, ...]) -> int:
-        """Absolute file offset of the element at ``index``."""
-        _, size = _TYPE_INFO[var.nc_type]
-        if var.is_record:
-            record = index[0]
-            flat = 0
-            for position, extent in zip(index[1:], var.shape[1:]):
-                flat = flat * extent + position
-            return var.begin + record * self._record_size + flat * size
-        flat = 0
-        for position, extent in zip(index, var.shape):
-            flat = flat * extent + position
-        return var.begin + flat * size
+    def _gather(self, var: NetCDFVariable, view: Any, base: int,
+                strides: Sequence[int], count: Tuple[int, ...]) -> Array:
+        """Decode the slab ``(base, strides, count)`` of ``view`` (whose
+        hull the caller has checked) into an :class:`Array`.
 
-    def _read_raw(self, handle: BinaryIO, var: NetCDFVariable,
-                  offset: int, count: int) -> bytes:
-        """``count`` contiguous external-format elements, as raw bytes."""
-        _, size = _TYPE_INFO[var.nc_type]
-        handle.seek(offset)
-        raw = handle.read(count * size)
-        if len(raw) != count * size:
-            raise NetCDFError(
-                f"short read in {self.path} at offset {offset}"
-            )
-        return raw
-
-    def _build_array(self, var: NetCDFVariable, raw: bytes,
-                     dims: Tuple[int, ...]) -> Array:
-        """Decode a gathered payload into an :class:`Array`.
-
-        Numeric payloads decode in one ``frombuffer`` pass into the
-        array's dense backing block; with the store off (or for
-        NC_CHAR) the historical per-element struct walk runs instead —
-        the widening casts are exact, so both paths box identical
-        values.
+        Each maximal contiguous run is sliced out; the joined payload
+        decodes in one ``frombuffer`` pass into the array's dense
+        backing block, or — with the store off, or for NC_CHAR —
+        through struct.  The widening casts are exact, so both decoders
+        box identical values.
         """
+        # a run grows over trailing axes while their cells are adjacent
+        # in the file: the stride of the axis above a partially covered
+        # one is larger than what the run has gathered, which ends it
+        _, run = _TYPE_INFO[var.nc_type]
+        outer = len(count)
+        while outer and strides[outer - 1] == run:
+            outer -= 1
+            run *= count[outer]
+        steps = [[i * s for i in range(c)]
+                 for c, s in zip(count[:outer], strides[:outer])]
+        offsets = (base + sum(step) for step in itertools.product(*steps))
+        raw = b"".join(view[offset:offset + run] for offset in offsets)
         if var.nc_type != NC_CHAR:
             decoded = dense.decode_bytes(raw, _NP_DTYPES[var.nc_type])
             if decoded is not None:
-                return Array(dims, decoded)
-        return Array(dims, self._decode_values(var, raw))
+                return Array(count, decoded)
+        return Array(count, self._decode_values(var, raw))
 
     def _decode_values(self, var: NetCDFVariable, raw: bytes) -> List[Any]:
         """Struct-decode a payload to boxed Python elements."""
@@ -225,45 +241,6 @@ class NetCDFDataset:
             return [float(v) for v in values]
         return [int(v) for v in values]
 
-    def _read_subslab(self, handle: BinaryIO, var: NetCDFVariable,
-                      shape: Tuple[int, ...], start: Tuple[int, ...],
-                      count: Tuple[int, ...]) -> bytes:
-        """Gather a subslab's raw bytes (row-major, contiguous runs)."""
-        if any(c == 0 for c in count):
-            return b""
-        chunks: List[bytes] = []
-        if var.is_record and len(shape) == 1:
-            # the record axis is the only axis: elements are one record
-            # apart in the file (not contiguous when several record
-            # variables interleave), so read them one at a time
-            for record in range(start[0], start[0] + count[0]):
-                offset = self._element_offset(var, (record,))
-                chunks.append(self._read_raw(handle, var, offset, 1))
-            return b"".join(chunks)
-        # read row-by-row along the last axis (contiguous runs)
-        outer_axes = len(shape) - 1
-        index = list(start)
-        run = count[-1]
-
-        def emit() -> None:
-            offset = self._element_offset(var, tuple(index))
-            chunks.append(self._read_raw(handle, var, offset, run))
-
-        if outer_axes == 0:
-            emit()
-            return b"".join(chunks)
-        while True:
-            emit()
-            axis = outer_axes - 1
-            while axis >= 0:
-                index[axis] += 1
-                if index[axis] < start[axis] + count[axis]:
-                    break
-                index[axis] = start[axis]
-                axis -= 1
-            if axis < 0:
-                return b"".join(chunks)
-
 
 # ---------------------------------------------------------------------------
 # reading
@@ -272,24 +249,24 @@ class NetCDFDataset:
 def read_netcdf(path: str) -> NetCDFDataset:
     """Decode the header of a classic NetCDF file."""
     with open(path, "rb") as handle:
-        reader = _HeaderReader(handle, path)
-        return reader.read()
+        return _HeaderReader(handle, path).read()
 
 
 class _HeaderReader:
     def __init__(self, handle: BinaryIO, path: str):
         self.handle = handle
         self.path = path
+        self.size = os.fstat(handle.fileno()).st_size
         self.version = 1
 
     def error(self, message: str) -> NetCDFError:
-        return NetCDFError(f"{self.path}: {message}")
+        return NetCDFError(
+            f"{self.path}: {message} (at offset {self.handle.tell()})")
 
     def read(self) -> NetCDFDataset:
-        magic = self.handle.read(3)
-        if magic != MAGIC:
+        if self._take(3) != MAGIC:
             raise self.error("not a NetCDF classic file (bad magic)")
-        version = self.handle.read(1)
+        version = self._take(1)
         if version not in (b"\x01", b"\x02"):
             raise self.error(f"unsupported version byte {version!r}")
         self.version = version[0]
@@ -310,25 +287,43 @@ class _HeaderReader:
 
     # primitive decoders
 
+    def _take(self, count: int) -> bytes:
+        """The next ``count`` header bytes — every header read comes
+        through here, so a file cut short anywhere is a typed error
+        (and a lying length never allocates more than the file holds)."""
+        offset = self.handle.tell()
+        raw = self.handle.read(count) if offset + count <= self.size else b""
+        if len(raw) != count:
+            self.handle.seek(offset)
+            raise self.error(f"truncated header: {count} bytes needed, "
+                             f"file ends at {self.size}")
+        return raw
+
     def _u32(self) -> int:
-        raw = self.handle.read(4)
-        if len(raw) != 4:
-            raise self.error("truncated header")
-        return struct.unpack(">i", raw)[0] & 0xFFFFFFFF
+        return struct.unpack(">I", self._take(4))[0]
 
     def _offset(self) -> int:
         if self.version == 1:
             return self._u32()
-        raw = self.handle.read(8)
-        if len(raw) != 8:
-            raise self.error("truncated header")
-        return struct.unpack(">q", raw)[0]
+        begin = struct.unpack(">q", self._take(8))[0]
+        if begin < 0:
+            raise self.error(f"negative data offset {begin}")
+        return begin
 
     def _name(self) -> str:
         length = self._u32()
-        raw = self.handle.read(length)
-        self.handle.read(_pad4(length))
-        return raw.decode("utf-8")
+        raw = self._take(length)
+        self._take(_pad4(length))
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"name {raw!r} is not UTF-8") from None
+
+    def _type(self, what: str) -> int:
+        nc_type = self._u32()
+        if nc_type not in _TYPE_INFO:
+            raise self.error(f"bad {what} type {nc_type}")
+        return nc_type
 
     def _dim_list(self) -> List[NetCDFDimension]:
         tag = self._u32()
@@ -351,13 +346,11 @@ class _HeaderReader:
         attributes: Dict[str, Any] = {}
         for _ in range(count):
             name = self._name()
-            nc_type = self._u32()
+            nc_type = self._type("attribute")
             nelems = self._u32()
-            fmt_char, size = _TYPE_INFO.get(nc_type, (None, None))
-            if fmt_char is None:
-                raise self.error(f"bad attribute type {nc_type}")
-            raw = self.handle.read(nelems * size)
-            self.handle.read(_pad4(nelems * size))
+            fmt_char, size = _TYPE_INFO[nc_type]
+            raw = self._take(nelems * size)
+            self._take(_pad4(nelems * size))
             if nc_type == NC_CHAR:
                 attributes[name] = raw.decode("utf-8", "replace")
             else:
@@ -374,14 +367,12 @@ class _HeaderReader:
         if tag != NC_VARIABLE:
             raise self.error(f"bad var_list tag {tag}")
         variables: List[NetCDFVariable] = []
-        record_size = 0
-        record_vars = 0
         for _ in range(count):
             name = self._name()
             ndims = self._u32()
             dim_ids = [self._u32() for _ in range(ndims)]
             attributes = self._att_list()
-            nc_type = self._u32()
+            nc_type = self._type("variable")
             vsize = self._u32()
             begin = self._offset()
             if any(d >= len(dimensions) for d in dim_ids):
@@ -394,17 +385,17 @@ class _HeaderReader:
                 attributes=attributes, shape=shape, vsize=vsize,
                 begin=begin, is_record=is_record,
             ))
-            if is_record:
-                record_vars += 1
-                record_size += vsize
-        if record_vars == 1:
-            # single record variable: its record slab is not padded
-            only = next(v for v in variables if v.is_record)
-            _, size = _TYPE_INFO[only.nc_type]
-            slab = size
-            for extent in only.shape[1:]:
-                slab *= extent
-            record_size = slab
+        records = [v for v in variables if v.is_record]
+        slabs = [_TYPE_INFO[v.nc_type][1] * math.prod(v.shape[1:])
+                 for v in records]  # bytes of one record of each
+        # a single record variable's records are not padded
+        record_size = slabs[0] if len(records) == 1 else sum(
+            v.vsize for v in records)
+        for var, slab in zip(records, slabs):
+            if slab > record_size:
+                raise self.error(
+                    f"variable {var.name!r} needs {slab} bytes per record "
+                    f"but the record size is {record_size}")
         return variables, record_size
 
 

@@ -27,6 +27,7 @@ loop shows, e.g. ``[[(0,0,0):67.3, (1,0,0):67.3, ...]]``.
 
 from __future__ import annotations
 
+import re
 from typing import Any, List
 
 from repro.errors import ExchangeFormatError
@@ -166,27 +167,61 @@ def pretty(value: Any, limit: int = 12) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
+_WS = r"[ \t\r\n]*"
+#: a real is what ``_format_real`` emits — digits that go on with a
+#: fraction or an exponent, ``inf``, ``-inf``, ``nan``; a malformed
+#: exponent (``1e``) still lexes as one token, so the error names it
+_REAL = r"-?[0-9]+(?=[.eE])(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?|-?inf|nan"
+_NAT = r"[0-9]+(?![0-9.eE])"
+
+#: optional whitespace, then at most one token; ``lastgroup`` names it
+_TOKEN = re.compile(rf"""{_WS}(?:
+      (?P<real>{_REAL})
+    | (?P<nat>-?[0-9]+)
+    | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+    | (?P<word>true|false)
+    | (?P<punct>\[\[|\]\]|\{{\||\|\}}|[{{}}(),;])
+    )?""", re.VERBOSE | re.DOTALL)
+
+#: ``, n, n, ...`` after a number of the same kind: the rest of a
+#: homogeneous array body, consumed as one match (cf. ``_write_block``)
+_RUNS = {
+    "nat": (re.compile(rf"(?:{_WS},{_WS}{_NAT})+"), int),
+    "real": (re.compile(rf"(?:{_WS},{_WS}(?:{_REAL}))+"), float),
+}
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 class _Scanner:
-    """A tiny recursive-descent scanner over the exchange grammar."""
+    """The tokenizer driving the recursive-descent grammar below.
+
+    ``pos`` is the end of the last token consumed; :meth:`peek` moves
+    it over whitespace to the next token and describes that token in
+    ``kind``/``token``/``end`` (``kind`` is ``None`` at the end of
+    input and at a character that starts no token).
+    """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._peeked = -1
 
     def error(self, message: str) -> ExchangeFormatError:
         return ExchangeFormatError(f"at offset {self.pos}: {message}")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self, token: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(token, self.pos)
+    def peek(self) -> str:
+        if self._peeked != self.pos:
+            match = _TOKEN.match(self.text, self.pos)
+            self.kind = kind = match.lastgroup
+            self.token = match.group(kind) if kind else ""
+            self.end = match.end()
+            self.pos = self._peeked = self.end - len(self.token)
+        return self.token
 
     def eat(self, token: str) -> bool:
-        if self.peek(token):
-            self.pos += len(token)
+        if self.peek() == token and self.kind == "punct":
+            self.pos = self.end
             return True
         return False
 
@@ -194,48 +229,57 @@ class _Scanner:
         if not self.eat(token):
             raise self.error(f"expected {token!r}")
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
 
 def loads(text: str) -> Any:
     """Parse one complex object from exchange format text."""
     scanner = _Scanner(text)
-    value = _parse(scanner)
-    if not scanner.at_end():
+    try:
+        value = _parse(scanner)
+    except RecursionError:
+        raise scanner.error("complex object too deeply nested") from None
+    scanner.peek()
+    if scanner.pos < len(text):
         raise scanner.error("trailing input after complex object")
     return value
 
 
+_OPENERS = ("[[", "{|", "{", "(")
+
+
 def _parse(s: _Scanner) -> Any:
-    s.skip_ws()
-    if s.at_end():
-        raise s.error("unexpected end of input")
-    if s.eat("true"):
-        return True
-    if s.eat("false"):
-        return False
-    ch = s.text[s.pos]
-    if ch == '"':
-        return _parse_string(s)
-    if ch.isdigit() or (ch == "-" and s.pos + 1 < len(s.text)
-                        and s.text[s.pos + 1].isdigit()):
-        return _parse_number(s)
-    if s.eat("[["):
+    token, kind = s.peek(), s.kind
+    if kind in _RUNS:
+        try:
+            value = _RUNS[kind][1](token)
+        except ValueError:  # "1e"; more digits than int() converts
+            raise s.error(f"malformed number {token!r}") from None
+        s.pos = s.end
+        if value < 0 and kind == "nat":
+            raise s.error("naturals are non-negative")
+        return value
+    if kind is None or (kind == "punct" and token not in _OPENERS):
+        if s.pos >= len(s.text):
+            raise s.error("unexpected end of input")
+        ch = s.text[s.pos]
+        if ch == '"':
+            s.pos = len(s.text)
+            raise s.error("unterminated string")
+        raise s.error(f"unexpected character {ch!r}")
+    s.pos = s.end
+    if kind == "word":
+        return token == "true"
+    if kind == "string":
+        return _ESCAPE.sub(r"\1", token[1:-1])
+    if token == "[[":
         return _parse_array(s)
-    if s.eat("{|"):
-        items = _parse_items(s, "|}")
-        return Bag(items)
-    if s.eat("{"):
-        items = _parse_items(s, "}")
-        return frozenset(items)
-    if s.eat("("):
-        items = _parse_items(s, ")")
-        if len(items) < 2:
-            raise s.error("tuples have arity >= 2")
-        return tuple(items)
-    raise s.error(f"unexpected character {ch!r}")
+    if token == "{|":
+        return Bag(_parse_items(s, "|}"))
+    if token == "{":
+        return frozenset(_parse_items(s, "}"))
+    items = _parse_items(s, ")")
+    if len(items) < 2:
+        raise s.error("tuples have arity >= 2")
+    return tuple(items)
 
 
 def _parse_items(s: _Scanner, closer: str) -> List[Any]:
@@ -255,15 +299,24 @@ def _parse_array(s: _Scanner) -> Array:
     if s.eat("]]"):
         return Array((0,), [])
     while True:
+        s.peek()
+        run = _RUNS.get(s.kind)
         items.append(_parse(s))
-        s.skip_ws()
+        match = run and run[0].match(s.text, s.pos)
+        if match:
+            # the numbers that follow, in one step; one that does not
+            # convert is left to the item loop, which names its offset
+            try:
+                items.extend(list(map(run[1], match.group().split(",")[1:])))
+                s.pos = match.end()
+            except ValueError:
+                pass
         if s.eat(";"):
             if dims is not None:
                 raise s.error("multiple ';' in array literal")
-            for item in items:
-                if not isinstance(item, int) or isinstance(item, bool) or item < 0:
-                    raise s.error("array dims must be naturals")
-            dims = [int(v) for v in items]
+            if not all(type(item) is int for item in items):
+                raise s.error("array dims must be naturals")
+            dims = items
             items = []
             if s.eat("]]"):
                 break
@@ -277,54 +330,6 @@ def _parse_array(s: _Scanner) -> Array:
         return Array(dims, items)
     except ValueError as exc:
         raise s.error(str(exc)) from exc
-
-
-def _parse_string(s: _Scanner) -> str:
-    assert s.text[s.pos] == '"'
-    s.pos += 1
-    chars: List[str] = []
-    while s.pos < len(s.text):
-        ch = s.text[s.pos]
-        if ch == "\\":
-            if s.pos + 1 >= len(s.text):
-                raise s.error("dangling escape")
-            chars.append(s.text[s.pos + 1])
-            s.pos += 2
-            continue
-        if ch == '"':
-            s.pos += 1
-            return "".join(chars)
-        chars.append(ch)
-        s.pos += 1
-    raise s.error("unterminated string")
-
-
-def _parse_number(s: _Scanner) -> Any:
-    start = s.pos
-    if s.text[s.pos] == "-":
-        s.pos += 1
-    while s.pos < len(s.text) and s.text[s.pos].isdigit():
-        s.pos += 1
-    is_real = False
-    if s.pos < len(s.text) and s.text[s.pos] == ".":
-        is_real = True
-        s.pos += 1
-        while s.pos < len(s.text) and s.text[s.pos].isdigit():
-            s.pos += 1
-    if s.pos < len(s.text) and s.text[s.pos] in "eE":
-        is_real = True
-        s.pos += 1
-        if s.pos < len(s.text) and s.text[s.pos] in "+-":
-            s.pos += 1
-        while s.pos < len(s.text) and s.text[s.pos].isdigit():
-            s.pos += 1
-    token = s.text[start:s.pos]
-    if is_real:
-        return float(token)
-    value = int(token)
-    if value < 0:
-        raise s.error("naturals are non-negative")
-    return value
 
 
 __all__ = ["dumps", "loads", "pretty"]

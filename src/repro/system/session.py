@@ -30,6 +30,7 @@ from repro.core import ast
 from repro.env.environment import TopEnv
 from repro.errors import BottomError, SessionError
 from repro.obs import ExplainReport
+from repro.objects.array import Array
 from repro.objects.exchange import pretty
 from repro.surface.desugar import Desugarer
 from repro.surface.parser import parse_program
@@ -326,6 +327,8 @@ class Session:
         args_value = self._evaluate(plan)
         value = _driver_boundary(reader, args_value)
         self.env.set_val(statement.name, value)
+        if isinstance(value, Array):
+            value.dense_block()  # probed once: the tag types the array
         value_type = type_of_value(value)
         return Output("readval", statement.name, str(value_type),
                       value, has_value=True)

@@ -111,6 +111,33 @@ class TestReadvalWriteval:
         with pytest.raises(SessionError):
             session.run('readval \\x using NOPE at "f";')
 
+    def test_readval_types_a_fresh_array_from_its_block(
+            self, session, tmp_path, monkeypatch):
+        from repro.objects import dense
+        from repro.types import types
+
+        scans = []
+        elem_type = types._elem_type
+        monkeypatch.setattr(
+            types, "_elem_type",
+            lambda items: scans.append(1) or elem_type(items))
+        path = tmp_path / "v.co"
+        cases = [
+            ("[[3; 1.5, 2.5, 3.5]]", "[[real]]_1", True),
+            ("[[2, 2; 1, 2, 3, 4]]", "[[nat]]_2", True),
+            ('[[2; "a", "b"]]', "[[string]]_1", False),  # probe declines
+            ("[[2, 0; ]]", None, False),  # empty: element type unknown
+        ]
+        for text, type_text, from_block in cases:
+            path.write_text(text)
+            del scans[:]
+            (out,) = session.run(f'readval \\B using CO at "{path}";')
+            if type_text is not None:
+                assert out.type_text == type_text
+            if dense.available():
+                assert (out.value.block is not None and not scans) \
+                    == from_block
+
 
 class TestRegisterCO:
     def test_external_primitive_flow(self, session):

@@ -8,9 +8,10 @@ plays for AQL the role relational algebra plays for SQL.
   substitution and α-equivalence.
 * :mod:`repro.core.typecheck` — the typing rules of Figure 1, implemented
   with unification so AQL needs no type annotations.
-* :mod:`repro.core.compile` — the execution engine: compiles closed
-  expressions to closures that produce complex-object values (⊥ raises
-  :class:`~repro.errors.BottomError`).
+* :mod:`repro.core.compile` — the execution engine: compiles each
+  expression to one generated Python function producing complex-object
+  values (⊥ raises :class:`~repro.errors.BottomError`), with
+  :mod:`repro.core.runtime` the checks and counters that code calls.
 * :mod:`repro.core.eval` — the reference semantics (a naive tree-walker)
   the engine is tested against.
 * :mod:`repro.core.builders` — the derived operators of Sections 2–3

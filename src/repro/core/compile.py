@@ -1,52 +1,40 @@
-"""The execution engine: core NRCA expressions → Python closures.
+"""The execution engine: each core NRCA plan → one generated Python function.
 
-The paper's pipeline ends in a *code generator* ("The first reason is to
-make the primitive known to the code generator so a more efficient query
-plan can be generated", Section 3; Section 4.1 compiles the optimized
-query before running it).  This module compiles the AST **once** into
-nested Python closures with slot-indexed environments — the Python
-analogue of the prototype's compilation into SML — and every query a
-:class:`~repro.system.session.Session` or
-:class:`~repro.env.environment.TopEnv` runs goes through it.
-
-It is also the one place physical choices are made: the emitted code
-for ``Tabulate``, ``Σ``, ``Ext`` and ``index_k`` dispatches to
-:mod:`repro.core.kernels`, :mod:`repro.core.parallel` and
-:mod:`repro.core.setops` under the live
-:class:`~repro.core.fastpath.DispatchConfig` and falls through to the
-naive loop.  The semantics are those of the reference tree-walker
-(:mod:`repro.core.eval`), which the test suite checks it against.
-
-Each emitted closure is specialised on what is static at codegen time —
-operator, arity, rank, loop shape — guards on *exact* host types
-(``type(x) is int``), and falls through to the one general routine,
-which owns every error.  Loops allocate one frame per invocation, inside
-``run``: the same code is re-entered recursively.
+The paper's pipeline ends in a *code generator* (Section 3; Section 4.1
+compiles the optimized query before running it).  :meth:`Compiler.compile`
+emits the Python source of a whole expression — a factory
+``_factory(_c, _cfg, _P, _k0, …)`` over the compiler, its dispatch
+config, the probe and the plan's *slots* (every literal, ``Const``,
+primitive and recognised fast-path shape), returning ``_plan(env)`` —
+and returns that function.  No value and no user text enters the
+source, so it depends only on the plan's shape: compiled factories are
+memoised by it in one bounded table, each registered with
+:mod:`linecache` as ``<plan N>`` so host tracebacks show its lines.
+Inside ``_plan`` variables are locals, loops are ``for`` statements and
+straight-line bodies are expressions that guard on exact host types
+before the one general routine, which owns every error
+(:mod:`repro.core.runtime`); the kernel, shard and hash-join cascade
+asks the live :class:`~repro.core.fastpath.DispatchConfig`.  A probe
+makes the same program plus counter lines.  The semantics are those of
+the reference tree-walker (:mod:`repro.core.eval`); DESIGN.md "Code
+generation" has the rules.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import product
-from typing import Any, Callable, List, Mapping, Optional, Tuple
+import linecache
+import threading
+from collections import OrderedDict
+from itertools import count
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core import ast
-from repro.core import kernels
-from repro.core import parallel
-from repro.core import setops
+from repro.core import ast, kernels, parallel, runtime, setops
 from repro.core.fastpath import DEFAULT_CONFIG, DispatchConfig
 from repro.errors import BottomError, EvalError
-from repro.objects.array import Array
-from repro.objects.bag import Bag
-from repro.objects.ordering import (
-    COMPARISONS,
-    canonical_elements,
-    rank_elements,
-    sort_values,
-)
-from repro.objects.values import ARITH_HOST, apply_arith
+from repro.objects.ordering import COMPARISONS
+from repro.objects.values import ARITH_HOST
 
-#: a compiled expression: environment stack -> value
+#: a compiled expression: environment list -> value
 Code = Callable[[List[Any]], Any]
 
 #: native primitives receive ``(argument_value, evaluator)`` so that
@@ -54,39 +42,31 @@ Code = Callable[[List[Any]], Any]
 #: through ``evaluator.apply_function``
 NativePrim = Callable[[Any, Any], Any]
 
+#: compiled factories kept, keyed by their source text (plan shapes)
+FACTORY_CAPACITY = 256
 
-def _binary(left: Code, right: Code,
-            host: Mapping[type, Callable[[Any, Any], Any]],
-            general: Callable[[Any, Any], Any]) -> Code:
-    """Code for a binary operator: the host operator tabled for the
-    operands' type when both have exactly that type (``type(x) is``:
-    no ``bool`` as ``int``, no ``numpy.float64`` as ``float``), else
-    ``general``, which owns every error — a zero divisor included."""
-    host_for = host.get
+#: expression nesting at which a subexpression is spilled into a local
+#: (the host parser refuses 200 nested parentheses); indentation and
+#: loop nesting at which a construct moves into a helper ``def`` (the
+#: host refuses 100 indentation levels and 20 nested blocks)
+_SPILL_DEPTH, _LIFT_LEVEL, _LIFT_LOOPS = 12, 40, 8
 
-    def run(env):
-        a = left(env)
-        b = right(env)
-        kind = type(a)
-        fast = host_for(kind)
-        if fast is not None and type(b) is kind:
-            try:
-                return fast(a, b)
-            except ZeroDivisionError:
-                pass
-        return general(a, b)
-
-    return run
+_LOOPS = frozenset((ast.Ext, ast.Sum, ast.Tabulate))
+#: kinds whose value may be a set or bag: a probe counts it as one
+_COLLECTIONS = frozenset((
+    ast.EmptySet, ast.Singleton, ast.Ext, ast.Gen, ast.ExtRank, ast.EmptyBag,
+    ast.SingletonBag, ast.BagExt, ast.BagExtRank, ast.Var, ast.Const, ast.App,
+    ast.If, ast.Proj, ast.Get, ast.Subscript, ast.Union, ast.BagUnion))
 
 
 class Compiler:
     """Compiles core expressions against a primitive registry.
 
     ``probe`` (an :class:`~repro.obs.metrics.EvalProbe`) makes the
-    generated code self-instrumenting: each node's closure is wrapped
-    with a counting shim *at compile time*, so uninstrumented
-    compilation (the default) emits exactly the original closures with
-    no runtime checks.
+    generated code self-instrumenting — the same program plus counter
+    lines, chosen once per compile — so uninstrumented code (the
+    default) carries no runtime checks.  ``compile`` emits through a
+    private copy of the compiler, which makes it re-entrant.
     """
 
     def __init__(self, prims: Optional[Mapping[str, NativePrim]] = None,
@@ -106,13 +86,9 @@ class Compiler:
     @staticmethod
     def apply_function(fn_value: Any, argument: Any) -> Any:
         """Apply a compiled function value (a plain Python callable) to
-        an argument; the protocol native primitives, which are handed
-        the compiler as their evaluator, apply AQL functions through.
-
-        A ⊥-mapping boundary like :meth:`CompiledEvaluator.run`: a
-        primitive-triggered ``Array`` size mismatch (host ``ValueError``)
-        must surface as the calculus's undefined, not a Python crash.
-        """
+        an argument: how native primitives, handed the compiler as their
+        evaluator, apply AQL functions.  A ⊥-mapping boundary like
+        :meth:`CompiledEvaluator.run` (host ``ValueError`` → ⊥)."""
         if callable(fn_value):
             try:
                 return fn_value(argument)
@@ -122,541 +98,564 @@ class Compiler:
 
     def compile(self, expr: ast.Expr,
                 scope: Tuple[str, ...] = ()) -> Code:
-        """Compile ``expr`` (with free variables in ``scope``) to code."""
-        method = self._DISPATCH.get(type(expr))
-        if method is None:
-            raise EvalError(f"cannot compile {type(expr).__name__}")
-        code = method(self, expr, scope)
-        probe = self.probe
-        if probe is None:
-            return code
-        kind = type(expr).__name__
-
-        def probed(env, _code=code, _kind=kind, _probe=probe):
-            _probe.on_node(_kind)
-            try:
-                result = _code(env)
-            except BottomError as exc:
-                if not getattr(exc, "_obs_counted", False):
-                    exc._obs_counted = True
-                    _probe.on_bottom(exc.reason)
-                raise
-            if isinstance(result, (frozenset, Bag)):
-                _probe.on_collection(len(result))
-            return result
-
-        return probed
-
-    # -- variables and functions ------------------------------------------------
-
-    def _slot(self, scope: Tuple[str, ...], name: str) -> int:
-        """Absolute environment-stack slot of ``name`` (innermost wins)."""
-        for position in range(len(scope) - 1, -1, -1):
-            if scope[position] == name:
-                return position
-        raise EvalError(f"unbound variable {name!r} at compile time")
-
-    def _var(self, expr: ast.Var, scope) -> Code:
-        slot = self._slot(scope, expr.name)
-        return lambda env: env[slot]
-
-    def _lam(self, expr: ast.Lam, scope) -> Code:
-        body = self.compile(expr.body, scope + (expr.param,))
-        depth = len(scope)
-
-        def make(env):
-            prefix = env[:depth]  # snapshot the captured environment
-
-            def closure(argument):
-                return body(prefix + [argument])
-
-            return closure
-
-        return make
-
-    def _app(self, expr: ast.App, scope) -> Code:
-        fn_code = self.compile(expr.fn, scope)
-        arg_code = self.compile(expr.arg, scope)
-
-        def run(env):
-            fn_value = fn_code(env)
-            if not callable(fn_value):
-                raise EvalError(f"not a function: {fn_value!r}")
-            return fn_value(arg_code(env))
-
-        return run
-
-    # -- data constructors ---------------------------------------------------------
-
-    def _tuple(self, expr: ast.TupleE, scope) -> Code:
-        items = [self.compile(item, scope) for item in expr.items]
-        if len(items) == 2:
-            first, second = items
-            return lambda env: (first(env), second(env))
-        if len(items) == 3:
-            first, second, third = items
-            return lambda env: (first(env), second(env), third(env))
-        return lambda env: tuple([code(env) for code in items])
-
-    def _proj(self, expr: ast.Proj, scope) -> Code:
-        target = self.compile(expr.expr, scope)
-        index, arity = expr.index - 1, expr.arity
-
-        def run(env):
-            value = target(env)
-            if not isinstance(value, tuple) or len(value) != arity:
-                raise EvalError(f"π applied to {value!r}")
-            return value[index]
-
-        return run
-
-    def _empty_set(self, expr, scope) -> Code:
-        empty = frozenset()
-        return lambda env: empty
-
-    def _singleton(self, expr: ast.Singleton, scope) -> Code:
-        inner = self.compile(expr.expr, scope)
-        return lambda env: frozenset((inner(env),))
-
-    def _union(self, expr: ast.Union, scope) -> Code:
-        left = self.compile(expr.left, scope)
-        right = self.compile(expr.right, scope)
-        return lambda env: left(env) | right(env)
-
-    def _ext(self, expr: ast.Ext, scope) -> Code:
-        # join recognition happens once, at compile time (the kill
-        # switch is compile-time too: it cannot be un-thrown within a
-        # process); the emitted code still gates per run on the live
-        # config and falls through to the naive loop
-        shape = setops.recognize_join(expr) if setops.ENABLED else None
-        # the hash join needs the set; the naive loop only its elements
-        source = self._elements(expr.source, scope) if shape is None \
-            else self.compile(expr.source, scope)
-        loop = self._ext_loop(expr, scope)
-        if shape is None:
-            return lambda env: loop(env, source(env))
-        pieces = None
-        if self.probe is None:
-            try:
-                pieces = setops.compile_join_pieces(self, expr, shape, scope)
-            except Exception:
-                shape = None  # compile like the naive loop would
-        config = self.parallel
-
-        def run_join(env):
-            src = source(env)
-            if (shape is not None and isinstance(src, frozenset)
-                    and len(src) >= 2 and setops.available(config)):
-                result = setops.hash_join(
-                    self, expr, shape, scope, pieces, env, src)
-                if result is not None:
-                    return result
-            return loop(env, src)
-
-        return run_join
-
-    def _ext_loop(self, expr: ast.Ext, scope):
-        """The naive loop ``(env, elements) -> set``, by body shape:
-        ``{e}`` and ``if c then {e} else {}`` — every desugared
-        comprehension — add ``e`` instead of building and unioning a
-        singleton per element.  A probe counts the nodes that fuses
-        away, so probed code keeps the general shape."""
-        inner = scope + (expr.var,)
-        depth = len(scope)
-        test, body = None, expr.body
-        if isinstance(body, ast.If) and isinstance(body.orelse, ast.EmptySet):
-            test, body = body.cond, body.then
-        if self.probe is None and isinstance(body, ast.Singleton):
-            cond = self.compile(test, inner) if test is not None else None
-            member = self.compile(body.expr, inner)
-
-            def run_adding(env, elements):
-                out: set = set()
-                frame = env + [None]
-                for element in elements:
-                    frame[depth] = element
-                    if cond is None or cond(frame):
-                        out.add(member(frame))
-                return frozenset(out)
-
-            return run_adding
-        body_code = self.compile(expr.body, inner)
-
-        def run(env, elements):
-            out: set = set()
-            frame = env + [None]
-            for element in elements:
-                frame[depth] = element
-                out |= body_code(frame)
-            return frozenset(out)
-
-        return run
-
-    def _elements(self, source: ast.Expr, scope) -> Code:
-        """Code for the collection a loop ranges over.  A source that is
-        syntactically ``gen!n`` is ``range(n)``, no set built; a probe
-        counts the ``Gen`` node and its result, so probed code runs it."""
-        if self.probe is None and isinstance(source, ast.Gen):
-            bound = self._gen_bound(source, scope)
-            return lambda env: range(bound(env))
-        return self.compile(source, scope)
-
-    # -- literals, booleans and conditionals ---------------------------------------------
-
-    def _literal(self, expr, scope) -> Code:
-        """``BoolLit``/``NatLit``/``RealLit``/``StrLit``/``Const``."""
-        value = expr.value
-        return lambda env: value
-
-    def _if(self, expr: ast.If, scope) -> Code:
-        cond = self.compile(expr.cond, scope)
-        then = self.compile(expr.then, scope)
-        orelse = self.compile(expr.orelse, scope)
-        return lambda env: then(env) if cond(env) else orelse(env)
-
-    def _cmp(self, expr: ast.Cmp, scope) -> Code:
-        return _binary(self.compile(expr.left, scope),
-                       self.compile(expr.right, scope),
-                       *COMPARISONS[expr.op])
-
-    # -- naturals -------------------------------------------------------------------------
-
-    def _arith(self, expr: ast.Arith, scope) -> Code:
-        return _binary(self.compile(expr.left, scope),
-                       self.compile(expr.right, scope),
-                       ARITH_HOST[expr.op], partial(apply_arith, expr.op))
-
-    def _gen_bound(self, expr: ast.Gen, scope) -> Code:
-        inner = self.compile(expr.expr, scope)
-
-        def run(env):
-            bound = inner(env)
-            if not isinstance(bound, int) or isinstance(bound, bool) \
-                    or bound < 0:
-                raise BottomError(f"gen of non-natural {bound!r}")
-            return bound
-
-        return run
-
-    def _gen(self, expr: ast.Gen, scope) -> Code:
-        bound = self._gen_bound(expr, scope)
-        return lambda env: frozenset(range(bound(env)))
-
-    def _sum(self, expr: ast.Sum, scope) -> Code:
-        source = self._elements(expr.source, scope)
-        body = self.compile(expr.body, scope + (expr.var,))
-        config = self.parallel
-        depth = len(scope)
-
-        def run(env):
-            # canonical order, NOT frozenset hash order: float addition
-            # is non-associative, so a hash-ordered Σ over reals would
-            # differ between runs and platforms
-            elements = canonical_elements(source(env))
-            if parallel.available(config) \
-                    and config.wants_shards(len(elements)):
-                sharded = parallel.shard_sum(self, expr, scope, env,
-                                             elements)
-                if sharded is not None:
-                    return sharded[0]
-            total: Any = 0
-            frame = env + [None]
-            for element in elements:
-                frame[depth] = element
-                total = total + body(frame)
-            return total
-
-        return run
-
-    # -- arrays ------------------------------------------------------------------------------
-
-    def _tabulate(self, expr: ast.Tabulate, scope) -> Code:
-        bounds = [self.compile(bound, scope) for bound in expr.bounds]
-        body = self.compile(expr.body, scope + expr.vars)
-        rank = expr.rank
-        probe = self.probe
-        # kernel recognition happens once, at compile time; the emitted
-        # code still decides per run (numpy may be toggled, extents and
-        # input values vary) and falls through to the scalar loop
-        kernel = kernels.recognize(expr)
-        input_codes: List[Code] = []
-        if kernel is not None:
-            input_codes = [self.compile(leaf, scope) for leaf in kernel.inputs]
-        config = self.parallel
-        depth = len(scope)
-
-        def run(env):
-            extents = []
-            total = 1
-            for code in bounds:
-                value = code(env)
-                if not isinstance(value, int) or isinstance(value, bool) \
-                        or value < 0:
-                    raise BottomError(
-                        f"tabulation bound {value!r} is not natural"
-                    )
-                extents.append(value)
-                total *= value
-            if kernel is not None and config.wants_kernel(total) \
-                    and kernels.available():
-                inputs = [code(env) for code in input_codes]
-                result = kernels.execute(kernel, extents, inputs)
-                if result is not None:
-                    if probe is not None:
-                        probe.on_cells_vectorized(result.size)
-                    return result
-            # vectorization wins when the body is kernel-shaped;
-            # otherwise shard the domain by flat cell ranges
-            if parallel.available(config) and config.wants_shards(total):
-                result = parallel.shard_tabulate(
-                    self, expr, scope, env, extents, total
-                )
-                if result is not None:
-                    return result
-            values: list = []
-            frame = env + [None] * rank
-            if rank == 1:
-                for i in range(extents[0]):
-                    frame[depth] = i
-                    values.append(body(frame))
-            elif total:  # product() would unroll every axis up front
-                for index in product(*map(range, extents)):
-                    frame[depth:] = index
-                    values.append(body(frame))
-            if probe is not None:
-                probe.on_cells(len(values))
-            return Array(extents, values)
-
-        return run
-
-    def _subscript(self, expr: ast.Subscript, scope) -> Code:
-        array_code = self.compile(expr.array, scope)
-        index_codes = [self.compile(index, scope) for index in expr.indices]
-
-        def general(array, env):
-            if not isinstance(array, Array):
-                raise EvalError(f"subscript into non-array {array!r}")
-            return array[tuple([code(env) for code in index_codes])]
-
-        # the arity is static: ranks 1-3 evaluate their indices into
-        # arguments of the array's reader for that rank, which ends in
-        # the same ``array[(i, j, ...)]`` as the general code
-        if len(index_codes) == 1:
-            (first,) = index_codes
-
-            def run(env):
-                array = array_code(env)
-                if type(array) is Array:
-                    return array.at1(first(env))
-                return general(array, env)
-        elif len(index_codes) == 2:
-            first, second = index_codes
-
-            def run(env):
-                array = array_code(env)
-                if type(array) is Array:
-                    return array.at2(first(env), second(env))
-                return general(array, env)
-        elif len(index_codes) == 3:
-            first, second, third = index_codes
-
-            def run(env):
-                array = array_code(env)
-                if type(array) is Array:
-                    return array.at3(first(env), second(env), third(env))
-                return general(array, env)
-        else:
-            def run(env):
-                return general(array_code(env), env)
-
-        return run
-
-    def _dim(self, expr: ast.Dim, scope) -> Code:
-        inner = self.compile(expr.expr, scope)
-        rank = expr.rank
-
-        def run(env):
-            array = inner(env)
-            if not isinstance(array, Array) or array.rank != rank:
-                raise BottomError(f"dim_{rank} of {array!r}")
-            return array.dims[0] if rank == 1 else array.dims
-
-        return run
-
-    def _index(self, expr: ast.IndexSet, scope) -> Code:
-        inner = self.compile(expr.expr, scope)
-        rank = expr.rank
-        probe = self.probe
-        config = self.parallel
-        if probe is None:
-            return lambda env: setops.index_set_dispatch(inner(env), rank,
-                                                         config)[0]
-
-        def run(env):
-            source = inner(env)
-            result, groups, max_group, sorted_used = \
-                setops.index_set_dispatch(source, rank, config)
-            probe.on_index(result.size, groups, len(source),
-                           max_group=max_group, sorted_path=sorted_used)
-            return result
-
-        return run
-
-    def _get(self, expr: ast.Get, scope) -> Code:
-        inner = self.compile(expr.expr, scope)
-
-        def run(env):
-            value = inner(env)
-            if not isinstance(value, frozenset) or len(value) != 1:
-                raise BottomError(
-                    f"get of non-singleton ({len(value)} elements)"
-                )
-            (element,) = value
-            return element
-
-        return run
-
-    def _bottom(self, expr, scope) -> Code:
-        def run(env):
-            raise BottomError("explicit bottom")
-
-        return run
-
-    def _mk_array(self, expr: ast.MkArray, scope) -> Code:
-        dim_codes = [self.compile(dim, scope) for dim in expr.dims]
-        item_codes = [self.compile(item, scope) for item in expr.items]
-        probe = self.probe
-
-        def run(env):
-            dims = []
-            for code in dim_codes:
-                value = code(env)
-                if not isinstance(value, int) or isinstance(value, bool) \
-                        or value < 0:
-                    raise BottomError(
-                        f"array dimension {value!r} is not natural"
-                    )
-                dims.append(value)
-            expected = 1
-            for extent in dims:
-                expected *= extent
-            if expected != len(item_codes):
-                raise BottomError(
-                    f"array literal has {len(item_codes)} values "
-                    f"for dims {dims}"
-                )
-            if probe is not None:
-                probe.on_cells(len(item_codes))
-            return Array(dims, [code(env) for code in item_codes])
-
-        return run
-
-    def _prim(self, expr: ast.Prim, scope) -> Code:
-        native = self.prims.get(expr.name)
-        if native is None:
-            raise EvalError(f"unknown primitive {expr.name!r}")
-
-        def as_callable(argument):
-            return native(argument, self)
-
-        return lambda env: as_callable
-
-    # -- Section 6 extensions ---------------------------------------------------------------------
-
-    def _empty_bag(self, expr, scope) -> Code:
-        return lambda env: Bag()
-
-    def _singleton_bag(self, expr: ast.SingletonBag, scope) -> Code:
-        inner = self.compile(expr.expr, scope)
-        return lambda env: Bag((inner(env),))
-
-    def _bag_union(self, expr: ast.BagUnion, scope) -> Code:
-        left = self.compile(expr.left, scope)
-        right = self.compile(expr.right, scope)
-        return lambda env: left(env).union(right(env))
-
-    def _bag_ext(self, expr: ast.BagExt, scope) -> Code:
-        source = self.compile(expr.source, scope)
-        body = self.compile(expr.body, scope + (expr.var,))
-
-        def run(env):
-            out = Bag()
-            for element in source(env):
-                out = out.union(body(env + [element]))
-            return out
-
-        return run
-
-    def _ext_rank(self, expr: ast.ExtRank, scope) -> Code:
-        source = self.compile(expr.source, scope)
-        body = self.compile(expr.body, scope + (expr.var, expr.idx))
-
-        def run(env):
-            out: set = set()
-            for element, position in rank_elements(source(env)):
-                out |= body(env + [element, position])
-            return frozenset(out)
-
-        return run
-
-    def _bag_ext_rank(self, expr: ast.BagExtRank, scope) -> Code:
-        source = self.compile(expr.source, scope)
-        body = self.compile(expr.body, scope + (expr.var, expr.idx))
-
-        def run(env):
-            out = Bag()
-            ordered = sort_values(source(env))
-            for position, element in enumerate(ordered, start=1):
-                out = out.union(body(env + [element, position]))
-            return out
-
-        return run
-
-    _DISPATCH = {
-        ast.Var: _var,
-        ast.Lam: _lam,
-        ast.App: _app,
-        ast.TupleE: _tuple,
-        ast.Proj: _proj,
-        ast.EmptySet: _empty_set,
-        ast.Singleton: _singleton,
-        ast.Union: _union,
-        ast.Ext: _ext,
-        ast.BoolLit: _literal,
-        ast.If: _if,
-        ast.Cmp: _cmp,
-        ast.NatLit: _literal,
-        ast.RealLit: _literal,
-        ast.StrLit: _literal,
-        ast.Arith: _arith,
-        ast.Gen: _gen,
-        ast.Sum: _sum,
-        ast.Tabulate: _tabulate,
-        ast.Subscript: _subscript,
-        ast.Dim: _dim,
-        ast.IndexSet: _index,
-        ast.Get: _get,
-        ast.Bottom: _bottom,
-        ast.MkArray: _mk_array,
-        ast.Prim: _prim,
-        ast.Const: _literal,
-        ast.EmptyBag: _empty_bag,
-        ast.SingletonBag: _singleton_bag,
-        ast.BagUnion: _bag_union,
-        ast.BagExt: _bag_ext,
-        ast.ExtRank: _ext_rank,
-        ast.BagExtRank: _bag_ext_rank,
+        """Compile ``expr`` (with free variables in ``scope``, bound by
+        position in the environment list) to its plan function."""
+        emission = Compiler(self.prims, self.probe, self.parallel)
+        emission._owner = self
+        source = emission._module(expr, scope)
+        return _compiled(source)(self, self.parallel, self.probe,
+                                 *emission._consts)
+
+    #: the fast-path entry points, bound into every plan's globals
+    RUNTIME = {
+        "_kavailable": kernels.available, "_kexecute": kernels.execute,
+        "_pavailable": parallel.available, "_shard_sum": parallel.shard_sum,
+        "_shard_tabulate": parallel.shard_tabulate,
+        "_savailable": setops.available, "_hash_join": setops.hash_join,
     }
+
+    # -- emission: statements, spills, nested blocks and helpers --------------
+
+    def _module(self, expr: ast.Expr, scope: Tuple[str, ...]) -> str:
+        self._consts: List[Any] = []
+        self._helpers: List[str] = []
+        self._names: Dict[int, str] = {}  # variable number -> AST name
+        self._next, self._reads, self._lines = 0, set(), []
+        probed = self.probe is not None
+        self._level, self._loops, self._depth = 3 if probed else 2, 0, 0
+        numbers = [self._bind(name) for name in scope]
+        bound = dict(zip(scope, numbers))
+        self._line(f"return {self._emit(expr, bound)}")
+        head = ["    def _plan(env):"]
+        if scope:
+            head.append("        " + "".join(
+                f"v{n}, " if bound[name] == n else "_, "
+                for name, n in zip(scope, numbers)) + "= env")
+        if probed:
+            head = ["    _on = _P.on_node", *head, "        try:"]
+            self._lines += ["        except BottomError as exc:",
+                            "            _counted_bottom(_P, exc)",
+                            "            raise"]
+        slots = "".join(f", _k{slot}" for slot in range(len(self._consts)))
+        return "\n".join([f"def _factory(_c, _cfg, _P{slots}):",
+                          *self._helpers, *head, *self._lines,
+                          "    return _plan", ""])
+
+    def _bind(self, name: str) -> int:
+        number, self._next = self._next, self._next + 1
+        self._names[number] = name
+        return number
+
+    def _fresh(self, prefix: str = "t") -> str:
+        number, self._next = self._next, self._next + 1
+        return f"{prefix}{number}"
+
+    def _const(self, value: Any) -> str:
+        self._consts.append(value)
+        return f"_k{len(self._consts) - 1}"
+
+    def _line(self, text: str, deeper: int = 0, at: Optional[int] = None):
+        self._lines.insert(len(self._lines) if at is None else at,
+                           "    " * (self._level + deeper) + text)
+
+    def _spill(self, text: str) -> str:
+        if text.isidentifier():
+            return text
+        name = self._fresh()
+        self._line(f"{name} = {text}")
+        return name
+
+    def _named(self, text: str) -> Tuple[str, str]:
+        """``(name, binding)`` for a value read more than once: ``text``
+        itself if it is a name, else a temporary and its walrus."""
+        if text.isidentifier():
+            return text, text
+        name = self._fresh()
+        return name, f"{name} := {text}"
+
+    def _emit(self, expr: ast.Expr, scope: Dict[str, int]) -> str:
+        """The text of ``expr``'s value; statements it needs first are
+        appended to the current block."""
+        kind = type(expr)
+        if self._depth >= _SPILL_DEPTH:
+            depth, self._depth = self._depth, 0
+            text = self._spill(self._emit(expr, scope))
+            self._depth = depth
+            return text
+        strict, method = self._STRICT.get(kind), self._NODES.get(kind)
+        if strict is None and method is None:
+            raise EvalError(f"cannot compile {kind.__name__}")
+        if strict is None and (self._level > _LIFT_LEVEL or (
+                kind in _LOOPS and self._loops >= _LIFT_LOOPS)):
+            return self._lift(expr, scope)
+        mark = len(self._lines)
+        self._depth += 1
+        if strict is not None:
+            parts, build = strict(self, expr)
+            texts = self._seq(parts, scope)
+            text = build.format(*texts) if type(build) is str \
+                else build(*texts)
+        else:
+            text = method(self, expr, scope)
+        self._depth -= 1
+        if self.probe is None:
+            return text
+        text = self._counted(kind.__name__, mark, text)
+        return f"_seen(_P, {text})" if kind in _COLLECTIONS else text
+
+    def _counted(self, kind: str, mark: int, text: str) -> str:
+        """``text`` after counting one ``kind`` node: a statement at
+        ``mark`` if the node needed statements, else inline."""
+        if len(self._lines) == mark:
+            return f"(_on({kind!r}) or {text})"
+        self._line(f"_on({kind!r})", at=mark)
+        return text
+
+    def _seq(self, parts, scope) -> List[str]:
+        """The texts of ``parts``, evaluated left to right.  A part is a
+        node or ``(node, check)``, ``check`` wrapping its text; when a
+        part needs statements, the texts before it are spilled ahead of
+        them, so that they still run first."""
+        texts: List[str] = []
+        for part in parts:
+            node, check = part if type(part) is tuple else (part, None)
+            mark = len(self._lines)
+            text = self._emit(node, scope)
+            if len(self._lines) > mark:
+                for position, prior in enumerate(texts):
+                    if not prior.isidentifier():
+                        texts[position] = self._fresh()
+                        self._line(f"{texts[position]} = {prior}", at=mark)
+                        mark += 1
+            texts.append(check(text) if check is not None else text)
+        return texts
+
+    def _nested(self, emit: Callable[[], Any], level: int, start=None,
+                loops: int = 0, function: bool = False, depth: int = 0):
+        """Run ``emit()`` into a fresh statement list at ``level``:
+        ``(lines, text, free)``, ``free`` the numbers of the variables
+        it read that were bound before ``start``."""
+        start = self._next if start is None else start
+        saved = (self._lines, self._level, self._loops, self._depth,
+                 self._reads)
+        self._lines, self._level, self._depth, self._reads = \
+            [], level, depth, set()
+        self._loops = loops if function else self._loops + loops
+        text = emit()
+        lines, reads = self._lines, self._reads
+        (self._lines, self._level, self._loops, self._depth,
+         self._reads) = saved
+        free = sorted(number for number in reads if number < start)
+        self._reads.update(free)
+        return lines, text, free
+
+    def _lift(self, expr: ast.Expr, scope) -> str:
+        """``expr`` moved into a helper ``def`` of the factory, called
+        with the variables it reads."""
+        name = self._fresh("h")
+        lines, text, free = self._nested(lambda: self._emit(expr, scope), 2,
+                                         function=True)
+        params = ", ".join(f"v{number}" for number in free)
+        self._helpers += [f"    def {name}({params}):", *lines,
+                          f"        return {text}"]
+        return f"{name}({params})"
+
+    def _shard_args(self, expr: ast.Expr, free: List[int]) -> str:
+        """Node, scope names and environment list of a shard dispatch:
+        the variables the body reads from outside the loop."""
+        names = tuple(self._names[number] for number in free)
+        env = ", ".join(f"v{number}" for number in free)
+        return f"{self._const(expr)}, {self._const(names)}, [{env}]"
+
+    def _var(self, expr: ast.Var, scope) -> str:
+        number = scope.get(expr.name)
+        if number is None:
+            raise EvalError(f"unbound variable {expr.name!r} at compile time")
+        self._reads.add(number)
+        return f"v{number}"
+
+    def _literal(self, expr, scope) -> str:
+        return self._const(expr.value)
+
+    def _native(self, name: str) -> NativePrim:
+        native = self.prims.get(name)
+        if native is None:
+            raise EvalError(f"unknown primitive {name!r}")
+        return native
+
+    def _prim(self, expr: ast.Prim, scope) -> str:
+        native, owner = self._native(expr.name), self._owner
+        return self._const(lambda argument: native(argument, owner))
+
+    def _def(self, names, body: ast.Expr, scope) -> str:
+        """A nested ``def`` of ``names`` evaluating ``body``, binding
+        what it reads from outside as defaults, at creation."""
+        start = self._next
+        params = [self._bind(name) for name in names]
+        inner = {**scope, **dict(zip(names, params))}
+        lines, text, free = self._nested(
+            lambda: self._emit(body, inner), self._level + 1, start,
+            function=True)
+        name = self._fresh("f")
+        self._line(f"def {name}(" + ", ".join(
+            [f"v{n}" for n in params] + [f"v{n}=v{n}" for n in free]) + "):")
+        self._lines += lines
+        self._line(f"return {text}", 1)
+        return name
+
+    def _app(self, expr: ast.App, scope) -> str:
+        fn = expr.fn
+        if type(fn) is ast.Lam:  # (fn x => body)!arg binds x as a local
+            if self.probe is not None:
+                self._line("_on('Lam')")
+            argument = self._emit(expr.arg, scope)
+            param = self._bind(fn.param)
+            self._line(f"v{param} = {argument}")
+            return self._emit(fn.body, {**scope, fn.param: param})
+        if type(fn) is ast.Prim:
+            native, mark = self._const(self._native(fn.name)), len(self._lines)
+            argument = self._emit(expr.arg, scope)
+            if self.probe is not None:
+                native = self._counted("Prim", mark, native)
+            return f"{native}({argument}, _c)"
+        callee, argument = self._seq(((fn, lambda text: self._checked(
+            text, "callable({})", "_function({})")), expr.arg), scope)
+        return f"{callee}({argument})"
+
+    def _checked(self, text: str, test: str, otherwise: str) -> str:
+        """``text``'s value where ``test`` (of its binding ``{0}`` and
+        name ``{1}``) holds, else ``otherwise``, which owns the error."""
+        name, first = self._named(text)
+        return f"({name} if {test.format(first, name)} else " \
+            f"{otherwise.format(name)})"
+
+    # -- straight-line nodes: (parts, build) ----------------------------------
+
+    def _guarded(self, table, general: str, divides: bool,
+                 left: str, right: str) -> str:
+        """A binary operator: each host expression of ``table`` under
+        its exact-type guard, else ``general``, which owns every error."""
+        (a, first), (b, second) = self._named(left), self._named(right)
+        operands, text = f"type({first}) is type({second})", "("
+        for types, host in table:
+            guard = f"is {types[0].__name__}" if len(types) == 1 \
+                else f"in {runtime.TYPESETS[types]}"
+            nonzero = f" and {b}" if divides else ""
+            text += f"{host.format(a=a, b=b)} if {operands} {guard}" \
+                    f"{nonzero} else "
+            operands = f"type({a}) is type({b})"
+        return text + general.format(a=a, b=b) + ")"
+
+    def _arith(self, expr: ast.Arith):
+        return (expr.left, expr.right), lambda left, right: self._guarded(
+            ARITH_HOST[expr.op], f"_arith({expr.op!r}, {{a}}, {{b}})",
+            expr.op in ("/", "%"), left, right)
+
+    def _cmp(self, expr: ast.Cmp):
+        return (expr.left, expr.right), lambda left, right: self._guarded(
+            COMPARISONS[expr.op][0],
+            runtime.COMPARE_NAMES[expr.op] + "({a}, {b})", False, left, right)
+
+    def _subscript(self, expr: ast.Subscript):
+        arity = len(expr.indices)
+        read = f".at{arity}({{}})" if arity <= 3 else "[({},)]"
+        return ((expr.array, lambda text: self._checked(
+            text, "type({}) is Array", "_array({})")), *expr.indices), \
+            lambda array, *index: array + read.format(", ".join(index))
+
+    def _proj(self, expr: ast.Proj):
+        arity = expr.arity
+        return (expr.expr,), lambda text: self._checked(
+            text, f"type({{0}}) is tuple and len({{1}}) == {arity}",
+            f"_tuple({{}}, {arity})") + f"[{expr.index - 1}]"
+
+    #: kind -> ``(self, node) -> (parts, build)``: ``build`` formats the
+    #: parts' texts (a template or a function of them)
+    _STRICT = {
+        ast.TupleE: lambda self, e: (
+            e.items, "({})".format(", ".join(["{}"] * len(e.items)))),
+        ast.Proj: _proj, ast.Cmp: _cmp, ast.Arith: _arith,
+        ast.Subscript: _subscript,
+        ast.EmptySet: lambda self, e: ((), "_EMPTY"),
+        ast.Singleton: lambda self, e: ((e.expr,), "frozenset(({},))"),
+        ast.Union: lambda self, e: ((e.left, e.right), "({} | {})"),
+        ast.Gen: lambda self, e: (
+            (e.expr,), "frozenset(range(_natural({}, _GEN)))"),
+        ast.Dim: lambda self, e: ((e.expr,), f"_dim({{}}, {e.rank})"),
+        ast.IndexSet: lambda self, e: (
+            (e.expr,), f"_indexed({{}}, {e.rank}, _cfg, _P)"),
+        ast.Get: lambda self, e: ((e.expr,), "_get({})"),
+        ast.Bottom: lambda self, e: ((), "_bottom()"),
+        ast.EmptyBag: lambda self, e: ((), "Bag()"),
+        ast.SingletonBag: lambda self, e: ((e.expr,), "Bag(({},))"),
+        ast.BagUnion: lambda self, e: ((e.left, e.right), "{}.union({})"),
+    }
+
+    def _if(self, expr: ast.If, scope) -> str:
+        cond, level, depth = self._emit(expr.cond, scope), self._level, \
+            self._depth
+        then_lines, then, _ = self._nested(
+            lambda: self._emit(expr.then, scope), level + 1, depth=depth)
+        else_lines, orelse, _ = self._nested(
+            lambda: self._emit(expr.orelse, scope), level + 1, depth=depth)
+        if not then_lines and not else_lines:
+            return f"({then} if {cond} else {orelse})"
+        result, pad = self._fresh(), "    " * level
+        self._lines += [f"{pad}if {cond}:", *then_lines,
+                        f"{pad}    {result} = {then}", f"{pad}else:",
+                        *else_lines, f"{pad}    {result} = {orelse}"]
+        return result
+
+    def _mk_array(self, expr: ast.MkArray, scope) -> str:
+        dims = self._seq([(dim, lambda text: f"_natural({text}, _DIMENSION)")
+                          for dim in expr.dims], scope)
+        shape = self._spill(  # checked before any item is evaluated
+            f"_dims(({', '.join(dims)},), {len(expr.items)}, _P)")
+        return f"Array({shape}, [{', '.join(self._seq(expr.items, scope))}])"
+
+    # -- loops ----------------------------------------------------------------
+
+    def _elements(self, source: ast.Expr, scope) -> str:
+        """What a loop ranges over: ``gen!n`` is ``range(n)``, counted
+        as the ``Gen`` node and its set when probed."""
+        if type(source) is not ast.Gen:
+            return self._emit(source, scope)
+        mark = len(self._lines)
+        elements = f"range(_natural({self._emit(source.expr, scope)}, _GEN))"
+        if self.probe is None:
+            return elements
+        return f"_seen(_P, {self._counted('Gen', mark, elements)})"
+
+    def _ext(self, expr: ast.Ext, scope) -> str:
+        # recognised once (the kill switch too); the emitted code gates
+        # each run on the live config and falls through to the loop
+        shape = setops.recognize_join(expr) if setops.ENABLED else None
+        if shape is not None:
+            free = ast.free_vars(expr)
+            names = tuple(name for name in scope if name in free)
+            pieces = None
+            if self.probe is None:  # probed pieces are built per dispatch
+                try:
+                    pieces = setops.compile_join_pieces(self._owner, expr,
+                                                        shape, names)
+                except Exception:
+                    shape = None
+        depth, self._depth, acc = self._depth, 0, self._fresh("s")
+        if shape is None:
+            self._line(f"{acc} = set()")
+            self._collect(expr, scope, acc)
+            self._depth = depth
+            return f"frozenset({acc})"
+        env = ", ".join(self._var(ast.Var(name), scope) for name in names)
+        source, result = self._spill(self._emit(expr.source, scope)), \
+            self._fresh()
+        self._line(f"{result} = _hash_join(_c, {self._const(expr)}, "
+                   f"{self._const(shape)}, {self._const(names)}, "
+                   f"{self._const(pieces)}, [{env}], {source}) if isinstance("
+                   f"{source}, frozenset) and len({source}) >= 2 and "
+                   f"_savailable(_cfg) else None")
+        self._line(f"if {result} is None:")
+        self._level += 1
+        self._line(f"{acc} = set()")
+        self._collect(expr, scope, acc, source)
+        self._line(f"{result} = frozenset({acc})")
+        self._level -= 1
+        self._depth = depth
+        return result
+
+    def _collect(self, expr: ast.Ext, scope, acc: str,
+                 elements: Optional[str] = None) -> None:
+        """A ``for`` loop adding ``⋃{body | var ∈ source}`` (or over the
+        already evaluated ``elements``) into the set ``acc``."""
+        if elements is None:
+            elements = self._elements(expr.source, scope)
+        var = self._bind(expr.var)
+        self._line(f"for v{var} in {elements}:")
+        self._level, self._loops = self._level + 1, self._loops + 1
+        self._add(expr.body, {**scope, expr.var: var}, acc)
+        self._level, self._loops = self._level - 1, self._loops - 1
+
+    def _add(self, body: ast.Expr, scope, acc: str) -> None:
+        """Statements adding the set ``body`` into ``acc``.  ``{m}`` and
+        an ``ext`` under any number of ``if c then … else {}`` add into
+        ``acc`` under ``if`` statements; a probe counts what the unfused
+        plan would."""
+        conds, member = [], body
+        while type(member) is ast.If and type(member.orelse) is ast.EmptySet:
+            conds.append(member.cond)
+            member = member.then
+        kind, probed, level = type(member), self.probe is not None, \
+            self._level
+        nested = kind is ast.Ext and self._loops < _LIFT_LOOPS \
+            and level <= _LIFT_LEVEL \
+            and not (setops.ENABLED and setops.recognize_join(member))
+        if kind is not ast.Singleton and not nested:
+            self._line(f"{acc} |= {self._emit(body, scope)}")
+            return
+        for cond in conds:
+            if probed:
+                self._line("_on('If')")
+            self._line(f"if {self._emit(cond, scope)}:")
+            self._level += 1
+        size = "1"
+        if kind is ast.Singleton:
+            if probed:
+                self._line("_on('Singleton')")
+            self._line(f"{acc}.add({self._emit(member.expr, scope)})")
+        elif probed:  # the nested ext's own set, for its count
+            inner = self._fresh("s")
+            self._line("_on('Ext')")
+            self._line(f"{inner} = set()")
+            self._collect(member, scope, inner)
+            self._line(f"{acc} |= {inner}")
+            size = f"len({inner})"
+        else:
+            self._collect(member, scope, acc)
+        if probed:
+            self._line(f"_filtered(_P, {size}, {len(conds)})")
+            for levels in range(len(conds), 0, -1):
+                self._line("else:", -1)
+                self._line(f"_filtered(_P, None, {levels})")
+                self._level -= 1
+        self._level = level
+
+    def _sum(self, expr: ast.Sum, scope) -> str:
+        # canonical order, NOT frozenset hash order: float addition is
+        # non-associative, so a hash-ordered Σ over reals would differ
+        # between runs and platforms (a range is in that order already,
+        # and the naturals of a literal body add exactly in any order)
+        values = self._elements(expr.source, scope)
+        ordered = type(expr.source) is ast.Gen or type(expr.body) is ast.NatLit
+        values = self._spill(values if ordered else
+                             f"canonical_elements({values})")
+        start, shipped = self._next, f"list({values})" if ordered else values
+        var = self._bind(expr.var)
+        inner = {**scope, expr.var: var}
+        lines, body, free = self._nested(lambda: self._emit(expr.body, inner),
+                                         self._level + 2, start, loops=1)
+        total, sharded = self._fresh(), self._fresh()
+        self._line(f"{sharded} = _shard_sum(_c, {self._shard_args(expr, free)}"
+                   f", {shipped}) if _cfg.workers > 1 and _pavailable(_cfg) "
+                   f"and _cfg.wants_shards(len({values})) else None")
+        self._line(f"if {sharded} is None:")
+        self._line(f"{total} = 0", 1)
+        self._line(f"for v{var} in {values}:", 1)
+        self._lines += lines
+        self._line(f"{total} = {total} + {body}", 2)
+        self._line("else:")
+        self._line(f"{total} = {sharded}[0]", 1)
+        return total
+
+    def _tabulate(self, expr: ast.Tabulate, scope) -> str:
+        dims = [self._spill(text) for text in self._seq(
+            [(bound, lambda text: f"_natural({text}, _BOUND)")
+             for bound in expr.bounds], scope)]
+        extents, cells = f"({', '.join(dims)},)", self._spill(" * ".join(dims))
+        result, probed = self._fresh(), self.probe is not None
+        self._line(f"{result} = None")
+        # recognised once; the emitted code decides per run (numpy may be
+        # toggled, extents and inputs vary) and falls through to the loop
+        kernel = kernels.recognize(expr)
+        if kernel is not None:
+            depth, self._depth = self._depth, 0  # leaves: never spilled
+            inputs = ", ".join(self._emit(leaf, scope)
+                               for leaf in kernel.inputs)
+            self._depth = depth
+            self._line(f"if _cfg.wants_kernel({cells}) and _kavailable():")
+            self._line(f"{result} = _kexecute({self._const(kernel)}, "
+                       f"{extents}, [{inputs}])", 1)
+            if probed:
+                self._line(f"if {result} is not None: "
+                           f"_P.on_cells_vectorized({result}.size)", 1)
+        start = self._next
+        numbers = [self._bind(name) for name in expr.vars]
+        inner = {**scope, **dict(zip(expr.vars, numbers))}
+        loops = [f"for v{number} in range({dim}):"
+                 for number, dim in zip(numbers, dims)]
+        if len(loops) > 2:  # one loop over the product, not one per axis
+            loops = [f"for {', '.join(f'v{n}' for n in numbers)} in "
+                     f"_product({', '.join(f'range({d})' for d in dims)}):"]
+        if len(numbers) > 1:  # an empty domain is not walked at all
+            loops.insert(0, f"if {cells}:")
+        lines, body, free = self._nested(lambda: self._emit(expr.body, inner),
+                                         self._level + len(loops) + 1, start,
+                                         loops=len(loops))
+        self._line(f"if {result} is None and _cfg.workers > 1 and "
+                   f"_pavailable(_cfg) and _cfg.wants_shards({cells}):")
+        self._line(f"{result} = _shard_tabulate(_c, "
+                   f"{self._shard_args(expr, free)}, {extents}, {cells})", 1)
+        acc = self._fresh("s")
+        self._line(f"if {result} is None:")
+        self._line(f"{acc} = []", 1)
+        for deeper, loop in enumerate(loops, 1):
+            self._line(loop, deeper)
+        self._lines += lines
+        self._line(f"{acc}.append({body})", len(loops) + 1)
+        if probed:
+            self._line(f"_P.on_cells(len({acc}))", 1)
+        self._line(f"{result} = Array({extents}, {acc})", 1)
+        return result
+
+    def _fold(self, expr, scope) -> str:
+        """The bag and ranked loops: a runtime loop (``_bag_ext`` …) over
+        the source and a ``def`` of the body of its binders."""
+        source = self._emit(expr.source, scope)
+        binders = (expr.var,) if type(expr) is ast.BagExt \
+            else (expr.var, expr.idx)
+        return f"_{self._FOLDS[type(expr)]}({source}, " \
+            f"{self._def(binders, expr.body, scope)})"
+
+    _FOLDS = {ast.BagExt: "bag_ext", ast.ExtRank: "ext_rank",
+              ast.BagExtRank: "bag_ext_rank"}
+
+    _NODES = {
+        ast.Var: _var, ast.App: _app, ast.Ext: _ext,
+        ast.Lam: lambda self, e, scope: self._def((e.param,), e.body, scope),
+        **dict.fromkeys((ast.BoolLit, ast.NatLit, ast.RealLit, ast.StrLit,
+                         ast.Const), _literal),
+        ast.If: _if, ast.Sum: _sum, ast.Tabulate: _tabulate,
+        ast.MkArray: _mk_array, ast.Prim: _prim,
+        **dict.fromkeys(_FOLDS, _fold),
+    }
+
+
+#: the globals of every emitted plan: no value of any plan lives here
+_GLOBALS = {**runtime.NAMES, **Compiler.RUNTIME}
+
+#: source text -> compiled factory, least recently used first
+_FACTORIES: "OrderedDict[str, Callable[..., Code]]" = OrderedDict()
+_FACTORIES_LOCK = threading.Lock()
+_PLAN_NUMBERS = count()
+
+
+def _compiled(source: str) -> Callable[..., Code]:
+    """The factory ``source`` defines, compiled on first sight."""
+    with _FACTORIES_LOCK:
+        factory = _FACTORIES.get(source)
+        if factory is not None:
+            _FACTORIES.move_to_end(source)
+            return factory
+    filename = f"<plan {next(_PLAN_NUMBERS)}>"
+    defined: Dict[str, Any] = {}
+    exec(compile(source, filename, "exec"), _GLOBALS, defined)
+    factory = defined["_factory"]
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    with _FACTORIES_LOCK:
+        _FACTORIES[source] = factory
+        while len(_FACTORIES) > FACTORY_CAPACITY:
+            _, evicted = _FACTORIES.popitem(last=False)
+            linecache.cache.pop(evicted.__code__.co_filename, None)
+    return factory
 
 
 class CompiledEvaluator:
     """Generates code for an expression and runs it.
 
-    The generated code is kept for the most recent expression only, and
-    together with the node itself: a plan-cache entry's evaluator runs
-    one core over and over without regenerating, while a bare ``id``
-    key would be recycled by the allocator once a node dies and serve
-    one expression's code for another.
+    The code is kept for the most recent expression only, together with
+    the node itself: a bare ``id`` key would be recycled by the
+    allocator once a node dies and serve one expression's code for
+    another.
     """
 
     def __init__(self, prims: Optional[Mapping[str, NativePrim]] = None,
@@ -667,36 +666,35 @@ class CompiledEvaluator:
 
     def prepare(self, expr: ast.Expr,
                 names: Tuple[str, ...] = ()) -> Code:
-        """Generate (or reuse) the code for ``expr`` and return it.
-
-        ``run`` does this on demand; ``prepare`` exists so the plan
-        cache can account code generation separately from execution.
-        """
+        """Generate (or reuse) the code for ``expr`` and return it, so
+        a plan cache can account code generation apart from running."""
         prepared = self._prepared
         if prepared is not None and prepared[0] is expr \
                 and prepared[1] == names:
             return prepared[2]
         try:
             code = self.compiler.compile(expr, names)
-        except RecursionError:
+        except (RecursionError, SyntaxError, MemoryError):
             raise EvalError(
                 "expression nesting exceeds the evaluator depth limit"
             ) from None
         self._prepared = (expr, names, code)
         return code
 
+    @property
+    def source(self) -> str:
+        """The emitted source of the prepared plan (``""`` before one)."""
+        return "" if self._prepared is None else "".join(
+            linecache.getlines(self._prepared[2].__code__.co_filename))
+
     def run(self, expr: ast.Expr,
             bindings: Optional[Mapping[str, Any]] = None) -> Any:
         """Evaluate ``expr`` with optional top-level value bindings.
 
-        Host-level failures are mapped at this boundary so callers only
-        ever see the calculus's own errors: a stray ``ValueError`` from
-        complex-object code (e.g. :class:`~repro.objects.array.Array`
-        construction inside a primitive) becomes ⊥, and blowing the host
-        stack on a deeply nested expression — while generating code or
-        while running it — surfaces as :class:`~repro.errors.EvalError`
-        instead of a bare ``RecursionError``.
-        """
+        Host failures are mapped at this boundary: a stray ``ValueError``
+        from complex-object code becomes ⊥, and blowing the host stack —
+        while generating code or running it — the depth-limit
+        :class:`~repro.errors.EvalError`."""
         names = tuple(sorted(bindings)) if bindings else ()
         code = self.prepare(expr, names)
         try:
@@ -721,4 +719,5 @@ def evaluate(expr: ast.Expr,
     return CompiledEvaluator(prims).run(expr, bindings)
 
 
-__all__ = ["Compiler", "CompiledEvaluator", "NativePrim", "evaluate", "Code"]
+__all__ = ["Compiler", "CompiledEvaluator", "NativePrim", "evaluate", "Code",
+           "FACTORY_CAPACITY"]

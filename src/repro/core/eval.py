@@ -123,7 +123,9 @@ class Evaluator:
 
     def _get(expr: ast.Get, source):
         if not isinstance(source, frozenset) or len(source) != 1:
-            raise BottomError(f"get of non-singleton ({len(source)} elements)")
+            raise (BottomError(f"get of non-singleton ({len(source)} elements)")
+                   if isinstance(source, (frozenset, Bag))
+                   else EvalError(f"get of non-collection {source!r}"))
         (element,) = source
         return element
 

@@ -1,0 +1,176 @@
+"""What emitted plans call besides their locals and slots.
+
+:mod:`repro.core.compile` emits a plan's fast paths as inline text —
+host operators under exact-type guards, a rank's array reader — and
+every way out of them as a call into this module or into the general
+routines it names (``apply_arith``, ``value_equal``, ``compare_values``),
+which own every error and every ⊥ reason.  :data:`NAMES` is what an
+emitted plan may name; it holds no value of any plan.  The
+``counted_*``/``seen`` helpers are a probe's counter lines.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Any, Dict
+
+from repro.core import setops
+from repro.errors import BottomError, EvalError
+from repro.objects.array import Array
+from repro.objects.bag import Bag
+from repro.objects.ordering import (COMPARISONS, canonical_elements,
+                                    rank_elements, sort_values)
+from repro.objects.values import ARITH_HOST, apply_arith
+
+#: the general routine of each comparison, by its emitted name
+COMPARE_NAMES = {"=": "_eq", "<>": "_ne", "<": "_lt", "<=": "_le",
+                 ">": "_gt", ">=": "_ge"}
+#: an emitted name for each multi-type guard of the host tables
+TYPESETS = {types: f"_types{position}" for position, types in enumerate(
+    {types: None for table in [*ARITH_HOST.values(),
+                               *(host for host, _ in COMPARISONS.values())]
+     for types, _ in table if len(types) > 1})}
+
+
+def natural(value: Any, message: str) -> int:
+    """``value`` if it is a natural, else ⊥ ``message.format(value)``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise BottomError(message.format(value))
+    return value
+
+
+def not_a_function(value: Any):
+    """The callee of an application that is not callable."""
+    raise EvalError(f"not a function: {value!r}")
+
+
+def array(value: Any) -> Array:
+    """The operand of a subscript whose type is not exactly ``Array``."""
+    if not isinstance(value, Array):
+        raise EvalError(f"subscript into non-array {value!r}")
+    return value
+
+
+def tuple_of(value: Any, arity: int) -> tuple:
+    """The operand of a projection that is not exactly a ``tuple`` of
+    ``arity`` components."""
+    if not isinstance(value, tuple) or len(value) != arity:
+        raise EvalError(f"π applied to {value!r}")
+    return value
+
+
+def get(value: Any) -> Any:
+    """``get``: the element of a singleton set."""
+    if isinstance(value, frozenset) and len(value) == 1:
+        (element,) = value
+        return element
+    if isinstance(value, (frozenset, Bag)):
+        raise BottomError(f"get of non-singleton ({len(value)} elements)")
+    raise EvalError(f"get of non-collection {value!r}")
+
+
+def dim(value: Any, rank: int) -> Any:
+    """``dim_rank``: an extent at rank 1, else the tuple of extents."""
+    if not isinstance(value, Array) or value.rank != rank:
+        raise BottomError(f"dim_{rank} of {value!r}")
+    return value.dims[0] if rank == 1 else value.dims
+
+
+def dims(extents: tuple, values: int, probe: Any) -> tuple:
+    """The extents of an array literal of ``values`` cells, checked."""
+    expected = 1
+    for extent in extents:
+        expected *= extent
+    if expected != values:
+        raise BottomError(
+            f"array literal has {values} values for dims {list(extents)}")
+    if probe is not None:
+        probe.on_cells(values)
+    return extents
+
+
+def bottom():
+    """The explicit ⊥ construct."""
+    raise BottomError("explicit bottom")
+
+
+def indexed(pairs: Any, rank: int, config: Any, probe: Any) -> Array:
+    """``index_rank`` the way :func:`setops.index_set_dispatch` picks."""
+    result, groups, max_group, sorted_used = \
+        setops.index_set_dispatch(pairs, rank, config)
+    if probe is not None:
+        probe.on_index(result.size, groups, len(pairs),
+                       max_group=max_group, sorted_path=sorted_used)
+    return result
+
+
+def bag_ext(source: Any, body: Any) -> Bag:
+    """``⊎{body(x) | x ∈ source}`` (Section 6)."""
+    out = Bag()
+    for element in source:
+        out = out.union(body(element))
+    return out
+
+
+def ext_rank(source: Any, body: Any) -> frozenset:
+    """``⋃_r{body(x, i) | x ∈ source}``: ``i`` the rank of ``x``."""
+    out: set = set()
+    for element, position in rank_elements(source):
+        out |= body(element, position)
+    return frozenset(out)
+
+
+def bag_ext_rank(source: Any, body: Any) -> Bag:
+    """``⊎_r{body(x, i) | x ∈ source}``: equal elements get consecutive
+    ranks."""
+    out = Bag()
+    for position, element in enumerate(sort_values(source), start=1):
+        out = out.union(body(element, position))
+    return out
+
+
+def seen(probe: Any, value: Any) -> Any:
+    """``value``, counted as a collection if it is one (a ``range`` is
+    a ``gen`` iterated without building its set)."""
+    if isinstance(value, (frozenset, Bag, range)):
+        probe.on_collection(len(value))
+    return value
+
+
+def counted_filter(probe: Any, size: Any, levels: int) -> None:
+    """The unfused plan's collections for one element of a fused
+    ``ext``: the member's ``size`` (``None``: an ``{}`` was reached),
+    once for the member and once per enclosing conditional."""
+    if size is None:
+        probe.on_node("EmptySet")
+        size = 0
+    for _ in range(levels + 1):
+        probe.on_collection(size)
+
+
+def counted_bottom(probe: Any, exc: BottomError) -> None:
+    """Count a ⊥ once, however many plans it unwinds through."""
+    if not getattr(exc, "_obs_counted", False):
+        exc._obs_counted = True
+        probe.on_bottom(exc.reason)
+
+
+NAMES: Dict[str, Any] = {
+    "Array": Array, "Bag": Bag, "BottomError": BottomError,
+    "canonical_elements": canonical_elements,
+    "_product": product, "_EMPTY": frozenset(),
+    "_arith": apply_arith, "_natural": natural,
+    "_function": not_a_function, "_array": array, "_tuple": tuple_of,
+    "_get": get, "_dim": dim, "_dims": dims, "_bottom": bottom,
+    "_indexed": indexed, "_bag_ext": bag_ext, "_ext_rank": ext_rank,
+    "_bag_ext_rank": bag_ext_rank,
+    "_seen": seen, "_filtered": counted_filter,
+    "_counted_bottom": counted_bottom,
+    "_GEN": "gen of non-natural {!r}",
+    "_BOUND": "tabulation bound {!r} is not natural",
+    "_DIMENSION": "array dimension {!r} is not natural",
+    **{name: COMPARISONS[op][1] for op, name in COMPARE_NAMES.items()},
+    **{name: types for types, name in TYPESETS.items()},
+}
+
+__all__ = ["NAMES", "COMPARE_NAMES", "TYPESETS"]

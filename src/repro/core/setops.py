@@ -196,11 +196,13 @@ def hash_join(compiler, expr: ast.Ext, shape: JoinShape,
               source: frozenset) -> Optional[frozenset]:
     """Hash-join a recognized ``ext``, or ``None`` for the naive loop.
 
-    ``pieces`` are the unprobed closures prebuilt at compile time; a
-    probed dispatch recompiles them against a worker compiler bound to
-    the forked probe (the same per-dispatch recompile the sharded
-    executor uses), so instrumented code never reports into the parent
-    probe until the join has succeeded.
+    ``pieces`` are the unprobed plan functions compiled with the
+    enclosing plan, over ``scope`` (the names the ``ext`` reads from
+    outside, whose values ``env`` holds); a probed dispatch recompiles
+    them against a worker compiler bound to the forked probe (the same
+    per-dispatch recompile the sharded executor uses), so instrumented
+    code never reports into the parent probe until the join has
+    succeeded.
     """
     probe = compiler.probe
     ok, forked = _fork_probe(probe)

@@ -143,10 +143,12 @@ class TopEnv:
                     signature: TypeScheme | Type,
                     replace: bool = False) -> None:
         """The paper's ``RegisterCO``: lift a plain complex-object
-        function into a primitive."""
+        function into a primitive whose results are checked against the
+        declared result type's kind."""
         from repro.env.primitives import simple_prim
 
-        self.register_primitive(name, simple_prim(fn), signature, replace)
+        self.register_primitive(name, simple_prim(fn, name, signature),
+                                signature, replace)
 
     def register_macro(self, name: str, body: ast.Expr,
                        replace: bool = False) -> TypeScheme:
@@ -237,7 +239,7 @@ class TopEnv:
 
     def plan_evaluator(self) -> CompiledEvaluator:
         """An *uninstrumented* engine suitable for keeping inside a
-        query plan: it holds on to the closure it generates, so running
+        query plan: it holds on to the code it generates, so running
         the plan again skips code generation.  Deliberately built
         without a probe — an observed run generates probed code through
         :meth:`evaluator` instead, so instrumentation never leaks into

@@ -14,18 +14,23 @@ is registered alongside a type scheme for the checker.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.compile import NativePrim
 from repro.errors import BottomError, EvalError
 from repro.objects.ordering import sort_values
+from repro.objects.values import value_kind
 from repro.types.types import (
+    TArray,
     TArrow,
+    TBag,
     TBool,
     TNat,
     TProduct,
     TReal,
     TSet,
+    TString,
+    Type,
     TypeScheme,
     fresh_tvar,
 )
@@ -35,13 +40,40 @@ NativeImpl = NativePrim
 PrimEntry = Tuple[NativeImpl, TypeScheme]
 
 
-def simple_prim(fn: Callable[[Any], Any]) -> NativeImpl:
-    """Wrap a plain function of the argument value as a native primitive."""
+#: the outer kind (:func:`~repro.objects.values.value_kind`) each result
+#: type demands; type variables and base types demand none
+_RESULT_KINDS = {TBool: "bool", TNat: "nat", TReal: "real", TString: "string",
+                 TProduct: "tuple", TSet: "set", TBag: "bag", TArray: "array"}
+
+
+def simple_prim(fn: Callable[[Any], Any], name: Optional[str] = None,
+                signature: Optional[Type | TypeScheme] = None) -> NativeImpl:
+    """Wrap a plain function of the argument value as a native primitive.
+
+    Given the primitive's ``name`` and declared ``signature``, every
+    result is checked for the outer kind the declared result type
+    demands: an ill-kinded result is an :class:`EvalError` naming the
+    primitive, not a host exception (or a wrongly typed answer) later.
+    """
+    body = signature.body if isinstance(signature, TypeScheme) else signature
+    result_type = body.result if isinstance(body, TArrow) else None
+    expected = _RESULT_KINDS.get(type(result_type))
 
     def native(value: Any, evaluator: Any) -> Any:
         return fn(value)
 
-    return native
+    def checked(value: Any, evaluator: Any) -> Any:
+        result = fn(value)
+        try:
+            kind = value_kind(result)
+        except TypeError:
+            kind = type(result).__name__
+        if kind != expected:
+            raise EvalError(f"primitive {name!r} returned a {kind}, "
+                            f"not the {result_type} its type declares")
+        return result
+
+    return native if expected is None else checked
 
 
 def scheme(body) -> TypeScheme:
@@ -102,7 +134,6 @@ def builtin_primitives() -> Dict[str, PrimEntry]:
     b = fresh_tvar()
     c = fresh_tvar()
     real2 = TProduct((TReal(), TReal()))
-    from repro.types.types import TArray
 
     table: Dict[str, PrimEntry] = {
         # the Section 3 primitives

@@ -19,7 +19,6 @@ handy for deterministic printing.
 
 from __future__ import annotations
 
-import operator
 from functools import cmp_to_key
 from typing import Any, Iterable, List
 
@@ -109,21 +108,22 @@ def value_le(a: Any, b: Any) -> bool:
     return compare_values(a, b) <= 0
 
 
-#: The six comparisons, for the code generator: operator -> ({type:
-#: host test}, general test).  The host test is the general one's
-#: answer when *both* operands have exactly that scalar type.  ``<=``
-#: and ``>=`` are the negated strict tests, not the host operators:
-#: ``compare_values`` is 0 for NaN against anything, so ``nan <= x``
-#: and ``x >= nan`` hold.
+#: The six comparisons, for the code generator: operator -> (((types,
+#: host test text over ``{a}`` and ``{b}``),), general test), in the
+#: shape of :data:`repro.objects.values.ARITH_HOST`.  The host test is
+#: the general one's answer when *both* operands have exactly one of
+#: the scalar types.  ``<=`` and ``>=`` are the negated strict tests,
+#: not the host operators: ``compare_values`` is 0 for NaN against
+#: anything, so ``nan <= x`` and ``x >= nan`` hold.
 COMPARISONS = {
-    op: (dict.fromkeys((bool, int, float, str), host), general)
+    op: ((((bool, int, float, str), host),), general)
     for op, host, general in (
-        ("=", operator.eq, value_equal),
-        ("<>", operator.ne, lambda a, b: not value_equal(a, b)),
-        ("<", operator.lt, value_lt),
-        ("<=", lambda a, b: not a > b, value_le),
-        (">", operator.gt, lambda a, b: compare_values(a, b) > 0),
-        (">=", lambda a, b: not a < b, lambda a, b: compare_values(a, b) >= 0),
+        ("=", "{a} == {b}", value_equal),
+        ("<>", "{a} != {b}", lambda a, b: not value_equal(a, b)),
+        ("<", "{a} < {b}", value_lt),
+        ("<=", "not {a} > {b}", value_le),
+        (">", "{a} > {b}", lambda a, b: compare_values(a, b) > 0),
+        (">=", "not {a} < {b}", lambda a, b: compare_values(a, b) >= 0),
     )
 }
 

@@ -22,7 +22,6 @@ requires.
 
 from __future__ import annotations
 
-import operator
 from typing import Any
 
 from repro.errors import BottomError, EvalError
@@ -140,18 +139,20 @@ def apply_arith(op: str, left: Any, right: Any) -> Any:
     raise EvalError(f"arithmetic {op} on {left!r} and {right!r}")
 
 
-#: Where the host agrees with :func:`apply_arith`, for the code
-#: generator: operator -> {type: host operator}, valid when *both*
-#: operands have exactly that type (``type(x) is``: no ``bool`` as
-#: ``int``, no ``numpy.float64`` as ``float``).  ``ZeroDivisionError``,
-#: like any pair not tabled, is ``apply_arith``'s to answer.
+#: Where the host agrees with :func:`apply_arith`, as text for the code
+#: generator: operator -> ((types, host expression over ``{a}`` and
+#: ``{b}``), ...), each valid when *both* operands have exactly one of
+#: ``types`` (``type(x) is``: no ``bool`` as ``int``, no
+#: ``numpy.float64`` as ``float``).  ``/`` and ``%`` also need a non-zero
+#: divisor: a zero divisor, like any pair not tabled, is
+#: ``apply_arith``'s to answer.
 ARITH_HOST = {
-    "+": dict.fromkeys((int, float), operator.add),
-    "-": {int: lambda a, b: a - b if a > b else 0,  # monus
-          float: operator.sub},
-    "*": dict.fromkeys((int, float), operator.mul),
-    "/": {int: operator.floordiv, float: operator.truediv},
-    "%": {int: operator.mod},
+    "+": (((int, float), "{a} + {b}"),),
+    "-": (((int,), "({a} - {b} if {a} > {b} else 0)"),  # monus
+          ((float,), "{a} - {b}")),
+    "*": (((int, float), "{a} * {b}"),),
+    "/": (((int,), "{a} // {b}"), ((float,), "{a} / {b}")),
+    "%": (((int,), "{a} % {b}"),),
 }
 
 

@@ -11,7 +11,9 @@ answering one query:
   timings, from :class:`~repro.optimizer.engine.PhaseStats`);
 * the evaluator counters (:class:`~repro.obs.metrics.EvalMetrics`);
 * the session's plan-cache counters (hits/misses/evictions/
-  invalidations — see ``docs/PLAN_CACHE.md``), when a cache is in play.
+  invalidations — see ``docs/PLAN_CACHE.md``), when a cache is in play;
+* the Python source the code generator emitted for the query (its
+  probed form: the plan plus counter lines).
 
 ``render()`` produces the REPL's ``:profile`` text; ``to_dict()`` is the
 JSON schema (documented in ``docs/OBSERVABILITY.md``) that
@@ -47,6 +49,8 @@ class ExplainReport:
     #: ``CostRecord.snapshot()``: the estimate count and the last
     #: estimate-vs-observed comparison
     cost: Optional[Dict[str, Any]] = None
+    #: the emitted source of the query's plan (``<plan N>`` in tracebacks)
+    code: str = ""
     value: Any = None
     has_value: bool = False
 
@@ -88,6 +92,8 @@ class ExplainReport:
             payload["dense_store"] = dict(self.dense)
         if self.cost is not None:
             payload["cost_model"] = dict(self.cost)
+        if self.code:
+            payload["code"] = self.code
         return payload
 
     def render(self) -> str:
@@ -113,6 +119,8 @@ class ExplainReport:
             sections += ["", "== dense store ==", _render_dense(self.dense)]
         if self.cost is not None:
             sections += ["", "== cost model ==", _render_cost(self.cost)]
+        if self.code:
+            sections += ["", "== code ==", self.code.rstrip("\n")]
         return "\n".join(sections)
 
 

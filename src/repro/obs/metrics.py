@@ -2,9 +2,10 @@
 
 The code generator (:mod:`repro.core.compile`) accepts an optional
 *probe* implementing the :class:`EvalProbe` protocol.  When no probe is
-supplied it emits the plain uninstrumented closures — instrumentation
-is selected once per compile, never per node, so the disabled case is
-zero-cost.
+supplied it emits the plain uninstrumented plan; with one, the same
+program plus counter lines (``_on('Arith')``, ``_seen(_P, …)``) —
+instrumentation is selected once per compile, never per node, so the
+disabled case is zero-cost.
 
 :class:`EvalMetrics` is the stock probe: plain counters answering the
 questions the ROADMAP's performance work needs — *how many nodes were

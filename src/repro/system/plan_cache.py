@@ -6,7 +6,7 @@ optimize → evaluate) is re-run from scratch for every statement a
 layer shows the ``optimize`` span dominating repeated-query latency.
 This module caches the *result* of that pipeline — the optimized core,
 its inferred type, and (from the entry's first hit on) the generated
-closure — so a repeated query goes straight to evaluation.
+plan function — so a repeated query goes straight to evaluation.
 
 Keying
 ------
@@ -128,9 +128,9 @@ class PlanEntry:
     generation: int                   # TopEnv.generation at compile time
     val_generations: Dict[str, int]   # per-free-name val generations
     #: the :class:`~repro.core.compile.CompiledEvaluator` holding the
-    #: generated closure; ``None`` until the entry's first hit, because
-    #: most entries of a cold workload are never hit and a closure is
-    #: the bulk of an entry
+    #: generated plan function; ``None`` until the entry's first hit,
+    #: because most entries of a cold workload are never hit and the
+    #: function (with its slots) is the bulk of an entry
     evaluator: Any = None
     #: the unit-cost estimate for :attr:`core` (None: not estimable)
     estimated_units: Optional[float] = None
@@ -144,7 +144,7 @@ class Plan:
     inferred: Any
     cached: bool = False
     #: the :class:`~repro.core.compile.CompiledEvaluator` holding the
-    #: unprobed closure for :attr:`core`, or None when the plan was
+    #: unprobed plan function for :attr:`core`, or None when the plan was
     #: prepared with observability on (the run generates probed code)
     evaluator: Any = None
     #: the backing :class:`PlanEntry` (None when caching is disabled)

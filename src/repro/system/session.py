@@ -134,7 +134,9 @@ class Session:
             self.env.parallel.setops = setops
         self._desugarer = Desugarer()
         #: the optimized core of the most recent compilation (EXPLAIN)
+        #: and the source emitted for it by the last observed run
         self._last_core: Optional[ast.Expr] = None
+        self._last_code = ""
         #: the compiled-query plan cache (``plan_cache_capacity=0``
         #: disables caching entirely)
         self.plan_cache = PlanCache(plan_cache_capacity)
@@ -232,12 +234,12 @@ class Session:
         consulting the plan cache first.
 
         A miss runs the full pipeline, generates code exactly once and
-        hands that closure to the returned plan; the recorded entry
-        keeps only the optimized core.  The first hit generates the
-        closure the entry then keeps, so every later hit runs without
-        resolve, typecheck, optimize or codegen.  (Most entries of a
-        cold workload are never hit again, and a closure is the bulk of
-        an entry — see ``docs/PLAN_CACHE.md``.)  Cache keying and
+        hands that plan function to the returned plan; the recorded
+        entry keeps only the optimized core.  The first hit generates
+        the function the entry then keeps, so every later hit runs
+        without resolve, typecheck, optimize or codegen.  (Most entries
+        of a cold workload are never hit again, and the function is the
+        bulk of an entry — see ``docs/PLAN_CACHE.md``.)  Cache keying and
         invalidation are described in :mod:`repro.system.plan_cache`.
         """
         env, cache = self.env, self.plan_cache
@@ -266,10 +268,10 @@ class Session:
                     estimated_units=units)
 
     def _codegen(self, core: ast.Expr) -> Any:
-        """An evaluator holding the unprobed closure for ``core``, or
-        ``None`` while observability is on: an observed run executes
-        probed code (see :meth:`_evaluate`), so the plain closure would
-        be built for nothing."""
+        """An evaluator holding the unprobed plan function for ``core``,
+        or ``None`` while observability is on: an observed run executes
+        probed code (see :meth:`_evaluate`), so the plain one would be
+        built for nothing."""
         if self.env.obs.enabled:
             return None
         evaluator = self.env.plan_evaluator()
@@ -293,10 +295,10 @@ class Session:
     def _evaluate(self, plan: Plan) -> Any:
         """Run a plan to a value inside the ``evaluate`` span.
 
-        The plan's closure is used only on the unobserved fast path; an
+        The plan's code is used only on the unobserved fast path; an
         instrumented run generates probed code through the
         environment's evaluator (the ``codegen`` span) so counters stay
-        accurate.
+        accurate, and keeps its source for EXPLAIN.
 
         The run is timed and reported to ``env.cost`` next to the
         plan's unit estimate, which is what EXPLAIN's estimate-vs-observed
@@ -308,6 +310,8 @@ class Session:
             evaluator = env.evaluator()
             with env.obs.tracer.span("codegen"):
                 evaluator.prepare(plan.core)
+            if plan.core is self._last_core:
+                self._last_code = evaluator.source
         with env.obs.tracer.span("evaluate"):
             started = time.perf_counter()
             value = evaluator.run(plan.core)
@@ -381,6 +385,7 @@ class Session:
                 cache=self.plan_cache.snapshot(),
                 dense=dense_delta,
                 cost=self.env.cost.snapshot(),
+                code=self._last_code,
                 value=last.value,
                 has_value=last.has_value,
             )

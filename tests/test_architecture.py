@@ -189,6 +189,19 @@ class TestOneEngine:
                     dispatchers[node.name] = used
         assert dispatchers == {"Compiler": set(PHYSICAL)}
 
+    def test_only_the_code_generator_compiles_source(self):
+        """Builtin ``compile``/``exec`` — turning text into code — is
+        called in exactly one module."""
+        callers = {
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            for node in pyast.walk(pyast.parse(path.read_text()))
+            if isinstance(node, pyast.Call)
+            and isinstance(node.func, pyast.Name)
+            and node.func.id in ("compile", "exec", "eval")
+        }
+        assert callers == {"core/compile.py"}
+
     def test_array_layout_stays_in_objects(self):
         """The code generator's rank-specialised subscripts go through
         ``Array``'s own readers: nothing under ``core/`` touches the

@@ -1,9 +1,14 @@
 """Cross-checking the execution engine against the reference semantics.
 
 Every construct and a corpus of derived operators must produce identical
-values (and identical ⊥ behaviour) from the closure compiler and from
+values (and identical ⊥ behaviour) from the code generator and from
 the reference tree-walker; hypothesis drives random inputs through both.
 """
+
+import gc
+import linecache
+import traceback
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core import ast
 from repro.core import builders as B
-from repro.core.compile import CompiledEvaluator, Compiler, evaluate
+from repro.core import compile as compile_module
+from repro.core.compile import (FACTORY_CAPACITY, CompiledEvaluator,
+                                Compiler, evaluate)
 from repro.errors import EvalError
 from repro.objects.array import Array
 from repro.objects.bag import Bag
@@ -167,6 +174,105 @@ class TestCompiledEvaluatorAPI:
         expr = ast.App(ast.Prim("twice"), ast.TupleE((
             ast.Lam("x", ast.Arith("*", V("x"), N(3))), N(2))))
         assert evaluate(expr, prims={"twice": apply_twice}) == 18
+
+
+class _Tracked(Array):
+    """An ``Array`` a test can hold weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _cell_plus(array, literal):
+    """``array[0] + literal`` over a bound ``Const`` array."""
+    return ast.Arith("+", ast.Subscript(ast.Const(array), (N(0),)),
+                     N(literal))
+
+
+class TestEmitterContract:
+    """Each plan is one generated function whose source depends only on
+    the plan's shape: values travel as slots, never as text."""
+
+    def test_same_shape_shares_one_code_object(self):
+        first, second = CompiledEvaluator(), CompiledEvaluator()
+        plan_a = _cell_plus(Array.from_list([10, 11]), 1)
+        plan_b = _cell_plus(Array.from_list([20]), 7)
+        code_a, code_b = first.prepare(plan_a), second.prepare(plan_b)
+        assert code_a is not code_b
+        assert code_a.__code__ is code_b.__code__
+        assert first.source == second.source
+        assert (first.run(plan_a), second.run(plan_b)) == (11, 27)
+
+    def test_the_memo_holds_no_values(self):
+        session = Session()
+        bound = []
+
+        def reader(args):
+            array = _Tracked((64,), [float(cell) for cell in range(64)])
+            bound.append(weakref.ref(array))
+            return array
+
+        session.env.drivers.register_reader("TRACKED", reader)
+        for _ in range(50):
+            session.run('readval \\Y using TRACKED at "anywhere";'
+                        ' summap(fn \\i => Y[i])!(gen!64);')
+        gc.collect()
+        assert bound[0]() is None
+        assert sum(1 for ref in bound if ref() is not None) <= 2
+
+    def test_the_memo_is_bounded(self):
+        for width in range(2, FACTORY_CAPACITY + 40):
+            evaluate(ast.TupleE(tuple(N(i) for i in range(width))))
+        assert len(compile_module._FACTORIES) <= FACTORY_CAPACITY
+        live = [name for name in linecache.cache
+                if name.startswith("<plan ")]
+        assert len(live) <= FACTORY_CAPACITY
+
+    def test_user_text_never_enters_the_source(self):
+        session = Session()
+        hostile = '"); import os #'
+        session.env.set_val("WS", Array.from_list([4, 5, 6]))
+        report = session.explain(
+            "{(w, s) | \\w <- {\"\\\"); import os #\"}, "
+            "\\WS' == rng!WS, \\s <- WS'};")
+        assert report.value == frozenset({(hostile, 4), (hostile, 5),
+                                          (hostile, 6)})
+        assert report.code.startswith("def _factory(")
+        for text in (hostile, "import", "WS", "'WS", "os"):
+            assert text not in report.code
+        assert "== code ==" in report.render()
+        assert report.to_dict()["code"] == report.code
+        # names bound from outside reach the plan as positions, not text
+        evaluator = CompiledEvaluator()
+        names = {"WS'": 40, hostile: 2}
+        assert evaluator.run(ast.Arith("+", V("WS'"), V(hostile)),
+                             names) == 42
+        for text in (hostile, "WS"):
+            assert text not in evaluator.source
+
+    def test_operands_run_left_to_right_around_statements(self):
+        """An operand that needs statements (a loop) runs after the
+        operands before it, checks included: the first error wins."""
+        looped_bottom = ast.Sum("x", ast.Bottom(), ast.Gen(N(1)))
+        assert agree(ast.Arith("+", ast.Arith("/", N(1), N(0)),
+                               looped_bottom), binds={}) == \
+            ("bottom", "division by zero")
+        for expr, message in [
+                (ast.App(N(3), looped_bottom), "not a function: 3"),
+                (ast.Subscript(N(3), (looped_bottom,)),
+                 "subscript into non-array 3")]:
+            with pytest.raises(EvalError, match=message):
+                evaluate(expr)
+
+    def test_a_host_traceback_shows_the_emitted_line(self):
+        expr = ast.Ext("x", ast.Singleton(ast.Var("x")), ast.Var("S"))
+        evaluator = CompiledEvaluator()
+        with pytest.raises(TypeError) as caught:
+            evaluator.run(expr, {"S": 3})  # ill-typed: ints do not iterate
+        frames = traceback.extract_tb(caught.value.__traceback__)
+        emitted = [frame for frame in frames
+                   if frame.filename.startswith("<plan ")]
+        assert emitted and emitted[-1].line
+        assert emitted[-1].line in evaluator.source
 
 
 class TestSessionPipeline:

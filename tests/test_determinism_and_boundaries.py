@@ -1,6 +1,9 @@
 """Regression tests for deterministic Σ and the host-error boundaries.
 
-Three historical bugs pinned down:
+Also pinned: nesting deeper than the host parser accepts (emitted code
+spills into locals and splits into helper functions), and primitives
+whose results have the wrong kind for their declared type.  Historical
+bugs pinned down:
 
 * Σ iterated its frozenset source in hash order, so a
   Σ over reals could differ between runs/platforms (float addition is
@@ -21,9 +24,10 @@ from repro.core.eval import Evaluator
 from repro.errors import BottomError, EvalError, ParseError
 from repro.objects.array import Array
 from repro.objects.ordering import canonical_elements
+from repro.obs.metrics import EvalMetrics
 from repro.optimizer.engine import default_optimizer
 from repro.surface.parser import parse_program
-from repro.types.types import TArrow, TNat
+from repro.types.types import TArrow, TNat, TSet
 
 from conftest import agree
 
@@ -96,6 +100,61 @@ def _deep_arith(depth: int) -> ast.Expr:
     return expr
 
 
+def _nested_comprehension(depth: int) -> ast.Expr:
+    """``{x_{d-1} | x_0 <- {0}, x_1 <- {x_0}, …}``: each generator ranges
+    over a singleton of the previous variable, so the loops nest."""
+    names = [f"x{level}" for level in range(depth)]
+    expr: ast.Expr = ast.Singleton(ast.Var(names[-1]))
+    for level in range(depth - 1, -1, -1):
+        source = ast.Singleton(ast.Var(names[level - 1]) if level
+                               else ast.NatLit(0))
+        expr = ast.Ext(names[level], expr, source)
+    return expr
+
+
+def _nested_tabulation_sum(depth: int) -> ast.Expr:
+    """Alternating ``Σ_{s < 1}`` and ``[[ … | t < 2 ]][1]`` levels (odd
+    ``depth``) around ``t + 1`` for the innermost tabulation index."""
+    expr: ast.Expr = ast.Arith("+", ast.Var(f"v{depth - 2}"), ast.NatLit(1))
+    for level in range(depth - 1, -1, -1):
+        name = f"v{level}"
+        if level % 2:
+            expr = ast.Subscript(
+                ast.Tabulate((name,), (ast.NatLit(2),), expr),
+                (ast.NatLit(1),))
+        else:
+            expr = ast.Sum(name, expr, ast.Gen(ast.NatLit(1)))
+    return expr
+
+
+class TestNestingLimits:
+    """Nesting the host's parser refuses (200 parentheses, 20 blocks)
+    still evaluates; only nesting past the host stack is an error."""
+
+    @pytest.mark.parametrize("probed", [False, True])
+    def test_deep_arith_chain(self, probed):
+        probe = EvalMetrics() if probed else None
+        assert agree(_deep_arith(400), binds={}, probe=probe) == \
+            ("value", 401)
+
+    @pytest.mark.parametrize("probed", [False, True])
+    def test_deep_nested_comprehension(self, probed):
+        probe = EvalMetrics() if probed else None
+        assert agree(_nested_comprehension(60), binds={}, probe=probe) == \
+            ("value", frozenset({0}))
+
+    @pytest.mark.parametrize("probed", [False, True])
+    def test_deep_nested_tabulation_and_sum(self, probed):
+        probe = EvalMetrics() if probed else None
+        assert agree(_nested_tabulation_sum(25), binds={}, probe=probe) == \
+            ("value", 2)
+
+    def test_chain_past_the_host_stack_is_the_depth_limit(self):
+        with pytest.raises(EvalError) as err:
+            CompiledEvaluator().run(_deep_arith(1000))
+        assert "depth limit" in str(err.value)
+
+
 class TestHostErrorBoundaries:
     DEPTH = 100_000
 
@@ -165,6 +224,38 @@ class TestHostErrorBoundaries:
         with pytest.raises(BottomError) as err:
             session.run('writeval [[1, 2, 3]] using BADWRITE at "x";')
         assert "host value error" in str(err.value)
+
+
+class TestPrimitiveResultKinds:
+    """A registered primitive whose result has the wrong outer kind for
+    its declared type is a typed error naming it — never a host
+    exception escaping ``Session.run``, never a wrongly typed answer."""
+
+    @pytest.fixture()
+    def liar(self, session):
+        session.register_co("liar", lambda n: n, TArrow(TNat(), TSet(TNat())))
+        return session
+
+    @pytest.mark.parametrize("statement", [
+        "get!(liar!3);",
+        "count!(liar!3);",
+        r"summap(fn \x => x)!(liar!3);",
+        r"{x | \x <- liar!3};",
+    ])
+    def test_ill_kinded_result_is_an_eval_error(self, liar, statement):
+        with pytest.raises(EvalError, match="primitive 'liar' returned a nat"):
+            liar.run(statement)
+
+    def test_well_kinded_results_pass(self, session):
+        session.register_co("evens", lambda n: frozenset(range(0, n, 2)),
+                            TArrow(TNat(), TSet(TNat())))
+        assert session.query_value("count!(evens!7);") == 4
+
+    def test_get_of_a_non_collection_is_an_eval_error_in_both_engines(self):
+        expr = ast.Get(ast.NatLit(3))
+        for engine in (CompiledEvaluator(), Evaluator()):
+            with pytest.raises(EvalError, match="get of non-collection 3"):
+                engine.run(expr)
 
 
 class TestQueryValueParseErrors:

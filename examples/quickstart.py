@@ -38,13 +38,13 @@ def main() -> None:
     print("M * M^T            =",
           session.query_value("matmul!(M, transpose!M);"))
 
-    # -- 4. user macros (typechecked at declaration, like the paper) ----------
-    for line in session.run_script(
-        "macro \\dot = fn (\\u, \\v) => "
-        "summap(fn \\i => u[i] * v[i])!(dom!u);"
+    # -- 4. macros: the standard library's, and your own on top of them ------
+    print("dot!(A, A)         =", session.query_value("dot!(A, A);"))
+    for line in session.run_script(   # typechecked at declaration
+        "macro \\sqnorm = fn \\u => dot!(u, u);"
     ):
         print(line)
-    print("dot!(A, A)         =", session.query_value("dot!(A, A);"))
+    print("sqnorm!A           =", session.query_value("sqnorm!A;"))
 
     # -- 5. external primitives (the GPPL escape hatch) ------------------------
     session.register_co("collatz", _collatz_length, TArrow(TNat(), TNat()))

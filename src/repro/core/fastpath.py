@@ -6,24 +6,18 @@ executor (:mod:`repro.core.parallel`), and the set-engine layer
 (:mod:`repro.core.setops` — hash equi-joins and sort-based ``index_k``
 grouping).  Each pays a fixed dispatch cost (kernel recognition + grid
 setup; shard partitioning + pool hand-off; join-shape recognition +
-hash-index build), so all are gated on the same minimum-cells floor.
-Before this module existed the floor lived inside ``kernels.py`` and a
-second fast path would inevitably have grown its own copy; extracting it
-here means the dispatches cannot drift apart, and a single
-``Session(min_cells=…)`` override moves them all at once.
+hash-index build), so all are gated on the same minimum-cells floor,
+and a single ``Session(min_cells=…)`` override moves them all at once.
 
 A :class:`DispatchConfig` travels from the :class:`~repro.system.session.Session`
 through the :class:`~repro.env.environment.TopEnv` into the code the
-engine emits.  It is deliberately a plain mutable object read at
-dispatch time: tuning ``workers`` mid-session affects every evaluator
-(including plan-cache-resident ones) without recompilation.
+engine emits, and is read at dispatch time: tuning ``workers``
+mid-session affects every plan, cached ones included.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
-from typing import Any, Callable
 
 #: the one shared floor: domains/sources smaller than this stay on the
 #: plain scalar loop — recognition, grid setup, and shard dispatch all
@@ -133,46 +127,5 @@ class DispatchConfig:
 #: instance
 DEFAULT_CONFIG = DispatchConfig.from_env()
 
-#: bound on the per-evaluator recognition memos below — the same order
-#: of magnitude as the session plan cache's ``DEFAULT_CAPACITY`` (128),
-#: so a long-lived session's recognition state stays proportional to its
-#: cached plans instead of growing with every expression ever evaluated
-NODE_CACHE_CAPACITY = 128
-
-
-class NodeCache:
-    """An LRU memo for per-AST-node recognition results.
-
-    Keys are node identities (``id``), which Python recycles after a
-    node is garbage collected — so each entry stores the node itself
-    alongside its payload.  Holding the node pins its id while the entry
-    lives, and the ``entry[0] is node`` check rejects an entry whose key
-    was recycled after eviction made the pin lapse.
-    """
-
-    __slots__ = ("capacity", "_entries")
-
-    def __init__(self, capacity: int = NODE_CACHE_CAPACITY):
-        self.capacity = capacity
-        self._entries: "OrderedDict[int, tuple]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, node: Any, compute: Callable[[Any], Any]) -> Any:
-        """The memoized ``compute(node)``, recomputed on miss/id reuse."""
-        key = id(node)
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] is node:
-            self._entries.move_to_end(key)
-            return entry[1]
-        payload = compute(node)
-        self._entries[key] = (node, payload)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return payload
-
-
 __all__ = ["DEFAULT_MIN_CELLS", "SPARSITY_FACTOR", "DispatchConfig",
-           "DEFAULT_CONFIG", "NODE_CACHE_CAPACITY", "NodeCache"]
+           "DEFAULT_CONFIG"]

@@ -1,20 +1,16 @@
 """Kernel recognition and numpy-vectorized execution for dense tabulations.
 
-The ``:profile`` counters show dense rectangular tabulations dominate the
-end-to-end benchmarks (``cells_materialized`` — see the ROADMAP's
-"Vectorized tabulation backend" item).  This module converts that
-dominant cost into a bulk array operation: a *kernel-recognition pass*
-classifies tabulation bodies that are **closed arithmetic over the index
-variables, numeric literals, and subscripts of numeric-element arrays**,
-and a *vectorized executor* evaluates recognized kernels over the whole
-index grid at once with numpy broadcasting.
+A *kernel-recognition pass* classifies tabulation bodies that are
+**closed arithmetic over the index variables, numeric literals, and
+subscripts of numeric-element arrays**, and a *vectorized executor*
+evaluates recognized kernels over the whole index grid at once with
+numpy broadcasting.
 
 Design constraints (see ``docs/VECTOR_BACKEND.md``):
 
 * **Gated on numpy.**  ``import numpy`` is attempted once; without it
   (or with ``REPRO_NO_VECTORIZE=1`` in the environment) every query
-  evaluates through the ordinary scalar paths.  Nothing outside this
-  module imports numpy.
+  evaluates through the ordinary scalar paths.
 * **Fallback is the contract.**  :func:`execute` returns ``None``
   whenever it cannot *prove* the vectorized result would be
   cell-for-cell identical to the scalar loop — non-numeric or mixed
@@ -23,16 +19,12 @@ Design constraints (see ``docs/VECTOR_BACKEND.md``):
   int64.  The caller then runs the unchanged scalar loop, so error
   behaviour (which cell raises, with which reason) is exactly the
   paper's semantics.
-* **Blocks in, blocks out.**  Operand arrays are gathered from their
-  dense backing blocks (:meth:`Array.dense_block`), and results are
-  published as blocks too — :func:`execute` hands the computed ndarray
-  straight to :class:`~repro.objects.array.Array`, which adopts it
-  zero-copy.  No ``tolist`` round-trip happens on the dense path; boxed
-  elements only materialize if a later consumer asks for ``flat``, and
-  the lazy coercion produces exactly the ints/floats the scalar loop
-  would have stored, so hashing, canonical ordering, and set membership
-  are indistinguishable.  With the store disabled (``REPRO_NO_DENSE=1``)
-  results coerce eagerly, reproducing the historical behaviour.
+* **Blocks in, blocks out.**  Operands are read from their dense
+  blocks (:meth:`Array.dense_block`), results published as blocks.  An
+  affine subscript (a slab, shift, stride, reversed or permuted axis)
+  is a strided *view*; only the rest (``A[B[i]]``, ``A[i, i]``) is
+  fancy-indexed.  Temporaries this call allocated are overwritten in
+  place, and int results publish the interval the analysis proved.
 
 Semantics preserved cell-for-cell:
 
@@ -42,7 +34,8 @@ Semantics preserved cell-for-cell:
   some cell is ⊥ → fall back to the scalar loop to raise it;
 * mixed nat/real arithmetic promotes to float64, the same
   ``float(x) op float(y)`` the scalar
-  :func:`~repro.objects.values.apply_arith` performs (int→double conversion rounds identically in both);
+  :func:`~repro.objects.values.apply_arith` performs (int→double
+  conversion rounds identically in both);
 * Python ints are unbounded but int64 is not: an interval analysis runs
   alongside evaluation and falls back before any intermediate could
   exceed ``±2**62``.
@@ -70,18 +63,12 @@ except ImportError:  # pragma: no cover
 #: disables regardless)
 ENABLED = os.environ.get("REPRO_NO_VECTORIZE", "") != "1"
 
-#: tabulations smaller than this stay on the scalar loop — recognition
-#: and grid setup cost more than they save on tiny domains.  The value
-#: lives in :mod:`repro.core.fastpath` (shared with the parallel
-#: executor's gate, and overridable per session via
-#: ``Session(min_cells=...)``); the name is kept here for callers that
-#: treat it as the backend's constant floor.
+#: the default floor below which tabulations stay on the scalar loop
+#: (:mod:`repro.core.fastpath`; ``Session(min_cells=...)`` moves it)
 MIN_CELLS = fastpath.DEFAULT_MIN_CELLS
 
-#: conservative magnitude guard: any intermediate whose *interval bound*
-#: could exceed this falls back to the exact Python-int scalar loop.
-#: Shared with the dense store so block invariants and kernel analysis
-#: agree on what "int64-safe" means.
+#: any intermediate whose *interval bound* could exceed this falls back
+#: to the exact Python-int scalar loop (the dense store's int invariant)
 _INT_GUARD = dense.INT_GUARD
 
 
@@ -189,9 +176,7 @@ def _dense_block(array: Array):
     block = array.dense_block()
     if block is None or block.tag == dense.TAG_BOOL:
         raise _Fallback()
-    if block.tag == dense.TAG_INT:
-        return block.data, block.lo, block.hi
-    return block.data, None, None
+    return block.data, block.lo, block.hi  # both None for real blocks
 
 
 # ---------------------------------------------------------------------------
@@ -204,44 +189,34 @@ def execute(kernel: Kernel, extents: Sequence[int],
 
     ``extents`` are the already-evaluated tabulation bounds;
     ``input_values`` the runtime values of ``kernel.inputs``, in order.
-    Returns the materialized :class:`Array` (elements coerced back to
-    Python ints/floats), or ``None`` when any runtime check fails and
-    the caller must run the scalar loop instead.
+    Returns the result :class:`Array`, backed by the computed block, or
+    ``None`` when any runtime check fails and the caller must run the
+    scalar loop instead.
     """
     if not available():
         return None
     extents = tuple(int(e) for e in extents)
-    total = 1
-    for extent in extents:
-        total *= extent
-    if total == 0:
+    if 0 in extents:
         return Array(extents, [])
     values = dict(zip(kernel.inputs, input_values))
     rank = len(extents)
-    grids: Dict[str, Tuple[Any, int, int]] = {}
+    grids: Dict[str, Tuple[Any, int, int, bool]] = {}
     for axis, name in enumerate(kernel.index_vars):
         shape = [1] * rank
         shape[axis] = extents[axis]
         grid = _np.arange(extents[axis], dtype=_np.int64).reshape(shape)
-        grids[name] = (grid, 0, extents[axis] - 1)
+        grids[name] = (grid, 0, extents[axis] - 1, False)
     try:
-        out, _, _ = _vec(kernel.body, grids, values)
+        out, lo, hi, owned = _vec(kernel.body, grids, values)
     except _Fallback:
         return None
-    if type(out) is int or type(out) is float:
-        # index-free body: one exact scalar replicated over the domain
-        # (within the int guard, so the int64/float64 fill is lossless)
-        if dense.store_enabled():
-            dtype = _np.int64 if type(out) is int else _np.float64
-            return Array(extents, _np.full(extents, out, dtype=dtype))
-        cells: List[Any] = [out] * total
-        return Array(extents, cells)
-    block = _np.broadcast_to(out, extents)
-    if dense.store_enabled():
-        # publish the result as the array's backing block, zero-copy
-        # (ascontiguousarray collapses the broadcast view to a buffer)
-        return Array(extents, _np.ascontiguousarray(block))
-    return Array(extents, block.ravel().tolist())
+    # a scalar body fills losslessly (it is inside the int guard); only
+    # a buffer this call allocated is published uncopied, so a result
+    # never pins an operand's buffer
+    if _np.shape(out) != extents:
+        out = _np.broadcast_to(out, extents)
+    data = _np.ascontiguousarray(out) if owned else _np.array(out, order="C")
+    return Array(extents, data, None if lo is None else (lo, hi))
 
 
 def execute_elements(kernel: Kernel, elements, bounds: Tuple[Any, Any],
@@ -276,9 +251,9 @@ def execute_elements(kernel: Kernel, elements, bounds: Tuple[Any, Any],
     if count <= 0:
         return None
     values = dict(zip(kernel.inputs, input_values))
-    grids = {kernel.index_vars[0]: (elements, int(lo), int(hi))}
+    grids = {kernel.index_vars[0]: (elements, int(lo), int(hi), False)}
     try:
-        out, olo, ohi = _vec(kernel.body, grids, values)
+        out, olo, ohi, _ = _vec(kernel.body, grids, values)
     except _Fallback:
         return None
     if olo is None or ohi is None:
@@ -299,6 +274,11 @@ def _check(lo: int, hi: int) -> Tuple[int, int]:
     return lo, hi
 
 
+def _nonzero(divisor: Any) -> None:
+    if bool(_np.any(divisor == 0)):  # a zero divisor: some cell is ⊥
+        raise _Fallback()
+
+
 def _is_int_operand(value: Any) -> bool:
     if isinstance(value, bool):
         raise _Fallback()
@@ -310,15 +290,17 @@ def _is_int_operand(value: Any) -> bool:
     return value.dtype.kind == "i"
 
 
-def _vec(expr: ast.Expr, grids: Dict[str, Tuple[Any, int, int]],
+def _vec(expr: ast.Expr, grids: Dict[str, Tuple[Any, int, int, bool]],
          values: Dict[ast.Expr, Any]):
-    """Evaluate a recognized kernel body to ``(value, lo, hi)``.
+    """Evaluate a recognized kernel body to ``(value, lo, hi, owned)``.
 
     ``value`` is an ndarray (int64/float64, broadcastable to the domain)
-    or a Python scalar; ``lo``/``hi`` bound integer results (exact for
-    scalars, conservative intervals for arrays) and are ``None`` for
-    float results.  Raises :class:`_Fallback` on anything that cannot be
-    proven equivalent to the scalar loop.
+    or a scalar; ``lo``/``hi`` bound integer results (exact for scalars,
+    conservative intervals for arrays) and are ``None`` for float
+    results; ``owned`` marks a buffer this call allocated (a fancy
+    gather, an arithmetic result) — never a grid, view or input block —
+    and only such a buffer is ever written in place.  Raises
+    :class:`_Fallback` on anything not provably the scalar loop's.
     """
     if isinstance(expr, ast.Var):
         grid = grids.get(expr.name)
@@ -328,7 +310,7 @@ def _vec(expr: ast.Expr, grids: Dict[str, Tuple[Any, int, int]],
     if isinstance(expr, ast.NatLit):
         return _leaf_int(expr.value)
     if isinstance(expr, ast.RealLit):
-        return float(expr.value), None, None
+        return float(expr.value), None, None, False
     if isinstance(expr, ast.Const):
         return _scalar_leaf(values[expr])
     if isinstance(expr, ast.Subscript):
@@ -343,7 +325,7 @@ def _vec(expr: ast.Expr, grids: Dict[str, Tuple[Any, int, int]],
 def _leaf_int(value: int):
     if abs(value) > _INT_GUARD:
         raise _Fallback()
-    return value, value, value
+    return value, value, value, False
 
 
 def _scalar_leaf(value: Any):
@@ -353,7 +335,7 @@ def _scalar_leaf(value: Any):
     if isinstance(value, int):
         return _leaf_int(value)
     if isinstance(value, float):
-        return value, None, None
+        return value, None, None, False
     raise _Fallback()  # array/set/... — scalar path raises EvalError
 
 
@@ -362,27 +344,66 @@ def _gather(expr: ast.Subscript, grids, values):
     if not isinstance(operand, Array) or operand.rank != len(expr.indices):
         raise _Fallback()  # scalar path raises its own error
     block, lo, hi = _dense_block(operand)
-    index_grids = []
-    for axis, index_expr in enumerate(expr.indices):
-        grid, glo, ghi = _vec(index_expr, grids, values)
-        if glo is None:  # float-typed index: scalar path raises ⊥
+    keys = []
+    for extent, index_expr in zip(operand.dims, expr.indices):
+        key, klo, khi, _ = _vec(index_expr, grids, values)
+        if klo is None:  # float-typed index: scalar path raises ⊥
             raise _Fallback()
-        extent = operand.dims[axis]
-        if isinstance(grid, int):
-            if not 0 <= grid < extent:
+        if isinstance(key, int):
+            if not 0 <= key < extent:
                 raise _Fallback()  # out of bounds somewhere → ⊥
-        elif glo < 0 or ghi >= extent:
-            # conservative interval may be wrong — ask the actual grid
-            if int(grid.min()) < 0 or int(grid.max()) >= extent:
+        elif klo < 0 or khi >= extent:
+            # conservative interval may be wrong — ask the actual key
+            if int(key.min()) < 0 or int(key.max()) >= extent:
                 raise _Fallback()
-        index_grids.append(grid)
-    gathered = block[tuple(index_grids)]
-    return gathered, lo, hi
+        keys.append(key)
+    view = _view(block, keys)
+    if view is not None:
+        dense.COUNTERS.subscripts_viewed += 1
+        return view, lo, hi, False
+    dense.COUNTERS.subscripts_gathered += 1
+    return block[tuple(keys)], lo, hi, True
+
+
+def _view(block, keys):
+    """``block[keys]`` as a strided view of ``block``, or ``None``.
+
+    Each key must be one value, or an int64 vector varying along one
+    index axis of its own as an arithmetic progression with a non-zero
+    step — an affine map of one variable, however spelled (``i + c``,
+    ``2*i``, ``n - 1 - i`` through monus).  It becomes a ``slice``; the
+    sliced block is permuted into index-axis order with unit dims added.
+    The test is O(extent), not O(cells).
+    """
+    picks: List[Any] = []
+    axes: List[int] = []
+    shape: List[int] = []
+    for key in keys:
+        vec = _np.ravel(key)
+        if vec.size == 1:
+            picks.append(int(vec[0]))
+            continue
+        shape = shape or [1] * key.ndim
+        varying = [axis for axis, n in enumerate(key.shape) if n > 1]
+        if len(varying) != 1 or varying[0] in axes:
+            return None
+        start, step = int(vec[0]), int(vec[1]) - int(vec[0])
+        if step == 0 or not bool((vec[1:] - vec[:-1] == step).all()):
+            return None
+        stop = int(vec[-1]) + step
+        picks.append(slice(start, stop if stop >= 0 else None, step))
+        axes.append(varying[0])
+        shape[varying[0]] = vec.size
+    view = block[tuple(picks)]
+    if not axes:
+        return view
+    order = sorted(range(len(axes)), key=axes.__getitem__)
+    return view.transpose(order).reshape(shape)
 
 
 def _arith(op: str, left, right):
-    a, la, ha = left
-    b, lb, hb = right
+    a, la, ha, own_a = left
+    b, lb, hb, own_b = right
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         # exact Python arithmetic, the very code the scalar loop runs
         try:
@@ -391,59 +412,66 @@ def _arith(op: str, left, right):
             raise _Fallback() from None
         if isinstance(result, int):
             return _leaf_int(result)
-        return result, None, None
+        return result, None, None, False
     int_a = _is_int_operand(a)
     int_b = _is_int_operand(b)
+    # an operand buffer this call allocated, shaped and typed like the
+    # result, receives it: same ufunc, same dtypes, so the same bits
+    dtype = _np.int64 if int_a and int_b else _np.float64
+    out = next((value for value, owned, other in ((a, own_a, b),
+                                                  (b, own_b, a))
+                if owned and type(value) is _np.ndarray
+                and value.dtype == dtype and _fits(other, value)), None)
     if int_a and int_b:
-        return _int_arith(op, a, la, ha, b, lb, hb)
-    return _float_arith(op, a, int_a, b, int_b)
+        return _int_arith(op, a, la, ha, b, lb, hb, out) + (True,)
+    return _float_arith(op, a, int_a, b, int_b, out) + (True,)
 
 
-def _int_arith(op: str, a, la, ha, b, lb, hb):
+def _fits(value, target) -> bool:
+    """``value`` broadcasts into ``target`` (both of the domain's rank)."""
+    return _np.ndim(value) == 0 or all(
+        n == 1 or n == m for n, m in zip(value.shape, target.shape))
+
+
+def _int_arith(op: str, a, la, ha, b, lb, hb, out):
     if op == "+":
         lo, hi = _check(la + lb, ha + hb)
-        return a + b, lo, hi
+        return _np.add(a, b, out=out), lo, hi
     if op == "-":  # monus: clamp at zero, like apply_arith on nats
         _check(la - hb, ha - lb)  # the pre-clamp intermediate
-        return _np.maximum(a - b, 0), max(0, la - hb), max(0, ha - lb)
+        diff = _np.subtract(a, b, out=out)
+        clamp = diff if isinstance(diff, _np.ndarray) else None
+        return (_np.maximum(diff, 0, out=clamp),
+                max(0, la - hb), max(0, ha - lb))
     if op == "*":
         corners = (la * lb, la * hb, ha * lb, ha * hb)
         lo, hi = _check(min(corners), max(corners))
-        return a * b, lo, hi
-    # `/` and `%`: any zero divisor means some cell is ⊥
-    if isinstance(b, int):
-        if b == 0:
-            raise _Fallback()
-    elif bool((b == 0).any()):
-        raise _Fallback()
+        return _np.multiply(a, b, out=out), lo, hi
+    _nonzero(b)
     if op == "/":
         bound = max(abs(la), abs(ha)) + 1
-        return a // b, -bound, bound
+        return _np.floor_divide(a, b, out=out), -bound, bound
     if op == "%":
         bound = max(abs(lb), abs(hb))
-        return a % b, -bound, bound
+        return _np.remainder(a, b, out=out), -bound, bound
     raise _Fallback()  # pragma: no cover - ARITH_OPS is exhaustive
 
 
-def _float_arith(op: str, a, int_a: bool, b, int_b: bool):
+def _float_arith(op: str, a, int_a: bool, b, int_b: bool, out):
     # mixed nat/real promotes exactly like apply_arith: float(x) op float(y)
     if int_a and isinstance(a, int):
         a = float(a)
     if int_b and isinstance(b, int):
         b = float(b)
     if op == "+":
-        return a + b, None, None
+        return _np.add(a, b, out=out), None, None
     if op == "-":
-        return a - b, None, None
+        return _np.subtract(a, b, out=out), None, None
     if op == "*":
-        return a * b, None, None
+        return _np.multiply(a, b, out=out), None, None
     if op == "/":
-        if isinstance(b, float):
-            if b == 0.0:
-                raise _Fallback()
-        elif bool((b == 0).any()):
-            raise _Fallback()
-        return a / b, None, None
+        _nonzero(b)
+        return _np.true_divide(a, b, out=out), None, None
     raise _Fallback()  # real % is ⊥ — the scalar loop raises it
 
 

@@ -101,6 +101,9 @@ class Array:
         Exactly ``n_1 * ... * n_k`` values in row-major order.  A numpy
         ndarray of a tagged dtype (signed int, float, bool) is adopted
         as the dense backing block without boxing its elements.
+    bounds:
+        Optional ``(lo, hi)`` interval proven to hold every value of an
+        integer ndarray (see :func:`repro.objects.dense.adopt`).
 
     The class is hashable provided its elements are, so arrays can be
     members of sets — required because the object types of the calculus
@@ -110,7 +113,8 @@ class Array:
     __slots__ = ("_dims", "_size", "_strides", "_flat", "_block",
                  "_ksig", "_hash")
 
-    def __init__(self, dims: Sequence[int], values: Iterable[Any]):
+    def __init__(self, dims: Sequence[int], values: Iterable[Any],
+                 bounds: Optional[tuple[int, int]] = None):
         dims_t = tuple(int(d) for d in dims)
         if not dims_t:
             raise ValueError("arrays must have at least one dimension")
@@ -127,7 +131,7 @@ class Array:
                     f"dims {dims_t} require {expected} values, "
                     f"got {values.size}"
                 )
-            block = dense.adopt(values, dims_t)
+            block = dense.adopt(values, dims_t, bounds)
             if block is None:
                 flat = tuple(values.ravel().tolist())
         else:

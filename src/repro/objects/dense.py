@@ -35,8 +35,10 @@ tag        numpy dtype     element invariant
 
 Anything else — strings, tuples, sets, nested arrays, mixed kinds —
 falls back to the object tuple representation.  ``int`` blocks carry
-their exact ``lo``/``hi`` value bounds so the kernel interval analysis
-starts from measured ranges rather than the worst-case guard.
+sound ``lo``/``hi`` value bounds inside ``INT_GUARD`` — measured by a
+scan, or the interval a kernel proved for the cells it computed — so
+the kernel interval analysis starts from real ranges rather than the
+worst-case guard.
 
 Proof-or-fallback discipline: every function here either returns a
 block whose invariant provably holds, or ``None`` so the caller stays
@@ -89,8 +91,9 @@ class DenseBlock:
 
     ``data`` is a C-contiguous read-only ndarray shaped like the owning
     array's dims.  ``tag`` is one of ``"int"``/``"real"``/``"bool"``;
-    for ``"int"`` the exact value bounds ``lo``/``hi`` are carried
-    (both 0 for empty blocks), for the other tags they are ``None``.
+    for ``"int"`` sound value bounds ``lo <= data.min()`` and
+    ``data.max() <= hi``, both inside ``INT_GUARD``, are carried (both 0
+    for empty blocks), for the other tags they are ``None``.
     """
 
     __slots__ = ("data", "tag", "lo", "hi")
@@ -116,7 +119,8 @@ class DenseCounters:
     """
 
     __slots__ = ("blocks_adopted", "blocks_probed", "probe_rejects",
-                 "dense_hits", "materializations")
+                 "dense_hits", "materializations", "subscripts_viewed",
+                 "subscripts_gathered")
 
     def __init__(self) -> None:
         self.reset()
@@ -128,6 +132,8 @@ class DenseCounters:
         self.probe_rejects = 0      # probe scanned and declined
         self.dense_hits = 0         # scalar reads served from a block
         self.materializations = 0   # block-backed arrays that built .flat
+        self.subscripts_viewed = 0    # kernel subscripts taken as views
+        self.subscripts_gathered = 0  # kernel subscripts fancy-indexed
 
     def snapshot(self) -> dict:
         """A JSON-safe copy of the counters (see docs/OBSERVABILITY.md)."""
@@ -137,6 +143,8 @@ class DenseCounters:
             "probe_rejects": self.probe_rejects,
             "dense_hits": self.dense_hits,
             "materializations": self.materializations,
+            "subscripts_viewed": self.subscripts_viewed,
+            "subscripts_gathered": self.subscripts_gathered,
         }
 
 
@@ -159,14 +167,17 @@ def _int_bounds(data: Any) -> Optional[Tuple[int, int]]:
     return lo, hi
 
 
-def adopt(values: Any, dims: Tuple[int, ...]) -> Optional[DenseBlock]:
+def adopt(values: Any, dims: Tuple[int, ...],
+          bounds: Optional[Tuple[int, int]] = None) -> Optional[DenseBlock]:
     """Wrap an ndarray whose size already matches ``dims`` as a block.
 
     The ndarray is taken over: it is reshaped (a view when contiguous),
     upcast to the canonical dtype if needed, and marked read-only.
     Returns ``None`` — caller falls back to boxed elements — when the
     store is disabled, the dtype has no tag, or an integer value falls
-    outside ``INT_GUARD``.
+    outside ``INT_GUARD``.  ``bounds`` is an interval the caller proved
+    holds every integer value; inside ``INT_GUARD`` it becomes the
+    block's ``lo``/``hi`` and the min/max scan is skipped.
     """
     if not store_enabled():
         return None
@@ -174,9 +185,10 @@ def adopt(values: Any, dims: Tuple[int, ...]) -> Optional[DenseBlock]:
     if kind == "i":
         if values.dtype != _np.int64:
             values = values.astype(_np.int64)
-        bounds = _int_bounds(values)
-        if bounds is None:
-            return None
+        if bounds is None or bounds[0] < -INT_GUARD or bounds[1] > INT_GUARD:
+            bounds = _int_bounds(values)
+            if bounds is None:
+                return None
         lo, hi = bounds
         tag = TAG_INT
     elif kind == "f":

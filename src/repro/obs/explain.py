@@ -174,7 +174,9 @@ def _render_dense(counters: Dict[str, int]) -> str:
             f"probed {counters.get('blocks_probed', 0)}  "
             f"rejects {counters.get('probe_rejects', 0)}\n"
             f"dense hits            {counters.get('dense_hits', 0)}  "
-            f"materializations {counters.get('materializations', 0)}")
+            f"materializations {counters.get('materializations', 0)}\n"
+            f"subscripts viewed     {counters.get('subscripts_viewed', 0)}  "
+            f"gathered {counters.get('subscripts_gathered', 0)}")
 
 
 def _render_phase(name: str, stats: Any) -> str:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core import ast
 from repro.core import setops
-from repro.core.fastpath import DispatchConfig, NodeCache
+from repro.core.fastpath import DispatchConfig
 from repro.core.setops import index_set_dispatch
 from repro.errors import SessionError
 from repro.objects.array import index_set_stats
@@ -391,45 +391,6 @@ class TestSortedGrouping:
         reference = index_set_stats(pairs, 1)[0]
         for fast_cell, naive_cell in zip(fast[1].flat, reference.flat):
             assert hash(fast_cell) == hash(naive_cell)
-
-
-# ---------------------------------------------------------------------------
-# the per-node LRU recognition cache
-# ---------------------------------------------------------------------------
-
-class TestNodeCache:
-
-    def test_memoizes_per_node(self):
-        cache = NodeCache()
-        node = N(1)
-        calls = []
-
-        def compute(n):
-            calls.append(n)
-            return "payload"
-
-        assert cache.get(node, compute) == "payload"
-        assert cache.get(node, compute) == "payload"
-        assert len(calls) == 1
-
-    def test_bounded_growth(self):
-        cache = NodeCache(capacity=8)
-        nodes = [N(i) for i in range(50)]
-        for node in nodes:
-            cache.get(node, lambda n: n.value)
-        assert len(cache) == 8
-        # most-recently-used survive
-        assert all(id(node) in cache._entries for node in nodes[-8:])
-
-    def test_id_reuse_recomputed(self):
-        """Regression: an unbounded dict keyed on bare ``id`` can serve
-        a stale payload after the original node is collected and its id
-        recycled; the entry's node pin must reject that."""
-        cache = NodeCache(capacity=4)
-        stale, fresh = N(1), N(2)
-        cache._entries[id(fresh)] = (stale, "stale-payload")
-        assert cache.get(fresh, lambda n: "fresh-payload") \
-            == "fresh-payload"
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def _join_query():
 
 
 def _run(env, config, probe=None):
-    return CompiledEvaluator(probe=probe, parallel=config) \
+    return CompiledEvaluator(probe=probe, dispatch=config) \
         .run(_join_query(), env)
 
 
@@ -62,8 +62,8 @@ def _run(env, config, probe=None):
 def test_hash_join_vs_naive(benchmark, bench_record, n, m):
     s, t = _relations(n, m)
     env = {"S": s, "T": t}
-    fast_config = DispatchConfig(min_cells=64, workers=0)
-    naive_config = DispatchConfig(min_cells=64, workers=0, setops=False)
+    fast_config = DispatchConfig(min_cells=64)
+    naive_config = DispatchConfig(min_cells=64, setops=False)
 
     # correctness first: the fast path must be indistinguishable, and
     # the probe must prove the hash path actually ran

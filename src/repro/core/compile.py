@@ -13,8 +13,8 @@ memoised by it in one bounded table, each registered with
 Inside ``_plan`` variables are locals, loops are ``for`` statements and
 straight-line bodies are expressions that guard on exact host types
 before the one general routine, which owns every error
-(:mod:`repro.core.runtime`); the kernel, shard and hash-join cascade
-asks the live :class:`~repro.core.fastpath.DispatchConfig`.  A probe
+(:mod:`repro.core.runtime`); the kernel and hash-join fast paths ask
+the live :class:`~repro.core.fastpath.DispatchConfig`.  A probe
 makes the same program plus counter lines.  The semantics are those of
 the reference tree-walker (:mod:`repro.core.eval`); DESIGN.md "Code
 generation" has the rules.
@@ -28,7 +28,7 @@ from collections import OrderedDict
 from itertools import count
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core import ast, kernels, parallel, runtime, setops
+from repro.core import ast, kernels, runtime, setops
 from repro.core.fastpath import DEFAULT_CONFIG, DispatchConfig
 from repro.errors import BottomError, EvalError
 from repro.objects.ordering import COMPARISONS
@@ -71,7 +71,7 @@ class Compiler:
 
     def __init__(self, prims: Optional[Mapping[str, NativePrim]] = None,
                  probe: Any = None,
-                 parallel: Optional[DispatchConfig] = None):
+                 dispatch: Optional[DispatchConfig] = None):
         #: the primitive table, held by reference: an environment builds
         #: an engine per statement and per cached plan, so a copy would
         #: cost the whole table each time; a later registration bumps
@@ -81,7 +81,7 @@ class Compiler:
         self.probe = probe
         #: fast-path gating, held by reference so session-level
         #: mutation retunes already-emitted code
-        self.parallel = parallel if parallel is not None else DEFAULT_CONFIG
+        self.dispatch = dispatch if dispatch is not None else DEFAULT_CONFIG
 
     @staticmethod
     def apply_function(fn_value: Any, argument: Any) -> Any:
@@ -100,17 +100,15 @@ class Compiler:
                 scope: Tuple[str, ...] = ()) -> Code:
         """Compile ``expr`` (with free variables in ``scope``, bound by
         position in the environment list) to its plan function."""
-        emission = Compiler(self.prims, self.probe, self.parallel)
+        emission = Compiler(self.prims, self.probe, self.dispatch)
         emission._owner = self
         source = emission._module(expr, scope)
-        return _compiled(source)(self, self.parallel, self.probe,
+        return _compiled(source)(self, self.dispatch, self.probe,
                                  *emission._consts)
 
     #: the fast-path entry points, bound into every plan's globals
     RUNTIME = {
         "_kavailable": kernels.available, "_kexecute": kernels.execute,
-        "_pavailable": parallel.available, "_shard_sum": parallel.shard_sum,
-        "_shard_tabulate": parallel.shard_tabulate,
         "_savailable": setops.available, "_hash_join": setops.hash_join,
     }
 
@@ -119,11 +117,10 @@ class Compiler:
     def _module(self, expr: ast.Expr, scope: Tuple[str, ...]) -> str:
         self._consts: List[Any] = []
         self._helpers: List[str] = []
-        self._names: Dict[int, str] = {}  # variable number -> AST name
         self._next, self._reads, self._lines = 0, set(), []
         probed = self.probe is not None
         self._level, self._loops, self._depth = 3 if probed else 2, 0, 0
-        numbers = [self._bind(name) for name in scope]
+        numbers = [self._bind() for _ in scope]
         bound = dict(zip(scope, numbers))
         self._line(f"return {self._emit(expr, bound)}")
         head = ["    def _plan(env):"]
@@ -141,14 +138,12 @@ class Compiler:
                           *self._helpers, *head, *self._lines,
                           "    return _plan", ""])
 
-    def _bind(self, name: str) -> int:
+    def _bind(self) -> int:
         number, self._next = self._next, self._next + 1
-        self._names[number] = name
         return number
 
     def _fresh(self, prefix: str = "t") -> str:
-        number, self._next = self._next, self._next + 1
-        return f"{prefix}{number}"
+        return f"{prefix}{self._bind()}"
 
     def _const(self, value: Any) -> str:
         self._consts.append(value)
@@ -260,13 +255,6 @@ class Compiler:
                           f"        return {text}"]
         return f"{name}({params})"
 
-    def _shard_args(self, expr: ast.Expr, free: List[int]) -> str:
-        """Node, scope names and environment list of a shard dispatch:
-        the variables the body reads from outside the loop."""
-        names = tuple(self._names[number] for number in free)
-        env = ", ".join(f"v{number}" for number in free)
-        return f"{self._const(expr)}, {self._const(names)}, [{env}]"
-
     def _var(self, expr: ast.Var, scope) -> str:
         number = scope.get(expr.name)
         if number is None:
@@ -291,7 +279,7 @@ class Compiler:
         """A nested ``def`` of ``names`` evaluating ``body``, binding
         what it reads from outside as defaults, at creation."""
         start = self._next
-        params = [self._bind(name) for name in names]
+        params = [self._bind() for _ in names]
         inner = {**scope, **dict(zip(names, params))}
         lines, text, free = self._nested(
             lambda: self._emit(body, inner), self._level + 1, start,
@@ -309,7 +297,7 @@ class Compiler:
             if self.probe is not None:
                 self._line("_on('Lam')")
             argument = self._emit(expr.arg, scope)
-            param = self._bind(fn.param)
+            param = self._bind()
             self._line(f"v{param} = {argument}")
             return self._emit(fn.body, {**scope, fn.param: param})
         if type(fn) is ast.Prim:
@@ -469,7 +457,7 @@ class Compiler:
         already evaluated ``elements``) into the set ``acc``."""
         if elements is None:
             elements = self._elements(expr.source, scope)
-        var = self._bind(expr.var)
+        var = self._bind()
         self._line(f"for v{var} in {elements}:")
         self._level, self._loops = self._level + 1, self._loops + 1
         self._add(expr.body, {**scope, expr.var: var}, acc)
@@ -525,25 +513,18 @@ class Compiler:
         # between runs and platforms (a range is in that order already,
         # and the naturals of a literal body add exactly in any order)
         values = self._elements(expr.source, scope)
-        ordered = type(expr.source) is ast.Gen or type(expr.body) is ast.NatLit
-        values = self._spill(values if ordered else
-                             f"canonical_elements({values})")
-        start, shipped = self._next, f"list({values})" if ordered else values
-        var = self._bind(expr.var)
+        if type(expr.source) is not ast.Gen \
+                and type(expr.body) is not ast.NatLit:
+            values = f"canonical_elements({values})"
+        start, var = self._next, self._bind()
         inner = {**scope, expr.var: var}
-        lines, body, free = self._nested(lambda: self._emit(expr.body, inner),
-                                         self._level + 2, start, loops=1)
-        total, sharded = self._fresh(), self._fresh()
-        self._line(f"{sharded} = _shard_sum(_c, {self._shard_args(expr, free)}"
-                   f", {shipped}) if _cfg.workers > 1 and _pavailable(_cfg) "
-                   f"and _cfg.wants_shards(len({values})) else None")
-        self._line(f"if {sharded} is None:")
-        self._line(f"{total} = 0", 1)
-        self._line(f"for v{var} in {values}:", 1)
+        lines, body, _ = self._nested(lambda: self._emit(expr.body, inner),
+                                      self._level + 1, start, loops=1)
+        total = self._fresh()
+        self._line(f"{total} = 0")
+        self._line(f"for v{var} in {values}:")
         self._lines += lines
-        self._line(f"{total} = {total} + {body}", 2)
-        self._line("else:")
-        self._line(f"{total} = {sharded}[0]", 1)
+        self._line(f"{total} = {total} + {body}", 1)
         return total
 
     def _tabulate(self, expr: ast.Tabulate, scope) -> str:
@@ -568,7 +549,7 @@ class Compiler:
                 self._line(f"if {result} is not None: "
                            f"_P.on_cells_vectorized({result}.size)", 1)
         start = self._next
-        numbers = [self._bind(name) for name in expr.vars]
+        numbers = [self._bind() for _ in expr.vars]
         inner = {**scope, **dict(zip(expr.vars, numbers))}
         loops = [f"for v{number} in range({dim}):"
                  for number, dim in zip(numbers, dims)]
@@ -577,13 +558,9 @@ class Compiler:
                      f"_product({', '.join(f'range({d})' for d in dims)}):"]
         if len(numbers) > 1:  # an empty domain is not walked at all
             loops.insert(0, f"if {cells}:")
-        lines, body, free = self._nested(lambda: self._emit(expr.body, inner),
-                                         self._level + len(loops) + 1, start,
-                                         loops=len(loops))
-        self._line(f"if {result} is None and _cfg.workers > 1 and "
-                   f"_pavailable(_cfg) and _cfg.wants_shards({cells}):")
-        self._line(f"{result} = _shard_tabulate(_c, "
-                   f"{self._shard_args(expr, free)}, {extents}, {cells})", 1)
+        lines, body, _ = self._nested(lambda: self._emit(expr.body, inner),
+                                      self._level + len(loops) + 1, start,
+                                      loops=len(loops))
         acc = self._fresh("s")
         self._line(f"if {result} is None:")
         self._line(f"{acc} = []", 1)
@@ -660,8 +637,8 @@ class CompiledEvaluator:
 
     def __init__(self, prims: Optional[Mapping[str, NativePrim]] = None,
                  probe: Any = None,
-                 parallel: Optional[DispatchConfig] = None):
-        self.compiler = Compiler(prims, probe, parallel=parallel)
+                 dispatch: Optional[DispatchConfig] = None):
+        self.compiler = Compiler(prims, probe, dispatch=dispatch)
         self._prepared: Optional[Tuple[ast.Expr, Tuple[str, ...], Code]] = None
 
     def prepare(self, expr: ast.Expr,

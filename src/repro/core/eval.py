@@ -2,8 +2,8 @@
 
 Queries are *executed* by the code generator (:mod:`repro.core.compile`);
 this tree-walker is the oracle the test suite compares it against.  It
-makes no physical choice — no kernels, shards, hash joins, dispatch
-config or probes — so a rule here is the definition that every fast
+makes no physical choice — no kernels, hash joins, dispatch config
+or probes — so a rule here is the definition that every fast
 path has to reproduce.  Semantics follow Section 2 exactly:
 
 * sets are genuine sets (``⋃`` deduplicates; ``Σ`` sums over *distinct*

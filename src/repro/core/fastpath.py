@@ -1,17 +1,16 @@
 """The dispatch policy of the evaluator fast paths.
 
-Three fast paths sit in front of the scalar loops: the numpy-vectorized
-kernel backend (:mod:`repro.core.kernels`), the sharded parallel
-executor (:mod:`repro.core.parallel`), and the set-engine layer
+Two fast paths sit in front of the scalar loops: the numpy-vectorized
+kernel backend (:mod:`repro.core.kernels`) and the set-engine layer
 (:mod:`repro.core.setops` — hash equi-joins and sort-based ``index_k``
 grouping).  Each pays a fixed dispatch cost (kernel recognition + grid
-setup; shard partitioning + pool hand-off; join-shape recognition +
-hash-index build), so all are gated on the same minimum-cells floor,
-and a single ``Session(min_cells=…)`` override moves them all at once.
+setup; join-shape recognition + hash-index build), so both are gated on
+the same minimum-cells floor, and a single ``Session(min_cells=…)``
+override moves them together.
 
 A :class:`DispatchConfig` travels from the :class:`~repro.system.session.Session`
 through the :class:`~repro.env.environment.TopEnv` into the code the
-engine emits, and is read at dispatch time: tuning ``workers``
+engine emits, and is read at dispatch time: tuning ``min_cells``
 mid-session affects every plan, cached ones included.
 """
 
@@ -20,7 +19,7 @@ from __future__ import annotations
 import os
 
 #: the one shared floor: domains/sources smaller than this stay on the
-#: plain scalar loop — recognition, grid setup, and shard dispatch all
+#: plain scalar loop — recognition, grid setup and index builds all
 #: cost more than they save on tiny inputs
 DEFAULT_MIN_CELLS = 64
 
@@ -35,20 +34,16 @@ SPARSITY_FACTOR = 4
 
 
 class DispatchConfig:
-    """The dispatch policy: three fields and the size predicates over them.
+    """The dispatch policy: two fields and the size predicates over them.
 
     Every physical choice the engine makes — scalar loop or numpy
-    kernel, serial or sharded, nested-loop or hash join, dict or sorted
-    grouping — is a pure function of an operand size and these fields,
-    decided by one of the ``wants_*`` methods below and nowhere else.
+    kernel, nested-loop or hash join, dict or sorted grouping — is a
+    pure function of an operand size and these fields, decided by one
+    of the ``wants_*`` methods below and nowhere else.
 
     ``min_cells``
-        Floor (in cells for tabulation, elements for Σ, |S|·|T| for
-        joins, pairs for grouping) below which no fast path engages.
-    ``workers``
-        Size of the sharded executor's forked process pool
-        (:mod:`repro.core.parallel`); ``<= 1`` disables parallel
-        execution entirely (the vectorized path is unaffected).
+        Floor (in cells for tabulation, |S|·|T| for joins, pairs for
+        grouping) below which no fast path engages.
     ``setops``
         Per-session switch for the set-engine fast paths
         (:mod:`repro.core.setops`); ``REPRO_NO_SETOPS=1`` wins over it
@@ -61,12 +56,11 @@ class DispatchConfig:
     keyword surface before mutating the config.
     """
 
-    __slots__ = ("min_cells", "workers", "setops")
+    __slots__ = ("min_cells", "setops")
 
     def __init__(self, min_cells: int = DEFAULT_MIN_CELLS,
-                 workers: int = 0, setops: bool = True):
+                 setops: bool = True):
         self.min_cells = min_cells
-        self.workers = workers
         self.setops = setops
 
     # -- the size predicates --------------------------------------------
@@ -75,11 +69,6 @@ class DispatchConfig:
         """Should a kernel-shaped tabulation of ``cells`` cells run as a
         numpy kernel?  Below the floor, recognition and grid setup cost
         more than the scalar loop."""
-        return cells >= self.min_cells
-
-    def wants_shards(self, cells: int) -> bool:
-        """Should a scalar construct of ``cells`` cells/elements be
-        sharded across the worker pool?"""
         return cells >= self.min_cells
 
     def wants_hash_join(self, total: int, inner: int) -> bool:
@@ -96,29 +85,20 @@ class DispatchConfig:
 
     @classmethod
     def from_env(cls) -> "DispatchConfig":
-        """Defaults overridable through the process environment.
+        """Defaults, with ``REPRO_MIN_CELLS`` overriding the floor.
 
-        ``REPRO_PARALLEL_WORKERS`` (default 0 → serial) and
-        ``REPRO_MIN_CELLS`` (default :data:`DEFAULT_MIN_CELLS`).  The
-        ``REPRO_NO_PARALLEL`` kill switch is honoured separately by
-        :mod:`repro.core.parallel` so it wins over any workers setting.
+        A value ``Session(min_cells=)`` would reject — not an int, or
+        negative — falls back to :data:`DEFAULT_MIN_CELLS`.
         """
-
-        def _int(name: str, default: int) -> int:
-            raw = os.environ.get(name, "")
-            try:
-                return int(raw) if raw else default
-            except ValueError:
-                return default
-
-        return cls(
-            min_cells=_int("REPRO_MIN_CELLS", DEFAULT_MIN_CELLS),
-            workers=_int("REPRO_PARALLEL_WORKERS", 0),
-        )
+        try:
+            min_cells = int(os.environ.get("REPRO_MIN_CELLS", ""))
+        except ValueError:
+            min_cells = DEFAULT_MIN_CELLS
+        return cls(min_cells if min_cells >= 0 else DEFAULT_MIN_CELLS)
 
     def __repr__(self) -> str:
         return (f"DispatchConfig(min_cells={self.min_cells}, "
-                f"workers={self.workers}, setops={self.setops})")
+                f"setops={self.setops})")
 
 
 #: the config used by evaluators constructed without an explicit one

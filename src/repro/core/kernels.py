@@ -117,21 +117,6 @@ def recognize(tab: ast.Tabulate) -> Optional[Kernel]:
     return Kernel(tab.body, tab.vars, tuple(inputs))
 
 
-def recognize_sum(expr: ast.Sum) -> Optional[Kernel]:
-    """Classify a Σ body as a kernel over the bound element variable.
-
-    Same grammar as :func:`recognize`, with the Σ variable playing the
-    role of the single index variable — except that at execution time
-    its "grid" is the (arbitrary-valued) element slice rather than
-    ``0..extent-1``, so only :func:`execute_elements` may run the
-    result.
-    """
-    inputs: Dict[ast.Expr, None] = {}
-    if not _scan(expr.body, frozenset((expr.var,)), inputs):
-        return None
-    return Kernel(expr.body, (expr.var,), tuple(inputs))
-
-
 def _scan(expr: ast.Expr, index_vars: frozenset,
           inputs: Dict[ast.Expr, None]) -> bool:
     if isinstance(expr, ast.Var):
@@ -217,55 +202,6 @@ def execute(kernel: Kernel, extents: Sequence[int],
         out = _np.broadcast_to(out, extents)
     data = _np.ascontiguousarray(out) if owned else _np.array(out, order="C")
     return Array(extents, data, None if lo is None else (lo, hi))
-
-
-def execute_elements(kernel: Kernel, elements, bounds: Tuple[Any, Any],
-                     total_count: int, input_values: Sequence[Any]):
-    """Fold ``kernel`` over an int64 element slice; ``(partial,)`` or ``None``.
-
-    The Σ form of :func:`execute`: ``elements`` is one shard's slice
-    of the canonical element list (an int64 ndarray mapped from shared
-    memory), and the return value is the exact partial sum of the body
-    over that slice, for the parent to fold in shard order.
-
-    Exactness argument: integer addition is associative, and the
-    overflow guard ``total_count * max(|lo|, |hi|) <= INT_GUARD``
-    (where ``lo``/``hi`` bound the body's value over the *whole*
-    element list) keeps every int64 prefix sum — inside this shard and
-    across the parent's fold of partials — within int64, so the result
-    equals the serial left-to-right fold bit for bit.  Float bodies
-    return ``None``: float addition is non-associative and only the
-    boxed in-order fold reproduces the serial rounding.  ``bounds``
-    are the *global* element bounds, so every proof-based decline here
-    is decided identically in all shards; the only shard-local declines
-    left are actual-value checks (a zero divisor, an out-of-bounds
-    subscript *among this shard's elements*), which imply a ⊥ element,
-    so the shard's scalar fold raises and the Σ reruns serially.
-    """
-    if not available():
-        return None
-    lo, hi = bounds
-    if lo is None or hi is None:
-        return None
-    count = int(elements.shape[0])
-    if count <= 0:
-        return None
-    values = dict(zip(kernel.inputs, input_values))
-    grids = {kernel.index_vars[0]: (elements, int(lo), int(hi), False)}
-    try:
-        out, olo, ohi, _ = _vec(kernel.body, grids, values)
-    except _Fallback:
-        return None
-    if olo is None or ohi is None:
-        return None  # float-valued body: in-order fold only
-    if total_count * max(abs(olo), abs(ohi)) > _INT_GUARD:
-        return None
-    if type(out) is int:
-        # element-free body: count exact copies of one scalar
-        return (out * count,)
-    if not isinstance(out, _np.ndarray) or out.dtype.kind != "i":
-        return None
-    return (int(out.sum()),)
 
 
 def _check(lo: int, hi: int) -> Tuple[int, int]:
@@ -475,5 +411,5 @@ def _float_arith(op: str, a, int_a: bool, b, int_b: bool, out):
     raise _Fallback()  # real % is ⊥ — the scalar loop raises it
 
 
-__all__ = ["Kernel", "recognize", "recognize_sum", "execute",
-           "execute_elements", "available", "MIN_CELLS", "ENABLED"]
+__all__ = ["Kernel", "recognize", "execute", "available", "MIN_CELLS",
+           "ENABLED"]

@@ -1,7 +1,7 @@
 """Set-engine fast paths: hash equi-joins and sort-based ``index_k``.
 
-PRs 2–4 made the paper's *array* half fast (vectorized tabulation,
-sharded Σ); this module does the same for the NRC *set* half.  Two
+The kernel backend makes the paper's *array* half fast (vectorized
+tabulation); this module does the same for the NRC *set* half.  Two
 fast paths, both dispatched from the code
 :class:`~repro.core.compile.Compiler` emits:
 
@@ -28,8 +28,7 @@ sparse/skewed domains cheap; the sweep also yields the *true* largest
 group size for the probe (``max_group_size``).  Which of the two an
 ``index_k`` takes is decided in :func:`index_set_dispatch`.
 
-Discipline (the proof-or-fallback contract of :mod:`repro.core.kernels`
-and :mod:`repro.core.parallel`):
+Discipline (the proof-or-fallback contract of :mod:`repro.core.kernels`):
 
 * Every entry point returns the finished value or ``None``; ``None``
   means "run the naive loop".
@@ -65,7 +64,7 @@ from repro.core import ast
 from repro.objects.array import Array, collect_index_pairs, stats_from_items
 from repro.objects.values import value_equal
 
-#: kill switch — mirrors ``kernels.ENABLED`` / ``parallel.ENABLED``
+#: kill switch — mirrors ``kernels.ENABLED``
 ENABLED = os.environ.get("REPRO_NO_SETOPS", "") != "1"
 
 
@@ -199,10 +198,9 @@ def hash_join(compiler, expr: ast.Ext, shape: JoinShape,
     ``pieces`` are the unprobed plan functions compiled with the
     enclosing plan, over ``scope`` (the names the ``ext`` reads from
     outside, whose values ``env`` holds); a probed dispatch recompiles
-    them against a worker compiler bound to the forked probe (the same
-    per-dispatch recompile the sharded executor uses), so instrumented
-    code never reports into the parent probe until the join has
-    succeeded.
+    them against a worker compiler bound to the forked probe, so
+    instrumented code never reports into the parent probe until the
+    join has succeeded.
     """
     probe = compiler.probe
     ok, forked = _fork_probe(probe)
@@ -212,7 +210,7 @@ def hash_join(compiler, expr: ast.Ext, shape: JoinShape,
         from repro.core.compile import Compiler
 
         worker = Compiler(compiler.prims, probe=forked,
-                          parallel=compiler.parallel)
+                          dispatch=compiler.dispatch)
         try:
             pieces = compile_join_pieces(worker, expr, shape, scope)
         except Exception:
@@ -225,7 +223,7 @@ def hash_join(compiler, expr: ast.Ext, shape: JoinShape,
         if not isinstance(inner_source, frozenset):
             return None
         total = len(source) * len(inner_source)
-        if not compiler.parallel.wants_hash_join(total, len(inner_source)):
+        if not compiler.dispatch.wants_hash_join(total, len(inner_source)):
             return None  # below the floor: recognition cost wins
         matched = 0
         out: set = set()

@@ -50,10 +50,10 @@ class TopEnv:
         self.optimizer = (optimizer if optimizer is not None
                           else default_optimizer())
         #: fast-path gating shared by every evaluator this environment
-        #: builds (vectorized + sharded dispatch); handed out by
+        #: builds (kernels, hash joins, grouping); handed out by
         #: reference, so Session-level tuning retunes live engines —
         #: including evaluators resident in a plan cache
-        self.parallel = DispatchConfig.from_env()
+        self.dispatch = DispatchConfig.from_env()
         #: static unit-cost estimates and how the last one fared — the
         #: paper's "rules/cost functions" registered into the
         #: environment; shown by EXPLAIN, read by no dispatch decision
@@ -235,7 +235,7 @@ class TopEnv:
         while observability is on."""
         probe = self.obs.metrics if self.obs.enabled else None
         return CompiledEvaluator(self._prim_impls, probe=probe,
-                                 parallel=self.parallel)
+                                 dispatch=self.dispatch)
 
     def plan_evaluator(self) -> CompiledEvaluator:
         """An *uninstrumented* engine suitable for keeping inside a
@@ -245,7 +245,7 @@ class TopEnv:
         :meth:`evaluator` instead, so instrumentation never leaks into
         the fast path.
         """
-        return CompiledEvaluator(self._prim_impls, parallel=self.parallel)
+        return CompiledEvaluator(self._prim_impls, dispatch=self.dispatch)
 
     def compile(self, expr: ast.Expr,
                 optimize: bool = True) -> Tuple[ast.Expr, Type]:

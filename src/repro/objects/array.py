@@ -441,11 +441,10 @@ class Array:
     def __reduce__(self):
         """Pickle block-backed arrays as (dims, raw buffer) — no boxing.
 
-        The sharded process executor ships operand arrays to workers
-        through pickle; sending the ndarray keeps that a single buffer
-        copy instead of ``size`` object pickles.  Reconstruction goes
-        through ``__init__`` adoption, so a worker with the store
-        disabled transparently lands on the object representation.
+        Pickling the ndarray costs one buffer copy instead of ``size``
+        object pickles.  Reconstruction goes through
+        ``__init__`` adoption, so a process with the store disabled
+        transparently lands on the object representation.
         With ``REPRO_NO_DENSE=1`` the boxed form is shipped even when a
         probe-cache block exists, keeping that lane's wire format
         byte-comparable to the historical one.

@@ -9,9 +9,8 @@ cell.  The block is what the fast paths consume *zero-copy*:
 * the kernel backend (:mod:`repro.core.kernels`) gathers operand arrays
   and publishes tabulation results as blocks, never round-tripping
   through ``tolist``;
-* the sharded executor (:mod:`repro.core.parallel`) pickles the raw
-  buffer plus its dtype tag to process workers instead of per-element
-  object pickles (see ``Array.__reduce__``);
+* pickling an ``Array`` ships the raw buffer plus its dtype tag
+  instead of per-element object pickles (see ``Array.__reduce__``);
 * the NetCDF codec (:mod:`repro.io.netcdf`) decodes variable payloads
   straight into blocks and encodes blocks straight back to bytes.
 

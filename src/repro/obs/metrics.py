@@ -13,20 +13,18 @@ evaluated, of which AST classes?  how many tabulation cells were
 materialized?  how large were the ``index_k`` group-bys?  how many ⊥
 were raised?  how big were the sets and bags the query touched?*
 
-Concurrency contract (the sharded executor depends on it)
----------------------------------------------------------
+Fork/merge contract (the set-engine fast paths depend on it)
+------------------------------------------------------------
 
 A probe is **single-writer**: every hook mutates plain Python counters
-with unguarded read-modify-write sequences, so exactly one thread may
-report into a given probe instance.  Parallel shard execution therefore
-never shares the parent probe with its workers: each worker process
-counts into a fresh :class:`EvalMetrics` of its own, and the parent
-folds the finished workers back in — in deterministic shard order —
-through :meth:`EvalMetrics.merge`; a parent probe of any other class
-opts its runs out of parallel execution rather than risk losing or
-double-counting events.  The set-engine fast paths follow the same
-protocol in-process through :meth:`EvalProbe.fork`, whose base default
-(``None``) declines the fast path.
+with unguarded read-modify-write sequences, so exactly one writer may
+report into a given probe instance at a time.  A hash join
+(:mod:`repro.core.setops`) therefore counts into a private
+:meth:`EvalProbe.fork` and folds it back through
+:meth:`EvalMetrics.merge` only once the join has succeeded, so a
+discarded attempt never reaches the parent's counters; the base
+``fork`` (``None``) declines the fast path rather than risk losing or
+double-counting events.
 """
 
 from __future__ import annotations
@@ -56,28 +54,6 @@ class EvalProbe:
         backend (:mod:`repro.core.kernels`) instead of the scalar loop.
         Disjoint from :meth:`on_cells` — a tabulation reports into
         exactly one of the two."""
-
-    def on_parallel(self, shards: int, cells: int) -> None:
-        """A tabulation or Σ dispatched ``cells`` cells/elements across
-        ``shards`` shards of the parallel executor
-        (:mod:`repro.core.parallel`).  Reported *in addition to* the
-        ordinary materialization hooks, which the parent still fires so
-        shard-merged counters stay equal to a serial run's."""
-
-    def on_shm(self, segments: int, nbytes: int, zero_copy: int) -> None:
-        """A sharded process dispatch moved its payloads/results through
-        ``segments`` shared-memory segments totalling ``nbytes`` bytes
-        (:mod:`repro.core.parallel`); ``zero_copy`` of its shards
-        returned results as dense slabs with no per-element pickling.
-        Like :meth:`on_parallel`, only a sharded run reports this — a
-        serial run's counters stay at zero."""
-
-    def on_shm_copies_avoided(self, count: int) -> None:
-        """A shard worker adopted ``count`` mapped shared-memory operand
-        segments as read-only array views instead of copying them out
-        of the segment (:mod:`repro.core.parallel`).  Workers report
-        this into their own probes; like :meth:`on_shm`, a serial
-        run's counter stays at zero."""
 
     def fork(self):
         """A fresh probe of this kind for one fast-path worker, or ``None``.
@@ -116,9 +92,6 @@ class EvalMetrics(EvalProbe):
 
     __slots__ = ("node_evals", "nodes_by_class", "cells_materialized",
                  "cells_vectorized", "tabulations", "tabulations_vectorized",
-                 "shards_executed", "cells_parallel",
-                 "shm_segments", "shm_bytes", "shards_zero_copy",
-                 "shm_copies_avoided",
                  "index_groupbys", "index_cells",
                  "index_groups", "index_pairs", "index_sorted",
                  "max_group_size", "joins_hashed", "join_pairs_matched",
@@ -133,12 +106,6 @@ class EvalMetrics(EvalProbe):
         self.cells_vectorized = 0
         self.tabulations = 0
         self.tabulations_vectorized = 0
-        self.shards_executed = 0
-        self.cells_parallel = 0
-        self.shm_segments = 0
-        self.shm_bytes = 0
-        self.shards_zero_copy = 0
-        self.shm_copies_avoided = 0
         self.index_groupbys = 0
         self.index_cells = 0
         self.index_groups = 0
@@ -171,36 +138,21 @@ class EvalMetrics(EvalProbe):
         self.tabulations_vectorized += 1
         self.cells_vectorized += count
 
-    def on_parallel(self, shards: int, cells: int) -> None:
-        """Count one sharded dispatch: its shard count and its cells."""
-        self.shards_executed += shards
-        self.cells_parallel += cells
-
-    def on_shm(self, segments: int, nbytes: int, zero_copy: int) -> None:
-        """Count one dispatch's shared-memory transport economy."""
-        self.shm_segments += segments
-        self.shm_bytes += nbytes
-        self.shards_zero_copy += zero_copy
-
-    def on_shm_copies_avoided(self, count: int) -> None:
-        """Count operand segments adopted as views instead of copied."""
-        self.shm_copies_avoided += count
-
-    # -- the shard-worker protocol -------------------------------------------
+    # -- the fork/merge protocol ---------------------------------------------
 
     def fork(self) -> "EvalMetrics":
-        """A fresh sibling for one shard worker (see :meth:`merge`)."""
+        """A fresh sibling for one fast-path attempt (see :meth:`merge`)."""
         return EvalMetrics()
 
     def merge(self, other: "EvalMetrics") -> None:
-        """Fold a finished worker's counters into this probe.
+        """Fold a finished fork's counters into this probe.
 
         The single-writer discipline: ``other`` must be quiescent (its
-        shard has completed) and ``self`` must be touched by exactly one
-        thread.  Sums are added, per-key dicts merged, and the ``max_*``
-        watermarks combined with ``max`` — so merging the workers of a
-        sharded run in any order yields the same totals a serial run
-        would have counted.
+        attempt has completed) and ``self`` must have exactly one
+        writer.  Sums are added, per-key dicts merged, and the ``max_*``
+        watermarks combined with ``max`` — so merging any number of
+        forks in any order yields the same totals a single probe would
+        have counted.
         """
         self.node_evals += other.node_evals
         for kind, count in other.nodes_by_class.items():
@@ -210,12 +162,6 @@ class EvalMetrics(EvalProbe):
         self.cells_vectorized += other.cells_vectorized
         self.tabulations += other.tabulations
         self.tabulations_vectorized += other.tabulations_vectorized
-        self.shards_executed += other.shards_executed
-        self.cells_parallel += other.cells_parallel
-        self.shm_segments += other.shm_segments
-        self.shm_bytes += other.shm_bytes
-        self.shards_zero_copy += other.shards_zero_copy
-        self.shm_copies_avoided += other.shm_copies_avoided
         self.index_groupbys += other.index_groupbys
         self.index_cells += other.index_cells
         self.index_groups += other.index_groups
@@ -286,15 +232,10 @@ class EvalMetrics(EvalProbe):
             "cells_vectorized": self.cells_vectorized,
             "tabulations": self.tabulations,
             "tabulations_vectorized": self.tabulations_vectorized,
-            "shards_executed": self.shards_executed,
-            "cells_parallel": self.cells_parallel,
-            "shm_segments": self.shm_segments,
-            "shm_bytes": self.shm_bytes,
-            "shards_zero_copy": self.shards_zero_copy,
-            # always 0: kernels no longer run inside shards, but
-            # benchmarks/suite/layers.py indexes the key
-            "shards_vectorized": 0,
-            "shm_copies_avoided": self.shm_copies_avoided,
+            # always 0: the sharded executor is deleted, but
+            # benchmarks/suite/layers.py indexes these keys
+            **dict.fromkeys(("shards_executed", "shards_vectorized",
+                             "shm_bytes"), 0),
             "index_groupbys": self.index_groupbys,
             "index_cells": self.index_cells,
             "index_groups": self.index_groups,
@@ -319,12 +260,6 @@ class EvalMetrics(EvalProbe):
             f"(in {self.tabulations} tabulations)",
             f"cells vectorized      {self.cells_vectorized} "
             f"(in {self.tabulations_vectorized} tabulations)",
-            f"parallel shards       {self.shards_executed} "
-            f"({self.cells_parallel} cells)",
-            f"shared memory         {self.shm_segments} segments "
-            f"({self.shm_bytes} bytes, "
-            f"{self.shards_zero_copy} zero-copy shards, "
-            f"{self.shm_copies_avoided} copies avoided)",
             f"index_k group-bys     {self.index_groupbys} "
             f"({self.index_pairs} pairs -> {self.index_groups} groups, "
             f"{self.index_cells} cells, max group {self.max_group_size}, "

@@ -11,15 +11,14 @@ Commands: ``:quit`` exits, ``:macros`` lists registered macros,
 ``:readers`` / ``:writers`` list drivers, ``:noopt`` / ``:opt`` toggle
 the optimizer, ``:load FILE`` runs an AQL script into the session,
 ``:cache`` prints the plan-cache occupancy and counters (``:cache
-clear`` empties it — see ``docs/PLAN_CACHE.md``), ``:parallel
-[WORKERS [MIN_CELLS]]`` shows or tunes the sharded executor
-(see ``docs/PARALLEL.md``), ``:setops [on|off]`` shows or toggles the
-set-engine fast paths (hash equi-joins and sort-based ``index_k``
-grouping — see ``docs/SETOPS.md``),
-and ``:profile QUERY;`` runs a statement
-with observability on and prints the EXPLAIN report (optimized core,
-per-stage spans, rule firings, evaluator counters — see
-``docs/OBSERVABILITY.md``).
+clear`` empties it — see ``docs/PLAN_CACHE.md``), ``:setops [on|off]``
+shows or toggles the set-engine fast paths (hash equi-joins and
+sort-based ``index_k`` grouping — see ``docs/SETOPS.md``), and
+``:profile QUERY;`` runs a statement with observability on and prints
+the EXPLAIN report (optimized core, per-stage spans, rule firings,
+evaluator counters — see ``docs/OBSERVABILITY.md``).  The dispatch
+floor is set per session (``Session(min_cells=)``) or per process
+(``REPRO_MIN_CELLS``).
 
 Non-interactive use: ``aql script.aql [more.aql ...]`` executes the
 scripts and exits (the paper's batch view of the same top level).
@@ -39,48 +38,6 @@ BANNER = (
 )
 
 
-def parallel_command(session: Session, args: str) -> str:
-    """Implement ``:parallel`` — show or tune the sharded executor.
-
-    ``:parallel`` prints the current config; ``:parallel WORKERS
-    [MIN_CELLS]`` updates it (``:parallel 4 256``, ``:parallel 0`` back
-    to serial).  Every field is validated before anything is mutated,
-    so a rejected update leaves the config untouched.  See
-    ``docs/PARALLEL.md``.
-    """
-    from repro.core import parallel
-
-    config = session.env.parallel
-    if args:
-        fields = args.split()
-        try:
-            workers = int(fields[0])
-            if workers < 0:
-                raise ValueError
-        except ValueError:
-            return (f"workers must be a non-negative int, "
-                    f"got {fields[0]!r}")
-        min_cells = config.min_cells
-        if len(fields) > 1:
-            try:
-                min_cells = int(fields[1])
-                if min_cells < 0:
-                    raise ValueError
-            except ValueError:
-                return (f"min_cells must be a non-negative int, "
-                        f"got {fields[1]!r}")
-        config.workers = workers
-        config.min_cells = min_cells
-    if not parallel.ENABLED:
-        state = "disabled (REPRO_NO_PARALLEL=1)"
-    elif not parallel.transport_on():
-        state = "disabled (no shared-memory transport)"
-    else:
-        state = "enabled"
-    return (f"parallel {state}: workers={config.workers} "
-            f"min_cells={config.min_cells}")
-
-
 def setops_command(session: Session, args: str) -> str:
     """Implement ``:setops`` — show or toggle the set-engine fast paths.
 
@@ -90,7 +47,7 @@ def setops_command(session: Session, args: str) -> str:
     """
     from repro.core import setops
 
-    config = session.env.parallel
+    config = session.env.dispatch
     if args:
         if args == "on":
             config.setops = True
@@ -173,10 +130,6 @@ def main(argv=None) -> int:
             if stripped == ":cache clear":
                 session.plan_cache.clear()
                 print("plan cache cleared")
-                continue
-            if stripped == ":parallel" or stripped.startswith(":parallel "):
-                print(parallel_command(session,
-                                       stripped[len(":parallel"):].strip()))
                 continue
             if stripped == ":setops" or stripped.startswith(":setops "):
                 print(setops_command(session,

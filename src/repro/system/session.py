@@ -99,25 +99,17 @@ class Session:
                  setops: Optional[bool] = None):
         self.env = env if env is not None else TopEnv.standard()
         self.optimize = optimize
-        # sets nothing; still in the signature because benchmarks/suite
-        # passes "process"
+        # parallel_workers and parallel_backend set nothing (the sharded
+        # executor is deleted); still in the signature because
+        # benchmarks/suite passes them
         if parallel_backend not in (None, "process"):
             raise SessionError(
                 f"parallel backend {parallel_backend!r} was removed: "
-                f"shards always run on forked processes"
+                f"every statement runs in this process"
             )
         # fast-path tuning mutates the TopEnv's shared DispatchConfig in
         # place: every evaluator the env hands out (including plans
         # already resident in the cache) reads it at dispatch time
-        if parallel_workers is not None:
-            if not isinstance(parallel_workers, int) \
-                    or isinstance(parallel_workers, bool) \
-                    or parallel_workers < 0:
-                raise SessionError(
-                    f"parallel_workers must be a non-negative int, "
-                    f"got {parallel_workers!r}"
-                )
-            self.env.parallel.workers = parallel_workers
         if min_cells is not None:
             if not isinstance(min_cells, int) \
                     or isinstance(min_cells, bool) or min_cells < 0:
@@ -125,13 +117,13 @@ class Session:
                     f"min_cells must be a non-negative int, "
                     f"got {min_cells!r}"
                 )
-            self.env.parallel.min_cells = min_cells
+            self.env.dispatch.min_cells = min_cells
         if setops is not None:
             if not isinstance(setops, bool):
                 raise SessionError(
                     f"setops must be a bool, got {setops!r}"
                 )
-            self.env.parallel.setops = setops
+            self.env.dispatch.setops = setops
         self._desugarer = Desugarer()
         #: the optimized core of the most recent compilation (EXPLAIN)
         #: and the source emitted for it by the last observed run

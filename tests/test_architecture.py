@@ -136,7 +136,7 @@ class TestTwoViews:
 
 
 SRC = Path(repro.__file__).parent
-PHYSICAL = ("kernels", "parallel", "setops")
+PHYSICAL = ("kernels", "setops")
 
 
 def _module_file(name):
@@ -215,13 +215,24 @@ class TestOneEngine:
         ]
         assert not offenders
 
+    def test_numpy_is_imported_by_the_dense_store_and_kernels_only(self):
+        importers = {
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            for node in pyast.walk(pyast.parse(path.read_text()))
+            if isinstance(node, pyast.Import) and any(
+                alias.name.split(".")[0] == "numpy" for alias in node.names)
+            or isinstance(node, pyast.ImportFrom)
+            and (node.module or "").split(".")[0] == "numpy"
+        }
+        assert importers == {"objects/dense.py", "core/kernels.py"}
+
 
 class TestKnobCensus:
     """Every option is counted here, so adding one is a decision that
     has to edit this test (and README's knob table) to land."""
 
-    KNOBS = {"REPRO_MIN_CELLS", "REPRO_PARALLEL_WORKERS",
-             "REPRO_NO_VECTORIZE", "REPRO_NO_PARALLEL", "REPRO_NO_SETOPS",
+    KNOBS = {"REPRO_MIN_CELLS", "REPRO_NO_VECTORIZE", "REPRO_NO_SETOPS",
              "REPRO_NO_DENSE"}
 
     def test_environment_variables(self):
@@ -236,15 +247,14 @@ class TestKnobCensus:
                 and isinstance(node.value, pyast.Name)
                 and node.value.id == "os")
         assert named == self.KNOBS
-        assert reads <= 5
+        assert reads <= 4
 
     def test_session_and_dispatch_config_surface(self):
         parameters = list(inspect.signature(Session.__init__).parameters)
         assert parameters[1:] == [
             "env", "optimize", "plan_cache_capacity", "parallel_workers",
             "parallel_backend", "min_cells", "setops"]
-        assert set(DispatchConfig.__slots__) == {
-            "min_cells", "workers", "setops"}
+        assert DispatchConfig.__slots__ == ("min_cells", "setops")
 
     @pytest.mark.parametrize("removed", [{"adaptive": True},
                                          {"cost": "active"},
@@ -260,15 +270,16 @@ class TestKnobCensus:
             Session(parallel_backend="thread")
         with pytest.raises(TypeError):
             DispatchConfig(backend="thread")
-        assert repr(Session(parallel_backend="process").env.parallel) == \
-            repr(Session().env.parallel)
+        assert repr(Session(parallel_backend="process").env.dispatch) == \
+            repr(Session().env.dispatch)
 
-    def test_the_sharded_executor_has_no_thread_backend(self):
-        """``threading`` serves the pool and segment registries' two
-        locks and nothing else."""
-        text = (SRC / "core" / "parallel.py").read_text()
-        assert "ThreadPoolExecutor" not in text
-        assert re.findall(r"threading\.(\w+)", text) == ["Lock", "Lock"]
+    @pytest.mark.parametrize("raw,floor", [
+        ("", 64), ("16", 16), (" 0 ", 0), ("-3", 64), ("many", 64),
+        ("1.5", 64)])
+    def test_min_cells_env_falls_back_where_the_session_would_reject(
+            self, monkeypatch, raw, floor):
+        monkeypatch.setenv("REPRO_MIN_CELLS", raw)
+        assert DispatchConfig.from_env().min_cells == floor
 
     def test_core_does_not_import_the_cost_estimator(self):
         importers = [path.name for path in (SRC / "core").rglob("*.py")

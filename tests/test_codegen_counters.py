@@ -8,24 +8,25 @@ configuration, numpy present).  Probed code keeps the general loop
 shapes precisely so these stay put.
 
 ``SHARDED`` does the same for the dispatch policy: the suite's three
-``dense_sharded`` statements over small inputs, under a 2-worker process
-pool with the floor lowered.  The int Σ is pinned to what the commit
-before ``DispatchConfig`` became the single static policy reported; the
-two kernel-shaped tabulations report the serial kernel (the same
-``cells_vectorized``, no shards) since kernels stopped running inside
-shards — and ``test_dispatch_predicates_at_their_boundaries`` pins the
-policy itself.
+``dense_sharded`` statements over small inputs with the floor lowered,
+once under the session keywords that used to ask for a 2-worker process
+pool and once without them.  Every statement runs in-process either
+way, so both sessions report the same values and counters — and
+``test_dispatch_predicates_at_their_boundaries`` pins the policy
+itself.
 """
 
+import importlib.util
 import math
 import os
 
 import pytest
 
-from repro.core import ast, kernels, parallel
+from repro.core import ast, kernels
 from repro.core.compile import CompiledEvaluator
 from repro.core.fastpath import (DEFAULT_MIN_CELLS, SPARSITY_FACTOR,
                                  DispatchConfig)
+from repro.errors import SessionError
 from repro.objects import dense
 from repro.objects.array import Array
 from repro.system.session import Session
@@ -81,7 +82,7 @@ SHARDED = {
     "gather": (r"[[ G[x, y] + 1 | \x < 40, \y < 40 ]];",
                (0, 0, 1600, 0, 0, 0), {}),
     "int-sum": (r"summap(fn \i => i % 7)!(gen!2000);",
-                (2, 0, 0, 0, 0, 0), {}),
+                (0, 0, 0, 0, 0, 0), {}),
 }
 
 
@@ -143,18 +144,31 @@ def test_explain_counters_equal_the_unspecialised_engine(tmp_path):
 
 
 def test_sharded_counters_equal_the_pre_policy_engine():
-    if not kernels.available() or not parallel.ENABLED \
-            or any(name.startswith("REPRO_") for name in os.environ):
-        pytest.skip("the counters are pinned for the default configuration")
-    session = Session(parallel_workers=2, min_cells=16)
-    session.env.set_val("G", Array((40, 40), [c * 7 % 11
-                                              for c in range(1600)]))
+    """The retired ``parallel_workers``/``parallel_backend`` keywords
+    are accepted and change nothing: no executor module is left for
+    them to select."""
+    assert importlib.util.find_spec("repro.core.parallel") is None
+    with pytest.raises(SessionError):
+        Session(parallel_backend="thread")
+    grid = Array((40, 40), [c * 7 % 11 for c in range(1600)])
+    retired = Session(parallel_workers=2, parallel_backend="process",
+                      min_cells=16)
+    plain = Session(min_cells=16)
+    for session in (retired, plain):
+        session.env.set_val("G", grid)
+    pinned = kernels.available() and not any(
+        name.startswith("REPRO_") for name in os.environ)
     for label, (text, counters, skipped) in SHARDED.items():
-        report = session.explain(text).to_dict()
-        assert {key: report["metrics"][key] for key in SHARDED_KEYS} == \
+        report, expected = retired.explain(text), plain.explain(text)
+        assert report.value == expected.value, label
+        assert report.metrics.to_dict() == expected.metrics.to_dict(), label
+        if not pinned:  # the counters are pinned for the default config
+            continue
+        found = report.to_dict()
+        assert {key: found["metrics"][key] for key in SHARDED_KEYS} == \
             dict(zip(SHARDED_KEYS, counters)), label
         assert {name: stats["skipped"]
-                for name, stats in report["phases"].items()
+                for name, stats in found["phases"].items()
                 if stats["skipped"]} == skipped, label
 
 
@@ -167,8 +181,6 @@ def test_dispatch_predicates_at_their_boundaries():
     table = [
         (config.wants_kernel(floor - 1), False),
         (config.wants_kernel(floor), True),
-        (config.wants_shards(floor - 1), False),
-        (config.wants_shards(floor), True),
         (config.wants_hash_join(floor - 1, 8), False),
         (config.wants_hash_join(floor, 2), True),
         (config.wants_hash_join(floor * floor, 1), False),   # |inner| = 1

@@ -317,3 +317,43 @@ class TestSessionPipeline:
             TopEnv(backend="interpreter")
         with pytest.raises(TypeError):
             TopEnv.standard("compiled")
+
+
+#: data-dependent branch: not kernel-shaped, so the scalar loop serves it
+BRANCHY = ast.Tabulate(
+    ("x", "y"), (N(12), N(12)),
+    ast.If(ast.Cmp("<=", V("x"), V("y")),
+           ast.Arith("*", V("x"), V("y")), ast.Arith("+", V("x"), V("y"))))
+
+#: Σ over an order-sensitive float source (magnitudes differ by 1e15)
+FLOAT_SUM = ast.Sum("e", ast.Arith("+", V("e"), V("r0")), V("sr"))
+
+BIG_SUM = ast.Sum("e", ast.Arith("*", V("e"), V("e")), ast.Gen(N(300)))
+
+
+class TestLoopShapes:
+    """A Σ is one ``for`` loop, a tabulation the kernel and then the
+    loop: values, and ⊥ reasons, are the reference's."""
+
+    @pytest.mark.parametrize("expr", [BRANCHY, FLOAT_SUM, BIG_SUM],
+                             ids=["branchy-tab", "float-sum", "big-sum"])
+    def test_agree(self, expr):
+        assert agree(expr)[0] == "value"
+
+    def test_bottom_mid_tabulation(self):
+        poisoned = ast.Tabulate(
+            ("x",), (N(160),),
+            ast.Arith("/", N(1), ast.Arith("-", N(100), V("x"))))
+        assert agree(poisoned)[0] == "bottom"
+
+    def test_bottom_mid_sum(self):
+        poisoned = ast.Sum(
+            "e", ast.Arith("/", N(1), ast.Arith("-", N(50), V("e"))),
+            ast.Gen(N(120)))
+        assert agree(poisoned)[0] == "bottom"
+
+    def test_nested_tabulations(self):
+        nested = ast.Tabulate(
+            ("x",), (N(8),),
+            ast.Sum("e", ast.Arith("+", V("e"), V("x")), ast.Gen(N(50))))
+        assert agree(nested)[0] == "value"

@@ -16,6 +16,7 @@ from repro.obs import (
     Observability,
     Tracer,
 )
+from repro.obs.metrics import EvalProbe
 from repro.system import repl
 from repro.system.session import Session
 
@@ -146,6 +147,37 @@ class TestMetrics:
         assert parent.joins_hashed == 1
         assert parent.join_pairs_matched == 3
         assert parent.join_pairs_skipped == 5
+
+    def test_merge_adds_sums_and_maxes_watermarks(self):
+        left = EvalMetrics()
+        left.on_node("Var")
+        left.on_cells(10)
+        left.on_collection(3)
+        left.on_bottom("x: boom")
+        right = EvalMetrics()
+        right.on_node("Var")
+        right.on_node("If")
+        right.on_cells(5)
+        right.on_collection(9)
+        left.merge(right)
+        assert left.node_evals == 3
+        assert left.nodes_by_class == {"Var": 2, "If": 1}
+        assert left.cells_materialized == 15
+        assert left.tabulations == 2
+        assert left.collections_touched == 2
+        assert left.max_collection_size == 9
+        assert left.bottom_raises == 1
+
+    def test_fork_is_fresh(self):
+        metrics = EvalMetrics()
+        metrics.on_cells(5)
+        forked = metrics.fork()
+        assert isinstance(forked, EvalMetrics)
+        assert forked.cells_materialized == 0
+        assert EvalProbe().fork() is None
+
+    def test_single_writer_contract_documented(self):
+        assert "single-writer" in EvalMetrics.merge.__doc__
 
 
 class TestObservabilitySwitch:

@@ -168,3 +168,80 @@ class TestDefaultPipeline:
         # without β^p the subscript of a tabulation survives normalization
         out = opt.phase("normalize").run(e)
         assert isinstance(out, ast.Subscript)
+
+
+class TestRulePruning:
+    """Rules declare the root classes they can fire on (``Rule.roots``);
+    a phase consults only the candidates for each node's class."""
+
+    def test_candidates_preserve_registration_order(self):
+        base = RuleBase()
+        base.add(Rule("everywhere", lambda e: None, "", roots=None))
+        base.add(Rule("if-only", lambda e: None, "", roots=(ast.If,)))
+        base.add(Rule("also-everywhere", lambda e: None, ""))
+        names = [rule.name for rule in base.candidates(ast.If)]
+        assert names == ["everywhere", "if-only", "also-everywhere"]
+        names = [rule.name for rule in base.candidates(ast.NatLit)]
+        assert names == ["everywhere", "also-everywhere"]
+
+    def test_candidates_cache_invalidated_on_mutation(self):
+        base = RuleBase()
+        base.add(Rule("a", lambda e: None, "", roots=(ast.If,)))
+        assert len(base.candidates(ast.If)) == 1
+        base.add(Rule("b", lambda e: None, "", roots=(ast.If,)))
+        assert len(base.candidates(ast.If)) == 2
+        base.remove("a")
+        assert len(base.candidates(ast.If)) == 1
+
+    def test_pruning_does_not_change_optimized_output(self):
+        """Stripping every ``roots`` annotation (pruning off) must give
+        the same optimized core as the stock pruned pipeline."""
+        from dataclasses import replace
+        from repro.surface.desugar import Desugarer
+        from repro.surface.parser import parse_program
+
+        source = ("summap(fn \\e => e + 1)!"
+                  "({ x * 2 | \\x <- gen!7 });")
+        (stmt,) = parse_program(source)
+        core = Desugarer().desugar(stmt.expr)
+
+        pruned_opt = default_optimizer()
+        unpruned_opt = default_optimizer()
+        for phase in unpruned_opt.phases:
+            stripped = [replace(rule, roots=None)
+                        for rule in phase.rules]
+            phase.rules._rules = stripped
+            phase.rules._candidates.clear()
+        assert pruned_opt.optimize(core) == unpruned_opt.optimize(core)
+
+    def test_attempts_stay_truthful(self):
+        """``attempts`` counts actual fn calls; ``pruned`` the skipped
+        ones; their sum is the unpruned attempt count."""
+        from repro.obs.trace import Tracer
+
+        expr = ast.Arith("+", ast.NatLit(1), ast.NatLit(2))
+        optimizer = default_optimizer()
+        optimizer.optimize(expr, Tracer())
+        stats = optimizer.phase("normalize").stats
+        assert stats.pruned > 0
+        assert stats.attempts > 0
+        assert stats.to_dict()["pruned"] == stats.pruned
+
+        # on a node where nothing fires, one visit consults the whole
+        # rule base exactly once: attempts + pruned == len(rules).  The
+        # phase is run directly: ``optimize`` would prove it cannot fire
+        # on a lone variable and skip it
+        optimizer = default_optimizer()
+        optimizer.phase("normalize").run(ast.Var("x"), instrument=True)
+        stats = optimizer.phase("normalize").stats
+        assert stats.applications == 0
+        assert stats.attempts + stats.pruned == \
+            len(optimizer.phase("normalize").rules)
+
+    def test_profile_reports_pruned(self):
+        from repro.system.session import Session
+
+        outputs = Session().run(":profile [[ x + 1 | \\x < 10 ]];")
+        phases = outputs[-1].explain.to_dict()["phases"]
+        assert any(stats["pruned"] > 0 for stats in phases.values())
+        assert "pruned" in outputs[-1].explain.render()

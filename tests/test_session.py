@@ -174,3 +174,18 @@ class TestOutputs:
         rendered = session.run_script("1;2;")
         assert len(rendered) == 2
         assert rendered[0] == "typ it : nat\nval it = 1"
+
+
+class TestKeywords:
+    @pytest.mark.parametrize("kwargs", [{"parallel_backend": "gpu"},
+                                        {"min_cells": -5},
+                                        {"min_cells": True}])
+    def test_bad_kwargs_rejected(self, kwargs):
+        with pytest.raises(SessionError):
+            Session(**kwargs)
+
+    def test_retired_parallel_workers_is_accepted_and_ignored(self):
+        query = "[[ if x <= y then x*y else x+y | \\x < 16, \\y < 16 ]];"
+        session = Session(parallel_workers=3, min_cells=8)
+        assert session.env.dispatch.min_cells == 8
+        assert session.query_value(query) == Session().query_value(query)

@@ -40,7 +40,7 @@ def _setops_on(monkeypatch):
 
 
 def cfg(min_cells=1, setops_on=True):
-    return DispatchConfig(min_cells=min_cells, workers=0, setops=setops_on)
+    return DispatchConfig(min_cells=min_cells, setops=setops_on)
 
 
 def outcome(expr, config, probe=None):
@@ -401,11 +401,11 @@ class TestSurface:
 
     def test_session_setops_off(self):
         session = Session(setops=False)
-        assert session.env.parallel.setops is False
+        assert session.env.dispatch.setops is False
 
     def test_session_setops_default_on(self):
         session = Session()
-        assert session.env.parallel.setops is True
+        assert session.env.dispatch.setops is True
 
     def test_session_setops_validated(self):
         with pytest.raises(SessionError):
@@ -415,10 +415,10 @@ class TestSurface:
         session = Session()
         off = setops_command(session, "off")
         assert "session=off" in off
-        assert session.env.parallel.setops is False
+        assert session.env.dispatch.setops is False
         on = setops_command(session, "on")
         assert "session=on" in on
-        assert session.env.parallel.setops is True
+        assert session.env.dispatch.setops is True
 
     def test_repl_command_usage(self):
         session = Session()

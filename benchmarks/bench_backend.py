@@ -4,15 +4,18 @@ The paper's architecture ends in a *code generator* (Section 3:
 primitives are "known to the code generator so a more efficient query
 plan can be generated").  The engine translates core expressions into
 Python closures once; this benchmark times repeated evaluation of that
-generated code, and the two fast paths it dispatches to (numpy kernels,
-dense block handoff) against their own kill switches.
+generated code, and the numpy kernel path against the scalar loop it
+replaces (the same engine with a floor no tabulation reaches).
 """
+
+import sys
 
 import pytest
 
 from repro.core import ast
 from repro.core import builders as B
 from repro.core.compile import CompiledEvaluator
+from repro.core.fastpath import DispatchConfig
 from repro.objects.array import Array
 
 from conftest import median_time
@@ -85,13 +88,11 @@ def test_shape_vectorized_tabulation(benchmark, bench_record):
     n = 1000
     expr = _dense_grid(n)
     runner = CompiledEvaluator()
+    scalar_runner = CompiledEvaluator(
+        dispatch=DispatchConfig(min_cells=sys.maxsize))
     vectorized = runner.run(expr)  # also compiles, outside the timed region
-    try:
-        kernels.ENABLED = False
-        scalar = runner.run(expr)
-        t_scalar = median_time(lambda: runner.run(expr), repeats=3)
-    finally:
-        kernels.ENABLED = True
+    scalar = scalar_runner.run(expr)
+    t_scalar = median_time(lambda: scalar_runner.run(expr), repeats=3)
     t_vectorized = median_time(lambda: runner.run(expr), repeats=3)
 
     assert vectorized.dims == scalar.dims
@@ -118,78 +119,3 @@ def test_shape_vectorized_tabulation(benchmark, bench_record):
         f"{t_scalar:.4f}s — only {speedup:.1f}x"
     )
     benchmark(lambda: runner.run(expr))
-
-
-# ---------------------------------------------------------------------------
-# the dense Array backing store (repro.objects.dense)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.benchmark(group="dense-store-shape")
-def test_shape_dense_store_pipeline(benchmark, bench_record):
-    """Block handoff ≥2× on a chained 1000×1000 tabulate→subscript.
-
-    With the store on, the first tabulation publishes its result buffer
-    as the array's backing block and the gather kernel consumes it
-    zero-copy — no ``tolist`` boxing anywhere on the path (asserted via
-    the dense counters).  With ``STORE_ENABLED`` off (the seed's
-    behavior), the intermediate array is boxed element-by-element and
-    the second kernel re-scans and re-copies it on every run.
-    """
-    from repro.core import kernels
-    from repro.objects import dense
-
-    if not kernels.available() or not dense.store_enabled():
-        pytest.skip("numpy absent or dense store disabled")
-
-    n = 1000
-    grid_expr = _dense_grid(n)
-    chained_expr = ast.Tabulate(
-        ("x", "y"), (ast.NatLit(n), ast.NatLit(n)),
-        ast.Arith("+",
-                  ast.Subscript(ast.Var("A"),
-                                (ast.Var("x"), ast.Var("y"))),
-                  ast.NatLit(1)))
-    runner = CompiledEvaluator()
-
-    def pipeline():
-        produced = runner.run(grid_expr)
-        return runner.run(chained_expr, {"A": produced})
-
-    dense_out = pipeline()
-    before = dense.COUNTERS.snapshot()
-    pipeline()
-    delta = {key: value - before[key]
-             for key, value in dense.COUNTERS.snapshot().items()}
-    # the acceptance criterion: nothing on the dense path boxes elements
-    # or rescans an object tuple
-    assert delta["materializations"] == 0, delta
-    assert delta["blocks_probed"] == 0, delta
-
-    t_dense = median_time(pipeline, repeats=3)
-    try:
-        dense.STORE_ENABLED = False
-        boxed_out = pipeline()
-        t_boxed = median_time(pipeline, repeats=3)
-    finally:
-        dense.STORE_ENABLED = True
-
-    assert dense_out.dims == boxed_out.dims
-    assert dense_out.flat == boxed_out.flat
-    assert all(type(cell) is int for cell in dense_out.flat)
-
-    speedup = t_boxed / t_dense
-    bench_record(
-        file="dense_store",
-        seconds=t_dense,
-        cells=n * n,
-        seconds_boxed=t_boxed,
-        seconds_dense=t_dense,
-        speedup=round(speedup, 2),
-        dense_path_materializations=delta["materializations"],
-        dense_path_probes=delta["blocks_probed"],
-    )
-    assert speedup >= 2.0, (
-        f"dense {t_dense:.4f}s vs boxed {t_boxed:.4f}s — "
-        f"only {speedup:.1f}x"
-    )
-    benchmark(pipeline)

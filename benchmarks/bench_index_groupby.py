@@ -10,8 +10,7 @@ Grouping n (key, value) pairs with keys below m:
 
 import pytest
 
-from repro.core import ast, evaluate, setops
-from repro.objects.array import index_set_stats
+from repro.core import ast, evaluate
 
 from conftest import median_time
 
@@ -55,44 +54,6 @@ def test_groupby_via_filtering(benchmark, n, m):
     expr = _filter_groupby(m)
     result = benchmark(lambda: evaluate(expr, env))
     assert sum(len(group) for group in result.flat) == n
-
-
-#: (n pairs, m key buckets): dense duplicate-heavy, near-distinct,
-#: skewed (every pair in a handful of giant groups), and
-#: holes-dominated (2k pairs scattered over a ~200k-cell extent — the
-#: dict path allocates a frozenset per empty cell, the sorted path
-#: shares one)
-SORTED_SHAPES = [(2048, 1024), (20000, 4096), (20000, 8), (2000, 200000)]
-
-
-@pytest.mark.benchmark(group="C7-groupby-sorted")
-@pytest.mark.parametrize("n,m", SORTED_SHAPES,
-                         ids=[f"{n}x{m}" for n, m in SORTED_SHAPES])
-def test_sorted_vs_dict_grouping(benchmark, bench_record, n, m):
-    """The sort-based path (docs/SETOPS.md) vs the naive dict path,
-    identical results asserted down to frozenset hashes, timings
-    recorded honestly in BENCH_index_groupby.json."""
-    pairs = _pairs(n, m)
-    fast_array, fast_groups, fast_max = setops.index_set_sorted(pairs, 1)
-    naive_array, naive_groups, naive_max = index_set_stats(pairs, 1)
-    assert (fast_groups, fast_max) == (naive_groups, naive_max)
-    assert tuple(fast_array.dims) == tuple(naive_array.dims)
-    for fast_cell, naive_cell in zip(fast_array.flat, naive_array.flat):
-        assert fast_cell == naive_cell
-        assert hash(fast_cell) == hash(naive_cell)
-
-    t_sorted = median_time(lambda: setops.index_set_sorted(pairs, 1))
-    t_dict = median_time(lambda: index_set_stats(pairs, 1))
-    bench_record(
-        seconds=t_sorted,
-        dict_seconds=t_dict,
-        ratio=round(t_dict / t_sorted, 2) if t_sorted > 0 else None,
-        pairs=n,
-        key_buckets=m,
-        groups=fast_groups,
-        max_group=fast_max,
-    )
-    benchmark(lambda: setops.index_set_sorted(pairs, 1))
 
 
 @pytest.mark.benchmark(group="C7-groupby-shape")

@@ -15,6 +15,8 @@ Timings, probe counters (pairs matched/skipped), and the measured
 speedups land in ``benchmarks/BENCH_joins.json``.
 """
 
+import sys
+
 import pytest
 
 from repro.core import ast
@@ -63,7 +65,7 @@ def test_hash_join_vs_naive(benchmark, bench_record, n, m):
     s, t = _relations(n, m)
     env = {"S": s, "T": t}
     fast_config = DispatchConfig(min_cells=64)
-    naive_config = DispatchConfig(min_cells=64, setops=False)
+    naive_config = DispatchConfig(min_cells=sys.maxsize)
 
     # correctness first: the fast path must be indistinguishable, and
     # the probe must prove the hash path actually ran

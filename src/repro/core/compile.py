@@ -107,10 +107,7 @@ class Compiler:
                                  *emission._consts)
 
     #: the fast-path entry points, bound into every plan's globals
-    RUNTIME = {
-        "_kavailable": kernels.available, "_kexecute": kernels.execute,
-        "_savailable": setops.available, "_hash_join": setops.hash_join,
-    }
+    RUNTIME = {"_kexecute": kernels.execute, "_hash_join": setops.hash_join}
 
     # -- emission: statements, spills, nested blocks and helpers --------------
 
@@ -371,7 +368,7 @@ class Compiler:
             (e.expr,), "frozenset(range(_natural({}, _GEN)))"),
         ast.Dim: lambda self, e: ((e.expr,), f"_dim({{}}, {e.rank})"),
         ast.IndexSet: lambda self, e: (
-            (e.expr,), f"_indexed({{}}, {e.rank}, _cfg, _P)"),
+            (e.expr,), f"_indexed({{}}, {e.rank}, _P)"),
         ast.Get: lambda self, e: ((e.expr,), "_get({})"),
         ast.Bottom: lambda self, e: ((), "_bottom()"),
         ast.EmptyBag: lambda self, e: ((), "Bag()"),
@@ -415,9 +412,9 @@ class Compiler:
         return f"_seen(_P, {self._counted('Gen', mark, elements)})"
 
     def _ext(self, expr: ast.Ext, scope) -> str:
-        # recognised once (the kill switch too); the emitted code gates
-        # each run on the live config and falls through to the loop
-        shape = setops.recognize_join(expr) if setops.ENABLED else None
+        # recognised once; the emitted code gates each run on the live
+        # config and falls through to the loop
+        shape = setops.recognize_join(expr)
         if shape is not None:
             free = ast.free_vars(expr)
             names = tuple(name for name in scope if name in free)
@@ -440,8 +437,7 @@ class Compiler:
         self._line(f"{result} = _hash_join(_c, {self._const(expr)}, "
                    f"{self._const(shape)}, {self._const(names)}, "
                    f"{self._const(pieces)}, [{env}], {source}) if isinstance("
-                   f"{source}, frozenset) and len({source}) >= 2 and "
-                   f"_savailable(_cfg) else None")
+                   f"{source}, frozenset) and len({source}) >= 2 else None")
         self._line(f"if {result} is None:")
         self._level += 1
         self._line(f"{acc} = set()")
@@ -476,7 +472,7 @@ class Compiler:
             self._level
         nested = kind is ast.Ext and self._loops < _LIFT_LOOPS \
             and level <= _LIFT_LEVEL \
-            and not (setops.ENABLED and setops.recognize_join(member))
+            and not setops.recognize_join(member)
         if kind is not ast.Singleton and not nested:
             self._line(f"{acc} |= {self._emit(body, scope)}")
             return
@@ -534,15 +530,15 @@ class Compiler:
         extents, cells = f"({', '.join(dims)},)", self._spill(" * ".join(dims))
         result, probed = self._fresh(), self.probe is not None
         self._line(f"{result} = None")
-        # recognised once; the emitted code decides per run (numpy may be
-        # toggled, extents and inputs vary) and falls through to the loop
+        # recognised once (never without numpy); the emitted code decides
+        # per run (extents and inputs vary) and falls through to the loop
         kernel = kernels.recognize(expr)
         if kernel is not None:
             depth, self._depth = self._depth, 0  # leaves: never spilled
             inputs = ", ".join(self._emit(leaf, scope)
                                for leaf in kernel.inputs)
             self._depth = depth
-            self._line(f"if _cfg.wants_kernel({cells}) and _kavailable():")
+            self._line(f"if _cfg.wants_kernel({cells}):")
             self._line(f"{result} = _kexecute({self._const(kernel)}, "
                        f"{extents}, [{inputs}])", 1)
             if probed:

@@ -9,8 +9,10 @@ numpy broadcasting.
 Design constraints (see ``docs/VECTOR_BACKEND.md``):
 
 * **Gated on numpy.**  ``import numpy`` is attempted once; without it
-  (or with ``REPRO_NO_VECTORIZE=1`` in the environment) every query
-  evaluates through the ordinary scalar paths.
+  :func:`recognize` declines every body, so no plan emits a kernel
+  branch and every query evaluates through the ordinary scalar paths.
+  Whether a recognised body runs as a kernel is then a function of its
+  cell count alone (``DispatchConfig.wants_kernel``).
 * **Fallback is the contract.**  :func:`execute` returns ``None``
   whenever it cannot *prove* the vectorized result would be
   cell-for-cell identical to the scalar loop — non-numeric or mixed
@@ -43,12 +45,10 @@ Semantics preserved cell-for-cell:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import ast
-from repro.core import fastpath
 from repro.errors import EvalError
 from repro.objects import dense
 from repro.objects.array import Array
@@ -59,22 +59,14 @@ try:  # pragma: no cover - exercised by the no-numpy CI lane
 except ImportError:  # pragma: no cover
     _np = None
 
-#: kill switch honoured at call time (tests/CI flip it; numpy absent
-#: disables regardless)
-ENABLED = os.environ.get("REPRO_NO_VECTORIZE", "") != "1"
-
-#: the default floor below which tabulations stay on the scalar loop
-#: (:mod:`repro.core.fastpath`; ``Session(min_cells=...)`` moves it)
-MIN_CELLS = fastpath.DEFAULT_MIN_CELLS
-
 #: any intermediate whose *interval bound* could exceed this falls back
 #: to the exact Python-int scalar loop (the dense store's int invariant)
 _INT_GUARD = dense.INT_GUARD
 
 
 def available() -> bool:
-    """True when the vectorized path may run (numpy present + enabled)."""
-    return _np is not None and ENABLED
+    """True when the vectorized path may run (numpy is importable)."""
+    return _np is not None
 
 
 class _Fallback(Exception):
@@ -107,12 +99,13 @@ def recognize(tab: ast.Tabulate) -> Optional[Kernel]:
 
     Everything else — conditionals, comparisons, ``get``, nested
     tabulations, applications, explicit ⊥ — is left to the scalar
-    paths.  Whether the runtime values are actually numeric (and the
-    subscripts in bounds, divisors non-zero, magnitudes int64-safe) is
-    checked by :func:`execute`, which falls back rather than guess.
+    paths, and so is every body when numpy is absent.  Whether the
+    runtime values are actually numeric (and the subscripts in bounds,
+    divisors non-zero, magnitudes int64-safe) is checked by
+    :func:`execute`, which falls back rather than guess.
     """
     inputs: Dict[ast.Expr, None] = {}
-    if not _scan(tab.body, frozenset(tab.vars), inputs):
+    if not available() or not _scan(tab.body, frozenset(tab.vars), inputs):
         return None
     return Kernel(tab.body, tab.vars, tuple(inputs))
 
@@ -411,5 +404,4 @@ def _float_arith(op: str, a, int_a: bool, b, int_b: bool, out):
     raise _Fallback()  # real % is ⊥ — the scalar loop raises it
 
 
-__all__ = ["Kernel", "recognize", "execute", "available", "MIN_CELLS",
-           "ENABLED"]
+__all__ = ["Kernel", "recognize", "execute", "available"]

@@ -14,9 +14,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Dict
 
-from repro.core import setops
 from repro.errors import BottomError, EvalError
-from repro.objects.array import Array
+from repro.objects.array import Array, index_set_stats
 from repro.objects.bag import Bag
 from repro.objects.ordering import (COMPARISONS, canonical_elements,
                                     rank_elements, sort_values)
@@ -94,13 +93,11 @@ def bottom():
     raise BottomError("explicit bottom")
 
 
-def indexed(pairs: Any, rank: int, config: Any, probe: Any) -> Array:
-    """``index_rank`` the way :func:`setops.index_set_dispatch` picks."""
-    result, groups, max_group, sorted_used = \
-        setops.index_set_dispatch(pairs, rank, config)
+def indexed(pairs: Any, rank: int, probe: Any) -> Array:
+    """``index_rank``: the reference grouping, counted when probed."""
+    result, groups, max_group = index_set_stats(pairs, rank)
     if probe is not None:
-        probe.on_index(result.size, groups, len(pairs),
-                       max_group=max_group, sorted_path=sorted_used)
+        probe.on_index(result.size, groups, len(pairs), max_group=max_group)
     return result
 
 

@@ -1,9 +1,11 @@
-"""Set-engine fast paths: hash equi-joins and sort-based ``index_k``.
+"""Set-engine fast path: the hash equi-join.
 
 The kernel backend makes the paper's *array* half fast (vectorized
-tabulation); this module does the same for the NRC *set* half.  Two
-fast paths, both dispatched from the code
-:class:`~repro.core.compile.Compiler` emits:
+tabulation); this module does the same for the NRC *set* half's joins,
+dispatched from the code :class:`~repro.core.compile.Compiler` emits.
+(``index_k`` has no fast path to choose: its one grouping routine is
+:func:`repro.objects.array.index_set_stats`, shared with the reference
+evaluator.)
 
 **Hash equi-join** — the filter-promotion normal form the optimizer's
 NRC rules leave a relational join in is::
@@ -19,18 +21,9 @@ pairs — O(|S|+|T|+matches).  Skipped pairs are sound because the
 else-branch is syntactically ``{}``: a non-matching pair contributes
 the empty set and *cannot* raise, so leaving it out changes nothing.
 
-**Sort-based grouping** — :func:`index_set_sorted` replaces the
-dict-of-sets materialization of :func:`repro.objects.array.index_set`
-with a sort of the (key, value) pairs and one sweep emitting group slices
-into a stride-addressed flat cell list.  Holes share one empty
-frozenset instead of allocating per cell, which is what makes
-sparse/skewed domains cheap; the sweep also yields the *true* largest
-group size for the probe (``max_group_size``).  Which of the two an
-``index_k`` takes is decided in :func:`index_set_dispatch`.
-
 Discipline (the proof-or-fallback contract of :mod:`repro.core.kernels`):
 
-* Every entry point returns the finished value or ``None``; ``None``
+* :func:`hash_join` returns the finished value or ``None``; ``None``
   means "run the naive loop".
 * Hashing uses :class:`HashKey`, whose equality *is* the calculus's
   ``value_equal`` (so ``1``, ``1.0`` and ``true`` stay distinct keys,
@@ -45,37 +38,17 @@ Discipline (the proof-or-fallback contract of :mod:`repro.core.kernels`):
   ``probe.fork()`` worker merged back only on success; a probe that
   cannot fork opts out of the fast path entirely.
 
-Gating: the size predicates of
-:class:`~repro.core.fastpath.DispatchConfig` (``wants_hash_join`` on
-|S|·|T| and |T|, ``wants_sorted_grouping`` on |pairs| and the extent), a
-per-session ``config.setops`` switch (``Session(setops=False)``,
-``:setops off``), and the process-wide ``REPRO_NO_SETOPS=1`` kill
-switch.  See ``docs/SETOPS.md``.
+Gating: :meth:`~repro.core.fastpath.DispatchConfig.wants_hash_join` on
+|S|·|T| and |T|, nothing else.  See ``docs/SETOPS.md``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, List, Optional, Tuple
 
 from repro.core import ast
-from repro.objects.array import Array, collect_index_pairs, stats_from_items
 from repro.objects.values import value_equal
-
-#: kill switch — mirrors ``kernels.ENABLED``
-ENABLED = os.environ.get("REPRO_NO_SETOPS", "") != "1"
-
-
-def available(config: Any) -> bool:
-    """Can a set-engine dispatch be attempted under ``config`` at all?
-
-    The minimum-size floor is checked at each dispatch site (it needs
-    the evaluated operand sizes); this checks the switches.
-    """
-    return ENABLED and config is not None and getattr(config, "setops", True)
-
 
 class HashKey:
     """A join key wrapped so dict equality is the calculus's equality.
@@ -272,88 +245,7 @@ def hash_join(compiler, expr: ast.Ext, shape: JoinShape,
     return result
 
 
-# -- sort-based index_k grouping ---------------------------------------------
-
-def index_set_sorted(pairs, rank: int):
-    """Sort-and-sweep ``index_k``: ``(Array, groups, max_group)``.
-
-    Shares pair validation with the naive path
-    (:func:`repro.objects.array.collect_index_pairs`) so a malformed
-    pair raises the identical error either way.
-    """
-    items, maxima = collect_index_pairs(pairs, rank)
-    if not items:
-        return Array((0,) * rank, []), 0, 0
-    return sorted_from_items(items, maxima)
-
-
-def sorted_from_items(items, maxima):
-    """The sweep proper, over pre-validated non-empty ``(key, value)``
-    items.  Keys are tuples of naturals, so the native tuple order *is*
-    the canonical order; the sort compares keys only (values of mixed
-    kinds are not mutually orderable and never need to be).
-    """
-    rank = len(maxima)
-    dims = [m + 1 for m in maxima]
-    strides = [0] * rank
-    acc = 1
-    for axis in range(rank - 1, -1, -1):
-        strides[axis] = acc
-        acc *= dims[axis]
-    items.sort(key=itemgetter(0))
-    hole = frozenset()
-    values = [hole] * acc  # one shared empty set for every hole
-    groups = 0
-    max_group = 0
-    i = 0
-    n = len(items)
-    while i < n:
-        key = items[i][0]
-        j = i + 1
-        while j < n and items[j][0] == key:
-            j += 1
-        group = frozenset(value for _, value in items[i:j])
-        offset = 0
-        for position, stride in zip(key, strides):
-            offset += position * stride
-        values[offset] = group
-        groups += 1
-        if len(group) > max_group:
-            max_group = len(group)
-        i = j
-    return Array(dims, values), groups, max_group
-
-
-def index_set_dispatch(pairs, rank: int, config):
-    """Build an ``index_k`` array the fastest provable way.
-
-    Returns ``(Array, groups, max_group, sorted_used)``.  Validation
-    runs exactly once (it raises the canonical error regardless of
-    path); the sort-based sweep (:func:`sorted_from_items`) engages
-    when :meth:`~repro.core.fastpath.DispatchConfig.wants_sorted_grouping`
-    says holes dominate, because on dense key domains the dict pass is
-    measurably faster (see ``benchmarks/BENCH_index_groupby.json``).
-    Any failure inside the sweep falls back to the dict path.
-    """
-    items, maxima = collect_index_pairs(pairs, rank)
-    if not items:
-        return Array((0,) * rank, []), 0, 0, False
-    if available(config) and isinstance(pairs, frozenset):
-        cells = 1
-        for m in maxima:
-            cells *= m + 1
-        if config.wants_sorted_grouping(len(items), cells):
-            try:
-                array, groups, max_group = sorted_from_items(items, maxima)
-                return array, groups, max_group, True
-            except Exception:
-                pass
-    array, groups, max_group = stats_from_items(items, maxima)
-    return array, groups, max_group, False
-
-
 __all__ = [
-    "ENABLED", "available", "HashKey", "JoinShape", "recognize_join",
-    "compile_join_pieces", "hash_join",
-    "index_set_sorted", "sorted_from_items", "index_set_dispatch",
+    "HashKey", "JoinShape", "recognize_join", "compile_join_pieces",
+    "hash_join",
 ]

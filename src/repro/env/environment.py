@@ -50,10 +50,10 @@ class TopEnv:
         self.optimizer = (optimizer if optimizer is not None
                           else default_optimizer())
         #: fast-path gating shared by every evaluator this environment
-        #: builds (kernels, hash joins, grouping); handed out by
-        #: reference, so Session-level tuning retunes live engines —
-        #: including evaluators resident in a plan cache
-        self.dispatch = DispatchConfig.from_env()
+        #: builds (kernels, hash joins); handed out by reference, so
+        #: Session-level tuning retunes live engines — including
+        #: evaluators resident in a plan cache
+        self.dispatch = DispatchConfig()
         #: static unit-cost estimates and how the last one fared — the
         #: paper's "rules/cost functions" registered into the
         #: environment; shown by EXPLAIN, read by no dispatch decision

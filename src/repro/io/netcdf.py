@@ -208,7 +208,7 @@ class NetCDFDataset:
 
         Each maximal contiguous run is sliced out; the joined payload
         decodes in one ``frombuffer`` pass into the array's dense
-        backing block, or — with the store off, or for NC_CHAR —
+        backing block, or — without numpy, or for NC_CHAR —
         through struct.  The widening casts are exact, so both decoders
         box identical values.
         """
@@ -463,10 +463,9 @@ class _Writer:
         view of a dense array's backing block (no boxing — the block
         bulk-encodes in :meth:`_encode_values`)."""
         if isinstance(data, Array):
-            if dense.store_enabled():
-                block = data.dense_block()
-                if block is not None:
-                    return block.data.ravel()
+            block = data.dense_block()
+            if block is not None:
+                return block.data.ravel()
             return list(data.flat)
         if isinstance(data, (list, tuple)):
             flat: List[Any] = []

@@ -23,7 +23,7 @@ An array is backed by one of two representations (:mod:`repro.objects.dense`):
   buffer tagged ``int``/``real``/``bool`` — when every element is a
   homogeneous scalar of one of those kinds; or
 * the classic object tuple, for strings, tuples, sets, nested arrays,
-  mixed kinds, out-of-guard integers, or when numpy/the store is off.
+  mixed kinds, out-of-guard integers, or when numpy is absent.
 
 The representation is an implementation detail: ``flat`` materializes
 boxed elements lazily (exactly once) and every observation — equality,
@@ -45,6 +45,7 @@ Readers must snapshot a slot into a local before branching on it.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Any, Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import BottomError, EvalError
@@ -442,14 +443,10 @@ class Array:
         """Pickle block-backed arrays as (dims, raw buffer) — no boxing.
 
         Pickling the ndarray costs one buffer copy instead of ``size``
-        object pickles.  Reconstruction goes through
-        ``__init__`` adoption, so a process with the store disabled
-        transparently lands on the object representation.
-        With ``REPRO_NO_DENSE=1`` the boxed form is shipped even when a
-        probe-cache block exists, keeping that lane's wire format
-        byte-comparable to the historical one.
+        object pickles; reconstruction goes through ``__init__``
+        adoption, so the copy comes back block-backed.
         """
-        block = self.block if dense.STORE_ENABLED else None
+        block = self.block
         if block is not None:
             return (_rebuild_dense, (self._dims, block.data))
         return (Array, (self._dims, self.flat))
@@ -485,12 +482,14 @@ def iter_indices(dims: Sequence[int]) -> Iterator[tuple[int, ...]]:
             return
 
 
+#: the cell of every ``index_k`` hole
+_HOLE: frozenset = frozenset()
+
+
 def collect_index_pairs(pairs, rank: int):
     """Validate ``index_k`` input: ``([(key_tuple, value), ...], maxima)``.
 
-    Shared by the naive dict grouping below and the sort-based grouping
-    in :mod:`repro.core.setops`, so both paths reject a malformed pair
-    with the identical error at the identical point of the iteration.
+    A malformed pair raises at the point of the iteration it is met.
     """
     items: list = []
     maxima = [0] * rank
@@ -522,11 +521,11 @@ def collect_index_pairs(pairs, rank: int):
 
 
 def index_set_stats(pairs, rank: int):
-    """Naive dict-grouping ``index_k``: ``(Array, groups, max_group)``.
+    """``index_k`` with its sizes: ``(Array, groups, max_group)``.
 
-    The reference semantics the sort-based path is property-tested
-    against; ``groups`` counts non-empty cells and ``max_group`` is the
-    cardinality of the largest one (after deduplication).
+    The one grouping routine, shared by both engines; ``groups`` counts
+    non-empty cells and ``max_group`` is the cardinality of the largest
+    one (after deduplication).
     """
     items, maxima = collect_index_pairs(pairs, rank)
     if not items:
@@ -535,19 +534,23 @@ def index_set_stats(pairs, rank: int):
 
 
 def stats_from_items(items, maxima):
-    """Dict grouping over pre-validated non-empty ``(key, value)`` items."""
+    """Group pre-validated non-empty ``(key, value)`` items: each group
+    lands at its key's row-major offset (at rank 1 the key is the
+    offset) and every hole is one shared empty frozenset, so the fill
+    costs O(pairs + cells) however sparse the keys."""
     keyed: Dict[tuple, set] = {}
     for key_tuple, value in items:
         keyed.setdefault(key_tuple, set()).add(value)
     dims = [m + 1 for m in maxima]
-    values = [
-        frozenset(keyed.get(index, ())) for index in iter_indices(dims)
-    ]
-    max_group = 0
-    for group in keyed.values():
-        if len(group) > max_group:
-            max_group = len(group)
-    return Array(dims, values), len(keyed), max_group
+    strides = _row_major_strides(dims)
+    values = [_HOLE] * (strides[0] * dims[0])
+    if len(dims) == 1:
+        for (offset,), group in keyed.items():
+            values[offset] = frozenset(group)
+    else:
+        for key, group in keyed.items():
+            values[sum(map(mul, key, strides))] = frozenset(group)
+    return Array(dims, values), len(keyed), max(map(len, keyed.values()))
 
 
 def index_set(pairs: frozenset, rank: int) -> Array:

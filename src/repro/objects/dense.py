@@ -41,17 +41,12 @@ worst-case guard.
 
 Proof-or-fallback discipline: every function here either returns a
 block whose invariant provably holds, or ``None`` so the caller stays
-on the object path.  ``REPRO_NO_DENSE=1`` disables block-backed
-*storage* (Arrays then always materialize object tuples and all
-construction fast paths return ``None``), while the on-demand probe
-cache that the kernel gather uses keeps working — mirroring the seed's
-``_dense`` behaviour so the no-dense CI lane exercises the object
-representation without losing vectorized execution entirely.
+on the object path.  Whether blocks exist at all depends on one thing:
+whether numpy is importable (:func:`available`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional, Sequence, Tuple
 
 try:  # numpy is optional; every entry point degrades to None without it
@@ -64,9 +59,6 @@ except Exception:  # pragma: no cover - exercised by the no-numpy CI lane
 #: a few times before overflow checks trigger.
 INT_GUARD = 2 ** 62
 
-#: Kill switch for block-backed storage (see module docstring).
-STORE_ENABLED = os.environ.get("REPRO_NO_DENSE", "") != "1"
-
 TAG_INT = "int"
 TAG_REAL = "real"
 TAG_BOOL = "bool"
@@ -78,11 +70,6 @@ KIND_CHARS = {TAG_INT: "n", TAG_REAL: "r", TAG_BOOL: "b"}
 def available() -> bool:
     """True iff numpy is importable (blocks can exist at all)."""
     return _np is not None
-
-
-def store_enabled() -> bool:
-    """True iff new Arrays may be block-backed (numpy + kill switch)."""
-    return _np is not None and STORE_ENABLED
 
 
 class DenseBlock:
@@ -173,13 +160,11 @@ def adopt(values: Any, dims: Tuple[int, ...],
     The ndarray is taken over: it is reshaped (a view when contiguous),
     upcast to the canonical dtype if needed, and marked read-only.
     Returns ``None`` — caller falls back to boxed elements — when the
-    store is disabled, the dtype has no tag, or an integer value falls
-    outside ``INT_GUARD``.  ``bounds`` is an interval the caller proved
-    holds every integer value; inside ``INT_GUARD`` it becomes the
-    block's ``lo``/``hi`` and the min/max scan is skipped.
+    dtype has no tag or an integer value falls outside ``INT_GUARD``.
+    ``bounds`` is an interval the caller proved holds every integer
+    value; inside ``INT_GUARD`` it becomes the block's ``lo``/``hi``
+    and the min/max scan is skipped.
     """
-    if not store_enabled():
-        return None
     kind = values.dtype.kind
     if kind == "i":
         if values.dtype != _np.int64:
@@ -213,9 +198,7 @@ def probe_block(flat: Sequence[Any],
     Exact-type checks only: ``bool`` is a subclass of ``int`` in Python
     but a distinct kind in the calculus, so ``type(v) is int`` keeps the
     kinds apart.  Returns ``None`` when numpy is missing or the scan
-    finds a non-conforming element.  Unlike :func:`adopt` this is *not*
-    gated on ``STORE_ENABLED`` — it is the compute-side cache the kernel
-    gather relies on, mirroring the seed's ``_dense`` probe.
+    finds a non-conforming element.
     """
     if _np is None:
         return None
@@ -265,9 +248,9 @@ def decode_bytes(raw: bytes, dtype: str) -> Optional[Any]:
     ``dtype`` is a numpy dtype string (``">i2"``, ``">f4"``, ...).  The
     widening casts are exact, so element values equal what a per-element
     ``struct.unpack`` + ``int()``/``float()`` walk produces.  Returns
-    ``None`` when the store is off — the caller keeps its struct path.
+    ``None`` without numpy — the caller keeps its struct path.
     """
-    if not store_enabled():
+    if _np is None:
         return None
     data = _np.frombuffer(raw, dtype=dtype)
     if data.dtype.kind == "f":
@@ -331,9 +314,9 @@ def compare_blocks(a: DenseBlock, b: DenseBlock) -> Optional[int]:
 
 
 __all__ = [
-    "DenseBlock", "DenseCounters", "COUNTERS", "INT_GUARD", "STORE_ENABLED",
+    "DenseBlock", "DenseCounters", "COUNTERS", "INT_GUARD",
     "TAG_INT", "TAG_REAL", "TAG_BOOL", "KIND_CHARS",
-    "available", "store_enabled", "is_ndarray",
+    "available", "is_ndarray",
     "adopt", "probe_block", "materialize",
     "decode_bytes", "encode_ndarray",
     "blocks_equal", "compare_blocks",

@@ -66,12 +66,10 @@ class EvalProbe:
         return None
 
     def on_index(self, cells: int, groups: int, pairs: int,
-                 max_group: int = 0, sorted_path: bool = False) -> None:
+                 max_group: int = 0) -> None:
         """An ``index_k`` built ``cells`` cells grouping ``pairs`` pairs
         into ``groups`` non-empty groups, the largest holding
-        ``max_group`` distinct values; ``sorted_path`` reports whether
-        the sort-based grouping (:mod:`repro.core.setops`) built it
-        instead of the naive dict."""
+        ``max_group`` distinct values."""
 
     def on_join(self, pairs_matched: int, pairs_skipped: int) -> None:
         """A nested set comprehension executed as a hash equi-join
@@ -93,9 +91,8 @@ class EvalMetrics(EvalProbe):
     __slots__ = ("node_evals", "nodes_by_class", "cells_materialized",
                  "cells_vectorized", "tabulations", "tabulations_vectorized",
                  "index_groupbys", "index_cells",
-                 "index_groups", "index_pairs", "index_sorted",
-                 "max_group_size", "joins_hashed", "join_pairs_matched",
-                 "join_pairs_skipped",
+                 "index_groups", "index_pairs", "max_group_size",
+                 "joins_hashed", "join_pairs_matched", "join_pairs_skipped",
                  "bottom_raises", "bottom_reasons", "collections_touched",
                  "collection_elements", "max_collection_size")
 
@@ -110,7 +107,6 @@ class EvalMetrics(EvalProbe):
         self.index_cells = 0
         self.index_groups = 0
         self.index_pairs = 0
-        self.index_sorted = 0
         self.max_group_size = 0
         self.joins_hashed = 0
         self.join_pairs_matched = 0
@@ -166,7 +162,6 @@ class EvalMetrics(EvalProbe):
         self.index_cells += other.index_cells
         self.index_groups += other.index_groups
         self.index_pairs += other.index_pairs
-        self.index_sorted += other.index_sorted
         self.max_group_size = max(self.max_group_size, other.max_group_size)
         self.joins_hashed += other.joins_hashed
         self.join_pairs_matched += other.join_pairs_matched
@@ -181,7 +176,7 @@ class EvalMetrics(EvalProbe):
                                        other.max_collection_size)
 
     def on_index(self, cells: int, groups: int, pairs: int,
-                 max_group: int = 0, sorted_path: bool = False) -> None:
+                 max_group: int = 0) -> None:
         """Count one ``index_k`` group-by and its sizes.
 
         ``max_group`` is the engine-measured largest group (the old
@@ -194,8 +189,6 @@ class EvalMetrics(EvalProbe):
         self.index_cells += cells
         self.index_groups += groups
         self.index_pairs += pairs
-        if sorted_path:
-            self.index_sorted += 1
         if max_group > self.max_group_size:
             self.max_group_size = max_group
 
@@ -232,15 +225,15 @@ class EvalMetrics(EvalProbe):
             "cells_vectorized": self.cells_vectorized,
             "tabulations": self.tabulations,
             "tabulations_vectorized": self.tabulations_vectorized,
-            # always 0: the sharded executor is deleted, but
-            # benchmarks/suite/layers.py indexes these keys
+            # always 0: the sharded executor and the sorted index_k
+            # sweep are deleted, but benchmarks/suite/layers.py indexes
+            # these keys
             **dict.fromkeys(("shards_executed", "shards_vectorized",
-                             "shm_bytes"), 0),
+                             "shm_bytes", "index_sorted"), 0),
             "index_groupbys": self.index_groupbys,
             "index_cells": self.index_cells,
             "index_groups": self.index_groups,
             "index_pairs": self.index_pairs,
-            "index_sorted": self.index_sorted,
             "max_group_size": self.max_group_size,
             "joins_hashed": self.joins_hashed,
             "join_pairs_matched": self.join_pairs_matched,
@@ -262,8 +255,7 @@ class EvalMetrics(EvalProbe):
             f"(in {self.tabulations_vectorized} tabulations)",
             f"index_k group-bys     {self.index_groupbys} "
             f"({self.index_pairs} pairs -> {self.index_groups} groups, "
-            f"{self.index_cells} cells, max group {self.max_group_size}, "
-            f"{self.index_sorted} sorted)",
+            f"{self.index_cells} cells, max group {self.max_group_size})",
             f"hash joins            {self.joins_hashed} "
             f"({self.join_pairs_matched} pairs matched, "
             f"{self.join_pairs_skipped} skipped)",

@@ -11,14 +11,11 @@ Commands: ``:quit`` exits, ``:macros`` lists registered macros,
 ``:readers`` / ``:writers`` list drivers, ``:noopt`` / ``:opt`` toggle
 the optimizer, ``:load FILE`` runs an AQL script into the session,
 ``:cache`` prints the plan-cache occupancy and counters (``:cache
-clear`` empties it — see ``docs/PLAN_CACHE.md``), ``:setops [on|off]``
-shows or toggles the set-engine fast paths (hash equi-joins and
-sort-based ``index_k`` grouping — see ``docs/SETOPS.md``), and
-``:profile QUERY;`` runs a statement with observability on and prints
-the EXPLAIN report (optimized core, per-stage spans, rule firings,
-evaluator counters — see ``docs/OBSERVABILITY.md``).  The dispatch
-floor is set per session (``Session(min_cells=)``) or per process
-(``REPRO_MIN_CELLS``).
+clear`` empties it — see ``docs/PLAN_CACHE.md``), and ``:profile
+QUERY;`` runs a statement with observability on and prints the EXPLAIN
+report (optimized core, per-stage spans, rule firings, evaluator
+counters — see ``docs/OBSERVABILITY.md``).  No command switches a fast
+path: the one dispatch setting is ``Session(min_cells=)``.
 
 Non-interactive use: ``aql script.aql [more.aql ...]`` executes the
 scripts and exits (the paper's batch view of the same top level).
@@ -36,29 +33,6 @@ BANNER = (
     "(reproduction of Libkin, Machlin & Wong, SIGMOD 1996)\n"
     "statements end with ';'   :quit exits\n"
 )
-
-
-def setops_command(session: Session, args: str) -> str:
-    """Implement ``:setops`` — show or toggle the set-engine fast paths.
-
-    ``:setops`` prints the current state; ``:setops on`` / ``:setops
-    off`` flips the session switch.  The ``REPRO_NO_SETOPS=1`` kill
-    switch wins over the session setting.  See ``docs/SETOPS.md``.
-    """
-    from repro.core import setops
-
-    config = session.env.dispatch
-    if args:
-        if args == "on":
-            config.setops = True
-        elif args == "off":
-            config.setops = False
-        else:
-            return f"usage: :setops [on|off] (got {args!r})"
-    state = "enabled" if setops.ENABLED else "disabled (REPRO_NO_SETOPS=1)"
-    return (f"setops {state}: session="
-            f"{'on' if config.setops else 'off'} "
-            f"min_cells={config.min_cells}")
 
 
 def run_file(session: Session, path: str) -> bool:
@@ -130,10 +104,6 @@ def main(argv=None) -> int:
             if stripped == ":cache clear":
                 session.plan_cache.clear()
                 print("plan cache cleared")
-                continue
-            if stripped == ":setops" or stripped.startswith(":setops "):
-                print(setops_command(session,
-                                     stripped[len(":setops"):].strip()))
                 continue
             print(f"unknown command {stripped!r}")
             continue

@@ -95,8 +95,7 @@ class Session:
                  plan_cache_capacity: int = DEFAULT_CAPACITY,
                  parallel_workers: Optional[int] = None,
                  parallel_backend: Optional[str] = None,
-                 min_cells: Optional[int] = None,
-                 setops: Optional[bool] = None):
+                 min_cells: Optional[int] = None):
         self.env = env if env is not None else TopEnv.standard()
         self.optimize = optimize
         # parallel_workers and parallel_backend set nothing (the sharded
@@ -118,12 +117,6 @@ class Session:
                     f"got {min_cells!r}"
                 )
             self.env.dispatch.min_cells = min_cells
-        if setops is not None:
-            if not isinstance(setops, bool):
-                raise SessionError(
-                    f"setops must be a bool, got {setops!r}"
-                )
-            self.env.dispatch.setops = setops
         self._desugarer = Desugarer()
         #: the optimized core of the most recent compilation (EXPLAIN)
         #: and the source emitted for it by the last observed run

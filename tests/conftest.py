@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
@@ -9,6 +11,7 @@ from expr_strategies import ENV_VALUES
 
 from repro.core.compile import CompiledEvaluator
 from repro.core.eval import Evaluator
+from repro.core.fastpath import DispatchConfig
 from repro.env.environment import TopEnv
 from repro.errors import BottomError
 from repro.objects.array import Array
@@ -41,6 +44,15 @@ def session() -> Session:
 # ---------------------------------------------------------------------------
 # the one agreement helper: production engine vs. reference semantics
 # ---------------------------------------------------------------------------
+
+#: a floor no operand reaches: no kernel and no hash join runs, numpy or
+#: not — the scalar loops the fast paths must agree with
+SCALAR = DispatchConfig(min_cells=sys.maxsize)
+
+#: the dispatch points an agreement test runs under: the default floor,
+#: every fast path taken, and none taken
+CONFIGS = (None, DispatchConfig(min_cells=1), SCALAR)
+
 
 def outcome(expr, config=None, probe=None, binds=ENV_VALUES, prims=None):
     """Run the production engine (``repro.core.compile``) under a

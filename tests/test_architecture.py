@@ -232,14 +232,13 @@ class TestKnobCensus:
     """Every option is counted here, so adding one is a decision that
     has to edit this test (and README's knob table) to land."""
 
-    KNOBS = {"REPRO_MIN_CELLS", "REPRO_NO_VECTORIZE", "REPRO_NO_SETOPS",
-             "REPRO_NO_DENSE"}
+    KNOBS: set = set()
 
     def test_environment_variables(self):
         named, reads = set(), 0
         for path in SRC.rglob("*.py"):
             text = path.read_text()
-            named.update(re.findall(r"REPRO_[A-Z_]+", text))
+            named.update(re.findall(r"REPRO[_][A-Z_]+", text))
             reads += sum(
                 1 for node in pyast.walk(pyast.parse(text))
                 if isinstance(node, pyast.Attribute)
@@ -247,21 +246,30 @@ class TestKnobCensus:
                 and isinstance(node.value, pyast.Name)
                 and node.value.id == "os")
         assert named == self.KNOBS
-        assert reads <= 4
+        assert reads == 0
 
     def test_session_and_dispatch_config_surface(self):
         parameters = list(inspect.signature(Session.__init__).parameters)
         assert parameters[1:] == [
             "env", "optimize", "plan_cache_capacity", "parallel_workers",
-            "parallel_backend", "min_cells", "setops"]
-        assert DispatchConfig.__slots__ == ("min_cells", "setops")
+            "parallel_backend", "min_cells"]
+        assert DispatchConfig.__slots__ == ("min_cells",)
 
     @pytest.mark.parametrize("removed", [{"adaptive": True},
                                          {"cost": "active"},
-                                         {"kernel_min_cells": 1}])
+                                         {"kernel_min_cells": 1},
+                                         {"setops": False}])
     def test_removed_session_keywords_are_type_errors(self, removed):
         with pytest.raises(TypeError):
             Session(**removed)
+
+    def test_rejected_keywords_leave_a_shared_environment_untouched(
+            self, env):
+        with pytest.raises(TypeError):
+            Session(env=env, min_cells=8, setops="yes")
+        with pytest.raises(SessionError):
+            Session(env=env, min_cells=-1)
+        assert env.dispatch.min_cells == 64
 
     def test_removed_thread_backend_is_a_named_session_error(self):
         """``parallel_backend`` survives only because the benchmark
@@ -272,14 +280,6 @@ class TestKnobCensus:
             DispatchConfig(backend="thread")
         assert repr(Session(parallel_backend="process").env.dispatch) == \
             repr(Session().env.dispatch)
-
-    @pytest.mark.parametrize("raw,floor", [
-        ("", 64), ("16", 16), (" 0 ", 0), ("-3", 64), ("many", 64),
-        ("1.5", 64)])
-    def test_min_cells_env_falls_back_where_the_session_would_reject(
-            self, monkeypatch, raw, floor):
-        monkeypatch.setenv("REPRO_MIN_CELLS", raw)
-        assert DispatchConfig.from_env().min_cells == floor
 
     def test_core_does_not_import_the_cost_estimator(self):
         importers = [path.name for path in (SRC / "core").rglob("*.py")

@@ -1,5 +1,6 @@
 """Unit tests for the Array value class (arrays-as-functions, Section 2)."""
 
+import pickle
 import threading
 
 import pytest
@@ -259,8 +260,8 @@ class TestDenseProbeThreads:
             t.join()
         return results
 
-    @pytest.mark.skipif(not dense.store_enabled(),
-                        reason="dense store unavailable or disabled")
+    @pytest.mark.skipif(not dense.available(),
+                        reason="dense store unavailable")
     def test_concurrent_probe_publishes_equivalent_blocks(self):
         grid = Array((100, 100), list(range(10_000)))
         results = self._hammer(grid)
@@ -279,6 +280,25 @@ class TestDenseProbeThreads:
         assert all(b is None for b in results)
         assert words._block is False  # cached decline
         assert words.flat == ("a", "b", "c", "d")
+
+
+class TestPickle:
+    """``Array.__reduce__``: a block-backed array ships its buffer and
+    comes back block-backed; any other array ships its boxed tuple."""
+
+    @pytest.mark.parametrize("array, dense_kind", [
+        (Array((3, 4), list(range(12))), True),
+        (Array((2, 2), [True, False, False, True]), True),
+        (Array((3,), ["a", "b", ""]), False),
+    ], ids=["int-block", "bool", "string"])
+    def test_round_trip(self, array, dense_kind):
+        backed = array.dense_block() is not None
+        assert backed == (dense_kind and dense.available())
+        copy = pickle.loads(pickle.dumps(array))
+        assert copy == array
+        assert copy._kinds() == array._kinds()
+        assert hash(copy) == hash(array)
+        assert (copy.block is not None) == backed
 
 
 class TestIterIndices:

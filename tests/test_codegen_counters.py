@@ -18,14 +18,12 @@ itself.
 
 import importlib.util
 import math
-import os
 
 import pytest
 
 from repro.core import ast, kernels
 from repro.core.compile import CompiledEvaluator
-from repro.core.fastpath import (DEFAULT_MIN_CELLS, SPARSITY_FACTOR,
-                                 DispatchConfig)
+from repro.core.fastpath import DEFAULT_MIN_CELLS, DispatchConfig
 from repro.errors import SessionError
 from repro.objects import dense
 from repro.objects.array import Array
@@ -134,9 +132,8 @@ def measure(workdir):
 
 
 def test_explain_counters_equal_the_unspecialised_engine(tmp_path):
-    if not kernels.available() or any(name.startswith("REPRO_")
-                                      for name in os.environ):
-        pytest.skip("the counters are pinned for the default configuration")
+    if not kernels.available():
+        pytest.skip("the counters are pinned with numpy present")
     found = measure(tmp_path)
     for label in QUERIES:
         assert dict(zip(KEYS, found[label])) == \
@@ -156,13 +153,12 @@ def test_sharded_counters_equal_the_pre_policy_engine():
     plain = Session(min_cells=16)
     for session in (retired, plain):
         session.env.set_val("G", grid)
-    pinned = kernels.available() and not any(
-        name.startswith("REPRO_") for name in os.environ)
+    pinned = kernels.available()
     for label, (text, counters, skipped) in SHARDED.items():
         report, expected = retired.explain(text), plain.explain(text)
         assert report.value == expected.value, label
         assert report.metrics.to_dict() == expected.metrics.to_dict(), label
-        if not pinned:  # the counters are pinned for the default config
+        if not pinned:  # the counters are pinned with numpy present
             continue
         found = report.to_dict()
         assert {key: found["metrics"][key] for key in SHARDED_KEYS} == \
@@ -174,8 +170,8 @@ def test_sharded_counters_equal_the_pre_policy_engine():
 
 def test_dispatch_predicates_at_their_boundaries():
     """The whole policy, as a table: each predicate flips exactly at its
-    threshold, and the defaults are the values every benchmark ran on."""
-    assert (DEFAULT_MIN_CELLS, SPARSITY_FACTOR) == (64, 4)
+    threshold, and the default is the value every benchmark ran on."""
+    assert DEFAULT_MIN_CELLS == 64
     config = DispatchConfig()
     floor = config.min_cells
     table = [
@@ -184,10 +180,6 @@ def test_dispatch_predicates_at_their_boundaries():
         (config.wants_hash_join(floor - 1, 8), False),
         (config.wants_hash_join(floor, 2), True),
         (config.wants_hash_join(floor * floor, 1), False),   # |inner| = 1
-        (config.wants_sorted_grouping(floor - 1, 1 << 20), False),
-        (config.wants_sorted_grouping(floor, SPARSITY_FACTOR * floor), True),
-        (config.wants_sorted_grouping(floor, SPARSITY_FACTOR * floor - 1),
-         False),
     ]
     assert [got for got, _ in table] == [want for _, want in table]
 

@@ -144,8 +144,8 @@ class TestEdgeShapes:
         assert huge.dense_block() is None
         assert huge.flat == (2 ** 63, 1)
 
-    @pytest.mark.skipif(not dense.store_enabled(),
-                        reason="dense store unavailable or disabled")
+    @pytest.mark.skipif(not dense.available(),
+                        reason="dense store unavailable")
     def test_probe_counters_account_for_adoption_and_boxing(self):
         before = dense.COUNTERS.snapshot()
         grid = Array((4,), [1, 2, 3, 4])
@@ -169,14 +169,11 @@ class TestKernelHandoff:
     """The acceptance criterion: a chained tabulate→subscript pipeline
     passes the backing block between kernels with zero boxing."""
 
-    @pytest.mark.skipif(not dense.store_enabled(),
-                        reason="dense store unavailable or disabled")
+    @pytest.mark.skipif(not dense.available(),
+                        reason="dense store unavailable")
     def test_chained_tabulation_never_materializes(self):
-        from repro.core import kernels
         from repro.core.compile import CompiledEvaluator
 
-        if not kernels.available() or not kernels.ENABLED:
-            pytest.skip("vectorized backend off")
         n = 32
         grid_expr = ast.Tabulate(
             ("x", "y"), (ast.NatLit(n), ast.NatLit(n)),

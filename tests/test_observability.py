@@ -114,15 +114,15 @@ class TestMetrics:
 
     def test_index_measures_max_group_and_path(self):
         metrics = EvalMetrics()
-        metrics.on_index(20, 5, 9, max_group=3, sorted_path=True)
-        metrics.on_index(4, 2, 4, max_group=2, sorted_path=False)
+        metrics.on_index(20, 5, 9, max_group=3)
+        metrics.on_index(4, 2, 4, max_group=2)
         assert metrics.index_groupbys == 2
-        assert metrics.index_sorted == 1
         # the watermark is the measured largest group, not the old
         # ``pairs - groups + 1`` derived bound (which would claim 5)
         assert metrics.max_group_size == 3
         payload = metrics.to_dict()
-        assert payload["index_sorted"] == 1
+        # one grouping path: no group-by is ever reported as sorted
+        assert payload["index_sorted"] == 0
         assert payload["max_group_size"] == 3
 
     def test_join_counters(self):
@@ -138,11 +138,11 @@ class TestMetrics:
 
     def test_merge_folds_setops_counters(self):
         parent, worker = EvalMetrics(), EvalMetrics()
-        parent.on_index(4, 2, 4, max_group=2, sorted_path=True)
-        worker.on_index(6, 3, 7, max_group=4, sorted_path=False)
+        parent.on_index(4, 2, 4, max_group=2)
+        worker.on_index(6, 3, 7, max_group=4)
         worker.on_join(3, 5)
         parent.merge(worker)
-        assert parent.index_sorted == 1
+        assert parent.index_groupbys == 2
         assert parent.max_group_size == 4
         assert parent.joins_hashed == 1
         assert parent.join_pairs_matched == 3

@@ -67,8 +67,10 @@ class TestCommands:
         assert "optimizer on" in out
 
     def test_unknown_command(self, monkeypatch, capsys):
-        _, out = drive(monkeypatch, capsys, [":wat"])
-        assert "unknown command" in out
+        _, out = drive(monkeypatch, capsys, [":wat", ":setops off"])
+        assert "unknown command ':wat'" in out
+        # no command switches a fast path
+        assert "unknown command ':setops off'" in out
 
     def test_cache_reports_hits(self, monkeypatch, capsys):
         _, out = drive(monkeypatch, capsys, ["1 + 1;", "1 + 1;", ":cache"])

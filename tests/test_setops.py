@@ -1,12 +1,15 @@
-"""The set-engine fast paths (``repro.core.setops``).
+"""The set-engine fast path (``repro.core.setops``) and ``index_k``.
 
-The contract under test (``docs/SETOPS.md``): whenever a fast path
-runs — hash equi-join or sort-based ``index_k`` grouping — its result
-is *indistinguishable* from the reference semantics': identical
-frozensets (equality and hashes), identical ⊥ identity — and its probe
-counters from the naive loop's, except the setops-only keys.  Whenever the fast path cannot guarantee
-that, it declines and the naive loop runs unchanged.
+The contract under test (``docs/SETOPS.md``): whenever the hash
+equi-join runs, its result is *indistinguishable* from the reference
+semantics' — identical frozensets (equality and hashes), identical ⊥
+identity — and its probe counters from the naive loop's, except the
+join-only keys.  Whenever the fast path cannot guarantee that, it
+declines and the naive loop runs unchanged.  ``index_k`` has one
+grouping routine, checked here against the paper's definition.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,33 +17,23 @@ from hypothesis import strategies as st
 
 from repro.core import ast
 from repro.core import setops
+from repro.core.compile import CompiledEvaluator
+from repro.core.eval import Evaluator
 from repro.core.fastpath import DispatchConfig
-from repro.core.setops import index_set_dispatch
-from repro.errors import SessionError
+from repro.errors import EvalError
 from repro.objects.array import index_set_stats
 from repro.obs.metrics import EvalMetrics
-from repro.system.repl import setops_command
-from repro.system.session import Session
 
-from conftest import agree
+from conftest import CONFIGS, SCALAR, agree
 from conftest import outcome as engine_outcome
 
-#: the counter keys only a set-engine fast path reports; everything
-#: else must match a naive run exactly
-SETOPS_ONLY = ("index_sorted", "joins_hashed", "join_pairs_matched",
-               "join_pairs_skipped")
+#: the counter keys only the hash join reports; everything else must
+#: match a naive run exactly
+SETOPS_ONLY = ("joins_hashed", "join_pairs_matched", "join_pairs_skipped")
 
 
-@pytest.fixture(autouse=True)
-def _setops_on(monkeypatch):
-    """Pin the kill switch on so a REPRO_NO_SETOPS=1 environment does
-    not fail the tests that assert the fast path runs (the tests that
-    need it off flip it themselves)."""
-    monkeypatch.setattr(setops, "ENABLED", True)
-
-
-def cfg(min_cells=1, setops_on=True):
-    return DispatchConfig(min_cells=min_cells, setops=setops_on)
+def cfg(min_cells=1):
+    return DispatchConfig(min_cells=min_cells)
 
 
 def outcome(expr, config, probe=None):
@@ -160,7 +153,8 @@ class TestJoinAgreement:
 
     def test_fixture_join_matches_naive(self):
         expr = join_query(relation(S_REL), relation(T_REL))
-        assert agree(expr, cfg(), binds={})[0] == "value"
+        for config in CONFIGS:
+            assert agree(expr, config, binds={})[0] == "value"
 
     def test_probe_reports_join(self):
         metrics = EvalMetrics()
@@ -179,8 +173,7 @@ class TestJoinAgreement:
         expr = join_query(relation(S_REL), relation(T_REL))
         fast_metrics, naive_metrics = EvalMetrics(), EvalMetrics()
         fast = outcome(expr, cfg(), probe=fast_metrics)
-        naive = outcome(expr, cfg(setops_on=False),
-                        probe=naive_metrics)
+        naive = outcome(expr, SCALAR, probe=naive_metrics)
         assert fast == naive
         assert fast_metrics.joins_hashed == 1
         # node/cell economy differs by design (skipped pairs evaluate
@@ -189,22 +182,6 @@ class TestJoinAgreement:
                 == naive_metrics.bottom_raises)
         assert (fast_metrics.max_collection_size
                 == naive_metrics.max_collection_size)
-
-    def test_kill_switch_disables(self, monkeypatch):
-        monkeypatch.setattr(setops, "ENABLED", False)
-        metrics = EvalMetrics()
-        expr = join_query(relation(S_REL), relation(T_REL))
-        result = outcome(expr, cfg(), probe=metrics)
-        assert result[0] == "value"
-        assert metrics.joins_hashed == 0
-
-    def test_session_switch_disables(self):
-        metrics = EvalMetrics()
-        expr = join_query(relation(S_REL), relation(T_REL))
-        result = outcome(expr, cfg(setops_on=False),
-                         probe=metrics)
-        assert result[0] == "value"
-        assert metrics.joins_hashed == 0
 
     def test_min_cells_floor(self):
         metrics = EvalMetrics()
@@ -222,7 +199,8 @@ class TestJoinAgreement:
         s = frozenset([(0, 1), (1, 2), (2, 3)])
         body = ast.Singleton(ast.Arith("/", N(100), snd(V("y"))))
         expr = join_query(relation(s), relation(t), body=body)
-        assert agree(expr, cfg(), binds={})[0] == "bottom"
+        for config in CONFIGS:
+            assert agree(expr, config, binds={})[0] == "bottom"
 
     def test_bottom_discards_forked_probe(self):
         t = frozenset([(0, 0), (0, 4), (1, 5)])
@@ -231,8 +209,7 @@ class TestJoinAgreement:
         expr = join_query(relation(s), relation(t), body=body)
         fast_metrics, naive_metrics = EvalMetrics(), EvalMetrics()
         fast = outcome(expr, cfg(), probe=fast_metrics)
-        naive = outcome(expr, cfg(setops_on=False),
-                        probe=naive_metrics)
+        naive = outcome(expr, SCALAR, probe=naive_metrics)
         assert fast == naive
         # the failed fast path contributes nothing: counters are the
         # naive loop's exactly, including zero join counters
@@ -245,8 +222,9 @@ class TestJoinAgreement:
         s = frozenset([(1, 10), (True, 20), (2, 30)])
         t = frozenset([(1.0, 100), (1, 200), (True, 300)])
         expr = join_query(relation(s), relation(t))
-        fast = agree(expr, cfg(), binds={})
-        assert fast[1] == frozenset({(10, 200), (20, 300)})
+        for config in CONFIGS:
+            got = agree(expr, config, binds={})
+            assert got[1] == frozenset({(10, 200), (20, 300)})
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -257,115 +235,86 @@ class TestJoinAgreement:
                                    st.integers(0, 50)),
                          max_size=12))
     def test_random_relations_agree(self, s, t):
-        agree(join_query(relation(s), relation(t)), cfg(), binds={})
+        for config in CONFIGS:
+            agree(join_query(relation(s), relation(t)), config, binds={})
 
 
 # ---------------------------------------------------------------------------
-# sort-based index_k grouping: sorted == dict, down to hashes
+# index_k: the one grouping routine against the paper's definition
 # ---------------------------------------------------------------------------
-
-def assert_arrays_identical(fast, naive):
-    assert tuple(fast[0].dims) == tuple(naive[0].dims)
-    for fast_cell, naive_cell in zip(fast[0].flat, naive[0].flat):
-        assert type(fast_cell) is type(naive_cell)
-        assert fast_cell == naive_cell
-        assert hash(fast_cell) == hash(naive_cell)
-    assert fast[1:] == naive[1:]  # (groups, max_group)
-
 
 values_strategy = st.one_of(st.integers(-50, 50), st.booleans(),
                             st.floats(allow_nan=False,
                                       allow_infinity=False, width=32))
 
 
-class TestSortedGrouping:
+@st.composite
+def index_inputs(draw):
+    """``(pairs, rank)``: rank 1–3 keys over a dense range (0..3, many
+    duplicates) or a sparse one (holes dominate), values repeating."""
+    rank = draw(st.integers(1, 3))
+    top = draw(st.sampled_from((3, (400, 40, 12)[rank - 1])))
+    axis = st.integers(0, top)
+    key = axis if rank == 1 else st.tuples(*[axis] * rank)
+    value = st.one_of(st.integers(0, 3), values_strategy)
+    return draw(st.frozensets(st.tuples(key, value), max_size=40)), rank
 
-    @settings(max_examples=60, deadline=None,
+
+def definition(pairs, rank):
+    """§2, written out: dims are the largest key + 1 per axis, and the
+    cell at ``i`` is ``{v | (k, v) ∈ S, k = i}`` (so holes are ``{}``)."""
+    keys = [key if rank > 1 else (key,) for key, _ in pairs]
+    dims = tuple(max(key[axis] for key in keys) + 1 for axis in range(rank))
+    cells = []
+    for index in product(*map(range, dims)):
+        i = index if rank > 1 else index[0]
+        cells.append(frozenset(v for (k, v) in pairs if k == i))
+    return dims, cells
+
+
+class TestGrouping:
+
+    @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(st.frozensets(st.tuples(st.integers(0, 30), values_strategy),
-                         max_size=40))
-    def test_rank1_matches_dict(self, pairs):
-        assert_arrays_identical(setops.index_set_sorted(pairs, 1),
-                                index_set_stats(pairs, 1))
-
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(st.frozensets(
-        st.tuples(st.tuples(st.integers(0, 6), st.integers(0, 6)),
-                  values_strategy),
-        max_size=40))
-    def test_rank2_matches_dict(self, pairs):
-        assert_arrays_identical(setops.index_set_sorted(pairs, 2),
-                                index_set_stats(pairs, 2))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 40))
-    def test_all_one_key(self, n):
-        pairs = frozenset((0, value) for value in range(n))
-        fast = setops.index_set_sorted(pairs, 1)
-        assert_arrays_identical(fast, index_set_stats(pairs, 1))
-        assert fast[1] == 1 and fast[2] == n
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 40))
-    def test_all_distinct_keys(self, n):
-        pairs = frozenset((key, key) for key in range(n))
-        fast = setops.index_set_sorted(pairs, 1)
-        assert_arrays_identical(fast, index_set_stats(pairs, 1))
-        assert fast[1] == n and fast[2] == 1
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(10, 2000))
-    def test_holes_dominated(self, gap):
-        pairs = frozenset([(0, 1), (gap, 2)])
-        fast = setops.index_set_sorted(pairs, 1)
-        assert_arrays_identical(fast, index_set_stats(pairs, 1))
-        # holes share one interned empty frozenset
-        holes = {id(cell) for cell in fast[0].flat if not cell}
-        assert len(holes) == 1
+    @given(index_inputs())
+    def test_matches_the_definition(self, case):
+        pairs, rank = case
+        if not pairs:
+            return  # the zero-pair case has its own test below
+        array, groups, max_group = index_set_stats(pairs, rank)
+        dims, cells = definition(pairs, rank)
+        assert array.dims == dims
+        for got, want in zip(array.flat, cells, strict=True):
+            assert type(got) is frozenset
+            assert got == want
+            assert hash(got) == hash(want)
+        assert groups == sum(1 for cell in cells if cell)
+        assert max_group == max(len(cell) for cell in cells)
+        # every hole is the one shared empty frozenset
+        assert len({id(cell) for cell in array.flat if not cell}) <= 1
+        # the engine groups through the same routine and counts it
+        metrics = EvalMetrics()
+        agree(ast.IndexSet(relation(pairs), rank), binds={}, probe=metrics)
+        assert (metrics.index_groups, metrics.max_group_size) == \
+            (groups, max_group)
 
     def test_empty_input(self):
-        assert_arrays_identical(setops.index_set_sorted(frozenset(), 1),
-                                index_set_stats(frozenset(), 1))
+        for rank in (1, 2, 3):
+            array, groups, max_group = index_set_stats(frozenset(), rank)
+            assert array.dims == (0,) * rank
+            assert (groups, max_group) == (0, 0)
 
     def test_malformed_pair_error_identical(self):
         bad = frozenset([(0, 1), ("no", 2)])
-        with pytest.raises(Exception) as fast_err:
-            setops.index_set_sorted(bad, 1)
-        with pytest.raises(Exception) as naive_err:
-            index_set_stats(bad, 1)
-        assert type(fast_err.value) is type(naive_err.value)
-        assert str(fast_err.value) == str(naive_err.value)
-
-    #: sparse: 9 pairs over a 401-cell extent (>= SPARSITY_FACTOR * 9),
-    #: so the sparsity gate is satisfied and only the other gates vary
-    SPARSE_PAIRS = frozenset((i * 50, i) for i in range(9))
-
-    def test_dispatch_takes_sorted_when_sparse(self):
-        array, groups, max_group, sorted_used = index_set_dispatch(
-            self.SPARSE_PAIRS, 1, cfg(min_cells=1))
-        assert sorted_used
-        assert groups == 9 and max_group == 1
-        assert tuple(array.dims) == (401,)
-
-    def test_dispatch_dict_when_dense(self):
-        # 9 pairs over 3 cells: the dict pass is faster there, so the
-        # sparsity gate keeps the sorted path out — result unchanged
-        pairs = frozenset((i % 3, i) for i in range(9))
-        array, groups, max_group, sorted_used = index_set_dispatch(
-            pairs, 1, cfg(min_cells=1))
-        assert not sorted_used
-        assert groups == 3 and max_group == 3
-
-    def test_dispatch_naive_below_floor(self):
-        _, _, _, sorted_used = index_set_dispatch(
-            self.SPARSE_PAIRS, 1, cfg(min_cells=1000))
-        assert not sorted_used
-
-    def test_dispatch_respects_kill_switch(self, monkeypatch):
-        monkeypatch.setattr(setops, "ENABLED", False)
-        _, _, _, sorted_used = index_set_dispatch(self.SPARSE_PAIRS, 1, cfg())
-        assert not sorted_used
+        expr = ast.IndexSet(relation(bad), 1)
+        raised = []
+        for run in (lambda: index_set_stats(bad, 1),
+                    lambda: CompiledEvaluator().run(expr),
+                    lambda: Evaluator().run(expr)):
+            with pytest.raises(EvalError) as error:
+                run()
+            raised.append((type(error.value), str(error.value)))
+        assert raised == [raised[0]] * 3
 
     def test_max_group_size_is_exact(self):
         """Regression: the old ``pairs - groups + 1`` derived bound
@@ -373,58 +322,9 @@ class TestSortedGrouping:
         duplicates (here it would claim 3; the truth is 2)."""
         pairs = frozenset([(0, 10), (0, 11), (1, 20), (1, 21)])
         expr = ast.IndexSet(relation(pairs), 1)
-        for config in (cfg(), cfg(setops_on=False)):
+        for config in CONFIGS:
             metrics = EvalMetrics()
             result = outcome(expr, config, probe=metrics)
             assert result[0] == "value"
             assert metrics.max_group_size == 2
             assert metrics.index_groups == 2
-
-    def test_sorted_path_agrees_with_reference(self):
-        # sparse enough that the run takes the sorted path
-        pairs = frozenset((i * 2654435761 % 500, i) for i in range(40))
-        expr = ast.IndexSet(relation(pairs), 1)
-        metrics = EvalMetrics()
-        fast = agree(expr, cfg(), binds={}, probe=metrics)
-        assert fast[0] == "value"
-        assert metrics.index_sorted == 1
-        reference = index_set_stats(pairs, 1)[0]
-        for fast_cell, naive_cell in zip(fast[1].flat, reference.flat):
-            assert hash(fast_cell) == hash(naive_cell)
-
-
-# ---------------------------------------------------------------------------
-# session + REPL surface
-# ---------------------------------------------------------------------------
-
-class TestSurface:
-
-    def test_session_setops_off(self):
-        session = Session(setops=False)
-        assert session.env.dispatch.setops is False
-
-    def test_session_setops_default_on(self):
-        session = Session()
-        assert session.env.dispatch.setops is True
-
-    def test_session_setops_validated(self):
-        with pytest.raises(SessionError):
-            Session(setops="yes")
-
-    def test_repl_command_toggles(self):
-        session = Session()
-        off = setops_command(session, "off")
-        assert "session=off" in off
-        assert session.env.dispatch.setops is False
-        on = setops_command(session, "on")
-        assert "session=on" in on
-        assert session.env.dispatch.setops is True
-
-    def test_repl_command_usage(self):
-        session = Session()
-        assert "usage" in setops_command(session, "sideways")
-
-    def test_repl_command_shows_state(self):
-        session = Session(setops=False)
-        shown = setops_command(session, "")
-        assert "session=off" in shown

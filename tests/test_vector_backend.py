@@ -15,28 +15,20 @@ from hypothesis import strategies as st
 from repro.core import ast
 from repro.core import kernels
 from repro.core.compile import CompiledEvaluator
-from repro.core.fastpath import DispatchConfig
+from repro.core.fastpath import DEFAULT_MIN_CELLS, DispatchConfig
 from repro.errors import EvalError
 from repro.obs.metrics import EvalMetrics
 from repro.objects import dense
 from repro.objects.array import Array
 from repro.system.session import Session
 
-from conftest import agree, assert_identical, reference_outcome
+from conftest import CONFIGS, agree, assert_identical, reference_outcome
 
 numpy_required = pytest.mark.skipif(
     kernels._np is None, reason="numpy not installed"
 )
 
-
-@pytest.fixture(autouse=True)
-def _vectorization_on(monkeypatch):
-    """Pin the kill switch on so a REPRO_NO_VECTORIZE=1 environment
-    doesn't fail the tests that assert the fast path runs (tests that
-    need it off flip it themselves)."""
-    monkeypatch.setattr(kernels, "ENABLED", True)
-
-#: a 10×10 domain: 100 cells, comfortably above kernels.MIN_CELLS
+#: a 10×10 domain: 100 cells, comfortably above DEFAULT_MIN_CELLS
 EXTENTS = (ast.NatLit(10), ast.NatLit(10))
 
 INT_GRID = Array((10, 10), [(i * 13 + 7) % 23 for i in range(100)])
@@ -87,8 +79,11 @@ class TestScalarVectorAgreement:
     @settings(max_examples=120, deadline=None)
     @given(_BODIES)
     def test_random_kernels_agree(self, tag):
-        # a ⊥ must carry the scalar loop's exact reason (fallback ran)
-        agree(_tab(_build(tag)), binds={"A": INT_GRID, "B": FLOAT_GRID})
+        # a ⊥ must carry the scalar loop's exact reason (fallback ran),
+        # at the default floor, with every kernel taken and with none
+        for config in CONFIGS:
+            agree(_tab(_build(tag)), config,
+                  binds={"A": INT_GRID, "B": FLOAT_GRID})
 
     def test_monus_clamps_like_the_scalar_loop(self):
         agree(_tab(ast.Arith("-", ast.Var("x"), ast.Var("y"))))
@@ -158,32 +153,25 @@ class TestFallbackConditions:
         assert metrics.cells_materialized == 100
 
     def test_small_domains_stay_scalar(self):
-        expr = ast.Tabulate(("x",), (ast.NatLit(kernels.MIN_CELLS - 1),),
+        expr = ast.Tabulate(("x",), (ast.NatLit(DEFAULT_MIN_CELLS - 1),),
                             ast.Var("x"))
         metrics = EvalMetrics()
         CompiledEvaluator(probe=metrics).run(expr)
         assert metrics.cells_vectorized == 0
-        assert metrics.cells_materialized == kernels.MIN_CELLS - 1
+        assert metrics.cells_materialized == DEFAULT_MIN_CELLS - 1
 
 
 class TestNumpyAbsent:
-    """With numpy gone (or the switch off) everything evaluates scalar."""
+    """With numpy gone no body is a kernel and everything runs scalar."""
 
     def test_simulated_absence(self, monkeypatch):
         monkeypatch.setattr(kernels, "_np", None)
         assert not kernels.available()
         expr = _tab(ast.Arith("*", ast.Var("x"), ast.Var("y")))
+        assert kernels.recognize(expr) is None
         result = agree(expr)[1]
         assert result == Array((10, 10),
                                [(i // 10) * (i % 10) for i in range(100)])
-
-    def test_disabled_by_environment_switch(self, monkeypatch):
-        monkeypatch.setattr(kernels, "ENABLED", False)
-        metrics = EvalMetrics()
-        expr = _tab(ast.Arith("*", ast.Var("x"), ast.Var("y")))
-        CompiledEvaluator(probe=metrics).run(expr)
-        assert metrics.cells_vectorized == 0
-        assert metrics.cells_materialized == 100
 
 
 @numpy_required

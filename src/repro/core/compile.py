@@ -107,7 +107,8 @@ class Compiler:
                                  *emission._consts)
 
     #: the fast-path entry points, bound into every plan's globals
-    RUNTIME = {"_kexecute": kernels.execute, "_hash_join": setops.hash_join}
+    RUNTIME = {"_kexecute": kernels.execute, "_ksum": kernels.execute_sum,
+               "_hash_join": setops.hash_join}
 
     # -- emission: statements, spills, nested blocks and helpers --------------
 
@@ -508,20 +509,48 @@ class Compiler:
         # non-associative, so a hash-ordered Σ over reals would differ
         # between runs and platforms (a range is in that order already,
         # and the naturals of a literal body add exactly in any order)
-        values = self._elements(expr.source, scope)
-        if type(expr.source) is not ast.Gen \
-                and type(expr.body) is not ast.NatLit:
-            values = f"canonical_elements({values})"
+        kernel, probed = kernels.recognize(expr), self.probe is not None
+        if kernel is None:
+            values = self._elements(expr.source, scope)
+            if type(expr.source) is not ast.Gen \
+                    and type(expr.body) is not ast.NatLit:
+                values = f"canonical_elements({values})"
+        else:  # Σ over gen!n: the size is needed before the loop
+            mark = len(self._lines)
+            size = self._spill(
+                f"_natural({self._emit(expr.source.expr, scope)}, _GEN)")
+            if probed:
+                self._counted("Gen", mark, size)
+            values = f"_seen(_P, range({size}))" if probed \
+                else f"range({size})"
         start, var = self._next, self._bind()
         inner = {**scope, expr.var: var}
+        deeper = int(kernel is not None)  # the loop is under `if t is None:`
         lines, body, _ = self._nested(lambda: self._emit(expr.body, inner),
-                                      self._level + 1, start, loops=1)
+                                      self._level + deeper + 1, start,
+                                      loops=1)
         total = self._fresh()
-        self._line(f"{total} = 0")
-        self._line(f"for v{var} in {values}:")
+        if kernel is not None:  # recognised once, decided per run
+            inputs = self._inputs(kernel, scope)
+            self._line(f"{total} = _ksum({self._const(kernel)}, {size}, "
+                       f"[{inputs}]) if _cfg.wants_kernel({size}) else None")
+            if probed:
+                self._line(f"if {total} is not None: "
+                           f"_P.on_cells_vectorized({size})")
+            self._line(f"if {total} is None:")
+        self._line(f"{total} = 0", deeper)
+        self._line(f"for v{var} in {values}:", deeper)
         self._lines += lines
-        self._line(f"{total} = {total} + {body}", 1)
+        self._line(f"{total} = {total} + {body}", deeper + 1)
         return total
+
+    def _inputs(self, kernel: kernels.Kernel, scope) -> str:
+        """The kernel's input leaves, comma-separated: names and slots,
+        never spilled."""
+        depth, self._depth = self._depth, 0
+        inputs = ", ".join(self._emit(leaf, scope) for leaf in kernel.inputs)
+        self._depth = depth
+        return inputs
 
     def _tabulate(self, expr: ast.Tabulate, scope) -> str:
         dims = [self._spill(text) for text in self._seq(
@@ -534,10 +563,7 @@ class Compiler:
         # per run (extents and inputs vary) and falls through to the loop
         kernel = kernels.recognize(expr)
         if kernel is not None:
-            depth, self._depth = self._depth, 0  # leaves: never spilled
-            inputs = ", ".join(self._emit(leaf, scope)
-                               for leaf in kernel.inputs)
-            self._depth = depth
+            inputs = self._inputs(kernel, scope)
             self._line(f"if _cfg.wants_kernel({cells}):")
             self._line(f"{result} = _kexecute({self._const(kernel)}, "
                        f"{extents}, [{inputs}])", 1)

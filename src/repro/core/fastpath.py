@@ -49,9 +49,9 @@ class DispatchConfig:
     # -- the size predicates --------------------------------------------
 
     def wants_kernel(self, cells: int) -> bool:
-        """Should a kernel-shaped tabulation of ``cells`` cells run as a
-        numpy kernel?  Below the floor, grid setup costs more than the
-        scalar loop."""
+        """Should a kernel-shaped tabulation of ``cells`` cells, or a
+        kernel-shaped ``Σ`` of ``cells`` terms, run as a numpy kernel?
+        Below the floor, grid setup costs more than the scalar loop."""
         return cells >= self.min_cells
 
     def wants_hash_join(self, total: int, inner: int) -> bool:

@@ -1,10 +1,11 @@
-"""Kernel recognition and numpy-vectorized execution for dense tabulations.
+"""Kernel recognition and numpy-vectorized execution for dense tabulations
+and ``Σ``.
 
-A *kernel-recognition pass* classifies tabulation bodies that are
-**closed arithmetic over the index variables, numeric literals, and
-subscripts of numeric-element arrays**, and a *vectorized executor*
-evaluates recognized kernels over the whole index grid at once with
-numpy broadcasting.
+A *kernel-recognition pass* classifies tabulation and ``Σ`` bodies that
+are **closed arithmetic over the index variables, numeric literals,
+subscripts and extents of numeric-element arrays, and sums of such**,
+and a *vectorized executor* evaluates them over the whole index grid at
+once with numpy broadcasting, each ``Σ`` folded in the paper's order.
 
 Design constraints (see ``docs/VECTOR_BACKEND.md``):
 
@@ -40,7 +41,9 @@ Semantics preserved cell-for-cell:
   conversion rounds identically in both);
 * Python ints are unbounded but int64 is not: an interval analysis runs
   alongside evaluation and falls back before any intermediate could
-  exceed ``±2**62``.
+  exceed ``±2**62``;
+* IEEE real arithmetic is the same in both, so numpy's floating-point
+  warnings are silenced (every ⊥ is declined before a ufunc runs).
 """
 
 from __future__ import annotations
@@ -75,12 +78,10 @@ class _Fallback(Exception):
 
 @dataclass(frozen=True)
 class Kernel:
-    """A recognized tabulation body and its external inputs.
-
-    ``inputs`` are the index-variable-free leaves the executor needs
-    values for: bare ``Var``/``Const`` scalars and the ``Var``/``Const``
-    operands of subscripts.  The caller evaluates each in its own
-    environment and passes the values to :func:`execute` positionally.
+    """A recognized tabulation or ``Σ`` body, its index variables and
+    its external inputs: the index-free ``Var``/``Const`` leaves — bare
+    scalars and the operands of subscripts and extents — that the caller
+    evaluates in its own environment and passes positionally.
     """
 
     body: ast.Expr
@@ -88,26 +89,30 @@ class Kernel:
     inputs: Tuple[ast.Expr, ...]
 
 
-def recognize(tab: ast.Tabulate) -> Optional[Kernel]:
-    """Classify a tabulation body as a vectorizable kernel, or ``None``.
+def recognize(expr: ast.Expr) -> Optional[Kernel]:
+    """Classify a tabulation body, or the body of a ``Σ`` over
+    ``gen!n``, as a vectorizable kernel, or ``None``.
 
-    Recognized grammar (over the tabulation's index variables ``i``)::
+    Recognized grammar (over the index variables ``i``)::
 
         k ::= i | natlit | reallit | var | const
             | k (+|-|*|/|%) k
             | a[k, ..., k]          where a is a var or const
+            | π_j(dim_r(a))         where a is a var or const
+            | Σ{k | v ∈ gen!k'}     k' free of every index variable
 
-    Everything else — conditionals, comparisons, ``get``, nested
-    tabulations, applications, explicit ⊥ — is left to the scalar
-    paths, and so is every body when numpy is absent.  Whether the
-    runtime values are actually numeric (and the subscripts in bounds,
-    divisors non-zero, magnitudes int64-safe) is checked by
-    :func:`execute`, which falls back rather than guess.
+    Everything else is left to the scalar paths, and so is every body
+    when numpy is absent.  Whether the runtime values are numeric (the
+    subscripts in bounds, divisors non-zero, magnitudes int64-safe) is
+    the executors' to check, and they fall back rather than guess.
     """
-    inputs: Dict[ast.Expr, None] = {}
-    if not available() or not _scan(tab.body, frozenset(tab.vars), inputs):
+    if isinstance(expr, ast.Sum) and type(expr.source) is not ast.Gen:
         return None
-    return Kernel(tab.body, tab.vars, tuple(inputs))
+    index_vars = expr.vars if isinstance(expr, ast.Tabulate) else (expr.var,)
+    inputs: Dict[ast.Expr, None] = {}
+    if not available() or not _scan(expr.body, frozenset(index_vars), inputs):
+        return None
+    return Kernel(expr.body, index_vars, tuple(inputs))
 
 
 def _scan(expr: ast.Expr, index_vars: frozenset,
@@ -125,16 +130,35 @@ def _scan(expr: ast.Expr, index_vars: frozenset,
         return (_scan(expr.left, index_vars, inputs)
                 and _scan(expr.right, index_vars, inputs))
     if isinstance(expr, ast.Subscript):
-        operand = expr.array
-        if isinstance(operand, ast.Var):
-            if operand.name in index_vars:
-                return False  # subscripting a nat is ⊥/type error anyway
-        elif not isinstance(operand, ast.Const):
-            return False
-        inputs.setdefault(operand, None)
-        return all(_scan(index, index_vars, inputs)
-                   for index in expr.indices)
+        return _operand(expr.array, index_vars, inputs) and all(
+            _scan(index, index_vars, inputs) for index in expr.indices)
+    if _extent(expr):
+        return _operand(expr.expr.expr, index_vars, inputs)
+    if isinstance(expr, ast.Sum) and isinstance(expr.source, ast.Gen):
+        bound = expr.source.expr
+        return (ast.free_vars(bound).isdisjoint(index_vars)
+                and _scan(bound, index_vars, inputs)
+                and _scan(expr.body, index_vars | {expr.var}, inputs))
     return False
+
+
+def _operand(operand: ast.Expr, index_vars: frozenset,
+             inputs: Dict[ast.Expr, None]) -> bool:
+    """A var (not an index: that is a nat) or const array operand."""
+    if isinstance(operand, ast.Var):
+        if operand.name in index_vars:
+            return False
+    elif not isinstance(operand, ast.Const):
+        return False
+    inputs.setdefault(operand, None)
+    return True
+
+
+def _extent(expr: ast.Expr) -> bool:
+    """``expr`` is ``π_j(dim_r(a))``, an extent of ``a``: how stdlib
+    ``matmul`` and ``matvec`` bound their ``Σ``."""
+    return isinstance(expr, ast.Proj) and isinstance(expr.expr, ast.Dim) \
+        and expr.expr.rank == expr.arity
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +187,55 @@ def _dense_block(array: Array):
 
 def execute(kernel: Kernel, extents: Sequence[int],
             input_values: Sequence[Any]) -> Optional[Array]:
-    """Evaluate ``kernel`` over the full index grid, or ``None``.
-
-    ``extents`` are the already-evaluated tabulation bounds;
-    ``input_values`` the runtime values of ``kernel.inputs``, in order.
-    Returns the result :class:`Array`, backed by the computed block, or
-    ``None`` when any runtime check fails and the caller must run the
-    scalar loop instead.
+    """The :class:`Array` of ``kernel`` over the grid of ``extents`` (the
+    evaluated bounds), given the values of ``kernel.inputs`` in order,
+    or ``None`` when a runtime check fails and the scalar loop must run.
     """
     if not available():
         return None
     extents = tuple(int(e) for e in extents)
     if 0 in extents:
         return Array(extents, [])
+    result = _run(kernel, extents, input_values)
+    if result is None:
+        return None
+    out, lo, hi, owned = result
+    # a scalar body fills losslessly (it is inside the int guard); only
+    # a buffer this call allocated is published uncopied, so a result
+    # never pins an operand's buffer
+    if _np.shape(out) != extents:
+        out = _np.broadcast_to(out, extents)
+    data = _np.ascontiguousarray(out) if owned else _np.array(out, order="C")
+    return Array(extents, data, None if lo is None else (lo, hi))
+
+
+def execute_sum(kernel: Kernel, n: int, input_values: Sequence[Any]) -> Any:
+    """``Σ{body | v ∈ gen!n}`` as one fold of the body over ``arange(n)``,
+    or ``None``.  Nat terms are summed in int64 only where the interval
+    proof keeps the total inside the guard; real terms are added left to
+    right from ``0.0`` by the sequential ``np.add.accumulate`` (``np.sum``
+    is pairwise): the scalar fold's bits, ``-0.0``, NaN and inf included.
+    """
+    if not available():
+        return None
+    if n == 0:
+        return 0  # the scalar fold's start, whatever the body
+    result = _run(kernel, (n,), input_values)
+    if result is None:
+        return None
+    out, lo, hi, _ = result
+    terms = _np.broadcast_to(out, (n,))
+    if lo is not None:
+        if n * max(-lo, hi) > _INT_GUARD:
+            return None
+        return int(terms.sum())
+    partial = _np.concatenate(((0.0,), terms))
+    with _np.errstate(all="ignore"):
+        return float(_np.add.accumulate(partial, out=partial)[-1])
+
+
+def _run(kernel: Kernel, extents: Tuple[int, ...], input_values):
+    """``_vec`` of the body over the grid of ``extents``, or ``None``."""
     values = dict(zip(kernel.inputs, input_values))
     rank = len(extents)
     grids: Dict[str, Tuple[Any, int, int, bool]] = {}
@@ -185,16 +245,10 @@ def execute(kernel: Kernel, extents: Sequence[int],
         grid = _np.arange(extents[axis], dtype=_np.int64).reshape(shape)
         grids[name] = (grid, 0, extents[axis] - 1, False)
     try:
-        out, lo, hi, owned = _vec(kernel.body, grids, values)
+        with _np.errstate(all="ignore"):
+            return _vec(kernel.body, grids, values)
     except _Fallback:
         return None
-    # a scalar body fills losslessly (it is inside the int guard); only
-    # a buffer this call allocated is published uncopied, so a result
-    # never pins an operand's buffer
-    if _np.shape(out) != extents:
-        out = _np.broadcast_to(out, extents)
-    data = _np.ascontiguousarray(out) if owned else _np.array(out, order="C")
-    return Array(extents, data, None if lo is None else (lo, hi))
 
 
 def _check(lo: int, hi: int) -> Tuple[int, int]:
@@ -248,7 +302,27 @@ def _vec(expr: ast.Expr, grids: Dict[str, Tuple[Any, int, int, bool]],
         left = _vec(expr.left, grids, values)
         right = _vec(expr.right, grids, values)
         return _arith(expr.op, left, right)
-    raise _Fallback()  # pragma: no cover - recognition is the gate
+    if isinstance(expr, ast.Sum):
+        return _fold(expr, grids, values)
+    dim = expr.expr  # π_j(dim_r(a)): recognition admits nothing else
+    operand = values[dim.expr]
+    if not isinstance(operand, Array) or operand.rank != dim.rank:
+        raise _Fallback()  # dim of a non-array is ⊥; the scalar path says so
+    return _leaf_int(operand.dims[expr.index - 1])
+
+
+def _fold(expr: ast.Sum, grids, values):
+    """``Σ{body | v ∈ gen!b}`` in a body: the slices at ``v = 0, …, b-1``
+    added in that order onto the nat ``0``, each by ``_arith`` (so
+    promotion, ``out=`` reuse and the interval check are the same)."""
+    bound = _vec(expr.source.expr, grids, values)[0]
+    if type(bound) is not int or bound < 0:
+        raise _Fallback()  # gen of a non-natural is ⊥
+    total = _leaf_int(0)
+    for k in range(bound):
+        term = _vec(expr.body, {**grids, expr.var: _leaf_int(k)}, values)
+        total = _arith("+", total, term)
+    return total
 
 
 def _leaf_int(value: int):

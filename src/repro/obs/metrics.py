@@ -50,8 +50,9 @@ class EvalProbe:
         """A tabulation (or array literal) materialized ``count`` cells."""
 
     def on_cells_vectorized(self, count: int) -> None:
-        """A tabulation produced ``count`` cells via the numpy kernel
-        backend (:mod:`repro.core.kernels`) instead of the scalar loop.
+        """A tabulation produced ``count`` cells (or a ``Σ`` added
+        ``count`` terms) via the numpy kernel backend
+        (:mod:`repro.core.kernels`) instead of the scalar loop.
         Disjoint from :meth:`on_cells` — a tabulation reports into
         exactly one of the two."""
 

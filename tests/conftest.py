@@ -72,19 +72,28 @@ def reference_outcome(expr, binds=ENV_VALUES, prims=None):
         return ("bottom", exc.reason)
 
 
+def _cells(value):
+    """The type of each cell of an Array, or of a scalar, with the
+    ``repr`` of the float ones: what ``==`` does not see."""
+    cells = value.flat if isinstance(value, Array) else (value,)
+    return [(type(cell), repr(cell) if isinstance(cell, float) else None)
+            for cell in cells]
+
+
 def assert_identical(got, want):
     """Deep agreement between two values: equality, Python scalar types
     (an Array's per-cell kind signature; never numpy scalars), ``repr``
-    of floats (``-0.0`` vs ``0.0``, low-bit drift), hash, and — for
-    sets — the canonical element order."""
+    of floats, in Arrays too (``-0.0`` vs ``0.0``, low-bit drift), hash,
+    and — for sets — the canonical element order.  A NaN equals nothing,
+    itself included, and hashes by identity, so a value holding one
+    agrees on dims, types and ``repr`` alone."""
     assert type(got) is type(want), (got, want)
+    assert getattr(got, "dims", None) == getattr(want, "dims", None)
+    cells = _cells(got)
+    assert cells == _cells(want), (got, want)
+    if (float, "nan") in cells:
+        return
     assert got == want
-    if isinstance(got, Array):
-        assert got.dims == want.dims
-        for got_cell, want_cell in zip(got.flat, want.flat):
-            assert type(got_cell) is type(want_cell), (got_cell, want_cell)
-    if isinstance(got, float):
-        assert repr(got) == repr(want)
     if isinstance(got, frozenset):
         assert canonical_elements(got) == canonical_elements(want)
     try:

@@ -11,9 +11,12 @@ shapes precisely so these stay put.
 ``dense_sharded`` statements over small inputs with the floor lowered,
 once under the session keywords that used to ask for a 2-worker process
 pool and once without them.  Every statement runs in-process either
-way, so both sessions report the same values and counters — and
+way, so both sessions report the same values and counters: the two
+tabulations and the int ``Σ`` each run as one kernel, the ``Σ``
+counting its ``n`` terms as vectorized cells — and
 ``test_dispatch_predicates_at_their_boundaries`` pins the policy
-itself.
+itself.  Every ``Σ`` in ``GOLDEN`` is below the default floor, so the
+``Σ`` kernel leaves it where it was.
 """
 
 import importlib.util
@@ -80,7 +83,7 @@ SHARDED = {
     "gather": (r"[[ G[x, y] + 1 | \x < 40, \y < 40 ]];",
                (0, 0, 1600, 0, 0, 0), {}),
     "int-sum": (r"summap(fn \i => i % 7)!(gen!2000);",
-                (0, 0, 0, 0, 0, 0), {}),
+                (0, 0, 2000, 0, 0, 0), {}),
 }
 
 
@@ -204,3 +207,37 @@ def test_block_backed_subscript_loop_counts_every_read(rank):
     value = CompiledEvaluator().run(expr, {"D": array})
     assert value == sum(range(size))
     assert dense.COUNTERS.dense_hits - before == size
+
+
+def _matmul_metrics(extent):
+    session = Session()
+    cells = extent * extent
+    session.env.set_val("M", Array((extent, extent),
+                                   [c % 13 for c in range(cells)]))
+    session.env.set_val("N", Array((extent, extent),
+                                   [c % 11 for c in range(cells)]))
+    return session.explain("matmul!(M, N);").to_dict()["metrics"]
+
+
+def test_matmul_counts_its_grid_not_its_terms():
+    """§2's ``multiply`` is one kernel over the result grid: its ``Σ``
+    is an axis of that kernel, so the work the probe sees does not grow
+    with the inner extent."""
+    if not kernels.available():
+        pytest.skip("the counters are pinned with numpy present")
+    small, large = _matmul_metrics(30), _matmul_metrics(120)
+    assert large["cells_vectorized"] == 120 * 120
+    assert large["cells_materialized"] == 0
+    assert large["node_evals"] == small["node_evals"]
+
+
+@pytest.mark.parametrize("n", [DEFAULT_MIN_CELLS - 1, DEFAULT_MIN_CELLS, 5000])
+def test_top_level_sum_counts_its_terms(n):
+    """A ``Σ`` over ``gen!n`` at or above the floor vectorizes its ``n``
+    terms; below it, the loop runs and nothing is vectorized."""
+    if not kernels.available():
+        pytest.skip("the counters are pinned with numpy present")
+    report = Session().explain(rf"summap(fn \i => i % 7)!(gen!{n});")
+    assert report.value == sum(i % 7 for i in range(n))
+    assert report.to_dict()["metrics"]["cells_vectorized"] == (
+        n if n >= DEFAULT_MIN_CELLS else 0)

@@ -1,4 +1,5 @@
-"""The numpy-vectorized tabulation backend (``repro.core.kernels``).
+"""The numpy-vectorized tabulation and ``Σ`` backend
+(``repro.core.kernels``).
 
 The contract under test (``docs/VECTOR_BACKEND.md``): whenever the
 vectorized path runs, its result is *indistinguishable* from the scalar
@@ -7,6 +8,11 @@ types (never numpy scalars), identical hashes — and whenever it cannot
 guarantee that (⊥-raising bodies, non-numeric elements, overflow risk,
 numpy absent), evaluation falls back to the unchanged scalar loop.
 """
+
+import math
+import operator
+import warnings
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +28,8 @@ from repro.objects import dense
 from repro.objects.array import Array
 from repro.system.session import Session
 
-from conftest import CONFIGS, agree, assert_identical, reference_outcome
+from conftest import (CONFIGS, agree, assert_identical, reference_outcome,
+                      reference_query_value)
 
 numpy_required = pytest.mark.skipif(
     kernels._np is None, reason="numpy not installed"
@@ -537,3 +544,192 @@ class TestPublishedBounds:
         result = agree(expr, binds={"A": self.BIG})[1]
         if result.block is not None:
             assert (result.block.lo, result.block.hi) == (1, dense.INT_GUARD)
+
+
+# ---------------------------------------------------------------------------
+# reductions: Σ over gen!n, and Σ inside a tabulation body
+# ---------------------------------------------------------------------------
+
+#: the length of the vectors a top-level Σ reads: ``gen!(L + 1)`` reads
+#: one past the end at its last term
+L = 72
+
+#: the largest nat ``L`` terms may each be and still sum inside the guard
+EDGE = dense.INT_GUARD // L
+
+#: cancellation: the left-to-right fold and numpy's pairwise sum differ
+CANCEL = [(1e16, 1.0, -1e16, 0.1, 3.3)[k % 5] * (1 + k % 3) for k in range(L)]
+
+#: −0.0 terms (so a prefix sums to 0.0), overflow to ±inf, then NaN
+SPECIAL = [{10: 1e308, 11: 1e308, 30: float("-inf"), 50: float("inf"),
+            60: float("nan")}.get(k, -0.0) for k in range(L)]
+
+SUM_BINDS = {
+    "V": Array((L,), [(k * 5 + 1) % 9 for k in range(L)]),
+    "E": Array((L,), [EDGE - k % 2 for k in range(L)]),
+    "Z": Array((L,), [0 if k == 37 else k % 4 + 1 for k in range(L)]),
+    "C": Array((L,), CANCEL),
+    "S": Array((L,), SPECIAL),
+    # [i, k] operands are 8 × 9 and [k, j] ones 9 × 8: k < 10 reads one
+    # past the last column/row at its last term
+    "M": Array((8, 9), [(c * 7 + 3) % 11 for c in range(72)]),
+    "N": Array((9, 8), [dense.INT_GUARD // 9 - c % 2 for c in range(72)]),
+    "R": Array((9, 8), CANCEL),
+    "T": Array((8, 9), SPECIAL),
+}
+
+_I, _K = ast.Var("i"), ast.Var("k")
+_SUM_LEAVES = {
+    "top": [("var", "i"), ("nat", 0), ("nat", 3), ("real", -0.0),
+            ("real", 0.5), ("real", 1e308),
+            *(("sub", name, ("i",)) for name in "VEZCS")],
+    "tab": [("var", "i"), ("var", "j"), ("var", "k"), ("nat", 2),
+            ("real", -0.0), ("real", 0.1), ("sub", "M", ("i", "k")),
+            ("sub", "T", ("i", "k")), ("sub", "N", ("k", "j")),
+            ("sub", "R", ("k", "j"))],
+}
+
+
+def _sum_bodies(kind):
+    return st.recursive(
+        st.sampled_from(_SUM_LEAVES[kind]),
+        lambda inner: st.tuples(st.sampled_from(["+", "-", "*", "/", "%"]),
+                                inner, inner),
+        max_leaves=4)
+
+
+def _build_term(tag) -> ast.Expr:
+    if tag[0] == "sub":
+        return _sub(tag[1], *map(ast.Var, tag[2]))
+    if tag[0] in ("var", "nat", "real"):
+        return _build(tag)
+    op, left, right = tag
+    return ast.Arith(op, _build_term(left), _build_term(right))
+
+
+def _sigma(var, body, bound):
+    return ast.Sum(var, body, ast.Gen(ast.NatLit(bound)))
+
+
+def _top_sum(body, n):
+    return _sigma("i", body, n)
+
+
+def _tab_sum(body, b, m, p):
+    return ast.Tabulate(("i", "j"), (ast.NatLit(m), ast.NatLit(p)),
+                        _sigma("k", body, b))
+
+
+def _vectorized(expr):
+    """The probed outcome with every kernel taken (checked against the
+    reference) and the cells it vectorized."""
+    metrics = EvalMetrics()
+    got = agree(expr, KERNEL_ALWAYS, probe=metrics, binds=SUM_BINDS)
+    return got, metrics.cells_vectorized
+
+
+@numpy_required
+class TestReductions:
+    """Σ kernels agree with the reference fold: value, kind, float
+    ``repr``, hash and ⊥ reason, under every dispatch floor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sum_bodies("top"),
+           st.sampled_from([0, 1, 2, 11, 31, 37, 38, 51, 61, 64, 71, L, L + 1]))
+    def test_top_level_sums_agree(self, tag, n):
+        for config in CONFIGS:
+            agree(_top_sum(_build_term(tag), n), config, binds=SUM_BINDS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sum_bodies("tab"), st.sampled_from([0, 1, 8, 9, 10]),
+           st.sampled_from([0, 1, 3, 8]), st.sampled_from([1, 3, 8]))
+    def test_sums_in_tabulations_agree(self, tag, b, m, p):
+        for config in CONFIGS:
+            agree(_tab_sum(_build_term(tag), b, m, p), config,
+                  binds=SUM_BINDS)
+
+    def test_nat_sum_at_the_guard_edge_runs_exactly(self):
+        edge = _top_sum(_sub("E", _I), L)   # L · EDGE ≤ 2**62: int64
+        assert _vectorized(edge) == (("value", sum(SUM_BINDS["E"].flat)), L)
+        over = _top_sum(_plus(_sub("E", _I), ast.NatLit(L)), L)
+        assert _vectorized(over)[1] == 0    # past the guard: scalar loop
+
+    def test_real_sum_is_the_left_to_right_fold(self):
+        (kind, value), cells = _vectorized(_top_sum(_sub("C", _I), L))
+        assert (kind, cells) == ("value", L)
+        assert value == reduce(operator.add, CANCEL, 0)
+        assert value != float(kernels._np.sum(CANCEL))  # pairwise differs
+
+    @pytest.mark.parametrize("n, want", [
+        (10, "0.0"), (12, "inf"), (31, "nan"), (L, "nan")])
+    def test_special_reals_fold_like_python(self, n, want):
+        (kind, value), cells = _vectorized(_top_sum(_sub("S", _I), n))
+        assert (kind, repr(value), cells) == ("value", want, n)
+
+    def test_empty_sums_are_the_nat_zero(self):
+        real = ast.Arith("*", _sub("C", _I), ast.RealLit(0.5))
+        assert _vectorized(_top_sum(real, 0))[0] == ("value", 0)
+        expr = _tab_sum(_sub("R", _K, ast.Var("j")), 0, 8, 8)
+        (kind, value), cells = _vectorized(expr)
+        assert (kind, cells) == ("value", 64)
+        assert all(type(cell) is int for cell in value.flat)
+
+    def test_one_zero_divisor_is_bottom(self):
+        expr = _top_sum(ast.Arith("/", ast.NatLit(100), _sub("Z", _I)), L)
+        for config in CONFIGS:
+            assert agree(expr, config, binds=SUM_BINDS) == (
+                "bottom", "division by zero")
+
+    def test_out_of_bounds_at_the_last_k_is_bottom(self):
+        body = ast.Arith("*", _sub("M", _I, _K), _sub("R", _K, ast.Var("j")))
+        for config in CONFIGS:
+            kind, reason = agree(_tab_sum(body, 10, 8, 8), config,
+                                 binds=SUM_BINDS)
+            assert kind == "bottom" and "out of bounds" in reason
+
+    @pytest.mark.parametrize("operand, vectorized", [("M", 8), ("V", 0)])
+    def test_nested_sums_bounded_by_an_extent(self, operand, vectorized):
+        """``Σ_{i<8} Σ_{k < π_2(dim_2(operand))} M[i, k]``: ``M``'s extent
+        is a kernel leaf; ``dim_2`` of the rank-1 ``V`` is ⊥."""
+        inner = ast.Sum("k", _sub("M", _I, _K), ast.Gen(ast.Proj(
+            2, 2, ast.Dim(ast.Var(operand), 2))))
+        got, cells = _vectorized(_sigma("i", inner, 8))
+        assert (got[0], cells) == ("value" if vectorized else "bottom",
+                                   vectorized)
+
+    def test_index_dependent_bound_is_declined(self):
+        tab = ast.Tabulate(("i",), (ast.NatLit(8),),
+                           _sigma("k", _sub("M", _I, _K), 9))
+        assert kernels.recognize(tab) is not None
+        prefix = ast.Tabulate(("i",), (ast.NatLit(8),), ast.Sum(
+            "k", _sub("V", _K), ast.Gen(_plus(_I, ast.NatLit(1)))))
+        assert kernels.recognize(prefix) is None
+        agree(prefix, KERNEL_ALWAYS, binds=SUM_BINDS)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matmul_is_bit_identical(self, real):
+        session = Session()
+        cells = [(c * 7 + 3) % 13 * (0.37 if real else 1) for c in range(600)]
+        session.env.set_val("P", Array((20, 30), cells))
+        session.env.set_val("Q", Array((30, 20), cells[::-1]))
+        report = session.explain("matmul!(P, Q);")
+        assert_identical(report.value,
+                         reference_query_value(session.env, "matmul!(P, Q)"))
+        assert report.metrics.cells_vectorized == 400
+
+
+@numpy_required
+def test_numpy_warnings_stay_inside_the_session():
+    """IEEE overflow gives ``inf`` on both paths; numpy's warning about
+    it must not reach the host, even where warnings are errors."""
+    session = Session()
+    session.env.set_val("A", Array((100,), [1e308] * 100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = session.query_value(r"[[ A[i] * 10.0 | \i < 100 ]];")
+        total = session.query_value(r"summap(fn \i => A[i] * 10.0)!(gen!100);")
+        spread = session.query_value(
+            r"[[ A[i] * 10.0 - A[i] * 10.0 | \i < 100 ]];")
+    assert grid == Array((100,), [math.inf] * 100)
+    assert total == math.inf
+    assert all(cell != cell for cell in spread.flat)

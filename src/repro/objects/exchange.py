@@ -136,8 +136,11 @@ def pretty(value: Any, limit: int = 12) -> str:
     """The display form of the paper's REPL (sparse ``(index):value`` pairs).
 
     ``limit`` bounds how many array entries / set members are shown before
-    an ellipsis; pass ``limit=0`` for no truncation.
+    an ellipsis; pass ``limit=0`` for no truncation.  A function value
+    (a query may return one) shows as ``fn``, as in SML.
     """
+    if callable(value):
+        return "fn"
     kind = value_kind(value)
     if kind == "array":
         entries = []

@@ -26,6 +26,9 @@ Grammar (Sections 1, 3, 4 of the paper; see also the sample session):
                 | set-or-comprehension | bag-or-comprehension
                 | array-literal-or-tabulation
 
+The or- to mul-levels are parsed by precedence climbing over
+:data:`_INFIX`, one loop in :meth:`Parser.parse_expr`.
+
 Comprehension qualifiers (generators/filters) are disambiguated from
 filter expressions by backtracking: we try a pattern, and commit to a
 generator only when ``<-``, ``:==`` or ``==`` follows.
@@ -33,103 +36,108 @@ generator only when ``<-``, ``:==`` or ``==`` follows.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.surface import sast as S
-from repro.surface.lexer import Token, tokenize
+from repro.surface.lexer import END, lex, position
 
-_CMP_TOKENS = ("=", "<>", "<", "<=", ">", ">=")
+#: binding power of each infix operator: a loop at power ``p`` takes the
+#: operators of power ``>= p``; all but the comparisons are
+#: left-associative, and ``not`` is a prefix operator at :data:`_NOT`
+_INFIX = {"or": 1, "and": 2,
+          "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, ">=": 4, "in": 4,
+          "union": 5, "bunion": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7}
+_NOT = 3
+_CMP = 4
+#: no operator is stronger: the limit before any has been read
+_ANY = 8
 
 
 class Parser:
-    """Parses a token stream into surface AST."""
+    """Parses the token lists of :func:`~repro.surface.lexer.lex` into
+    surface AST."""
 
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.kinds, self.texts, self.offsets = lex(source)
         self.pos = 0
 
     # -- token plumbing -------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Optional[Token]:
-        index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else None
+    def _at(self, kind: str, then: Optional[str] = None) -> bool:
+        """Whether the next token (and, given ``then``, the one after
+        it) has this kind."""
+        pos = self.pos
+        return self.kinds[pos] == kind and (
+            then is None or self.kinds[pos + 1] == then)
 
-    def _at(self, kind: str, text: Optional[str] = None,
-            offset: int = 0) -> bool:
-        token = self._peek(offset)
-        if token is None:
-            return False
-        if token.kind != kind:
-            return False
-        return text is None or token.text == text
+    def _eat(self, kind: str) -> bool:
+        if self.kinds[self.pos] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def _advance(self) -> Token:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of input")
+    def _advance(self) -> str:
         self.pos += 1
-        return token
+        return self.texts[self.pos - 1]
 
-    def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self._peek()
-        if token is None:
-            raise ParseError(f"expected {text or kind}, found end of input")
-        if token.kind != kind or (text is not None and token.text != text):
-            raise ParseError(
-                f"expected {text or kind}, found {token.text!r}",
-                token.line, token.column,
-            )
+    def _expect(self, kind: str) -> str:
+        if self.kinds[self.pos] != kind:
+            raise self._error(f"expected {kind}")
         return self._advance()
 
     def _error(self, message: str) -> ParseError:
-        token = self._peek()
-        if token is None:
-            return ParseError(message + " (at end of input)")
-        return ParseError(
-            f"{message}, found {token.text!r}", token.line, token.column
-        )
+        text = self.texts[self.pos]
+        found = repr(text) if self.kinds[self.pos] != END else "end of input"
+        return self._error_here(f"{message}, found {found}")
+
+    def _error_here(self, message: str) -> ParseError:
+        return ParseError(message,
+                          *position(self.source, self.offsets[self.pos]))
+
+    def _guarded(self, parse: Callable[[], Any]) -> Any:
+        """Run ``parse``, turning host recursion overflow on deeply
+        nested input into a positioned :class:`ParseError`."""
+        try:
+            return parse()
+        except RecursionError:
+            raise self._error_here("expression nested too deeply") from None
 
     # -- statements -------------------------------------------------------------
 
     def parse_program(self) -> List[S.Statement]:
         """Parse a sequence of top-level statements until end of input."""
         statements: List[S.Statement] = []
-        while self._peek() is not None:
+        while self.kinds[self.pos] != END:
             statements.append(self.parse_statement())
         return statements
 
     def parse_statement(self) -> S.Statement:
         """Parse one top-level statement (val/macro/readval/writeval/query)."""
-        if self._at("kw", "val"):
-            self._advance()
-            name = self._expect("binder").text
+        kind = self.kinds[self.pos]
+        if kind == "val" or kind == "macro":
+            self.pos += 1
+            name = self._expect("binder")
             self._expect("=")
             expr = self.parse_expr()
             self._expect(";")
-            return S.ValDecl(name, expr)
-        if self._at("kw", "macro"):
-            self._advance()
-            name = self._expect("binder").text
-            self._expect("=")
-            expr = self.parse_expr()
-            self._expect(";")
-            return S.MacroDecl(name, expr)
-        if self._at("kw", "readval"):
-            self._advance()
-            name = self._expect("binder").text
-            self._expect("kw", "using")
-            reader = self._expect("ident").text
-            self._expect("kw", "at")
+            return (S.ValDecl if kind == "val" else S.MacroDecl)(name, expr)
+        if kind == "readval":
+            self.pos += 1
+            name = self._expect("binder")
+            self._expect("using")
+            reader = self._expect("ident")
+            self._expect("at")
             args = self.parse_expr()
             self._expect(";")
             return S.ReadVal(name, reader, args)
-        if self._at("kw", "writeval"):
-            self._advance()
+        if kind == "writeval":
+            self.pos += 1
             expr = self.parse_expr()
-            self._expect("kw", "using")
-            writer = self._expect("ident").text
-            self._expect("kw", "at")
+            self._expect("using")
+            writer = self._expect("ident")
+            self._expect("at")
             args = self.parse_expr()
             self._expect(";")
             return S.WriteVal(expr, writer, args)
@@ -139,124 +147,79 @@ class Parser:
 
     # -- expressions -------------------------------------------------------------
 
-    def parse_expr(self, no_in: bool = False) -> S.SExpr:
-        """Parse one expression (``no_in`` suppresses the membership
-        operator at top level, for let-binding right-hand sides)."""
-        if self._at("kw", "fn"):
-            self._advance()
+    def parse_expr(self, no_in: bool = False, power: int = 0) -> S.SExpr:
+        """Parse one expression whose infix operators all bind at least
+        as tightly as ``power`` (0: a whole expression, which may also
+        be ``fn``/``if``/``let``).  ``no_in`` suppresses the membership
+        operator, for let-binding right-hand sides."""
+        kinds = self.kinds
+        kind = kinds[self.pos]
+        if kind == "not" and power <= _NOT:
+            self.pos += 1
+            left = S.SNot(self.parse_expr(no_in, _NOT))
+            limit = _NOT
+        elif not power and (kind == "fn" or kind == "if" or kind == "let"):
+            return self._parse_binding_form(kind, no_in)
+        else:
+            left = self._parse_postfix(True)
+            limit = _ANY
+        while True:
+            op = kinds[self.pos]
+            strength = _INFIX.get(op)
+            # a stronger operator than ``limit`` here is a second
+            # comparison, which the grammar does not chain
+            if strength is None or not (power <= strength <= limit) \
+                    or (no_in and op == "in"):
+                return left
+            self.pos += 1
+            right = self.parse_expr(no_in, strength + 1)
+            if strength == _CMP:
+                left = S.SIn(left, right) if op == "in" \
+                    else S.SBinop(op, left, right)
+                limit = _CMP - 1
+            else:
+                left = S.SBinop(op, left, right)
+                limit = strength
+
+    def _parse_binding_form(self, kind: str, no_in: bool) -> S.SExpr:
+        self.pos += 1
+        if kind == "fn":
             pattern = self.parse_pattern()
             self._expect("=>")
-            body = self.parse_expr(no_in)
-            return S.SLam(pattern, body)
-        if self._at("kw", "if"):
-            self._advance()
+            return S.SLam(pattern, self.parse_expr(no_in))
+        if kind == "if":
             cond = self.parse_expr()
-            self._expect("kw", "then")
+            self._expect("then")
             then = self.parse_expr()
-            self._expect("kw", "else")
-            orelse = self.parse_expr(no_in)
-            return S.SIf(cond, then, orelse)
-        if self._at("kw", "let"):
-            return self._parse_let(no_in)
-        return self._parse_or(no_in)
-
-    def _parse_let(self, no_in: bool) -> S.SExpr:
-        self._expect("kw", "let")
+            self._expect("else")
+            return S.SIf(cond, then, self.parse_expr(no_in))
         bindings: List[Tuple[S.Pattern, S.SExpr]] = []
-        while self._at("kw", "val"):
-            self._advance()
+        while self._eat("val"):
             pattern = self.parse_pattern()
             self._expect("=")
             bindings.append((pattern, self.parse_expr(no_in=True)))
         if not bindings:
             raise self._error("let requires at least one val declaration")
-        self._expect("kw", "in")
+        self._expect("in")
         body = self.parse_expr()
-        self._expect("kw", "end")
+        self._expect("end")
         return S.SLet(tuple(bindings), body)
 
-    def _parse_or(self, no_in: bool) -> S.SExpr:
-        left = self._parse_and(no_in)
-        while self._at("kw", "or"):
-            self._advance()
-            left = S.SBinop("or", left, self._parse_and(no_in))
-        return left
-
-    def _parse_and(self, no_in: bool) -> S.SExpr:
-        left = self._parse_not(no_in)
-        while self._at("kw", "and"):
-            self._advance()
-            left = S.SBinop("and", left, self._parse_not(no_in))
-        return left
-
-    def _parse_not(self, no_in: bool) -> S.SExpr:
-        if self._at("kw", "not"):
-            self._advance()
-            return S.SNot(self._parse_not(no_in))
-        return self._parse_cmp(no_in)
-
-    def _parse_cmp(self, no_in: bool) -> S.SExpr:
-        left = self._parse_union(no_in)
-        for op in _CMP_TOKENS:
-            if self._at(op):
-                self._advance()
-                return S.SBinop(op, left, self._parse_union(no_in))
-        if not no_in and self._at("kw", "in"):
-            self._advance()
-            return S.SIn(left, self._parse_union(no_in))
-        return left
-
-    def _parse_union(self, no_in: bool) -> S.SExpr:
-        left = self._parse_add(no_in)
-        while self._at("kw", "union") or self._at("kw", "bunion"):
-            op = self._advance().text
-            left = S.SBinop(op, left, self._parse_add(no_in))
-        return left
-
-    def _parse_add(self, no_in: bool) -> S.SExpr:
-        left = self._parse_mul(no_in)
-        while self._at("+") or self._at("-"):
-            op = self._advance().text
-            left = S.SBinop(op, left, self._parse_mul(no_in))
-        return left
-
-    def _parse_mul(self, no_in: bool) -> S.SExpr:
-        left = self._parse_postfix()
-        while self._at("*") or self._at("/") or self._at("%"):
-            op = self._advance().text
-            left = S.SBinop(op, left, self._parse_postfix())
-        return left
-
-    def _parse_postfix(self) -> S.SExpr:
+    def _parse_postfix(self, bang: bool) -> S.SExpr:
+        """An atom with calls and subscripts after it, and, if ``bang``,
+        applications ``!`` whose operands take no ``!`` of their own."""
         expr = self._parse_atom()
+        kinds = self.kinds
         while True:
-            if self._at("!"):
-                self._advance()
-                argument = self._parse_operand()
-                expr = S.SApp(expr, argument)
-            elif self._at("("):
-                self._advance()
-                args = self._parse_expr_list(")")
-                expr = S.SCall(expr, tuple(args))
-            elif self._at("[") and not self._at("[", offset=1):
-                self._advance()
-                indices = self._parse_expr_list("]")
-                if not indices:
-                    raise self._error("subscript needs at least one index")
-                expr = S.SSubscript(expr, tuple(indices))
-            else:
-                return expr
-
-    def _parse_operand(self) -> S.SExpr:
-        """The argument of ``!``: an atom with subscripts/calls but no ``!``."""
-        expr = self._parse_atom()
-        while True:
-            if self._at("("):
-                self._advance()
-                args = self._parse_expr_list(")")
-                expr = S.SCall(expr, tuple(args))
-            elif self._at("[") and not self._at("[", offset=1):
-                self._advance()
+            kind = kinds[self.pos]
+            if kind == "!" and bang:
+                self.pos += 1
+                expr = S.SApp(expr, self._parse_postfix(False))
+            elif kind == "(":
+                self.pos += 1
+                expr = S.SCall(expr, tuple(self._parse_expr_list(")")))
+            elif kind == "[" and kinds[self.pos + 1] != "[":
+                self.pos += 1
                 indices = self._parse_expr_list("]")
                 if not indices:
                     raise self._error("subscript needs at least one index")
@@ -266,140 +229,121 @@ class Parser:
 
     def _parse_expr_list(self, closer: str) -> List[S.SExpr]:
         items: List[S.SExpr] = []
-        if self._at(closer):
-            self._advance()
+        if self._eat(closer):
             return items
         while True:
             items.append(self.parse_expr())
-            if self._at(closer):
-                self._advance()
+            if self._eat(closer):
                 return items
             self._expect(",")
+
+    def _parse_items(self, first: S.SExpr) -> List[S.SExpr]:
+        """``first`` and every further ``, expr``."""
+        items = [first]
+        while self._eat(","):
+            items.append(self.parse_expr())
+        return items
 
     # -- atoms ---------------------------------------------------------------------
 
     def _parse_atom(self) -> S.SExpr:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of input")
-        if token.kind == "nat":
-            self._advance()
-            return S.SNat(int(token.text))
-        if token.kind == "real":
-            self._advance()
-            return S.SReal(float(token.text))
-        if token.kind == "string":
-            self._advance()
-            return S.SStr(token.text)
-        if token.kind == "kw" and token.text in ("true", "false"):
-            self._advance()
-            return S.SBool(token.text == "true")
-        if token.kind == "kw" and token.text == "bottom":
-            self._advance()
-            return S.SBottom()
-        if token.kind == "ident":
-            self._advance()
-            return S.SVar(token.text)
-        if token.kind == "(":
-            self._advance()
-            first = self.parse_expr()
-            if self._at(","):
-                items = [first]
-                while self._at(","):
-                    self._advance()
-                    items.append(self.parse_expr())
-                self._expect(")")
-                return S.STuple(tuple(items))
+        kind = self.kinds[self.pos]
+        if kind == "ident":
+            return S.SVar(self._advance())
+        if kind == "nat":
+            return S.SNat(self._natural())
+        if kind == "(":
+            self.pos += 1
+            items = self._parse_items(self.parse_expr())
             self._expect(")")
-            return first
-        if token.kind == "{":
-            return self._parse_braced()
-        if token.kind == "[":
-            if self._at("[", offset=1):
+            return items[0] if len(items) == 1 else S.STuple(tuple(items))
+        if kind == "[":
+            if self._at("[", "["):
                 return self._parse_array()
             raise self._error("'[' can only start an array literal '[['")
+        if kind == "{":
+            return self._parse_braced()
+        if kind == "real":
+            return S.SReal(float(self._advance()))
+        if kind == "string":
+            return S.SStr(self._advance())
+        if kind == "true" or kind == "false":
+            self.pos += 1
+            return S.SBool(kind == "true")
+        if kind == "bottom":
+            self.pos += 1
+            return S.SBottom()
         raise self._error("expected an expression")
+
+    def _natural(self) -> int:
+        try:
+            value = int(self.texts[self.pos])
+        except ValueError:  # more digits than int() converts
+            raise self._error_here("natural literal too long") from None
+        self.pos += 1
+        return value
 
     def _parse_braced(self) -> S.SExpr:
         self._expect("{")
         if self._at("|"):
             return self._parse_bag()
-        if self._at("}"):
-            self._advance()
+        if self._eat("}"):
             return S.SSetLit(())
         head = self.parse_expr()
-        if self._at("|"):
-            self._advance()
+        if self._eat("|"):
             qualifiers = self._parse_qualifiers()
             self._expect("}")
             return S.SSetComp(head, tuple(qualifiers))
-        items = [head]
-        while self._at(","):
-            self._advance()
-            items.append(self.parse_expr())
+        items = self._parse_items(head)
         self._expect("}")
         return S.SSetLit(tuple(items))
 
     def _parse_bag(self) -> S.SExpr:
         self._expect("|")
-        if self._at("|") and self._at("}", offset=1):
-            self._advance()
-            self._advance()
+        if self._at("|", "}"):
+            self.pos += 2
             return S.SBagLit(())
         head = self.parse_expr()
-        if self._at("|") and self._at("}", offset=1):
-            self._advance()
-            self._advance()
+        if self._at("|", "}"):
+            self.pos += 2
             return S.SBagLit((head,))
-        if self._at("|"):
-            self._advance()
+        if self._eat("|"):
             qualifiers = self._parse_qualifiers()
             self._expect("|")
             self._expect("}")
             return S.SBagComp(head, tuple(qualifiers))
-        items = [head]
-        while self._at(","):
-            self._advance()
-            items.append(self.parse_expr())
+        items = self._parse_items(head)
         self._expect("|")
         self._expect("}")
         return S.SBagLit(tuple(items))
 
     def _parse_array(self) -> S.SExpr:
-        self._expect("[")
-        self._expect("[")
-        if self._at("]") and self._at("]", offset=1):
-            self._advance()
-            self._advance()
+        self.pos += 2
+        if self._at("]", "]"):
+            self.pos += 2
             return S.SArrayLit(())
         # tabulation starts with a binder followed by '<' only after the body,
         # so parse the first expression and look at what follows
         first = self.parse_expr()
-        if self._at("|"):
-            self._advance()
+        if self._eat("|"):
             binders = self._parse_tab_binders()
             self._expect("]")
             self._expect("]")
             return S.STabulate(tuple(binders), first)
         items = [first]
         dims: Optional[List[S.SExpr]] = None
-        while True:
+        while not self._at("]", "]"):
             if self._at(";"):
                 if dims is not None:
                     raise self._error("multiple ';' in array literal")
-                self._advance()
-                dims = items
-                items = []
-                if self._at("]") and self._at("]", offset=1):
+                self.pos += 1
+                dims, items = items, []
+                if self._at("]", "]"):
                     break
-                items.append(self.parse_expr())
-                continue
-            if self._at("]") and self._at("]", offset=1):
-                break
-            self._expect(",")
+            else:
+                self._expect(",")
             items.append(self.parse_expr())
-        self._advance()
-        self._advance()
+        self.pos += 2
         if dims is None:
             return S.SArrayLit(tuple(items))
         return S.SArrayRowMajor(tuple(dims), tuple(items))
@@ -407,30 +351,26 @@ class Parser:
     def _parse_tab_binders(self) -> List[Tuple[str, S.SExpr]]:
         binders: List[Tuple[str, S.SExpr]] = []
         while True:
-            name = self._expect("binder").text
+            name = self._expect("binder")
             self._expect("<")
-            bound = self.parse_expr()
-            binders.append((name, bound))
-            if not self._at(","):
+            binders.append((name, self.parse_expr()))
+            if not self._eat(","):
                 return binders
-            self._advance()
 
     # -- comprehension qualifiers ----------------------------------------------------
 
     def _parse_qualifiers(self) -> List[S.GenFilter]:
-        qualifiers: List[S.GenFilter] = []
-        while True:
+        qualifiers = [self._parse_qualifier()]
+        while self._eat(","):
             qualifiers.append(self._parse_qualifier())
-            if not self._at(","):
-                return qualifiers
-            self._advance()
+        return qualifiers
 
     def _parse_qualifier(self) -> S.GenFilter:
+        saved = self.pos
         # array generator: [ P : P ] <- e
-        if self._at("[") and not self._at("[", offset=1):
-            saved = self.pos
+        if self._at("[") and not self._at("[", "["):
             try:
-                self._advance()
+                self.pos += 1
                 index_pattern = self.parse_pattern()
                 self._expect(":")
                 value_pattern = self.parse_pattern()
@@ -441,14 +381,11 @@ class Parser:
             except ParseError:
                 self.pos = saved
         # generator or binding: P <- e | P :== e | P == e
-        saved = self.pos
         try:
             pattern = self.parse_pattern()
-            if self._at("<-"):
-                self._advance()
+            if self._eat("<-"):
                 return S.GGen(pattern, self.parse_expr())
-            if self._at(":==") or self._at("=="):
-                self._advance()
+            if self._eat(":==") or self._eat("=="):
                 return S.GBind(pattern, self.parse_expr())
         except ParseError:
             pass
@@ -459,61 +396,49 @@ class Parser:
 
     def parse_pattern(self) -> S.Pattern:
         """Parse a pattern: binder, wildcard, constant, variable or tuple."""
-        token = self._peek()
-        if token is None:
-            raise ParseError("expected a pattern, found end of input")
-        if token.kind == "binder":
-            self._advance()
-            return S.PBind(token.text)
-        if token.kind == "_" or token.kind == "\\":
-            if token.kind == "\\":
-                raise self._error("'\\' must be followed by a name")
-            self._advance()
+        kind = self.kinds[self.pos]
+        if kind == "binder":
+            return S.PBind(self._advance())
+        if kind == "_":
+            self.pos += 1
             return S.PWild()
-        if token.kind == "ident":
-            self._advance()
-            return S.PVarEq(token.text)
-        if token.kind == "nat":
-            self._advance()
-            return S.PConst(int(token.text))
-        if token.kind == "real":
-            self._advance()
-            return S.PConst(float(token.text))
-        if token.kind == "string":
-            self._advance()
-            return S.PConst(token.text)
-        if token.kind == "kw" and token.text in ("true", "false"):
-            self._advance()
-            return S.PConst(token.text == "true")
-        if token.kind == "(":
-            self._advance()
+        if kind == "\\":
+            raise self._error("'\\' must be followed by a name")
+        if kind == "ident":
+            return S.PVarEq(self._advance())
+        if kind == "nat":
+            return S.PConst(self._natural())
+        if kind == "real":
+            return S.PConst(float(self._advance()))
+        if kind == "string":
+            return S.PConst(self._advance())
+        if kind == "true" or kind == "false":
+            self.pos += 1
+            return S.PConst(kind == "true")
+        if kind == "(":
+            self.pos += 1
             items = [self.parse_pattern()]
-            while self._at(","):
-                self._advance()
+            while self._eat(","):
                 items.append(self.parse_pattern())
             self._expect(")")
-            if len(items) == 1:
-                return items[0]
-            return S.PTuple(tuple(items))
+            return items[0] if len(items) == 1 else S.PTuple(tuple(items))
         raise self._error("expected a pattern")
 
 
 def parse_expression(source: str) -> S.SExpr:
     """Parse a single AQL expression from text."""
-    parser = Parser(tokenize(source))
-    expr = parser.parse_expr()
-    leftover = parser._peek()
-    if leftover is not None and leftover.kind != ";":
-        raise ParseError(
-            f"trailing input after expression: {leftover.text!r}",
-            leftover.line, leftover.column,
-        )
+    parser = Parser(source)
+    expr = parser._guarded(parser.parse_expr)
+    if parser.kinds[parser.pos] not in (END, ";"):
+        raise parser._error_here("trailing input after expression: "
+                                 f"{parser.texts[parser.pos]!r}")
     return expr
 
 
 def parse_program(source: str) -> List[S.Statement]:
     """Parse a sequence of AQL top-level statements."""
-    return Parser(tokenize(source)).parse_program()
+    parser = Parser(source)
+    return parser._guarded(parser.parse_program)
 
 
 __all__ = ["Parser", "parse_expression", "parse_program"]

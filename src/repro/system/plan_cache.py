@@ -50,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Optional
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 from repro.core import ast
 
@@ -75,23 +75,38 @@ def fingerprint(expr: ast.Expr) -> Hashable:
     return _fp(expr, {}, [0])
 
 
+#: per node class, the fields that label a node, in declaration order:
+#: ``(name, False)`` for a value field (operator, rank, literal …) and
+#: ``(name, True)`` for a tuple of sub-expressions, which labels the
+#: node with ``()`` when empty; binders and single sub-expressions are
+#: left out (children are reached through ``parts()``)
+_LABEL_FIELDS: Dict[type, Tuple[Tuple[str, bool], ...]] = {}
+
+
+def _label_fields(cls: type) -> Tuple[Tuple[str, bool], ...]:
+    fields = _LABEL_FIELDS.get(cls)
+    if fields is None:
+        fields = _LABEL_FIELDS[cls] = tuple(
+            (fld.name, fld.type == "Tuple[Expr, ...]")
+            for fld in dataclasses.fields(cls)
+            if fld.name not in cls.BINDER_FIELDS and fld.type != "Expr")
+    return fields
+
+
 def _fp(expr: ast.Expr, env: Dict[str, int], counter) -> Hashable:
     if isinstance(expr, ast.Var):
         level = env.get(expr.name)
         if level is not None:
             return ("bound", level)
         return ("free", expr.name)
-    label = [type(expr).__name__]
-    for fld in dataclasses.fields(expr):  # type: ignore[arg-type]
-        if fld.name in expr.BINDER_FIELDS:
-            continue
-        value = getattr(expr, fld.name)
-        if isinstance(value, ast.Expr):
-            continue  # reached through parts()
-        if isinstance(value, tuple) and value \
-                and isinstance(value[0], ast.Expr):
-            continue
-        label.append(_hashable(value))
+    cls = type(expr)
+    label = [cls.__name__]
+    for name, exprs in _label_fields(cls):
+        value = getattr(expr, name)
+        if not exprs:
+            label.append(_hashable(value))
+        elif not value:
+            label.append(())
     children = []
     for child, bound in expr.parts():
         if bound:

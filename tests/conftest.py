@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -20,6 +22,15 @@ from repro.objects.ordering import canonical_elements
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression
 from repro.system.session import Session
+
+
+#: sha256 of ``repr(parse_program(text))`` for the stdlib statements, the
+#: benchmark statements and the example queries, keyed by the text and
+#: recorded with the character-at-a-time lexer and nine-level precedence
+#: ladder that the master-regex lexer and precedence-climbing parser
+#: replaced
+PARSE_DIGESTS = json.loads(
+    (Path(__file__).parent / "parse_digests.json").read_text("utf-8"))
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ import pytest
 from repro.core import ast
 from repro.core.compile import CompiledEvaluator
 from repro.core.eval import Evaluator
-from repro.errors import BottomError, EvalError, ParseError
+from repro.errors import BottomError, EvalError, LexError, ParseError
 from repro.objects.array import Array
 from repro.objects.ordering import canonical_elements
 from repro.obs.metrics import EvalMetrics
@@ -224,6 +224,23 @@ class TestHostErrorBoundaries:
         with pytest.raises(BottomError) as err:
             session.run('writeval [[1, 2, 3]] using BADWRITE at "x";')
         assert "host value error" in str(err.value)
+
+
+class TestFrontEndHostErrors:
+    """Text the front end cannot read is a positioned LexError or
+    ParseError out of ``Session.run``, never a host ``ValueError``."""
+
+    @pytest.mark.parametrize("source, column", [
+        ("²;", 1), ("١٢;", 1), ("𝟙;", 1), ("1 + 2²;", 6)])
+    def test_non_ascii_numerals_are_lex_errors(self, session, source,
+                                               column):
+        with pytest.raises(LexError) as err:
+            session.run(source)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_overlong_natural_is_a_parse_error(self, session):
+        with pytest.raises(ParseError, match="too long"):
+            session.run("1" * 5000 + ";")
 
 
 class TestPrimitiveResultKinds:

@@ -1,10 +1,15 @@
 """Tests for the AQL parser (surface syntax of Sections 1, 3, 4)."""
 
+import hashlib
+
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import AQLError, ParseError
 from repro.surface import sast as S
 from repro.surface.parser import parse_expression, parse_program
+from repro.system.session import Session
+
+from conftest import PARSE_DIGESTS
 
 
 class TestAtoms:
@@ -263,3 +268,78 @@ class TestErrors:
             assert "1:" in str(exc)
         else:  # pragma: no cover
             pytest.fail("expected ParseError")
+
+    def test_natural_with_more_digits_than_int_converts(self):
+        with pytest.raises(ParseError, match="natural literal too long"):
+            parse_program("1" * 5000 + ";")
+
+
+class TestPrecedenceClimbing:
+    """The one binding-power loop keeps the old ladder's rules."""
+
+    @pytest.mark.parametrize("source, column", [
+        ("1 = 2 = 3;", 7), ("a < b in S;", 7), ("a and b = c = d;", 13),
+        ("not a = b = c;", 11)])
+    def test_one_comparison_per_operand(self, source, column):
+        with pytest.raises(ParseError) as caught:
+            parse_program(source)
+        assert (caught.value.line, caught.value.column) == (1, column)
+
+    def test_comparisons_joined_by_and(self):
+        e = parse_expression("a = b and c < d or x in S")
+        assert e.op == "or" and isinstance(e.right, S.SIn)
+        assert e.left.op == "and"
+        assert (e.left.left.op, e.left.right.op) == ("=", "<")
+
+    def test_not_binds_between_and_and_comparison(self):
+        e = parse_expression("not not a = b and c")
+        assert e.op == "and"
+        assert e.left == S.SNot(S.SNot(S.SBinop("=", S.SVar("a"),
+                                                 S.SVar("b"))))
+        with pytest.raises(ParseError):
+            parse_expression("a = not b")
+
+    def test_every_level_left_associative(self):
+        for ops in (("or", "or"), ("and", "and"), ("union", "bunion"),
+                    ("+", "-"), ("*", "%")):
+            e = parse_expression(f"a {ops[0]} b {ops[1]} c")
+            assert e.op == ops[1] and e.left.op == ops[0]
+
+    def test_union_binds_looser_than_arithmetic(self):
+        e = parse_expression("a + b union c * d")
+        assert e.op == "union"
+        assert (e.left.op, e.right.op) == ("+", "*")
+
+    def test_binding_forms_only_start_an_expression(self):
+        assert isinstance(parse_expression("(fn \\x => x)!1"), S.SApp)
+        for source in ("1 + fn \\x => x", "not if a then b else c",
+                       "a = let val \\x = 1 in x end"):
+            with pytest.raises(ParseError):
+                parse_expression(source)
+
+    def test_no_in_stops_at_membership_only(self):
+        e = parse_expression("let val \\x = 1 + 2 = 3 in x in S end")
+        assert e.bindings[0][1].op == "="
+        assert isinstance(e.body, S.SIn)
+
+
+class TestDeepNesting:
+    def test_hundreds_of_parentheses_parse(self):
+        depth = 250
+        assert parse_expression("(" * depth + "1" + ")" * depth) == S.SNat(1)
+
+    @pytest.mark.parametrize("opener", ["(", "[["])
+    def test_overflow_is_a_positioned_parse_error(self, opener):
+        source, session = opener * 5000, Session()
+        with pytest.raises(AQLError):
+            session.run(source)
+        for parse in (parse_expression, parse_program, session.query_value):
+            with pytest.raises(ParseError, match="nested too deeply") as caught:
+                parse(source)
+            assert caught.value.line == 1 and caught.value.column > 200
+
+
+@pytest.mark.parametrize("text", sorted(PARSE_DIGESTS))
+def test_parse_tree_unchanged(text):
+    got = hashlib.sha256(repr(parse_program(text)).encode()).hexdigest()
+    assert got == PARSE_DIGESTS[text]

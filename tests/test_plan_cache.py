@@ -8,6 +8,8 @@ the first hit on), and — as a property — that a cache hit computes the
 same value as a cold pipeline run.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -17,7 +19,7 @@ from repro.core.eval import Evaluator
 from repro.env.environment import TopEnv
 from repro.errors import BottomError, SessionError
 from repro.surface.desugar import desugar_expression
-from repro.surface.parser import parse_expression
+from repro.surface.parser import parse_expression, parse_program
 from repro.system.plan_cache import (
     DEFAULT_CAPACITY,
     PlanCache,
@@ -26,6 +28,7 @@ from repro.system.plan_cache import (
 from repro.system.session import Session
 from repro.types.types import TArrow, TNat
 
+from conftest import PARSE_DIGESTS
 from expr_strategies import ENV_VALUES, typed_exprs
 
 _SETTINGS = settings(
@@ -64,6 +67,73 @@ class TestFingerprint:
     def test_fingerprint_is_hashable(self):
         expr = ast.Lam("x", ast.App(ast.Var("x"), _nat(3)))
         {fingerprint(expr): 1}  # must not raise
+
+
+def _reference_fp(expr, env, counter):
+    """The fingerprint walk that asked ``dataclasses.fields`` at every
+    node: the per-class label table must reproduce its keys exactly."""
+    if isinstance(expr, ast.Var):
+        level = env.get(expr.name)
+        if level is not None:
+            return ("bound", level)
+        return ("free", expr.name)
+    label = [type(expr).__name__]
+    for fld in dataclasses.fields(expr):
+        if fld.name in expr.BINDER_FIELDS:
+            continue
+        value = getattr(expr, fld.name)
+        if isinstance(value, ast.Expr):
+            continue
+        if isinstance(value, tuple) and value \
+                and isinstance(value[0], ast.Expr):
+            continue
+        label.append(value)
+    children = []
+    for child, bound in expr.parts():
+        if bound:
+            child_env = dict(env)
+            for name in bound:
+                counter[0] += 1
+                child_env[name] = counter[0]
+            children.append(_reference_fp(child, child_env, counter))
+        else:
+            children.append(_reference_fp(child, env, counter))
+    return (tuple(label), tuple(children))
+
+
+def _corpus_cores():
+    env = TopEnv.standard()
+    exprs = []
+    extra = ["[[]];", "[[0; ]];", "(1, [[2; 3, 4]]);"]
+    for text in list(PARSE_DIGESTS) + extra:
+        for statement in parse_program(text):
+            surface = getattr(statement, "expr", None)
+            if surface is not None:
+                core = desugar_expression(surface)
+                exprs += [core, env.resolve(core)]
+    return exprs
+
+
+class TestFingerprintKeysUnchanged:
+    def test_corpus_keys_equal_the_reference_walk(self):
+        cores = _corpus_cores()
+        assert any(isinstance(node, ast.MkArray) and not node.items
+                   for core in cores for node in ast.subterms(core))
+        for core in cores:
+            assert fingerprint(core) == _reference_fp(core, {}, [0])
+
+    @_SETTINGS
+    @given(pair=typed_exprs())
+    def test_random_keys_equal_the_reference_walk(self, pair):
+        expr, _ = pair
+        assert fingerprint(expr) == _reference_fp(expr, {}, [0])
+
+    def test_every_expression_field_is_declared_as_one(self):
+        """The label table reads a field's role from its annotation."""
+        for cls in ast.Expr.__subclasses__():
+            for fld in dataclasses.fields(cls):
+                assert "Expr" not in fld.type or fld.type in (
+                    "Expr", "Tuple[Expr, ...]"), (cls.__name__, fld.name)
 
 
 class _FakeEnv:

@@ -1,6 +1,8 @@
 """Tests for the interactive REPL loop (driven through fake stdin)."""
 
 import builtins
+import io
+import sys
 
 import pytest
 
@@ -100,6 +102,15 @@ class TestErrorRecovery:
         _, out = drive(monkeypatch, capsys, ["get!{};", "8;"])
         assert "error:" in out
         assert "val it = 8" in out
+
+    def test_function_value_echoes_as_fn(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO("fn \\x => x;\n(gen, 2);\n3;\n"))
+        assert repl.main([]) == 0
+        out = capsys.readouterr().out
+        assert "typ it : 't" in out and "val it = fn\n" in out
+        assert "val it = (fn, 2)" in out
+        assert "val it = 3" in out
 
     def test_state_survives_errors(self, monkeypatch, capsys):
         _, out = drive(monkeypatch, capsys, [

@@ -5,7 +5,7 @@ compiles the optimized query before running it).  :meth:`Compiler.compile`
 emits the Python source of a whole expression — a factory
 ``_factory(_c, _cfg, _P, _k0, …)`` over the compiler, its dispatch
 config, the probe and the plan's *slots* (every literal, ``Const``,
-primitive and recognised fast-path shape), returning ``_plan(env)`` —
+primitive and recognised join shape), returning ``_plan(env)`` —
 and returns that function.  No value and no user text enters the
 source, so it depends only on the plan's shape: compiled factories are
 memoised by it in one bounded table, each registered with
@@ -13,8 +13,9 @@ memoised by it in one bounded table, each registered with
 Inside ``_plan`` variables are locals, loops are ``for`` statements and
 straight-line bodies are expressions that guard on exact host types
 before the one general routine, which owns every error
-(:mod:`repro.core.runtime`); the kernel and hash-join fast paths ask
-the live :class:`~repro.core.fastpath.DispatchConfig`.  A probe
+(:mod:`repro.core.runtime`); a kernel-shaped tabulation or ``Σ`` body
+is numpy lines over :mod:`repro.core.kernels` ahead of its loop, and
+it and a hash join ask the live :class:`~.fastpath.DispatchConfig`.  A probe
 makes the same program plus counter lines.  The semantics are those of
 the reference tree-walker (:mod:`repro.core.eval`); DESIGN.md "Code
 generation" has the rules.
@@ -107,8 +108,11 @@ class Compiler:
                                  *emission._consts)
 
     #: the fast-path entry points, bound into every plan's globals
-    RUNTIME = {"_kexecute": kernels.execute, "_ksum": kernels.execute_sum,
-               "_hash_join": setops.hash_join}
+    RUNTIME = {"_hash_join": setops.hash_join, "_Fallback": kernels._Fallback,
+               "_quiet": kernels.quiet, "_ksum": kernels.total, **{
+                   f"_k{name}": getattr(kernels, name) for name in (
+                       "grids", "scalar", "extent", "bound", "gather",
+                       "arith", "publish")}}
 
     # -- emission: statements, spills, nested blocks and helpers --------------
 
@@ -509,13 +513,8 @@ class Compiler:
         # non-associative, so a hash-ordered Σ over reals would differ
         # between runs and platforms (a range is in that order already,
         # and the naturals of a literal body add exactly in any order)
-        kernel, probed = kernels.recognize(expr), self.probe is not None
-        if kernel is None:
-            values = self._elements(expr.source, scope)
-            if type(expr.source) is not ast.Gen \
-                    and type(expr.body) is not ast.NatLit:
-                values = f"canonical_elements({values})"
-        else:  # Σ over gen!n: the size is needed before the loop
+        kernel, probed = None, self.probe is not None
+        if type(expr.source) is ast.Gen:  # the size is needed before the loop
             mark = len(self._lines)
             size = self._spill(
                 f"_natural({self._emit(expr.source.expr, scope)}, _GEN)")
@@ -523,6 +522,11 @@ class Compiler:
                 self._counted("Gen", mark, size)
             values = f"_seen(_P, range({size}))" if probed \
                 else f"range({size})"
+            kernel = self._kernel((expr.var,), expr.body, f"({size},)")
+        else:
+            values = self._emit(expr.source, scope)
+            if type(expr.body) is not ast.NatLit:
+                values = f"canonical_elements({values})"
         start, var = self._next, self._bind()
         inner = {**scope, expr.var: var}
         deeper = int(kernel is not None)  # the loop is under `if t is None:`
@@ -530,27 +534,16 @@ class Compiler:
                                       self._level + deeper + 1, start,
                                       loops=1)
         total = self._fresh()
-        if kernel is not None:  # recognised once, decided per run
-            inputs = self._inputs(kernel, scope)
-            self._line(f"{total} = _ksum({self._const(kernel)}, {size}, "
-                       f"[{inputs}]) if _cfg.wants_kernel({size}) else None")
-            if probed:
-                self._line(f"if {total} is not None: "
-                           f"_P.on_cells_vectorized({size})")
+        if kernel is not None:
+            self._line(f"{total} = None")
+            self._vectorized(kernel, scope, size, total,
+                             f"_ksum({{}}, {size})", "0", size)
             self._line(f"if {total} is None:")
         self._line(f"{total} = 0", deeper)
         self._line(f"for v{var} in {values}:", deeper)
         self._lines += lines
         self._line(f"{total} = {total} + {body}", deeper + 1)
         return total
-
-    def _inputs(self, kernel: kernels.Kernel, scope) -> str:
-        """The kernel's input leaves, comma-separated: names and slots,
-        never spilled."""
-        depth, self._depth = self._depth, 0
-        inputs = ", ".join(self._emit(leaf, scope) for leaf in kernel.inputs)
-        self._depth = depth
-        return inputs
 
     def _tabulate(self, expr: ast.Tabulate, scope) -> str:
         dims = [self._spill(text) for text in self._seq(
@@ -559,17 +552,11 @@ class Compiler:
         extents, cells = f"({', '.join(dims)},)", self._spill(" * ".join(dims))
         result, probed = self._fresh(), self.probe is not None
         self._line(f"{result} = None")
-        # recognised once (never without numpy); the emitted code decides
-        # per run (extents and inputs vary) and falls through to the loop
-        kernel = kernels.recognize(expr)
+        kernel = self._kernel(expr.vars, expr.body, extents)
         if kernel is not None:
-            inputs = self._inputs(kernel, scope)
-            self._line(f"if _cfg.wants_kernel({cells}):")
-            self._line(f"{result} = _kexecute({self._const(kernel)}, "
-                       f"{extents}, [{inputs}])", 1)
-            if probed:
-                self._line(f"if {result} is not None: "
-                           f"_P.on_cells_vectorized({result}.size)", 1)
+            self._vectorized(kernel, scope, cells, result,
+                             f"_kpublish({{}}, {extents})",
+                             f"Array({extents}, [])", f"{result}.size")
         start = self._next
         numbers = [self._bind() for _ in expr.vars]
         inner = {**scope, **dict(zip(expr.vars, numbers))}
@@ -594,6 +581,112 @@ class Compiler:
             self._line(f"_P.on_cells(len({acc}))", 1)
         self._line(f"{result} = Array({extents}, {acc})", 1)
         return result
+
+    # -- kernels: a recognised body as numpy lines ----------------------------
+
+    def _kernel(self, names, body: ast.Expr, extents: str):
+        """One walk that checks a tabulation or ``Σ`` body against the
+        kernel grammar (docs/VECTOR_BACKEND.md) and emits it over the
+        grid of ``extents``: ``(leaves, lines, value)``, or ``None`` when
+        numpy is absent or some node is outside the grammar."""
+        if not kernels.available():
+            return None
+        slots, self._kleaves = len(self._consts), {}
+        grids = [self._fresh("g") for _ in names]
+        lines = [(0, "".join(f"{g}, " for g in grids) +
+                  f"= _kgrids({extents})")]
+        value = self._kvec(body, dict(zip(names, grids)), lines, 0)
+        if value is None:
+            del self._consts[slots:]
+            return None
+        return self._kleaves, lines, value
+
+    def _kvec(self, expr: ast.Expr, index: Dict[str, str], lines,
+              level: int) -> Optional[str]:
+        """The text of ``expr``'s term ``(value, lo, hi, owned)``, its
+        statements appended to ``lines`` at ``level``; ``index`` names
+        the terms of the index variables in scope."""
+        kind = type(expr)
+        if kind is ast.Var and expr.name in index:
+            return index[expr.name]
+        if kind in (ast.Var, ast.Const):
+            return f"_kscalar({self._kleaf(expr, index)})"
+        if kind is ast.NatLit:  # statically past the guard: no kernel
+            return None if expr.value > kernels.INT_GUARD else \
+                self._const((expr.value, expr.value, expr.value, False))
+        if kind is ast.RealLit:
+            return self._const((float(expr.value), None, None, False))
+        if kind is ast.Arith:
+            left = self._kvec(expr.left, index, lines, level)
+            right = left and self._kvec(expr.right, index, lines, level)
+            text = right and f"_karith({expr.op!r}, {left}, {right})"
+        elif kind is ast.Subscript:
+            operand = self._kleaf(expr.array, index)
+            keys = [self._kvec(key, index, lines, level)
+                    for key in expr.indices]
+            text = None if operand is None or None in keys else \
+                f"_kgather({operand}, ({', '.join(keys)},))"
+        elif kind is ast.Proj and type(expr.expr) is ast.Dim \
+                and expr.expr.rank == expr.arity:  # an extent π_j(dim_r(a))
+            operand = self._kleaf(expr.expr.expr, index)
+            text = operand and \
+                f"_kextent({operand}, {expr.arity}, {expr.index})"
+        elif kind is not ast.Sum or type(expr.source) is not ast.Gen \
+                or level >= _LIFT_LOOPS \
+                or not ast.free_vars(expr.source.expr).isdisjoint(index):
+            return None
+        else:  # Σ{body | v ∈ gen!b}: the slices at v = 0, 1, … in order
+            size = self._kvec(expr.source.expr, index, lines, level)
+            if size is None:
+                return None
+            total, var = self._fresh(), self._bind()
+            lines += [(level, f"{total} = (0, 0, 0, False)"),
+                      (level, f"for v{var} in range(_kbound({size})):")]
+            body = self._kvec(expr.body, {**index, expr.var: f"(v{var}, "
+                                          f"v{var}, v{var}, False)"},
+                              lines, level + 1)
+            if body is not None:
+                lines.append((level + 1,
+                              f"{total} = _karith('+', {total}, {body})"))
+            return body and total
+        if text is None:
+            return None
+        name = self._fresh()
+        lines.append((level, f"{name} = {text}"))
+        return name
+
+    def _kleaf(self, expr: ast.Expr, index) -> Optional[str]:
+        """The name a var (not an index: that is a nat) or const leaf is
+        bound to before the block, once per distinct leaf."""
+        if type(expr) is not ast.Const and (type(expr) is not ast.Var
+                                            or expr.name in index):
+            return None
+        if expr not in self._kleaves:
+            self._kleaves[expr] = self._fresh()
+        return self._kleaves[expr]
+
+    def _vectorized(self, kernel, scope, size: str, result: str,
+                    finish: str, empty: str, count: str) -> None:
+        """The kernel block: when the live config wants a kernel of
+        ``size`` cells, bind the leaves and set ``result`` to ``finish``
+        of the numpy lines' value (``empty`` on an empty grid); a
+        ``_Fallback`` leaves it ``None``, for the loop after it."""
+        leaves, lines, value = kernel
+        depth, self._depth = self._depth, 0
+        block = [(0, f"if _cfg.wants_kernel({size}):"),
+                 *((1, f"{name} = {self._emit(leaf, scope)}")
+                   for leaf, name in leaves.items()),
+                 (1, f"if {size}:"), (2, "try:"), (3, "with _quiet():"),
+                 *((4 + deeper, text) for deeper, text in lines),
+                 (4, f"{result} = {finish.format(value)}"),
+                 (2, "except _Fallback:"), (3, "pass"), (1, "else:"),
+                 (2, f"{result} = {empty}")]
+        self._depth = depth
+        if self.probe is not None:
+            block.append((1, f"if {result} is not None: "
+                             f"_P.on_cells_vectorized({count})"))
+        for deeper, text in block:
+            self._line(text, deeper)
 
     def _fold(self, expr, scope) -> str:
         """The bag and ranked loops: a runtime loop (``_bag_ext`` …) over

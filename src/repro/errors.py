@@ -77,5 +77,10 @@ class SessionError(AQLError):
     """Raised by the AQL top level (unknown reader, unbound value, ...)."""
 
 
+class NestingError(AQLError):
+    """Raised when a statement parses but nests or chains deeper than a
+    later pipeline stage can recurse (e.g. 5 000 terms of ``1 + … + 1``)."""
+
+
 class OptimizerError(AQLError):
     """Raised when the rewrite engine detects an internal inconsistency."""

@@ -115,8 +115,6 @@ def main(argv=None) -> int:
             session.run_script(source, echo=True)
         except AQLError as exc:
             print(f"error: {exc}")
-        except RecursionError:
-            print("error: expression too deeply nested")
     return 0
 
 

@@ -28,7 +28,7 @@ from typing import Any, List, Optional
 
 from repro.core import ast
 from repro.env.environment import TopEnv
-from repro.errors import BottomError, SessionError
+from repro.errors import BottomError, NestingError, SessionError
 from repro.obs import ExplainReport
 from repro.objects.array import Array
 from repro.objects.exchange import pretty
@@ -195,7 +195,18 @@ class Session:
         return last.value
 
     def execute(self, statement: S.Statement) -> Output:
-        """Execute one parsed top-level statement."""
+        """Execute one parsed top-level statement.  A host
+        ``RecursionError`` from any stage (the desugarer recurses once
+        per operator of a chain the parser read by a loop) is a
+        :class:`~repro.errors.NestingError`."""
+        try:
+            return self._execute(statement)
+        except RecursionError:
+            raise NestingError(
+                "expression too deeply nested for this host's stack"
+            ) from None
+
+    def _execute(self, statement: S.Statement) -> Output:
         if isinstance(statement, S.Query):
             return self._query(statement.expr, "it")
         if isinstance(statement, S.ValDecl):

@@ -227,6 +227,56 @@ class TestOneEngine:
         }
         assert importers == {"objects/dense.py", "core/kernels.py"}
 
+    def test_kernel_library_imports_nothing_from_core(self):
+        """The kernel helpers are a run-time library over values: the
+        emitter is the only reader of the AST."""
+        imported = _imports(SRC / "core" / "kernels.py")
+        assert not {name for name in imported
+                    if name.startswith("repro.core")}
+
+    @pytest.mark.parametrize("text", [
+        r"[[ x*y+x | \x < 400, \y < 400 ]]",
+        r"summap(fn \i => i % 7)!(gen!100000)",
+        r"matmul!(M, N)",
+    ])
+    def test_kernel_plans_have_one_representation(self, session, text):
+        """A kernel is emitted code: no slot the plan closes over — nor a
+        slot of the functions it defines — holds an AST node."""
+        from repro.core import kernels
+        from repro.core.compile import CompiledEvaluator
+
+        if not kernels.available():
+            pytest.skip("kernels are emitted only with numpy present")
+        from repro.surface.desugar import desugar_expression
+        from repro.surface.parser import parse_expression
+
+        grid = Array((30, 30), [k % 7 for k in range(900)])
+        session.env.set_val("M", grid)
+        session.env.set_val("N", grid)
+        core, _ = session.env.compile(desugar_expression(
+            parse_expression(text)))
+        evaluator = CompiledEvaluator(session.env._prim_impls)
+        frontier, held = [evaluator.prepare(core)], []
+        while frontier:
+            for cell in frontier.pop().__closure__ or ():
+                value = cell.cell_contents
+                held.append(value)
+                if getattr(getattr(value, "__code__", None), "co_filename",
+                           "").startswith("<plan"):
+                    frontier.append(value)
+        assert "_kgrids(" in evaluator.source
+        assert not [value for value in held if _holds_ast(value)]
+
+
+def _holds_ast(value):
+    """``value`` is an AST node or a tuple or dataclass holding one."""
+    if isinstance(value, ast.Expr):
+        return True
+    if isinstance(value, tuple):
+        return any(_holds_ast(part) for part in value)
+    fields = getattr(value, "__dataclass_fields__", ())
+    return any(_holds_ast(getattr(value, name)) for name in fields)
+
 
 class TestKnobCensus:
     """Every option is counted here, so adding one is a decision that

@@ -11,22 +11,30 @@ bugs pinned down:
 * host-level ``ValueError``/``RecursionError`` escaped ``run`` as-is,
   crashing callers with non-calculus exceptions — now mapped to ⊥ and
   :class:`~repro.errors.EvalError` at the evaluator boundary;
+* an 800-term ``1 + … + 1``, which parses by a loop, let the
+  desugarer's ``RecursionError`` out of every ``Session`` entry point —
+  now a :class:`~repro.errors.NestingError` from ``Session.execute``;
 * ``Session.query_value``'s missing-``;`` retry reported parse errors
   positioned in the silently modified retry text — now the original
   error is re-raised.
 """
+
+import io
+import sys
 
 import pytest
 
 from repro.core import ast
 from repro.core.compile import CompiledEvaluator
 from repro.core.eval import Evaluator
-from repro.errors import BottomError, EvalError, LexError, ParseError
+from repro.errors import (BottomError, EvalError, LexError, NestingError,
+                          ParseError)
 from repro.objects.array import Array
 from repro.objects.ordering import canonical_elements
 from repro.obs.metrics import EvalMetrics
 from repro.optimizer.engine import default_optimizer
 from repro.surface.parser import parse_program
+from repro.system import repl
 from repro.types.types import TArrow, TNat, TSet
 
 from conftest import agree
@@ -91,6 +99,16 @@ class TestSumDeterminism:
         # object order rather than raising
         pairs = canonical_elements(frozenset({(2, 1), (1, 9), (1, 2)}))
         assert pairs == [(1, 2), (1, 9), (2, 1)]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known deviation: an empty Σ is the nat 0 whatever its body's type "
+    "(typ says real); both engines agree, and fixing it needs the body's "
+    "type at emission — docs/LANGUAGE.md, ROADMAP item 3"))
+def test_empty_real_sum_is_the_real_zero(session):
+    value = session.query_value(r"summap(fn \i => 1.5)!(gen!0);")
+    assert type(value) is float and value == 0.0
+    assert session.query_value(r"summap(fn \i => 1.5)!(gen!0) = 0.0;")
 
 
 def _deep_arith(depth: int) -> ast.Expr:
@@ -241,6 +259,48 @@ class TestFrontEndHostErrors:
     def test_overlong_natural_is_a_parse_error(self, session):
         with pytest.raises(ParseError, match="too long"):
             session.run("1" * 5000 + ";")
+
+
+#: statements the parser reads by a loop but later stages recurse on,
+#: once per operator: ``terms`` terms of each
+CHAINS = {
+    "arith": lambda terms: "1" + " + 1" * (terms - 1) + ";",
+    "union": lambda terms: "A" + " union A" * (terms - 1) + ";",
+    "and": lambda terms: "true" + " and true" * (terms - 1) + ";",
+    "qualifiers": lambda terms: r"{x | \x <- A" + ", x > 0" * terms + "};",
+}
+
+
+class TestLongChains:
+    """A chain too long for the desugarer's recursion is a typed
+    :class:`NestingError` out of every ``Session`` entry point, and the
+    session stays usable; a shorter one runs."""
+
+    @pytest.fixture()
+    def chained(self, session):
+        session.env.set_val("A", frozenset({1, 2}))
+        return session
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_four_hundred_terms_run(self, chained, chain):
+        assert chained.query_value(CHAINS[chain](400)) is not None
+
+    @pytest.mark.parametrize("entry", ["run", "query_value", "explain"])
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_five_thousand_terms_are_a_nesting_error(self, chained, chain,
+                                                     entry):
+        with pytest.raises(NestingError, match="too deeply nested"):
+            getattr(chained, entry)(CHAINS[chain](5000))
+        assert chained.query_value("1 + 2;") == 3
+        assert not chained.env.obs.enabled
+
+    def test_the_repl_reports_it_and_carries_on(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            CHAINS["arith"](5000) + "\n7;\n"))
+        assert repl.main([]) == 0
+        out = capsys.readouterr().out
+        assert "error: expression too deeply nested" in out
+        assert "val it = 7" in out
 
 
 class TestPrimitiveResultKinds:

@@ -46,6 +46,17 @@ def _tab(body, bounds=EXTENTS, vars=("x", "y")):
     return ast.Tabulate(vars, bounds, body)
 
 
+#: what every emitted kernel block opens its numpy lines with
+KERNEL_BLOCK = "= _kgrids("
+
+
+def _source(expr, names=()):
+    """The emitted source of ``expr`` with ``names`` free."""
+    evaluator = CompiledEvaluator()
+    evaluator.prepare(expr, tuple(sorted(names)))
+    return evaluator.source
+
+
 # ---------------------------------------------------------------------------
 # the hypothesis grammar: exactly the recognizer's kernel language
 # ---------------------------------------------------------------------------
@@ -152,7 +163,7 @@ class TestFallbackConditions:
 
     def test_unrecognizable_body_stays_scalar(self):
         body = ast.If(ast.BoolLit(True), ast.Var("x"), ast.Var("y"))
-        assert kernels.recognize(_tab(body)) is None
+        assert KERNEL_BLOCK not in _source(_tab(body))
         metrics = EvalMetrics()
         result = CompiledEvaluator(probe=metrics).run(_tab(body))
         assert result == Array((10, 10), [i // 10 for i in range(100)])
@@ -172,10 +183,13 @@ class TestNumpyAbsent:
     """With numpy gone no body is a kernel and everything runs scalar."""
 
     def test_simulated_absence(self, monkeypatch):
+        expr = _tab(ast.Arith("*", ast.Var("x"), ast.Var("y")))
+        present = kernels.available()
+        assert (KERNEL_BLOCK in _source(expr)) == present
         monkeypatch.setattr(kernels, "_np", None)
         assert not kernels.available()
-        expr = _tab(ast.Arith("*", ast.Var("x"), ast.Var("y")))
-        assert kernels.recognize(expr) is None
+        source = _source(expr)
+        assert KERNEL_BLOCK not in source and "wants_kernel" not in source
         result = agree(expr)[1]
         assert result == Array((10, 10),
                                [(i // 10) * (i % 10) for i in range(100)])
@@ -204,25 +218,50 @@ class TestObservability:
             (20, 20), [i * j for i in range(20) for j in range(20)]
         )
 
+    def test_profile_shows_the_numpy_lines(self, session):
+        """The kernel is plan code: ``:profile`` prints its numpy lines in
+        ``== code ==``, ahead of the loop they stand in for."""
+        outputs = session.run(":profile [[ x*y+x | \\x < 400, \\y < 400 ]];")
+        code = outputs[-1].explain.render().split("== code ==", 1)[1]
+        lines = [line.strip() for line in code.splitlines()]
+        kernel = [line for line in lines if "_karith(" in line]
+        assert [line.split(" = ")[1].split(",")[0] for line in kernel] == [
+            "_karith('*'", "_karith('+'"]
+        assert any(line.endswith("= _kgrids((t0, t1,))") for line in lines)
+        assert "except _Fallback:" in lines
+        assert lines.index("except _Fallback:") < lines.index(
+            "if t3 is None:")
+        assert outputs[-1].explain.metrics.cells_vectorized == 160_000
+
 
 @numpy_required
 class TestKernelInternals:
-    def test_recognize_collects_inputs_once(self):
-        body = ast.Arith(
-            "+",
-            ast.Subscript(ast.Var("A"), (ast.Var("x"), ast.Var("y"))),
-            ast.Var("n"),
-        )
-        kernel = kernels.recognize(_tab(body))
-        assert kernel is not None
-        names = [leaf.name for leaf in kernel.inputs
-                 if isinstance(leaf, ast.Var)]
-        assert set(names) == {"A", "n"}
+    def test_each_leaf_is_bound_once_before_the_block(self):
+        """``A`` and ``n`` are read once per run, outside the numpy lines,
+        however often the body names them; a probe counts just those
+        two reads before the kernel's cells."""
+        body = ast.Arith("+", ast.Arith(
+            "+", _sub("A", X, Y), ast.Var("n")), ast.Arith(
+                "*", _sub("A", Y, X), ast.Var("n")))
+        source = _source(_tab(body), ("A", "n"))
+        head, block = source.split("if _cfg.wants_kernel(", 1)[1].split(
+            "try:", 1)
+        block = block.split("except _Fallback:", 1)[0]
+        # binds A = v0 and n = v1; the block reads only those names
+        assert sorted(line.split(" = ")[1] for line in head.splitlines()[1:]
+                      if " = " in line) == ["v0", "v1"]
+        assert "v0" not in block and "v1" not in block
+        assert block.count("_kgather(") == 2
+        assert block.count("_kscalar(") == 2
+        metrics = EvalMetrics()
+        agree(_tab(body), probe=metrics, binds={"A": INT_GRID, "n": 3})
+        assert metrics.node_evals == 1 + 2 + 2   # Tabulate, bounds, leaves
+        assert metrics.cells_vectorized == 100
 
     def test_index_var_subscript_rejected(self):
         # x[y] subscripts a nat — the scalar path raises, so decline
         body = ast.Subscript(ast.Var("x"), (ast.Var("y"),))
-        assert kernels.recognize(_tab(body)) is None
+        assert KERNEL_BLOCK not in _source(_tab(body))
 
     def test_dense_block_is_cached_on_the_array(self):
         grid = Array((10, 10), list(range(100)))
@@ -237,11 +276,6 @@ class TestKernelInternals:
         assert words._block is False  # probed once, declined, cached
         with pytest.raises(kernels._Fallback):
             kernels._dense_block(words)
-
-    def test_execute_declines_without_numpy(self, monkeypatch):
-        kernel = kernels.recognize(_tab(ast.Var("x")))
-        monkeypatch.setattr(kernels, "_np", None)
-        assert kernels.execute(kernel, (10, 10), []) is None
 
     def test_bool_elements_are_not_numeric(self):
         flags = Array((2,), [True, False])
@@ -698,13 +732,23 @@ class TestReductions:
                                    vectorized)
 
     def test_index_dependent_bound_is_declined(self):
+        """A Σ bounded by a constant is an axis of its tabulation's
+        kernel; one bounded by ``i + 1`` keeps the tabulation a loop,
+        whose eight ``Σ`` are then kernels of their own."""
         tab = ast.Tabulate(("i",), (ast.NatLit(8),),
                            _sigma("k", _sub("M", _I, _K), 9))
-        assert kernels.recognize(tab) is not None
+        assert "_kbound(" in _source(tab, ("M",))
+        metrics = EvalMetrics()
+        agree(tab, KERNEL_ALWAYS, probe=metrics, binds=SUM_BINDS)
+        assert (metrics.tabulations_vectorized, metrics.cells_vectorized,
+                metrics.cells_materialized) == (1, 8, 0)
         prefix = ast.Tabulate(("i",), (ast.NatLit(8),), ast.Sum(
             "k", _sub("V", _K), ast.Gen(_plus(_I, ast.NatLit(1)))))
-        assert kernels.recognize(prefix) is None
-        agree(prefix, KERNEL_ALWAYS, binds=SUM_BINDS)
+        assert "_kbound(" not in _source(prefix, ("V",))
+        metrics = EvalMetrics()
+        agree(prefix, KERNEL_ALWAYS, probe=metrics, binds=SUM_BINDS)
+        assert (metrics.tabulations_vectorized, metrics.cells_vectorized,
+                metrics.cells_materialized) == (8, sum(range(1, 9)), 8)
 
     @pytest.mark.parametrize("real", [False, True])
     def test_matmul_is_bit_identical(self, real):
@@ -733,3 +777,49 @@ def test_numpy_warnings_stay_inside_the_session():
     assert grid == Array((100,), [math.inf] * 100)
     assert total == math.inf
     assert all(cell != cell for cell in spread.flat)
+
+
+#: the one floor at which an empty grid asks for a kernel
+KERNEL_EVEN_EMPTY = DispatchConfig(min_cells=0)
+
+
+@numpy_required
+class TestZeroExtents:
+    """``wants_kernel(0)`` holds only at ``min_cells=0``: an empty grid
+    or ``gen!0`` then takes the kernel block's early result, counted as
+    one vectorized construct of no cells."""
+
+    A = Array((4,), [1.5, 2.5, 3.5, 4.5])
+
+    @pytest.mark.parametrize("expr, value", [
+        (ast.Tabulate(("i",), (ast.NatLit(0),), _sub("A", ast.Var("i"))),
+         Array((0,), [])),
+        # the key's interval [5, 4] overruns A: its bounds check would
+        # ask the empty key for a min()
+        (ast.Tabulate(("i",), (ast.NatLit(0),),
+                      _sub("A", _plus(ast.Var("i"), ast.NatLit(5)))),
+         Array((0,), [])),
+        (ast.Tabulate(("x", "y"), (ast.NatLit(0), ast.NatLit(5)),
+                      ast.Arith("+", ast.Var("x"), ast.Var("y"))),
+         Array((0, 5), [])),
+        (ast.Sum("i", _sub("A", ast.Var("i")), ast.Gen(ast.NatLit(0))), 0),
+    ], ids=["rank-1", "rank-1-shifted", "rank-2", "sum"])
+    def test_empty_domains_take_the_early_result(self, expr, value):
+        for config in (KERNEL_EVEN_EMPTY, *CONFIGS):
+            metrics = EvalMetrics()
+            got = agree(expr, config, probe=metrics, binds={"A": self.A})
+            assert_identical(got[1], value)
+            assert metrics.tabulations_vectorized == (
+                config is KERNEL_EVEN_EMPTY)
+            assert metrics.cells_vectorized == 0
+
+    @pytest.mark.parametrize("text", [
+        r"[[ A[i] | \i < 0 ]];",
+        r"[[ x + y | \x < 0, \y < 5 ]];",
+        r"summap(fn \i => A[i])!(gen!0);",
+    ])
+    def test_sessions_at_min_cells_zero_agree(self, text):
+        session = Session(min_cells=0)
+        session.env.set_val("A", self.A)
+        assert_identical(session.query_value(text),
+                         reference_query_value(session.env, text[:-1]))

@@ -258,6 +258,18 @@ class TestKernelInternals:
         assert metrics.node_evals == 1 + 2 + 2   # Tabulate, bounds, leaves
         assert metrics.cells_vectorized == 100
 
+    def test_execute_declines_without_numpy(self, monkeypatch):
+        """A body the recognizer takes with numpy present emits no numpy
+        lines once numpy is gone, and every cell runs scalar."""
+        expr = _tab(ast.Var("x"))
+        assert KERNEL_BLOCK in _source(expr)
+        monkeypatch.setattr(kernels, "_np", None)
+        assert KERNEL_BLOCK not in _source(expr)
+        metrics = EvalMetrics()
+        CompiledEvaluator(probe=metrics).run(expr)
+        assert metrics.cells_vectorized == 0
+        assert metrics.cells_materialized == 100
+
     def test_index_var_subscript_rejected(self):
         # x[y] subscripts a nat — the scalar path raises, so decline
         body = ast.Subscript(ast.Var("x"), (ast.Var("y"),))

@@ -678,12 +678,17 @@ def _rename_binders(expr: Expr, renaming: Dict[str, str]) -> Expr:
 
 
 def substitute(expr: Expr, mapping: Dict[str, Expr]) -> Expr:
-    """Capture-avoiding simultaneous substitution ``expr{x := e, ...}``."""
+    """Capture-avoiding simultaneous substitution ``expr{x := e, ...}``.
+
+    A subterm in which nothing is replaced comes back as the same
+    object, so identity-keyed memos (the rewrite engine's) survive it.
+    """
     if not mapping:
         return expr
     if isinstance(expr, Var):
         return mapping.get(expr.name, expr)
     binders = _binder_names(expr)
+    parts = expr.parts()
     if binders:
         # drop shadowed substitutions; freshen binders that would capture
         live = {k: v for k, v in mapping.items() if k not in binders}
@@ -697,14 +702,17 @@ def substitute(expr: Expr, mapping: Dict[str, Expr]) -> Expr:
             expr = _rename_binders(
                 expr, {b: fresh_var(b) for b in capturing}
             )
+            parts = expr.parts()
         new_children = []
-        for child, bound in expr.parts():
+        for child, bound in parts:
             child_map = {k: v for k, v in live.items() if k not in bound}
             new_children.append(
                 substitute(child, child_map) if child_map else child
             )
-        return expr.with_parts(new_children)
-    new_children = [substitute(child, mapping) for child, _ in expr.parts()]
+    else:
+        new_children = [substitute(child, mapping) for child, _ in parts]
+    if all(new is old for new, (old, _) in zip(new_children, parts)):
+        return expr
     return expr.with_parts(new_children)
 
 

@@ -5,12 +5,14 @@ Hindley–Milner style: every binder gets a fresh type variable, the rules of
 Figure 1 become unification constraints, and the result is the zonked
 type.  Macros and primitives are looked up as type *schemes* and
 instantiated per use (Section 4.1's ``typ`` lines come from
-``generalize`` at declaration time).
+``generalize`` at declaration time).  A macro is recognised by the
+identity of its spliced body, so a query is typed as Figure 3 orders it:
+before macro expansion, with each use an instance of the macro's scheme.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core import ast
 from repro.errors import TypeCheckError, UnificationError
@@ -44,10 +46,20 @@ class TypeChecker:
         Type schemes for :class:`~repro.core.ast.Prim` nodes — the
         builtin library plus anything registered dynamically
         (Section 4.1's ``RegisterCO``).
+    macro_schemes:
+        ``id(body) -> (body, scheme)`` for closed macro bodies whose
+        scheme is already known; a node that *is* such a body is typed by
+        instantiating the scheme.
+    Both mappings are used by reference, not copied.
     """
 
-    def __init__(self, prim_signatures: Optional[Mapping[str, TypeScheme]] = None):
-        self.prim_signatures: Dict[str, TypeScheme] = dict(prim_signatures or {})
+    def __init__(self,
+                 prim_signatures: Optional[Mapping[str, TypeScheme]] = None,
+                 macro_schemes: Optional[
+                     Mapping[int, Tuple[ast.Expr, TypeScheme]]] = None):
+        self.prim_signatures: Mapping[str, TypeScheme] = \
+            prim_signatures if prim_signatures is not None else {}
+        self.macro_schemes = macro_schemes if macro_schemes is not None else {}
 
     def check(self, expr: ast.Expr, env: Optional[TypeEnv] = None) -> Type:
         """Infer and return the (zonked) type of ``expr``.
@@ -74,6 +86,9 @@ class TypeChecker:
     # -- the rules ----------------------------------------------------------
 
     def _infer(self, expr: ast.Expr, env: TypeEnv, subst: Substitution) -> Type:
+        macro = self.macro_schemes.get(id(expr))
+        if macro is not None and macro[0] is expr:
+            return instantiate(macro[1])
         method = self._DISPATCH.get(type(expr))
         if method is None:
             raise TypeCheckError(f"no typing rule for {type(expr).__name__}")

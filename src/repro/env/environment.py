@@ -9,7 +9,8 @@ The environment holds four name spaces:
 
 * **primitives** — native functions with type schemes (``RegisterCO``);
 * **macros** — AQL queries registered under a name, typechecked at
-  declaration and *substituted into* queries before optimization;
+  declaration and *substituted into* queries before optimization (as
+  their normal form, computed once, when the query is optimised);
 * **vals** — complex-object values (from ``val`` declarations and
   ``readval``);
 * **drivers** — the reader/writer registry.
@@ -20,6 +21,7 @@ plus the optimizer, whose rule bases are extensible through
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import ast
@@ -30,9 +32,22 @@ from repro.errors import RegistrationError, TypeCheckError
 from repro.io.drivers import DriverRegistry, default_registry
 from repro.obs import Observability
 from repro.optimizer.cost import CostRecord
-from repro.optimizer.engine import Optimizer, Rule, default_optimizer
+from repro.optimizer.engine import Optimizer, Phase, Rule, default_optimizer
 from repro.types.types import Type, TypeScheme
 from repro.types.unify import generalize
+
+
+@dataclass
+class Macro:
+    """A registered macro: its resolved body as written, the scheme
+    inferred for it at registration, and the body's normal form under
+    the ``normalize`` phase with the rule-base version it was computed
+    under (``None`` until the first optimising use)."""
+
+    body: ast.Expr
+    scheme: TypeScheme
+    normal: Optional[ast.Expr] = None
+    normal_version: Optional[int] = None
 
 
 class TopEnv:
@@ -44,7 +59,11 @@ class TopEnv:
                  observe: bool = False):
         self._prim_impls: Dict[str, NativePrim] = {}
         self._prim_schemes: Dict[str, TypeScheme] = {}
-        self._macros: Dict[str, Tuple[ast.Expr, TypeScheme]] = {}
+        self._macros: Dict[str, Macro] = {}
+        #: ``id(body) -> (body, scheme)`` for every raw and normal macro
+        #: body: typecheckers share it by reference and instantiate the
+        #: scheme of a body they meet instead of inferring it again
+        self._macro_schemes: Dict[int, Tuple[ast.Expr, TypeScheme]] = {}
         self._vals: Dict[str, Any] = {}
         self.drivers = drivers if drivers is not None else default_registry()
         self.optimizer = (optimizer if optimizer is not None
@@ -158,14 +177,42 @@ class TopEnv:
         """
         if name in self._macros and not replace:
             raise RegistrationError(f"macro {name!r} already registered")
-        resolved = self.resolve(body)
+        resolved = self.resolve(body, optimize=False)
         try:
             sig = self.typechecker().check_scheme(resolved)
         except TypeCheckError as exc:
             raise TypeCheckError(f"in macro {name!r}: {exc}") from exc
-        self._macros[name] = (resolved, sig)
+        self._macros[name] = Macro(resolved, sig)
+        self._index_macros()
         self._note_mutation("macro", name)
         return sig
+
+    def _normal_body(self, macro: Macro) -> ast.Expr:
+        """The macro's body in normal form under the current
+        ``normalize`` rules, derived on first use and again whenever
+        that rule base's version has moved since; the raw body when the
+        optimizer has no ``normalize`` phase.  The body is closed, so
+        its normal form is the one every use would reach."""
+        phase = next((p for p in self.optimizer.phases
+                      if p.name == "normalize"), None)
+        if phase is None:
+            return macro.body
+        if macro.normal_version != phase.rules.version:
+            # a throwaway Phase over the same rules: the live phase's
+            # stats keep describing the last optimize call
+            macro.normal = Phase(phase.name, phase.rules,
+                                 phase.strategy).run(macro.body)
+            macro.normal_version = phase.rules.version
+            self._index_macros()
+        return macro.normal
+
+    def _index_macros(self) -> None:
+        table = self._macro_schemes
+        table.clear()
+        for macro in self._macros.values():
+            for body in (macro.body, macro.normal):
+                if body is not None:
+                    table[id(body)] = (body, macro.scheme)
 
     def register_rule(self, phase: str, rule: Rule) -> None:
         """Inject an optimization rule into a named phase."""
@@ -191,26 +238,29 @@ class TopEnv:
 
     def macro_scheme(self, name: str) -> TypeScheme:
         """The inferred type scheme of a registered macro."""
-        return self._macros[name][1]
+        return self._macros[name].scheme
 
     # -- name resolution -----------------------------------------------------------
 
-    def resolve(self, expr: ast.Expr) -> ast.Expr:
+    def resolve(self, expr: ast.Expr, optimize: bool = True) -> ast.Expr:
         """Resolve free variables: macros are substituted in, vals become
         constants, primitives become ``Prim`` nodes.
 
         Section 4.1's pipeline: "in preparation for optimization, any
         macros defined in the top-level environment are substituted in."
+        A macro is spliced as its cached normal form when the query is
+        to be optimised, and as its body as written otherwise.
         """
-        return self._resolve(expr, frozenset())
+        return self._resolve(expr, frozenset(), optimize)
 
-    def _resolve(self, expr: ast.Expr, bound: frozenset) -> ast.Expr:
+    def _resolve(self, expr: ast.Expr, bound: frozenset,
+                 optimize: bool) -> ast.Expr:
         if isinstance(expr, ast.Var):
             if expr.name in bound:
                 return expr
             macro = self._macros.get(expr.name)
             if macro is not None:
-                return macro[0]
+                return self._normal_body(macro) if optimize else macro.body
             if expr.name in self._vals:
                 return ast.Const(self._vals[expr.name])
             if expr.name in self._prim_impls:
@@ -219,15 +269,16 @@ class TopEnv:
         new_children = []
         for child, binders in expr.parts():
             new_children.append(
-                self._resolve(child, bound | frozenset(binders))
+                self._resolve(child, bound | frozenset(binders), optimize)
             )
         return expr.with_parts(new_children)
 
     # -- compilation services --------------------------------------------------------
 
     def typechecker(self) -> TypeChecker:
-        """A typechecker primed with this environment's primitive schemes."""
-        return TypeChecker(self._prim_schemes)
+        """A typechecker primed with this environment's primitive and
+        macro schemes (both shared by reference, not copied)."""
+        return TypeChecker(self._prim_schemes, self._macro_schemes)
 
     def evaluator(self) -> CompiledEvaluator:
         """The execution engine (``run(expr, bindings)`` and
@@ -250,7 +301,8 @@ class TopEnv:
     def compile(self, expr: ast.Expr,
                 optimize: bool = True) -> Tuple[ast.Expr, Type]:
         """The query-processing pipeline of Section 4.1 after desugaring:
-        resolve → typecheck → optimize.
+        resolve → typecheck → optimize.  Macro uses are typed by their
+        schemes, as Figure 3 typechecks before macro expansion.
 
         Each stage runs inside a tracer span (the zero-cost null when
         observability is off); the optimize span nests one child span
@@ -258,7 +310,7 @@ class TopEnv:
         """
         tracer = self.obs.tracer
         with tracer.span("resolve"):
-            resolved = self.resolve(expr)
+            resolved = self.resolve(expr, optimize)
         with tracer.span("typecheck"):
             inferred = self.typechecker().check(resolved)
         if optimize:
@@ -272,4 +324,4 @@ class TopEnv:
         return self.evaluator().run(compiled)
 
 
-__all__ = ["TopEnv"]
+__all__ = ["Macro", "TopEnv"]

@@ -136,26 +136,25 @@ def split_equi_join(cond: ast.Expr, outer_var: str,
     return None
 
 
-def node_classes(expr: ast.Expr) -> set:
-    """The set of AST classes occurring anywhere in ``expr``.
+def has_class(expr: ast.Expr, classes: frozenset) -> bool:
+    """Whether a node of one of ``classes`` occurs anywhere in ``expr``.
 
-    Iterative (no recursion limit) and id-deduplicated, so shared-DAG
-    subexpressions are visited once.  Used by the optimizer engine's
-    absence proof: a phase whose every rule is ``roots``-annotated with
-    classes absent from this set provably cannot fire and is skipped.
+    Iterative (no recursion limit), id-deduplicated (shared-DAG
+    subexpressions are visited once) and stopped at the first hit.  Used
+    by the optimizer engine's absence proof: a phase whose every rule is
+    ``roots``-annotated with classes absent from ``expr`` provably
+    cannot fire and is skipped.
     """
     seen: set = set()
-    classes: set = set()
     stack = [expr]
     while stack:
         node = stack.pop()
-        key = id(node)
-        if key in seen:
-            continue
-        seen.add(key)
-        classes.add(type(node))
-        stack.extend(node.children())
-    return classes
+        if type(node) in classes:
+            return True
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(child for child, _ in node.parts())
+    return False
 
 
 def strip_bounds_checks(expr: ast.Expr) -> ast.Expr:
@@ -179,4 +178,4 @@ def strip_bounds_checks(expr: ast.Expr) -> ast.Expr:
 
 __all__ = ["is_error_free", "is_duplication_safe",
            "effective_occurrences", "split_equi_join",
-           "node_classes", "strip_bounds_checks"]
+           "has_class", "strip_bounds_checks"]

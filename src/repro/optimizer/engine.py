@@ -14,11 +14,14 @@ optimizer are extensible."  Accordingly:
 The engine guards against non-terminating or exploding rule sets with an
 iteration cap and a node-count ceiling; hitting either aborts the phase
 and returns the best expression so far (never an error — optimization
-must be transparent).
+must be transparent).  Within one :meth:`Optimizer.optimize` call, a
+subterm that a pass proved irreducible under a rule base is never walked
+again by a phase with the same rules (the irreducibility memo).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -26,9 +29,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core import ast
 from repro.errors import RegistrationError
 from repro.obs.trace import NULL_TRACER
-from repro.optimizer.analysis import node_classes
+from repro.optimizer.analysis import has_class
 
 RewriteFn = Callable[[ast.Expr], Optional[ast.Expr]]
+
+#: rule-base versions: every construction and mutation draws a new one,
+#: so a version names one rule set in one rule base for the process
+_versions = itertools.count(1)
 
 
 @dataclass
@@ -36,21 +43,18 @@ class Rule:
     """A named rewrite rule.
 
     ``fn`` returns ``None`` when the rule does not apply, or a *new*
-    node when it does — a rule must never hand back the very object it
-    was given (the engine detects progress with an identity check, not a
-    structural comparison, so returning the input unchanged would count
-    as an endless firing).  Returning a pre-existing *subnode* of the
-    input is fine.  Rules must be *local*: they look only at the node
-    they are given (which may be an arbitrarily large subtree).
+    node when it does — never the object it was given (the engine
+    detects progress by identity, so returning the input would count as
+    an endless firing); a pre-existing *subnode* of the input is fine.
+    Rules must be *local* and deterministic: the verdict depends only on
+    the node they are given (an arbitrarily large subtree), which is
+    what lets the engine memoise irreducible subterms.
 
     ``roots`` optionally names the AST classes the rule can match at its
-    *root*.  It is a pure pruning hint: the engine only consults the
-    rule at nodes of those classes, so the annotation must be
-    *conservative* (every class the ``fn`` could possibly rewrite).
-    ``None`` means "try everywhere" — unannotated rules lose nothing but
-    the speedup.  The profile's ``attempts``/``by_rule`` stats stay
-    truthful (they count actual ``fn`` calls/firings); skipped probes
-    are tallied separately under ``pruned``.
+    *root* — a pruning hint that must be *conservative* (every class the
+    ``fn`` could rewrite); ``None`` means "try everywhere".  The
+    profile's ``attempts``/``by_rule`` count actual ``fn`` calls and
+    firings; skipped probes are tallied under ``pruned``.
     """
 
     name: str
@@ -64,15 +68,19 @@ class Rule:
 
 
 class RuleBase:
-    """An ordered, mutable collection of rules."""
+    """An ordered, mutable collection of rules.  :attr:`version` moves
+    on every :meth:`add`/:meth:`remove`: results cached under an older
+    one (a macro's normal form, a cached plan) are stale."""
 
     def __init__(self, rules: Optional[List[Rule]] = None):
         self._rules: List[Rule] = list(rules or [])
         self._names = {rule.name for rule in self._rules}
         #: lazily built per-node-class candidate lists (rules whose
-        #: ``roots`` admit the class, in registration order); cleared on
+        #: ``roots`` admit the class, in registration order), and under
+        #: the key ``None`` the :meth:`root_classes` union; cleared on
         #: every mutation so dynamic rule injection stays visible
-        self._candidates: Dict[type, List[Rule]] = {}
+        self._candidates: Dict[Optional[type], Any] = {}
+        self.version = next(_versions)
 
     def add(self, rule: Rule) -> None:
         """Register a rule (Section 4.1's dynamic rule injection)."""
@@ -80,7 +88,7 @@ class RuleBase:
             raise RegistrationError(f"rule {rule.name!r} already registered")
         self._rules.append(rule)
         self._names.add(rule.name)
-        self._candidates.clear()
+        self._mutated()
 
     def remove(self, name: str) -> None:
         """Unregister a rule by name (used by the ablation benchmarks)."""
@@ -88,7 +96,20 @@ class RuleBase:
             raise RegistrationError(f"no rule named {name!r}")
         self._rules = [r for r in self._rules if r.name != name]
         self._names.discard(name)
+        self._mutated()
+
+    def _mutated(self) -> None:
         self._candidates.clear()
+        self.version = next(_versions)
+
+    def root_classes(self) -> Optional[frozenset]:
+        """The union of every rule's ``roots`` annotation, or ``None``
+        when any rule is unannotated (could match anywhere)."""
+        if None not in self._candidates:
+            roots = [rule.roots for rule in self._rules]
+            self._candidates[None] = (
+                None if None in roots else frozenset().union(*roots))
+        return self._candidates[None]
 
     def candidates(self, node_type: type) -> List[Rule]:
         """The rules that could match a node of ``node_type``, in
@@ -132,31 +153,22 @@ class PhaseStats:
     seconds: float = 0.0
     attempts: int = 0
     #: rule probes skipped by root-class dispatch (instrumented runs
-    #: only, like ``attempts``): how many ``fn`` calls the ``roots``
-    #: annotations saved.  ``attempts + pruned`` is what ``attempts``
-    #: would have been without pruning.
+    #: only): ``attempts + pruned`` is the unpruned attempt count
     pruned: int = 0
     time_by_rule: Dict[str, float] = field(default_factory=dict)
-    #: non-empty when the engine skipped the whole phase without
-    #: running a single pass: ``"absent-roots"`` (no node of any rule's
-    #: root class occurs in the expression, so the phase is provably
-    #: identity)
+    #: ``"absent-roots"`` when the engine skipped the whole phase: no
+    #: node of any rule's root class occurs, so it is provably identity
     skipped: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe snapshot (timings rounded to nanoseconds)."""
         return {
-            "passes": self.passes,
-            "applications": self.applications,
+            "passes": self.passes, "applications": self.applications,
             "by_rule": dict(self.by_rule),
-            "seconds": round(self.seconds, 9),
-            "attempts": self.attempts,
-            "pruned": self.pruned,
-            "skipped": self.skipped,
-            "time_by_rule": {
-                name: round(spent, 9)
-                for name, spent in self.time_by_rule.items()
-            },
+            "seconds": round(self.seconds, 9), "attempts": self.attempts,
+            "pruned": self.pruned, "skipped": self.skipped,
+            "time_by_rule": {name: round(spent, 9)
+                             for name, spent in self.time_by_rule.items()},
         }
 
 
@@ -178,56 +190,60 @@ class Phase:
         self.rules = rules if rules is not None else RuleBase()
         self.strategy = strategy
         self.stats = PhaseStats()
-        self._apply = self._apply_first
+        self._timed = False
+        self._memo: Dict[int, ast.Expr] = {}
 
     def root_classes(self) -> Optional[frozenset]:
-        """The union of every rule's ``roots`` annotation, or ``None``
-        when any rule is unannotated (could match anywhere).
+        """:meth:`RuleBase.root_classes` of this phase's rules.  When no
+        node of any member class occurs in an expression, the phase is
+        provably identity on it (the absence-proof skipping)."""
+        return self.rules.root_classes()
 
-        When this returns a set and no node of any member class occurs
-        in an expression, the phase is provably identity on it — no
-        rule can fire at any position — which is what the engine's
-        absence-proof skipping relies on.
-        """
-        roots: set = set()
-        for rule in self.rules:
-            if rule.roots is None:
-                return None
-            roots.update(rule.roots)
-        return frozenset(roots)
-
-    def run(self, expr: ast.Expr, instrument: bool = False) -> ast.Expr:
+    def run(self, expr: ast.Expr, instrument: bool = False,
+            memo: Optional[Dict[int, ast.Expr]] = None) -> ast.Expr:
         """Apply this phase's rules to ``expr`` under its strategy.
 
         With ``instrument=True`` the phase additionally records its
         wall-clock time and cumulative per-rule attempt timings into
         :attr:`stats` (a per-attempt clock read — only paid when an
         enabled tracer asked for it).
+
+        ``memo`` maps ``id(node)`` to each node proven irreducible under
+        these rules (the value keeps the id unique); the run reads and
+        extends it.  A pass stops at a memoised node, and ``passes``
+        counts only the walks whose root was not yet proven normal.
         """
         self.stats = PhaseStats()
         if not len(self.rules):
             return expr
-        self._apply = (self._apply_first_timed if instrument
-                       else self._apply_first)
+        self._timed = instrument
+        self._memo = {} if memo is None else memo
         started = time.perf_counter() if instrument else 0.0
         passes = 1 if self.strategy == "once" else self.MAX_PASSES
         try:
             for _ in range(passes):
+                if id(expr) in self._memo:
+                    break
+                self._visited = 0
                 expr, changed = self._bottom_up_pass(expr)
                 self.stats.passes += 1
-                if not changed:
-                    break
-                if ast.node_count(expr) > self.MAX_NODES:
+                # the size cap counts the nodes this pass visited
+                if not changed or self._visited > self.MAX_NODES:
                     break
         except RecursionError:
             # the expression out-nests the host stack: optimization must
             # stay transparent, so hand back the best expression so far
             pass
+        self._memo = {}
         if instrument:
             self.stats.seconds = time.perf_counter() - started
         return expr
 
     def _bottom_up_pass(self, expr: ast.Expr) -> Tuple[ast.Expr, bool]:
+        memo = self._memo
+        if id(expr) in memo:
+            return expr, False
+        self._visited += 1
         changed = False
         new_children = []
         dirty = False
@@ -239,46 +255,36 @@ class Phase:
             expr = expr.with_parts(new_children)
             changed = True
         for _ in range(self.MAX_LOCAL):
-            rewritten = self._apply(expr)
+            rewritten = self._apply_first(expr)
             if rewritten is None:
                 break
             expr = rewritten
             changed = True
+        if not changed:
+            memo[id(expr)] = expr
         return expr, changed
 
     def _apply_first(self, expr: ast.Expr) -> Optional[ast.Expr]:
         # progress is detected by identity, not structural equality: the
         # rule contract (see Rule) is "None or a new node", so comparing
-        # whole subtrees on every firing would be pure overhead
-        for rule in self.rules.candidates(type(expr)):
-            result = rule.apply(expr)
-            if result is not None and result is not expr:
-                self.stats.applications += 1
-                self.stats.by_rule[rule.name] = (
-                    self.stats.by_rule.get(rule.name, 0) + 1
-                )
-                return result
-        return None
-
-    def _apply_first_timed(self, expr: ast.Expr) -> Optional[ast.Expr]:
-        # the instrumented twin of _apply_first: one clock read per
-        # attempted rule, accumulated whether or not the rule fires
-        stats = self.stats
+        # whole subtrees on every firing would be pure overhead.  An
+        # instrumented run reads the clock once per attempted rule
+        stats, timed = self.stats, self._timed
         candidates = self.rules.candidates(type(expr))
-        stats.pruned += len(self.rules) - len(candidates)
+        if timed:
+            stats.pruned += len(self.rules) - len(candidates)
         for rule in candidates:
-            stats.attempts += 1
-            started = time.perf_counter()
+            if timed:
+                stats.attempts += 1
+                started = time.perf_counter()
             result = rule.apply(expr)
-            stats.time_by_rule[rule.name] = (
-                stats.time_by_rule.get(rule.name, 0.0)
-                + time.perf_counter() - started
-            )
+            if timed:
+                stats.time_by_rule[rule.name] = (
+                    stats.time_by_rule.get(rule.name, 0.0)
+                    + time.perf_counter() - started)
             if result is not None and result is not expr:
                 stats.applications += 1
-                stats.by_rule[rule.name] = (
-                    stats.by_rule.get(rule.name, 0) + 1
-                )
+                stats.by_rule[rule.name] = stats.by_rule.get(rule.name, 0) + 1
                 return result
         return None
 
@@ -312,36 +318,38 @@ class Optimizer:
         """Dynamically inject an optimization rule (Section 4.1)."""
         self.phase(phase_name).rules.add(rule)
 
+    def versions(self) -> Tuple[Tuple["Phase", int], ...]:
+        """Each phase with its rule base's version: equal tuples mean
+        the same phases over the same rule sets."""
+        return tuple((phase, phase.rules.version) for phase in self.phases)
+
     def optimize(self, expr: ast.Expr, tracer=NULL_TRACER) -> ast.Expr:
         """Run every phase in order.
 
         ``tracer`` (a :class:`~repro.obs.trace.Tracer` or the shared
         null) wraps each phase in a span; an enabled tracer also turns
         on the per-rule timing instrumentation of :meth:`Phase.run`.
+        Phases whose rule bases hold the same rules, in the same order,
+        share one irreducibility memo for the call.
         """
         instrument = tracer.enabled
-        classes = node_classes(expr)
+        memos: Dict[Tuple[int, ...], Dict[int, ast.Expr]] = {}
         for phase in self.phases:
             with tracer.span(f"phase:{phase.name}"):
                 roots = phase.root_classes()
-                if roots is not None and not (roots & classes):
-                    # no rule of the phase can match any node: running
-                    # it is provably the identity.  The span is still
-                    # emitted (profiles always show all phases) with
-                    # zeroed stats carrying the reason
+                if roots is not None and not has_class(expr, roots):
+                    # no rule can match any node: the phase is provably
+                    # identity.  Its span still shows, with the reason
                     phase.stats = PhaseStats(skipped="absent-roots")
                     if instrument:
                         tracer.annotate(passes=0, firings=0,
                                         skipped="absent-roots")
                     continue
-                expr = phase.run(expr, instrument=instrument)
+                memo = memos.setdefault(tuple(map(id, phase.rules)), {})
+                expr = phase.run(expr, instrument=instrument, memo=memo)
                 if instrument:
                     tracer.annotate(passes=phase.stats.passes,
                                     firings=phase.stats.applications)
-                if phase.stats.applications:
-                    # rewrites may introduce or remove node classes; the
-                    # absence proof for later phases must see the result
-                    classes = node_classes(expr)
         return expr
 
     def report(self) -> Dict[str, PhaseStats]:
@@ -369,34 +377,21 @@ def default_optimizer(assume_error_free: bool = True) -> Optimizer:
     from repro.optimizer.rules_motion import motion_rules
     from repro.optimizer.rules_nrc import nrc_rules
 
-    def normalization_rules() -> RuleBase:
-        base = RuleBase()
-        for rule in nrc_rules(assume_error_free):
-            base.add(rule)
-        for rule in array_rules(assume_error_free):
-            base.add(rule)
-        for rule in arith_rules(assume_error_free):
-            base.add(rule)
-        return base
-
-    bounds = RuleBase()
-    for rule in bounds_rules():
-        bounds.add(rule)
+    # normalize and cleanup are two rule bases over the same Rule
+    # objects, so cleanup skips every subterm normalize proved normal
+    # and bounds left alone; registering into one separates them
+    normalization = (nrc_rules(assume_error_free)
+                     + array_rules(assume_error_free)
+                     + arith_rules(assume_error_free))
     # bounds elimination produces `if true/...` residue; fold it eagerly
-    for rule in nrc_rules(assume_error_free):
-        bounds.add(rule)
-
-    motion = RuleBase()
-    for rule in motion_rules():
-        motion.add(rule)
-
+    bounds = bounds_rules() + nrc_rules(assume_error_free)
     # code motion runs LAST: the hoisted β-redexes it builds must not be
     # re-inlined by a later normalization pass
     return Optimizer([
-        Phase("normalize", normalization_rules()),
-        Phase("bounds", bounds),
-        Phase("cleanup", normalization_rules()),
-        Phase("motion", motion),
+        Phase("normalize", RuleBase(normalization)),
+        Phase("bounds", RuleBase(bounds)),
+        Phase("cleanup", RuleBase(normalization)),
+        Phase("motion", RuleBase(motion_rules())),
     ])
 
 

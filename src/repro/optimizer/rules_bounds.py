@@ -50,18 +50,26 @@ def _consequences(fact: ast.Expr, truth: bool) -> Dict[ast.Expr, ast.Expr]:
 
 
 def _replace_known(expr: ast.Expr, decided: Dict[ast.Expr, ast.Expr],
+                   classes: frozenset,
                    protected: frozenset) -> Tuple[ast.Expr, bool]:
-    """Replace decided subterms, stopping below shadowing binders."""
-    replacement = decided.get(expr)
-    if replacement is not None:
-        return replacement, True
+    """Replace decided subterms, stopping below shadowing binders.
+
+    Only a node of a decided form's class is looked up: a lookup hashes
+    the node's whole subtree, so probing every node made each
+    propagation quadratic in the depth of the body.
+    """
+    if type(expr) in classes:
+        replacement = decided.get(expr)
+        if replacement is not None:
+            return replacement, True
     changed = False
     new_children: List[ast.Expr] = []
     for child, bound in expr.parts():
         if bound and any(name in protected for name in bound):
             new_children.append(child)  # the fact's variables are shadowed
             continue
-        new_child, child_changed = _replace_known(child, decided, protected)
+        new_child, child_changed = _replace_known(child, decided, classes,
+                                                  protected)
         new_children.append(new_child)
         changed = changed or child_changed
     if not changed:
@@ -72,8 +80,9 @@ def _replace_known(expr: ast.Expr, decided: Dict[ast.Expr, ast.Expr],
 def _propagate(body: ast.Expr, fact: ast.Expr,
                truth: bool) -> Tuple[ast.Expr, bool]:
     decided = _consequences(fact, truth)
+    classes = frozenset(type(form) for form in decided)
     protected = ast.free_vars(fact)
-    return _replace_known(body, decided, protected)
+    return _replace_known(body, decided, classes, protected)
 
 
 def _tabulate_bound_elim(expr: ast.Expr) -> Optional[ast.Expr]:

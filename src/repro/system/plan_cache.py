@@ -34,10 +34,16 @@ driven by :class:`~repro.env.environment.TopEnv` mutation accounting:
   source *references* that name (each entry records its free names) —
   plans that do not mention the name survive.
 
+* **rule-base versions** — each entry records the optimizer's phases
+  with their rule bases' versions, so a rule added to or removed from a
+  phase directly (``optimizer.phase(p).rules.remove(...)``, the
+  ablation API, which the environment never hears of) also stales it.
+
 Eager invalidation runs through the listener :meth:`PlanCache.on_env_mutation`
-(subscribed by the owning session); the per-entry generation check in
-:meth:`PlanCache.lookup` is the backstop that makes stale reuse
-impossible even for mutations performed behind the listener's back.
+(subscribed by the owning session); the per-entry generation and
+version checks in :meth:`PlanCache.lookup` are the backstop that makes
+stale reuse impossible even for mutations performed behind the
+listener's back.
 
 The cache is LRU-bounded (``capacity`` entries, 0 disables) and fully
 observable: hit/miss/eviction/invalidation counters are surfaced in
@@ -142,6 +148,9 @@ class PlanEntry:
     free_names: FrozenSet[str]        # free vars of the *pre-resolve* core
     generation: int                   # TopEnv.generation at compile time
     val_generations: Dict[str, int]   # per-free-name val generations
+    #: ``Optimizer.versions()`` at compile time: the phases and the
+    #: versions of their rule bases
+    rule_versions: Tuple[Any, ...] = ()
     #: the :class:`~repro.core.compile.CompiledEvaluator` holding the
     #: generated plan function; ``None`` until the entry's first hit,
     #: because most entries of a cold workload are never hit and the
@@ -245,7 +254,8 @@ class PlanCache:
         return entry
 
     def _valid(self, entry: PlanEntry, env) -> bool:
-        if entry.generation != env.generation:
+        if entry.generation != env.generation \
+                or entry.rule_versions != env.optimizer.versions():
             return False
         for name, generation in entry.val_generations.items():
             if env.val_generation(name) != generation:
@@ -268,6 +278,7 @@ class PlanCache:
             generation=env.generation,
             val_generations={name: env.val_generation(name)
                              for name in names},
+            rule_versions=env.optimizer.versions(),
             estimated_units=estimated_units,
         )
         self._entries[key] = entry

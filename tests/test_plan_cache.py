@@ -18,6 +18,7 @@ from repro.core.compile import Compiler
 from repro.core.eval import Evaluator
 from repro.env.environment import TopEnv
 from repro.errors import BottomError, SessionError
+from repro.optimizer.engine import Optimizer
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression, parse_program
 from repro.system.plan_cache import (
@@ -142,6 +143,7 @@ class _FakeEnv:
     def __init__(self):
         self.generation = 0
         self._vals = {}
+        self.optimizer = Optimizer()
 
     def val_generation(self, name):
         return self._vals.get(name, 0)

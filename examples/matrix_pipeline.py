@@ -11,7 +11,6 @@ prints the normal forms so you can see the intermediate arrays vanish.
 from repro import Session, aql_array
 from repro.core import ast
 from repro.core.printer import pprint
-from repro.optimizer.cost import estimate_cost
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression
 
@@ -22,8 +21,9 @@ def show(session: Session, title: str, source: str) -> None:
     print(f"--- {title}")
     print(f"  source       : {source}")
     print(f"  normal form  : {pprint(optimized)}")
-    print(f"  cost estimate: {estimate_cost(core)} -> "
-          f"{estimate_cost(optimized)}")
+    cost = session.env.cost  # reads the bound vals' dims
+    print(f"  cost estimate: {cost.estimate(core)} -> "
+          f"{cost.estimate(optimized)}")
     tabs_before = sum(isinstance(t, ast.Tabulate)
                       for t in ast.subterms(core))
     tabs_after = sum(isinstance(t, ast.Tabulate)

@@ -3,13 +3,13 @@
 The paper's pipeline ends in a *code generator* (Section 3; Section 4.1
 compiles the optimized query before running it).  :meth:`Compiler.compile`
 emits the Python source of a whole expression — a factory
-``_factory(_c, _cfg, _P, _k0, …)`` over the compiler, its dispatch
-config, the probe and the plan's *slots* (every literal, ``Const``,
-primitive and recognised join shape), returning ``_plan(env)`` —
-and returns that function.  No value and no user text enters the
-source, so it depends only on the plan's shape: compiled factories are
-memoised by it in one bounded table, each registered with
-:mod:`linecache` as ``<plan N>`` so host tracebacks show its lines.
+``_factory(_c, _cfg, _P, _V, _k0, …)`` over the compiler, its dispatch
+config, the probe, the val table ``_plan`` first reads its vals from and
+the plan's *slots* (every literal, ``Const``, primitive, join shape and
+val name), returning ``_plan(env)`` — and returns that function.  No
+value and no user text enters the source, so it depends only on the
+plan's shape: compiled factories are memoised by it in one bounded
+table, each registered with :mod:`linecache` as ``<plan N>``.
 Inside ``_plan`` variables are locals, loops are ``for`` statements and
 straight-line bodies are expressions that guard on exact host types
 before the one general routine, which owns every error
@@ -72,7 +72,8 @@ class Compiler:
 
     def __init__(self, prims: Optional[Mapping[str, NativePrim]] = None,
                  probe: Any = None,
-                 dispatch: Optional[DispatchConfig] = None):
+                 dispatch: Optional[DispatchConfig] = None,
+                 vals: Optional[Mapping[str, Any]] = None):
         #: the primitive table, held by reference: an environment builds
         #: an engine per statement and per cached plan, so a copy would
         #: cost the whole table each time; a later registration bumps
@@ -83,6 +84,8 @@ class Compiler:
         #: fast-path gating, held by reference so session-level
         #: mutation retunes already-emitted code
         self.dispatch = dispatch if dispatch is not None else DEFAULT_CONFIG
+        #: the live val table a plan reads its free variables from
+        self.vals: Mapping[str, Any] = vals if vals is not None else {}
 
     @staticmethod
     def apply_function(fn_value: Any, argument: Any) -> Any:
@@ -101,10 +104,10 @@ class Compiler:
                 scope: Tuple[str, ...] = ()) -> Code:
         """Compile ``expr`` (with free variables in ``scope``, bound by
         position in the environment list) to its plan function."""
-        emission = Compiler(self.prims, self.probe, self.dispatch)
+        emission = Compiler(self.prims, self.probe, self.dispatch, self.vals)
         emission._owner = self
         source = emission._module(expr, scope)
-        return _compiled(source)(self, self.dispatch, self.probe,
+        return _compiled(source)(self, self.dispatch, self.probe, self.vals,
                                  *emission._consts)
 
     #: the fast-path entry points, bound into every plan's globals
@@ -120,6 +123,9 @@ class Compiler:
         self._consts: List[Any] = []
         self._helpers: List[str] = []
         self._next, self._reads, self._lines = 0, set(), []
+        # val -> its local; the variables subscripted; the last one read
+        self._params: Dict[str, int] = {}
+        self._boxed, self._last = set(), None
         probed = self.probe is not None
         self._level, self._loops, self._depth = 3 if probed else 2, 0, 0
         numbers = [self._bind() for _ in scope]
@@ -130,13 +136,17 @@ class Compiler:
             head.append("        " + "".join(
                 f"v{n}, " if bound[name] == n else "_, "
                 for name, n in zip(scope, numbers)) + "= env")
+        for name, number in self._params.items():  # each val, read once
+            read = f"_V[{self._const(name)}]"
+            head.append(f"        v{number} = " + (
+                f"_boxed({read})" if number in self._boxed else read))
         if probed:
             head = ["    _on = _P.on_node", *head, "        try:"]
             self._lines += ["        except BottomError as exc:",
                             "            _counted_bottom(_P, exc)",
                             "            raise"]
         slots = "".join(f", _k{slot}" for slot in range(len(self._consts)))
-        return "\n".join([f"def _factory(_c, _cfg, _P{slots}):",
+        return "\n".join([f"def _factory(_c, _cfg, _P, _V{slots}):",
                           *self._helpers, *head, *self._lines,
                           "    return _plan", ""])
 
@@ -242,7 +252,8 @@ class Compiler:
         lines, reads = self._lines, self._reads
         (self._lines, self._level, self._loops, self._depth,
          self._reads) = saved
-        free = sorted(number for number in reads if number < start)
+        free = sorted(number for number in reads  # a val is never bound
+                      if number < start or number in self._params.values())
         self._reads.update(free)
         return lines, text, free
 
@@ -258,10 +269,13 @@ class Compiler:
         return f"{name}({params})"
 
     def _var(self, expr: ast.Var, scope) -> str:
-        number = scope.get(expr.name)
+        number = scope.get(expr.name, self._params.get(expr.name))
+        if number is None and expr.name in self.vals:  # a plan parameter
+            number = self._params[expr.name] = self._bind()
         if number is None:
             raise EvalError(f"unbound variable {expr.name!r} at compile time")
         self._reads.add(number)
+        self._last = number
         return f"v{number}"
 
     def _literal(self, expr, scope) -> str:
@@ -349,8 +363,11 @@ class Compiler:
     def _subscript(self, expr: ast.Subscript):
         arity = len(expr.indices)
         read = f".at{arity}({{}})" if arity <= 3 else "[({},)]"
-        return ((expr.array, lambda text: self._checked(
-            text, "type({}) is Array", "_array({})")), *expr.indices), \
+        def operand(text: str) -> str:
+            if type(expr.array) is ast.Var:
+                self._boxed.add(self._last)  # a val read cell by cell
+            return self._checked(text, "type({}) is Array", "_array({})")
+        return ((expr.array, operand), *expr.indices), \
             lambda array, *index: array + read.format(", ".join(index))
 
     def _proj(self, expr: ast.Proj):
@@ -422,7 +439,8 @@ class Compiler:
         shape = setops.recognize_join(expr)
         if shape is not None:
             free = ast.free_vars(expr)
-            names = tuple(name for name in scope if name in free)
+            names = tuple(name for name in scope if name in free) + tuple(
+                sorted(free.difference(scope).intersection(self.vals)))
             pieces = None
             if self.probe is None:  # probed pieces are built per dispatch
                 try:
@@ -530,20 +548,35 @@ class Compiler:
         start, var = self._next, self._bind()
         inner = {**scope, expr.var: var}
         deeper = int(kernel is not None)  # the loop is under `if t is None:`
-        lines, body, _ = self._nested(lambda: self._emit(expr.body, inner),
-                                      self._level + deeper + 1, start,
-                                      loops=1)
+        lines, body, boxing = self._loop_body(
+            kernel, lambda: self._emit(expr.body, inner),
+            self._level + deeper + 1, start, 1)
         total = self._fresh()
         if kernel is not None:
             self._line(f"{total} = None")
             self._vectorized(kernel, scope, size, total,
                              f"_ksum({{}}, {size})", "0", size)
             self._line(f"if {total} is None:")
+        for line in boxing:
+            self._line(line, deeper)
         self._line(f"{total} = 0", deeper)
         self._line(f"for v{var} in {values}:", deeper)
         self._lines += lines
         self._line(f"{total} = {total} + {body}", deeper + 1)
         return total
+
+    def _loop_body(self, kernel, emit: Callable[[], str], level: int,
+                   start: int, loops: int):
+        """:meth:`_nested` for a ``Σ`` or tabulation loop, and the lines
+        for its head: a kernel's fallback boxes the vals it subscripts."""
+        outer, self._boxed = self._boxed, set()
+        lines, text, _ = self._nested(emit, level, start, loops=loops)
+        inner, self._boxed = self._boxed, outer
+        if kernel is None:
+            outer |= inner
+            return lines, text, []
+        return lines, text, [f"_boxed(v{number})" for number in sorted(inner)
+                             if number in self._params.values()]
 
     def _tabulate(self, expr: ast.Tabulate, scope) -> str:
         dims = [self._spill(text) for text in self._seq(
@@ -567,12 +600,13 @@ class Compiler:
                      f"_product({', '.join(f'range({d})' for d in dims)}):"]
         if len(numbers) > 1:  # an empty domain is not walked at all
             loops.insert(0, f"if {cells}:")
-        lines, body, _ = self._nested(lambda: self._emit(expr.body, inner),
-                                      self._level + len(loops) + 1, start,
-                                      loops=len(loops))
+        lines, body, boxing = self._loop_body(
+            kernel, lambda: self._emit(expr.body, inner),
+            self._level + len(loops) + 1, start, len(loops))
         acc = self._fresh("s")
         self._line(f"if {result} is None:")
-        self._line(f"{acc} = []", 1)
+        for line in [*boxing, f"{acc} = []"]:
+            self._line(line, 1)
         for deeper, loop in enumerate(loops, 1):
             self._line(loop, deeper)
         self._lines += lines
@@ -752,8 +786,9 @@ class CompiledEvaluator:
 
     def __init__(self, prims: Optional[Mapping[str, NativePrim]] = None,
                  probe: Any = None,
-                 dispatch: Optional[DispatchConfig] = None):
-        self.compiler = Compiler(prims, probe, dispatch=dispatch)
+                 dispatch: Optional[DispatchConfig] = None,
+                 vals: Optional[Mapping[str, Any]] = None):
+        self.compiler = Compiler(prims, probe, dispatch, vals)
         self._prepared: Optional[Tuple[ast.Expr, Tuple[str, ...], Code]] = None
 
     def prepare(self, expr: ast.Expr,

@@ -14,9 +14,9 @@ from repro.objects.values import value_kind
 
 #: array/set/bag constants with more cells than this print as a one-line
 #: summary: the text is for reading a plan, not for carrying its data (a
-#: resolved ``val`` is spliced in as a ``Const``, so the optimized core
-#: of a query over a 1000×1000 array would otherwise print a million
-#: cells)
+#: query names a ``val`` as a variable, but a macro captures the vals it
+#: names as ``Const`` nodes, so the optimized core of a query using a
+#: macro over a 1000×1000 val would otherwise print a million cells)
 CONST_CELL_LIMIT = 64
 
 #: element names of dense blocks, by dtype tag

@@ -50,6 +50,14 @@ def array(value: Any) -> Array:
     return value
 
 
+def boxed(value: Any) -> Any:
+    """A val the plan reads cell by cell: an array's cells boxed first
+    (:attr:`Array.flat` keeps them, so once per binding)."""
+    if type(value) is Array:
+        value.flat
+    return value
+
+
 def tuple_of(value: Any, arity: int) -> tuple:
     """The operand of a projection that is not exactly a ``tuple`` of
     ``arity`` components."""
@@ -158,7 +166,8 @@ NAMES: Dict[str, Any] = {
     "_product": product, "_EMPTY": frozenset(),
     "_arith": apply_arith, "_natural": natural,
     "_function": not_a_function, "_array": array, "_tuple": tuple_of,
-    "_get": get, "_dim": dim, "_dims": dims, "_bottom": bottom,
+    "_boxed": boxed, "_get": get, "_dim": dim, "_dims": dims,
+    "_bottom": bottom,
     "_indexed": indexed, "_bag_ext": bag_ext, "_ext_rank": ext_rank,
     "_bag_ext_rank": bag_ext_rank,
     "_seen": seen, "_filtered": counted_filter,

@@ -12,7 +12,7 @@ before macro expansion, with each use an instance of the macro's scheme.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core import ast
 from repro.errors import TypeCheckError, UnificationError
@@ -50,16 +50,22 @@ class TypeChecker:
         ``id(body) -> (body, scheme)`` for closed macro bodies whose
         scheme is already known; a node that *is* such a body is typed by
         instantiating the scheme.
-    Both mappings are used by reference, not copied.
+    val_scheme:
+        ``name -> scheme`` (or ``None``) of the top-level vals, which a
+        resolved query reads as free variables.
+    All three are used by reference, not copied.
     """
 
     def __init__(self,
                  prim_signatures: Optional[Mapping[str, TypeScheme]] = None,
                  macro_schemes: Optional[
-                     Mapping[int, Tuple[ast.Expr, TypeScheme]]] = None):
+                     Mapping[int, Tuple[ast.Expr, TypeScheme]]] = None,
+                 val_scheme: Optional[
+                     Callable[[str], Optional[TypeScheme]]] = None):
         self.prim_signatures: Mapping[str, TypeScheme] = \
             prim_signatures if prim_signatures is not None else {}
         self.macro_schemes = macro_schemes if macro_schemes is not None else {}
+        self.val_scheme = val_scheme
 
     def check(self, expr: ast.Expr, env: Optional[TypeEnv] = None) -> Type:
         """Infer and return the (zonked) type of ``expr``.
@@ -96,6 +102,8 @@ class TypeChecker:
 
     def _var(self, expr: ast.Var, env: TypeEnv, subst: Substitution) -> Type:
         scheme = env.get(expr.name)
+        if scheme is None and self.val_scheme is not None:
+            scheme = self.val_scheme(expr.name)
         if scheme is None:
             raise TypeCheckError(f"unbound variable {expr.name!r}")
         return instantiate(scheme)

@@ -12,7 +12,7 @@ The environment holds four name spaces:
   declaration and *substituted into* queries before optimization (as
   their normal form, computed once, when the query is optimised);
 * **vals** — complex-object values (from ``val`` declarations and
-  ``readval``);
+  ``readval``): a query's plan parameters, a macro's captured constants;
 * **drivers** — the reader/writer registry.
 
 plus the optimizer, whose rule bases are extensible through
@@ -33,7 +33,7 @@ from repro.io.drivers import DriverRegistry, default_registry
 from repro.obs import Observability
 from repro.optimizer.cost import CostRecord
 from repro.optimizer.engine import Optimizer, Phase, Rule, default_optimizer
-from repro.types.types import Type, TypeScheme
+from repro.types.types import Type, TypeScheme, type_of_value
 from repro.types.unify import generalize
 
 
@@ -65,6 +65,8 @@ class TopEnv:
         #: scheme of a body they meet instead of inferring it again
         self._macro_schemes: Dict[int, Tuple[ast.Expr, TypeScheme]] = {}
         self._vals: Dict[str, Any] = {}
+        #: ``name -> generalize(type_of_value(val))``, once per binding
+        self._val_schemes: Dict[str, TypeScheme] = {}
         self.drivers = drivers if drivers is not None else default_registry()
         self.optimizer = (optimizer if optimizer is not None
                           else default_optimizer())
@@ -76,7 +78,7 @@ class TopEnv:
         #: static unit-cost estimates and how the last one fared — the
         #: paper's "rules/cost functions" registered into the
         #: environment; shown by EXPLAIN, read by no dispatch decision
-        self.cost = CostRecord()
+        self.cost = CostRecord(self._vals)
         #: the observability switch threaded through the whole pipeline
         #: (Section 4.1's openness applied to measurement); disabled by
         #: default, in which case every instrument is the zero-cost null
@@ -123,15 +125,22 @@ class TopEnv:
 
     def val_generation(self, name: str) -> int:
         """How many times ``name`` has been (re)bound via :meth:`set_val`
-        (0 if never); lets caches invalidate only the plans that
-        reference a rebound name."""
+        (0 if never); a cache compares a name's scheme only when this
+        has moved."""
         return self._val_generations.get(name, 0)
+
+    def val_scheme(self, name: str) -> Optional[TypeScheme]:
+        """The scheme of ``name``'s val (None if unbound), once a binding."""
+        if name in self._vals and name not in self._val_schemes:
+            self._val_schemes[name] = generalize(
+                type_of_value(self._vals[name]), {})
+        return self._val_schemes.get(name)
 
     def add_mutation_listener(
             self, listener: Callable[[str, Optional[str]], None]) -> None:
         """Subscribe ``listener(kind, name)`` to every environment
         mutation (kinds: ``primitive``/``macro``/``rule``/``val``); used
-        by sessions for eager plan-cache invalidation."""
+        by sessions to flush the plan cache on a structural one."""
         self._mutation_listeners.append(listener)
 
     def _note_mutation(self, kind: str, name: Optional[str] = None) -> None:
@@ -177,7 +186,7 @@ class TopEnv:
         """
         if name in self._macros and not replace:
             raise RegistrationError(f"macro {name!r} already registered")
-        resolved = self.resolve(body, optimize=False)
+        resolved = self._resolve(body, frozenset(), False, True)
         try:
             sig = self.typechecker().check_scheme(resolved)
         except TypeCheckError as exc:
@@ -222,6 +231,7 @@ class TopEnv:
     def set_val(self, name: str, value: Any) -> None:
         """Bind a complex-object value (``val``/``readval`` declarations)."""
         self._vals[name] = value
+        self._val_schemes.pop(name, None)
         self._note_mutation("val", name)
 
     def get_val(self, name: str) -> Any:
@@ -243,42 +253,40 @@ class TopEnv:
     # -- name resolution -----------------------------------------------------------
 
     def resolve(self, expr: ast.Expr, optimize: bool = True) -> ast.Expr:
-        """Resolve free variables: macros are substituted in, vals become
-        constants, primitives become ``Prim`` nodes.
+        """Resolve free variables: macros are substituted in, primitives
+        become ``Prim`` nodes, vals stay free (the plan's parameters).
 
         Section 4.1's pipeline: "in preparation for optimization, any
         macros defined in the top-level environment are substituted in."
         A macro is spliced as its cached normal form when the query is
         to be optimised, and as its body as written otherwise.
         """
-        return self._resolve(expr, frozenset(), optimize)
+        return self._resolve(expr, frozenset(), optimize, False)
 
     def _resolve(self, expr: ast.Expr, bound: frozenset,
-                 optimize: bool) -> ast.Expr:
+                 optimize: bool, capture: bool) -> ast.Expr:
         if isinstance(expr, ast.Var):
             if expr.name in bound:
                 return expr
             macro = self._macros.get(expr.name)
             if macro is not None:
                 return self._normal_body(macro) if optimize else macro.body
-            if expr.name in self._vals:
-                return ast.Const(self._vals[expr.name])
+            if expr.name in self._vals:  # a macro captures the value
+                return ast.Const(self._vals[expr.name]) if capture else expr
             if expr.name in self._prim_impls:
                 return ast.Prim(expr.name)
             return expr
-        new_children = []
-        for child, binders in expr.parts():
-            new_children.append(
-                self._resolve(child, bound | frozenset(binders), optimize)
-            )
-        return expr.with_parts(new_children)
+        return expr.with_parts([
+            self._resolve(child, bound | frozenset(names), optimize, capture)
+            for child, names in expr.parts()])
 
     # -- compilation services --------------------------------------------------------
 
     def typechecker(self) -> TypeChecker:
-        """A typechecker primed with this environment's primitive and
-        macro schemes (both shared by reference, not copied)."""
-        return TypeChecker(self._prim_schemes, self._macro_schemes)
+        """A typechecker primed with this environment's primitive, macro
+        and val schemes (shared by reference, not copied)."""
+        return TypeChecker(self._prim_schemes, self._macro_schemes,
+                           self.val_scheme)
 
     def evaluator(self) -> CompiledEvaluator:
         """The execution engine (``run(expr, bindings)`` and
@@ -286,7 +294,7 @@ class TopEnv:
         while observability is on."""
         probe = self.obs.metrics if self.obs.enabled else None
         return CompiledEvaluator(self._prim_impls, probe=probe,
-                                 dispatch=self.dispatch)
+                                 dispatch=self.dispatch, vals=self._vals)
 
     def plan_evaluator(self) -> CompiledEvaluator:
         """An *uninstrumented* engine suitable for keeping inside a
@@ -296,7 +304,8 @@ class TopEnv:
         :meth:`evaluator` instead, so instrumentation never leaks into
         the fast path.
         """
-        return CompiledEvaluator(self._prim_impls, dispatch=self.dispatch)
+        return CompiledEvaluator(self._prim_impls, dispatch=self.dispatch,
+                                 vals=self._vals)
 
     def compile(self, expr: ast.Expr,
                 optimize: bool = True) -> Tuple[ast.Expr, Type]:

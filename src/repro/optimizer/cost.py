@@ -7,12 +7,13 @@ the fixed thresholds of :class:`~repro.core.fastpath.DispatchConfig`):
 
 :class:`CardinalityEstimator`
     Static size analysis over core expressions: constant tabulation
-    bounds, literal set/bag sizes, ``Array.dims`` of resolved ``val``
-    constants (the resolver splices values in as :class:`~repro.core.ast.Const`
-    nodes, so the estimator sees the *actual* bound data), ``gen``/
-    ``dim_k`` of known extents, and simple propagation through
-    union/ext/if.  ``None`` means "unknown" — the caller falls back to
-    :data:`ASSUMED_CARDINALITY`.  Arithmetic is deliberately *not*
+    bounds, literal set/bag sizes, the naturals, ``Array.dims`` and set
+    sizes of ``val``s — a resolved query names a val as a free ``Var``,
+    read from the environment's live val table, so the estimator sees
+    the data bound *now* — and of ``Const`` nodes (a macro's captured
+    vals), ``gen``/``dim_k`` of known extents, and simple propagation
+    through union/ext/if.  ``None`` means "unknown" — the caller falls
+    back to :data:`ASSUMED_CARDINALITY`.  Arithmetic is deliberately *not*
     folded: the estimator mirrors what the rewrite rules can prove
     (``rules_arith`` folds literal-literal operations only), so an
     extent hidden behind ``(n*7)/7`` stays unknown.
@@ -31,7 +32,7 @@ the fixed thresholds of :class:`~repro.core.fastpath.DispatchConfig`):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core import ast
 from repro.objects.array import Array
@@ -55,20 +56,41 @@ class CardinalityEstimator:
 
     Every method returns a non-negative ``int`` when the quantity is
     statically known, else ``None``.  The analysis is conservative and
-    purely syntactic; it never evaluates user code.
+    purely syntactic; it never evaluates user code.  ``vals`` maps the
+    names a free ``Var`` may read (a binder of the same name hides one:
+    see :meth:`under`).
     """
+
+    def __init__(self, vals: Optional[Mapping[str, Any]] = None):
+        self.vals: Mapping[str, Any] = vals if vals is not None else {}
+
+    def under(self, binders: Iterable[str]) -> "CardinalityEstimator":
+        """The estimator for a subexpression in the scope of ``binders``."""
+        if self.vals.keys().isdisjoint(binders):
+            return self
+        return CardinalityEstimator({name: value for name, value
+                                     in self.vals.items()
+                                     if name not in binders})
+
+    def _value(self, expr: ast.Expr) -> Any:
+        """The value a ``Const`` holds or a free ``Var`` reads, else None."""
+        if isinstance(expr, ast.Const):
+            return expr.value
+        if isinstance(expr, ast.Var):
+            return self.vals.get(expr.name)
+        return None
 
     def value_of(self, expr: ast.Expr) -> Optional[int]:
         """The natural-number value of ``expr``, when statically known.
 
-        Literals, resolved ``val`` constants, and ``dim_1`` of an array
-        whose dims are known (:meth:`dims_of`).  No arithmetic folding —
-        see the module docstring for why that is a feature.
+        Literals, ``val``s and constants, and ``dim_1`` of an array whose
+        dims are known (:meth:`dims_of`).  No arithmetic folding — see
+        the module docstring for why that is a feature.
         """
         if isinstance(expr, ast.NatLit):
             return expr.value
-        if isinstance(expr, ast.Const):
-            value = expr.value
+        if isinstance(expr, (ast.Const, ast.Var)):
+            value = self._value(expr)
             if isinstance(value, int) and not isinstance(value, bool) \
                     and value >= 0:
                 return value
@@ -81,10 +103,12 @@ class CardinalityEstimator:
 
     def dims_of(self, expr: ast.Expr) -> Optional[Tuple[int, ...]]:
         """The dimension tuple of an array-valued ``expr``, when known:
-        a ``Const`` holding an :class:`~repro.objects.array.Array`, a
-        tabulation with known bounds, or a ``MkArray`` literal."""
-        if isinstance(expr, ast.Const) and isinstance(expr.value, Array):
-            return tuple(expr.value.dims)
+        a ``val`` or ``Const`` holding an
+        :class:`~repro.objects.array.Array`, a tabulation with known
+        bounds, or a ``MkArray`` literal."""
+        if isinstance(expr, (ast.Const, ast.Var)):
+            value = self._value(expr)
+            return tuple(value.dims) if isinstance(value, Array) else None
         if isinstance(expr, ast.Tabulate):
             bounds = [self.value_of(bound) for bound in expr.bounds]
             if all(bound is not None for bound in bounds):
@@ -102,8 +126,8 @@ class CardinalityEstimator:
         Union cardinalities are *upper bounds* (duplicates may
         collapse), which is the right direction for a cost estimate.
         """
-        if isinstance(expr, ast.Const):
-            value = expr.value
+        if isinstance(expr, (ast.Const, ast.Var)):
+            value = self._value(expr)
             if isinstance(value, (frozenset, Bag)):
                 return len(value)
             return None
@@ -121,7 +145,7 @@ class CardinalityEstimator:
             return self.value_of(expr.expr)
         if isinstance(expr, (ast.Ext, ast.BagExt)):
             outer = self.cardinality(expr.source)
-            inner = self.cardinality(expr.body)
+            inner = self.under((expr.var,)).cardinality(expr.body)
             if outer is not None and inner is not None:
                 return outer * inner
             return None
@@ -144,13 +168,21 @@ class CostEstimator:
     costed once.  The memo is a plain dict owned by the instance: build
     one estimator per walk, so the walked expression keeps every
     memoized node alive (ids cannot be recycled) and the memo — with
-    the constants its nodes hold — dies with the call.
+    the constants its nodes hold — dies with the call.  ``vals`` is
+    the live val table (see :class:`CardinalityEstimator`).
     """
 
-    def __init__(self, assumed: int = ASSUMED_CARDINALITY):
+    def __init__(self, assumed: int = ASSUMED_CARDINALITY,
+                 vals: Optional[Mapping[str, Any]] = None):
         self.assumed = assumed
-        self.cards = CardinalityEstimator()
+        self.cards = CardinalityEstimator(vals)
         self._memo: Dict[int, int] = {}
+
+    def _under(self, binders: Iterable[str]) -> "CostEstimator":
+        """The walk of a subexpression in the scope of ``binders``."""
+        cards = self.cards.under(binders)
+        return self if cards is self.cards \
+            else CostEstimator(self.assumed, cards.vals)
 
     def cost(self, expr: ast.Expr) -> int:
         """The memoized unit-cost estimate of evaluating ``expr`` once."""
@@ -166,8 +198,9 @@ class CostEstimator:
             size = self.cards.cardinality(expr.source)
             if size is None:
                 size = assumed
-            return (1 + self.cost(expr.source)
-                    + size * self.cost(expr.body))
+            (source, _), (body, binders) = expr.parts()
+            return (1 + self.cost(source)
+                    + size * self._under(binders).cost(body))
         if isinstance(expr, ast.Tabulate):
             iterations = 1
             bounds_cost = 0
@@ -176,7 +209,8 @@ class CostEstimator:
                 extent = self.cards.value_of(bound)
                 iterations *= max(extent, 1) if extent is not None \
                     else assumed
-            return 1 + bounds_cost + iterations * self.cost(expr.body)
+            return 1 + bounds_cost + iterations * self._under(
+                expr.vars).cost(expr.body)
         if isinstance(expr, ast.IndexSet):
             size = self.cards.cardinality(expr.expr)
             if size is None:
@@ -187,13 +221,15 @@ class CostEstimator:
             if extent is None:
                 extent = assumed
             return 1 + extent + self.cost(expr.expr)
-        return 1 + sum(self.cost(child) for child in expr.children())
+        return 1 + sum(self._under(bound).cost(child) if bound
+                       else self.cost(child) for child, bound in expr.parts())
 
 
-def estimate_cost(expr: ast.Expr, assumed: int = ASSUMED_CARDINALITY) -> int:
+def estimate_cost(expr: ast.Expr, assumed: int = ASSUMED_CARDINALITY,
+                  vals: Optional[Mapping[str, Any]] = None) -> int:
     """A unit-cost estimate of evaluating ``expr`` once (one fresh
-    :class:`CostEstimator` walk)."""
-    return CostEstimator(assumed=assumed).cost(expr)
+    :class:`CostEstimator` walk) with ``vals`` bound."""
+    return CostEstimator(assumed, vals).cost(expr)
 
 
 class CostRecord:
@@ -204,7 +240,9 @@ class CostRecord:
     every timed run back.
     """
 
-    def __init__(self):
+    def __init__(self, vals: Optional[Mapping[str, Any]] = None):
+        #: the val table estimates read (held by reference)
+        self.vals = vals
         self.estimates = 0
         #: ``(units, observed seconds)`` of the most recent recorded run
         self.last: Optional[Tuple[float, float]] = None
@@ -213,7 +251,7 @@ class CostRecord:
         """The unit-cost estimate of ``expr``, or ``None`` when the
         expression out-nests the host stack."""
         try:
-            units = estimate_cost(expr)
+            units = estimate_cost(expr, vals=self.vals)
         except RecursionError:
             return None
         self.estimates += 1

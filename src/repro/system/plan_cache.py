@@ -23,27 +23,27 @@ through substitution, which keeps a cache probe O(|query|) — resolution
 Invalidation contract
 ---------------------
 
-Correctness hinges on never reusing a stale plan.  Two mechanisms, both
-driven by :class:`~repro.env.environment.TopEnv` mutation accounting:
+Correctness hinges on never reusing a stale plan.  No value enters a
+plan (a val is a parameter its code reads), so staleness is driven by
+:class:`~repro.env.environment.TopEnv` mutation accounting:
 
 * **structural registrations** (primitives, macros, rewrite rules) bump
   the environment's global generation; every cached plan was compiled
   under some generation and is invalidated when it changes;
-* **value rebinding** (``set_val``, including the ``readval`` path)
-  bumps a per-name generation, invalidating exactly the plans whose
-  source *references* that name (each entry records its free names) —
-  plans that do not mention the name survive.
-
+* **value (re)bindings** (``set_val``, including the ``readval`` path)
+  bump a per-name generation; each entry records it per free name with
+  the val's type scheme.  When it has moved, the entry stands if the new
+  value has the same type (its estimate is redone), and is dropped
+  otherwise — an empty collection's type has fresh variables;
 * **rule-base versions** — each entry records the optimizer's phases
   with their rule bases' versions, so a rule added to or removed from a
   phase directly (``optimizer.phase(p).rules.remove(...)``, the
   ablation API, which the environment never hears of) also stales it.
 
-Eager invalidation runs through the listener :meth:`PlanCache.on_env_mutation`
-(subscribed by the owning session); the per-entry generation and
-version checks in :meth:`PlanCache.lookup` are the backstop that makes
-stale reuse impossible even for mutations performed behind the
-listener's back.
+Structural registrations flush eagerly through the listener
+:meth:`PlanCache.on_env_mutation` (subscribed by the owning session);
+the per-entry checks in :meth:`PlanCache.lookup` judge every rebinding
+and are the backstop for mutations behind the listener's back.
 
 The cache is LRU-bounded (``capacity`` entries, 0 disables) and fully
 observable: hit/miss/eviction/invalidation counters are surfaced in
@@ -56,9 +56,10 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core import ast
+from repro.types.types import TypeScheme
 
 #: default LRU capacity of a session's plan cache
 DEFAULT_CAPACITY = 128
@@ -145,9 +146,10 @@ class PlanEntry:
     key: Hashable
     core: ast.Expr
     inferred: Any                     # the inferred Type
-    free_names: FrozenSet[str]        # free vars of the *pre-resolve* core
     generation: int                   # TopEnv.generation at compile time
-    val_generations: Dict[str, int]   # per-free-name val generations
+    #: per free name of the *pre-resolve* core: val generation and val
+    #: scheme (None: not a val) when the plan was last validated
+    vals: Dict[str, Tuple[int, Optional[TypeScheme]]]
     #: ``Optimizer.versions()`` at compile time: the phases and the
     #: versions of their rule bases
     rule_versions: Tuple[Any, ...] = ()
@@ -257,9 +259,17 @@ class PlanCache:
         if entry.generation != env.generation \
                 or entry.rule_versions != env.optimizer.versions():
             return False
-        for name, generation in entry.val_generations.items():
+        moved = False
+        for name, (generation, scheme) in entry.vals.items():
             if env.val_generation(name) != generation:
-                return False
+                # type variables are fresh per binding: never equal
+                if scheme is None or env.val_scheme(name) != scheme:
+                    return False
+                moved = True
+        if moved:  # rebound to the same type: the plan reads the new value
+            entry.vals = {name: (env.val_generation(name), scheme)
+                          for name, (_, scheme) in entry.vals.items()}
+            entry.estimated_units = env.cost.estimate(entry.core)
         return True
 
     def insert(self, key: Hashable, core: ast.Expr, inferred: Any,
@@ -269,15 +279,13 @@ class PlanCache:
         """Record a freshly compiled plan; evicts LRU entries over capacity."""
         if not self.enabled:
             return None
-        names = frozenset(free_names)
         entry = PlanEntry(
             key=key,
             core=core,
             inferred=inferred,
-            free_names=names,
             generation=env.generation,
-            val_generations={name: env.val_generation(name)
-                             for name in names},
+            vals={name: (env.val_generation(name), env.val_scheme(name))
+                  for name in free_names},
             rule_versions=env.optimizer.versions(),
             estimated_units=estimated_units,
         )
@@ -293,24 +301,12 @@ class PlanCache:
     def on_env_mutation(self, kind: str, name: Optional[str] = None) -> None:
         """The :meth:`TopEnv.add_mutation_listener` hook.
 
-        ``val`` rebindings invalidate only the plans referencing the
-        rebound name; structural registrations (primitive/macro/rule)
-        flush everything — their effect on resolution and optimization
-        is global.
+        Structural registrations (primitive/macro/rule) flush everything
+        — their effect on resolution and optimization is global; a
+        ``val`` rebinding is left to :meth:`lookup`'s type check.
         """
-        if kind == "val" and name is not None:
-            self.invalidate_name(name)
-        else:
+        if kind != "val":
             self.invalidate_all()
-
-    def invalidate_name(self, name: str) -> int:
-        """Drop every entry whose source references ``name`` free."""
-        stale = [key for key, entry in self._entries.items()
-                 if name in entry.free_names]
-        for key in stale:
-            del self._entries[key]
-        self.stats.invalidations += len(stale)
-        return len(stale)
 
     def invalidate_all(self) -> int:
         """Drop every entry (structural environment change)."""

@@ -36,7 +36,7 @@ from repro.surface.desugar import Desugarer
 from repro.surface.parser import parse_program
 from repro.surface import sast as S
 from repro.system.plan_cache import DEFAULT_CAPACITY, Plan, PlanCache
-from repro.types.types import Type, TypeScheme, type_of_value
+from repro.types.types import Type, TypeScheme
 
 #: the session-level profiling command recognized by :meth:`Session.run`
 PROFILE_PREFIX = ":profile"
@@ -329,8 +329,8 @@ class Session:
         self.env.set_val(statement.name, value)
         if isinstance(value, Array):
             value.dense_block()  # probed once: the tag types the array
-        value_type = type_of_value(value)
-        return Output("readval", statement.name, str(value_type),
+        return Output("readval", statement.name,
+                      str(self.env.val_scheme(statement.name).body),
                       value, has_value=True)
 
     def _writeval(self, statement: S.WriteVal) -> Output:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from expr_strategies import ENV_VALUES
 
+from repro.core import ast
 from repro.core.compile import CompiledEvaluator
 from repro.core.eval import Evaluator
 from repro.core.fastpath import DispatchConfig
@@ -127,12 +128,20 @@ def agree(expr, config=None, probe=None, binds=ENV_VALUES, prims=None):
     return got
 
 
+def val_bindings(env, expr):
+    """The vals a resolved ``expr`` reads in ``env``: the bindings to
+    run it with outside the environment's own engines."""
+    return {name: env.get_val(name) for name in ast.free_vars(expr)
+            if env.has_val(name)}
+
+
 def reference_query_value(env, source, optimize=True):
     """An AQL expression taken through ``env``'s front end (resolve,
-    typecheck, optionally optimize) and run by the reference evaluator."""
+    typecheck, optionally optimize) and run by the reference evaluator,
+    with the vals it reads bound."""
     core, _ = env.compile(desugar_expression(parse_expression(source)),
                           optimize=optimize)
-    return Evaluator(env._prim_impls).run(core)
+    return Evaluator(env._prim_impls).run(core, val_bindings(env, core))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from repro.optimizer.engine import Rule
 from repro.system.session import Session
 from repro.types.types import TArrow, TNat, TReal, TSet
 
+from conftest import val_bindings
+
 
 class TestDynamicPrimitive:
     def test_register_then_query(self, session):
@@ -255,7 +257,8 @@ class TestOneEngine:
         session.env.set_val("N", grid)
         core, _ = session.env.compile(desugar_expression(
             parse_expression(text)))
-        evaluator = CompiledEvaluator(session.env._prim_impls)
+        evaluator = CompiledEvaluator(session.env._prim_impls,
+                                      vals=val_bindings(session.env, core))
         frontier, held = [evaluator.prepare(core)], []
         while frontier:
             for cell in frontier.pop().__closure__ or ():

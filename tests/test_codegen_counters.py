@@ -194,8 +194,9 @@ def test_dispatch_predicates_at_their_boundaries():
 def test_block_backed_subscript_loop_counts_every_read(rank):
     """One ``dense_hits`` per cell read off a block, whichever reader
     (``at1``/``at2``/``at3``/the general subscript) served it.  (Run on
-    the engine directly: a session's plan cache hashes a bound array,
-    which boxes it.)"""
+    the engine directly, with ``D`` bound by name: a session boxes a val
+    that a kernel's fallback loop reads cell by cell, at the loop's
+    head.)"""
     dims = (2, 3, 2, 2)[:rank]
     size = math.prod(dims)
     block = dense.probe_block(tuple(range(size)), dims)

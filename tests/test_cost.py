@@ -116,6 +116,38 @@ class TestKnownExtents:
         assert estimate_cost(known) > 10 * estimate_cost(generic)
 
 
+class TestValEstimates:
+    """A resolved query names a val as a free ``Var``: the estimate reads
+    its value from the val table, as it read a spliced ``Const``."""
+
+    CASES = [
+        (Array((256,), range(256)),
+         lambda leaf: ast.Tabulate(("i",), (ast.Dim(leaf, 1),), V("i"))),
+        (frozenset(range(100)),
+         lambda leaf: ast.Ext("x", ast.Singleton(V("x")), leaf)),
+        (300, ast.Gen),
+    ]
+
+    def test_a_val_estimates_like_its_constant(self):
+        for value, build in self.CASES:
+            named = estimate_cost(build(V("v")), vals={"v": value})
+            assert named == estimate_cost(build(ast.Const(value)))
+            assert named != estimate_cost(build(V("v")))
+
+    def test_a_binder_hides_a_val(self):
+        vals = {"n": 10 ** 6}
+        for shadowed in (ast.Ext("n", ast.Gen(V("n")), V("S")),
+                         ast.Lam("n", ast.Gen(V("n"))),
+                         ast.Tabulate(("n",), (N(3),), ast.Gen(V("n")))):
+            assert estimate_cost(shadowed, vals=vals) == \
+                estimate_cost(shadowed)
+        free = ast.Ext("x", ast.Gen(V("n")), V("S"))
+        assert estimate_cost(free, vals=vals) > estimate_cost(free)
+        cards = CardinalityEstimator({"P": frozenset(range(1000))})
+        assert cards.cardinality(ast.Ext("x", V("P"), ast.Gen(N(3)))) == 3000
+        assert cards.cardinality(ast.Ext("P", V("P"), ast.Gen(N(3)))) is None
+
+
 class TestSharedDagMemo:
     """Shared-DAG subexpressions are costed once, not once per path
     (satellite a: the pre-memo walk was exponential on these trees)."""

@@ -194,3 +194,61 @@ class TestKernelHandoff:
         assert after["blocks_probed"] == before["blocks_probed"]
         assert chained.block is not None
         assert chained[3, 7] == 3 * 7 + 1
+
+
+class TestValBoxing:
+    """A bound val is boxed once per binding, and only when plan code
+    reads its cells one at a time outside a kernel."""
+
+    @pytest.mark.skipif(not dense.available(),
+                        reason="dense store unavailable")
+    def test_kernels_and_dim_leave_a_val_unboxed(self):
+        from repro.system.session import Session
+
+        n = 1000
+        session = Session()
+        session.run(rf"val \G = [[ x * 3 + y | \x < {n}, \y < {n} ]];")
+        grid = session.env.get_val("G")
+        assert grid.block is not None
+        before = dense.COUNTERS.materializations
+        plus = session.query_value(
+            rf"[[ G[x, y] + 1 | \x < {n}, \y < {n} ]];")
+        flipped = session.query_value("transpose!G;")
+        assert session.query_value("dim_2!G;") == (n, n)
+        assert dense.COUNTERS.materializations == before
+        assert plus[3, 7] == 3 * 3 + 7 + 1 and flipped[7, 3] == 3 * 3 + 7
+
+    @pytest.mark.skipif(not dense.available(),
+                        reason="dense store unavailable")
+    def test_a_val_read_cell_by_cell_is_boxed_once(self):
+        from repro.system.session import Session
+
+        session = Session()
+        session.run(r"val \H = [[ i % 5 | \i < 200 ]];")
+        assert session.env.get_val("H").block is not None
+        before = dense.COUNTERS.materializations
+        first = session.query_value("positions!(H, 3);")
+        assert dense.COUNTERS.materializations == before + 1
+        assert session.query_value("positions!(H, 3);") == first
+        assert dense.COUNTERS.materializations == before + 1
+        assert first == frozenset(range(3, 200, 5))
+
+    @pytest.mark.skipif(not dense.available(),
+                        reason="dense store unavailable")
+    def test_a_declined_kernel_boxes_in_its_fallback_loop(self):
+        from repro.system.session import Session
+
+        session = Session()
+        session.run(r"val \A = [[ i * 2 | \i < 100 ]];")
+        source = r"summap(fn \i => A[i] * 3)!(gen!48);"
+        assert session.env.get_val("A").block is not None
+        before = dense.COUNTERS.snapshot()
+        assert session.query_value(source) == 3 * 2 * sum(range(48))
+        assert session.query_value(source) == 3 * 2 * sum(range(48))
+        after = dense.COUNTERS.snapshot()
+        # a 48-cell Σ is below the kernel floor: its loop reads the
+        # cells one at a time, off the tuple boxed once at its head
+        assert after["materializations"] == before["materializations"] + 1
+        assert after["dense_hits"] == before["dense_hits"]
+        code = session.explain(source).code
+        assert "_boxed(v" in code and "_boxed(_V" not in code

@@ -14,6 +14,8 @@ from repro.io.sqlreader import make_sql_reader
 from repro.objects.array import Array
 from repro.system.session import Session
 
+from conftest import val_bindings
+
 
 class TestSQLToArrays:
     """Relational source → AQL comprehension → array algebra → export."""
@@ -155,5 +157,7 @@ class TestExpressivenessRoundTrip:
         )
         original = session.query_value(source + ";")
         translated = eliminate_arrays(core)
-        got = evaluate(translated)
+        got = evaluate(translated, {
+            name: encode_value(value)
+            for name, value in val_bindings(session.env, core).items()})
         assert decode_value(got, type_of_value(original)) == original

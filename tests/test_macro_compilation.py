@@ -231,8 +231,8 @@ class TestSamePlans:
 
         monkeypatch.setattr(TypeChecker, "_infer", spy)
         assert str(env.typechecker().check(resolved)) == "[[nat]]_2"
-        # the application, the spliced body (instantiated) and the Const
-        assert seen == [ast.App, ast.Lam, ast.Const]
+        # the application, the spliced body (instantiated) and the val
+        assert seen == [ast.App, ast.Lam, ast.Var]
 
 
 class TestRawBodiesWithoutOptimisation:

@@ -9,15 +9,20 @@ same value as a cold pipeline run.
 """
 
 import dataclasses
+import re
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import ast
 from repro.core.compile import Compiler
 from repro.core.eval import Evaluator
 from repro.env.environment import TopEnv
 from repro.errors import BottomError, SessionError
+from repro.objects.array import Array
+from repro.optimizer.cost import CostRecord
 from repro.optimizer.engine import Optimizer
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression, parse_program
@@ -27,9 +32,11 @@ from repro.system.plan_cache import (
     fingerprint,
 )
 from repro.system.session import Session
-from repro.types.types import TArrow, TNat
+from repro.types.types import (TArray, TArrow, TNat, TReal, TSet,
+                               fresh_tvar)
+from repro.types.unify import generalize
 
-from conftest import PARSE_DIGESTS
+from conftest import PARSE_DIGESTS, val_bindings
 from expr_strategies import ENV_VALUES, typed_exprs
 
 _SETTINGS = settings(
@@ -143,10 +150,20 @@ class _FakeEnv:
     def __init__(self):
         self.generation = 0
         self._vals = {}
+        self._schemes = {}
         self.optimizer = Optimizer()
+        self.cost = CostRecord()
 
     def val_generation(self, name):
         return self._vals.get(name, 0)
+
+    def val_scheme(self, name):
+        return self._schemes.get(name)
+
+    def bind(self, name, value_type):
+        """A (re)binding of ``name`` to a value of ``value_type``."""
+        self._vals[name] = self._vals.get(name, 0) + 1
+        self._schemes[name] = generalize(value_type, {})
 
 
 class TestPlanCacheUnit:
@@ -181,19 +198,34 @@ class TestPlanCacheUnit:
         assert cache.stats.invalidations == 1
 
     def test_val_generation_backstop(self):
+        # a moved generation drops the entry when the name's type changed,
+        # when the name became a val, or when its type has variables
         cache, env = PlanCache(4), _FakeEnv()
-        cache.insert(self._key(1), _nat(1), "nat", ("m",), env)
-        env._vals["m"] = 1
-        assert cache.lookup(self._key(1), env) is None
-        assert cache.stats.invalidations == 1
+        env.bind("m", TNat())
+        env.bind("e", TSet(fresh_tvar()))
+        for n, name in enumerate(("m", "fresh", "e")):
+            cache.insert(self._key(n), _nat(n), "nat", (name,), env)
+        env.bind("m", TReal())
+        env.bind("fresh", TNat())
+        env.bind("e", TSet(fresh_tvar()))
+        for n in range(3):
+            assert cache.lookup(self._key(n), env) is None
+        assert cache.stats.invalidations == 3 and len(cache) == 0
 
-    def test_invalidate_name_only_touches_referencing_entries(self):
+    def test_same_type_rebinding_keeps_referencing_entries(self):
         cache, env = PlanCache(4), _FakeEnv()
+        env.bind("m", TArray(TNat(), 2))
         cache.insert(self._key(1), _nat(1), "nat", ("m",), env)
         cache.insert(self._key(2), _nat(2), "nat", ("other",), env)
-        assert cache.invalidate_name("m") == 1
-        assert len(cache) == 1
-        assert cache.lookup(self._key(2), env) is not None
+        env.bind("m", TArray(TNat(), 2))
+        env.cost.estimates = 0
+        for n in (1, 2, 1):
+            assert cache.lookup(self._key(n), env) is not None
+        assert cache.stats.invalidations == 0 and len(cache) == 2
+        # one re-estimate, at the first lookup after the rebinding
+        assert env.cost.estimates == 1
+        assert cache.lookup(self._key(1), env).vals["m"][0] == \
+            env.val_generation("m")
 
     def test_invalidate_all_counts_and_clear_does_not(self):
         cache, env = PlanCache(4), _FakeEnv()
@@ -322,7 +354,7 @@ class TestInvalidation:
         session.run("val \\m = 5;")
         assert session.query_value("m + 1;") == 6
         session.run("val \\m = 7;")
-        # stale plan (with 5 baked in) must not be served
+        # the plan reads m when it runs: the old value is never served
         assert session.query_value("m + 1;") == 8
 
     def test_val_rebinding_spares_non_referencing_plans(self, session):
@@ -478,7 +510,8 @@ class TestSessionBugfixes:
 def _cold_value(env, core, optimize):
     try:
         compiled, _ = env.compile(core, optimize=optimize)
-        return ("value", Evaluator(env._prim_impls).run(compiled))
+        return ("value", Evaluator(env._prim_impls).run(
+            compiled, val_bindings(env, compiled)))
     except BottomError:
         return ("bottom",)
 
@@ -503,3 +536,204 @@ class TestCachedPlansArePure:
             except BottomError:
                 outcome = ("bottom",)
             assert outcome == _cold_value(session.env, expr, session.optimize)
+
+
+class TestValParameters:
+    """A val is a parameter of the plans that name it: a rebinding to a
+    value of the same type keeps them, and they read the new value."""
+
+    @staticmethod
+    def _counts(session):
+        stats = session.plan_cache.stats
+        return stats.hits, stats.misses, stats.invalidations
+
+    def _rebound_hit(self, session, source, first, second):
+        """``source`` after each binding: the run after the second is a
+        hit that invalidates nothing; both values."""
+        first()
+        before = session.query_value(source)
+        second()
+        hits, misses, invalidations = self._counts(session)
+        after = session.query_value(source)
+        assert self._counts(session) == (hits + 1, misses, invalidations)
+        return before, after
+
+    @pytest.mark.parametrize("old, new, source, values", [
+        (Array.from_list([1, 2, 3]), Array.from_list([5, 6]),
+         r"maparr!(fn \x => x + 1, A);",
+         (Array.from_list([2, 3, 4]), Array.from_list([6, 7]))),
+        (Array((2, 2), [0.5, 1.5, 2.5, 3.5]), Array((1, 2), [4.0, 8.0]),
+         r"[[ A[i, j] * 2.0 | \i < 1, \j < 2 ]];",
+         (Array((1, 2), [1.0, 3.0]), Array((1, 2), [8.0, 16.0]))),
+        (frozenset({(1, 2), (3, 4)}), frozenset({(5, 6)}),
+         r"{a + b | (\a, \b) <- A};",
+         (frozenset({3, 7}), frozenset({11}))),
+    ])
+    def test_same_type_rebinding_is_a_hit_with_the_new_value(
+            self, session, old, new, source, values):
+        bind = session.env.set_val
+        assert self._rebound_hit(session, source, lambda: bind("A", old),
+                                 lambda: bind("A", new)) == values
+
+    def test_netcdf3_window_of_another_month_is_a_hit(self, session,
+                                                      tmp_path):
+        path = tmp_path / "year.nc"
+        session.run(r"writeval [[ h * 4 + i * 2 + j | \h < 96, \i < 2, "
+                    rf'\j < 2 ]] using NETCDFW at ("{path}", "temp");')
+
+        def window(first):
+            return lambda: session.run(
+                f'readval \\T using NETCDF3 at ("{path}", "temp", '
+                f'({first}, 1, 1), ({first + 23}, 1, 1));')
+
+        source = r"summap(fn \h => T[h, 0, 0])!(gen!24);"
+        before, after = self._rebound_hit(session, source, window(0),
+                                          window(48))
+        assert before == sum(h * 4 + 3 for h in range(24))
+        assert after == sum(h * 4 + 3 for h in range(48, 72))
+
+    @pytest.mark.parametrize("old, new, type_text", [
+        (Array.from_list([1, 2]), Array.from_list([0.5]),
+         "([[real]]_1 * nat)"),
+        (Array.from_list([1, 2]), Array((1, 1), [7]), "([[nat]]_2 * nat)"),
+        (frozenset(), frozenset(), None),
+    ])
+    def test_type_change_is_a_miss_with_one_invalidation(
+            self, session, old, new, type_text):
+        session.env.set_val("A", old)
+        session.run("(A, 1);")
+        hits, misses, invalidations = self._counts(session)
+        session.env.set_val("A", new)
+        (output,) = session.run("(A, 1);")
+        assert self._counts(session) == (hits, misses + 1,
+                                         invalidations + 1)
+        assert output.value == (new, 1)
+        if type_text is not None:
+            assert output.type_text == type_text
+
+    def test_rebinding_re_estimates_without_optimizing(self, session,
+                                                       monkeypatch):
+        source = r"[[ A[i] + 1 | \i < len!A ]];"
+        session.env.set_val("A", Array.from_list(range(10)))
+        session.query_value(source)
+        (entry,) = session.plan_cache._entries.values()
+        small = entry.estimated_units
+        session.env.set_val("A", Array.from_list(range(1000)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rebinding must not re-optimize")
+
+        monkeypatch.setattr(session.env.optimizer, "optimize", refuse)
+        assert session.query_value(source) == \
+            Array.from_list(range(1, 1001))
+        assert entry.estimated_units > small
+
+    def test_macro_keeps_the_value_it_saw_at_definition(self, session):
+        session.run(r"val \m = 5;")
+        session.run(r"macro \mp = m + 1;")
+        session.run(r"val \m = 7;")
+        assert session.query_value("mp;") == 6
+        assert session.query_value("m + 1;") == 8
+
+    def test_binder_shadowing_a_val_is_left_alone(self, session):
+        session.run(r"val \x = 100;")
+        session.run(r"val \R = {(1, 10), (2, 20)};")
+        assert session.query_value(r"(fn \x => x + 1)!2;") == 3
+        assert session.query_value(r"{x | \x <- gen!3};") == \
+            frozenset({0, 1, 2})
+        join = r"{(x, c) | (\x, \c) <- R, (\a, \b) <- R, x = a};"
+        assert session.query_value(join) == frozenset({(1, 10), (2, 20)})
+        hits, misses, invalidations = self._counts(session)
+        session.env.set_val("x", 2.5)   # no plan reads the val x
+        assert session.query_value(r"{x | \x <- gen!3};") == \
+            frozenset({0, 1, 2})
+        assert self._counts(session) == (hits + 1, misses, invalidations)
+
+    def test_lifted_helpers_and_functions_read_the_val(self, session):
+        session.run(r"val \m = 5;")
+        names = "abcdefghij"   # nested past the loop depth of a helper
+        deep = "{" + " + ".join(names) + " + m | " + ", ".join(
+            f"\\{name} <- gen!2" for name in names) + "};"
+        shifted = r"maparr!(fn \x => x + m, [[ i | \i < 3 ]]);"
+        assert session.query_value(deep) == frozenset(range(5, 16))
+        assert session.query_value(shifted) == Array.from_list([5, 6, 7])
+        session.run(r"val \m = 7;")
+        assert session.query_value(deep) == frozenset(range(7, 18))
+        assert session.query_value(shifted) == Array.from_list([7, 8, 9])
+
+    def test_profile_prints_the_val_name(self, session):
+        session.env.set_val("A", Array.from_list([31, 41, 59]))
+        (output,) = session.run(r":profile maparr!(fn \x => x + 1, A);")
+        text = output.render()
+        assert "A[" in output.explain.core_text
+        assert "31" not in output.explain.core_text
+        assert output.value == Array.from_list([32, 42, 60])
+        assert "== optimized core ==\n[[A[i] + 1" in text
+
+
+#: the values a differential step binds, grouped by type: nats, reals,
+#: arrays of either kind and rank, sets, and an empty set (whose type
+#: has a variable)
+_VAL_GROUPS = [["5", "7"], ["2.5", "0.5"], ["[[1, 2, 3]]", "[[4]]"],
+               ["[[0.5, 1.5]]", "[[2.5]]"],
+               [r"[[ i * 3 + j | \i < 2, \j < 3 ]]",
+                r"[[ j | \i < 1, \j < 4 ]]"],
+               ["{1, 2}", "{3}"], ["{(1, 2)}", "{(3, 4), (5, 6)}"], ["{}"]]
+#: the queries it runs: typed by the bindings, some ⊥ or ill-typed
+_QUERY_TEXTS = ["(a, b);", "(b, a);", "a;", "a + 1;", r"{x + 1 | \x <- a};",
+                "len!a;", r"summap(fn \i => a[i])!(gen!2);",
+                r"[[ a[i] * 2 | \i < len!a ]];", "a[1, 1];",
+                r"(fn \a => a)!b;", "a = b;"]
+
+#: a (re)binding: how, which name, whether to keep the name's current
+#: type, and a group and member of :data:`_VAL_GROUPS`
+_BIND = st.tuples(st.sampled_from(["val", "readval"]),
+                  st.sampled_from(["a", "b"]), st.booleans(),
+                  st.integers(0, len(_VAL_GROUPS) - 1), st.integers(0, 1))
+_QUERY = st.tuples(st.just("query"), st.sampled_from(_QUERY_TEXTS))
+#: both names bound first, then queries twice as often as rebindings
+_STEPS = st.builds(lambda a, b, rest: [a, b, *rest],
+                   _BIND.map(lambda bind: ("val", "a", False, *bind[3:])),
+                   _BIND.map(lambda bind: ("val", "b", False, *bind[3:])),
+                   st.lists(st.one_of(_BIND, _QUERY, _QUERY),
+                            min_size=1, max_size=12))
+
+
+def _statement_outcome(session, text):
+    """A statement's value and type text, or its ⊥ reason or error; type
+    variables are numbered per process, so their numbers are dropped."""
+    try:
+        (output,) = session.run(text)
+    except BottomError as exc:
+        return ("bottom", exc.reason)
+    except Exception as exc:  # noqa: BLE001 - ill-typed steps included
+        return ("error", type(exc).__name__, re.sub(r"'t\d+", "'t", str(exc)))
+    return ("value", output.value, re.sub(r"'t\d+", "'t", output.type_text))
+
+
+class TestRebindingDifferential:
+    """Random interleavings of ``val``/``readval`` and queries agree with
+    a session that caches nothing."""
+
+    @_SETTINGS
+    @given(steps=_STEPS)
+    def test_cached_session_agrees_with_uncached(self, steps):
+        cached, cold = Session(), Session(plan_cache_capacity=0)
+        groups = {}
+        with tempfile.TemporaryDirectory() as workdir:
+            path = f"{workdir}/v.co"
+            for step in steps:
+                if step[0] == "query":
+                    texts = [step[1]]
+                else:
+                    how, name, keep, group, member = step
+                    group = groups[name] = \
+                        groups[name] if keep else group
+                    value = _VAL_GROUPS[group][
+                        member % len(_VAL_GROUPS[group])]
+                    texts = [f"val \\{name} = {value};"] if how == "val" \
+                        else [f'writeval {value} using CO at "{path}";',
+                              f'readval \\{name} using CO at "{path}";']
+                for text in texts:
+                    assert _statement_outcome(cached, text) == \
+                        _statement_outcome(cold, text), (text, steps)

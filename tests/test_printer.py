@@ -114,9 +114,14 @@ class TestLargeConstants:
         dumped = self._record_dumps(monkeypatch)
         session = Session()
         session.run(r"val \G = [[ i * j | \i < 300, \j < 300 ]];")
-        report = session.explain("transpose!G;")
-        assert len(report.to_dict()["core"]) < 2048
-        assert "<array 300×300 of nat>" in report.core_text
+        # a query names the val; a macro captures its value as a constant
+        session.run(r"macro \tG = transpose!G;")
+        named = session.explain("transpose!G;")
+        captured = session.explain("tG;")
+        for report in (named, captured):
+            assert len(report.to_dict()["core"]) < 2048
+        assert "G[" in named.core_text and "<array" not in named.core_text
+        assert "<array 300×300 of nat>" in captured.core_text
         assert all(size is None or size <= CONST_CELL_LIMIT
                    for size in dumped)
 

@@ -13,12 +13,11 @@ import sys
 import pytest
 
 from repro.core import ast
-from repro.core import builders as B
 from repro.core.compile import CompiledEvaluator
 from repro.core.fastpath import DispatchConfig
 from repro.objects.array import Array
 
-from conftest import median_time
+from conftest import aql_core, median_time
 
 V = ast.Var
 
@@ -26,21 +25,18 @@ N_ELEMS = 1000
 
 
 @pytest.fixture(scope="module")
-def workloads():
-    from repro.optimizer.engine import default_optimizer
-
-    opt = default_optimizer()
+def workloads(std_env):
     arr = Array.from_list([(i * 37) % 250 for i in range(N_ELEMS)])
     mat = Array((40, 40), [i % 97 for i in range(1600)])
+
+    def optimized(source):
+        return aql_core(std_env, source, optimize=True)
+
     return {
-        "hist-index": (opt.optimize(B.hist_fast(V("A"))), {"A": arr}),
-        "reverse-map": (
-            opt.optimize(B.map_array(
-                lambda x: ast.Arith("+", x, ast.NatLit(1)),
-                B.reverse(V("A")))),
-            {"A": arr},
-        ),
-        "transpose": (opt.optimize(B.transpose(V("M"))), {"M": mat}),
+        "hist-index": (optimized("hist2!A"), {"A": arr}),
+        "reverse-map": (optimized(r"maparr!(fn \x => x + 1, reverse!A)"),
+                        {"A": arr}),
+        "transpose": (optimized("transpose!M"), {"M": mat}),
         "sum-squares": (
             ast.Sum("x", ast.Arith("*", V("x"), V("x")),
                     ast.Gen(ast.NatLit(N_ELEMS))),

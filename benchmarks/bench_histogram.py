@@ -8,14 +8,9 @@ for every bin.
 
 import pytest
 
-from repro.core import ast
-from repro.core.builders import hist, hist_fast
-from repro.core import evaluate
 from repro.objects.array import Array
 
-from conftest import median_time
-
-V = ast.Var
+from conftest import aql_core, median_time
 
 
 def _data(n, m):
@@ -25,27 +20,31 @@ def _data(n, m):
 
 @pytest.mark.benchmark(group="C2-hist-naive")
 @pytest.mark.parametrize("n,m", [(64, 64), (128, 128), (256, 256)])
-def test_hist_naive(benchmark, n, m):
+def test_hist_naive(benchmark, std_env, n, m):
     arr = _data(n, m)
-    expr = hist(V("A"))
-    result = benchmark(lambda: evaluate(expr, {"A": arr}))
+    expr = aql_core(std_env, "hist!A")
+    result = benchmark(lambda: std_env.evaluator().run(expr, {"A": arr}))
     assert sum(result.flat) == n
 
 
 @pytest.mark.benchmark(group="C2-hist-index")
 @pytest.mark.parametrize("n,m", [(64, 64), (128, 128), (256, 256),
                                  (1024, 1024)])
-def test_hist_index(benchmark, n, m):
+def test_hist_index(benchmark, std_env, n, m):
     arr = _data(n, m)
-    expr = hist_fast(V("A"))
-    result = benchmark(lambda: evaluate(expr, {"A": arr}))
+    expr = aql_core(std_env, "hist2!A")
+    result = benchmark(lambda: std_env.evaluator().run(expr, {"A": arr}))
     assert sum(result.flat) == n
 
 
 @pytest.mark.benchmark(group="C2-hist-shape")
-def test_shape_index_histogram_wins_and_gap_grows(benchmark):
-    slow_expr = hist(V("A"))
-    fast_expr = hist_fast(V("A"))
+def test_shape_index_histogram_wins_and_gap_grows(benchmark, std_env):
+    slow_expr = aql_core(std_env, "hist!A")
+    fast_expr = aql_core(std_env, "hist2!A")
+
+    def evaluate(expr, binds):
+        return std_env.evaluator().run(expr, binds)
+
     ratios = []
     for n in (64, 256):
         arr = _data(n, n)

@@ -9,16 +9,11 @@ tabulation of the intermediary array").
 
 import pytest
 
-from repro.core import ast
-from repro.core.builders import array_len, map_array
 from repro.core import evaluate
 from repro.objects.array import Array
 from repro.optimizer.engine import default_optimizer
 
-from conftest import median_time
-
-V = ast.Var
-N = ast.NatLit
+from conftest import aql_core, median_time
 
 SIZE = 3000
 
@@ -31,26 +26,14 @@ def _optimizer_without(rule_name):
     return opt
 
 
-def _beta_p_workload():
-    """One subscript into a large tabulation: β^p makes it O(1)."""
-    tab = ast.Tabulate(("i",), (N(SIZE),), ast.Arith("*", V("i"), V("i")))
-    return ast.Subscript(tab, (N(7),))
-
-
-def _eta_p_workload():
-    """Identity re-tabulation of a large array: η^p makes it free."""
-    return map_array(lambda x: x, V("A"))
-
-
-def _delta_p_workload():
-    """Length of a mapped array: δ^p skips materializing the map."""
-    return array_len(map_array(lambda x: ast.Arith("+", x, N(1)), V("A")))
-
-
+#: (rule, workload designed around it, bindings)
 WORKLOADS = [
-    ("beta-p", _beta_p_workload, {}),
-    ("eta-p", _eta_p_workload, "arr"),
-    ("delta-p", _delta_p_workload, "arr"),
+    # one subscript into a large tabulation: β^p makes it O(1)
+    ("beta-p", r"([[ i * i | \i < %d ]])[7]" % SIZE, {}),
+    # identity re-tabulation of a large array: η^p makes it free
+    ("eta-p", r"maparr!(fn \x => x, A)", "arr"),
+    # length of a mapped array: δ^p skips materializing the map
+    ("delta-p", r"len!(maparr!(fn \x => x + 1, A))", "arr"),
 ]
 
 
@@ -63,8 +46,8 @@ def _env(binds):
 @pytest.mark.benchmark(group="C5-ablation")
 @pytest.mark.parametrize("rule,workload,binds", WORKLOADS,
                          ids=[w[0] for w in WORKLOADS])
-def test_with_rule(benchmark, rule, workload, binds):
-    expr = default_optimizer().optimize(workload())
+def test_with_rule(benchmark, std_env, rule, workload, binds):
+    expr = default_optimizer().optimize(aql_core(std_env, workload))
     env = _env(binds)
     benchmark(lambda: evaluate(expr, env))
 
@@ -72,8 +55,8 @@ def test_with_rule(benchmark, rule, workload, binds):
 @pytest.mark.benchmark(group="C5-ablation")
 @pytest.mark.parametrize("rule,workload,binds", WORKLOADS,
                          ids=[w[0] for w in WORKLOADS])
-def test_without_rule(benchmark, rule, workload, binds):
-    expr = _optimizer_without(rule).optimize(workload())
+def test_without_rule(benchmark, std_env, rule, workload, binds):
+    expr = _optimizer_without(rule).optimize(aql_core(std_env, workload))
     env = _env(binds)
     benchmark(lambda: evaluate(expr, env))
 
@@ -81,10 +64,12 @@ def test_without_rule(benchmark, rule, workload, binds):
 @pytest.mark.benchmark(group="C5-ablation-shape")
 @pytest.mark.parametrize("rule,workload,binds", WORKLOADS,
                          ids=[w[0] for w in WORKLOADS])
-def test_shape_each_rule_pays_for_itself(benchmark, rule, workload, binds):
+def test_shape_each_rule_pays_for_itself(benchmark, std_env, rule, workload,
+                                         binds):
     env = _env(binds)
-    with_rule = default_optimizer().optimize(workload())
-    without_rule = _optimizer_without(rule).optimize(workload())
+    raw = aql_core(std_env, workload)
+    with_rule = default_optimizer().optimize(raw)
+    without_rule = _optimizer_without(rule).optimize(raw)
     assert evaluate(with_rule, env) == evaluate(without_rule, env)
     t_with = median_time(lambda: evaluate(with_rule, env))
     t_without = median_time(lambda: evaluate(without_rule, env))

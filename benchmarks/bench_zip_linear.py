@@ -12,18 +12,19 @@ forced into.
 import pytest
 
 from repro.core import ast
-from repro.core.builders import zip2
 from repro.core import evaluate
 from repro.expressiveness.array_elim import encode_value
 from repro.objects.array import Array
 
-from conftest import median_time
+from conftest import aql_core, median_time
 
 V = ast.Var
 
 
-def _array_zip_query():
-    return zip2(V("A"), V("B"))
+def _array_zip_query(env):
+    """``zip!(A, B)`` as a session runs it: normalized to the one
+    tabulation ``[[ (A[i], B[i]) | i < min(len A, len B) ]]``."""
+    return aql_core(env, "zip!(A, B)", optimize=True)
 
 
 def _set_zip_query():
@@ -51,9 +52,9 @@ def _inputs(n):
 
 @pytest.mark.benchmark(group="C1-zip-array")
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
-def test_zip_with_arrays(benchmark, n):
+def test_zip_with_arrays(benchmark, std_env, n):
     a, b = _inputs(n)
-    expr = _array_zip_query()
+    expr = _array_zip_query(std_env)
     result = benchmark(lambda: evaluate(expr, {"A": a, "B": b}))
     assert result.dims == (n,)
 
@@ -69,9 +70,9 @@ def test_zip_without_arrays(benchmark, n):
 
 
 @pytest.mark.benchmark(group="C1-zip-shape")
-def test_shape_array_zip_wins_and_gap_grows(benchmark):
+def test_shape_array_zip_wins_and_gap_grows(benchmark, std_env):
     """The paper's claim: linear vs quadratic — the gap must widen with n."""
-    array_expr = _array_zip_query()
+    array_expr = _array_zip_query(std_env)
     set_expr = _set_zip_query()
     ratios = []
     for n in (64, 256):

@@ -26,6 +26,8 @@ import pytest
 
 from repro.core.compile import CompiledEvaluator
 from repro.env.environment import TopEnv
+from repro.surface.desugar import desugar_expression
+from repro.surface.parser import parse_expression
 
 #: observations accumulated by :func:`bench_record`, keyed by benchmark
 #: module then test id; flushed to ``BENCH_*.json`` at session finish
@@ -41,6 +43,15 @@ def median_time(fn: Callable[[], object], repeats: int = 5) -> float:
         samples.append(time.perf_counter() - start)
     samples.sort()
     return samples[len(samples) // 2]
+
+
+def aql_core(env: TopEnv, source: str, optimize: bool = False):
+    """The core term of the AQL expression ``source`` through ``env``'s
+    front end (parse → desugar → resolve), then ``env.optimizer`` when
+    ``optimize``: the benchmarks time the stdlib macros users run."""
+    core = env.resolve(desugar_expression(parse_expression(source)),
+                       optimize)
+    return env.optimizer.optimize(core) if optimize else core
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,10 @@ plays for AQL the role relational algebra plays for SQL.
   :mod:`repro.core.runtime` the checks and counters that code calls.
 * :mod:`repro.core.eval` — the reference semantics (a naive tree-walker)
   the engine is tested against.
-* :mod:`repro.core.builders` — the derived operators of Sections 2–3
-  (map, zip, subseq, transpose, multiply, hist, ...), built from the
-  minimal construct set exactly as the paper defines them.
+* The derived operators of Sections 2–3 (map, zip, subseq, transpose,
+  multiply, hist, ...) are AQL macros of :mod:`repro.env.stdlib`, each
+  defined once, reaching the core calculus through the front end like
+  any user macro.
 * :mod:`repro.core.odmg` — the ODMG array-primitive simulation claimed in
   Section 7.
 """

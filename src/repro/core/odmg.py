@@ -20,6 +20,7 @@ from repro.core.ast import (
     Arith,
     Bottom,
     Cmp,
+    Dim,
     Expr,
     If,
     MkArray,
@@ -29,7 +30,6 @@ from repro.core.ast import (
     Var,
     fresh_var,
 )
-from repro.core.builders import array_len
 
 
 def odmg_create(items: Sequence[Expr]) -> Expr:
@@ -50,7 +50,7 @@ def odmg_update(array: Expr, position: Expr, value: Expr) -> Expr:
     """
     j = fresh_var("j")
     body = If(Cmp("=", Var(j), position), value, Subscript(array, (Var(j),)))
-    return Tabulate((j,), (array_len(array),), body)
+    return Tabulate((j,), (Dim(array, 1),), body)
 
 
 def odmg_insert(array: Expr, position: Expr, value: Expr) -> Expr:
@@ -69,7 +69,7 @@ def odmg_insert(array: Expr, position: Expr, value: Expr) -> Expr:
             Subscript(array, (Arith("-", Var(j), NatLit(1)),)),
         ),
     )
-    return Tabulate((j,), (Arith("+", array_len(array), NatLit(1)),), body)
+    return Tabulate((j,), (Arith("+", Dim(array, 1), NatLit(1)),), body)
 
 
 def odmg_remove(array: Expr, position: Expr) -> Expr:
@@ -80,7 +80,7 @@ def odmg_remove(array: Expr, position: Expr) -> Expr:
         Subscript(array, (Var(j),)),
         Subscript(array, (Arith("+", Var(j), NatLit(1)),)),
     )
-    return Tabulate((j,), (Arith("-", array_len(array), NatLit(1)),), body)
+    return Tabulate((j,), (Arith("-", Dim(array, 1), NatLit(1)),), body)
 
 
 def odmg_resize(array: Expr, new_length: Expr) -> Expr:
@@ -92,7 +92,7 @@ def odmg_resize(array: Expr, new_length: Expr) -> Expr:
     """
     j = fresh_var("j")
     body = If(
-        Cmp("<", Var(j), array_len(array)),
+        Cmp("<", Var(j), Dim(array, 1)),
         Subscript(array, (Var(j),)),
         Bottom(),
     )
@@ -100,10 +100,16 @@ def odmg_resize(array: Expr, new_length: Expr) -> Expr:
 
 
 def odmg_concat(left: Expr, right: Expr) -> Expr:
-    """``A || B`` — ODMG-style concatenation (the monoid append)."""
-    from repro.core.builders import array_append
-
-    return array_append(left, right)
+    """``A || B`` — ODMG-style concatenation (the monoid append):
+    ``[[ if i < len A then A[i] else B[i - len A] | i < len A + len B ]]``.
+    """
+    i = fresh_var("i")
+    split = If(
+        Cmp("<", Var(i), Dim(left, 1)),
+        Subscript(left, (Var(i),)),
+        Subscript(right, (Arith("-", Var(i), Dim(left, 1)),)),
+    )
+    return Tabulate((i,), (Arith("+", Dim(left, 1), Dim(right, 1)),), split)
 
 
 __all__ = [

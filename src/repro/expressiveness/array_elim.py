@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Any, List
 
 from repro.core import ast
-from repro.core.builders import max_set
 from repro.errors import EvalError
 from repro.objects.array import Array, iter_indices
 from repro.types.types import (
@@ -123,6 +122,18 @@ def _count(source: ast.Expr) -> ast.Expr:
     return ast.Sum(x, ast.NatLit(1), source)
 
 
+def _max(source: ast.Expr) -> ast.Expr:
+    """``max(X) = get({y | y ∈ X, Σ{ if y ≥ x then 0 else 1 | x ∈ X } = 0})``
+    — Section 2's derivation, which needs no ``max`` primitive."""
+    y = ast.fresh_var("y")
+    x = ast.fresh_var("x")
+    losses = ast.Sum(x, ast.If(ast.Cmp(">=", ast.Var(y), ast.Var(x)),
+                               ast.NatLit(0), ast.NatLit(1)), source)
+    top = ast.If(ast.Cmp("=", losses, ast.NatLit(0)),
+                 ast.Singleton(ast.Var(y)), ast.EmptySet())
+    return ast.Get(ast.Ext(y, top, source))
+
+
 def _keys_of(graph: ast.Expr) -> ast.Expr:
     """The key set of a graph: ``⋃{{π1 p} | p ∈ g}``."""
     p = ast.fresh_var("p")
@@ -142,7 +153,7 @@ def _axis_size(graph: ast.Expr, axis: int, rank: int) -> ast.Expr:
     return ast.If(
         ast.Cmp("=", _count(graph), ast.NatLit(0)),
         ast.NatLit(0),
-        ast.Arith("+", max_set(_axis_keys(graph, axis, rank)), ast.NatLit(1)),
+        ast.Arith("+", _max(_axis_keys(graph, axis, rank)), ast.NatLit(1)),
     )
 
 
@@ -268,7 +279,7 @@ def _axis_size_keys(pairs: ast.Expr, axis: int, rank: int) -> ast.Expr:
     return ast.If(
         ast.Cmp("=", _count(pairs), ast.NatLit(0)),
         ast.NatLit(0),
-        ast.Arith("+", max_set(keys), ast.NatLit(1)),
+        ast.Arith("+", _max(keys), ast.NatLit(1)),
     )
 
 

@@ -77,9 +77,9 @@ def array_to_ranked_graph(array_expr: ast.Expr) -> ast.Expr:
     This is the NRCA side of the correspondence: the graph *is* a ranked
     collection (ranks are the indices shifted by one).
     """
-    from repro.core.builders import graph
-
-    return graph(array_expr)
+    i = ast.fresh_var("i")
+    pair = ast.TupleE((ast.Var(i), ast.Subscript(array_expr, (ast.Var(i),))))
+    return ast.Ext(i, ast.Singleton(pair), ast.Gen(ast.Dim(array_expr, 1)))
 
 
 def set_to_array_by_rank(source: ast.Expr) -> ast.Expr:
@@ -89,8 +89,6 @@ def set_to_array_by_rank(source: ast.Expr) -> ast.Expr:
     ``[[ get(G[i]) | i < len G ]]`` where
     ``G = index({(rank(x)-1, x) | x ∈ S})``.
     """
-    from repro.core.builders import array_len
-
     s = ast.fresh_var("s")
     x = ast.fresh_var("x")
     pairs = ast.Ext(
@@ -105,7 +103,7 @@ def set_to_array_by_rank(source: ast.Expr) -> ast.Expr:
     g = ast.fresh_var("g")
     i = ast.fresh_var("i")
     tabulated = ast.Tabulate(
-        (i,), (array_len(ast.Var(g)),),
+        (i,), (ast.Dim(ast.Var(g), 1),),
         ast.Get(ast.Subscript(ast.Var(g), (ast.Var(i),))),
     )
     return ast.App(

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from repro.core import ast as C
-from repro.core.builders import set_member
 from repro.errors import DesugarError
 from repro.surface import sast as S
 
@@ -111,7 +110,12 @@ class Desugarer:
         return C.If(self.desugar(expr.expr), C.BoolLit(False), C.BoolLit(True))
 
     def _in(self, expr: S.SIn) -> C.Expr:
-        return set_member(self.desugar(expr.item), self.desugar(expr.source))
+        # e ∈ S  ⇒  Σ{ if x = e then 1 else 0 | x ∈ S } > 0
+        item = self.desugar(expr.item)
+        source = self.desugar(expr.source)
+        x = C.fresh_var("x")
+        hit = C.If(C.Cmp("=", C.Var(x), item), C.NatLit(1), C.NatLit(0))
+        return C.Cmp(">", C.Sum(x, hit, source), C.NatLit(0))
 
     def _binop(self, expr: S.SBinop) -> C.Expr:
         left = self.desugar(expr.left)

@@ -135,6 +135,17 @@ def val_bindings(env, expr):
             if env.has_val(name)}
 
 
+def aql_core(env, source, optimize=False):
+    """The core term of the AQL expression ``source`` through ``env``'s
+    own front end: parse → desugar → resolve, with macros substituted
+    in and vals left free, then ``env.optimizer`` when ``optimize``.
+    The derived operators of Sections 2–3 are checked this way, on the
+    stdlib macros users run."""
+    core = env.resolve(desugar_expression(parse_expression(source)),
+                       optimize)
+    return env.optimizer.optimize(core) if optimize else core
+
+
 def reference_query_value(env, source, optimize=True):
     """An AQL expression taken through ``env``'s front end (resolve,
     typecheck, optionally optimize) and run by the reference evaluator,

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import ast
-from repro.core.builders import count, hist_fast, let_in
 from repro.core import evaluate
 from repro.objects.array import Array
 from repro.objects.bag import Bag
@@ -14,7 +13,7 @@ from repro.optimizer.analysis import effective_occurrences
 from repro.optimizer.engine import default_optimizer
 from repro.optimizer.rules_motion import motion_rules
 
-from conftest import agree, nat_arrays, nat_sets, reference_outcome
+from conftest import agree, aql_core, nat_arrays, nat_sets, reference_outcome
 
 N = ast.NatLit
 V = ast.Var
@@ -238,33 +237,32 @@ class TestSharingGuards:
         assert effective_occurrences(body, "g") == 0
         assert effective_occurrences(body, "h") == 1
 
-    def test_expensive_let_not_inlined(self):
-        expensive = ast.IndexSet(V("S"), 1)
-        expr = let_in("g", expensive,
-                      ast.Tabulate(("i",), (ast.Dim(V("g"), 1),),
-                                   ast.Subscript(V("g"), (V("i"),))))
+    def test_expensive_let_not_inlined(self, std_env):
+        expr = aql_core(std_env, r"""
+            let val \g = index!S in [[ g[i] | \i < len!g ]] end""")
         out = default_optimizer().optimize(expr)
         occurrences = sum(
             isinstance(t, ast.IndexSet) for t in ast.subterms(out)
         )
         assert occurrences == 1  # computed once, not inlined per use
 
-    def test_cheap_let_still_inlined(self):
-        expr = let_in("x", N(5), ast.Arith("+", V("x"), V("x")))
+    def test_cheap_let_still_inlined(self, std_env):
+        expr = aql_core(std_env, r"let val \x = 5 in x + x end")
         out = default_optimizer().optimize(expr)
         assert out == N(10)
 
-    def test_hist_fast_keeps_single_groupby_after_optimization(self):
-        expr = default_optimizer().optimize(hist_fast(V("A")))
+    def test_hist_fast_keeps_single_groupby_after_optimization(self,
+                                                              std_env):
+        expr = aql_core(std_env, "hist2!A", optimize=True)
         occurrences = sum(
             isinstance(t, ast.IndexSet) for t in ast.subterms(expr)
         )
         assert occurrences == 1
 
-    def test_hist_fast_complexity_shape(self):
+    def test_hist_fast_complexity_shape(self, std_env):
         import time
 
-        expr = hist_fast(V("A"))
+        expr = aql_core(std_env, "hist2!A")
 
         def clock(n):
             arr = Array.from_list([(i * 37) % n for i in range(n)])

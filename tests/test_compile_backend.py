@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ast
-from repro.core import builders as B
 from repro.core import compile as compile_module
 from repro.core.compile import (FACTORY_CAPACITY, CompiledEvaluator,
                                 Compiler, evaluate)
@@ -24,7 +23,7 @@ from repro.objects.array import Array
 from repro.objects.bag import Bag
 from repro.system.session import Session
 
-from conftest import (agree, nat_arrays, nat_matrices, nat_sets,
+from conftest import (agree, aql_core, nat_arrays, nat_matrices, nat_sets,
                       reference_query_value)
 
 N = ast.NatLit
@@ -102,26 +101,31 @@ class TestConstructParity:
 class TestDerivedOperatorParity:
     @given(nat_arrays)
     @settings(max_examples=20)
-    def test_one_dim_corpus(self, arr):
+    def test_one_dim_corpus(self, std_env, arr):
         binds = {"A": arr}
-        for make in (B.reverse, B.evenpos, B.rng, B.graph, B.hist_fast):
-            both(make(V("A")), binds)
+        for text in ("reverse!A", "evenpos!A", "rng!A", "graph!A",
+                     "hist2!A"):
+            both(aql_core(std_env, text), binds)
 
     @given(nat_matrices(max_dim=3))
     @settings(max_examples=15)
-    def test_matrix_corpus(self, m):
+    def test_matrix_corpus(self, std_env, m):
         binds = {"M": m}
-        both(B.transpose(V("M")), binds)
+        both(aql_core(std_env, "transpose!M"), binds)
         both(ast.Dim(V("M"), 2), binds)
 
     @given(nat_sets)
     @settings(max_examples=15)
-    def test_set_corpus(self, s):
+    def test_set_corpus(self, std_env, s):
         binds = {"S": s}
-        both(B.count(V("S")), binds)
-        if s:
-            both(B.min_set(V("S")), binds)
-            both(B.max_set(V("S")), binds)
+        assert both(aql_core(std_env, "count!S"), binds) == len(s)
+        # Section 2's min and max: the element no other beats, ⊥ (None)
+        # on the empty set
+        for op, pick in (("<=", min), (">=", max)):
+            got = both(aql_core(std_env, r"""
+                get!(filterset!(fn \y =>
+                    forall_in!(fn \x => y %s x, S), S))""" % op), binds)
+            assert got == (pick(s) if s else None)
 
 
 class TestCompiledEvaluatorAPI:

@@ -5,13 +5,14 @@ import time
 import weakref
 
 from repro.core import ast
-from repro.core.builders import map_array, transpose, zip2
 from repro.objects.array import Array
 from repro.objects.bag import Bag
 from repro.optimizer.cost import (ASSUMED_CARDINALITY, CardinalityEstimator,
                                   estimate_cost)
 from repro.optimizer.engine import default_optimizer
 from repro.system.session import Session
+
+from conftest import aql_core
 
 N = ast.NatLit
 V = ast.Var
@@ -182,20 +183,27 @@ class TestOptimizationReducesCost:
         )
         assert estimate_cost(opt.optimize(e)) < estimate_cost(e)
 
-    def test_eta_p_cheaper(self):
+    def test_eta_p_cheaper(self, std_env):
         opt = default_optimizer()
-        e = map_array(lambda x: x, V("A"))
+        e = aql_core(std_env, r"maparr!(fn \x => x, A)")
         assert estimate_cost(opt.optimize(e)) < estimate_cost(e)
 
-    def test_transpose_rule_cheaper(self):
+    # the next two run on the hand-expanded macro text, as
+    # test_normal_forms does: the macro applications do not fuse yet
+
+    def test_transpose_rule_cheaper(self, std_env):
         opt = default_optimizer()
-        e = transpose(ast.Tabulate(("i", "j"), (V("m"), V("n")), V("i")))
+        e = aql_core(std_env, r"""
+            let val (\p, \q) = dim_2!([[ i | \i < m, \j < n ]])
+            in [[ ([[ i | \i < m, \j < n ]])[a, b] | \b < q, \a < p ]]
+            end""")
         assert estimate_cost(opt.optimize(e)) < estimate_cost(e)
 
-    def test_map_fusion_cheaper(self):
+    def test_map_fusion_cheaper(self, std_env):
         opt = default_optimizer()
-        e = map_array(lambda x: ast.Arith("+", x, N(1)),
-                      map_array(lambda x: ast.Arith("*", x, N(2)), V("A")))
+        doubled = r"([[ (fn \x => x * 2)!(A[i]) | \i < len!A ]])"
+        e = aql_core(std_env, r"[[ (fn \x => x + 1)!(%s[i]) | \i < len!%s ]]"
+                     % (doubled, doubled))
         assert estimate_cost(opt.optimize(e)) < estimate_cost(e)
 
 

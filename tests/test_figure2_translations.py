@@ -5,10 +5,15 @@ form and comparing (up to α-equivalence, since fresh binders are minted)
 against the hand-built calculus expression the table specifies.
 """
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.core import ast as C
 from repro.core import evaluate
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression
+
+from conftest import nat_sets
 
 
 def ds(source):
@@ -194,9 +199,11 @@ class TestOperatorDesugaring:
     def test_or_short_circuits(self):
         assert run("true or (1 / 0 = 1)") is True
 
-    def test_membership_is_sigma(self):
+    @given(nat_sets, st.integers(0, 50))
+    def test_membership_is_sigma(self, xs, probe):
         got = ds("1 in S")
         assert any(isinstance(t, C.Sum) for t in C.subterms(got))
+        assert run("p in S", p=probe, S=xs) == (probe in xs)
 
     def test_set_literal_is_union_of_singletons(self):
         got = ds("{1, 2}")

@@ -14,35 +14,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ast
-from repro.core import builders as B
 from repro.core import evaluate
 from repro.errors import BottomError
 from repro.objects.array import Array
 from repro.optimizer.engine import default_optimizer
 
-from conftest import nat_arrays
+from conftest import aql_core, nat_arrays
 
 #: hypothesis-heavy; excluded from the quick CI lane (-m "not slow")
 pytestmark = pytest.mark.slow
 
-N = ast.NatLit
-V = ast.Var
-
-#: pipeline stages: Expr -> Expr over a 1-d nat array
+#: pipeline stages: stdlib text over a 1-d nat array, ``{0}`` the input
 _STAGES = [
-    ("reverse", B.reverse),
-    ("evenpos", B.evenpos),
-    ("inc", lambda e: B.map_array(
-        lambda x: ast.Arith("+", x, N(1)), e)),
-    ("double", lambda e: B.map_array(
-        lambda x: ast.Arith("*", x, N(2)), e)),
-    ("drop2", lambda e: B.subseq(
-        e, N(2), ast.Arith("-", B.array_len(e), N(1)))),
-    ("take3", lambda e: B.subseq(e, N(0), N(2))),
-    ("self-zip-first", lambda e: B.map_array(
-        lambda x: ast.Proj(1, 2, x), B.zip2(e, B.reverse(e)))),
-    ("dup", lambda e: B.array_append(e, e)),
-    ("identity-map", lambda e: B.map_array(lambda x: x, e)),
+    ("reverse", "reverse!({0})"),
+    ("evenpos", "evenpos!({0})"),
+    ("inc", r"maparr!(fn \x => x + 1, {0})"),
+    ("double", r"maparr!(fn \x => x * 2, {0})"),
+    ("drop2", "subseq!({0}, 2, len!({0}) - 1)"),
+    ("take3", "subseq!({0}, 0, 2)"),
+    ("self-zip-first", r"maparr!(fn (\x, _) => x, zip!({0}, reverse!({0})))"),
+    ("dup", "append!({0}, {0})"),
+    ("identity-map", r"maparr!(fn \x => x, {0})"),
 ]
 
 def _worst_cost(indices, input_len=10):
@@ -54,7 +46,7 @@ def _worst_cost(indices, input_len=10):
     simple duplicating-stage head count is not enough: two
     ``self-zip-first`` stages plus two ``reverse`` stages pass such a
     filter yet cost ~10^7 node evaluations over a 10-element array
-    (each projected cell re-materializes a whole ``zip2(e, reverse e)``
+    (each projected cell re-materializes a whole ``zip!(e, reverse!e)``
     — ~3·len evaluations of ``e``), which stalled the suite for over
     an hour on an unlucky draw.  The same bound also caps the strict
     (``assume_error_free=False``) pipeline evaluated on erroring
@@ -64,7 +56,7 @@ def _worst_cost(indices, input_len=10):
     for index in indices:
         name, _ = _STAGES[index]
         if name == "self-zip-first":
-            per_cell = 3.0 * length  # a full zip2(e, reverse e) per cell
+            per_cell = 3.0 * length  # a full zip!(e, reverse!e) per cell
         elif name in ("reverse", "dup"):
             per_cell = 2.0  # body subscript + a len(e) re-evaluation
         else:
@@ -91,21 +83,22 @@ _stage_indices = st.lists(
 
 
 def _build_pipeline(indices):
-    expr = V("A")
+    text = "A"
     names = []
     for index in indices:
         name, stage = _STAGES[index]
         names.append(name)
-        expr = stage(expr)
-    return expr, names
+        text = stage.format(text)
+    return text, names
 
 
 class TestRandomPipelines:
     @given(indices=_stage_indices, data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_optimization_preserves_semantics(self, indices, data):
-        expr, names = _build_pipeline(indices)
-        optimized = default_optimizer().optimize(expr)
+    def test_optimization_preserves_semantics(self, std_env, indices, data):
+        text, names = _build_pipeline(indices)
+        expr = aql_core(std_env, text)
+        optimized = aql_core(std_env, text, optimize=True)
         arr = data.draw(nat_arrays)
         try:
             expected = evaluate(expr, {"A": arr})
@@ -124,9 +117,10 @@ class TestRandomPipelines:
 
     @given(indices=_stage_indices)
     @settings(max_examples=30, deadline=None)
-    def test_optimization_never_grows_loop_count(self, indices):
-        expr, names = _build_pipeline(indices)
-        optimized = default_optimizer().optimize(expr)
+    def test_optimization_never_grows_loop_count(self, std_env, indices):
+        text, names = _build_pipeline(indices)
+        expr = aql_core(std_env, text)
+        optimized = aql_core(std_env, text, optimize=True)
         loops_before = sum(
             isinstance(t, (ast.Tabulate, ast.Ext, ast.Sum))
             for t in ast.subterms(expr)
@@ -139,11 +133,10 @@ class TestRandomPipelines:
 
     @given(indices=_stage_indices)
     @settings(max_examples=30, deadline=None)
-    def test_optimization_is_idempotent_semantically(self, indices):
-        expr, _ = _build_pipeline(indices)
-        opt = default_optimizer()
-        once = opt.optimize(expr)
-        twice = opt.optimize(once)
+    def test_optimization_is_idempotent_semantically(self, std_env, indices):
+        text, _ = _build_pipeline(indices)
+        once = aql_core(std_env, text, optimize=True)
+        twice = std_env.optimizer.optimize(once)
         arr = Array.from_list([5, 3, 8, 1, 9, 2, 7, 4])
         try:
             first = evaluate(once, {"A": arr})

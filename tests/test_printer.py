@@ -1,13 +1,14 @@
 """Tests for the core-expression pretty printer."""
 
 from repro.core import ast
-from repro.core.builders import transpose, zip2
 from repro.core.printer import CONST_CELL_LIMIT, pprint
 from repro.objects import exchange
 from repro.objects.array import Array
 from repro.objects.bag import Bag
 from repro.system.plan_cache import fingerprint
 from repro.system.session import Session
+
+from conftest import aql_core
 
 N = ast.NatLit
 V = ast.Var
@@ -139,9 +140,9 @@ class TestLargeConstants:
 
 
 class TestRealistic:
-    def test_derived_operators_printable(self):
-        assert isinstance(pprint(zip2(V("A"), V("B"))), str)
-        assert isinstance(pprint(transpose(V("M"))), str)
+    def test_derived_operators_printable(self, std_env):
+        for text in ("zip!(A, B)", "transpose!M"):
+            assert isinstance(pprint(aql_core(std_env, text)), str)
 
     def test_total_on_all_node_kinds(self):
         nodes = [

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ast
-from repro.core import builders as B
 from repro.core import evaluate
 from repro.errors import BottomError
 from repro.expressiveness.array_elim import (
@@ -35,7 +34,7 @@ from repro.types.types import (
     type_of_value,
 )
 
-from conftest import nat_arrays, nat_matrices, typed_values
+from conftest import aql_core, nat_arrays, nat_matrices, typed_values
 
 N = ast.NatLit
 V = ast.Var
@@ -110,39 +109,36 @@ class TestTypeTranslation:
 
 
 CASES = [
-    ("tabulate", lambda: ast.Tabulate(("i",), (N(5),),
-                                      ast.Arith("*", V("i"), V("i"))), {}),
-    ("subscript", lambda: ast.Subscript(V("A"), (N(2),)), "arr"),
-    ("len", lambda: ast.Dim(V("A"), 1), "arr"),
-    ("reverse", lambda: B.reverse(V("A")), "arr"),
-    ("evenpos", lambda: B.evenpos(V("A")), "arr"),
-    ("zip", lambda: B.zip2(V("A"), B.reverse(V("A"))), "arr"),
-    ("map", lambda: B.map_array(
-        lambda x: ast.Arith("+", x, N(1)), V("A")), "arr"),
-    ("rng", lambda: B.rng(V("A")), "arr"),
-    ("graph", lambda: B.graph(V("A")), "arr"),
-    ("hist_fast", lambda: B.hist_fast(V("A")), "arr"),
-    ("transpose", lambda: B.transpose(V("M")), "mat"),
-    ("dim2", lambda: ast.Dim(V("M"), 2), "mat"),
-    ("mkarray", lambda: ast.MkArray((N(2), N(2)),
-                                    (N(1), N(2), N(3), N(4))), {}),
+    ("tabulate", r"[[ i*i | \i < 5 ]]", {}),
+    ("subscript", "A[2]", "arr"),
+    ("len", "len!A", "arr"),
+    ("reverse", "reverse!A", "arr"),
+    ("evenpos", "evenpos!A", "arr"),
+    ("zip", "zip!(A, reverse!A)", "arr"),
+    ("map", r"maparr!(fn \x => x + 1, A)", "arr"),
+    ("rng", "rng!A", "arr"),
+    ("graph", "graph!A", "arr"),
+    ("hist_fast", "hist2!A", "arr"),
+    ("transpose", "transpose!M", "mat"),
+    ("dim2", "dim_2!M", "mat"),
+    ("mkarray", "[[2, 2; 1, 2, 3, 4]]", {}),
 ]
 
 
 class TestExpressionCompilation:
-    @pytest.mark.parametrize("name,make,binds", CASES,
+    @pytest.mark.parametrize("name,text,binds", CASES,
                              ids=[c[0] for c in CASES])
-    def test_output_in_fragment(self, name, make, binds):
-        translated = eliminate_arrays(make())
+    def test_output_in_fragment(self, std_env, name, text, binds):
+        translated = eliminate_arrays(aql_core(std_env, text))
         assert in_nrc_aggr_gen(translated), \
             f"{name}: translation still uses array constructs"
 
-    @pytest.mark.parametrize("name,make,binds", CASES,
+    @pytest.mark.parametrize("name,text,binds", CASES,
                              ids=[c[0] for c in CASES])
     @given(data=st.data())
     @settings(max_examples=12)
-    def test_semantics_preserved(self, name, make, binds, data):
-        expr = make()
+    def test_semantics_preserved(self, std_env, name, text, binds, data):
+        expr = aql_core(std_env, text)
         if binds == "arr":
             env = {"A": data.draw(nat_arrays)}
         elif binds == "mat":
@@ -205,9 +201,9 @@ class TestConservativity:
 
     @given(nat_arrays)
     @settings(max_examples=15)
-    def test_aggregate_of_array_is_flat(self, arr):
+    def test_aggregate_of_array_is_flat(self, std_env, arr):
         # Σ over an array's range: nat in, nat out
-        expr = ast.Sum("x", V("x"), B.rng(V("A")))
+        expr = aql_core(std_env, r"summap(fn \x => x)!(rng!A)")
         translated = eliminate_arrays(expr)
         assert in_nrc_aggr_gen(translated)
         assert evaluate(translated, {"A": encode_value(arr)}) == \

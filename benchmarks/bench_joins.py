@@ -3,9 +3,10 @@
 The optimizer's NRC rules leave a relational join in filter-promotion
 normal form — ``ext{λx. ext{λy. if κ(x) = κ'(y) then {e} else {}}(T)}(S)``
 — which the naive loops execute as |S|·|T| condition evaluations.
-The set-engine fast path (:mod:`repro.core.setops`) builds a hash index
-on the smaller side and evaluates the match body only for key-equal
-pairs: O(|S| + |T| + matches).
+For a recognised join (:mod:`repro.core.setops`) the emitted plan
+holds a hash-join block ahead of those loops: it indexes T by its key,
+probes the index once per element of S and evaluates the match body
+only for key-equal pairs: O(|S| + |T| + matches).
 
 This benchmark measures that claim at 2000×2000
 (4,000,000 candidate pairs, ~2,000 matches).  The naive run is timed

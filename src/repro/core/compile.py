@@ -5,17 +5,18 @@ compiles the optimized query before running it).  :meth:`Compiler.compile`
 emits the Python source of a whole expression — a factory
 ``_factory(_c, _cfg, _P, _V, _k0, …)`` over the compiler, its dispatch
 config, the probe, the val table ``_plan`` first reads its vals from and
-the plan's *slots* (every literal, ``Const``, primitive, join shape and
-val name), returning ``_plan(env)`` — and returns that function.  No
+the plan's *slots* (every literal, ``Const``, primitive and val name),
+returning ``_plan(env)`` — and returns that function.  No
 value and no user text enters the source, so it depends only on the
 plan's shape: compiled factories are memoised by it in one bounded
 table, each registered with :mod:`linecache` as ``<plan N>``.
 Inside ``_plan`` variables are locals, loops are ``for`` statements and
 straight-line bodies are expressions that guard on exact host types
 before the one general routine, which owns every error
-(:mod:`repro.core.runtime`); a kernel-shaped tabulation or ``Σ`` body
-is numpy lines over :mod:`repro.core.kernels` ahead of its loop, and
-it and a hash join ask the live :class:`~.fastpath.DispatchConfig`.  A probe
+(:mod:`repro.core.runtime`).  Ahead of its loop, a kernel-shaped
+tabulation or ``Σ`` body is numpy lines over :mod:`repro.core.kernels`
+and a recognised equi-join a hash-index block (:mod:`repro.core.setops`);
+each asks the live :class:`~.fastpath.DispatchConfig`.  A probe
 makes the same program plus counter lines.  The semantics are those of
 the reference tree-walker (:mod:`repro.core.eval`); DESIGN.md "Code
 generation" has the rules.
@@ -111,7 +112,7 @@ class Compiler:
                                  *emission._consts)
 
     #: the fast-path entry points, bound into every plan's globals
-    RUNTIME = {"_hash_join": setops.hash_join, "_Fallback": kernels._Fallback,
+    RUNTIME = {"_HashKey": setops.HashKey, "_Fallback": kernels._Fallback,
                "_quiet": kernels.quiet, "_ksum": kernels.total, **{
                    f"_k{name}": getattr(kernels, name) for name in (
                        "grids", "scalar", "extent", "bound", "gather",
@@ -434,41 +435,72 @@ class Compiler:
         return f"_seen(_P, {self._counted('Gen', mark, elements)})"
 
     def _ext(self, expr: ast.Ext, scope) -> str:
-        # recognised once; the emitted code gates each run on the live
-        # config and falls through to the loop
-        shape = setops.recognize_join(expr)
-        if shape is not None:
-            free = ast.free_vars(expr)
-            names = tuple(name for name in scope if name in free) + tuple(
-                sorted(free.difference(scope).intersection(self.vals)))
-            pieces = None
-            if self.probe is None:  # probed pieces are built per dispatch
-                try:
-                    pieces = setops.compile_join_pieces(self._owner, expr,
-                                                        shape, names)
-                except Exception:
-                    shape = None
         depth, self._depth, acc = self._depth, 0, self._fresh("s")
-        if shape is None:
-            self._line(f"{acc} = set()")
-            self._collect(expr, scope, acc)
-            self._depth = depth
-            return f"frozenset({acc})"
-        env = ", ".join(self._var(ast.Var(name), scope) for name in names)
-        source, result = self._spill(self._emit(expr.source, scope)), \
-            self._fresh()
-        self._line(f"{result} = _hash_join(_c, {self._const(expr)}, "
-                   f"{self._const(shape)}, {self._const(names)}, "
-                   f"{self._const(pieces)}, [{env}], {source}) if isinstance("
-                   f"{source}, frozenset) and len({source}) >= 2 else None")
-        self._line(f"if {result} is None:")
-        self._level += 1
+        shape, source, result = setops.recognize_join(expr), None, \
+            f"frozenset({acc})"
+        if shape is not None:  # the join block, then the loop if it declined
+            source = self._spill(self._emit(expr.source, scope))
+            result, state = self._join(shape, scope, source, acc)
+            self._line(f"if {result} is None:")
+            self._level += 1
+            if state:
+                self._line(f"_P.restore({state})")
         self._line(f"{acc} = set()")
         self._collect(expr, scope, acc, source)
-        self._line(f"{result} = frozenset({acc})")
-        self._level -= 1
+        if shape is not None:
+            self._line(f"{result} = frozenset({acc})")
+            self._level -= 1
         self._depth = depth
         return result
+
+    def _join(self, shape: setops.JoinShape, scope, source: str, acc: str):
+        """The hash equi-join block (docs/SETOPS.md): index T by κ'(y),
+        probe it with κ(x) per x in ``source`` and add e per matching
+        pair into ``acc``.  ``(result, state)``: ``result`` stays
+        ``None`` when the config declines or anything raises, and a
+        probe is then to be restored to its snapshot ``state``."""
+        probed, level, loops = self.probe is not None, self._level, \
+            self._loops
+        result, state, index, bucket, matched = (self._fresh()
+                                                 for _ in range(5))
+        x, y = self._bind(), self._bind()
+        self._line(f"{result} = None")
+        if probed:
+            self._line(f"{state} = _P.snapshot()")
+        self._line(f"if isinstance({source}, frozenset) "
+                   f"and len({source}) >= 2:")
+        self._line("try:", 1)
+        self._level, self._loops = level + 2, loops + 1
+        inner = self._spill(self._emit(shape.inner_source, scope))
+        pairs = f"len({source}) * len({inner})"
+        self._line(f"if isinstance({inner}, frozenset) and "
+                   f"_cfg.wants_hash_join({pairs}, len({inner})):")
+        self._line(f"{index} = {{}}", 1)
+        self._line(f"for v{y} in {inner}:", 1)
+        self._level, self._loops = level + 4, loops + 2
+        key = self._emit(shape.inner_key, {**scope, shape.inner_var: y})
+        self._line(f"{index}.setdefault(_HashKey({key}), []).append(v{y})")
+        self._line(f"{acc} = set()", -1)
+        if probed:
+            self._line(f"{matched} = 0", -1)
+        self._line(f"for v{x} in {source}:", -1)
+        key = self._emit(shape.outer_key, {**scope, shape.outer_var: x})
+        self._line(f"{bucket} = {index}.get(_HashKey({key}))")
+        self._line(f"if {bucket}:")
+        if probed:
+            self._line(f"{matched} += len({bucket})", 1)
+        self._line(f"for v{y} in {bucket}:", 1)
+        self._level, self._loops = level + 6, loops + 3
+        self._add(shape.match_body, {**scope, shape.outer_var: x,
+                                     shape.inner_var: y}, acc)
+        self._level, self._loops = level + 3, loops
+        if probed:
+            self._line(f"_P.on_join({matched}, {pairs} - {matched})")
+        self._line(f"{result} = frozenset({acc})")
+        self._line("except Exception:", -2)
+        self._line("pass", -1)
+        self._level = level
+        return result, probed and state
 
     def _collect(self, expr: ast.Ext, scope, acc: str,
                  elements: Optional[str] = None) -> None:

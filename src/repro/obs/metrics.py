@@ -13,22 +13,21 @@ evaluated, of which AST classes?  how many tabulation cells were
 materialized?  how large were the ``index_k`` group-bys?  how many ⊥
 were raised?  how big were the sets and bags the query touched?*
 
-Fork/merge contract (the set-engine fast paths depend on it)
-------------------------------------------------------------
+Rollback (the hash join depends on it)
+--------------------------------------
 
-A probe is **single-writer**: every hook mutates plain Python counters
-with unguarded read-modify-write sequences, so exactly one writer may
-report into a given probe instance at a time.  A hash join
-(:mod:`repro.core.setops`) therefore counts into a private
-:meth:`EvalProbe.fork` and folds it back through
-:meth:`EvalMetrics.merge` only once the join has succeeded, so a
-discarded attempt never reaches the parent's counters; the base
-``fork`` (``None``) declines the fast path rather than risk losing or
-double-counting events.
+A probed plan takes one :meth:`EvalProbe.snapshot` before a hash-join
+block and hands it to :meth:`EvalProbe.restore` when the block declines
+or fails, so the naive loop that reruns the construct counts exactly
+what it would have alone.  :class:`EvalMetrics` saves and resets its
+fields; the base pair is a no-op, so a custom probe that keeps state
+overrides both to get the same exactness.  Whichever probe is attached,
+the same physical path runs.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Any, Dict
 
 
@@ -56,16 +55,6 @@ class EvalProbe:
         Disjoint from :meth:`on_cells` — a tabulation reports into
         exactly one of the two."""
 
-    def fork(self):
-        """A fresh probe of this kind for one fast-path worker, or ``None``.
-
-        The default declines: a probe that does not know how to fork
-        (and later :meth:`EvalMetrics.merge`-style fold back) must not
-        be silently bypassed, so the engines fall back to serial
-        evaluation when ``fork()`` returns ``None``.
-        """
-        return None
-
     def on_index(self, cells: int, groups: int, pairs: int,
                  max_group: int = 0) -> None:
         """An ``index_k`` built ``cells`` cells grouping ``pairs`` pairs
@@ -84,6 +73,13 @@ class EvalProbe:
 
     def on_collection(self, size: int) -> None:
         """A set or bag of cardinality ``size`` was produced."""
+
+    def snapshot(self) -> Any:
+        """The probe's state, for :meth:`restore` (none here)."""
+
+    def restore(self, state: Any) -> None:
+        """Return to a :meth:`snapshot`: a hash-join block that declined
+        or failed counts nothing."""
 
 
 class EvalMetrics(EvalProbe):
@@ -135,47 +131,6 @@ class EvalMetrics(EvalProbe):
         self.tabulations_vectorized += 1
         self.cells_vectorized += count
 
-    # -- the fork/merge protocol ---------------------------------------------
-
-    def fork(self) -> "EvalMetrics":
-        """A fresh sibling for one fast-path attempt (see :meth:`merge`)."""
-        return EvalMetrics()
-
-    def merge(self, other: "EvalMetrics") -> None:
-        """Fold a finished fork's counters into this probe.
-
-        The single-writer discipline: ``other`` must be quiescent (its
-        attempt has completed) and ``self`` must have exactly one
-        writer.  Sums are added, per-key dicts merged, and the ``max_*``
-        watermarks combined with ``max`` — so merging any number of
-        forks in any order yields the same totals a single probe would
-        have counted.
-        """
-        self.node_evals += other.node_evals
-        for kind, count in other.nodes_by_class.items():
-            self.nodes_by_class[kind] = \
-                self.nodes_by_class.get(kind, 0) + count
-        self.cells_materialized += other.cells_materialized
-        self.cells_vectorized += other.cells_vectorized
-        self.tabulations += other.tabulations
-        self.tabulations_vectorized += other.tabulations_vectorized
-        self.index_groupbys += other.index_groupbys
-        self.index_cells += other.index_cells
-        self.index_groups += other.index_groups
-        self.index_pairs += other.index_pairs
-        self.max_group_size = max(self.max_group_size, other.max_group_size)
-        self.joins_hashed += other.joins_hashed
-        self.join_pairs_matched += other.join_pairs_matched
-        self.join_pairs_skipped += other.join_pairs_skipped
-        self.bottom_raises += other.bottom_raises
-        for reason, count in other.bottom_reasons.items():
-            self.bottom_reasons[reason] = \
-                self.bottom_reasons.get(reason, 0) + count
-        self.collections_touched += other.collections_touched
-        self.collection_elements += other.collection_elements
-        self.max_collection_size = max(self.max_collection_size,
-                                       other.max_collection_size)
-
     def on_index(self, cells: int, groups: int, pairs: int,
                  max_group: int = 0) -> None:
         """Count one ``index_k`` group-by and its sizes.
@@ -211,6 +166,19 @@ class EvalMetrics(EvalProbe):
         self.collection_elements += size
         if size > self.max_collection_size:
             self.max_collection_size = size
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Every counter as it stands, the two dicts copied."""
+        return {name: copy(getattr(self, name)) for name in self.__slots__}
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Put every counter back as :meth:`snapshot` saw it.
+
+        Exact because a probe is single-writer: generated code reports
+        from one thread, so nothing else counts between the two calls.
+        """
+        for name, value in state.items():
+            setattr(self, name, value)
 
     # -- reporting ----------------------------------------------------------
 

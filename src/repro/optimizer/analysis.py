@@ -105,37 +105,6 @@ def effective_occurrences(expr: ast.Expr, name: str) -> int:
     return total
 
 
-def split_equi_join(cond: ast.Expr, outer_var: str,
-                    inner_var: str):
-    """Orient an equality condition as equi-join keys, or ``None``.
-
-    Given the condition of the filter-promotion normal form
-    ``ext{λx. ext{λy. if cond then {e} else {}}(T)}(S)``, decide whether
-    ``cond`` is ``κ(x) = κ'(y)``: an equality whose two sides partition
-    the loop variables, one side mentioning at most ``outer_var`` and
-    the other at most ``inner_var``.  Returns ``(outer_key, inner_key)``
-    with the sides in that order (swapping them when the equality was
-    written ``κ'(y) = κ(x)``), or ``None`` when either side mixes both
-    variables — then no hash on one side can decide the match and the
-    nested loop is the honest plan.
-
-    Shadowing is handled by the same test: if ``κ'`` mentions a *free*
-    occurrence of ``outer_var`` it necessarily refers to the inner
-    loop's rebinding of that name, so the split is refused.
-    """
-    if not isinstance(cond, ast.Cmp) or cond.op != "=":
-        return None
-    if outer_var == inner_var:
-        return None  # the inner binder shadows the outer: not a join
-    left_free = ast.free_vars(cond.left)
-    right_free = ast.free_vars(cond.right)
-    if inner_var not in left_free and outer_var not in right_free:
-        return cond.left, cond.right
-    if outer_var not in left_free and inner_var not in right_free:
-        return cond.right, cond.left
-    return None
-
-
 def has_class(expr: ast.Expr, classes: frozenset) -> bool:
     """Whether a node of one of ``classes`` occurs anywhere in ``expr``.
 
@@ -177,5 +146,4 @@ def strip_bounds_checks(expr: ast.Expr) -> ast.Expr:
 
 
 __all__ = ["is_error_free", "is_duplication_safe",
-           "effective_occurrences", "split_equi_join",
-           "has_class", "strip_bounds_checks"]
+           "effective_occurrences", "has_class", "strip_bounds_checks"]

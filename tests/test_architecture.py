@@ -7,7 +7,9 @@ all three from AQL without restarting anything.
 
 import ast as pyast
 import inspect
+import linecache
 import re
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -259,16 +261,60 @@ class TestOneEngine:
             parse_expression(text)))
         evaluator = CompiledEvaluator(session.env._prim_impls,
                                       vals=val_bindings(session.env, core))
-        frontier, held = [evaluator.prepare(core)], []
-        while frontier:
-            for cell in frontier.pop().__closure__ or ():
-                value = cell.cell_contents
-                held.append(value)
-                if getattr(getattr(value, "__code__", None), "co_filename",
-                           "").startswith("<plan"):
-                    frontier.append(value)
+        held = _slots(evaluator.prepare(core))
         assert "_kgrids(" in evaluator.source
         assert not [value for value in held if _holds_ast(value)]
+
+    def test_join_plans_have_one_representation(self, session, monkeypatch):
+        """A hash join is emitted code as well: its plan closes over no
+        AST node or join shape, a plain run compiles one factory, and
+        each explain emits its probed plan once."""
+        from repro.core import compile as codegen
+        from repro.core.compile import CompiledEvaluator
+        from repro.core.setops import JoinShape
+        from repro.surface.desugar import desugar_expression
+        from repro.surface.parser import parse_expression
+
+        session.env.set_val("R", frozenset((k, k * 7 % 10)
+                                           for k in range(30)))
+        session.env.set_val("S", frozenset(((k * 11) % 30, k % 5)
+                                           for k in range(30)))
+        text = r"{(a, b, c) | (\a, \b) <- R, (\a2, \c) <- S, a = a2}"
+        core, _ = session.env.compile(desugar_expression(
+            parse_expression(text)))
+        evaluator = CompiledEvaluator(session.env._prim_impls,
+                                      vals=val_bindings(session.env, core))
+        held = _slots(evaluator.prepare(core))
+        assert "_cfg.wants_hash_join(" in evaluator.source
+        assert not [value for value in held
+                    if _holds_ast(value) or isinstance(value, JoinShape)]
+
+        # an empty memo, and a linecache whose new entries die with it
+        monkeypatch.setattr(codegen, "_FACTORIES", OrderedDict())
+        monkeypatch.setattr(linecache, "cache", dict(linecache.cache))
+        emitted, module = [], codegen.Compiler._module
+        monkeypatch.setattr(codegen.Compiler, "_module", lambda self, *args:
+                            emitted.append(args[0]) or module(self, *args))
+        session.query_value(text + ";")
+        assert len(codegen._FACTORIES) == 1
+        for explains in (1, 2, 3):
+            metrics = session.explain(text + ";").to_dict()["metrics"]
+            assert metrics["joins_hashed"] == 1
+            assert len(emitted) == 1 + explains
+
+
+def _slots(code):
+    """Every value a plan function closes over, and those of the plan
+    functions it defines, transitively."""
+    frontier, held = [code], []
+    while frontier:
+        for cell in frontier.pop().__closure__ or ():
+            value = cell.cell_contents
+            held.append(value)
+            if getattr(getattr(value, "__code__", None), "co_filename",
+                       "").startswith("<plan"):
+                frontier.append(value)
+    return held
 
 
 def _holds_ast(value):
@@ -333,6 +379,14 @@ class TestKnobCensus:
             DispatchConfig(backend="thread")
         assert repr(Session(parallel_backend="process").env.dispatch) == \
             repr(Session().env.dispatch)
+
+    def test_core_does_not_import_the_optimizer(self):
+        """``core/`` sits below the optimizer: not even a function-level
+        import reaches up into it."""
+        importers = [path.name for path in (SRC / "core").rglob("*.py")
+                     if any(name.startswith("repro.optimizer")
+                            for name in _imports(path))]
+        assert not importers
 
     def test_core_does_not_import_the_cost_estimator(self):
         importers = [path.name for path in (SRC / "core").rglob("*.py")

@@ -136,48 +136,54 @@ class TestMetrics:
         assert payload["joins_hashed"] == 2
         assert "hash joins" in metrics.render()
 
-    def test_merge_folds_setops_counters(self):
-        parent, worker = EvalMetrics(), EvalMetrics()
-        parent.on_index(4, 2, 4, max_group=2)
-        worker.on_index(6, 3, 7, max_group=4)
-        worker.on_join(3, 5)
-        parent.merge(worker)
-        assert parent.index_groupbys == 2
-        assert parent.max_group_size == 4
-        assert parent.joins_hashed == 1
-        assert parent.join_pairs_matched == 3
-        assert parent.join_pairs_skipped == 5
-
-    def test_merge_adds_sums_and_maxes_watermarks(self):
-        left = EvalMetrics()
-        left.on_node("Var")
-        left.on_cells(10)
-        left.on_collection(3)
-        left.on_bottom("x: boom")
-        right = EvalMetrics()
-        right.on_node("Var")
-        right.on_node("If")
-        right.on_cells(5)
-        right.on_collection(9)
-        left.merge(right)
-        assert left.node_evals == 3
-        assert left.nodes_by_class == {"Var": 2, "If": 1}
-        assert left.cells_materialized == 15
-        assert left.tabulations == 2
-        assert left.collections_touched == 2
-        assert left.max_collection_size == 9
-        assert left.bottom_raises == 1
-
-    def test_fork_is_fresh(self):
+    def test_restore_drops_setops_counters(self):
         metrics = EvalMetrics()
+        metrics.on_index(4, 2, 4, max_group=2)
+        state = metrics.snapshot()
+        metrics.on_index(6, 3, 7, max_group=4)
+        metrics.on_join(3, 5)
+        metrics.restore(state)
+        assert metrics.index_groupbys == 1
+        assert metrics.max_group_size == 2
+        assert metrics.joins_hashed == 0
+        assert metrics.join_pairs_matched == 0
+        assert metrics.join_pairs_skipped == 0
+
+    def test_restore_resets_sums_dicts_and_watermarks(self):
+        metrics = EvalMetrics()
+        metrics.on_node("Var")
+        metrics.on_cells(10)
+        metrics.on_collection(3)
+        metrics.on_bottom("x: boom")
+        before = metrics.to_dict()
+        state = metrics.snapshot()
+        metrics.on_node("Var")
+        metrics.on_node("If")
         metrics.on_cells(5)
-        forked = metrics.fork()
-        assert isinstance(forked, EvalMetrics)
-        assert forked.cells_materialized == 0
-        assert EvalProbe().fork() is None
+        metrics.on_collection(9)
+        metrics.on_bottom("y: bang")
+        metrics.restore(state)
+        assert metrics.to_dict() == before
+        assert metrics.nodes_by_class == {"Var": 1}
+        assert metrics.bottom_reasons == {"x": 1}
+        assert metrics.max_collection_size == 3
+
+    def test_snapshot_is_a_copy(self):
+        metrics = EvalMetrics()
+        metrics.on_node("Var")
+        state = metrics.snapshot()
+        metrics.on_node("Var")
+        assert state["node_evals"] == 1
+        assert state["nodes_by_class"] == {"Var": 1}
+        assert set(state) == set(EvalMetrics.__slots__)
+        # the base probe keeps nothing, so its rollback is a no-op
+        probe = EvalProbe()
+        assert probe.snapshot() is None
+        probe.restore(None)
 
     def test_single_writer_contract_documented(self):
-        assert "single-writer" in EvalMetrics.merge.__doc__
+        # a snapshot is exact only if nothing else reports in between
+        assert "single-writer" in EvalMetrics.restore.__doc__
 
 
 class TestObservabilitySwitch:

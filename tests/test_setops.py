@@ -22,14 +22,10 @@ from repro.core.eval import Evaluator
 from repro.core.fastpath import DispatchConfig
 from repro.errors import EvalError
 from repro.objects.array import index_set_stats
-from repro.obs.metrics import EvalMetrics
+from repro.obs.metrics import EvalMetrics, EvalProbe
 
 from conftest import CONFIGS, SCALAR, agree
 from conftest import outcome as engine_outcome
-
-#: the counter keys only the hash join reports; everything else must
-#: match a naive run exactly
-SETOPS_ONLY = ("joins_hashed", "join_pairs_matched", "join_pairs_skipped")
 
 
 def cfg(min_cells=1):
@@ -39,11 +35,6 @@ def cfg(min_cells=1):
 def outcome(expr, config, probe=None):
     """The production engine's outcome on a closed expression."""
     return engine_outcome(expr, config, probe=probe, binds={})
-
-
-def counters(metrics):
-    return {key: value for key, value in metrics.to_dict().items()
-            if key not in SETOPS_ONLY}
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +72,19 @@ def relation(pairs):
 
 S_REL = frozenset((i % 7, i) for i in range(30))
 T_REL = frozenset((i % 5, 100 + i) for i in range(20))
+
+#: joins raising ⊥ (``100 / 0``) in the match body, in the inner key
+#: κ'(y) and in the outer key κ(x)
+_ZERO_T = frozenset([(0, 0), (0, 4), (1, 5)])
+_ZERO_S = frozenset([(0, 1), (1, 2), (2, 3)])
+BOTTOM_JOINS = (
+    join_query(relation(_ZERO_S), relation(_ZERO_T), body=ast.Singleton(
+        ast.Arith("/", N(100), snd(V("y"))))),
+    join_query(relation(_ZERO_S), relation(_ZERO_T), cond=ast.Cmp(
+        "=", fst(V("x")), ast.Arith("/", N(100), snd(V("y"))))),
+    join_query(relation(_ZERO_T), relation(_ZERO_S), cond=ast.Cmp(
+        "=", ast.Arith("/", N(100), snd(V("x"))), fst(V("y")))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -192,29 +196,42 @@ class TestJoinAgreement:
         assert metrics.joins_hashed == 0
 
     def test_bottom_in_body_is_canonical(self):
-        # 100/snd y raises division by zero on the pair whose payload
-        # is 0; the fast path must discard its work and let the naive
+        # 100/snd raises division by zero on the pair whose payload is
+        # 0, in the match body, the inner key κ'(y) or the outer key
+        # κ(x); the fast path must discard its work and let the naive
         # loops raise the identical reason
-        t = frozenset([(0, 0), (0, 4), (1, 5)])
-        s = frozenset([(0, 1), (1, 2), (2, 3)])
-        body = ast.Singleton(ast.Arith("/", N(100), snd(V("y"))))
-        expr = join_query(relation(s), relation(t), body=body)
-        for config in CONFIGS:
-            assert agree(expr, config, binds={})[0] == "bottom"
+        for expr in BOTTOM_JOINS:
+            for config in CONFIGS:
+                assert agree(expr, config, binds={})[0] == "bottom"
 
     def test_bottom_discards_forked_probe(self):
-        t = frozenset([(0, 0), (0, 4), (1, 5)])
-        s = frozenset([(0, 1), (1, 2), (2, 3)])
-        body = ast.Singleton(ast.Arith("/", N(100), snd(V("y"))))
-        expr = join_query(relation(s), relation(t), body=body)
-        fast_metrics, naive_metrics = EvalMetrics(), EvalMetrics()
-        fast = outcome(expr, cfg(), probe=fast_metrics)
-        naive = outcome(expr, SCALAR, probe=naive_metrics)
-        assert fast == naive
-        # the failed fast path contributes nothing: counters are the
-        # naive loop's exactly, including zero join counters
-        assert counters(fast_metrics) == counters(naive_metrics)
-        assert fast_metrics.joins_hashed == 0
+        for expr in BOTTOM_JOINS:
+            fast_metrics, naive_metrics = EvalMetrics(), EvalMetrics()
+            fast = outcome(expr, cfg(), probe=fast_metrics)
+            naive = outcome(expr, SCALAR, probe=naive_metrics)
+            assert fast == naive
+            # the failed fast path contributes nothing: counters are the
+            # naive loop's exactly, including zero join counters
+            assert fast_metrics.to_dict() == naive_metrics.to_dict()
+            assert fast_metrics.joins_hashed == 0
+
+    def test_physical_path_does_not_depend_on_the_probe(self):
+        """A probe that overrides one hook still gets the hash join."""
+        class JoinsOnly(EvalProbe):
+            __slots__ = ("joins",)
+
+            def __init__(self):
+                self.joins = []
+
+            def on_join(self, pairs_matched, pairs_skipped):
+                self.joins.append((pairs_matched, pairs_skipped))
+
+        expr = join_query(relation(S_REL), relation(T_REL))
+        probe = JoinsOnly()
+        assert outcome(expr, cfg(), probe=probe) == outcome(expr, SCALAR)
+        matched = sum(1 for a in S_REL for b in T_REL if a[0] == b[0])
+        assert probe.joins == [(matched,
+                                len(S_REL) * len(T_REL) - matched)]
 
     def test_mixed_kind_keys_stay_distinct(self):
         # 1, 1.0 and true collide under Python hashing but are distinct

@@ -15,11 +15,10 @@ plays for AQL the role relational algebra plays for SQL.
 * :mod:`repro.core.eval` — the reference semantics (a naive tree-walker)
   the engine is tested against.
 * The derived operators of Sections 2–3 (map, zip, subseq, transpose,
-  multiply, hist, ...) are AQL macros of :mod:`repro.env.stdlib`, each
-  defined once, reaching the core calculus through the front end like
-  any user macro.
-* :mod:`repro.core.odmg` — the ODMG array-primitive simulation claimed in
-  Section 7.
+  multiply, hist, ...) and the ODMG array primitives Section 7 claims
+  AQL simulates (update, insert, remove, resize) are AQL macros of
+  :mod:`repro.env.stdlib`, each defined once, reaching the core calculus
+  through the front end like any user macro.
 """
 
 from repro.core import ast

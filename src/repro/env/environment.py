@@ -75,9 +75,9 @@ class TopEnv:
         #: Session-level tuning retunes live engines — including
         #: evaluators resident in a plan cache
         self.dispatch = DispatchConfig()
-        #: static unit-cost estimates and how the last one fared — the
-        #: paper's "rules/cost functions" registered into the
-        #: environment; shown by EXPLAIN, read by no dispatch decision
+        #: static unit-cost estimates — the paper's "rules/cost
+        #: functions" registered into the environment; asked by EXPLAIN
+        #: on demand, read by no dispatch decision
         self.cost = CostRecord(self._vals)
         #: the observability switch threaded through the whole pipeline
         #: (Section 4.1's openness applied to measurement); disabled by

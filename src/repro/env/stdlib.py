@@ -45,6 +45,19 @@ macro \append = fn (\A, \B) =>
     [[ if i < len!A then A[i] else B[i - len!A] | \i < len!A + len!B ]];
 macro \enumerate = fn \A => [[ (i, A[i]) | \i < len!A ]];
 
+(* ---- the ODMG-93 array primitives, functionally (Section 7): create
+   is the array literal, subscript is A[i] and concatenation append;
+   an extending resize leaves bottom in the new slots ---- *)
+macro \update = fn (\A, \p, \v) =>
+    [[ if j = p then v else A[j] | \j < len!A ]];
+macro \insert = fn (\A, \p, \v) =>
+    [[ if j < p then A[j] else if j = p then v else A[j - 1]
+     | \j < len!A + 1 ]];
+macro \remove = fn (\A, \p) =>
+    [[ if j < p then A[j] else A[j + 1] | \j < len!A - 1 ]];
+macro \resize = fn (\A, \n) =>
+    [[ if j < len!A then A[j] else bottom | \j < n ]];
+
 (* ---- matrix operators (Section 2) ---- *)
 macro \transpose = fn \M =>
     let val (\m, \n) = dim_2!M in [[ M[i, j] | \j < n, \i < m ]] end;

@@ -80,7 +80,3 @@ class SessionError(AQLError):
 class NestingError(AQLError):
     """Raised when a statement parses but nests or chains deeper than a
     later pipeline stage can recurse (e.g. 5 000 terms of ``1 + … + 1``)."""
-
-
-class OptimizerError(AQLError):
-    """Raised when the rewrite engine detects an internal inconsistency."""

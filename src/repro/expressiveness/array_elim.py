@@ -134,12 +134,6 @@ def _max(source: ast.Expr) -> ast.Expr:
     return ast.Get(ast.Ext(y, top, source))
 
 
-def _keys_of(graph: ast.Expr) -> ast.Expr:
-    """The key set of a graph: ``⋃{{π1 p} | p ∈ g}``."""
-    p = ast.fresh_var("p")
-    return ast.Ext(p, ast.Singleton(ast.Proj(1, 2, ast.Var(p))), graph)
-
-
 def _axis_keys(graph: ast.Expr, axis: int, rank: int) -> ast.Expr:
     """The set of axis-``axis`` key components of a graph."""
     p = ast.fresh_var("p")

@@ -46,8 +46,8 @@ class ExplainReport:
     #: dense-store counter *deltas* over the profiled block
     #: (``repro.objects.dense.COUNTERS`` before/after difference)
     dense: Optional[Dict[str, int]] = None
-    #: ``CostRecord.snapshot()``: the estimate count and the last
-    #: estimate-vs-observed comparison
+    #: ``{"units": …}``: the unit-cost estimate of :attr:`core`
+    #: (``CostRecord.estimate``; None when the core out-nests the stack)
     cost: Optional[Dict[str, Any]] = None
     #: the emitted source of the query's plan (``<plan N>`` in tracebacks)
     code: str = ""
@@ -118,7 +118,8 @@ class ExplainReport:
         if self.dense is not None:
             sections += ["", "== dense store ==", _render_dense(self.dense)]
         if self.cost is not None:
-            sections += ["", "== cost model ==", _render_cost(self.cost)]
+            sections += ["", "== cost model ==",
+                         f"units                 {self.cost['units']}"]
         if self.code:
             sections += ["", "== code ==", self.code.rstrip("\n")]
         return "\n".join(sections)
@@ -149,23 +150,6 @@ def _render_cache(cache: Dict[str, Any]) -> str:
             f"misses {cache.get('misses', 0)}  "
             f"evictions {cache.get('evictions', 0)}  "
             f"invalidations {cache.get('invalidations', 0)}")
-
-
-def _render_cost(cost: Dict[str, Any]) -> str:
-    """The estimate count and the last estimate-vs-observed line."""
-    lines = [f"estimates             {cost.get('cost_estimates', 0)}"]
-    last = cost.get("last_estimate")
-    if last:
-        predicted = last.get("predicted_seconds") or 0.0
-        observed = last.get("observed_seconds") or 0.0
-        error = last.get("error_factor")
-        line = (f"last query            {last.get('units', 0):.0f} units  "
-                f"predicted {predicted * 1e3:.3f} ms  "
-                f"observed {observed * 1e3:.3f} ms")
-        if error is not None:
-            line += f"  error x{error:.2f}"
-        lines.append(line)
-    return "\n".join(lines)
 
 
 def _render_dense(counters: Dict[str, int]) -> str:

@@ -1,9 +1,11 @@
-"""Static cost estimates: cardinalities, unit costs, and how they fared.
+"""Static cost estimates: cardinalities and unit costs.
 
 The paper's optimizer architecture registers "rules/cost functions"
 into the environment (Section 4.1).  What this module registers is
 static — nothing here feeds back into a dispatch decision (those are
-the fixed thresholds of :class:`~repro.core.fastpath.DispatchConfig`):
+the fixed thresholds of :class:`~repro.core.fastpath.DispatchConfig`),
+and nothing runs it on the query path: EXPLAIN/``:profile`` price the
+reported plan on demand.
 
 :class:`CardinalityEstimator`
     Static size analysis over core expressions: constant tabulation
@@ -25,9 +27,9 @@ the fixed thresholds of :class:`~repro.core.fastpath.DispatchConfig`):
     exponentially, and nothing outlives the call.
 
 :class:`CostRecord`
-    The per-environment record EXPLAIN/``:profile`` shows: how many
-    estimates were made, and the last estimate next to what the run
-    actually took.  See the "Estimates" section of ``docs/OPTIMIZER.md``.
+    The per-environment entry point: an estimate over the live val
+    table, and a count of the estimates made.  See the "Estimates"
+    section of ``docs/OPTIMIZER.md``.
 """
 
 from __future__ import annotations
@@ -40,12 +42,6 @@ from repro.objects.bag import Bag
 
 #: assumed cardinality of sets/arrays whose size is unknown statically
 ASSUMED_CARDINALITY = 16
-
-#: the one constant that turns units into predicted seconds: the order
-#: of magnitude of one scalar node evaluation on current hardware.  It
-#: is never calibrated; ``error_factor`` in :meth:`CostRecord.snapshot`
-#: reports how far off it was.
-DEFAULT_SCALAR_SECONDS = 2e-7
 
 #: loop constructs whose body cost is multiplied by the source size
 _LOOPS = (ast.Ext, ast.Sum, ast.BagExt, ast.ExtRank, ast.BagExtRank)
@@ -233,19 +229,16 @@ def estimate_cost(expr: ast.Expr, assumed: int = ASSUMED_CARDINALITY,
 
 
 class CostRecord:
-    """Estimates made and the last one's fate (see module docstring).
+    """Unit-cost estimates over the environment's live val table.
 
     One instance is owned by each :class:`~repro.env.environment.TopEnv`;
-    the session asks it for a plan's units at compile time and reports
-    every timed run back.
+    EXPLAIN/``:profile`` ask it for the reported plan's units.
     """
 
     def __init__(self, vals: Optional[Mapping[str, Any]] = None):
         #: the val table estimates read (held by reference)
         self.vals = vals
         self.estimates = 0
-        #: ``(units, observed seconds)`` of the most recent recorded run
-        self.last: Optional[Tuple[float, float]] = None
 
     def estimate(self, expr: ast.Expr) -> Optional[int]:
         """The unit-cost estimate of ``expr``, or ``None`` when the
@@ -257,31 +250,13 @@ class CostRecord:
         self.estimates += 1
         return units
 
-    def record_run(self, units: Optional[float], seconds: float) -> None:
-        """Remember one observed run of a plan estimated at ``units``."""
-        if units is not None and units > 0 and seconds > 0.0:
-            self.last = (units, seconds)
-
+    # only benchmarks/suite/layers.py reads this; it goes with optimizer.cost_*
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe state for EXPLAIN/``:profile`` (``cost_model`` key).
-
-        ``error_factor`` is observed over predicted seconds: above 1 the
-        run was slower than ``units * DEFAULT_SCALAR_SECONDS``.
-        """
-        snap: Dict[str, Any] = {"cost_estimates": self.estimates}
-        if self.last is not None:
-            units, observed = self.last
-            predicted = units * DEFAULT_SCALAR_SECONDS
-            snap["last_estimate"] = {
-                "units": units,
-                "predicted_seconds": round(predicted, 9),
-                "observed_seconds": round(observed, 9),
-                "error_factor": round(observed / predicted, 3),
-            }
-        return snap
+        """JSON-safe state: the number of estimates made."""
+        return {"cost_estimates": self.estimates}
 
 
 __all__ = [
-    "ASSUMED_CARDINALITY", "DEFAULT_SCALAR_SECONDS",
-    "CardinalityEstimator", "CostEstimator", "CostRecord", "estimate_cost",
+    "ASSUMED_CARDINALITY", "CardinalityEstimator", "CostEstimator",
+    "CostRecord", "estimate_cost",
 ]

@@ -119,14 +119,6 @@ def make_sum_zero_body(assume_error_free: bool):
     return _sum_zero_body
 
 
-def _sum_over_ext(expr: ast.Expr) -> Optional[ast.Expr]:
-    """``Σ{e1 | x ∈ ⋃{{e2} | y ∈ e3}}`` with *injective-by-construction*
-    singleton bodies would be fusable, but deciding injectivity is beyond
-    a syntactic rule; deliberately not implemented (see module docstring).
-    This placeholder documents the omission and never fires."""
-    return None
-
-
 def _gen_zero(expr: ast.Expr) -> Optional[ast.Expr]:
     """``gen(0) ⇝ {}``."""
     if isinstance(expr, ast.Gen) and isinstance(expr.expr, ast.NatLit) \

@@ -33,8 +33,8 @@ plan (a val is a parameter its code reads), so staleness is driven by
 * **value (re)bindings** (``set_val``, including the ``readval`` path)
   bump a per-name generation; each entry records it per free name with
   the val's type scheme.  When it has moved, the entry stands if the new
-  value has the same type (its estimate is redone), and is dropped
-  otherwise — an empty collection's type has fresh variables;
+  value has the same type, and is dropped otherwise — an empty
+  collection's type has fresh variables;
 * **rule-base versions** — each entry records the optimizer's phases
   with their rule bases' versions, so a rule added to or removed from a
   phase directly (``optimizer.phase(p).rules.remove(...)``, the
@@ -158,8 +158,6 @@ class PlanEntry:
     #: because most entries of a cold workload are never hit and the
     #: function (with its slots) is the bulk of an entry
     evaluator: Any = None
-    #: the unit-cost estimate for :attr:`core` (None: not estimable)
-    estimated_units: Optional[float] = None
 
 
 @dataclass
@@ -175,8 +173,6 @@ class Plan:
     evaluator: Any = None
     #: the backing :class:`PlanEntry` (None when caching is disabled)
     entry: Any = None
-    #: the unit-cost estimate for :attr:`core` (None: not estimable)
-    estimated_units: Optional[float] = None
 
 
 @dataclass
@@ -269,13 +265,10 @@ class PlanCache:
         if moved:  # rebound to the same type: the plan reads the new value
             entry.vals = {name: (env.val_generation(name), scheme)
                           for name, (_, scheme) in entry.vals.items()}
-            entry.estimated_units = env.cost.estimate(entry.core)
         return True
 
     def insert(self, key: Hashable, core: ast.Expr, inferred: Any,
-               free_names: Iterable[str], env,
-               estimated_units: Optional[float] = None
-               ) -> Optional[PlanEntry]:
+               free_names: Iterable[str], env) -> Optional[PlanEntry]:
         """Record a freshly compiled plan; evicts LRU entries over capacity."""
         if not self.enabled:
             return None
@@ -287,7 +280,6 @@ class PlanCache:
             vals={name: (env.val_generation(name), env.val_scheme(name))
                   for name in free_names},
             rule_versions=env.optimizer.versions(),
-            estimated_units=estimated_units,
         )
         self._entries[key] = entry
         self._entries.move_to_end(key)

@@ -22,7 +22,6 @@ paper's sample session::
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
@@ -242,8 +241,7 @@ class Session:
         if not cache.enabled:
             compiled, inferred = env.compile(core, optimize=self.optimize)
             return Plan(compiled, inferred,
-                        evaluator=self._codegen(compiled),
-                        estimated_units=env.cost.estimate(compiled))
+                        evaluator=self._codegen(compiled))
         tracer = env.obs.tracer
         with tracer.span("plan_cache"):
             key = cache.key_for(core, self.optimize)
@@ -253,15 +251,11 @@ class Session:
             if entry.evaluator is None:
                 entry.evaluator = self._codegen(entry.core)
             return Plan(entry.core, entry.inferred, cached=True,
-                        evaluator=entry.evaluator, entry=entry,
-                        estimated_units=entry.estimated_units)
+                        evaluator=entry.evaluator, entry=entry)
         compiled, inferred = env.compile(core, optimize=self.optimize)
         evaluator = self._codegen(compiled)
-        units = env.cost.estimate(compiled)
-        entry = cache.insert(key, compiled, inferred, ast.free_vars(core),
-                             env, estimated_units=units)
-        return Plan(compiled, inferred, evaluator=evaluator, entry=entry,
-                    estimated_units=units)
+        entry = cache.insert(key, compiled, inferred, ast.free_vars(core), env)
+        return Plan(compiled, inferred, evaluator=evaluator, entry=entry)
 
     def _codegen(self, core: ast.Expr) -> Any:
         """An evaluator holding the unprobed plan function for ``core``,
@@ -294,11 +288,9 @@ class Session:
         The plan's code is used only on the unobserved fast path; an
         instrumented run generates probed code through the
         environment's evaluator (the ``codegen`` span) so counters stay
-        accurate, and keeps its source for EXPLAIN.
-
-        The run is timed and reported to ``env.cost`` next to the
-        plan's unit estimate, which is what EXPLAIN's estimate-vs-observed
-        line shows.
+        accurate, and keeps its source for EXPLAIN.  The run is not
+        timed or priced: EXPLAIN asks ``env.cost`` for the units of its
+        own core (see :meth:`profile`).
         """
         env = self.env
         evaluator = plan.evaluator
@@ -309,11 +301,7 @@ class Session:
             if plan.core is self._last_core:
                 self._last_code = evaluator.source
         with env.obs.tracer.span("evaluate"):
-            started = time.perf_counter()
-            value = evaluator.run(plan.core)
-            env.cost.record_run(plan.estimated_units,
-                                time.perf_counter() - started)
-            return value
+            return evaluator.run(plan.core)
 
     def _query(self, surface: S.SExpr, name: str) -> Output:
         plan = self._compile(surface)
@@ -348,12 +336,13 @@ class Session:
         """Execute ``source`` with observability on; attach the report.
 
         The last output carries an :class:`~repro.obs.ExplainReport`
-        covering the whole block (the optimizer stats and the rendered
-        core describe the block's final query).  The environment's
-        observability state is captured up front and restored exactly
-        afterwards: an uninstrumented session returns to zero-cost
-        nulls, and a caller that had observability on gets its own
-        tracer and accumulated counters back untouched.
+        covering the whole block (the optimizer stats, the rendered core
+        and its unit-cost estimate, priced here, describe the block's
+        final query).  The environment's observability state is
+        captured up front and restored exactly afterwards: an
+        uninstrumented session returns to zero-cost nulls, and a caller
+        that had observability on gets its own tracer and accumulated
+        counters back untouched.
         """
         from repro.objects import dense
 
@@ -380,7 +369,8 @@ class Session:
                 metrics=obs.metrics,
                 cache=self.plan_cache.snapshot(),
                 dense=dense_delta,
-                cost=self.env.cost.snapshot(),
+                cost=None if self._last_core is None
+                else {"units": self.env.cost.estimate(self._last_core)},
                 code=self._last_code,
                 value=last.value,
                 has_value=last.has_value,

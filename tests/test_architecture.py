@@ -9,7 +9,7 @@ import ast as pyast
 import inspect
 import linecache
 import re
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import pytest
@@ -392,3 +392,25 @@ class TestKnobCensus:
         importers = [path.name for path in (SRC / "core").rglob("*.py")
                      if "repro.optimizer.cost" in _imports(path)]
         assert not importers
+
+
+def test_every_top_level_definition_is_referenced():
+    """Every top-level ``def``/``class`` under ``src/repro`` is named
+    somewhere in ``src/``, ``tests/`` or ``examples/`` besides its own
+    definition: code nothing calls is deleted, not kept."""
+    root = SRC.parent.parent
+    words = Counter()
+    for folder in ("src", "tests", "examples"):
+        for path in (root / folder).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text("utf-8")))
+    definitions = Counter()
+    where = {}
+    for path in SRC.rglob("*.py"):
+        for node in pyast.parse(path.read_text("utf-8")).body:
+            if isinstance(node, (pyast.FunctionDef, pyast.AsyncFunctionDef,
+                                 pyast.ClassDef)):
+                definitions[node.name] += 1
+                where[node.name] = f"{path.relative_to(root)}:{node.lineno}"
+    unreferenced = sorted(f"{where[name]} {name}" for name in definitions
+                          if words[name] <= definitions[name])
+    assert not unreferenced

@@ -2,9 +2,9 @@
 phase skipping.
 
 The unit estimator itself is covered by ``test_cost.py``; this module
-checks the two places its consumers look: the estimate-vs-observed
-record in ``:profile``, and the ``skipped`` reason a phase carries when
-the engine proves it cannot fire.
+checks the two places its consumers look: the units ``:profile``
+prices for the core it reports, and the ``skipped`` reason a phase
+carries when the engine proves it cannot fire.
 """
 
 from repro.core import ast
@@ -16,18 +16,27 @@ N = ast.NatLit
 
 class TestSessionSurface:
 
-    def test_profile_reports_estimate_vs_observed(self):
+    def test_profile_reports_units_of_its_core(self):
         session = Session()
         report = session.explain("summap(fn \\x => x)!(gen!20);")
-        assert report.cost is not None
-        assert report.cost["cost_estimates"] >= 1
-        assert "last_estimate" in report.cost
-        last = report.cost["last_estimate"]
-        assert last["units"] > 0
-        assert last["observed_seconds"] > 0
-        assert last["error_factor"] > 0
-        assert "cost_model" in report.to_dict()
-        assert "== cost model ==" in report.render()
+        units = session.env.cost.estimate(report.core)
+        assert units > 20
+        assert report.cost == {"units": units}
+        assert report.to_dict()["cost_model"] == {"units": units}
+        assert f"== cost model ==\nunits                 {units}" \
+            in report.render()
+
+    def test_writeval_reports_its_query_not_the_driver_args(self, tmp_path):
+        session = Session()
+        report = session.explain(r"writeval [[ i * i | \i < 500 ]] using CO "
+                                 f'at "{tmp_path / "squares.co"}";')
+        assert report.cost["units"] == session.env.cost.estimate(report.core)
+        assert report.cost["units"] >= 500
+
+    def test_profile_without_a_core_has_no_cost_section(self):
+        (output,) = Session().run(r":profile macro \sq = fn \x => x * x;")
+        assert output.explain.cost is None
+        assert "== cost model ==" not in output.explain.render()
 
 
 class TestPhaseSkipping:

@@ -57,6 +57,7 @@ APPLICATIONS = {
     "hist": "hist!Av",
     "hist2": "hist2!Av",
     "identity_mat": "identity_mat!3",
+    "insert": "insert!(Av, 1, 9)",
     "is_symmetric": "is_symmetric!Mv",
     "maparr": r"maparr!(fn \x => x * 2, Av)",
     "matadd": "matadd!(Mv, Mv)",
@@ -73,7 +74,9 @@ APPLICATIONS = {
     "prefix_sums": "prefix_sums!Rv",
     "proj_col": "proj_col!(Mv, 1)",
     "proj_row": "proj_row!(Mv, 0)",
+    "remove": "remove!(Av, 0)",
     "reshape_2": "reshape_2!(Av, 2, 2)",
+    "resize": "resize!(Rv, 2)",
     "reverse": "reverse!Av",
     "rng": "rng!Av",
     "rng_2": "rng_2!Mv",
@@ -85,6 +88,7 @@ APPLICATIONS = {
     "total": "total!{1.5, 2.5}",
     "trace": "trace!Mv",
     "transpose": "transpose!Mv",
+    "update": "update!(Av, 0, 5)",
     "windows": "windows!(Av, 2)",
     "zip": "zip!(Av, Rv)",
     "zip_3": "zip_3!(Av, Av, Rv)",

@@ -22,7 +22,7 @@ from repro.core.eval import Evaluator
 from repro.env.environment import TopEnv
 from repro.errors import BottomError, SessionError
 from repro.objects.array import Array
-from repro.optimizer.cost import CostRecord
+from repro.optimizer.cost import CostEstimator
 from repro.optimizer.engine import Optimizer
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression, parse_program
@@ -152,7 +152,6 @@ class _FakeEnv:
         self._vals = {}
         self._schemes = {}
         self.optimizer = Optimizer()
-        self.cost = CostRecord()
 
     def val_generation(self, name):
         return self._vals.get(name, 0)
@@ -218,12 +217,9 @@ class TestPlanCacheUnit:
         cache.insert(self._key(1), _nat(1), "nat", ("m",), env)
         cache.insert(self._key(2), _nat(2), "nat", ("other",), env)
         env.bind("m", TArray(TNat(), 2))
-        env.cost.estimates = 0
         for n in (1, 2, 1):
             assert cache.lookup(self._key(n), env) is not None
         assert cache.stats.invalidations == 0 and len(cache) == 2
-        # one re-estimate, at the first lookup after the rebinding
-        assert env.cost.estimates == 1
         assert cache.lookup(self._key(1), env).vals["m"][0] == \
             env.val_generation("m")
 
@@ -312,6 +308,29 @@ class TestSessionCaching:
         payload = report.to_dict()
         assert payload["plan_cache"]["hits"] >= 1
         assert "== plan cache ==" in report.render()
+
+    def test_no_cost_walk_outside_explain(self, session, monkeypatch,
+                                          tmp_path):
+        def refuse(self, expr):
+            raise AssertionError("cost walk")
+
+        monkeypatch.setattr(CostEstimator, "cost", refuse)
+        source = r"[[ A[i] * 2 | \i < len!A ]];"
+        session.env.set_val("A", Array.from_list([1, 2]))
+        assert session.query_value(source) == Array.from_list([2, 4])  # miss
+        assert session.query_value(source) == Array.from_list([2, 4])  # hit
+        session.run(r"val \A = [[5, 6, 7]];")
+        assert session.query_value(source) == Array.from_list([10, 12, 14])
+        assert session.query_value(source) == Array.from_list([10, 12, 14])
+        stats = session.plan_cache.stats   # the val's literal is a miss too
+        assert (stats.hits, stats.misses, stats.invalidations) == (3, 2, 0)
+        path = tmp_path / "a.co"
+        session.run(f'writeval A using CO at "{path}";')
+        session.run(f'readval \\B using CO at "{path}";')
+        assert session.query_value("B;") == Array.from_list([5, 6, 7])
+        assert Session(plan_cache_capacity=0).query_value("1 + 1;") == 2
+        with pytest.raises(AssertionError, match="cost walk"):
+            session.explain(source)
 
 
 class TestInvalidation:
@@ -611,13 +630,12 @@ class TestValParameters:
         if type_text is not None:
             assert output.type_text == type_text
 
-    def test_rebinding_re_estimates_without_optimizing(self, session,
-                                                       monkeypatch):
+    def test_rebinding_keeps_plan_without_optimizing(self, session,
+                                                     monkeypatch):
         source = r"[[ A[i] + 1 | \i < len!A ]];"
         session.env.set_val("A", Array.from_list(range(10)))
         session.query_value(source)
         (entry,) = session.plan_cache._entries.values()
-        small = entry.estimated_units
         session.env.set_val("A", Array.from_list(range(1000)))
 
         def refuse(*args, **kwargs):
@@ -626,7 +644,7 @@ class TestValParameters:
         monkeypatch.setattr(session.env.optimizer, "optimize", refuse)
         assert session.query_value(source) == \
             Array.from_list(range(1, 1001))
-        assert entry.estimated_units > small
+        assert session.plan_cache._entries[entry.key] is entry
 
     def test_macro_keeps_the_value_it_saw_at_definition(self, session):
         session.run(r"val \m = 5;")

@@ -8,7 +8,8 @@ pieces:
 * :mod:`repro.obs.metrics` — evaluator counters behind the
   :class:`EvalProbe` hook interface;
 * :mod:`repro.obs.explain` — the :class:`ExplainReport` rendered by the
-  REPL's ``:profile`` and exported as JSON for ``BENCH_*.json``;
+  REPL's ``:profile`` and exported as JSON for ``benchmarks/suite``
+  and the counter tests;
 * :class:`Observability` — the per-environment switch that hands the
   pipeline either live instruments or the shared zero-cost nulls.
 """

@@ -16,8 +16,9 @@ answering one query:
   probed form: the plan plus counter lines).
 
 ``render()`` produces the REPL's ``:profile`` text; ``to_dict()`` is the
-JSON schema (documented in ``docs/OBSERVABILITY.md``) that
-``benchmarks/conftest.py`` embeds in every ``BENCH_*.json``.
+JSON schema (documented in ``docs/OBSERVABILITY.md``) whose
+``"metrics"`` the benchmark suite (``benchmarks/suite/layers.py``) and
+the shape-claim tests (``tests/test_shape_claims.py``) read.
 """
 
 from __future__ import annotations

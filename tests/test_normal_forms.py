@@ -141,6 +141,11 @@ class TestZipSubseqEquivalence:
         n2 = aql_core(std_env, SUBSEQ_OF_ZIP3, optimize=True)
         assert ast.alpha_equal(strip_bounds_checks(n1),
                                strip_bounds_checks(n2))
+        # the window starts at 1: cell 0 holds A[1], B[1], C[1]
+        binds = {name: Array.from_list(list(range(10 * k, 10 * k + 10)))
+                 for k, name in enumerate("ABC")}
+        for normal in (n1, n2):
+            assert run(std_env, normal, binds)[0] == (1, 11, 21)
 
     @given(st.lists(st.integers(0, 20), min_size=10, max_size=14),
            st.lists(st.integers(0, 20), min_size=10, max_size=14))
@@ -178,7 +183,7 @@ class TestEtaPipelines:
 
 
 #: why the stdlib spellings of the C3/C4 pipelines stop short of their
-#: normal forms (ROADMAP item 14)
+#: normal forms
 _FUSION_GAP = (
     "effective_occurrences (optimizer/analysis.py) counts the parameter "
     "in dim_2!M/len!A and again in M[i,j]/A[i] inside the tabulation "

@@ -287,14 +287,19 @@ class TestSessionCaching:
         assert session.plan_cache.stats.evictions == 1
 
     def test_hit_skips_optimize_span(self, session):
-        source = "summap(fn \\x => x * x)!(gen!6);"
-        assert session.query_value(source) == 55
-        report = session.explain(source)
-        assert report.value == 55
-        assert report.span("optimize") is None      # hit: no re-optimize
-        assert report.span("evaluate") is not None  # but it still evaluates
-        cache_span = report.span("plan_cache")
-        assert cache_span is not None and cache_span.meta["hit"] is True
+        session.run(r"val \M = [[i * 3 + j + 1 | \i < 3, \j < 3]];")
+        for source, value in (
+                ("summap(fn \\x => x * x)!(gen!6);", 55),
+                # macro-heavy: splicing and optimizing dominate a miss
+                ("trace!(matmul!(matmul!(M, transpose!(M)), "
+                 "identity_mat!3));", 285)):
+            assert session.query_value(source) == value
+            report = session.explain(source)
+            assert report.value == value
+            assert report.span("optimize") is None      # hit: no re-optimize
+            assert report.span("evaluate") is not None  # but it evaluates
+            cache_span = report.span("plan_cache")
+            assert cache_span is not None and cache_span.meta["hit"] is True
 
     def test_miss_records_plan_cache_span_as_miss(self, session):
         report = session.explain("summap(fn \\x => x)!(gen!4);")

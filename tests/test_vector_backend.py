@@ -200,7 +200,8 @@ class TestObservability:
     def test_probe_counts_vectorized_cells(self):
         expr = _tab(ast.Arith("*", ast.Var("x"), ast.Var("y")))
         metrics = EvalMetrics()
-        CompiledEvaluator(probe=metrics).run(expr)
+        # the n*n grid's cells are Python ints, equal to the reference's
+        agree(expr, probe=metrics)
         assert metrics.cells_vectorized == 100
         assert metrics.tabulations_vectorized == 1
         assert metrics.cells_materialized == 0  # disjoint counters

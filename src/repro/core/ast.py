@@ -467,7 +467,10 @@ class Get(Expr):
 
 @dataclass(frozen=True)
 class Bottom(Expr):
-    """The explicit error value ⊥ (Figure 1, Errors)."""
+    """The explicit error value ⊥ (Figure 1, Errors).  ``reason`` is
+    the message it raises with: a ⊥ the optimizer folds keeps its cause."""
+
+    reason: str = "explicit bottom"
 
     parts = _no_parts
     with_parts = _identity_with_parts

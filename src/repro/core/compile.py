@@ -393,7 +393,8 @@ class Compiler:
         ast.IndexSet: lambda self, e: (
             (e.expr,), f"_indexed({{}}, {e.rank}, _P)"),
         ast.Get: lambda self, e: ((e.expr,), "_get({})"),
-        ast.Bottom: lambda self, e: ((), "_bottom()"),
+        ast.Bottom: lambda self, e: (
+            (), f"_bottom({self._const(e.reason)})"),
         ast.EmptyBag: lambda self, e: ((), "Bag()"),
         ast.SingletonBag: lambda self, e: ((e.expr,), "Bag(({},))"),
         ast.BagUnion: lambda self, e: ((e.left, e.right), "{}.union({})"),

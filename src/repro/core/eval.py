@@ -170,7 +170,7 @@ class Evaluator:
         return self._eval(branch, env)
 
     def _bottom(self, expr: ast.Bottom, env):
-        raise BottomError("explicit bottom")
+        raise BottomError(expr.reason)
 
     def _prim(self, expr: ast.Prim, env):
         if expr.name not in self.prims:

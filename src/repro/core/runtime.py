@@ -96,9 +96,9 @@ def dims(extents: tuple, values: int, probe: Any) -> tuple:
     return extents
 
 
-def bottom():
+def bottom(reason: str):
     """The explicit ⊥ construct."""
-    raise BottomError("explicit bottom")
+    raise BottomError(reason)
 
 
 def indexed(pairs: Any, rank: int, probe: Any) -> Array:

@@ -32,7 +32,7 @@ from repro.errors import RegistrationError, TypeCheckError
 from repro.io.drivers import DriverRegistry, default_registry
 from repro.obs import Observability
 from repro.optimizer.cost import CostRecord
-from repro.optimizer.engine import Optimizer, Phase, Rule, default_optimizer
+from repro.optimizer.engine import Optimizer, Rule, default_optimizer
 from repro.types.types import Type, TypeScheme, type_of_value
 from repro.types.unify import generalize
 
@@ -209,8 +209,8 @@ class TopEnv:
         if macro.normal_version != phase.rules.version:
             # a throwaway Phase over the same rules: the live phase's
             # stats keep describing the last optimize call
-            macro.normal = Phase(phase.name, phase.rules,
-                                 phase.strategy).run(macro.body)
+            macro.normal = type(phase)(phase.name,
+                                       phase.rules).run(macro.body)
             macro.normal_version = phase.rules.version
             self._index_macros()
         return macro.normal

@@ -15,8 +15,9 @@ Two implementations share the interface:
   be written unconditionally (``with tracer.span("parse"): ...``) and
   costs two attribute lookups when observability is off.
 
-Spans serialize with :meth:`Span.to_dict` — the JSON schema consumed by
-``benchmarks/conftest.py`` and documented in ``docs/OBSERVABILITY.md``.
+Spans serialize with :meth:`Span.to_dict`, the ``spans`` entry of the
+EXPLAIN export that ``benchmarks/suite`` and ``tests/test_shape_claims.py``
+read; ``docs/OBSERVABILITY.md`` documents the schema.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The rewrite engine: rules, rule bases, phases, strategies.
+"""The rewrite engine: rules, rule bases, phases.
 
 Section 5: "The AQL optimizer proceeds in a number of phases.  The rule
 bases, the rule application strategies, and the number of phases of this
@@ -6,17 +6,16 @@ optimizer are extensible."  Accordingly:
 
 * a :class:`Rule` is a named partial function ``Expr -> Expr | None``;
 * a :class:`RuleBase` is an ordered, mutable collection of rules;
-* a :class:`Phase` pairs a rule base with a strategy (``"exhaustive"``
-  bottom-up fixpoint, or ``"once"`` single bottom-up pass);
+* a :class:`Phase` applies a rule base by one innermost walk (children
+  first, then the node, then the rewritten node); a subclass overriding
+  :meth:`Phase.walk` is another strategy;
 * an :class:`Optimizer` runs its phases in order and supports dynamic
   rule/phase registration (the openness of Section 4.1).
 
-The engine guards against non-terminating or exploding rule sets with an
-iteration cap and a node-count ceiling; hitting either aborts the phase
-and returns the best expression so far (never an error — optimization
-must be transparent).  Within one :meth:`Optimizer.optimize` call, a
-subterm that a pass proved irreducible under a rule base is never walked
-again by a phase with the same rules (the irreducibility memo).
+The engine guards against non-terminating or exploding rule sets with a
+firing budget and a node-count ceiling; hitting either stops rewriting
+and returns the expression as it stands (never an error — optimization
+must be transparent).
 """
 
 from __future__ import annotations
@@ -104,7 +103,8 @@ class RuleBase:
 
     def root_classes(self) -> Optional[frozenset]:
         """The union of every rule's ``roots`` annotation, or ``None``
-        when any rule is unannotated (could match anywhere)."""
+        when any rule is unannotated (could match anywhere).  A phase
+        skips an expression holding no node of these classes."""
         if None not in self._candidates:
             roots = [rule.roots for rule in self._rules]
             self._candidates[None] = (
@@ -173,96 +173,74 @@ class PhaseStats:
 
 
 class Phase:
-    """One optimizer phase: a rule base plus an application strategy."""
+    """One optimizer phase: a rule base applied by :meth:`walk`, one
+    innermost walk.  A subclass overriding ``walk`` is another strategy
+    (register it with :meth:`Optimizer.add_phase`)."""
 
-    #: hard cap on full bottom-up passes within one phase
-    MAX_PASSES = 64
-    #: expression-size ceiling; beyond it the phase stops rewriting
+    #: expression-size ceiling: past this many visited nodes the walk
+    #: stops rewriting
     MAX_NODES = 500_000
-    #: cap on consecutive rule firings at a single node position
-    MAX_LOCAL = 64
+    #: firing budget of one run; a divergent rule set stops rewriting here
+    MAX_FIRINGS = 20_000
 
-    def __init__(self, name: str, rules: Optional[RuleBase] = None,
-                 strategy: str = "exhaustive"):
-        if strategy not in ("exhaustive", "once"):
-            raise RegistrationError(f"unknown strategy {strategy!r}")
+    def __init__(self, name: str, rules: Optional[RuleBase] = None):
         self.name = name
         self.rules = rules if rules is not None else RuleBase()
-        self.strategy = strategy
         self.stats = PhaseStats()
-        self._timed = False
+        self._timed, self._visited = False, 0
         self._memo: Dict[int, ast.Expr] = {}
 
-    def root_classes(self) -> Optional[frozenset]:
-        """:meth:`RuleBase.root_classes` of this phase's rules.  When no
-        node of any member class occurs in an expression, the phase is
-        provably identity on it (the absence-proof skipping)."""
-        return self.rules.root_classes()
-
-    def run(self, expr: ast.Expr, instrument: bool = False,
-            memo: Optional[Dict[int, ast.Expr]] = None) -> ast.Expr:
-        """Apply this phase's rules to ``expr`` under its strategy.
+    def run(self, expr: ast.Expr, instrument: bool = False) -> ast.Expr:
+        """Normalise ``expr`` under this phase's rules in one
+        :meth:`walk`.
 
         With ``instrument=True`` the phase additionally records its
         wall-clock time and cumulative per-rule attempt timings into
         :attr:`stats` (a per-attempt clock read — only paid when an
         enabled tracer asked for it).
-
-        ``memo`` maps ``id(node)`` to each node proven irreducible under
-        these rules (the value keeps the id unique); the run reads and
-        extends it.  A pass stops at a memoised node, and ``passes``
-        counts only the walks whose root was not yet proven normal.
         """
         self.stats = PhaseStats()
         if not len(self.rules):
             return expr
-        self._timed = instrument
-        self._memo = {} if memo is None else memo
+        self.stats.passes, self._timed = 1, instrument
+        self._memo, self._visited = {}, 0
         started = time.perf_counter() if instrument else 0.0
-        passes = 1 if self.strategy == "once" else self.MAX_PASSES
         try:
-            for _ in range(passes):
-                if id(expr) in self._memo:
-                    break
-                self._visited = 0
-                expr, changed = self._bottom_up_pass(expr)
-                self.stats.passes += 1
-                # the size cap counts the nodes this pass visited
-                if not changed or self._visited > self.MAX_NODES:
-                    break
+            expr = self.walk(expr)
         except RecursionError:
             # the expression out-nests the host stack: optimization must
-            # stay transparent, so hand back the best expression so far
+            # stay transparent, so hand back the input
             pass
         self._memo = {}
         if instrument:
             self.stats.seconds = time.perf_counter() - started
         return expr
 
-    def _bottom_up_pass(self, expr: ast.Expr) -> Tuple[ast.Expr, bool]:
-        memo = self._memo
-        if id(expr) in memo:
-            return expr, False
-        self._visited += 1
-        changed = False
-        new_children = []
-        dirty = False
-        for child, _ in expr.parts():
-            new_child, child_changed = self._bottom_up_pass(child)
-            new_children.append(new_child)
-            dirty = dirty or child_changed
-        if dirty:
-            expr = expr.with_parts(new_children)
-            changed = True
-        for _ in range(self.MAX_LOCAL):
+    def walk(self, expr: ast.Expr) -> ast.Expr:
+        """The normal form of ``expr``: its children first, then the
+        rules at the node, and after a firing the result the same way.
+        The per-run memo maps ``id(node)`` to each node proven normal
+        (the value keeps the id unique); the walk returns from one at
+        once.  Past the firing budget or the size ceiling it stops
+        rewriting and hands back what it holds."""
+        memo, stats = self._memo, self.stats
+        while id(expr) not in memo:
+            if stats.applications >= self.MAX_FIRINGS \
+                    or self._visited > self.MAX_NODES:
+                break
+            self._visited += 1
+            parts = expr.parts()
+            children = []
+            for child, _ in parts:
+                children.append(self.walk(child))
+            if any(new is not old for new, (old, _) in zip(children, parts)):
+                expr = expr.with_parts(children)
             rewritten = self._apply_first(expr)
             if rewritten is None:
                 break
             expr = rewritten
-            changed = True
-        if not changed:
-            memo[id(expr)] = expr
-        return expr, changed
+        memo[id(expr)] = expr
+        return expr
 
     def _apply_first(self, expr: ast.Expr) -> Optional[ast.Expr]:
         # progress is detected by identity, not structural equality: the
@@ -329,14 +307,11 @@ class Optimizer:
         ``tracer`` (a :class:`~repro.obs.trace.Tracer` or the shared
         null) wraps each phase in a span; an enabled tracer also turns
         on the per-rule timing instrumentation of :meth:`Phase.run`.
-        Phases whose rule bases hold the same rules, in the same order,
-        share one irreducibility memo for the call.
         """
         instrument = tracer.enabled
-        memos: Dict[Tuple[int, ...], Dict[int, ast.Expr]] = {}
         for phase in self.phases:
             with tracer.span(f"phase:{phase.name}"):
-                roots = phase.root_classes()
+                roots = phase.rules.root_classes()
                 if roots is not None and not has_class(expr, roots):
                     # no rule can match any node: the phase is provably
                     # identity.  Its span still shows, with the reason
@@ -345,8 +320,7 @@ class Optimizer:
                         tracer.annotate(passes=0, firings=0,
                                         skipped="absent-roots")
                     continue
-                memo = memos.setdefault(tuple(map(id, phase.rules)), {})
-                expr = phase.run(expr, instrument=instrument, memo=memo)
+                expr = phase.run(expr, instrument=instrument)
                 if instrument:
                     tracer.annotate(passes=phase.stats.passes,
                                     firings=phase.stats.applications)
@@ -358,12 +332,12 @@ class Optimizer:
 
 
 def default_optimizer(assume_error_free: bool = True) -> Optimizer:
-    """The stock pipeline: normalize → bounds → cleanup → code motion.
+    """The stock pipeline: normalize → bounds → code motion.
 
     Mirrors Section 5: "We have implemented normalization and constraint
-    elimination as the first two phases of our optimizer."  The final
-    cleanup pass re-runs normalization to collapse the conditionals that
-    bounds elimination turned into constants.
+    elimination as the first two phases of our optimizer."  The bounds
+    phase carries the normalization rules too, so the conditionals that
+    bounds elimination turns into constants fold in the same walk.
 
     ``assume_error_free`` controls the guard on δ^p and its relatives.
     The paper's derivations apply these rules under the assumption that
@@ -377,20 +351,14 @@ def default_optimizer(assume_error_free: bool = True) -> Optimizer:
     from repro.optimizer.rules_motion import motion_rules
     from repro.optimizer.rules_nrc import nrc_rules
 
-    # normalize and cleanup are two rule bases over the same Rule
-    # objects, so cleanup skips every subterm normalize proved normal
-    # and bounds left alone; registering into one separates them
     normalization = (nrc_rules(assume_error_free)
                      + array_rules(assume_error_free)
                      + arith_rules(assume_error_free))
-    # bounds elimination produces `if true/...` residue; fold it eagerly
-    bounds = bounds_rules() + nrc_rules(assume_error_free)
     # code motion runs LAST: the hoisted β-redexes it builds must not be
     # re-inlined by a later normalization pass
     return Optimizer([
         Phase("normalize", RuleBase(normalization)),
-        Phase("bounds", RuleBase(bounds)),
-        Phase("cleanup", RuleBase(normalization)),
+        Phase("bounds", RuleBase(bounds_rules() + normalization)),
         Phase("motion", RuleBase(motion_rules())),
     ])
 

@@ -33,8 +33,8 @@ def _arith_fold(expr: ast.Expr) -> Optional[ast.Expr]:
         return None
     try:
         value = apply_arith(expr.op, left.value, right.value)
-    except BottomError:
-        return ast.Bottom()
+    except BottomError as exc:
+        return ast.Bottom(exc.reason)
     if nat:
         return ast.NatLit(value)
     return ast.RealLit(value)

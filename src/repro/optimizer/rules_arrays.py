@@ -53,7 +53,7 @@ def make_beta_p(assume_error_free: bool):
         for index, bound in zip(reversed(expr.indices),
                                 reversed(tab.bounds)):
             result = ast.If(ast.Cmp("<", index, bound), result,
-                            ast.Bottom())
+                            ast.Bottom("index out of bounds"))
         return result
 
     return _beta_p
@@ -183,7 +183,7 @@ def make_subscript_mkarray(assume_error_free: bool):
         if any(o >= d for o, d in zip(offsets, dims)):
             if assume_error_free \
                     or all(is_error_free(item) for item in literal.items):
-                return ast.Bottom()
+                return ast.Bottom("index out of bounds")
             return None
         flat = 0
         for offset, dim in zip(offsets, dims):

@@ -54,7 +54,7 @@ class TestPhaseSkipping:
         assert stats["normalize"].skipped == ""
         # profiles still show every phase: spans are emitted regardless
         report = Session().explain("1 + 2 * 3;")
-        for name in ("normalize", "bounds", "cleanup", "motion"):
+        for name in ("normalize", "bounds", "motion"):
             assert report.span(f"phase:{name}") is not None
         assert report.phase_stats["motion"].skipped == "absent-roots"
 

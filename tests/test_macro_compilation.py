@@ -155,6 +155,11 @@ def _typed(checker: TypeChecker, expr: ast.Expr) -> str:
         return "TypeCheckError"
 
 
+#: the whole-tree engine's caps: bottom-up passes, and consecutive
+#: firings at one node within a pass
+REFERENCE_PASSES = REFERENCE_LOCAL = 64
+
+
 def reference_run(phase: Phase, expr: ast.Expr):
     """The engine without its memo: whole-tree bottom-up passes to a
     fixpoint.  Returns the result and the per-rule firing counts."""
@@ -175,14 +180,14 @@ def reference_run(phase: Phase, expr: ast.Expr):
         changed = any(flag for _, flag in visited)
         if changed:
             node = node.with_parts([child for child, _ in visited])
-        for _ in range(Phase.MAX_LOCAL):
+        for _ in range(REFERENCE_LOCAL):
             rewritten = apply(node)
             if rewritten is None:
                 break
             node, changed = rewritten, True
         return node, changed
 
-    for _ in range(1 if phase.strategy == "once" else Phase.MAX_PASSES):
+    for _ in range(REFERENCE_PASSES):
         expr, changed = walk(expr)
         if not changed:
             break
@@ -308,10 +313,10 @@ class TestRuleChangesReachMacros:
     def test_direct_rule_removal(self):
         session = _session()
         before = _transpose_core(session)
-        for phase in ("normalize", "cleanup"):
+        for phase in ("normalize", "bounds"):
             session.env.optimizer.phase(phase).rules.remove("beta-p")
         fresh = _session()
-        for phase in ("normalize", "cleanup"):
+        for phase in ("normalize", "bounds"):
             fresh.env.optimizer.phase(phase).rules.remove("beta-p")
         after = _transpose_core(session)
         assert after == _transpose_core(fresh) != before
@@ -324,7 +329,7 @@ class TestRuleChangesReachMacros:
         session.run(text)
         fresh = Session()
         for each in (session, fresh):
-            for phase in ("normalize", "bounds", "cleanup"):
+            for phase in ("normalize", "bounds"):
                 each.env.optimizer.phase(phase).rules.remove("beta")
         core = session.explain(text).core
         assert isinstance(core, ast.App)
@@ -341,7 +346,13 @@ class TestTypeErrors:
 
 
 class TestEngineMemo:
+    """The one-walk engine against the whole-tree reference: the same
+    normal form, in one walk per phase."""
+
     def test_standalone_phase_runs_fire_as_without_the_memo(self):
+        """On the corpus no rule fires more often than in the reference
+        (innermost order rewrites an argument once, before β copies
+        it)."""
         env = _environment(False)
         for optimizer in (default_optimizer(), default_optimizer(False)):
             for core in CORPUS:
@@ -349,46 +360,33 @@ class TestEngineMemo:
                 for phase in optimizer.phases:
                     want, by_rule = reference_run(phase, resolved)
                     got = phase.run(resolved)
-                    assert phase.stats.by_rule == by_rule
-                    assert phase.stats.applications == sum(by_rule.values())
+                    assert phase.stats.passes <= 1, phase.name
+                    for name, count in phase.stats.by_rule.items():
+                        assert count <= by_rule.get(name, 0), name
                     assert fingerprint(got) == fingerprint(want)
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(pair=typed_exprs())
     def test_optimize_fires_as_without_the_memo(self, pair):
-        """Over random well-typed cores, the whole pipeline — phases
-        sharing one memo — fires every rule as often, in every phase,
-        as the memo-free engine, and ends in the same core."""
+        """Over random well-typed cores, every phase of the pipeline
+        ends where the memo-free engine ends, in at most one walk.
+
+        Firings are bounded on the corpus only: on a random core the
+        walk can normalise a subterm that an outer rule then drops,
+        which a whole-tree pass never looked into.  In
+        ``⋃{{} | x ∈ ⋃{s | y ∈ if b then s else {}}}`` the walk
+        distributes the inner ``⋃`` over the ``if`` and folds its
+        ``⋃{s | y ∈ {}}`` branch before ``ext-empty-body`` drops the
+        whole source."""
         expr, _ = pair
         for optimizer in (default_optimizer(), default_optimizer(False)):
             got = optimizer.optimize(expr)
             want = expr
             for phase in optimizer.phases:
-                want, by_rule = reference_run(phase, want)
-                assert phase.stats.by_rule == by_rule, phase.name
+                want, _ = reference_run(phase, want)
+                assert phase.stats.passes <= 1, phase.name
             assert fingerprint(got) == fingerprint(want)
-
-    def test_normalize_and_cleanup_share_rules_not_bases(self):
-        optimizer = default_optimizer()
-        normalize, cleanup = (optimizer.phase("normalize").rules,
-                              optimizer.phase("cleanup").rules)
-        assert normalize is not cleanup
-        assert [id(rule) for rule in normalize] \
-            == [id(rule) for rule in cleanup]
-        version = cleanup.version
-        optimizer.register_rule("normalize", _wrap_rule())
-        assert "wrap-body" not in cleanup.names()
-        assert cleanup.version == version != normalize.version
-
-    def test_cleanup_skips_what_bounds_left_alone(self):
-        env = _environment(False)
-        optimizer = env.optimizer
-        optimizer.optimize(env.resolve(desugar_expression(
-            parse_expression("reverse!Av"))))
-        report = optimizer.report()
-        assert report["bounds"].applications == 0
-        assert report["cleanup"].passes == 0
 
     def test_size_cap_stops_a_node_doubling_rule(self):
         def double(expr):
@@ -399,7 +397,7 @@ class TestEngineMemo:
         phase = Phase("grow", RuleBase([Rule("double", double)]))
         phase.MAX_NODES = 1_000
         grown = phase.run(ast.Var("a"))
-        assert phase.stats.passes < Phase.MAX_PASSES
+        assert phase.stats.passes == 1
         assert phase.MAX_NODES < ast.node_count(grown) \
             <= 4 * phase.MAX_NODES
 

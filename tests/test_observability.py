@@ -220,7 +220,7 @@ class TestSessionProfile:
         optimize = report.span("optimize")
         child_names = {child.name for child in optimize.children}
         assert {"phase:normalize", "phase:bounds",
-                "phase:cleanup", "phase:motion"} <= child_names
+                "phase:motion"} <= child_names
 
     def test_profile_reports_rule_firings_with_timings(self, session):
         report = session.explain("summap(fn \\x => x + 1)!(gen!4);")

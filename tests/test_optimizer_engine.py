@@ -51,16 +51,26 @@ class TestPhase:
         assert phase.run(e) == N(6)
 
     def test_once_strategy_single_pass(self):
-        # a rule that increments 0 -> 1 -> 2 ... must apply boundedly
+        # a strategy that tries the rules at the root only, once
+        class RootOnce(Phase):
+            def walk(self, expr):
+                return self._apply_first(expr) or expr
+
         def bump(expr):
             if isinstance(expr, N) and expr.value < 3:
                 return N(expr.value + 1)
             return None
 
-        once = Phase("p", RuleBase([Rule("bump", bump)]), strategy="once")
-        # local loop still applies at the same node within the pass
-        assert once.run(N(0)) == N(3)
-        assert once.stats.passes == 1
+        opt = Optimizer([Phase("z", RuleBase())])
+        opt.add_phase(RootOnce("once", RuleBase([Rule("bump", bump)])),
+                      before="z")
+        assert opt.optimize(N(0)) == N(1)
+        assert opt.optimize(ast.Arith("+", N(0), N(0))) \
+            == ast.Arith("+", N(0), N(0))
+        stats = opt.report()["once"]
+        assert (stats.passes, stats.applications) == (1, 0)
+        # the stock walk rewrites to the normal form
+        assert Phase("p", RuleBase([Rule("bump", bump)])).run(N(0)) == N(3)
 
     def test_stats_recorded(self):
         phase = Phase("p", RuleBase([Rule("fold", fold_add)]))
@@ -72,10 +82,6 @@ class TestPhase:
         phase = Phase("p", RuleBase())
         e = ast.Arith("+", N(1), N(2))
         assert phase.run(e) is e
-
-    def test_bad_strategy(self):
-        with pytest.raises(RegistrationError):
-            Phase("p", RuleBase(), strategy="random")
 
     def test_divergent_rule_is_cut_off(self):
         # a rule that flips between two forms must not hang

@@ -161,7 +161,7 @@ class TestArithRules:
     def test_fold_division_by_zero_to_bottom(self):
         out = apply_named(self.rules, "arith-fold",
                           ast.Arith("/", N(1), N(0)))
-        assert out == ast.Bottom()
+        assert out == ast.Bottom("division by zero")
 
     def test_identities(self):
         assert apply_named(self.rules, "arith-identity",
@@ -197,7 +197,8 @@ class TestArrayRules:
         e = ast.Subscript(tab, (N(3),))
         out = apply_named(self.rules, "beta-p", e)
         assert out == ast.If(ast.Cmp("<", N(3), N(5)),
-                             ast.Arith("*", N(3), N(2)), ast.Bottom())
+                             ast.Arith("*", N(3), N(2)),
+                             ast.Bottom("index out of bounds"))
 
     def test_beta_p_k_dim_nested_checks(self):
         tab = ast.Tabulate(("i", "j"), (V("m"), V("n")),
@@ -289,7 +290,7 @@ class TestArrayRules:
     def test_subscript_mkarray_out_of_bounds_to_bottom(self):
         e = ast.Subscript(ast.MkArray((N(1),), (N(10),)), (N(5),))
         assert apply_named(self.rules, "subscript-mkarray", e) == \
-            ast.Bottom()
+            ast.Bottom("index out of bounds")
 
     def test_subscript_if_distributes(self):
         e = ast.Subscript(ast.If(V("c"), V("A"), V("B")), (N(0),))

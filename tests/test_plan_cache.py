@@ -370,7 +370,7 @@ class TestInvalidation:
                 """Decline every expression."""
                 return None
 
-        session.env.register_rule("cleanup", NoopRule())
+        session.env.register_rule("bounds", NoopRule())
         assert len(session.plan_cache) == 0
         assert session.plan_cache.stats.invalidations == 1
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SessionError, TypeCheckError
+from repro.errors import BottomError, SessionError, TypeCheckError
 from repro.objects.array import Array
 from repro.system.session import Output, Session
 
@@ -163,6 +163,24 @@ class TestOptimizeToggle:
         source = "summap(fn \\i => [[j * j | \\j < 10]][i])!(gen!10);"
         assert Session(optimize=True).query_value(source) == \
             Session(optimize=False).query_value(source)
+
+    @pytest.mark.parametrize("text, cause, rule", [
+        ("1.0 / 0.0;", "division by zero", "arith-fold"),
+        ("7 % 0;", "modulo by zero", "arith-fold"),
+        ("[[1, 2, 3]][5];", "out of bounds", "subscript-mkarray"),
+        (r"[[ i | \i < 3 ]][5];", "out of bounds", "beta-p"),
+    ])
+    def test_folded_bottom_keeps_its_cause(self, text, cause, rule):
+        """A ⊥ the optimizer folds raises with the cause the
+        unoptimised plan names, not as the user's explicit ``bottom``."""
+        for optimize in (True, False):
+            session = Session(optimize=optimize)
+            with pytest.raises(BottomError) as raised:
+                session.query_value(text)
+            assert cause in raised.value.reason, optimize
+            if optimize:
+                assert rule in session.env.optimizer.report()[
+                    "normalize"].by_rule
 
 
 class TestOutputs:

@@ -6,16 +6,14 @@ optimizer are extensible."  Accordingly:
 
 * a :class:`Rule` is a named partial function ``Expr -> Expr | None``;
 * a :class:`RuleBase` is an ordered, mutable collection of rules;
-* a :class:`Phase` applies a rule base by one innermost walk (children
-  first, then the node, then the rewritten node); a subclass overriding
-  :meth:`Phase.walk` is another strategy;
+* a :class:`Phase` applies a rule base by one innermost walk; a
+  subclass overriding :meth:`Phase.walk` is another strategy;
 * an :class:`Optimizer` runs its phases in order and supports dynamic
   rule/phase registration (the openness of Section 4.1).
 
-The engine guards against non-terminating or exploding rule sets with a
-firing budget and a node-count ceiling; hitting either stops rewriting
-and returns the expression as it stands (never an error — optimization
-must be transparent).
+A non-terminating or exploding rule set stops rewriting at
+:attr:`Phase.MAX_NODES` and hands back the expression as it stands
+(never an error — optimization must be transparent).
 """
 
 from __future__ import annotations
@@ -42,18 +40,14 @@ class Rule:
     """A named rewrite rule.
 
     ``fn`` returns ``None`` when the rule does not apply, or a *new*
-    node when it does — never the object it was given (the engine
-    detects progress by identity, so returning the input would count as
-    an endless firing); a pre-existing *subnode* of the input is fine.
-    Rules must be *local* and deterministic: the verdict depends only on
-    the node they are given (an arbitrarily large subtree), which is
-    what lets the engine memoise irreducible subterms.
+    node when it does — never the object it was given (progress is
+    detected by identity); a pre-existing *subnode* of the input is
+    fine.  Rules must be *local* and deterministic — the verdict depends
+    only on the node given — which lets the engine memoise normal forms.
 
     ``roots`` optionally names the AST classes the rule can match at its
-    *root* — a pruning hint that must be *conservative* (every class the
-    ``fn`` could rewrite); ``None`` means "try everywhere".  The
-    profile's ``attempts``/``by_rule`` count actual ``fn`` calls and
-    firings; skipped probes are tallied under ``pruned``.
+    *root*: a *conservative* pruning hint; ``None`` means "try
+    everywhere".  Skipped probes are tallied under ``pruned``.
     """
 
     name: str
@@ -74,10 +68,9 @@ class RuleBase:
     def __init__(self, rules: Optional[List[Rule]] = None):
         self._rules: List[Rule] = list(rules or [])
         self._names = {rule.name for rule in self._rules}
-        #: lazily built per-node-class candidate lists (rules whose
-        #: ``roots`` admit the class, in registration order), and under
-        #: the key ``None`` the :meth:`root_classes` union; cleared on
-        #: every mutation so dynamic rule injection stays visible
+        #: lazily built per-node-class candidate lists, and under the
+        #: key ``None`` the :meth:`root_classes` union; cleared on every
+        #: mutation so dynamic rule injection stays visible
         self._candidates: Dict[Optional[type], Any] = {}
         self.version = next(_versions)
 
@@ -113,9 +106,8 @@ class RuleBase:
 
     def candidates(self, node_type: type) -> List[Rule]:
         """The rules that could match a node of ``node_type``, in
-        registration order — rules with ``roots=None`` always qualify.
-        First-match semantics are preserved exactly: pruning only drops
-        rules whose ``apply`` would have returned ``None`` anyway."""
+        registration order (pruning drops only rules that would have
+        returned ``None``, so first-match semantics are kept)."""
         cached = self._candidates.get(node_type)
         if cached is None:
             cached = [
@@ -140,13 +132,13 @@ class RuleBase:
 class PhaseStats:
     """Counters reported per optimization phase.
 
-    ``by_rule`` is always collected (counting is nearly free).  The
-    timing fields — ``seconds`` for the whole phase, ``time_by_rule``
-    for cumulative seconds spent *attempting* each rule (hits and
-    misses) — are only populated when the phase runs instrumented, i.e.
-    under an enabled tracer; otherwise they stay at their zeros.
+    ``by_rule`` is always collected.  The timing fields — ``seconds``
+    for the whole phase, ``time_by_rule`` for cumulative seconds spent
+    *attempting* each rule — are only populated when the phase runs
+    instrumented (under an enabled tracer).
     """
 
+    #: 1 when the phase ran its walk, else 0
     passes: int = 0
     applications: int = 0
     by_rule: Dict[str, int] = field(default_factory=dict)
@@ -173,15 +165,13 @@ class PhaseStats:
 
 
 class Phase:
-    """One optimizer phase: a rule base applied by :meth:`walk`, one
-    innermost walk.  A subclass overriding ``walk`` is another strategy
-    (register it with :meth:`Optimizer.add_phase`)."""
+    """One optimizer phase: a rule base applied by :meth:`walk`.  A
+    subclass overriding ``walk`` is another strategy (register it with
+    :meth:`Optimizer.add_phase`)."""
 
-    #: expression-size ceiling: past this many visited nodes the walk
-    #: stops rewriting
+    #: size ceiling of one run: past this many nodes entered, or this
+    #: many firings (a divergent rule set), the walk stops rewriting
     MAX_NODES = 500_000
-    #: firing budget of one run; a divergent rule set stops rewriting here
-    MAX_FIRINGS = 20_000
 
     def __init__(self, name: str, rules: Optional[RuleBase] = None):
         self.name = name
@@ -191,14 +181,9 @@ class Phase:
         self._memo: Dict[int, ast.Expr] = {}
 
     def run(self, expr: ast.Expr, instrument: bool = False) -> ast.Expr:
-        """Normalise ``expr`` under this phase's rules in one
-        :meth:`walk`.
-
-        With ``instrument=True`` the phase additionally records its
-        wall-clock time and cumulative per-rule attempt timings into
-        :attr:`stats` (a per-attempt clock read — only paid when an
-        enabled tracer asked for it).
-        """
+        """Normalise ``expr`` in one :meth:`walk`.  ``instrument=True``
+        also records the phase's wall-clock time and per-rule attempt
+        timings into :attr:`stats`."""
         self.stats = PhaseStats()
         if not len(self.rules):
             return expr
@@ -208,46 +193,69 @@ class Phase:
         try:
             expr = self.walk(expr)
         except RecursionError:
-            # the expression out-nests the host stack: optimization must
-            # stay transparent, so hand back the input
+            # deeper than the host stack: optimization must stay
+            # transparent, so hand back the input
             pass
         self._memo = {}
         if instrument:
             self.stats.seconds = time.perf_counter() - started
         return expr
 
-    def walk(self, expr: ast.Expr) -> ast.Expr:
-        """The normal form of ``expr``: its children first, then the
-        rules at the node, and after a firing the result the same way.
-        The per-run memo maps ``id(node)`` to each node proven normal
-        (the value keeps the id unique); the walk returns from one at
-        once.  Past the firing budget or the size ceiling it stops
-        rewriting and hands back what it holds."""
-        memo, stats = self._memo, self.stats
-        while id(expr) not in memo:
-            if stats.applications >= self.MAX_FIRINGS \
-                    or self._visited > self.MAX_NODES:
-                break
-            self._visited += 1
-            parts = expr.parts()
-            children = []
-            for child, _ in parts:
-                children.append(self.walk(child))
-            if any(new is not old for new, (old, _) in zip(children, parts)):
-                expr = expr.with_parts(children)
-            rewritten = self._apply_first(expr)
-            if rewritten is None:
-                break
-            expr = rewritten
-        memo[id(expr)] = expr
+    def walk(self, expr: ast.Expr, tried: bool = False) -> ast.Expr:
+        """The normal form of ``expr`` (``tried``: no rule fires at its
+        root as it stands).  The per-run memo maps ``id(node)`` to each
+        node proven normal; a visit returns from one at once."""
+        settled = False
+        while not settled:
+            expr, settled = self._visit(expr, tried)
+            tried = True
         return expr
 
+    def _visit(self, expr: ast.Expr,
+               tried: bool = False) -> Tuple[ast.Expr, bool]:
+        """Children first, then the rules at the node until none fires.
+
+        A rewritten node comes back unsettled, its root tried: the
+        parent tries its own rules on it before it is normalised, so a
+        parent that drops it saves the work.  A node at which nothing
+        fires normalises its unsettled children and tries again."""
+        if id(expr) in self._memo or self._visited > self.MAX_NODES:
+            return expr, True
+        self._visited += 1
+        parts, children, pending, changed = expr.parts(), [], [], False
+        for old, _ in parts:  # loops, not comprehensions: fewer frames
+            child, settled = self._visit(old)
+            if not settled:
+                pending.append(len(children))
+            children.append(child)
+            changed = changed or child is not old
+        if changed:
+            expr = expr.with_parts(children)
+        rewritten = self._apply_first(expr) if changed or not tried else None
+        if rewritten is None and pending:
+            changed = False
+            for index in pending:
+                child = self.walk(children[index], True)
+                changed = changed or child is not children[index]
+                children[index] = child
+            if changed:
+                expr = expr.with_parts(children)
+                rewritten = self._apply_first(expr)
+        if rewritten is None:
+            self._memo[id(expr)] = expr
+            return expr, True
+        while True:  # on at the root until no rule fires there
+            fired = self._apply_first(rewritten)
+            if fired is None:
+                return rewritten, False
+            rewritten = fired
+
     def _apply_first(self, expr: ast.Expr) -> Optional[ast.Expr]:
-        # progress is detected by identity, not structural equality: the
-        # rule contract (see Rule) is "None or a new node", so comparing
-        # whole subtrees on every firing would be pure overhead.  An
-        # instrumented run reads the clock once per attempted rule
+        # progress is detected by identity (the Rule contract is "None
+        # or a new node"); an instrumented run reads the clock per rule
         stats, timed = self.stats, self._timed
+        if stats.applications > self.MAX_NODES:
+            return None
         candidates = self.rules.candidates(type(expr))
         if timed:
             stats.pruned += len(self.rules) - len(candidates)
@@ -297,17 +305,13 @@ class Optimizer:
         self.phase(phase_name).rules.add(rule)
 
     def versions(self) -> Tuple[Tuple["Phase", int], ...]:
-        """Each phase with its rule base's version: equal tuples mean
-        the same phases over the same rule sets."""
+        """Each phase with its rule base's version (equal: same rules)."""
         return tuple((phase, phase.rules.version) for phase in self.phases)
 
     def optimize(self, expr: ast.Expr, tracer=NULL_TRACER) -> ast.Expr:
-        """Run every phase in order.
-
-        ``tracer`` (a :class:`~repro.obs.trace.Tracer` or the shared
-        null) wraps each phase in a span; an enabled tracer also turns
-        on the per-rule timing instrumentation of :meth:`Phase.run`.
-        """
+        """Run every phase in order.  ``tracer`` wraps each phase in a
+        span; an enabled one also turns on :meth:`Phase.run`'s per-rule
+        timing."""
         instrument = tracer.enabled
         for phase in self.phases:
             with tracer.span(f"phase:{phase.name}"):
@@ -337,13 +341,12 @@ def default_optimizer(assume_error_free: bool = True) -> Optimizer:
     Mirrors Section 5: "We have implemented normalization and constraint
     elimination as the first two phases of our optimizer."  The bounds
     phase carries the normalization rules too, so the conditionals that
-    bounds elimination turns into constants fold in the same walk.
+    bounds elimination decides fold in the same walk.
 
-    ``assume_error_free`` controls the guard on δ^p and its relatives.
-    The paper's derivations apply these rules under the assumption that
-    "no bounds errors were present in the original code" (Section 5), so
-    that is the default; pass ``False`` for the strictly-sound pipeline
-    that preserves ⊥-behaviour exactly.
+    ``assume_error_free`` guards δ^p and its relatives: the paper
+    assumes "no bounds errors were present in the original code"
+    (Section 5); ``False`` gives the strictly-sound pipeline that
+    preserves ⊥-behaviour exactly.
     """
     from repro.optimizer.rules_arith import arith_rules
     from repro.optimizer.rules_arrays import array_rules
@@ -363,7 +366,5 @@ def default_optimizer(assume_error_free: bool = True) -> Optimizer:
     ])
 
 
-__all__ = [
-    "Rule", "RuleBase", "Phase", "PhaseStats", "Optimizer",
-    "default_optimizer",
-]
+__all__ = ["Rule", "RuleBase", "Phase", "PhaseStats", "Optimizer",
+           "default_optimizer"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.core import ast
 from repro.core.typecheck import TypeChecker
@@ -345,9 +345,49 @@ class TestTypeErrors:
             Session().run(text)
 
 
+def _assert_fires_within(phase: Phase, by_rule: dict) -> None:
+    """No rule fired more often in ``phase``'s last run than in the
+    reference's ``by_rule``."""
+    for name, count in phase.stats.by_rule.items():
+        assert count <= by_rule.get(name, 0), (phase.name, name)
+
+
+_T, _N, _V = ast.BoolLit(True), ast.NatLit, ast.Var
+
+
+def _subscript_empty(index: ast.Expr) -> ast.Expr:
+    r"""``[[6 | \i < 0]][index]``: β^p rewrites it to a guarded body."""
+    return ast.Subscript(
+        ast.Tabulate(("i",), (_N(0),), _N(6)), (index,))
+
+
+#: random cores on which an eager innermost walk (one that normalises a
+#: rewrite's result before its parent sees it) fired a rule more often
+#: than the reference, or ended in another normal form
+_EAGER_WALK_DIVERGES = [
+    # ext-empty-body drops the source the inner ⋃ was distributed into
+    ast.Ext("x", ast.EmptySet(), ast.Ext(
+        "y", _V("sn"), ast.If(_V("b0"), _V("sn"), ast.EmptySet()))),
+    # if-literal-cond drops the branch β^p just rewrote
+    ast.If(_T, _N(6), _subscript_empty(ast.If(_T, _N(6), _V("n1")))),
+    # horizontal fusion at the root of ext-union-source's result
+    ast.Union(
+        ast.Ext("x", ast.Union(ast.EmptySet(), ast.EmptySet()),
+                ast.EmptySet()),
+        ast.Ext("y", ast.Singleton(_V("y")),
+                ast.Union(_V("sn"), _V("sn")))),
+    ast.Ext("x", ast.Union(ast.Singleton(_V("x")), ast.EmptySet()),
+            ast.Ext("y", ast.Union(ast.EmptySet(), _V("sn")),
+                    ast.Union(_V("sn"), _V("sn")))),
+    ast.Ext("x", ast.Singleton(_V("r0")),
+            ast.Ext("y", ast.If(_V("b0"), ast.EmptySet(), _V("sn")),
+                    ast.Union(_V("sn"), _V("sn")))),
+]
+
+
 class TestEngineMemo:
     """The one-walk engine against the whole-tree reference: the same
-    normal form, in one walk per phase."""
+    normal form, and no rule firing more often."""
 
     def test_standalone_phase_runs_fire_as_without_the_memo(self):
         """On the corpus no rule fires more often than in the reference
@@ -360,33 +400,46 @@ class TestEngineMemo:
                 for phase in optimizer.phases:
                     want, by_rule = reference_run(phase, resolved)
                     got = phase.run(resolved)
-                    assert phase.stats.passes <= 1, phase.name
-                    for name, count in phase.stats.by_rule.items():
-                        assert count <= by_rule.get(name, 0), name
+                    _assert_fires_within(phase, by_rule)
                     assert fingerprint(got) == fingerprint(want)
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(pair=typed_exprs())
+    @example(pair=(_EAGER_WALK_DIVERGES[0], None))
+    @example(pair=(_EAGER_WALK_DIVERGES[1], None))
+    @example(pair=(_EAGER_WALK_DIVERGES[2], None))
+    @example(pair=(_EAGER_WALK_DIVERGES[3], None))
+    @example(pair=(_EAGER_WALK_DIVERGES[4], None))
     def test_optimize_fires_as_without_the_memo(self, pair):
         """Over random well-typed cores, every phase of the pipeline
-        ends where the memo-free engine ends, in at most one walk.
-
-        Firings are bounded on the corpus only: on a random core the
-        walk can normalise a subterm that an outer rule then drops,
-        which a whole-tree pass never looked into.  In
-        ``⋃{{} | x ∈ ⋃{s | y ∈ if b then s else {}}}`` the walk
-        distributes the inner ``⋃`` over the ``if`` and folds its
-        ``⋃{s | y ∈ {}}`` branch before ``ext-empty-body`` drops the
-        whole source."""
+        ends where the memo-free engine ends, and no rule fires more
+        often than there."""
         expr, _ = pair
         for optimizer in (default_optimizer(), default_optimizer(False)):
             got = optimizer.optimize(expr)
             want = expr
             for phase in optimizer.phases:
-                want, _ = reference_run(phase, want)
-                assert phase.stats.passes <= 1, phase.name
+                want, by_rule = reference_run(phase, want)
+                _assert_fires_within(phase, by_rule)
             assert fingerprint(got) == fingerprint(want)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the walk normalises a rewrite's result at its nearest ancestor "
+        "that does not fire; a rule further up can still drop it"))
+    def test_a_rule_two_levels_up_drops_a_rewritten_subterm(self):
+        r"""``if true then 6 else [[6 | \i < 0]][if true then 6 else n1]
+        + n0``: β^p rewrites the subscript to ``if 6 < 0 then 6 else ⊥``;
+        ``+`` does not fire on it, so the walk folds the comparison and
+        the ``if`` before ``if-literal-cond`` drops the whole branch.
+        The reference's first pass drops it first."""
+        expr = ast.If(_T, _N(6), ast.Arith(
+            "+", _subscript_empty(ast.If(_T, _N(6), _V("n1"))), _V("n0")))
+        for optimizer in (default_optimizer(), default_optimizer(False)):
+            for phase in optimizer.phases:
+                want, by_rule = reference_run(phase, expr)
+                assert fingerprint(phase.run(expr)) == fingerprint(want)
+                _assert_fires_within(phase, by_rule)
 
     def test_size_cap_stops_a_node_doubling_rule(self):
         def double(expr):
@@ -397,9 +450,20 @@ class TestEngineMemo:
         phase = Phase("grow", RuleBase([Rule("double", double)]))
         phase.MAX_NODES = 1_000
         grown = phase.run(ast.Var("a"))
-        assert phase.stats.passes == 1
         assert phase.MAX_NODES < ast.node_count(grown) \
             <= 4 * phase.MAX_NODES
+
+    def test_firing_cap_stops_a_divergent_rule(self):
+        def flip(expr):
+            if isinstance(expr, ast.Var):
+                return ast.Var("b" if expr.name == "a" else "a")
+            return None
+
+        phase = Phase("flip", RuleBase([Rule("flip", flip)]))
+        phase.MAX_NODES = 1_000
+        out = phase.run(ast.TupleE((ast.Var("a"), ast.Var("a"))))
+        assert isinstance(out, ast.TupleE)
+        assert phase.stats.applications == phase.MAX_NODES + 1
 
 
 class TestSubstitutionSharing:

@@ -65,10 +65,10 @@ class TestPhase:
         opt.add_phase(RootOnce("once", RuleBase([Rule("bump", bump)])),
                       before="z")
         assert opt.optimize(N(0)) == N(1)
+        assert opt.report()["once"].applications == 1
         assert opt.optimize(ast.Arith("+", N(0), N(0))) \
             == ast.Arith("+", N(0), N(0))
-        stats = opt.report()["once"]
-        assert (stats.passes, stats.applications) == (1, 0)
+        assert opt.report()["once"].applications == 0
         # the stock walk rewrites to the normal form
         assert Phase("p", RuleBase([Rule("bump", bump)])).run(N(0)) == N(3)
 

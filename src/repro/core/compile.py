@@ -6,14 +6,14 @@ emits the Python source of a whole expression — a factory
 ``_factory(_c, _cfg, _P, _V, _k0, …)`` over the compiler, its dispatch
 config, the probe, the val table ``_plan`` first reads its vals from and
 the plan's *slots* (every literal, ``Const``, primitive and val name),
-returning ``_plan(env)`` — and returns that function.  No
-value and no user text enters the source, so it depends only on the
-plan's shape: compiled factories are memoised by it in one bounded
-table, each registered with :mod:`linecache` as ``<plan N>``.
+returning ``_plan(env)`` — and returns that function.  No value and
+no user text enters the source, so it depends only on the plan's shape
+(and the types a kept plan is emitted with): compiled factories are
+memoised by it, each registered with :mod:`linecache` as ``<plan N>``.
 Inside ``_plan`` variables are locals, loops are ``for`` statements and
-straight-line bodies are expressions that guard on exact host types
-before the one general routine, which owns every error
-(:mod:`repro.core.runtime`).  Ahead of its loop, a kernel-shaped
+straight-line bodies are expressions that guard on exact host types,
+unless a type proves them, before the one general routine, which owns
+every error (:mod:`repro.core.runtime`).  Ahead of its loop, a kernel-shaped
 tabulation or ``Σ`` body is numpy lines over :mod:`repro.core.kernels`
 and a recognised equi-join a hash-index block (:mod:`repro.core.setops`);
 each asks the live :class:`~.fastpath.DispatchConfig`.  A probe
@@ -33,8 +33,11 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.core import ast, kernels, runtime, setops
 from repro.core.fastpath import DEFAULT_CONFIG, DispatchConfig
 from repro.errors import BottomError, EvalError
+from repro.objects.array import cell_text, dim_text
 from repro.objects.ordering import COMPARISONS
 from repro.objects.values import ARITH_HOST
+from repro.types.types import HOST_TYPES, TArray, TArrow, TNat, TProduct, \
+    TSet
 
 #: a compiled expression: environment list -> value
 Code = Callable[[List[Any]], Any]
@@ -101,12 +104,14 @@ class Compiler:
                 raise BottomError(f"host value error: {exc}") from exc
         raise EvalError(f"not a function: {fn_value!r}")
 
-    def compile(self, expr: ast.Expr,
-                scope: Tuple[str, ...] = ()) -> Code:
+    def compile(self, expr: ast.Expr, scope: Tuple[str, ...] = (),
+                types: Optional[Mapping[int, Any]] = None) -> Code:
         """Compile ``expr`` (with free variables in ``scope``, bound by
-        position in the environment list) to its plan function."""
+        position in the environment list) to its plan function;
+        ``types`` (``id(node) -> type``, from ``TypeChecker.check``'s
+        record) drops each guard a node's type proves."""
         emission = Compiler(self.prims, self.probe, self.dispatch, self.vals)
-        emission._owner = self
+        emission._owner, emission._types = self, types or {}
         source = emission._module(expr, scope)
         return _compiled(source)(self, self.dispatch, self.probe, self.vals,
                                  *emission._consts)
@@ -127,6 +132,11 @@ class Compiler:
         # val -> its local; the variables subscripted; the last one read
         self._params: Dict[str, int] = {}
         self._boxed, self._last = set(), None
+        # an empty Σ is the nat 0 whatever its body's type: unless every
+        # Σ is proven nat, a real type proves no float
+        self._reals = bool(self._types) and all(
+            self._types.get(id(node)) == TNat()
+            for node in ast.subterms(expr) if type(node) is ast.Sum)
         probed = self.probe is not None
         self._level, self._loops, self._depth = 3 if probed else 2, 0, 0
         numbers = [self._bind() for _ in scope]
@@ -323,8 +333,9 @@ class Compiler:
             if self.probe is not None:
                 native = self._counted("Prim", mark, native)
             return f"{native}({argument}, _c)"
-        callee, argument = self._seq(((fn, lambda text: self._checked(
-            text, "callable({})", "_function({})")), expr.arg), scope)
+        check = None if self._proves(fn, TArrow) else \
+            lambda text: self._checked(text, "callable({})", "_function({})")
+        callee, argument = self._seq(((fn, check), expr.arg), scope)
         return f"{callee}({argument})"
 
     def _checked(self, text: str, test: str, otherwise: str) -> str:
@@ -333,6 +344,40 @@ class Compiler:
         name, first = self._named(text)
         return f"({name} if {test.format(first, name)} else " \
             f"{otherwise.format(name)})"
+
+    # -- what a recorded type proves ------------------------------------------
+
+    def _proves(self, node: ast.Expr, kind: type) -> bool:
+        """Whether ``node``'s recorded type is a ``kind`` (any rank)."""
+        return type(self._types.get(id(node))) is kind
+
+    def _host(self, *nodes: ast.Expr) -> Optional[type]:
+        """The one host type every node's recorded base type proves:
+        ``bool``, ``int`` (a nat, maybe negative), ``float`` or ``str``."""
+        hosts = {HOST_TYPES.get(type(self._types.get(id(node))))
+                 for node in nodes} if self._types else ()
+        host = hosts.pop() if len(hosts) == 1 else None
+        return None if host is float and not self._reals else host
+
+    def _as_natural(self, node: ast.Expr, text: str, message: str) -> str:
+        """``text`` checked a natural (else ⊥ ``message``): where ``node``
+        is proven a nat only its sign is left to test."""
+        if self._host(node) is not int:
+            return f"_natural({text}, {message})"
+        name, first = self._named(text)
+        return f"({name} if ({first}) >= 0 else _natural({name}, {message}))"
+
+    def _bare(self, op: str, host: type, left: str, right: str) -> str:
+        """Arithmetic on two proven ``host`` operands: the host text, but
+        for the zero test of ``/`` and ``%`` (nat ``-`` still clamps: a
+        nat may be negative)."""
+        (text,) = [text for types, text in ARITH_HOST[op] if host in types]
+        if op not in "/%" and (op, host) != ("-", int):
+            return f"({text.format(a=left, b=right)})"
+        a, b = self._spill(left), self._spill(right)  # each read twice
+        text = text.format(a=a, b=b)
+        return f"({text} if {b} else _arith({op!r}, {a}, {b}))" \
+            if op in "/%" else text
 
     # -- straight-line nodes: (parts, build) ----------------------------------
 
@@ -352,27 +397,47 @@ class Compiler:
         return text + general.format(a=a, b=b) + ")"
 
     def _arith(self, expr: ast.Arith):
+        host = self._host(expr.left, expr.right)
+        if host in (int, float):
+            return (expr.left, expr.right), lambda left, right: self._bare(
+                expr.op, host, left, right)
         return (expr.left, expr.right), lambda left, right: self._guarded(
             ARITH_HOST[expr.op], f"_arith({expr.op!r}, {{a}}, {{b}})",
             expr.op in ("/", "%"), left, right)
 
     def _cmp(self, expr: ast.Cmp):
+        if self._host(expr.left, expr.right) is not None:
+            host = COMPARISONS[expr.op][0][0][1]
+            return (expr.left, expr.right), \
+                lambda left, right: f"({host.format(a=left, b=right)})"
         return (expr.left, expr.right), lambda left, right: self._guarded(
             COMPARISONS[expr.op][0],
             runtime.COMPARE_NAMES[expr.op] + "({a}, {b})", False, left, right)
 
     def _subscript(self, expr: ast.Subscript):
-        arity = len(expr.indices)
+        arity, boxed = len(expr.indices), []
         read = f".at{arity}({{}})" if arity <= 3 else "[({},)]"
+        cells = self._proves(expr.array, TArray) \
+            and self._host(*expr.indices) is int
         def operand(text: str) -> str:
             if type(expr.array) is ast.Var:
                 self._boxed.add(self._last)  # a val read cell by cell
+                boxed.append(self._last in self._params.values())
+            if cells:  # evaluated first, ahead of the bounds test
+                return self._spill(text)
             return self._checked(text, "type({}) is Array", "_array({})")
+        if cells:  # the indices too, each read twice
+            return ((expr.array, operand), *((index, self._spill)
+                                             for index in expr.indices)), \
+                lambda array, *index: cell_text(array, index, self._fresh(),
+                                                any(boxed))
         return ((expr.array, operand), *expr.indices), \
             lambda array, *index: array + read.format(", ".join(index))
 
     def _proj(self, expr: ast.Proj):
         arity = expr.arity
+        if self._proves(expr.expr, TProduct):
+            return (expr.expr,), f"{{}}[{expr.index - 1}]"
         return (expr.expr,), lambda text: self._checked(
             text, f"type({{0}}) is tuple and len({{1}}) == {arity}",
             f"_tuple({{}}, {arity})") + f"[{expr.index - 1}]"
@@ -388,8 +453,10 @@ class Compiler:
         ast.Singleton: lambda self, e: ((e.expr,), "frozenset(({},))"),
         ast.Union: lambda self, e: ((e.left, e.right), "({} | {})"),
         ast.Gen: lambda self, e: (
-            (e.expr,), "frozenset(range(_natural({}, _GEN)))"),
-        ast.Dim: lambda self, e: ((e.expr,), f"_dim({{}}, {e.rank})"),
+            (e.expr,), lambda text: f"frozenset(range("
+            f"{self._as_natural(e.expr, text, '_GEN')}))"),
+        ast.Dim: lambda self, e: ((e.expr,), dim_text(e.rank) if self._proves(
+            e.expr, TArray) else f"_dim({{}}, {e.rank})"),
         ast.IndexSet: lambda self, e: (
             (e.expr,), f"_indexed({{}}, {e.rank}, _P)"),
         ast.Get: lambda self, e: ((e.expr,), "_get({})"),
@@ -416,8 +483,8 @@ class Compiler:
         return result
 
     def _mk_array(self, expr: ast.MkArray, scope) -> str:
-        dims = self._seq([(dim, lambda text: f"_natural({text}, _DIMENSION)")
-                          for dim in expr.dims], scope)
+        dims = self._seq([(dim, lambda text, dim=dim: self._as_natural(
+            dim, text, "_DIMENSION")) for dim in expr.dims], scope)
         shape = self._spill(  # checked before any item is evaluated
             f"_dims(({', '.join(dims)},), {len(expr.items)}, _P)")
         return f"Array({shape}, [{', '.join(self._seq(expr.items, scope))}])"
@@ -430,7 +497,8 @@ class Compiler:
         if type(source) is not ast.Gen:
             return self._emit(source, scope)
         mark = len(self._lines)
-        elements = f"range(_natural({self._emit(source.expr, scope)}, _GEN))"
+        size = self._emit(source.expr, scope)
+        elements = f"range({self._as_natural(source.expr, size, '_GEN')})"
         if self.probe is None:
             return elements
         return f"_seen(_P, {self._counted('Gen', mark, elements)})"
@@ -441,7 +509,7 @@ class Compiler:
             f"frozenset({acc})"
         if shape is not None:  # the join block, then the loop if it declined
             source = self._spill(self._emit(expr.source, scope))
-            result, state = self._join(shape, scope, source, acc)
+            result, state = self._join(expr, shape, scope, source, acc)
             self._line(f"if {result} is None:")
             self._level += 1
             if state:
@@ -454,12 +522,15 @@ class Compiler:
         self._depth = depth
         return result
 
-    def _join(self, shape: setops.JoinShape, scope, source: str, acc: str):
+    def _join(self, expr: ast.Ext, shape: setops.JoinShape, scope,
+              source: str, acc: str):
         """The hash equi-join block (docs/SETOPS.md): index T by κ'(y),
         probe it with κ(x) per x in ``source`` and add e per matching
         pair into ``acc``.  ``(result, state)``: ``result`` stays
         ``None`` when the config declines or anything raises, and a
-        probe is then to be restored to its snapshot ``state``."""
+        probe is then to be restored to its snapshot ``state``.  A
+        source proven a set skips its test, and keys proven free of
+        reals (NaN, -0.0) hash raw."""
         probed, level, loops = self.probe is not None, self._level, \
             self._loops
         result, state, index, bucket, matched = (self._fresh()
@@ -468,25 +539,28 @@ class Compiler:
         self._line(f"{result} = None")
         if probed:
             self._line(f"{state} = _P.snapshot()")
-        self._line(f"if isinstance({source}, frozenset) "
-                   f"and len({source}) >= 2:")
+        test = lambda node, text: "" if self._proves(node, TSet) \
+            else f"isinstance({text}, frozenset) and "  # noqa: E731
+        wrap = "" if all(setops.hashes_raw(self._types.get(id(key))) for key
+                         in (shape.outer_key, shape.inner_key)) else "_HashKey"
+        self._line(f"if {test(expr.source, source)}len({source}) >= 2:")
         self._line("try:", 1)
         self._level, self._loops = level + 2, loops + 1
         inner = self._spill(self._emit(shape.inner_source, scope))
         pairs = f"len({source}) * len({inner})"
-        self._line(f"if isinstance({inner}, frozenset) and "
+        self._line(f"if {test(shape.inner_source, inner)}"
                    f"_cfg.wants_hash_join({pairs}, len({inner})):")
         self._line(f"{index} = {{}}", 1)
         self._line(f"for v{y} in {inner}:", 1)
         self._level, self._loops = level + 4, loops + 2
         key = self._emit(shape.inner_key, {**scope, shape.inner_var: y})
-        self._line(f"{index}.setdefault(_HashKey({key}), []).append(v{y})")
+        self._line(f"{index}.setdefault({wrap}({key}), []).append(v{y})")
         self._line(f"{acc} = set()", -1)
         if probed:
             self._line(f"{matched} = 0", -1)
         self._line(f"for v{x} in {source}:", -1)
         key = self._emit(shape.outer_key, {**scope, shape.outer_var: x})
-        self._line(f"{bucket} = {index}.get(_HashKey({key}))")
+        self._line(f"{bucket} = {index}.get({wrap}({key}))")
         self._line(f"if {bucket}:")
         if probed:
             self._line(f"{matched} += len({bucket})", 1)
@@ -567,8 +641,8 @@ class Compiler:
         kernel, probed = None, self.probe is not None
         if type(expr.source) is ast.Gen:  # the size is needed before the loop
             mark = len(self._lines)
-            size = self._spill(
-                f"_natural({self._emit(expr.source.expr, scope)}, _GEN)")
+            size = self._spill(self._as_natural(expr.source.expr, self._emit(
+                expr.source.expr, scope), "_GEN"))
             if probed:
                 self._counted("Gen", mark, size)
             values = f"_seen(_P, range({size}))" if probed \
@@ -613,8 +687,8 @@ class Compiler:
 
     def _tabulate(self, expr: ast.Tabulate, scope) -> str:
         dims = [self._spill(text) for text in self._seq(
-            [(bound, lambda text: f"_natural({text}, _BOUND)")
-             for bound in expr.bounds], scope)]
+            [(bound, lambda text, bound=bound: self._as_natural(
+                bound, text, "_BOUND")) for bound in expr.bounds], scope)]
         extents, cells = f"({', '.join(dims)},)", self._spill(" * ".join(dims))
         result, probed = self._fresh(), self.probe is not None
         self._line(f"{result} = None")
@@ -824,16 +898,17 @@ class CompiledEvaluator:
         self.compiler = Compiler(prims, probe, dispatch, vals)
         self._prepared: Optional[Tuple[ast.Expr, Tuple[str, ...], Code]] = None
 
-    def prepare(self, expr: ast.Expr,
-                names: Tuple[str, ...] = ()) -> Code:
+    def prepare(self, expr: ast.Expr, names: Tuple[str, ...] = (),
+                types: Optional[Mapping[int, Any]] = None) -> Code:
         """Generate (or reuse) the code for ``expr`` and return it, so
-        a plan cache can account code generation apart from running."""
+        a plan cache can account code generation apart from running;
+        ``types`` as for :meth:`Compiler.compile`."""
         prepared = self._prepared
         if prepared is not None and prepared[0] is expr \
                 and prepared[1] == names:
             return prepared[2]
         try:
-            code = self.compiler.compile(expr, names)
+            code = self.compiler.compile(expr, names, types)
         except (RecursionError, SyntaxError, MemoryError):
             raise EvalError(
                 "expression nesting exceeds the evaluator depth limit"

@@ -27,6 +27,9 @@ Discipline (the proof-or-fallback contract of :mod:`repro.core.kernels`):
   ``value_equal`` (so ``1``, ``1.0`` and ``true`` stay distinct keys,
   exactly as ``κ(x) = κ'(y)`` would judge them) and whose hash is the
   host hash (sound because ``value_equal`` refines Python ``==``).
+  A plan kept by the plan cache, typed once, hashes keys raw where
+  their type proves host equality is ``value_equal``
+  (:func:`hashes_raw`).
 * **Error identity**: anything raised inside the block — ⊥, a type
   error from a malformed value, anything — discards its work, a probe
   is restored to its snapshot from before the block, and the naive loop
@@ -44,6 +47,7 @@ from typing import Any, Optional
 
 from repro.core import ast
 from repro.objects.values import value_equal
+from repro.types.types import TBool, TNat, TProduct, TString
 
 class HashKey:
     """A join key wrapped so dict equality is the calculus's equality.
@@ -74,6 +78,16 @@ class HashKey:
 
     def __eq__(self, other: object) -> bool:
         return value_equal(self.value, other.value)  # type: ignore[union-attr]
+
+
+def hashes_raw(key_type: Any) -> bool:
+    """Whether join keys of ``key_type`` may hash without
+    :class:`HashKey`: built of nats, bools and strings only, where host
+    equality *is* ``value_equal`` for values of one type.  A real (NaN,
+    -0.0) or a type variable (no proof) keeps the wrapper."""
+    if type(key_type) is TProduct:
+        return all(map(hashes_raw, key_type.items))
+    return type(key_type) in (TNat, TBool, TString)
 
 
 @dataclass(frozen=True)
@@ -151,4 +165,5 @@ def recognize_join(expr: ast.Ext) -> Optional[JoinShape]:
                      keys[0], keys[1], inner.then)
 
 
-__all__ = ["HashKey", "JoinShape", "split_equi_join", "recognize_join"]
+__all__ = ["HashKey", "JoinShape", "hashes_raw", "split_equi_join",
+           "recognize_join"]

@@ -67,16 +67,30 @@ class TypeChecker:
         self.macro_schemes = macro_schemes if macro_schemes is not None else {}
         self.val_scheme = val_scheme
 
-    def check(self, expr: ast.Expr, env: Optional[TypeEnv] = None) -> Type:
+    #: ``(node, type)`` for each node inferred, while :meth:`check` records
+    _seen: Optional[list] = None
+
+    def check(self, expr: ast.Expr, env: Optional[TypeEnv] = None,
+              record: Optional[Dict[int, Optional[Type]]] = None) -> Type:
         """Infer and return the (zonked) type of ``expr``.
 
+        ``record`` receives ``id(node) -> zonked type`` for every node
+        the inference reaches; a node reached twice at different types
+        (a shared subterm typed at two instances) maps to ``None``.
         Raises :class:`~repro.errors.TypeCheckError` on ill-typed input.
         """
         subst: Substitution = {}
+        self._seen = [] if record is not None else None
         try:
             inferred = self._infer(expr, dict(env or {}), subst)
         except UnificationError as exc:
             raise TypeCheckError(str(exc)) from exc
+        finally:
+            seen, self._seen = self._seen, None
+        for node, found in seen or ():
+            found = zonk(found, subst)
+            if record.setdefault(id(node), found) != found:
+                record[id(node)] = None
         return zonk(inferred, subst)
 
     def check_scheme(self, expr: ast.Expr,
@@ -98,7 +112,10 @@ class TypeChecker:
         method = self._DISPATCH.get(type(expr))
         if method is None:
             raise TypeCheckError(f"no typing rule for {type(expr).__name__}")
-        return method(self, expr, env, subst)
+        found = method(self, expr, env, subst)
+        if self._seen is not None:
+            self._seen.append((expr, found))
+        return found
 
     def _var(self, expr: ast.Var, env: TypeEnv, subst: Substitution) -> Type:
         scheme = env.get(expr.name)

@@ -132,8 +132,12 @@ class TopEnv:
     def val_scheme(self, name: str) -> Optional[TypeScheme]:
         """The scheme of ``name``'s val (None if unbound), once a binding."""
         if name in self._vals and name not in self._val_schemes:
-            self._val_schemes[name] = generalize(
-                type_of_value(self._vals[name]), {})
+            try:
+                found = type_of_value(self._vals[name])
+            except (TypeError, TypeCheckError) as exc:
+                raise TypeCheckError(f"val {name!r} has no type: {exc}") \
+                    from None
+            self._val_schemes[name] = generalize(found, {})
         return self._val_schemes.get(name)
 
     def add_mutation_listener(
@@ -287,6 +291,18 @@ class TopEnv:
         and val schemes (shared by reference, not copied)."""
         return TypeChecker(self._prim_schemes, self._macro_schemes,
                            self.val_scheme)
+
+    def node_types(self, core: ast.Expr) -> Optional[Dict[int, Any]]:
+        """``id(node) -> type`` over an optimized ``core``, typed without
+        macro schemes so that every node is reached (the record of
+        :meth:`TypeChecker.check`), or ``None`` if it fails to check."""
+        table: Dict[int, Any] = {}
+        try:
+            TypeChecker(self._prim_schemes, None, self.val_scheme).check(
+                core, record=table)
+        except (TypeCheckError, RecursionError):
+            return None
+        return table
 
     def evaluator(self) -> CompiledEvaluator:
         """The execution engine (``run(expr, bindings)`` and

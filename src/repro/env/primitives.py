@@ -21,6 +21,7 @@ from repro.errors import BottomError, EvalError
 from repro.objects.ordering import sort_values
 from repro.objects.values import value_kind
 from repro.types.types import (
+    HOST_TYPES,
     TArray,
     TArrow,
     TBag,
@@ -40,10 +41,62 @@ NativeImpl = NativePrim
 PrimEntry = Tuple[NativeImpl, TypeScheme]
 
 
-#: the outer kind (:func:`~repro.objects.values.value_kind`) each result
-#: type demands; type variables and base types demand none
+#: the kind (:func:`~repro.objects.values.value_kind`) each result type
+#: demands; type variables, arrows and named base types demand none
 _RESULT_KINDS = {TBool: "bool", TNat: "nat", TReal: "real", TString: "string",
                  TProduct: "tuple", TSet: "set", TBag: "bag", TArray: "array"}
+_BASE_KINDS = {host: _RESULT_KINDS[base]
+               for base, host in HOST_TYPES.items()}
+#: the kind of every cell of a dense block, by its tag
+_TAG_KINDS = {"int": "nat", "real": "real", "bool": "bool"}
+
+
+def _kind(value: Any) -> str:
+    """``value``'s kind, a base kind only for its exact host type."""
+    kind = _BASE_KINDS.get(type(value))
+    if kind is None:
+        try:
+            kind = value_kind(value)
+        except TypeError:
+            kind = None
+        if kind in (None, *_BASE_KINDS.values()):
+            return type(value).__name__
+    return kind
+
+
+def _misfit(value: Any, expected: Type) -> Optional[str]:
+    """What in ``value`` lacks the kind ``expected`` demands, elements
+    included (an array's cells read off its dense tag), or ``None``."""
+    want = _RESULT_KINDS.get(type(expected))
+    if want is None:
+        return None
+    kind = _kind(value)
+    article = "an" if kind[0] in "aeiou" else "a"
+    if kind != want:
+        return f"{article} {kind}"
+    if kind == "tuple":
+        if len(value) != len(expected.items):
+            return f"a {len(value)}-tuple"
+        parts = zip(value, expected.items)
+    elif kind == "array":
+        if value.rank != expected.rank:
+            return f"a rank-{value.rank} array"
+        block = value.dense_block()
+        if block is not None:
+            cells = _TAG_KINDS[block.tag]
+            return None if _RESULT_KINDS.get(type(expected.elem)) in (
+                None, cells) else f"an array of {cells}"
+        parts = ((cell, expected.elem) for cell in value.flat)
+    elif kind in ("set", "bag"):
+        parts = ((item, expected.elem) for item in (
+            value if kind == "set" else value.support()))
+    else:
+        return None
+    for item, item_type in parts:
+        inner = _misfit(item, item_type)
+        if inner is not None:
+            return f"{article} {kind} holding {inner}"
+    return None
 
 
 def simple_prim(fn: Callable[[Any], Any], name: Optional[str] = None,
@@ -51,29 +104,29 @@ def simple_prim(fn: Callable[[Any], Any], name: Optional[str] = None,
     """Wrap a plain function of the argument value as a native primitive.
 
     Given the primitive's ``name`` and declared ``signature``, every
-    result is checked for the outer kind the declared result type
-    demands: an ill-kinded result is an :class:`EvalError` naming the
-    primitive, not a host exception (or a wrongly typed answer) later.
+    result is checked, once, for the kinds the declared result type
+    demands — a base result for its exact host type, a collection,
+    tuple or array down to its elements: an ill-kinded result is an
+    :class:`EvalError` naming the primitive, not a host exception (or a
+    wrongly typed answer that a typed plan would trust) later.
     """
     body = signature.body if isinstance(signature, TypeScheme) else signature
     result_type = body.result if isinstance(body, TArrow) else None
-    expected = _RESULT_KINDS.get(type(result_type))
+    host = HOST_TYPES.get(type(result_type))
 
     def native(value: Any, evaluator: Any) -> Any:
         return fn(value)
 
     def checked(value: Any, evaluator: Any) -> Any:
         result = fn(value)
-        try:
-            kind = value_kind(result)
-        except TypeError:
-            kind = type(result).__name__
-        if kind != expected:
-            raise EvalError(f"primitive {name!r} returned a {kind}, "
-                            f"not the {result_type} its type declares")
+        if type(result) is not host:
+            misfit = _misfit(result, result_type)
+            if misfit is not None:
+                raise EvalError(f"primitive {name!r} returned {misfit}, "
+                                f"not the {result_type} its type declares")
         return result
 
-    return native if expected is None else checked
+    return native if type(result_type) not in _RESULT_KINDS else checked
 
 
 def scheme(body) -> TypeScheme:

@@ -294,6 +294,10 @@ class Array:
             return self._cell((i * dims[1] + j) * dims[2] + k)
         return self[(i, j, k)]
 
+    # The same read as inline text, for a plan whose types prove the
+    # operand a rank-k array and every index an ``int`` (DESIGN.md
+    # "Typed plans"): :func:`cell_text`.
+
     # -- the backing store --------------------------------------------------
 
     @property
@@ -461,6 +465,33 @@ class Array:
         if self._size > 8:
             shown += ", ..."
         return f"Array(dims={self._dims}, [{shown}])"
+
+
+def cell_text(array: str, index: Sequence[str], dims: str,
+              boxed: bool) -> str:
+    """The code generator's text for ``array[(i, j, …)]`` where the
+    operand is proven a rank-k :class:`Array` and each index an ``int``
+    (``array`` and ``index`` are names, read more than once; ``dims`` a
+    free one): the row-major offset behind both halves of the bounds
+    test — a nat may be negative — else ``__getitem__``, which owns the
+    ⊥.  A ``boxed`` array (its cells already boxed) is read from
+    ``_flat``; any other through ``_cell``, which counts dense hits."""
+    tests = [f"0 <= {index[0]} < " + (f"{array}._size" if len(index) == 1
+                                      else f"({dims} := {array}._dims)[0]")]
+    offset = index[0]
+    for axis, i in enumerate(index[1:], 1):
+        offset = f"{f'({offset})' if axis > 1 else offset} * " \
+            f"{dims}[{axis}] + {i}"
+        tests.append(f"0 <= {i} < {dims}[{axis}]")
+    read = f"._flat[{offset}]" if boxed else f"._cell({offset})"
+    return f"({array}{read} if {' and '.join(tests)} " \
+        f"else {array}[({', '.join(index)},)])"
+
+
+def dim_text(rank: int) -> str:
+    """The code generator's text for ``dim_rank`` of an operand proven a
+    rank-``rank`` :class:`Array`: its extent at rank 1, else the tuple."""
+    return "{}._size" if rank == 1 else "{}._dims"
 
 
 def iter_indices(dims: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -248,8 +248,8 @@ class Session:
             entry = cache.lookup(key, env)
             tracer.annotate(hit=entry is not None, entries=len(cache))
         if entry is not None:
-            if entry.evaluator is None:
-                entry.evaluator = self._codegen(entry.core)
+            if entry.evaluator is None:  # the plan it keeps, typed once
+                entry.evaluator = self._codegen(entry.core, typed=True)
             return Plan(entry.core, entry.inferred, cached=True,
                         evaluator=entry.evaluator, entry=entry)
         compiled, inferred = env.compile(core, optimize=self.optimize)
@@ -257,15 +257,17 @@ class Session:
         entry = cache.insert(key, compiled, inferred, ast.free_vars(core), env)
         return Plan(compiled, inferred, evaluator=evaluator, entry=entry)
 
-    def _codegen(self, core: ast.Expr) -> Any:
+    def _codegen(self, core: ast.Expr, typed: bool = False) -> Any:
         """An evaluator holding the unprobed plan function for ``core``,
         or ``None`` while observability is on: an observed run executes
         probed code (see :meth:`_evaluate`), so the plain one would be
-        built for nothing."""
+        built for nothing.  ``typed`` (a plan the cache keeps) types the
+        core first and drops the host-type guards its types prove."""
         if self.env.obs.enabled:
             return None
         evaluator = self.env.plan_evaluator()
-        evaluator.prepare(core)
+        evaluator.prepare(core, types=self.env.node_types(core)
+                          if typed else None)
         return evaluator
 
     # -- helpers ---------------------------------------------------------------------

@@ -199,23 +199,25 @@ def _collect(t: Type, found: Dict[int, TVar]) -> None:
         _collect(t.result, found)
 
 
+#: the exact host type of each base type (a numpy scalar is none of them)
+HOST_TYPES = {TBool: bool, TNat: int, TReal: float, TString: str}
+_BASE_TYPES = {host: base() for base, host in HOST_TYPES.items()}
+
+
 def type_of_value(value: Any) -> Type:
     """Infer the (ground) type of a complex-object value.
 
     Empty sets/bags/arrays get fresh element type variables, because the
-    value alone does not determine the element type.
+    value alone does not determine the element type.  A base value has
+    its exact host type (a numpy scalar is neither a nat nor a real):
+    a plan typed from this trusts it (DESIGN.md "Code generation").
     """
     from repro.objects.array import Array
     from repro.objects.bag import Bag
 
-    if isinstance(value, bool):
-        return TBool()
-    if isinstance(value, int):
-        return TNat()
-    if isinstance(value, float):
-        return TReal()
-    if isinstance(value, str):
-        return TString()
+    base = _BASE_TYPES.get(type(value))
+    if base is not None:
+        return base
     if isinstance(value, tuple):
         return TProduct(tuple(type_of_value(v) for v in value))
     if isinstance(value, frozenset):
@@ -264,6 +266,7 @@ __all__ = [
     "TArrow",
     "TVar",
     "TypeScheme",
+    "HOST_TYPES",
     "NUMERIC",
     "fresh_tvar",
     "free_tvars",

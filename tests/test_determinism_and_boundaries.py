@@ -20,6 +20,7 @@ bugs pinned down:
 """
 
 import io
+import re
 import sys
 
 import pytest
@@ -35,7 +36,8 @@ from repro.obs.metrics import EvalMetrics
 from repro.optimizer.engine import default_optimizer
 from repro.surface.parser import parse_program
 from repro.system import repl
-from repro.types.types import TArrow, TNat, TSet
+from repro.system.session import Session
+from repro.types.types import TArray, TArrow, TNat, TProduct, TReal, TSet
 
 from conftest import agree
 
@@ -109,6 +111,23 @@ def test_empty_real_sum_is_the_real_zero(session):
     value = session.query_value(r"summap(fn \i => 1.5)!(gen!0);")
     assert type(value) is float and value == 0.0
     assert session.query_value(r"summap(fn \i => 1.5)!(gen!0) = 0.0;")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known deviation: a nat val may be negative, and β^p "
+    "(optimizer/rules_arrays.py) guards only `i < bound`, so the optimized "
+    "plan returns -3 where the unoptimized one is ⊥ — docs/LANGUAGE.md; "
+    "the fix is a boundary rule or a β^p guard (ROADMAP item 3)"))
+def test_a_negative_nat_subscript_is_bottom_with_the_optimizer_on():
+    outcomes = []
+    for optimize in (False, True):
+        session = Session(optimize=optimize)
+        session.env.set_val("n", -3)
+        try:
+            outcomes.append(session.query_value(r"[[ i | \i < 3 ]][n];"))
+        except BottomError:
+            outcomes.append("bottom")
+    assert outcomes == ["bottom", "bottom"]
 
 
 def _deep_arith(depth: int) -> ast.Expr:
@@ -322,6 +341,35 @@ class TestPrimitiveResultKinds:
     def test_ill_kinded_result_is_an_eval_error(self, liar, statement):
         with pytest.raises(EvalError, match="primitive 'liar' returned a nat"):
             liar.run(statement)
+
+    @pytest.mark.parametrize("result, declared, misfit", [
+        (frozenset({1.5}), TSet(TNat()), "a set holding a real"),
+        ((1, 2), TProduct((TNat(), TReal())), "a tuple holding a nat"),
+        (frozenset({(1, True)}), TSet(TProduct((TNat(), TNat()))),
+         "a set holding a tuple holding a bool"),
+        (Array.from_list([1, 2.5]), TArray(TNat(), 1),
+         "an array holding a real"),
+        (Array.from_list([1, 2]), TArray(TNat(), 2), "a rank-1 array"),
+        (True, TNat(), "a bool"),
+    ])
+    def test_elements_are_checked_in_both_engines(self, session, result,
+                                                  declared, misfit):
+        """A result is checked down to its elements, once per value: a
+        plan typed from the declared type would trust every one."""
+        session.register_co("liar", lambda n: result, TArrow(TNat(), declared))
+        message = f"primitive 'liar' returned {misfit}, not the {declared}"
+        core = session.env.resolve(ast.App(ast.Var("liar"), ast.NatLit(3)))
+        for engine in (CompiledEvaluator(session.env._prim_impls),
+                       Evaluator(session.env._prim_impls)):
+            with pytest.raises(EvalError, match=re.escape(message)):
+                engine.run(core)
+
+    def test_a_dense_result_is_checked_by_its_tag(self, session):
+        numpy = pytest.importorskip("numpy")
+        session.register_co("reals", lambda n: Array((2,), numpy.zeros(2)),
+                            TArrow(TNat(), TArray(TNat(), 1)))
+        with pytest.raises(EvalError, match="returned an array of real"):
+            session.run("reals!2;")
 
     def test_well_kinded_results_pass(self, session):
         session.register_co("evens", lambda n: frozenset(range(0, n, 2)),

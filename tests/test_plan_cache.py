@@ -426,9 +426,9 @@ class TestPlanClosures:
         compiled = []
         generate = Compiler.compile
 
-        def counting(self, expr, scope=()):
+        def counting(self, expr, *args):
             compiled.append(expr)
-            return generate(self, expr, scope)
+            return generate(self, expr, *args)
 
         monkeypatch.setattr(Compiler, "compile", counting)
         assert session.query_value(self.SOURCE + ";") == 10

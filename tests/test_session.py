@@ -46,6 +46,29 @@ class TestValDeclarations:
         session.run("macro \\shift = fn \\x => x + base;")
         assert session.query_value("shift!5;") == 15
 
+    @pytest.mark.parametrize("value", [
+        {1, 2}, object(), frozenset({1, 1.5}), (1, [2])],
+        ids=["set", "object", "mixed", "list"])
+    def test_a_value_outside_the_universe_is_a_type_error(self, session,
+                                                          value):
+        """A val a plan would be typed from must be a complex object:
+        anything else is a typed error naming it, never a host
+        ``TypeError`` out of ``Session.run``."""
+        session.env.set_val("b", value)
+        with pytest.raises(TypeCheckError, match="val 'b' has no type"):
+            session.run("{b};")
+
+    def test_a_numpy_scalar_val_is_a_type_error(self, session):
+        numpy = pytest.importorskip("numpy")
+        session.env.set_val("b", numpy.int64(3))
+        with pytest.raises(TypeCheckError, match="val 'b' has no type"):
+            session.run("b + 1;")
+        session.env.set_val("b", numpy.float64(1.5))  # a float subclass
+        with pytest.raises(TypeCheckError, match="val 'b' has no type"):
+            session.run("b + 1.0;")
+        session.env.set_val("b", 3)
+        assert session.query_value("b + 1;") == 4
+
 
 class TestMacroDeclarations:
     def test_macro_registration_echo(self, session):

@@ -11,7 +11,7 @@ are extensible."
 * :mod:`repro.optimizer.rules_arith` — summation/arithmetic rules ([18]).
 * :mod:`repro.optimizer.rules_arrays` — β^p, η^p, δ^p (1-d and k-d).
 * :mod:`repro.optimizer.rules_bounds` — redundant-bounds-check
-  elimination (the four rules at the end of Section 5).
+  elimination (the four rules at the end of Section 5, fact sources).
 """
 
 from repro.optimizer.engine import Optimizer, Phase, Rule, RuleBase, default_optimizer

@@ -340,8 +340,8 @@ def default_optimizer(assume_error_free: bool = True) -> Optimizer:
 
     Mirrors Section 5: "We have implemented normalization and constraint
     elimination as the first two phases of our optimizer."  The bounds
-    phase carries the normalization rules too, so the conditionals that
-    bounds elimination decides fold in the same walk.
+    phase holds the normalize phase's rule base (not a copy) to fold the
+    conditionals it decides; removing a rule there removes it from both.
 
     ``assume_error_free`` guards δ^p and its relatives: the paper
     assumes "no bounds errors were present in the original code"
@@ -350,18 +350,18 @@ def default_optimizer(assume_error_free: bool = True) -> Optimizer:
     """
     from repro.optimizer.rules_arith import arith_rules
     from repro.optimizer.rules_arrays import array_rules
-    from repro.optimizer.rules_bounds import bounds_rules
+    from repro.optimizer.rules_bounds import BoundsPhase
     from repro.optimizer.rules_motion import motion_rules
     from repro.optimizer.rules_nrc import nrc_rules
 
-    normalization = (nrc_rules(assume_error_free)
-                     + array_rules(assume_error_free)
-                     + arith_rules(assume_error_free))
+    normalization = RuleBase(nrc_rules(assume_error_free)
+                             + array_rules(assume_error_free)
+                             + arith_rules(assume_error_free))
     # code motion runs LAST: the hoisted β-redexes it builds must not be
     # re-inlined by a later normalization pass
     return Optimizer([
-        Phase("normalize", RuleBase(normalization)),
-        Phase("bounds", RuleBase(bounds_rules() + normalization)),
+        Phase("normalize", normalization),
+        BoundsPhase("bounds", normalization),
         Phase("motion", RuleBase(motion_rules())),
     ])
 

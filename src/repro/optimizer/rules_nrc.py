@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core import ast
+from repro.objects.ordering import COMPARISONS
 from repro.optimizer.analysis import (
     effective_occurrences,
     is_duplication_safe,
@@ -246,25 +247,23 @@ def _if_bool_branches(expr: ast.Expr) -> Optional[ast.Expr]:
 
 
 def _cmp_fold(expr: ast.Expr) -> Optional[ast.Expr]:
-    """Fold comparisons of literals, and reflexive comparisons of a
-    variable with itself."""
+    """Fold comparisons of literals by the language's own tests
+    (``COMPARISONS``: a NaN equals nothing, and ``nan <= x`` holds), and
+    order comparisons of a variable with itself.  ``x = x`` stays: it is
+    false when ``x`` is or holds a NaN."""
     if not isinstance(expr, ast.Cmp):
         return None
     left, right = expr.left, expr.right
     if isinstance(left, _LITERALS) and isinstance(right, _LITERALS):
         if type(left) is not type(right):
             return None
-        a, b = left.value, right.value
-        outcome = {
-            "=": a == b, "<>": a != b, "<": a < b,
-            "<=": a <= b, ">": a > b, ">=": a >= b,
-        }[expr.op]
-        return ast.BoolLit(outcome)
+        general = COMPARISONS[expr.op][1]
+        return ast.BoolLit(general(left.value, right.value))
     if isinstance(left, ast.Var) and isinstance(right, ast.Var) \
             and left.name == right.name:
-        if expr.op in ("=", "<=", ">="):
+        if expr.op in ("<=", ">="):
             return ast.BoolLit(True)
-        if expr.op in ("<>", "<", ">"):
+        if expr.op in ("<", ">"):
             return ast.BoolLit(False)
     return None
 

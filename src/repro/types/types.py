@@ -240,6 +240,9 @@ def _elem_type(items: Iterable[Any]) -> Type:
     items = list(items)
     if not items:
         return fresh_tvar()
+    kinds = {type(item) for item in items}
+    if len(kinds) == 1 and kinds <= _BASE_TYPES.keys():
+        return _BASE_TYPES[kinds.pop()]  # one base type: no unification
     # unify across ALL elements, not just the first: heterogeneous-depth
     # collections like {{}, {{}}} are well-typed ({α} ~ {{β}} gives
     # {{β}}), and collection iteration order must not affect the result

@@ -24,6 +24,7 @@ from repro.env.environment import TopEnv
 from repro.errors import TypeCheckError
 from repro.objects.array import Array
 from repro.optimizer.engine import Phase, Rule, RuleBase, default_optimizer
+from repro.optimizer.rules_bounds import BoundsPhase
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression, parse_program
 from repro.system.plan_cache import fingerprint
@@ -32,6 +33,7 @@ from repro.types.types import TArrow, TNat, TypeScheme, fresh_tvar
 
 from conftest import PARSE_DIGESTS
 from expr_strategies import typed_exprs
+from reference_bounds import reference_bounds_rules
 
 #: one small typed use of every stdlib macro (``Av``, ``Rv``: 1-d nat
 #: and real arrays, ``Mv``: a 3×3 nat matrix, bound as vals)
@@ -162,11 +164,16 @@ REFERENCE_PASSES = REFERENCE_LOCAL = 64
 
 def reference_run(phase: Phase, expr: ast.Expr):
     """The engine without its memo: whole-tree bottom-up passes to a
-    fixpoint.  Returns the result and the per-rule firing counts."""
+    fixpoint.  Returns the result and the per-rule firing counts.  For
+    the bounds phase the rules are the four as rewrite rules
+    (``reference_bounds.py``) followed by its normalization rules."""
     by_rule: dict = {}
+    rules = list(phase.rules)
+    if isinstance(phase, BoundsPhase):
+        rules = reference_bounds_rules() + list(phase.normalization)
 
     def apply(node):
-        for rule in phase.rules:
+        for rule in rules:
             if rule.roots is not None and type(node) not in rule.roots:
                 continue
             result = rule.apply(node)
@@ -310,16 +317,28 @@ class TestRuleChangesReachMacros:
         assert session.query_value(TRANSPOSED_CELL) \
             == fresh.query_value(TRANSPOSED_CELL) == 2
 
+    def test_register_rewrite_rule_into_bounds(self):
+        """A rewrite rule beside the fact sources runs as one."""
+        session, text = _session(), "transpose!Mv;"
+        want = session.query_value(text)
+        session.env.register_rule("bounds", _wrap_rule())
+        report = session.explain(text)
+        assert ast.Prim("ident") in ast.subterms(report.core)
+        assert report.phase_stats["bounds"].by_rule == {"wrap-body": 1}
+        assert session.query_value(text) == want
+
     def test_direct_rule_removal(self):
         session = _session()
         before = _transpose_core(session)
-        for phase in ("normalize", "bounds"):
-            session.env.optimizer.phase(phase).rules.remove("beta-p")
+        session.env.optimizer.phase("normalize").rules.remove("beta-p")
         fresh = _session()
-        for phase in ("normalize", "bounds"):
-            fresh.env.optimizer.phase(phase).rules.remove("beta-p")
+        fresh.env.optimizer.phase("normalize").rules.remove("beta-p")
         after = _transpose_core(session)
         assert after == _transpose_core(fresh) != before
+        # one rule base: the bounds walk folds without β^p too
+        optimizer = session.env.optimizer
+        assert optimizer.phase("bounds").normalization \
+            is optimizer.phase("normalize").rules
 
     def test_direct_removal_stales_a_cached_plan(self):
         """The ablation API never passes through the environment, so the
@@ -329,8 +348,7 @@ class TestRuleChangesReachMacros:
         session.run(text)
         fresh = Session()
         for each in (session, fresh):
-            for phase in ("normalize", "bounds"):
-                each.env.optimizer.phase(phase).rules.remove("beta")
+            each.env.optimizer.phase("normalize").rules.remove("beta")
         core = session.explain(text).core
         assert isinstance(core, ast.App)
         assert fingerprint(core) == fingerprint(fresh.explain(text).core)
@@ -385,6 +403,28 @@ _EAGER_WALK_DIVERGES = [
 ]
 
 
+#: random cores on which a walk that decides every fact in one top-down
+#: pass and then folds fires other rules than the reference (each rule
+#: firing at its own binder, inner binders first, whole-tree passes), or
+#: ends elsewhere; the bounds phase decides through the rules as rewrites
+_FACT_WALK_DIVERGES = [
+    # an outer fact decided first: ``b0`` is false in the else branch,
+    # but the reference's inner ``if`` learns ``b0`` in its then branch
+    # first and folds as ``if b0 then true else true``
+    ast.If(_V("b0"), _V("sr"),
+           ast.If(ast.If(_V("b0"), _V("b0"), _T), _V("sr"), ast.EmptySet())),
+    # a residue folded early: the reference's outer ``if`` decides the
+    # inner one's ``b0`` before that one's decided else branch folds
+    ast.If(_V("b0"), ast.If(ast.If(_V("b0"), _V("b0"), ast.BoolLit(False)),
+                            ast.If(_V("b0"), ast.EmptySet(), _V("sr")),
+                            ast.EmptySet()), ast.EmptySet()),
+    # a fold that makes a fact: ``if b0 then b0 else false`` folds to
+    # ``b0``, which the reference's next pass finds in the then branch
+    ast.If(ast.If(_V("b0"), _V("b0"), ast.BoolLit(False)), _V("b0"),
+           ast.BoolLit(False)),
+]
+
+
 class TestEngineMemo:
     """The one-walk engine against the whole-tree reference: the same
     normal form, and no rule firing more often."""
@@ -392,14 +432,18 @@ class TestEngineMemo:
     def test_standalone_phase_runs_fire_as_without_the_memo(self):
         """On the corpus no rule fires more often than in the reference
         (innermost order rewrites an argument once, before β copies
-        it)."""
+        it).  ``bounds`` gets ``normalize``'s output, the only input
+        the pipeline gives it: it folds only around what it decides."""
         env = _environment(False)
         for optimizer in (default_optimizer(), default_optimizer(False)):
             for core in CORPUS:
                 resolved = env.resolve(core, optimize=False)
+                normalized = optimizer.phase("normalize").run(resolved)
                 for phase in optimizer.phases:
-                    want, by_rule = reference_run(phase, resolved)
-                    got = phase.run(resolved)
+                    given = normalized if isinstance(phase, BoundsPhase) \
+                        else resolved
+                    want, by_rule = reference_run(phase, given)
+                    got = phase.run(given)
                     _assert_fires_within(phase, by_rule)
                     assert fingerprint(got) == fingerprint(want)
 
@@ -411,6 +455,9 @@ class TestEngineMemo:
     @example(pair=(_EAGER_WALK_DIVERGES[2], None))
     @example(pair=(_EAGER_WALK_DIVERGES[3], None))
     @example(pair=(_EAGER_WALK_DIVERGES[4], None))
+    @example(pair=(_FACT_WALK_DIVERGES[0], None))
+    @example(pair=(_FACT_WALK_DIVERGES[1], None))
+    @example(pair=(_FACT_WALK_DIVERGES[2], None))
     def test_optimize_fires_as_without_the_memo(self, pair):
         """Over random well-typed cores, every phase of the pipeline
         ends where the memo-free engine ends, and no rule fires more

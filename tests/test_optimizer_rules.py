@@ -135,9 +135,51 @@ class TestNRCRules:
         assert apply_named(self.rules, "cmp-fold",
                            ast.Cmp("=", N(1), ast.RealLit(1.0))) is None
 
+    def test_cmp_fold_keeps_reflexive_equality(self):
+        # x = x is false for a NaN x, so only the order tests fold
+        for op in ("=", "<>"):
+            assert apply_named(self.rules, "cmp-fold",
+                               ast.Cmp(op, V("x"), V("x"))) is None
+
+    def test_cmp_fold_nan_literals_follow_the_language(self):
+        nan = ast.RealLit(float("nan"))
+        expected = {"=": False, "<>": True, "<": False, "<=": True,
+                    ">": False, ">=": True}
+        for op, value in expected.items():
+            assert apply_named(self.rules, "cmp-fold",
+                               ast.Cmp(op, nan, ast.RealLit(1.0))) \
+                == ast.BoolLit(value), op
+
     def test_get_singleton(self):
         assert apply_named(self.rules, "get-singleton",
                            ast.Get(ast.Singleton(N(3)))) == N(3)
+
+
+#: comparisons the optimizer once folded by host ``==``/``<=`` or by
+#: reflexivity, disagreeing with the language on NaN
+NAN_STATEMENTS = {
+    "x = x": False,
+    "x <> x": True,
+    "t = t": False,
+    "(1e308 * 10.0 - 1e308 * 10.0) <= 1.0": True,
+    "x <= x": True,
+}
+
+
+@pytest.mark.parametrize("text", sorted(NAN_STATEMENTS))
+def test_nan_comparisons_agree_with_and_without_the_optimizer(text):
+    from conftest import reference_query_value
+    from repro.system.session import Session
+
+    values = []
+    for optimize in (True, False):
+        session = Session(optimize=optimize)
+        session.env.set_val("x", float("nan"))
+        session.env.set_val("t", (float("nan"), 1.0))
+        values.append(session.query_value(text + ";"))
+        values.append(reference_query_value(session.env, text,
+                                            optimize=optimize))
+    assert values == [NAN_STATEMENTS[text]] * 4
 
 
 class TestArithRules:

@@ -180,3 +180,33 @@ class TestTypeOfValue:
         assert isinstance(t, TSet)
         assert isinstance(t.elem, TSet)
         assert isinstance(t.elem.elem, TSet)  # {α} ~ {{β}} gives {{β}}
+
+    @pytest.mark.parametrize("items,elem", [
+        ([n % 7 for n in range(300 * 300)], TNat()),
+        ([n * 0.5 for n in range(300 * 300)], TReal()),
+    ])
+    def test_homogeneous_list_array_needs_no_unification(
+            self, monkeypatch, items, elem):
+        import importlib
+        unify_module = importlib.import_module("repro.types.unify")
+
+        calls = []
+        real = unify_module.unify
+        monkeypatch.setattr(unify_module, "unify",
+                            lambda *args: calls.append(args) or real(*args))
+        value = Array((300, 300), items)
+        assert value.block is None  # the list-backed path
+        assert type_of_value(value) == TArray(elem, 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("value,expected", [
+        (frozenset({(1, 2.0), (3, 4.5)}), TSet(TProduct((TNat(), TReal())))),
+        (Array((2,), [frozenset(), frozenset({1})]), TArray(TSet(TNat()), 1)),
+        (frozenset({True, 2}), None),
+    ])
+    def test_mixed_items_still_unify(self, value, expected):
+        if expected is None:  # bool and nat items do not unify
+            with pytest.raises(UnificationError):
+                type_of_value(value)
+        else:
+            assert type_of_value(value) == expected

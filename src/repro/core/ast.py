@@ -10,12 +10,12 @@ Design notes
 ------------
 
 * Nodes are frozen dataclasses: structural equality is exact syntactic
-  equality (α-equivalence is :func:`alpha_equal`).
+  equality (α-equivalence is :func:`alpha_equal`, by :func:`fingerprint`).
 * Binding structure is exposed uniformly through :meth:`Expr.parts`, which
   yields ``(child, bound_names)`` pairs, and ``BINDER_FIELDS``, naming the
   dataclass fields that hold binder names.  All generic operations —
   :func:`free_vars`, :func:`substitute`, :func:`transform_bottom_up`,
-  :func:`alpha_equal` — are written once against that interface.
+  :func:`fingerprint` — are written once against that interface.
 * Substitution is capture-avoiding: binders are freshened on demand via
   :func:`fresh_var`.
 """
@@ -683,6 +683,10 @@ def _rename_binders(expr: Expr, renaming: Dict[str, str]) -> Expr:
 def substitute(expr: Expr, mapping: Dict[str, Expr]) -> Expr:
     """Capture-avoiding simultaneous substitution ``expr{x := e, ...}``.
 
+    A binder hides a name only in the parts it scopes over
+    (:meth:`Expr.parts`): a tabulation bound naming the tabulation's own
+    index reads the enclosing variable.  A binder is freshened when it
+    scopes over a part receiving a replacement that mentions its name.
     A subterm in which nothing is replaced comes back as the same
     object, so identity-keyed memos (the rewrite engine's) survive it.
     """
@@ -690,30 +694,23 @@ def substitute(expr: Expr, mapping: Dict[str, Expr]) -> Expr:
         return expr
     if isinstance(expr, Var):
         return mapping.get(expr.name, expr)
-    binders = _binder_names(expr)
     parts = expr.parts()
-    if binders:
-        # drop shadowed substitutions; freshen binders that would capture
-        live = {k: v for k, v in mapping.items() if k not in binders}
-        if not live:
-            return expr
+    maps = [{k: v for k, v in mapping.items() if k not in bound}
+            if bound else mapping for _, bound in parts]
+    if expr.BINDER_FIELDS:
         replacement_fvs: set = set()
-        for value in live.values():
-            replacement_fvs |= free_vars(value)
-        capturing = [b for b in binders if b in replacement_fvs]
+        for (_, bound), child_map in zip(parts, maps):
+            if bound:
+                for value in child_map.values():
+                    replacement_fvs |= free_vars(value)
+        capturing = [b for b in _binder_names(expr) if b in replacement_fvs]
         if capturing:
             expr = _rename_binders(
                 expr, {b: fresh_var(b) for b in capturing}
             )
             parts = expr.parts()
-        new_children = []
-        for child, bound in parts:
-            child_map = {k: v for k, v in live.items() if k not in bound}
-            new_children.append(
-                substitute(child, child_map) if child_map else child
-            )
-    else:
-        new_children = [substitute(child, mapping) for child, _ in parts]
+    new_children = [substitute(child, child_map) if child_map else child
+                    for (child, _), child_map in zip(parts, maps)]
     if all(new is old for new, (old, _) in zip(new_children, parts)):
         return expr
     return expr.with_parts(new_children)
@@ -748,6 +745,64 @@ def node_count(expr: Expr) -> int:
     return sum(1 for _ in subterms(expr))
 
 
+def fingerprint(expr: Expr) -> Any:
+    """A canonical structural fingerprint of a core expression.
+
+    α-equivalent expressions (equal up to consistent renaming of bound
+    variables) produce equal fingerprints: bound variables are replaced
+    by de-Bruijn-style binding levels, free variables keep their names,
+    and every non-expression field (operators, ranks, literal values)
+    participates verbatim.  The result is a nested tuple usable as a
+    dictionary key (the plan cache's).
+    """
+    return _fp(expr, {}, [0])
+
+
+#: per node class, the fields that label a node, in declaration order:
+#: ``(name, False)`` for a value field (operator, rank, literal …) and
+#: ``(name, True)`` for a tuple of sub-expressions, which labels the
+#: node with ``()`` when empty; binders and single sub-expressions are
+#: left out (children are reached through ``parts()``)
+_LABEL_FIELDS: Dict[type, Tuple[Tuple[str, bool], ...]] = {}
+
+
+def _label_fields(cls: type) -> Tuple[Tuple[str, bool], ...]:
+    fields = _LABEL_FIELDS.get(cls)
+    if fields is None:
+        fields = _LABEL_FIELDS[cls] = tuple(
+            (fld.name, fld.type == "Tuple[Expr, ...]")
+            for fld in dataclasses.fields(cls)
+            if fld.name not in cls.BINDER_FIELDS and fld.type != "Expr")
+    return fields
+
+
+def _fp(expr: Expr, env: Dict[str, int], counter) -> Any:
+    if isinstance(expr, Var):
+        level = env.get(expr.name)
+        if level is not None:
+            return ("bound", level)
+        return ("free", expr.name)
+    cls = type(expr)
+    label = [cls.__name__]
+    for name, exprs in _label_fields(cls):
+        value = getattr(expr, name)
+        if not exprs:
+            label.append(_hashable(value))
+        elif not value:
+            label.append(())
+    children = []
+    for child, bound in expr.parts():
+        if bound:
+            child_env = dict(env)
+            for name in bound:
+                counter[0] += 1
+                child_env[name] = counter[0]
+            children.append(_fp(child, child_env, counter))
+        else:
+            children.append(_fp(child, env, counter))
+    return (tuple(label), tuple(children))
+
+
 def alpha_equal(a: Expr, b: Expr) -> bool:
     """α-equivalence: equality up to consistent renaming of bound variables.
 
@@ -755,59 +810,11 @@ def alpha_equal(a: Expr, b: Expr) -> bool:
     ``zip ∘ (subseq, subseq)`` and ``subseq ∘ zip`` normalize to the same
     query, Section 5).
     """
-    return _alpha(a, b, {}, {}, [0])
+    return fingerprint(a) == fingerprint(b)
 
 
-def _alpha(a: Expr, b: Expr, env_a: Dict[str, int], env_b: Dict[str, int],
-           counter: List[int]) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        assert isinstance(b, Var)
-        level_a = env_a.get(a.name)
-        level_b = env_b.get(b.name)
-        if level_a is None and level_b is None:
-            return a.name == b.name
-        return level_a is not None and level_a == level_b
-    # non-binder dataclass fields must match exactly
-    parts_a = a.parts()
-    parts_b = b.parts()
-    if len(parts_a) != len(parts_b):
-        return False
-    if not _same_shape(a, b):
-        return False
-    for (child_a, bound_a), (child_b, bound_b) in zip(parts_a, parts_b):
-        if len(bound_a) != len(bound_b):
-            return False
-        if bound_a:
-            child_env_a = dict(env_a)
-            child_env_b = dict(env_b)
-            for name_a, name_b in zip(bound_a, bound_b):
-                counter[0] += 1
-                child_env_a[name_a] = counter[0]
-                child_env_b[name_b] = counter[0]
-            if not _alpha(child_a, child_b, child_env_a, child_env_b, counter):
-                return False
-        elif not _alpha(child_a, child_b, env_a, env_b, counter):
-            return False
-    return True
-
-
-def _same_shape(a: Expr, b: Expr) -> bool:
-    """Compare the non-expression, non-binder fields of two same-class nodes."""
-    for field in dataclasses.fields(a):  # type: ignore[arg-type]
-        if field.name in a.BINDER_FIELDS:
-            continue
-        value_a = getattr(a, field.name)
-        value_b = getattr(b, field.name)
-        if isinstance(value_a, Expr):
-            continue  # handled via parts()
-        if isinstance(value_a, tuple) and value_a and isinstance(value_a[0], Expr):
-            continue
-        if value_a != value_b:
-            return False
-    return True
-
+#: constructs whose body is evaluated once per element of the source
+LOOP_NODES = (Ext, Sum, BagExt, ExtRank, BagExtRank)
 
 #: constructs allowed in plain NRC (no naturals, no arrays) — used by the
 #: expressiveness module to delimit language fragments
@@ -831,6 +838,6 @@ __all__ = [
     "EmptyBag", "SingletonBag", "BagUnion", "BagExt", "ExtRank", "BagExtRank",
     "CMP_OPS", "ARITH_OPS", "fresh_var", "free_vars", "substitute",
     "count_free_occurrences",
-    "transform_bottom_up", "subterms", "node_count", "alpha_equal",
-    "NRC_NODES", "AGGR_NODES", "NRCA_NODES",
+    "transform_bottom_up", "subterms", "node_count", "fingerprint",
+    "alpha_equal", "LOOP_NODES", "NRC_NODES", "AGGR_NODES", "NRCA_NODES",
 ]

@@ -36,6 +36,15 @@ from repro.types.unify import Substitution, generalize, instantiate, unify, zonk
 
 TypeEnv = Dict[str, TypeScheme]
 
+#: the collection type each construct builds (the empty, singleton and
+#: union forms) or iterates (the loops; Σ sums over a set)
+_COLLECTION = {
+    ast.EmptySet: TSet, ast.Singleton: TSet, ast.Union: TSet,
+    ast.Ext: TSet, ast.ExtRank: TSet, ast.Sum: TSet,
+    ast.EmptyBag: TBag, ast.SingletonBag: TBag, ast.BagUnion: TBag,
+    ast.BagExt: TBag, ast.BagExtRank: TBag,
+}
+
 
 class TypeChecker:
     """Checks NRCA expressions against the rules of Figure 1.
@@ -148,30 +157,39 @@ class TypeChecker:
         unify(target, TProduct(slots), subst)
         return slots[expr.index - 1]
 
-    def _empty_set(self, expr: ast.EmptySet, env: TypeEnv,
-                   subst: Substitution) -> Type:
-        return TSet(fresh_tvar())
+    def _empty(self, expr: ast.Expr, env: TypeEnv,
+               subst: Substitution) -> Type:
+        return _COLLECTION[type(expr)](fresh_tvar())
 
-    def _singleton(self, expr: ast.Singleton, env: TypeEnv,
+    def _singleton(self, expr: ast.Expr, env: TypeEnv,
                    subst: Substitution) -> Type:
-        return TSet(self._infer(expr.expr, env, subst))
+        return _COLLECTION[type(expr)](self._infer(expr.expr, env, subst))
 
-    def _union(self, expr: ast.Union, env: TypeEnv, subst: Substitution) -> Type:
+    def _union(self, expr: ast.Expr, env: TypeEnv, subst: Substitution) -> Type:
         left = self._infer(expr.left, env, subst)
         right = self._infer(expr.right, env, subst)
-        unify(left, TSet(fresh_tvar()), subst)
+        unify(left, _COLLECTION[type(expr)](fresh_tvar()), subst)
         unify(left, right, subst)
         return left
 
-    def _ext(self, expr: ast.Ext, env: TypeEnv, subst: Substitution) -> Type:
+    def _loop(self, expr: ast.Expr, env: TypeEnv, subst: Substitution) -> Type:
+        """⋃, ⊎, Σ and the ranked ⋃ and ⊎: the body, typed with the
+        element bound (and a ranked loop's nat rank), is the loop's type;
+        a Σ body is numeric, any other a collection of the source's kind."""
+        kind = _COLLECTION[type(expr)]
         source = self._infer(expr.source, env, subst)
         elem = fresh_tvar()
-        unify(source, TSet(elem), subst)
+        unify(source, kind(elem), subst)
         inner = dict(env)
         inner[expr.var] = TypeScheme.mono(elem)
+        idx = getattr(expr, "idx", None)
+        if idx is not None:
+            inner[idx] = TypeScheme.mono(TNat())
         body = self._infer(expr.body, inner, subst)
-        result_elem = fresh_tvar()
-        unify(body, TSet(result_elem), subst)
+        if isinstance(expr, ast.Sum):
+            unify(body, fresh_tvar(NUMERIC), subst)
+        else:
+            unify(body, kind(fresh_tvar()), subst)
         return body
 
     def _bool(self, expr: ast.BoolLit, env: TypeEnv, subst: Substitution) -> Type:
@@ -218,17 +236,6 @@ class TypeChecker:
     def _gen(self, expr: ast.Gen, env: TypeEnv, subst: Substitution) -> Type:
         unify(self._infer(expr.expr, env, subst), TNat(), subst)
         return TSet(TNat())
-
-    def _sum(self, expr: ast.Sum, env: TypeEnv, subst: Substitution) -> Type:
-        source = self._infer(expr.source, env, subst)
-        elem = fresh_tvar()
-        unify(source, TSet(elem), subst)
-        inner = dict(env)
-        inner[expr.var] = TypeScheme.mono(elem)
-        body = self._infer(expr.body, inner, subst)
-        numeric = fresh_tvar(NUMERIC)
-        unify(body, numeric, subst)
-        return numeric
 
     def _tabulate(self, expr: ast.Tabulate, env: TypeEnv,
                   subst: Substitution) -> Type:
@@ -296,69 +303,15 @@ class TypeChecker:
                subst: Substitution) -> Type:
         return type_of_value(expr.value)
 
-    # -- Section 6 extensions -------------------------------------------------
-
-    def _empty_bag(self, expr: ast.EmptyBag, env: TypeEnv,
-                   subst: Substitution) -> Type:
-        return TBag(fresh_tvar())
-
-    def _singleton_bag(self, expr: ast.SingletonBag, env: TypeEnv,
-                       subst: Substitution) -> Type:
-        return TBag(self._infer(expr.expr, env, subst))
-
-    def _bag_union(self, expr: ast.BagUnion, env: TypeEnv,
-                   subst: Substitution) -> Type:
-        left = self._infer(expr.left, env, subst)
-        right = self._infer(expr.right, env, subst)
-        unify(left, TBag(fresh_tvar()), subst)
-        unify(left, right, subst)
-        return left
-
-    def _bag_ext(self, expr: ast.BagExt, env: TypeEnv,
-                 subst: Substitution) -> Type:
-        source = self._infer(expr.source, env, subst)
-        elem = fresh_tvar()
-        unify(source, TBag(elem), subst)
-        inner = dict(env)
-        inner[expr.var] = TypeScheme.mono(elem)
-        body = self._infer(expr.body, inner, subst)
-        unify(body, TBag(fresh_tvar()), subst)
-        return body
-
-    def _ext_rank(self, expr: ast.ExtRank, env: TypeEnv,
-                  subst: Substitution) -> Type:
-        source = self._infer(expr.source, env, subst)
-        elem = fresh_tvar()
-        unify(source, TSet(elem), subst)
-        inner = dict(env)
-        inner[expr.var] = TypeScheme.mono(elem)
-        inner[expr.idx] = TypeScheme.mono(TNat())
-        body = self._infer(expr.body, inner, subst)
-        unify(body, TSet(fresh_tvar()), subst)
-        return body
-
-    def _bag_ext_rank(self, expr: ast.BagExtRank, env: TypeEnv,
-                      subst: Substitution) -> Type:
-        source = self._infer(expr.source, env, subst)
-        elem = fresh_tvar()
-        unify(source, TBag(elem), subst)
-        inner = dict(env)
-        inner[expr.var] = TypeScheme.mono(elem)
-        inner[expr.idx] = TypeScheme.mono(TNat())
-        body = self._infer(expr.body, inner, subst)
-        unify(body, TBag(fresh_tvar()), subst)
-        return body
-
     _DISPATCH = {
         ast.Var: _var,
         ast.Lam: _lam,
         ast.App: _app,
         ast.TupleE: _tuple,
         ast.Proj: _proj,
-        ast.EmptySet: _empty_set,
+        ast.EmptySet: _empty,
         ast.Singleton: _singleton,
         ast.Union: _union,
-        ast.Ext: _ext,
         ast.BoolLit: _bool,
         ast.If: _if,
         ast.Cmp: _cmp,
@@ -367,7 +320,6 @@ class TypeChecker:
         ast.StrLit: _str,
         ast.Arith: _arith,
         ast.Gen: _gen,
-        ast.Sum: _sum,
         ast.Tabulate: _tabulate,
         ast.Subscript: _subscript,
         ast.Dim: _dim,
@@ -377,12 +329,10 @@ class TypeChecker:
         ast.MkArray: _mk_array,
         ast.Prim: _prim,
         ast.Const: _const,
-        ast.EmptyBag: _empty_bag,
-        ast.SingletonBag: _singleton_bag,
-        ast.BagUnion: _bag_union,
-        ast.BagExt: _bag_ext,
-        ast.ExtRank: _ext_rank,
-        ast.BagExtRank: _bag_ext_rank,
+        ast.EmptyBag: _empty,
+        ast.SingletonBag: _singleton,
+        ast.BagUnion: _union,
+        **dict.fromkeys(ast.LOOP_NODES, _loop),
     }
 
 

@@ -10,6 +10,9 @@ to ⊥; ``False`` means we don't know.
 
 from __future__ import annotations
 
+import math
+from typing import Iterable, List, Optional
+
 from repro.core import ast
 
 
@@ -38,12 +41,7 @@ def is_error_free(expr: ast.Expr) -> bool:
             return False
         return is_error_free(expr.left)
     if isinstance(expr, ast.MkArray):
-        expected = 1
-        for dim in expr.dims:
-            if not isinstance(dim, ast.NatLit):
-                return False
-            expected *= dim.value
-        if expected != len(expr.items):
+        if literal_dims(expr) is None:
             return False
         return all(is_error_free(item) for item in expr.items)
     if isinstance(expr, ast.Lam):
@@ -51,6 +49,10 @@ def is_error_free(expr: ast.Expr) -> bool:
         # and applications are already conservative
         return True
     return all(is_error_free(child) for child in expr.children())
+
+
+#: constructs that evaluate a body or a source element by element
+_EXPENSIVE = ast.LOOP_NODES + (ast.Tabulate, ast.IndexSet)
 
 
 def is_duplication_safe(expr: ast.Expr, budget: int = 12) -> bool:
@@ -62,8 +64,7 @@ def is_duplication_safe(expr: ast.Expr, budget: int = 12) -> bool:
     """
     if budget <= 0:
         return False
-    if isinstance(expr, (ast.Ext, ast.Sum, ast.Tabulate, ast.IndexSet,
-                         ast.BagExt, ast.ExtRank, ast.BagExtRank)):
+    if isinstance(expr, _EXPENSIVE):
         return False
     remaining = budget - 1
     for child in expr.children():
@@ -71,10 +72,6 @@ def is_duplication_safe(expr: ast.Expr, budget: int = 12) -> bool:
             return False
         remaining -= 1
     return True
-
-
-#: constructs whose body is evaluated once per element of the source
-_LOOP_NODES = (ast.Ext, ast.Sum, ast.BagExt, ast.ExtRank, ast.BagExtRank)
 
 
 def effective_occurrences(expr: ast.Expr, name: str) -> int:
@@ -87,7 +84,7 @@ def effective_occurrences(expr: ast.Expr, name: str) -> int:
     """
     if isinstance(expr, ast.Var):
         return 1 if expr.name == name else 0
-    if isinstance(expr, _LOOP_NODES):
+    if isinstance(expr, ast.LOOP_NODES):
         if name == expr.var or (hasattr(expr, "idx")
                                 and name == expr.idx):
             return effective_occurrences(expr.source, name)
@@ -103,6 +100,55 @@ def effective_occurrences(expr: ast.Expr, name: str) -> int:
         if name not in bound:
             total += effective_occurrences(child, name)
     return total
+
+
+def literal_dims(literal: ast.MkArray) -> Optional[List[int]]:
+    """The dims of an array literal when every one is a nat literal and
+    their product is its item count; ``None`` when the literal's shape is
+    not known statically (or it is ⊥)."""
+    dims = [dim.value for dim in literal.dims if isinstance(dim, ast.NatLit)]
+    if len(dims) != len(literal.dims) or math.prod(dims) != len(literal.items):
+        return None
+    return dims
+
+
+def discardable(assume_error_free: bool, terms: Iterable[ast.Expr]) -> bool:
+    """Whether a rewrite may stop evaluating ``terms``, which the original
+    always evaluates (a dropped tuple component or literal item, a loop
+    source under a constant body, the cells β^p does not read).
+
+    The paper's derivations apply such rules freely; the strictly-sound
+    pipeline (``assume_error_free=False``) requires every term
+    error-free, so that no ⊥ the original raises is erased.  Every
+    strict-mode side condition of the rule modules but the substituting
+    ones is this call.
+    """
+    return assume_error_free or all(is_error_free(term) for term in terms)
+
+
+def substituted(assume_error_free: bool, body: ast.Expr, var: str,
+                arg: ast.Expr) -> Optional[ast.Expr]:
+    """``body{var := arg}`` for β and the singleton-source rules, or
+    ``None`` when one of their two guards refuses it.
+
+    Strictness guard: the original always evaluates ``arg`` (an
+    application is call-by-value, a source is built before the loop
+    runs), but the substituted body may never reach it — ``var`` can be
+    dead, or live only under an untaken ``if`` branch — so the strict
+    pipeline requires ``arg`` to be :func:`discardable`.
+
+    Duplication guard: when ``var`` occurs several times, or once inside
+    a loop body, and ``arg`` is expensive (a loop, a tabulation),
+    inlining would re-evaluate it per occurrence — e.g. the ``index``
+    array of Section 2's ``hist'`` would be rebuilt for every bin,
+    destroying the O(m + n log n) bound.  Such redexes are left alone;
+    the evaluator's closure application shares the argument value.
+    """
+    if not discardable(assume_error_free, (arg,)):
+        return None
+    if effective_occurrences(body, var) > 1 and not is_duplication_safe(arg):
+        return None
+    return ast.substitute(body, {var: arg})
 
 
 def has_class(expr: ast.Expr, classes: frozenset) -> bool:
@@ -146,4 +192,5 @@ def strip_bounds_checks(expr: ast.Expr) -> ast.Expr:
 
 
 __all__ = ["is_error_free", "is_duplication_safe",
-           "effective_occurrences", "has_class", "strip_bounds_checks"]
+           "effective_occurrences", "literal_dims", "discardable",
+           "substituted", "has_class", "strip_bounds_checks"]

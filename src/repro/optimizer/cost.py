@@ -43,10 +43,6 @@ from repro.objects.bag import Bag
 #: assumed cardinality of sets/arrays whose size is unknown statically
 ASSUMED_CARDINALITY = 16
 
-#: loop constructs whose body cost is multiplied by the source size
-_LOOPS = (ast.Ext, ast.Sum, ast.BagExt, ast.ExtRank, ast.BagExtRank)
-
-
 class CardinalityEstimator:
     """Static cardinality/extent analysis over core expressions.
 
@@ -190,7 +186,7 @@ class CostEstimator:
 
     def _cost(self, expr: ast.Expr) -> int:
         assumed = self.assumed
-        if isinstance(expr, _LOOPS):
+        if isinstance(expr, ast.LOOP_NODES):
             size = self.cards.cardinality(expr.source)
             if size is None:
                 size = assumed

@@ -15,7 +15,9 @@ view of arrays as (partial) functions":
   (sound only if ``e1`` is error-free).
 
 All three generalize to k dimensions, plus the analogous folds for the
-efficient ``MkArray`` literal.
+efficient ``MkArray`` literal.  Each strict-mode side condition is
+:func:`~repro.optimizer.analysis.discardable`: what a rewrite stops
+evaluating must not raise ⊥.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core import ast
-from repro.optimizer.analysis import is_error_free
+from repro.optimizer.analysis import discardable, literal_dims
 from repro.optimizer.engine import Rule
+from repro.optimizer.rules_nrc import through_if
 
 
 def make_beta_p(assume_error_free: bool):
@@ -42,9 +45,8 @@ def make_beta_p(assume_error_free: bool):
                 and isinstance(expr.array, ast.Tabulate)):
             return None
         tab = expr.array
-        if len(expr.indices) != tab.rank:
-            return None
-        if not (assume_error_free or is_error_free(tab.body)):
+        if len(expr.indices) != tab.rank \
+                or not discardable(assume_error_free, (tab.body,)):
             return None
         mapping = dict(zip(tab.vars, expr.indices))
         result: ast.Expr = ast.substitute(tab.body, mapping)
@@ -107,9 +109,8 @@ def make_delta_p(assume_error_free: bool):
                 and isinstance(expr.expr, ast.Tabulate)):
             return None
         tab = expr.expr
-        if expr.rank != tab.rank:
-            return None
-        if not assume_error_free and not is_error_free(tab.body):
+        if expr.rank != tab.rank \
+                or not discardable(assume_error_free, (tab.body,)):
             return None
         if tab.rank == 1:
             return tab.bounds[0]
@@ -131,17 +132,9 @@ def make_dim_mkarray(assume_error_free: bool):
                 and isinstance(expr.expr, ast.MkArray)):
             return None
         literal = expr.expr
-        if expr.rank != literal.rank:
-            return None
-        expected = 1
-        for dim in literal.dims:
-            if not isinstance(dim, ast.NatLit):
-                return None
-            expected *= dim.value
-        if expected != len(literal.items):
-            return None  # the literal is ⊥; leave it for evaluation
-        if not (assume_error_free
-                or all(is_error_free(item) for item in literal.items)):
+        # a literal of unknown shape, or ⊥, is left for evaluation
+        if expr.rank != literal.rank or literal_dims(literal) is None \
+                or not discardable(assume_error_free, literal.items):
             return None
         if expr.rank == 1:
             return literal.dims[0]
@@ -163,70 +156,25 @@ def make_subscript_mkarray(assume_error_free: bool):
                 and isinstance(expr.array, ast.MkArray)):
             return None
         literal = expr.array
-        if len(expr.indices) != literal.rank:
+        dims = literal_dims(literal)
+        if len(expr.indices) != literal.rank or dims is None \
+                or not all(isinstance(i, ast.NatLit) for i in expr.indices):
             return None
-        dims: List[int] = []
-        for dim in literal.dims:
-            if not isinstance(dim, ast.NatLit):
-                return None
-            dims.append(dim.value)
-        expected = 1
-        for d in dims:
-            expected *= d
-        if expected != len(literal.items):
-            return None
-        offsets: List[int] = []
-        for index in expr.indices:
-            if not isinstance(index, ast.NatLit):
-                return None
-            offsets.append(index.value)
+        offsets = [index.value for index in expr.indices]
         if any(o >= d for o, d in zip(offsets, dims)):
-            if assume_error_free \
-                    or all(is_error_free(item) for item in literal.items):
+            if discardable(assume_error_free, literal.items):
                 return ast.Bottom("index out of bounds")
             return None
         flat = 0
         for offset, dim in zip(offsets, dims):
             flat = flat * dim + offset
-        if not (assume_error_free
-                or all(is_error_free(item)
-                       for pos, item in enumerate(literal.items)
-                       if pos != flat)):
+        if not discardable(assume_error_free,
+                           (item for pos, item in enumerate(literal.items)
+                            if pos != flat)):
             return None
         return literal.items[flat]
 
     return _subscript_mkarray
-
-
-def _subscript_if_array(expr: ast.Expr) -> Optional[ast.Expr]:
-    """Push subscripting into a conditional array:
-    ``(if c then A else B)[i] ⇝ if c then A[i] else B[i]``.
-
-    Lets β^p reach tabulations guarded by conformance checks (e.g. the
-    matrix ``multiply`` of Section 2).
-    """
-    if not (isinstance(expr, ast.Subscript)
-            and isinstance(expr.array, ast.If)):
-        return None
-    cond = expr.array
-    return ast.If(
-        cond.cond,
-        ast.Subscript(cond.then, expr.indices),
-        ast.Subscript(cond.orelse, expr.indices),
-    )
-
-
-def _dim_if_array(expr: ast.Expr) -> Optional[ast.Expr]:
-    """``dim(if c then A else B) ⇝ if c then dim A else dim B`` — the
-    dim companion of ``subscript-if``."""
-    if not (isinstance(expr, ast.Dim) and isinstance(expr.expr, ast.If)):
-        return None
-    cond = expr.expr
-    return ast.If(
-        cond.cond,
-        ast.Dim(cond.then, expr.rank),
-        ast.Dim(cond.orelse, expr.rank),
-    )
 
 
 def array_rules(assume_error_free: bool = False) -> List[Rule]:
@@ -246,10 +194,11 @@ def array_rules(assume_error_free: bool = False) -> List[Rule]:
         Rule("subscript-mkarray", make_subscript_mkarray(assume_error_free),
              "constant subscript of literal folds",
              roots=(ast.Subscript,)),
-        Rule("subscript-if", _subscript_if_array,
+        Rule("subscript-if", through_if(ast.Subscript, "array"),
              "(if c then A else B)[i] distributes",
              roots=(ast.Subscript,)),
-        Rule("dim-if", _dim_if_array, "dim(if c then A else B) distributes",
+        Rule("dim-if", through_if(ast.Dim, "expr"),
+             "dim(if c then A else B) distributes",
              roots=(ast.Dim,)),
     ]
 

@@ -5,130 +5,165 @@ the nested relational calculus: β for functions, π for products, vertical
 and horizontal fusion of set loops, filter promotion, and conditional
 simplification.
 
+Each comprehension law is written once, over :data:`COMPREHENSIONS` —
+⋃ over sets, ⊎ over bags (the Section 6 calculus shares the engine) and
+Σ over sets into the naturals — and one commuting conversion,
+:func:`through_if`, pushes a loop, a subscript or a ``dim`` through a
+conditional; the named rules are their instances, as in the one rewrite
+system Ricciotti & Cheney give set and bag comprehensions alike.
+
 A note on errors: like the paper's derivations (which freely apply β and
 π in the presence of ⊥-producing subexpressions), these rules treat the
-equations as the calculus's equational theory; rules that would *discard*
-a possibly-erroring computation entirely (``if-same-branches``,
-``ext-empty-body``) carry an ``is_error_free`` guard.
+equations as the calculus's equational theory.  In the strictly-sound
+pipeline a rule that would skip a computation the original always
+evaluates asks :func:`~repro.optimizer.analysis.substituted` (β and the
+singleton-source rules) or :func:`~repro.optimizer.analysis.discardable`
+(every other one) first.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional
 
 from repro.core import ast
 from repro.objects.ordering import COMPARISONS
-from repro.optimizer.analysis import (
-    effective_occurrences,
-    is_duplication_safe,
-    is_error_free,
-)
+from repro.optimizer.analysis import discardable, substituted
 from repro.optimizer.engine import Rule
 
 _LITERALS = (ast.NatLit, ast.RealLit, ast.StrLit, ast.BoolLit)
 
+#: per comprehension: the empty, singleton and union constructs of its
+#: source, and its value over an empty source (built fresh per use).  Σ
+#: has no union: ∪ deduplicates, so Σ does not distribute over it.
+COMPREHENSIONS = {
+    ast.Ext: (ast.EmptySet, ast.Singleton, ast.Union, ast.EmptySet),
+    ast.BagExt: (ast.EmptyBag, ast.SingletonBag, ast.BagUnion,
+                 ast.EmptyBag),
+    ast.Sum: (ast.EmptySet, ast.Singleton, None, lambda: ast.NatLit(0)),
+}
+
 
 def make_beta(assume_error_free: bool):
-    """``(λx.e1)(e2) ⇝ e1{x := e2}``.
-
-    Guarded against *work duplication*: when the bound variable occurs
-    several times and the argument is expensive (a loop, a tabulation),
-    inlining would re-evaluate it per occurrence — e.g. the ``index``
-    array of Section 2's ``hist'`` would be rebuilt for every bin,
-    destroying the O(m + n log n) bound.  Such redexes are left alone;
-    the evaluator's closure application shares the argument value.
-
-    Strictness guard: application is call-by-value, so the original
-    always evaluates ``e2``; after substitution a dead (or
-    conditionally dead) ``x`` would erase a ⊥ the original raises.
-    The strictly-sound pipeline requires ``e2`` error-free.
-    """
+    """``(λx.e1)(e2) ⇝ e1{x := e2}``, under both guards of
+    :func:`~repro.optimizer.analysis.substituted` (application is
+    call-by-value, so the original always evaluates ``e2``)."""
 
     def _beta(expr: ast.Expr) -> Optional[ast.Expr]:
-        if isinstance(expr, ast.App) and isinstance(expr.fn, ast.Lam) \
-                and (assume_error_free or is_error_free(expr.arg)):
-            occurrences = effective_occurrences(expr.fn.body,
-                                                expr.fn.param)
-            if occurrences <= 1 or is_duplication_safe(expr.arg):
-                return ast.substitute(expr.fn.body,
-                                      {expr.fn.param: expr.arg})
+        if isinstance(expr, ast.App) and isinstance(expr.fn, ast.Lam):
+            return substituted(assume_error_free, expr.fn.body,
+                               expr.fn.param, expr.arg)
         return None
 
     return _beta
 
 
 def make_proj_tuple(assume_error_free: bool):
-    """``π_i(e1, ..., ek) ⇝ e_i`` (the π rule used in Section 5).
-
-    Strictness guard: the original evaluates every component, the
-    rewrite only ``e_i`` — the strict pipeline requires the discarded
-    components error-free so no ⊥ is erased.
-    """
+    """``π_i(e1, ..., ek) ⇝ e_i`` (the π rule used in Section 5).  The
+    original evaluates every component, the rewrite only ``e_i``: the
+    others must be discardable."""
 
     def _proj_tuple(expr: ast.Expr) -> Optional[ast.Expr]:
         if isinstance(expr, ast.Proj) and isinstance(expr.expr, ast.TupleE):
             items = expr.expr.items
-            if len(items) == expr.arity \
-                    and (assume_error_free
-                         or all(is_error_free(item)
-                                for pos, item in enumerate(items)
-                                if pos != expr.index - 1)):
+            if len(items) == expr.arity and discardable(
+                    assume_error_free,
+                    (item for pos, item in enumerate(items)
+                     if pos != expr.index - 1)):
                 return items[expr.index - 1]
         return None
 
     return _proj_tuple
 
 
-def _ext_empty_source(expr: ast.Expr) -> Optional[ast.Expr]:
-    """``⋃{e | x ∈ {}} ⇝ {}``."""
-    if isinstance(expr, ast.Ext) and isinstance(expr.source, ast.EmptySet):
-        return ast.EmptySet()
-    return None
+def empty_source(loop: type):
+    """``⋃{e | x ∈ {}} ⇝ {}``, ``⊎`` alike; a Σ over ``{}`` is 0."""
+    empty, _, _, zero = COMPREHENSIONS[loop]
 
-
-def make_ext_empty_body(assume_error_free: bool):
-    """``⋃{{} | x ∈ e} ⇝ {}`` (guarded: ``e`` must be error-free)."""
-
-    def _ext_empty_body(expr: ast.Expr) -> Optional[ast.Expr]:
-        if isinstance(expr, ast.Ext) and isinstance(expr.body, ast.EmptySet) \
-                and (assume_error_free or is_error_free(expr.source)):
-            return ast.EmptySet()
+    def _empty_source(expr: ast.Expr) -> Optional[ast.Expr]:
+        if isinstance(expr, loop) and isinstance(expr.source, empty):
+            return zero()
         return None
 
-    return _ext_empty_body
+    return _empty_source
 
 
-def make_ext_singleton_source(assume_error_free: bool):
-    """``⋃{e1 | x ∈ {e2}} ⇝ e1{x := e2}`` (duplication-guarded like β).
+def empty_body(loop: type, assume_error_free: bool):
+    """``⋃{{} | x ∈ e} ⇝ {}`` and ``Σ{0 | x ∈ e} ⇝ 0`` (``e``
+    discardable)."""
+    zero = COMPREHENSIONS[loop][3]
 
-    Strictness guard: the original always evaluates ``e2`` (the source
-    is built before the loop runs), but the substituted body may never
-    reach it — ``x`` can be dead, or live only under an untaken ``if``
-    branch — which would erase a ⊥ that the original raises.  The
-    strictly-sound pipeline therefore also requires ``e2`` error-free.
-    """
-
-    def _ext_singleton_source(expr: ast.Expr) -> Optional[ast.Expr]:
-        if isinstance(expr, ast.Ext) \
-                and isinstance(expr.source, ast.Singleton) \
-                and (assume_error_free or is_error_free(expr.source.expr)):
-            occurrences = effective_occurrences(expr.body, expr.var)
-            if occurrences <= 1 or is_duplication_safe(expr.source.expr):
-                return ast.substitute(expr.body,
-                                      {expr.var: expr.source.expr})
+    def _empty_body(expr: ast.Expr) -> Optional[ast.Expr]:
+        if isinstance(expr, loop) and expr.body == zero() \
+                and discardable(assume_error_free, (expr.source,)):
+            return zero()
         return None
 
-    return _ext_singleton_source
+    return _empty_body
 
 
-def _ext_union_source(expr: ast.Expr) -> Optional[ast.Expr]:
-    """``⋃{e | x ∈ e1 ∪ e2} ⇝ ⋃{e | x ∈ e1} ∪ ⋃{e | x ∈ e2}``."""
-    if isinstance(expr, ast.Ext) and isinstance(expr.source, ast.Union):
-        return ast.Union(
-            ast.Ext(expr.var, expr.body, expr.source.left),
-            ast.Ext(expr.var, expr.body, expr.source.right),
-        )
-    return None
+def singleton_source(loop: type, assume_error_free: bool):
+    """``⋃{e1 | x ∈ {e2}} ⇝ e1{x := e2}``, ⊎ and Σ alike, guarded as β
+    is (the source ``{e2}`` is built before the loop runs)."""
+    singleton = COMPREHENSIONS[loop][1]
+
+    def _singleton_source(expr: ast.Expr) -> Optional[ast.Expr]:
+        if isinstance(expr, loop) and isinstance(expr.source, singleton):
+            return substituted(assume_error_free, expr.body, expr.var,
+                               expr.source.expr)
+        return None
+
+    return _singleton_source
+
+
+def union_source(loop: type):
+    """``⋃{e | x ∈ e1 ∪ e2} ⇝ ⋃{e | x ∈ e1} ∪ ⋃{e | x ∈ e2}``, ⊎
+    alike."""
+    union = COMPREHENSIONS[loop][2]
+
+    def _union_source(expr: ast.Expr) -> Optional[ast.Expr]:
+        if isinstance(expr, loop) and isinstance(expr.source, union):
+            return union(loop(expr.var, expr.body, expr.source.left),
+                         loop(expr.var, expr.body, expr.source.right))
+        return None
+
+    return _union_source
+
+
+def union_unit(loop: type):
+    """``{} ∪ e ⇝ e`` and ``e ∪ {} ⇝ e`` for the union of ``loop``'s
+    sources, ⊎ alike."""
+    empty, _, union, _ = COMPREHENSIONS[loop]
+
+    def _union_unit(expr: ast.Expr) -> Optional[ast.Expr]:
+        if isinstance(expr, union):
+            if isinstance(expr.left, empty):
+                return expr.right
+            if isinstance(expr.right, empty):
+                return expr.left
+        return None
+
+    return _union_unit
+
+
+def through_if(node: type, part: str):
+    """The commuting conversion ``f(if c then e1 else e2) ⇝ if c then
+    f(e1) else f(e2)``, where ``f`` is a ``node`` observing its field
+    ``part``: filter promotion for ⋃ and Σ sources, and ``subscript-if``
+    and ``dim-if``, which let β^p and δ^p reach tabulations guarded by
+    conformance checks (e.g. the matrix ``multiply`` of Section 2)."""
+
+    def _through_if(expr: ast.Expr) -> Optional[ast.Expr]:
+        if isinstance(expr, node):
+            cond = getattr(expr, part)
+            if isinstance(cond, ast.If):
+                return ast.If(
+                    cond.cond,
+                    dataclasses.replace(expr, **{part: cond.then}),
+                    dataclasses.replace(expr, **{part: cond.orelse}))
+        return None
+
+    return _through_if
 
 
 def _ext_ext_fusion(expr: ast.Expr) -> Optional[ast.Expr]:
@@ -156,36 +191,12 @@ def _ext_ext_fusion(expr: ast.Expr) -> Optional[ast.Expr]:
     )
 
 
-def _ext_if_source(expr: ast.Expr) -> Optional[ast.Expr]:
-    """Filter promotion:
-    ``⋃{e | x ∈ if c then e1 else e2} ⇝ if c then ⋃{...e1} else ⋃{...e2}``.
-    """
-    if isinstance(expr, ast.Ext) and isinstance(expr.source, ast.If):
-        cond = expr.source
-        return ast.If(
-            cond.cond,
-            ast.Ext(expr.var, expr.body, cond.then),
-            ast.Ext(expr.var, expr.body, cond.orelse),
-        )
-    return None
-
-
 def _ext_eta(expr: ast.Expr) -> Optional[ast.Expr]:
     """``⋃{{x} | x ∈ e} ⇝ e``."""
     if isinstance(expr, ast.Ext) and isinstance(expr.body, ast.Singleton) \
             and isinstance(expr.body.expr, ast.Var) \
             and expr.body.expr.name == expr.var:
         return expr.source
-    return None
-
-
-def _union_empty(expr: ast.Expr) -> Optional[ast.Expr]:
-    """``{} ∪ e ⇝ e`` and ``e ∪ {} ⇝ e``."""
-    if isinstance(expr, ast.Union):
-        if isinstance(expr.left, ast.EmptySet):
-            return expr.right
-        if isinstance(expr.right, ast.EmptySet):
-            return expr.left
     return None
 
 
@@ -214,11 +225,11 @@ def _if_literal_cond(expr: ast.Expr) -> Optional[ast.Expr]:
 
 
 def make_if_same_branches(assume_error_free: bool):
-    """``if c then e else e ⇝ e`` (guarded: ``c`` must be error-free)."""
+    """``if c then e else e ⇝ e`` (``c`` discardable)."""
 
     def _if_same_branches(expr: ast.Expr) -> Optional[ast.Expr]:
         if isinstance(expr, ast.If) and expr.then == expr.orelse \
-                and (assume_error_free or is_error_free(expr.cond)):
+                and discardable(assume_error_free, (expr.cond,)):
             return expr.then
         return None
 
@@ -275,49 +286,6 @@ def _get_singleton(expr: ast.Expr) -> Optional[ast.Expr]:
     return None
 
 
-# -- bag mirrors (Section 6 calculus shares the engine) -------------------------
-
-def _bag_ext_empty_source(expr: ast.Expr) -> Optional[ast.Expr]:
-    if isinstance(expr, ast.BagExt) and isinstance(expr.source, ast.EmptyBag):
-        return ast.EmptyBag()
-    return None
-
-
-def make_bag_ext_singleton_source(assume_error_free: bool):
-    """Bag mirror of :func:`make_ext_singleton_source`, same guard."""
-
-    def _bag_ext_singleton_source(expr: ast.Expr) -> Optional[ast.Expr]:
-        if isinstance(expr, ast.BagExt) \
-                and isinstance(expr.source, ast.SingletonBag) \
-                and (assume_error_free
-                     or is_error_free(expr.source.expr)):
-            occurrences = effective_occurrences(expr.body, expr.var)
-            if occurrences <= 1 or is_duplication_safe(expr.source.expr):
-                return ast.substitute(expr.body,
-                                      {expr.var: expr.source.expr})
-        return None
-
-    return _bag_ext_singleton_source
-
-
-def _bag_ext_union_source(expr: ast.Expr) -> Optional[ast.Expr]:
-    if isinstance(expr, ast.BagExt) and isinstance(expr.source, ast.BagUnion):
-        return ast.BagUnion(
-            ast.BagExt(expr.var, expr.body, expr.source.left),
-            ast.BagExt(expr.var, expr.body, expr.source.right),
-        )
-    return None
-
-
-def _bag_union_empty(expr: ast.Expr) -> Optional[ast.Expr]:
-    if isinstance(expr, ast.BagUnion):
-        if isinstance(expr.left, ast.EmptyBag):
-            return expr.right
-        if isinstance(expr.right, ast.EmptyBag):
-            return expr.left
-    return None
-
-
 def nrc_rules(assume_error_free: bool = False) -> List[Rule]:
     """The NRC rule base, in application-priority order."""
     return [
@@ -338,37 +306,38 @@ def nrc_rules(assume_error_free: bool = False) -> List[Rule]:
              "if c then e else e ⇝ e (c error-free)", roots=(ast.If,)),
         Rule("cmp-fold", _cmp_fold, "fold literal comparisons",
              roots=(ast.Cmp,)),
-        Rule("ext-empty-source", _ext_empty_source, "⋃ over {} ⇝ {}",
+        Rule("ext-empty-source", empty_source(ast.Ext), "⋃ over {} ⇝ {}",
              roots=(ast.Ext,)),
-        Rule("ext-empty-body", make_ext_empty_body(assume_error_free),
+        Rule("ext-empty-body", empty_body(ast.Ext, assume_error_free),
              "⋃ of {} bodies ⇝ {}", roots=(ast.Ext,)),
         Rule("ext-singleton-source",
-             make_ext_singleton_source(assume_error_free),
+             singleton_source(ast.Ext, assume_error_free),
              "⋃ over singleton ⇝ substitution", roots=(ast.Ext,)),
-        Rule("ext-union-source", _ext_union_source, "⋃ over ∪ distributes",
-             roots=(ast.Ext,)),
-        Rule("ext-if-source", _ext_if_source, "filter promotion",
-             roots=(ast.Ext,)),
+        Rule("ext-union-source", union_source(ast.Ext),
+             "⋃ over ∪ distributes", roots=(ast.Ext,)),
+        Rule("ext-if-source", through_if(ast.Ext, "source"),
+             "filter promotion", roots=(ast.Ext,)),
         Rule("ext-ext-fusion", _ext_ext_fusion, "vertical loop fusion",
              roots=(ast.Ext,)),
         Rule("ext-eta", _ext_eta, "⋃{{x}|x∈e} ⇝ e", roots=(ast.Ext,)),
-        Rule("union-empty", _union_empty, "∪ unit laws",
+        Rule("union-empty", union_unit(ast.Ext), "∪ unit laws",
              roots=(ast.Union,)),
         Rule("horizontal-fusion", _horizontal_fusion,
              "merge unions of loops over the same source",
              roots=(ast.Union,)),
         Rule("get-singleton", _get_singleton, "get({e}) ⇝ e",
              roots=(ast.Get,)),
-        Rule("bag-ext-empty-source", _bag_ext_empty_source,
+        Rule("bag-ext-empty-source", empty_source(ast.BagExt),
              "⊎ over {||} ⇝ {||}", roots=(ast.BagExt,)),
         Rule("bag-ext-singleton-source",
-             make_bag_ext_singleton_source(assume_error_free),
+             singleton_source(ast.BagExt, assume_error_free),
              "⊎ over singleton bag ⇝ substitution", roots=(ast.BagExt,)),
-        Rule("bag-ext-union-source", _bag_ext_union_source,
+        Rule("bag-ext-union-source", union_source(ast.BagExt),
              "⊎ over ⊎ distributes", roots=(ast.BagExt,)),
-        Rule("bag-union-empty", _bag_union_empty, "⊎ unit laws",
+        Rule("bag-union-empty", union_unit(ast.BagExt), "⊎ unit laws",
              roots=(ast.BagUnion,)),
     ]
 
 
-__all__ = ["nrc_rules"]
+__all__ = ["COMPREHENSIONS", "nrc_rules", "through_if", "empty_source",
+           "empty_body", "singleton_source"]

@@ -11,10 +11,10 @@ plan function — so a repeated query goes straight to evaluation.
 Keying
 ------
 
-Entries are keyed on :func:`fingerprint`, a canonical structural
-fingerprint of the desugared core expression: binders are numbered by
-de-Bruijn-style levels, so any two α-equivalent spellings of the same
-query (different binder names, whitespace, sugar that desugars
+Entries are keyed on :func:`~repro.core.ast.fingerprint`, a canonical
+structural fingerprint of the desugared core expression: binders are
+numbered by de-Bruijn-style levels, so any two α-equivalent spellings of
+the same query (different binder names, whitespace, sugar that desugars
 identically) share one entry.  The environment's *meaning* for the
 query's free names is folded in through generation counters rather than
 through substitution, which keeps a cache probe O(|query|) — resolution
@@ -53,86 +53,16 @@ observable: hit/miss/eviction/invalidation counters are surfaced in
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core import ast
+from repro.core.ast import fingerprint
 from repro.types.types import TypeScheme
 
 #: default LRU capacity of a session's plan cache
 DEFAULT_CAPACITY = 128
-
-
-# ---------------------------------------------------------------------------
-# canonical structural fingerprints
-# ---------------------------------------------------------------------------
-
-def fingerprint(expr: ast.Expr) -> Hashable:
-    """A canonical structural fingerprint of a core expression.
-
-    α-equivalent expressions (equal up to consistent renaming of bound
-    variables) produce equal fingerprints: bound variables are replaced
-    by de-Bruijn-style binding levels, free variables keep their names,
-    and every non-expression field (operators, ranks, literal values)
-    participates verbatim.  The result is a nested tuple usable as a
-    dictionary key.
-    """
-    return _fp(expr, {}, [0])
-
-
-#: per node class, the fields that label a node, in declaration order:
-#: ``(name, False)`` for a value field (operator, rank, literal …) and
-#: ``(name, True)`` for a tuple of sub-expressions, which labels the
-#: node with ``()`` when empty; binders and single sub-expressions are
-#: left out (children are reached through ``parts()``)
-_LABEL_FIELDS: Dict[type, Tuple[Tuple[str, bool], ...]] = {}
-
-
-def _label_fields(cls: type) -> Tuple[Tuple[str, bool], ...]:
-    fields = _LABEL_FIELDS.get(cls)
-    if fields is None:
-        fields = _LABEL_FIELDS[cls] = tuple(
-            (fld.name, fld.type == "Tuple[Expr, ...]")
-            for fld in dataclasses.fields(cls)
-            if fld.name not in cls.BINDER_FIELDS and fld.type != "Expr")
-    return fields
-
-
-def _fp(expr: ast.Expr, env: Dict[str, int], counter) -> Hashable:
-    if isinstance(expr, ast.Var):
-        level = env.get(expr.name)
-        if level is not None:
-            return ("bound", level)
-        return ("free", expr.name)
-    cls = type(expr)
-    label = [cls.__name__]
-    for name, exprs in _label_fields(cls):
-        value = getattr(expr, name)
-        if not exprs:
-            label.append(_hashable(value))
-        elif not value:
-            label.append(())
-    children = []
-    for child, bound in expr.parts():
-        if bound:
-            child_env = dict(env)
-            for name in bound:
-                counter[0] += 1
-                child_env[name] = counter[0]
-            children.append(_fp(child, child_env, counter))
-        else:
-            children.append(_fp(child, env, counter))
-    return (tuple(label), tuple(children))
-
-
-def _hashable(value: Any) -> Any:
-    try:
-        hash(value)
-        return value
-    except TypeError:  # pragma: no cover - complex objects hash by design
-        return repr(value)
 
 
 # ---------------------------------------------------------------------------
@@ -338,5 +268,4 @@ __all__ = [
     "PlanCache",
     "PlanCacheStats",
     "PlanEntry",
-    "fingerprint",
 ]

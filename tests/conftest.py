@@ -84,26 +84,40 @@ def reference_outcome(expr, binds=ENV_VALUES, prims=None):
         return ("bottom", exc.reason)
 
 
-def _cells(value):
-    """The type of each cell of an Array, or of a scalar, with the
-    ``repr`` of the float ones: what ``==`` does not see."""
-    cells = value.flat if isinstance(value, Array) else (value,)
-    return [(type(cell), repr(cell) if isinstance(cell, float) else None)
-            for cell in cells]
+def _shape(value):
+    """``value`` as nested tuples that ``==`` compares exactly, at every
+    depth: each scalar with its Python type (never a numpy scalar) and a
+    float by ``repr`` (``-0.0`` vs ``0.0``, low-bit drift, one NaN like
+    another); a tuple by items, an Array by dims and cells, and a set or
+    bag element by element in an order fixed by those shapes."""
+    if isinstance(value, (frozenset, Bag)):
+        return (type(value), tuple(sorted(map(_shape, value), key=repr)))
+    if isinstance(value, tuple):
+        return (tuple, tuple(map(_shape, value)))
+    if isinstance(value, Array):
+        return (Array, value.dims, tuple(map(_shape, value.flat)))
+    if isinstance(value, float):
+        return (float, repr(value))
+    return (type(value), value)
+
+
+def _scalars(value):
+    """Every scalar inside ``value``, at any depth."""
+    if isinstance(value, (frozenset, Bag, tuple, Array)):
+        for item in value.flat if isinstance(value, Array) else value:
+            yield from _scalars(item)
+    else:
+        yield value
 
 
 def assert_identical(got, want):
-    """Deep agreement between two values: equality, Python scalar types
-    (an Array's per-cell kind signature; never numpy scalars), ``repr``
-    of floats, in Arrays too (``-0.0`` vs ``0.0``, low-bit drift), hash,
-    and — for sets — the canonical element order.  A NaN equals nothing,
-    itself included, and hashes by identity, so a value holding one
-    agrees on dims, types and ``repr`` alone."""
-    assert type(got) is type(want), (got, want)
-    assert getattr(got, "dims", None) == getattr(want, "dims", None)
-    cells = _cells(got)
-    assert cells == _cells(want), (got, want)
-    if (float, "nan") in cells:
+    """Deep agreement between two values: the same :func:`_shape` and —
+    unless a NaN is involved — equality, the canonical element order of
+    a set, and hash.  A NaN equals nothing, itself included, and hashes
+    by identity, so a value holding one, at any depth, agrees on its
+    shape alone."""
+    assert _shape(got) == _shape(want), (got, want)
+    if any(scalar != scalar for scalar in _scalars(got)):
         return
     assert got == want
     if isinstance(got, frozenset):

@@ -394,6 +394,42 @@ class TestKnobCensus:
         assert not importers
 
 
+def _uses_outside(node, names, allowed, inside=False):
+    """Line numbers of the references to ``names`` under ``node`` that no
+    function named in ``allowed`` encloses."""
+    if isinstance(node, pyast.FunctionDef) and node.name in allowed:
+        inside = True
+    found = []
+    if not inside and (isinstance(node, pyast.Name) and node.id in names
+                       or isinstance(node, pyast.Attribute)
+                       and node.attr in names):
+        found.append(node.lineno)
+    for child in pyast.iter_child_nodes(node):
+        found += _uses_outside(child, names, allowed, inside)
+    return found
+
+
+def test_strict_side_conditions_go_through_two_guards():
+    """The rule modules ask the three side-condition analyses only
+    through ``analysis.discardable`` and ``analysis.substituted``, so
+    answering them another way (a fact record, say) changes two
+    functions, not every rule."""
+    analyses = {"is_error_free", "effective_occurrences",
+                "is_duplication_safe"}
+    offenders = [
+        f"{name}:{line}"
+        for name in ("rules_nrc.py", "rules_arith.py", "rules_arrays.py")
+        for line in _uses_outside(
+            pyast.parse((SRC / "optimizer" / name).read_text()), analyses,
+            {"discardable", "substituted"})
+    ]
+    assert not offenders
+    guards = pyast.parse((SRC / "optimizer" / "analysis.py").read_text())
+    assert {"discardable", "substituted"} <= {
+        node.name for node in guards.body
+        if isinstance(node, pyast.FunctionDef)}
+
+
 def test_every_top_level_definition_is_referenced():
     """Every top-level ``def``/``class`` under ``src/repro`` is named
     somewhere in ``src/``, ``tests/`` or ``examples/`` besides its own

@@ -89,6 +89,16 @@ class TestSubstitute:
         out = substitute(e, {"n": NatLit(5)})
         assert out.bounds == (NatLit(5),)
 
+    def test_a_binder_hides_a_name_only_where_it_scopes(self):
+        """A tabulation's index scopes over its body, not its bounds: a
+        bound naming the index reads the enclosing variable, and the
+        binder is not renamed for a part that receives nothing."""
+        e = Tabulate(("i",), (Arith("-", NatLit(10), Var("i")),),
+                     Var("i"))
+        out = substitute(e, {"i": NatLit(0)})
+        assert out == Tabulate(("i",), (Arith("-", NatLit(10), NatLit(0)),),
+                               Var("i"))
+
     def test_empty_mapping_is_identity(self):
         e = Lam("x", Var("x"))
         assert substitute(e, {}) is e

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from repro.core import ast
+from repro.core.ast import fingerprint
 from repro.core.typecheck import TypeChecker
 from repro.env.environment import TopEnv
 from repro.errors import TypeCheckError
@@ -27,7 +28,6 @@ from repro.optimizer.engine import Phase, Rule, RuleBase, default_optimizer
 from repro.optimizer.rules_bounds import BoundsPhase
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression, parse_program
-from repro.system.plan_cache import fingerprint
 from repro.system.session import Session
 from repro.types.types import TArrow, TNat, TypeScheme, fresh_tvar
 

@@ -251,3 +251,66 @@ class TestRulePruning:
         phases = outputs[-1].explain.to_dict()["phases"]
         assert any(stats["pruned"] > 0 for stats in phases.values())
         assert "pruned" in outputs[-1].explain.render()
+
+
+#: every phase's rules as ``(name, roots)`` in registration order: the
+#: order first-match rewriting and the ablation API (``remove`` by name)
+#: depend on, the same in the default and the strict pipeline
+RULE_SURFACE = {
+    "normalize": [
+        ("beta", (ast.App,)),
+        ("proj-tuple", (ast.Proj,)),
+        ("if-literal-cond", (ast.If,)),
+        ("if-bool-branches", (ast.If,)),
+        ("if-nested-same-cond", (ast.If,)),
+        ("if-same-branches", (ast.If,)),
+        ("cmp-fold", (ast.Cmp,)),
+        ("ext-empty-source", (ast.Ext,)),
+        ("ext-empty-body", (ast.Ext,)),
+        ("ext-singleton-source", (ast.Ext,)),
+        ("ext-union-source", (ast.Ext,)),
+        ("ext-if-source", (ast.Ext,)),
+        ("ext-ext-fusion", (ast.Ext,)),
+        ("ext-eta", (ast.Ext,)),
+        ("union-empty", (ast.Union,)),
+        ("horizontal-fusion", (ast.Union,)),
+        ("get-singleton", (ast.Get,)),
+        ("bag-ext-empty-source", (ast.BagExt,)),
+        ("bag-ext-singleton-source", (ast.BagExt,)),
+        ("bag-ext-union-source", (ast.BagExt,)),
+        ("bag-union-empty", (ast.BagUnion,)),
+        ("beta-p", (ast.Subscript,)),
+        ("eta-p", (ast.Tabulate,)),
+        ("delta-p", (ast.Dim,)),
+        ("dim-mkarray", (ast.Dim,)),
+        ("subscript-mkarray", (ast.Subscript,)),
+        ("subscript-if", (ast.Subscript,)),
+        ("dim-if", (ast.Dim,)),
+        ("arith-fold", (ast.Arith,)),
+        ("arith-identity", (ast.Arith,)),
+        ("sum-empty-source", (ast.Sum,)),
+        ("sum-singleton-source", (ast.Sum,)),
+        ("sum-if-source", (ast.Sum,)),
+        ("sum-zero-body", (ast.Sum,)),
+        ("gen-zero", (ast.Gen,)),
+    ],
+    "bounds": [
+        ("tabulate-bound-elim", (ast.Tabulate,)),
+        ("gen-bound-elim", (ast.Ext, ast.Sum)),
+        ("if-branch-elim", (ast.If,)),
+        ("monus-bound-elim", (ast.Tabulate,)),
+    ],
+    "motion": [
+        ("hoist-loop-invariant", (ast.Tabulate, ast.Ext, ast.Sum,
+                                  ast.BagExt)),
+        ("let-float", (ast.Ext, ast.Sum, ast.BagExt)),
+    ],
+}
+
+
+@pytest.mark.parametrize("assume_error_free", [True, False])
+def test_rule_surface(assume_error_free):
+    optimizer = default_optimizer(assume_error_free)
+    assert {phase.name: [(rule.name, rule.roots) for rule in phase.rules]
+            for phase in optimizer.phases} == RULE_SURFACE
+    assert [phase.name for phase in optimizer.phases] == list(RULE_SURFACE)

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ast
+from repro.core.ast import fingerprint
 from repro.core.compile import Compiler
 from repro.core.eval import Evaluator
 from repro.env.environment import TopEnv
@@ -26,11 +27,7 @@ from repro.optimizer.cost import CostEstimator
 from repro.optimizer.engine import Optimizer
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression, parse_program
-from repro.system.plan_cache import (
-    DEFAULT_CAPACITY,
-    PlanCache,
-    fingerprint,
-)
+from repro.system.plan_cache import DEFAULT_CAPACITY, PlanCache
 from repro.system.session import Session
 from repro.types.types import (TArray, TArrow, TNat, TReal, TSet,
                                fresh_tvar)

@@ -30,9 +30,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.ast import fingerprint
 from repro.objects.array import Array
 from repro.optimizer.engine import default_optimizer
-from repro.system.plan_cache import fingerprint
 from repro.system.session import Session
 from repro.types.types import TArray, TArrow, TNat, TProduct, TReal
 

@@ -1,11 +1,11 @@
 """Tests for the core-expression pretty printer."""
 
 from repro.core import ast
+from repro.core.ast import fingerprint
 from repro.core.printer import CONST_CELL_LIMIT, pprint
 from repro.objects import exchange
 from repro.objects.array import Array
 from repro.objects.bag import Bag
-from repro.system.plan_cache import fingerprint
 from repro.system.session import Session
 
 from conftest import aql_core

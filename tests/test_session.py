@@ -187,6 +187,14 @@ class TestOptimizeToggle:
         assert Session(optimize=True).query_value(source) == \
             Session(optimize=False).query_value(source)
 
+    def test_a_tabulation_bound_reads_the_enclosing_index(self):
+        """β substitutes into a bound that names the tabulation's own
+        index: the index scopes over the body only."""
+        source = r"(fn \i => [[ 1 | \i < 10 - i ]])!(0);"
+        optimized = Session(optimize=True).query_value(source)
+        assert optimized == Session(optimize=False).query_value(source)
+        assert optimized.dims == (10,)
+
     @pytest.mark.parametrize("text, cause, rule", [
         ("1.0 / 0.0;", "division by zero", "arith-fold"),
         ("7 % 0;", "modulo by zero", "arith-fold"),

@@ -24,12 +24,15 @@ import math
 
 import pytest
 
+from conftest import outcome, reference_outcome
 from repro.core import ast, kernels
 from repro.core.compile import CompiledEvaluator
 from repro.core.fastpath import DEFAULT_MIN_CELLS, DispatchConfig
 from repro.errors import SessionError
 from repro.objects import dense
 from repro.objects.array import Array
+from repro.objects.bag import Bag
+from repro.obs.metrics import EvalMetrics
 from repro.system.session import Session
 from repro.types.types import TArray, TArrow, TNat, TProduct, TReal
 
@@ -90,6 +93,104 @@ SHARDED = {
 }
 
 
+V, N = ast.Var, ast.NatLit
+
+LOOP_KEYS = ("node_evals", "collections_touched", "collection_elements",
+             "max_collection_size", "bottom_raises")
+
+#: a bag with repeated elements and a set, for :data:`LOOPS`
+LOOP_BINDS = {"B": Bag([3, 1, 3, 2, 1, 3]), "S": frozenset({5, 3, 9})}
+
+
+def _pair(*items):
+    return ast.TupleE(tuple(items))
+
+
+def _on_two(var, then):
+    """``if var = 2 then ⊥ else then``."""
+    return ast.If(ast.Cmp("=", V(var), N(2)), ast.Bottom("two"), then)
+
+
+#: Section 6's ⊎, ⋃_r and ⊎_r as hand-built cores: nested sources, empty
+#: sources, a bag with repeated elements, a filter and a ⊥ mid-loop
+LOOPS = {
+    "bag-ext": ast.BagExt("x", ast.SingletonBag(
+        ast.Arith("+", V("x"), N(1))), V("B")),
+    "bag-ext-nested": ast.BagExt(
+        "x", ast.BagExt("y", ast.SingletonBag(_pair(V("x"), V("y"))),
+                        V("B")),
+        ast.BagExt("z", ast.SingletonBag(ast.Arith("%", V("z"), N(2))),
+                   V("B"))),
+    "bag-ext-empty": ast.BagExt("x", ast.SingletonBag(V("x")),
+                                ast.EmptyBag()),
+    "bag-ext-gen": ast.BagExt("x", ast.SingletonBag(
+        ast.Arith("/", V("x"), N(2))), ast.Gen(N(5))),
+    "bag-ext-bottom": ast.BagExt("x", _on_two(
+        "x", ast.SingletonBag(V("x"))), V("B")),
+    "ext-rank": ast.ExtRank("x", "i", ast.Singleton(_pair(V("x"), V("i"))),
+                            V("S")),
+    "ext-rank-filtered": ast.ExtRank("x", "i", ast.If(
+        ast.Cmp(">", V("i"), N(1)), ast.Singleton(V("x")), ast.EmptySet()),
+        V("S")),
+    "ext-rank-nested": ast.ExtRank(
+        "x", "i", ast.Ext("y", ast.Singleton(_pair(V("y"), V("i"))),
+                          V("x")),
+        ast.ExtRank("y", "j", ast.Singleton(ast.Gen(V("j"))), V("S"))),
+    "ext-rank-empty": ast.ExtRank("x", "i", ast.Singleton(V("i")),
+                                  ast.EmptySet()),
+    "ext-rank-gen": ast.ExtRank("x", "i", ast.Singleton(
+        ast.Arith("*", V("x"), V("i"))), ast.Gen(N(4))),
+    "ext-rank-bottom": ast.ExtRank("x", "i", _on_two(
+        "i", ast.Singleton(V("x"))), V("S")),
+    "bag-ext-rank": ast.BagExtRank("x", "i", ast.SingletonBag(
+        _pair(V("x"), V("i"))), V("B")),
+    "bag-ext-rank-nested": ast.BagExtRank(
+        "x", "i", ast.SingletonBag(V("i")),
+        ast.BagExtRank("y", "j", ast.SingletonBag(
+            ast.Arith("%", V("j"), N(3))), V("B"))),
+    "bag-ext-rank-empty": ast.BagExtRank("x", "i", ast.SingletonBag(V("x")),
+                                         ast.EmptyBag()),
+    "bag-ext-rank-bottom": ast.BagExtRank("x", "i", _on_two(
+        "i", ast.SingletonBag(V("x"))), V("B")),
+}
+
+#: what the probe of ``CompiledEvaluator`` reported for each of
+#: :data:`LOOPS` when a runtime helper called a ``def`` of the body per
+#: element: the ``LOOP_KEYS`` and then ``nodes_by_class`` as ``kind:count``
+LOOP_COUNTERS = {
+    "bag-ext": (26, 8, 18, 6, 0,
+        "Arith:6 BagExt:1 NatLit:6 SingletonBag:6 Var:7"),
+    "bag-ext-nested": (183, 57, 162, 36, 0,
+        "Arith:6 BagExt:8 NatLit:6 SingletonBag:42 TupleE:36 Var:85"),
+    "bag-ext-empty": (2, 2, 0, 0, 0,
+        "BagExt:1 EmptyBag:1"),
+    "bag-ext-gen": (23, 7, 15, 5, 0,
+        "Arith:5 BagExt:1 Gen:1 NatLit:6 SingletonBag:5 Var:5"),
+    "bag-ext-bottom": (37, 11, 16, 6, 1,
+        "BagExt:1 Bottom:1 Cmp:6 If:6 NatLit:6 SingletonBag:5 Var:12"),
+    "ext-rank": (14, 5, 9, 3, 0,
+        "ExtRank:1 Singleton:3 TupleE:3 Var:7"),
+    "ext-rank-filtered": (19, 8, 9, 3, 0,
+        "Cmp:3 EmptySet:1 ExtRank:1 If:3 NatLit:3 Singleton:2 Var:6"),
+    "ext-rank-nested": (42, 21, 39, 6, 0,
+        "Ext:3 ExtRank:2 Gen:3 Singleton:9 TupleE:6 Var:19"),
+    "ext-rank-empty": (2, 2, 0, 0, 0,
+        "EmptySet:1 ExtRank:1"),
+    "ext-rank-gen": (19, 6, 12, 4, 0,
+        "Arith:4 ExtRank:1 Gen:1 NatLit:1 Singleton:4 Var:8"),
+    "ext-rank-bottom": (13, 3, 5, 3, 1,
+        "Bottom:1 Cmp:2 ExtRank:1 If:2 NatLit:2 Singleton:1 Var:4"),
+    "bag-ext-rank": (26, 8, 18, 6, 0,
+        "BagExtRank:1 SingletonBag:6 TupleE:6 Var:13"),
+    "bag-ext-rank-nested": (39, 15, 30, 6, 0,
+        "Arith:6 BagExtRank:2 NatLit:6 SingletonBag:12 Var:13"),
+    "bag-ext-rank-empty": (2, 2, 0, 0, 0,
+        "BagExtRank:1 EmptyBag:1"),
+    "bag-ext-rank-bottom": (13, 3, 8, 6, 1,
+        "BagExtRank:1 Bottom:1 Cmp:2 If:2 NatLit:2 SingletonBag:1 Var:4"),
+}
+
+
 def _session(workdir) -> Session:
     hours = DAYS * 24
     session = Session()
@@ -144,6 +245,20 @@ def test_explain_counters_equal_the_unspecialised_engine(tmp_path):
     for label in QUERIES:
         assert dict(zip(KEYS, found[label])) == \
             dict(zip(KEYS, GOLDEN[label])), label
+
+
+@pytest.mark.parametrize("label", list(LOOPS))
+def test_bag_and_ranked_loop_counters(label):
+    """The bag and ranked loops count what they counted as runtime
+    helpers, and return the reference evaluator's value or ⊥."""
+    probe = EvalMetrics()
+    got = outcome(LOOPS[label], None, probe, LOOP_BINDS)
+    assert got == reference_outcome(LOOPS[label], LOOP_BINDS)
+    found = probe.to_dict()
+    nodes = " ".join(f"{kind}:{n}" for kind, n in
+                     sorted(found["nodes_by_class"].items()))
+    assert (*(found[key] for key in LOOP_KEYS), nodes) == \
+        LOOP_COUNTERS[label]
 
 
 def test_sharded_counters_equal_the_pre_policy_engine():

@@ -790,6 +790,8 @@ def _fp(expr: Expr, env: Dict[str, int], counter) -> Any:
             label.append(_hashable(value))
         elif not value:
             label.append(())
+    if cls is MkArray:  # else its dims and items read as one sequence
+        label.append(expr.rank)
     children = []
     for child, bound in expr.parts():
         if bound:

@@ -134,6 +134,13 @@ class TestAlphaEquivalence:
                                Cmp("<=", Var("x"), Var("y")))
         assert not alpha_equal(NatLit(1), NatLit(2))
 
+    def test_array_literal_dims_and_items_stay_apart(self):
+        two_by_one = ast.MkArray((NatLit(2), NatLit(1)), (NatLit(5),))
+        two = ast.MkArray((NatLit(2),), (NatLit(1), NatLit(5)))
+        assert not alpha_equal(two_by_one, two)
+        assert alpha_equal(two, ast.MkArray((NatLit(2),),
+                                            (NatLit(1), NatLit(5))))
+
     def test_different_constructors(self):
         assert not alpha_equal(NatLit(1), Var("x"))
 

@@ -93,6 +93,8 @@ def _reference_fp(expr, env, counter):
                 and isinstance(value[0], ast.Expr):
             continue
         label.append(value)
+    if isinstance(expr, ast.MkArray):
+        label.append(len(expr.dims))
     children = []
     for child, bound in expr.parts():
         if bound:
@@ -258,6 +260,14 @@ class TestSessionCaching:
         session.query_value("(fn \\y => y + 1)!2;")
         assert session.plan_cache.stats.hits == 1
         assert len(session.plan_cache) == 1
+
+    def test_array_literals_of_one_cell_sequence_key_apart(self, session):
+        """``[[2, 1; 5]]`` and ``[[2; 1, 5]]`` list the same nodes; the
+        rank keeps the second from reusing the first's plan."""
+        with pytest.raises(BottomError):
+            session.query_value("[[2, 1; 5]];")
+        assert session.query_value("[[2; 1, 5]];") == Array((2,), [1, 5])
+        assert len(session.plan_cache) == 2
 
     def test_optimize_flag_keys_separately(self, session):
         session.query_value("1 + 1;")

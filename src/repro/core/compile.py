@@ -56,7 +56,23 @@ FACTORY_CAPACITY = 256
 #: host refuses 100 indentation levels and 20 nested blocks)
 _SPILL_DEPTH, _LIFT_LEVEL, _LIFT_LOOPS = 12, 40, 8
 
-_LOOPS = frozenset((ast.Ext, ast.Sum, ast.Tabulate))
+_LOOPS = frozenset((*ast.LOOP_NODES, ast.Tabulate))
+#: per comprehension (Figure 1's ⋃ and Σ, Section 6's ⊎, ⋃_r and ⊎_r):
+#: the accumulator's start, the walk of the source, how one body's value
+#: joins the accumulator (``None``: ``Compiler._add`` adds a set body's
+#: statements) and the comprehension's value.  Σ walks in canonical order,
+#: NOT frozenset hash order: float addition is non-associative, so a
+#: hash-ordered Σ over reals would differ between runs and platforms (a
+#: range is in that order already); a ranked walk gives a bag's equal
+#: elements consecutive ranks
+_COMPREHENSIONS = {
+    ast.Ext: ("set()", "{}", None, "frozenset({})"),
+    ast.ExtRank: ("set()", "rank_elements({})", None, "frozenset({})"),
+    ast.Sum: ("0", "canonical_elements({})", "{0} = {0} + {1}", "{}"),
+    ast.BagExt: ("Bag()", "{}", "{0} = {0}.union({1})", "{}"),
+    ast.BagExtRank: ("Bag()", "rank_elements({})", "{0} = {0}.union({1})",
+                     "{}"),
+}
 #: kinds whose value may be a set or bag: a probe counts it as one
 _COLLECTIONS = frozenset((
     ast.EmptySet, ast.Singleton, ast.Ext, ast.Gen, ast.ExtRank, ast.EmptyBag,
@@ -132,6 +148,8 @@ class Compiler:
         # val -> its local; the variables subscripted; the last one read
         self._params: Dict[str, int] = {}
         self._boxed, self._last = set(), None
+        # a join's match body -> its def and the binders it is called with
+        self._shared: Dict[int, Tuple[int, Tuple[str, str]]] = {}
         # an empty Σ is the nat 0 whatever its body's type: unless every
         # Σ is proven nat, a real type proves no float
         self._reals = bool(self._types) and all(
@@ -194,7 +212,12 @@ class Compiler:
     def _emit(self, expr: ast.Expr, scope: Dict[str, int]) -> str:
         """The text of ``expr``'s value; statements it needs first are
         appended to the current block."""
-        kind = type(expr)
+        kind, shared = type(expr), self._shared.get(id(expr))
+        if shared is not None:  # a join's match body: a call of its def
+            number, binders = shared
+            self._reads.add(number)
+            return f"v{number}(" + ", ".join(
+                f"v{scope[name]}" for name in binders) + ")"
         if self._depth >= _SPILL_DEPTH:
             depth, self._depth = self._depth, 0
             text = self._spill(self._emit(expr, scope))
@@ -302,7 +325,8 @@ class Compiler:
         native, owner = self._native(expr.name), self._owner
         return self._const(lambda argument: native(argument, owner))
 
-    def _def(self, names, body: ast.Expr, scope) -> str:
+    def _def(self, names, body: ast.Expr, scope,
+             name: Optional[str] = None) -> str:
         """A nested ``def`` of ``names`` evaluating ``body``, binding
         what it reads from outside as defaults, at creation."""
         start = self._next
@@ -311,7 +335,7 @@ class Compiler:
         lines, text, free = self._nested(
             lambda: self._emit(body, inner), self._level + 1, start,
             function=True)
-        name = self._fresh("f")
+        name = name or self._fresh("f")
         self._line(f"def {name}(" + ", ".join(
             [f"v{n}" for n in params] + [f"v{n}=v{n}" for n in free]) + "):")
         self._lines += lines
@@ -491,50 +515,107 @@ class Compiler:
 
     # -- loops ----------------------------------------------------------------
 
-    def _elements(self, source: ast.Expr, scope) -> str:
-        """What a loop ranges over: ``gen!n`` is ``range(n)``, counted
-        as the ``Gen`` node and its set when probed."""
+    def _elements(self, source: ast.Expr, scope, spill: bool = False):
+        """``(elements, size)``: what a loop ranges over, and for
+        ``gen!n``, which is ``range(n)`` counted as the ``Gen`` node and
+        its set when probed, the text of ``n`` (a local if ``spill``)."""
         if type(source) is not ast.Gen:
-            return self._emit(source, scope)
+            return self._emit(source, scope), None
         mark = len(self._lines)
-        size = self._emit(source.expr, scope)
-        elements = f"range({self._as_natural(source.expr, size, '_GEN')})"
+        size = self._as_natural(source.expr, self._emit(source.expr, scope),
+                                "_GEN")
+        size = self._spill(size) if spill else size
+        elements = f"range({size})"
         if self.probe is None:
-            return elements
-        return f"_seen(_P, {self._counted('Gen', mark, elements)})"
+            return elements, size
+        return f"_seen(_P, {self._counted('Gen', mark, elements)})", size
 
-    def _ext(self, expr: ast.Ext, scope) -> str:
-        depth, self._depth, acc = self._depth, 0, self._fresh("s")
-        shape, source, result = setops.recognize_join(expr), None, \
-            f"frozenset({acc})"
-        if shape is not None:  # the join block, then the loop if it declined
-            source = self._spill(self._emit(expr.source, scope))
-            result, state = self._join(expr, shape, scope, source, acc)
+    def _loop(self, expr, scope) -> str:
+        """Every comprehension, by :data:`_COMPREHENSIONS`: the
+        accumulator's start, one ``for`` over the walk of the source
+        joining each body into it, and its value.  A recognised
+        equi-join's hash block or a ``Σ`` kernel comes first, and the
+        loop runs if it leaves the result ``None``."""
+        kind, probed = type(expr), self.probe is not None
+        start, walk, join, value = _COMPREHENSIONS[kind]
+        depth, self._depth, kernel = self._depth, 0, None
+        shape, mark = kind is ast.Ext and setops.recognize_join(expr), \
+            len(self._lines)
+        gen = kind is ast.Sum and type(expr.source) is ast.Gen
+        if shape:  # S evaluated once, and e emitted once: a def of (x, y)
+            # that the hash block and the loop both call (see _emit)
+            elements = self._spill(self._emit(expr.source, scope))
+            binders, number = (shape.outer_var, shape.inner_var), self._bind()
+            self._def(binders, shape.match_body, scope, f"v{number}")
+            self._shared[id(shape.match_body)] = number, binders
+        else:  # a kernel needs its size first
+            elements, size = self._elements(expr.source, scope, gen)
+        if gen:
+            kernel = self._kernel((expr.var,), expr.body, f"({size},)")
+        elif kind is not ast.Sum or type(expr.body) is not ast.NatLit:
+            elements = walk.format(elements)  # a literal Σ body adds exactly
+        acc = self._fresh("s" if join is None else "t")  # a set or a value
+        fast = int(bool(shape) or kernel is not None)
+        result = self._fresh() if fast and value != "{}" else acc
+        body = (lambda inner: self._add(expr.body, inner, acc)) \
+            if join is None else (lambda inner: self._line(
+                join.format(acc, self._emit(expr.body, inner))))
+        # a set's start goes ahead of its source, a fold's after it: each
+        # where the plans of ⋃ and Σ have always had it
+        first = fast or join is not None
+        if not first:
+            self._line(f"{acc} = {start}", at=mark)
+
+        def loop():
+            if first:
+                self._line(f"{acc} = {start}")
+            self._for(expr, elements, scope, body)
+
+        lines, _, boxing = self._loop_body(kernel, loop, self._level + fast,
+                                           self._next)
+        if shape:
+            state = self._join(expr, shape, scope, elements, acc, result)
+            del self._shared[id(shape.match_body)]
+        elif kernel is not None:
+            self._line(f"{result} = None")
+            self._vectorized(kernel, scope, size, result,
+                             f"_ksum({{}}, {size})", "0", size)
+        if fast:
             self._line(f"if {result} is None:")
-            self._level += 1
-            if state:
-                self._line(f"_P.restore({state})")
-        self._line(f"{acc} = set()")
-        self._collect(expr, scope, acc, source)
-        if shape is not None:
-            self._line(f"{result} = frozenset({acc})")
-            self._level -= 1
+            if shape and probed:
+                self._line(f"_P.restore({state})", 1)
+        for line in boxing:
+            self._line(line, fast)
+        self._lines += lines
         self._depth = depth
+        if result == acc:
+            return value.format(acc)
+        self._line(f"{result} = {value.format(acc)}", 1)
         return result
 
+    def _for(self, expr, elements: str, scope, body) -> None:
+        """A ``for`` statement binding ``expr``'s binders to each of
+        ``elements``, with ``body(scope)`` emitting its body."""
+        names = [getattr(expr, name) for name in expr.BINDER_FIELDS]
+        numbers = [self._bind() for _ in names]
+        self._line(f"for {', '.join(f'v{n}' for n in numbers)} "
+                   f"in {elements}:")
+        self._level, self._loops = self._level + 1, self._loops + 1
+        body({**scope, **dict(zip(names, numbers))})
+        self._level, self._loops = self._level - 1, self._loops - 1
+
     def _join(self, expr: ast.Ext, shape: setops.JoinShape, scope,
-              source: str, acc: str):
+              source: str, acc: str, result: str):
         """The hash equi-join block (docs/SETOPS.md): index T by κ'(y),
         probe it with κ(x) per x in ``source`` and add e per matching
-        pair into ``acc``.  ``(result, state)``: ``result`` stays
-        ``None`` when the config declines or anything raises, and a
-        probe is then to be restored to its snapshot ``state``.  A
-        source proven a set skips its test, and keys proven free of
-        reals (NaN, -0.0) hash raw."""
+        pair into ``acc``, setting ``result``.  It stays ``None`` when
+        the config declines or anything raises, and a probe is then to
+        be restored to the snapshot this returns.  A source proven a set
+        skips its test, and keys proven free of reals (NaN, -0.0) hash
+        raw."""
         probed, level, loops = self.probe is not None, self._level, \
             self._loops
-        result, state, index, bucket, matched = (self._fresh()
-                                                 for _ in range(5))
+        state, index, bucket, matched = (self._fresh() for _ in range(4))
         x, y = self._bind(), self._bind()
         self._line(f"{result} = None")
         if probed:
@@ -575,27 +656,16 @@ class Compiler:
         self._line("except Exception:", -2)
         self._line("pass", -1)
         self._level = level
-        return result, probed and state
-
-    def _collect(self, expr: ast.Ext, scope, acc: str,
-                 elements: Optional[str] = None) -> None:
-        """A ``for`` loop adding ``⋃{body | var ∈ source}`` (or over the
-        already evaluated ``elements``) into the set ``acc``."""
-        if elements is None:
-            elements = self._elements(expr.source, scope)
-        var = self._bind()
-        self._line(f"for v{var} in {elements}:")
-        self._level, self._loops = self._level + 1, self._loops + 1
-        self._add(expr.body, {**scope, expr.var: var}, acc)
-        self._level, self._loops = self._level - 1, self._loops - 1
+        return state
 
     def _add(self, body: ast.Expr, scope, acc: str) -> None:
         """Statements adding the set ``body`` into ``acc``.  ``{m}`` and
         an ``ext`` under any number of ``if c then … else {}`` add into
         ``acc`` under ``if`` statements; a probe counts what the unfused
-        plan would."""
+        plan would.  A join's shared body is added whole."""
         conds, member = [], body
-        while type(member) is ast.If and type(member.orelse) is ast.EmptySet:
+        while type(member) is ast.If and type(member.orelse) is ast.EmptySet \
+                and id(member) not in self._shared:
             conds.append(member.cond)
             member = member.then
         kind, probed, level = type(member), self.probe is not None, \
@@ -603,7 +673,8 @@ class Compiler:
         nested = kind is ast.Ext and self._loops < _LIFT_LOOPS \
             and level <= _LIFT_LEVEL \
             and not setops.recognize_join(member)
-        if kind is not ast.Singleton and not nested:
+        if id(member) in self._shared or kind is not ast.Singleton \
+                and not nested:
             self._line(f"{acc} |= {self._emit(body, scope)}")
             return
         for cond in conds:
@@ -616,15 +687,16 @@ class Compiler:
             if probed:
                 self._line("_on('Singleton')")
             self._line(f"{acc}.add({self._emit(member.expr, scope)})")
-        elif probed:  # the nested ext's own set, for its count
-            inner = self._fresh("s")
-            self._line("_on('Ext')")
-            self._line(f"{inner} = set()")
-            self._collect(member, scope, inner)
-            self._line(f"{acc} |= {inner}")
-            size = f"len({inner})"
         else:
-            self._collect(member, scope, acc)
+            into = self._fresh("s") if probed else acc
+            if probed:  # the nested ext's own set, for its count
+                self._line("_on('Ext')")
+                self._line(f"{into} = set()")
+            self._for(member, self._elements(member.source, scope)[0], scope,
+                      lambda inner: self._add(member.body, inner, into))
+            if probed:
+                self._line(f"{acc} |= {into}")
+                size = f"len({into})"
         if probed:
             self._line(f"_filtered(_P, {size}, {len(conds)})")
             for levels in range(len(conds), 0, -1):
@@ -633,49 +705,11 @@ class Compiler:
                 self._level -= 1
         self._level = level
 
-    def _sum(self, expr: ast.Sum, scope) -> str:
-        # canonical order, NOT frozenset hash order: float addition is
-        # non-associative, so a hash-ordered Σ over reals would differ
-        # between runs and platforms (a range is in that order already,
-        # and the naturals of a literal body add exactly in any order)
-        kernel, probed = None, self.probe is not None
-        if type(expr.source) is ast.Gen:  # the size is needed before the loop
-            mark = len(self._lines)
-            size = self._spill(self._as_natural(expr.source.expr, self._emit(
-                expr.source.expr, scope), "_GEN"))
-            if probed:
-                self._counted("Gen", mark, size)
-            values = f"_seen(_P, range({size}))" if probed \
-                else f"range({size})"
-            kernel = self._kernel((expr.var,), expr.body, f"({size},)")
-        else:
-            values = self._emit(expr.source, scope)
-            if type(expr.body) is not ast.NatLit:
-                values = f"canonical_elements({values})"
-        start, var = self._next, self._bind()
-        inner = {**scope, expr.var: var}
-        deeper = int(kernel is not None)  # the loop is under `if t is None:`
-        lines, body, boxing = self._loop_body(
-            kernel, lambda: self._emit(expr.body, inner),
-            self._level + deeper + 1, start, 1)
-        total = self._fresh()
-        if kernel is not None:
-            self._line(f"{total} = None")
-            self._vectorized(kernel, scope, size, total,
-                             f"_ksum({{}}, {size})", "0", size)
-            self._line(f"if {total} is None:")
-        for line in boxing:
-            self._line(line, deeper)
-        self._line(f"{total} = 0", deeper)
-        self._line(f"for v{var} in {values}:", deeper)
-        self._lines += lines
-        self._line(f"{total} = {total} + {body}", deeper + 1)
-        return total
-
-    def _loop_body(self, kernel, emit: Callable[[], str], level: int,
-                   start: int, loops: int):
-        """:meth:`_nested` for a ``Σ`` or tabulation loop, and the lines
-        for its head: a kernel's fallback boxes the vals it subscripts."""
+    def _loop_body(self, kernel, emit: Callable[[], Any], level: int,
+                   start: int, loops: int = 0):
+        """:meth:`_nested` for a comprehension or tabulation loop, and the
+        lines for its head: a kernel's fallback boxes the vals it
+        subscripts."""
         outer, self._boxed = self._boxed, set()
         lines, text, _ = self._nested(emit, level, start, loops=loops)
         inner, self._boxed = self._boxed, outer
@@ -829,26 +863,13 @@ class Compiler:
         for deeper, text in block:
             self._line(text, deeper)
 
-    def _fold(self, expr, scope) -> str:
-        """The bag and ranked loops: a runtime loop (``_bag_ext`` …) over
-        the source and a ``def`` of the body of its binders."""
-        source = self._emit(expr.source, scope)
-        binders = (expr.var,) if type(expr) is ast.BagExt \
-            else (expr.var, expr.idx)
-        return f"_{self._FOLDS[type(expr)]}({source}, " \
-            f"{self._def(binders, expr.body, scope)})"
-
-    _FOLDS = {ast.BagExt: "bag_ext", ast.ExtRank: "ext_rank",
-              ast.BagExtRank: "bag_ext_rank"}
-
     _NODES = {
-        ast.Var: _var, ast.App: _app, ast.Ext: _ext,
+        ast.Var: _var, ast.App: _app, **dict.fromkeys(ast.LOOP_NODES, _loop),
         ast.Lam: lambda self, e, scope: self._def((e.param,), e.body, scope),
         **dict.fromkeys((ast.BoolLit, ast.NatLit, ast.RealLit, ast.StrLit,
                          ast.Const), _literal),
-        ast.If: _if, ast.Sum: _sum, ast.Tabulate: _tabulate,
-        ast.MkArray: _mk_array, ast.Prim: _prim,
-        **dict.fromkeys(_FOLDS, _fold),
+        ast.If: _if, ast.Tabulate: _tabulate, ast.MkArray: _mk_array,
+        ast.Prim: _prim,
     }
 
 

@@ -18,7 +18,7 @@ from repro.errors import BottomError, EvalError
 from repro.objects.array import Array, index_set_stats
 from repro.objects.bag import Bag
 from repro.objects.ordering import (COMPARISONS, canonical_elements,
-                                    rank_elements, sort_values)
+                                    rank_elements)
 from repro.objects.values import ARITH_HOST, apply_arith
 
 #: the general routine of each comparison, by its emitted name
@@ -109,31 +109,6 @@ def indexed(pairs: Any, rank: int, probe: Any) -> Array:
     return result
 
 
-def bag_ext(source: Any, body: Any) -> Bag:
-    """``⊎{body(x) | x ∈ source}`` (Section 6)."""
-    out = Bag()
-    for element in source:
-        out = out.union(body(element))
-    return out
-
-
-def ext_rank(source: Any, body: Any) -> frozenset:
-    """``⋃_r{body(x, i) | x ∈ source}``: ``i`` the rank of ``x``."""
-    out: set = set()
-    for element, position in rank_elements(source):
-        out |= body(element, position)
-    return frozenset(out)
-
-
-def bag_ext_rank(source: Any, body: Any) -> Bag:
-    """``⊎_r{body(x, i) | x ∈ source}``: equal elements get consecutive
-    ranks."""
-    out = Bag()
-    for position, element in enumerate(sort_values(source), start=1):
-        out = out.union(body(element, position))
-    return out
-
-
 def seen(probe: Any, value: Any) -> Any:
     """``value``, counted as a collection if it is one (a ``range`` is
     a ``gen`` iterated without building its set)."""
@@ -162,14 +137,13 @@ def counted_bottom(probe: Any, exc: BottomError) -> None:
 
 NAMES: Dict[str, Any] = {
     "Array": Array, "Bag": Bag, "BottomError": BottomError,
-    "canonical_elements": canonical_elements,
+    "canonical_elements": canonical_elements, "rank_elements": rank_elements,
     "_product": product, "_EMPTY": frozenset(),
     "_arith": apply_arith, "_natural": natural,
     "_function": not_a_function, "_array": array, "_tuple": tuple_of,
     "_boxed": boxed, "_get": get, "_dim": dim, "_dims": dims,
     "_bottom": bottom,
-    "_indexed": indexed, "_bag_ext": bag_ext, "_ext_rank": ext_rank,
-    "_bag_ext_rank": bag_ext_rank,
+    "_indexed": indexed,
     "_seen": seen, "_filtered": counted_filter,
     "_counted_bottom": counted_bottom,
     "_GEN": "gen of non-natural {!r}",

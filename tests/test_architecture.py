@@ -206,6 +206,20 @@ class TestOneEngine:
         }
         assert callers == {"core/compile.py"}
 
+    def test_every_comprehension_is_one_loop(self):
+        """Figure 1's ⋃ and Σ and Section 6's ⊎, ⋃_r and ⊎_r are emitted
+        by one method, and a plan calls no run-time loop of its own per
+        construct (``bag_ext``, ``ext_rank`` …)."""
+        from repro.core import runtime
+        from repro.core.compile import Compiler
+
+        assert len({Compiler._NODES[kind] for kind in ast.LOOP_NODES}) == 1
+        constructs = {re.sub(r"(?<!^)(?=[A-Z])", "_", kind.__name__).lower()
+                      for kind in ast.LOOP_NODES}
+        helpers = {name.lstrip("_") for name in runtime.NAMES} | {
+            getattr(value, "__name__", "") for value in runtime.NAMES.values()}
+        assert not constructs & helpers
+
     def test_array_layout_stays_in_objects(self):
         """The code generator's rank-specialised subscripts go through
         ``Array``'s own readers: nothing under ``core/`` touches the

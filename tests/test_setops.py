@@ -24,7 +24,11 @@ from repro.errors import EvalError
 from repro.objects.array import index_set_stats
 from repro.obs.metrics import EvalMetrics, EvalProbe
 
-from conftest import CONFIGS, SCALAR, agree
+from repro.surface.desugar import desugar_expression
+from repro.surface.parser import parse_expression
+from repro.system.session import Session
+
+from conftest import CONFIGS, SCALAR, agree, aql_core, reference_outcome
 from conftest import outcome as engine_outcome
 
 
@@ -32,9 +36,10 @@ def cfg(min_cells=1):
     return DispatchConfig(min_cells=min_cells)
 
 
-def outcome(expr, config, probe=None):
-    """The production engine's outcome on a closed expression."""
-    return engine_outcome(expr, config, probe=probe, binds={})
+def outcome(expr, config, probe=None, binds=None):
+    """The production engine's outcome on an expression, closed unless
+    ``binds`` names its free variables."""
+    return engine_outcome(expr, config, probe=probe, binds=binds or {})
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +260,77 @@ class TestJoinAgreement:
         for config in CONFIGS:
             agree(join_query(relation(s), relation(t)), config, binds={})
 
+
+# ---------------------------------------------------------------------------
+# joins nested in a join's match body: one def per level
+# ---------------------------------------------------------------------------
+
+NESTED_BINDS = {"R": frozenset((i, 2 * i) for i in range(6)),
+                "S": frozenset((i, 3 * i) for i in range(6))}
+
+
+def nested_join(depth):
+    """The join of R and S wrapped around itself ``depth`` times, the
+    innermost body adding every level's ``b``."""
+    body = " + ".join(f"b{k}" for k in range(1, depth + 1)) + " + 0"
+    for k in range(1, depth + 1):
+        body = (f"{{ {body} | (\\a{k}, \\b{k}) <- R, (\\c{k}, \\d{k}) <- S, "
+                f"a{k} = c{k} }}")
+    return body
+
+
+class TestNestedJoins:
+
+    def _session(self):
+        session = Session()
+        for name, value in NESTED_BINDS.items():
+            session.env.set_val(name, value)
+        return session
+
+    @pytest.mark.slow  # the reference takes seconds at depth 6
+    def test_values_match_the_reference(self):
+        """Sets of nats all the way down, so ``==`` is exact."""
+        env = self._session().env
+        for depth in range(1, 7):
+            core = aql_core(env, nested_join(depth), optimize=True)
+            assert sum(1 for node in ast.subterms(core) if type(node)
+                       is ast.Ext and setops.recognize_join(node)) \
+                >= (depth + 1) // 2
+            want = reference_outcome(core, NESTED_BINDS)
+            assert want[0] == "value"
+            for config in CONFIGS:
+                assert outcome(core, config, binds=NESTED_BINDS) == want
+
+    def test_kept_plan_grows_linearly(self):
+        """The match body is emitted once, in a def both the hash block
+        and the nested loop call, so a level adds a fixed number of
+        lines instead of doubling the plan."""
+        session, lines = self._session(), []
+        for depth in range(1, 7):
+            core = desugar_expression(parse_expression(nested_join(depth)))
+            session.prepare(core)
+            kept = session.prepare(core)
+            assert kept.cached
+            lines.append(len(kept.evaluator.source.splitlines()))
+        steps = [after - before for before, after in zip(lines, lines[1:])]
+        assert len(set(steps[1:])) == 1, lines
+        assert lines[-1] <= 200, lines
+
+    def test_bottom_in_a_nested_match_body_is_canonical(self):
+        """⊥ from the inner join's body, for one matching pair, unwinds
+        through the outer join's def: the reference's reason, and the
+        nested loops' counts with no join counted."""
+        inner = join_query(relation(_ZERO_S), relation(_ZERO_T),
+                           body=ast.Singleton(ast.Arith(
+                               "/", N(100), snd(V("v")))),
+                           outer="u", inner="v")
+        expr = join_query(relation(S_REL), relation(T_REL),
+                          body=ast.Singleton(inner))
+        fast_metrics, naive_metrics = EvalMetrics(), EvalMetrics()
+        assert agree(expr, cfg(), fast_metrics, binds={})[0] == "bottom"
+        assert outcome(expr, SCALAR, probe=naive_metrics)[0] == "bottom"
+        assert fast_metrics.to_dict() == naive_metrics.to_dict()
+        assert fast_metrics.joins_hashed == 0
 
 # ---------------------------------------------------------------------------
 # index_k: the one grouping routine against the paper's definition

@@ -212,8 +212,8 @@ class Compiler:
     def _emit(self, expr: ast.Expr, scope: Dict[str, int]) -> str:
         """The text of ``expr``'s value; statements it needs first are
         appended to the current block."""
-        kind, shared = type(expr), self._shared.get(id(expr))
-        if shared is not None:  # a join's match body: a call of its def
+        kind, shared = type(expr), self._shared and self._shared.get(id(expr))
+        if shared:  # a join's match body: a call of its def
             number, binders = shared
             self._reads.add(number)
             return f"v{number}(" + ", ".join(
@@ -560,8 +560,9 @@ class Compiler:
         body = (lambda inner: self._add(expr.body, inner, acc)) \
             if join is None else (lambda inner: self._line(
                 join.format(acc, self._emit(expr.body, inner))))
-        # a set's start goes ahead of its source, a fold's after it: each
-        # where the plans of ⋃ and Σ have always had it
+        # a set's start goes ahead of its source and a fold's after it, as
+        # ⋃ and Σ always had them: plans with no join, bag or ranked loop
+        # keep their text (and their memoised factories)
         first = fast or join is not None
         if not first:
             self._line(f"{acc} = {start}", at=mark)
@@ -598,8 +599,7 @@ class Compiler:
         ``elements``, with ``body(scope)`` emitting its body."""
         names = [getattr(expr, name) for name in expr.BINDER_FIELDS]
         numbers = [self._bind() for _ in names]
-        self._line(f"for {', '.join(f'v{n}' for n in numbers)} "
-                   f"in {elements}:")
+        self._line(f"for {', '.join(f'v{n}' for n in numbers)} in {elements}:")
         self._level, self._loops = self._level + 1, self._loops + 1
         body({**scope, **dict(zip(names, numbers))})
         self._level, self._loops = self._level - 1, self._loops - 1
@@ -647,8 +647,8 @@ class Compiler:
             self._line(f"{matched} += len({bucket})", 1)
         self._line(f"for v{y} in {bucket}:", 1)
         self._level, self._loops = level + 6, loops + 3
-        self._add(shape.match_body, {**scope, shape.outer_var: x,
-                                     shape.inner_var: y}, acc)
+        self._line(f"{acc} |= " + self._emit(shape.match_body, {
+            **scope, shape.outer_var: x, shape.inner_var: y}))
         self._level, self._loops = level + 3, loops
         if probed:
             self._line(f"_P.on_join({matched}, {pairs} - {matched})")

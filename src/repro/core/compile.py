@@ -543,11 +543,14 @@ class Compiler:
             len(self._lines)
         gen = kind is ast.Sum and type(expr.source) is ast.Gen
         if shape:  # S evaluated once, and e emitted once: a def of (x, y)
-            # that the hash block and the loop both call (see _emit)
+            # that the hash block and the loop both call (see _emit); of
+            # e = {m} it is m, so that both still add m as a plain ⋃ does
             elements = self._spill(self._emit(expr.source, scope))
             binders, number = (shape.outer_var, shape.inner_var), self._bind()
-            self._def(binders, shape.match_body, scope, f"v{number}")
-            self._shared[id(shape.match_body)] = number, binders
+            shared = shape.match_body.expr if type(shape.match_body) \
+                is ast.Singleton else shape.match_body
+            self._def(binders, shared, scope, f"v{number}")
+            self._shared[id(shared)] = number, binders
         else:  # a kernel needs its size first
             elements, size = self._elements(expr.source, scope, gen)
         if gen:
@@ -557,9 +560,6 @@ class Compiler:
         acc = self._fresh("s" if join is None else "t")  # a set or a value
         fast = int(bool(shape) or kernel is not None)
         result = self._fresh() if fast and value != "{}" else acc
-        body = (lambda inner: self._add(expr.body, inner, acc)) \
-            if join is None else (lambda inner: self._line(
-                join.format(acc, self._emit(expr.body, inner))))
         # a set's start goes ahead of its source and a fold's after it, as
         # ⋃ and Σ always had them: plans with no join, bag or ranked loop
         # keep their text (and their memoised factories)
@@ -570,13 +570,15 @@ class Compiler:
         def loop():
             if first:
                 self._line(f"{acc} = {start}")
-            self._for(expr, elements, scope, body)
+            self._for(expr, elements, scope, lambda inner: self._add(
+                expr.body, inner, acc) if join is None else self._line(
+                    join.format(acc, self._emit(expr.body, inner))))
 
         lines, _, boxing = self._loop_body(kernel, loop, self._level + fast,
                                            self._next)
         if shape:
             state = self._join(expr, shape, scope, elements, acc, result)
-            del self._shared[id(shape.match_body)]
+            del self._shared[id(shared)]
         elif kernel is not None:
             self._line(f"{result} = None")
             self._vectorized(kernel, scope, size, result,
@@ -647,8 +649,8 @@ class Compiler:
             self._line(f"{matched} += len({bucket})", 1)
         self._line(f"for v{y} in {bucket}:", 1)
         self._level, self._loops = level + 6, loops + 3
-        self._line(f"{acc} |= " + self._emit(shape.match_body, {
-            **scope, shape.outer_var: x, shape.inner_var: y}))
+        self._add(shape.match_body, {**scope, shape.outer_var: x,
+                                     shape.inner_var: y}, acc)
         self._level, self._loops = level + 3, loops
         if probed:
             self._line(f"_P.on_join({matched}, {pairs} - {matched})")
@@ -661,8 +663,8 @@ class Compiler:
     def _add(self, body: ast.Expr, scope, acc: str) -> None:
         """Statements adding the set ``body`` into ``acc``.  ``{m}`` and
         an ``ext`` under any number of ``if c then … else {}`` add into
-        ``acc`` under ``if`` statements; a probe counts what the unfused
-        plan would.  A join's shared body is added whole."""
+        ``acc`` under ``if`` statements (a join's body that its def gives
+        adds whole); a probe counts what the unfused plan would."""
         conds, member = [], body
         while type(member) is ast.If and type(member.orelse) is ast.EmptySet \
                 and id(member) not in self._shared:

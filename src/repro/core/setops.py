@@ -16,8 +16,7 @@ The naive loops evaluate the condition |S|·|T| times.  For a recognised
 join :meth:`repro.core.compile.Compiler._loop` emits, ahead of that
 loop, a block of plan lines that evaluates κ' once per element of T to
 build a hash index, probes it once per element of S, and evaluates
-``e`` only for matching pairs — O(|S|+|T|+matches).  ``e`` is emitted
-once, as a local ``def`` both the block and the loop call.  Skipped pairs are
+``e`` only for matching pairs — O(|S|+|T|+matches).  Skipped pairs are
 sound because the else-branch is syntactically ``{}``: a non-matching
 pair contributes the empty set and *cannot* raise, so leaving it out
 changes nothing.

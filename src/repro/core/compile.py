@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import linecache
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from itertools import count
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -73,6 +73,8 @@ _COMPREHENSIONS = {
     ast.BagExtRank: ("Bag()", "rank_elements({})", "{0} = {0}.union({1})",
                      "{}"),
 }
+#: a join's match body (m of a body {m}) in its loops: a call of its def
+_Call = namedtuple("_Call", "number binders")
 #: kinds whose value may be a set or bag: a probe counts it as one
 _COLLECTIONS = frozenset((
     ast.EmptySet, ast.Singleton, ast.Ext, ast.Gen, ast.ExtRank, ast.EmptyBag,
@@ -148,8 +150,6 @@ class Compiler:
         # val -> its local; the variables subscripted; the last one read
         self._params: Dict[str, int] = {}
         self._boxed, self._last = set(), None
-        # a join's match body -> its def and the binders it is called with
-        self._shared: Dict[int, Tuple[int, Tuple[str, str]]] = {}
         # an empty Σ is the nat 0 whatever its body's type: unless every
         # Σ is proven nat, a real type proves no float
         self._reals = bool(self._types) and all(
@@ -212,12 +212,11 @@ class Compiler:
     def _emit(self, expr: ast.Expr, scope: Dict[str, int]) -> str:
         """The text of ``expr``'s value; statements it needs first are
         appended to the current block."""
-        kind, shared = type(expr), self._shared and self._shared.get(id(expr))
-        if shared:  # a join's match body: a call of its def
-            number, binders = shared
-            self._reads.add(number)
-            return f"v{number}(" + ", ".join(
-                f"v{scope[name]}" for name in binders) + ")"
+        kind = type(expr)
+        if kind is _Call:  # counted by the def it calls
+            self._reads.add(expr.number)
+            return f"v{expr.number}(" + ", ".join(
+                f"v{scope[name]}" for name in expr.binders) + ")"
         if self._depth >= _SPILL_DEPTH:
             depth, self._depth = self._depth, 0
             text = self._spill(self._emit(expr, scope))
@@ -543,14 +542,17 @@ class Compiler:
             len(self._lines)
         gen = kind is ast.Sum and type(expr.source) is ast.Gen
         if shape:  # S evaluated once, and e emitted once: a def of (x, y)
-            # that the hash block and the loop both call (see _emit); of
+            # that the hash block and the loop both call in e's place; of
             # e = {m} it is m, so that both still add m as a plain ⋃ does
             elements = self._spill(self._emit(expr.source, scope))
-            binders, number = (shape.outer_var, shape.inner_var), self._bind()
-            shared = shape.match_body.expr if type(shape.match_body) \
-                is ast.Singleton else shape.match_body
-            self._def(binders, shared, scope, f"v{number}")
-            self._shared[id(shared)] = number, binders
+            body, inner = shape.match_body, expr.body
+            member = body.expr if type(body) is ast.Singleton else body
+            call = _Call(self._bind(), (shape.outer_var, shape.inner_var))
+            self._def(call.binders, member, scope, f"v{call.number}")
+            body = call if member is body else ast.Singleton(call)
+            expr = ast.Ext(expr.var, ast.Ext(inner.var, ast.If(
+                inner.body.cond, body, inner.body.orelse), inner.source),
+                expr.source)
         else:  # a kernel needs its size first
             elements, size = self._elements(expr.source, scope, gen)
         if gen:
@@ -577,8 +579,8 @@ class Compiler:
         lines, _, boxing = self._loop_body(kernel, loop, self._level + fast,
                                            self._next)
         if shape:
-            state = self._join(expr, shape, scope, elements, acc, result)
-            del self._shared[id(shared)]
+            state = self._join(expr, shape, body, scope, elements, acc,
+                               result)
         elif kernel is not None:
             self._line(f"{result} = None")
             self._vectorized(kernel, scope, size, result,
@@ -606,11 +608,11 @@ class Compiler:
         body({**scope, **dict(zip(names, numbers))})
         self._level, self._loops = self._level - 1, self._loops - 1
 
-    def _join(self, expr: ast.Ext, shape: setops.JoinShape, scope,
+    def _join(self, expr: ast.Ext, shape: setops.JoinShape, body, scope,
               source: str, acc: str, result: str):
         """The hash equi-join block (docs/SETOPS.md): index T by κ'(y),
-        probe it with κ(x) per x in ``source`` and add e per matching
-        pair into ``acc``, setting ``result``.  It stays ``None`` when
+        probe it with κ(x) per x in ``source`` and add e (``body``) per
+        matching pair into ``acc``, setting ``result``.  It stays ``None`` when
         the config declines or anything raises, and a probe is then to
         be restored to the snapshot this returns.  A source proven a set
         skips its test, and keys proven free of reals (NaN, -0.0) hash
@@ -649,8 +651,8 @@ class Compiler:
             self._line(f"{matched} += len({bucket})", 1)
         self._line(f"for v{y} in {bucket}:", 1)
         self._level, self._loops = level + 6, loops + 3
-        self._add(shape.match_body, {**scope, shape.outer_var: x,
-                                     shape.inner_var: y}, acc)
+        self._add(body, {**scope, shape.outer_var: x, shape.inner_var: y},
+                  acc)
         self._level, self._loops = level + 3, loops
         if probed:
             self._line(f"_P.on_join({matched}, {pairs} - {matched})")
@@ -663,11 +665,10 @@ class Compiler:
     def _add(self, body: ast.Expr, scope, acc: str) -> None:
         """Statements adding the set ``body`` into ``acc``.  ``{m}`` and
         an ``ext`` under any number of ``if c then … else {}`` add into
-        ``acc`` under ``if`` statements (a join's body that its def gives
-        adds whole); a probe counts what the unfused plan would."""
+        ``acc`` under ``if`` statements; a probe counts what the unfused
+        plan would."""
         conds, member = [], body
-        while type(member) is ast.If and type(member.orelse) is ast.EmptySet \
-                and id(member) not in self._shared:
+        while type(member) is ast.If and type(member.orelse) is ast.EmptySet:
             conds.append(member.cond)
             member = member.then
         kind, probed, level = type(member), self.probe is not None, \
@@ -675,8 +676,7 @@ class Compiler:
         nested = kind is ast.Ext and self._loops < _LIFT_LOOPS \
             and level <= _LIFT_LEVEL \
             and not setops.recognize_join(member)
-        if id(member) in self._shared or kind is not ast.Singleton \
-                and not nested:
+        if kind is not ast.Singleton and not nested:
             self._line(f"{acc} |= {self._emit(body, scope)}")
             return
         for cond in conds:

@@ -238,6 +238,16 @@ class TestJoinAgreement:
         assert probe.joins == [(matched,
                                 len(S_REL) * len(T_REL) - matched)]
 
+    def test_match_body_sharing_a_node_with_a_key(self):
+        """One node object may sit in a key and in ``e`` (the optimizer
+        shares subterms): ``e``'s def stands in at ``e``'s place only."""
+        key = fst(V("x"))
+        expr = join_query(relation(S_REL), relation(T_REL),
+                          cond=ast.Cmp("=", key, fst(V("y"))),
+                          body=ast.Singleton(key))
+        for config in CONFIGS:
+            assert agree(expr, config, binds={})[0] == "value"
+
     def test_mixed_kind_keys_stay_distinct(self):
         # 1, 1.0 and true collide under Python hashing but are distinct
         # calculus values; HashKey must keep them apart

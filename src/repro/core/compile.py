@@ -56,15 +56,15 @@ FACTORY_CAPACITY = 256
 #: host refuses 100 indentation levels and 20 nested blocks)
 _SPILL_DEPTH, _LIFT_LEVEL, _LIFT_LOOPS = 12, 40, 8
 
-_LOOPS = frozenset((*ast.LOOP_NODES, ast.Tabulate))
-#: per comprehension (Figure 1's ⋃ and Σ, Section 6's ⊎, ⋃_r and ⊎_r):
-#: the accumulator's start, the walk of the source, how one body's value
-#: joins the accumulator (``None``: ``Compiler._add`` adds a set body's
-#: statements) and the comprehension's value.  Σ walks in canonical order,
-#: NOT frozenset hash order: float addition is non-associative, so a
-#: hash-ordered Σ over reals would differ between runs and platforms (a
-#: range is in that order already); a ranked walk gives a bag's equal
-#: elements consecutive ranks
+#: per comprehension (Figure 1's ⋃ and Σ, Section 6's ⊎, ⋃_r and ⊎_r)
+#: and tabulation: the accumulator's start, the walk of the source (a
+#: tabulation walks its index domain), how one body's value joins the
+#: accumulator (``None``: ``Compiler._add`` adds a set body's statements)
+#: and the construct's value (``{1}``: a tabulation's extents).  Σ walks
+#: in canonical order, NOT frozenset hash order: float addition is
+#: non-associative, so a hash-ordered Σ over reals would differ between
+#: runs and platforms (a range is in that order already); a ranked walk
+#: gives a bag's equal elements consecutive ranks
 _COMPREHENSIONS = {
     ast.Ext: ("set()", "{}", None, "frozenset({})"),
     ast.ExtRank: ("set()", "rank_elements({})", None, "frozenset({})"),
@@ -72,7 +72,9 @@ _COMPREHENSIONS = {
     ast.BagExt: ("Bag()", "{}", "{0} = {0}.union({1})", "{}"),
     ast.BagExtRank: ("Bag()", "rank_elements({})", "{0} = {0}.union({1})",
                      "{}"),
+    ast.Tabulate: ("[]", "{}", "{0}.append({1})", "Array({1}, {0})"),
 }
+_LOOPS = frozenset(_COMPREHENSIONS)
 #: a join's match body (m of a body {m}) in its loops: a call of its def
 _Call = namedtuple("_Call", "number binders")
 #: kinds whose value may be a set or bag: a probe counts it as one
@@ -530,18 +532,33 @@ class Compiler:
         return f"_seen(_P, {self._counted('Gen', mark, elements)})", size
 
     def _loop(self, expr, scope) -> str:
-        """Every comprehension, by :data:`_COMPREHENSIONS`: the
-        accumulator's start, one ``for`` over the walk of the source
-        joining each body into it, and its value.  A recognised
-        equi-join's hash block or a ``Σ`` kernel comes first, and the
-        loop runs if it leaves the result ``None``."""
+        """Every comprehension and tabulation, by :data:`_COMPREHENSIONS`:
+        the accumulator's start, ``for`` statements over the walk of the
+        source (a tabulation's index domain) joining each body into it,
+        and its value.  A recognised equi-join's hash block or a kernel
+        comes first, and the loop runs if it leaves the result ``None``."""
         kind, probed = type(expr), self.probe is not None
         start, walk, join, value = _COMPREHENSIONS[kind]
-        depth, self._depth, kernel = self._depth, 0, None
-        shape, mark = kind is ast.Ext and setops.recognize_join(expr), \
-            len(self._lines)
+        depth, self._depth, guard, extents = self._depth, 0, None, None
+        shape = kind is ast.Ext and setops.recognize_join(expr)
         gen = kind is ast.Sum and type(expr.source) is ast.Gen
-        if shape:  # S evaluated once, and e emitted once: a def of (x, y)
+        if kind is ast.Tabulate:
+            dims = [self._spill(text) for text in self._seq(
+                [(bound, lambda text, bound=bound: self._as_natural(
+                    bound, text, "_BOUND")) for bound in expr.bounds], scope)]
+            extents, size = f"({', '.join(dims)},)", \
+                self._spill(" * ".join(dims))
+            heads = [((var,), f"range({dim})")
+                     for var, dim in zip(expr.vars, dims)]
+            if len(heads) > 2:  # one loop over the product, not one per axis
+                heads = [(expr.vars, "_product(" + ", ".join(
+                    elements for _, elements in heads) + ")")]
+            if len(dims) > 1:  # an empty domain is not walked at all
+                guard = size
+            # a kernel's finish, its value on an empty grid and its count
+            vector = f"_kpublish({{}}, {extents})", f"Array({extents}, [])", \
+                "{}.size"
+        elif shape:  # S evaluated once, and e emitted once: a def of (x, y)
             # that the hash block and the loop both call in e's place; of
             # e = {m} it is m, so that both still add m as a plain ⋃ does
             elements = self._spill(self._emit(expr.source, scope))
@@ -556,57 +573,66 @@ class Compiler:
         else:  # a kernel needs its size first
             elements, size = self._elements(expr.source, scope, gen)
         if gen:
-            kernel = self._kernel((expr.var,), expr.body, f"({size},)")
-        elif kind is not ast.Sum or type(expr.body) is not ast.NatLit:
-            elements = walk.format(elements)  # a literal Σ body adds exactly
+            extents, vector = f"({size},)", (f"_ksum({{}}, {size})", "0", size)
+        if kind is not ast.Tabulate:  # a literal Σ body adds exactly
+            literal = gen or kind is ast.Sum and type(expr.body) is ast.NatLit
+            heads = [(tuple(getattr(expr, name) for name in
+                            expr.BINDER_FIELDS),
+                      elements if literal else walk.format(elements))]
+        kernel = extents and self._kernel(
+            [name for names, _ in heads for name in names], expr.body, extents)
         acc = self._fresh("s" if join is None else "t")  # a set or a value
         fast = int(bool(shape) or kernel is not None)
         result = self._fresh() if fast and value != "{}" else acc
-        # a set's start goes ahead of its source and a fold's after it, as
-        # ⋃ and Σ always had them: plans with no join, bag or ranked loop
-        # keep their text (and their memoised factories)
-        first = fast or join is not None
-        if not first:
-            self._line(f"{acc} = {start}", at=mark)
 
         def loop():
-            if first:
-                self._line(f"{acc} = {start}")
-            self._for(expr, elements, scope, lambda inner: self._add(
+            self._line(f"{acc} = {start}")
+            self._for(heads, scope, lambda inner: self._add(
                 expr.body, inner, acc) if join is None else self._line(
-                    join.format(acc, self._emit(expr.body, inner))))
+                    join.format(acc, self._emit(expr.body, inner))), guard)
+            if probed and kind is ast.Tabulate:
+                self._line(f"_P.on_cells(len({acc}))")
 
-        lines, _, boxing = self._loop_body(kernel, loop, self._level + fast,
-                                           self._next)
+        outer, self._boxed = self._boxed, set()
+        lines = self._nested(loop, self._level + fast, self._next)[0]
+        boxed, self._boxed = self._boxed, outer
         if shape:
             state = self._join(expr, shape, body, scope, elements, acc,
                                result)
         elif kernel is not None:
-            self._line(f"{result} = None")
-            self._vectorized(kernel, scope, size, result,
-                             f"_ksum({{}}, {size})", "0", size)
+            self._vectorized(kernel, scope, size, result, *vector)
         if fast:
             self._line(f"if {result} is None:")
             if shape and probed:
                 self._line(f"_P.restore({state})", 1)
-        for line in boxing:
-            self._line(line, fast)
+        if kernel is None:
+            outer |= boxed
+        else:  # a kernel's fallback boxes the vals it subscripts
+            for number in sorted(boxed & set(self._params.values())):
+                self._line(f"_boxed(v{number})", 1)
         self._lines += lines
         self._depth = depth
         if result == acc:
-            return value.format(acc)
-        self._line(f"{result} = {value.format(acc)}", 1)
+            return value.format(acc, extents)
+        self._line(f"{result} = {value.format(acc, extents)}", 1)
         return result
 
-    def _for(self, expr, elements: str, scope, body) -> None:
-        """A ``for`` statement binding ``expr``'s binders to each of
-        ``elements``, with ``body(scope)`` emitting its body."""
-        names = [getattr(expr, name) for name in expr.BINDER_FIELDS]
-        numbers = [self._bind() for _ in names]
-        self._line(f"for {', '.join(f'v{n}' for n in numbers)} in {elements}:")
-        self._level, self._loops = self._level + 1, self._loops + 1
-        body({**scope, **dict(zip(names, numbers))})
-        self._level, self._loops = self._level - 1, self._loops - 1
+    def _for(self, heads, scope, body, guard: Optional[str] = None) -> None:
+        """Nested ``for`` statements binding each head's binders to its
+        elements, under ``if guard:`` if given, with ``body(scope)``
+        emitting the innermost body."""
+        level, loops = self._level, self._loops
+        if guard is not None:  # a nested block, counted as a loop
+            self._line(f"if {guard}:")
+            self._level, self._loops = level + 1, loops + 1
+        for names, elements in heads:
+            numbers = [self._bind() for _ in names]
+            self._line(f"for {', '.join(f'v{n}' for n in numbers)} "
+                       f"in {elements}:")
+            self._level, self._loops = self._level + 1, self._loops + 1
+            scope = {**scope, **dict(zip(names, numbers))}
+        body(scope)
+        self._level, self._loops = level, loops
 
     def _join(self, expr: ast.Ext, shape: setops.JoinShape, body, scope,
               source: str, acc: str, result: str):
@@ -694,8 +720,9 @@ class Compiler:
             if probed:  # the nested ext's own set, for its count
                 self._line("_on('Ext')")
                 self._line(f"{into} = set()")
-            self._for(member, self._elements(member.source, scope)[0], scope,
-                      lambda inner: self._add(member.body, inner, into))
+            self._for([((member.var,), self._elements(member.source,
+                                                      scope)[0])],
+                      scope, lambda inner: self._add(member.body, inner, into))
             if probed:
                 self._line(f"{acc} |= {into}")
                 size = f"len({into})"
@@ -706,58 +733,6 @@ class Compiler:
                 self._line(f"_filtered(_P, None, {levels})")
                 self._level -= 1
         self._level = level
-
-    def _loop_body(self, kernel, emit: Callable[[], Any], level: int,
-                   start: int, loops: int = 0):
-        """:meth:`_nested` for a comprehension or tabulation loop, and the
-        lines for its head: a kernel's fallback boxes the vals it
-        subscripts."""
-        outer, self._boxed = self._boxed, set()
-        lines, text, _ = self._nested(emit, level, start, loops=loops)
-        inner, self._boxed = self._boxed, outer
-        if kernel is None:
-            outer |= inner
-            return lines, text, []
-        return lines, text, [f"_boxed(v{number})" for number in sorted(inner)
-                             if number in self._params.values()]
-
-    def _tabulate(self, expr: ast.Tabulate, scope) -> str:
-        dims = [self._spill(text) for text in self._seq(
-            [(bound, lambda text, bound=bound: self._as_natural(
-                bound, text, "_BOUND")) for bound in expr.bounds], scope)]
-        extents, cells = f"({', '.join(dims)},)", self._spill(" * ".join(dims))
-        result, probed = self._fresh(), self.probe is not None
-        self._line(f"{result} = None")
-        kernel = self._kernel(expr.vars, expr.body, extents)
-        if kernel is not None:
-            self._vectorized(kernel, scope, cells, result,
-                             f"_kpublish({{}}, {extents})",
-                             f"Array({extents}, [])", f"{result}.size")
-        start = self._next
-        numbers = [self._bind() for _ in expr.vars]
-        inner = {**scope, **dict(zip(expr.vars, numbers))}
-        loops = [f"for v{number} in range({dim}):"
-                 for number, dim in zip(numbers, dims)]
-        if len(loops) > 2:  # one loop over the product, not one per axis
-            loops = [f"for {', '.join(f'v{n}' for n in numbers)} in "
-                     f"_product({', '.join(f'range({d})' for d in dims)}):"]
-        if len(numbers) > 1:  # an empty domain is not walked at all
-            loops.insert(0, f"if {cells}:")
-        lines, body, boxing = self._loop_body(
-            kernel, lambda: self._emit(expr.body, inner),
-            self._level + len(loops) + 1, start, len(loops))
-        acc = self._fresh("s")
-        self._line(f"if {result} is None:")
-        for line in [*boxing, f"{acc} = []"]:
-            self._line(line, 1)
-        for deeper, loop in enumerate(loops, 1):
-            self._line(loop, deeper)
-        self._lines += lines
-        self._line(f"{acc}.append({body})", len(loops) + 1)
-        if probed:
-            self._line(f"_P.on_cells(len({acc}))", 1)
-        self._line(f"{result} = Array({extents}, {acc})", 1)
-        return result
 
     # -- kernels: a recognised body as numpy lines ----------------------------
 
@@ -844,13 +819,15 @@ class Compiler:
 
     def _vectorized(self, kernel, scope, size: str, result: str,
                     finish: str, empty: str, count: str) -> None:
-        """The kernel block: when the live config wants a kernel of
-        ``size`` cells, bind the leaves and set ``result`` to ``finish``
-        of the numpy lines' value (``empty`` on an empty grid); a
+        """The kernel block: ``result`` is ``None`` unless the live config
+        wants a kernel of ``size`` cells; then bind the leaves and set it
+        to ``finish`` of the numpy lines' value (``empty`` on an empty
+        grid), counting ``count`` cells (``{}``: of ``result``).  A
         ``_Fallback`` leaves it ``None``, for the loop after it."""
         leaves, lines, value = kernel
         depth, self._depth = self._depth, 0
-        block = [(0, f"if _cfg.wants_kernel({size}):"),
+        block = [(0, f"{result} = None"),
+                 (0, f"if _cfg.wants_kernel({size}):"),
                  *((1, f"{name} = {self._emit(leaf, scope)}")
                    for leaf, name in leaves.items()),
                  (1, f"if {size}:"), (2, "try:"), (3, "with _quiet():"),
@@ -861,17 +838,17 @@ class Compiler:
         self._depth = depth
         if self.probe is not None:
             block.append((1, f"if {result} is not None: "
-                             f"_P.on_cells_vectorized({count})"))
+                             f"_P.on_cells_vectorized("
+                             f"{count.format(result)})"))
         for deeper, text in block:
             self._line(text, deeper)
 
     _NODES = {
-        ast.Var: _var, ast.App: _app, **dict.fromkeys(ast.LOOP_NODES, _loop),
+        ast.Var: _var, ast.App: _app, **dict.fromkeys(_LOOPS, _loop),
         ast.Lam: lambda self, e, scope: self._def((e.param,), e.body, scope),
         **dict.fromkeys((ast.BoolLit, ast.NatLit, ast.RealLit, ast.StrLit,
                          ast.Const), _literal),
-        ast.If: _if, ast.Tabulate: _tabulate, ast.MkArray: _mk_array,
-        ast.Prim: _prim,
+        ast.If: _if, ast.MkArray: _mk_array, ast.Prim: _prim,
     }
 
 

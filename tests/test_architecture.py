@@ -207,13 +207,16 @@ class TestOneEngine:
         assert callers == {"core/compile.py"}
 
     def test_every_comprehension_is_one_loop(self):
-        """Figure 1's ⋃ and Σ and Section 6's ⊎, ⋃_r and ⊎_r are emitted
-        by one method, and a plan calls no run-time loop of its own per
-        construct (``bag_ext``, ``ext_rank`` …)."""
+        """Figure 1's ⋃, Σ and tabulation and Section 6's ⊎, ⋃_r and ⊎_r
+        are emitted by one method, with no loop emitter of tabulation's
+        own, and a plan calls no run-time loop of its own per construct
+        (``bag_ext``, ``ext_rank`` …)."""
         from repro.core import runtime
         from repro.core.compile import Compiler
 
-        assert len({Compiler._NODES[kind] for kind in ast.LOOP_NODES}) == 1
+        assert len({Compiler._NODES[kind]
+                    for kind in (*ast.LOOP_NODES, ast.Tabulate)}) == 1
+        assert not {"_tabulate", "_loop_body"} & set(vars(Compiler))
         constructs = {re.sub(r"(?<!^)(?=[A-Z])", "_", kind.__name__).lower()
                       for kind in ast.LOOP_NODES}
         helpers = {name.lstrip("_") for name in runtime.NAMES} | {

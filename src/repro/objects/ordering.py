@@ -20,7 +20,7 @@ handy for deterministic printing.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Any, Iterable, List
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.objects import dense
 from repro.objects.values import value_equal, value_kind
@@ -39,6 +39,12 @@ _KIND_RANK = {
 
 def compare_values(a: Any, b: Any) -> int:
     """Three-way comparison under ``<_t``: negative, zero, or positive."""
+    return _compare(a, b, {})
+
+
+def _compare(a: Any, b: Any, memo: Dict[int, Tuple[Any, List[Any]]]) -> int:
+    """:func:`compare_values`, sorting each set or bag at most once per
+    ``memo`` (see :func:`_sorted`)."""
     kind_a = value_kind(a)
     kind_b = value_kind(b)
     if kind_a != kind_b:
@@ -51,13 +57,11 @@ def compare_values(a: Any, b: Any) -> int:
     if kind_a in ("bool", "nat", "real", "string"):
         return _cmp_scalar(a, b)
     if kind_a == "tuple":
-        return _cmp_sequences(a, b)
-    if kind_a == "set":
-        return _cmp_sequences(sort_values(a), sort_values(b))
-    if kind_a == "bag":
-        return _cmp_sequences(sort_values(list(a)), sort_values(list(b)))
+        return _cmp_sequences(a, b, memo)
+    if kind_a in ("set", "bag"):
+        return _cmp_sequences(_sorted(a, memo), _sorted(b, memo), memo)
     if kind_a == "array":
-        by_dims = _cmp_sequences(a.dims, b.dims)
+        by_dims = _cmp_sequences(a.dims, b.dims, memo)
         if by_dims != 0:
             return by_dims
         block_a = a.block
@@ -70,8 +74,26 @@ def compare_values(a: Any, b: Any) -> int:
             outcome = dense.compare_blocks(block_a, block_b)
             if outcome is not None:
                 return outcome
-        return _cmp_sequences(a.flat, b.flat)
+        return _cmp_sequences(a.flat, b.flat, memo)
     raise AssertionError(kind_a)
+
+
+def _sorted(collection: Any, memo: Dict[int, Tuple[Any, List[Any]]]
+            ) -> List[Any]:
+    """A set's or bag's elements (with multiplicity) under ``<_t``,
+    sorted once per ``memo``.  Sorting a collection compares its
+    elements, and comparing two nested collections sorts both: without
+    the memo (keyed by identity, holding the collection so its id stays
+    its own) each level re-sorts every level below it, a cost
+    exponential in the nesting depth."""
+    entry = memo.get(id(collection))
+    if entry is None:
+        entry = memo[id(collection)] = (collection, _sort(collection, memo))
+    return entry[1]
+
+
+def _sort(values: Iterable[Any], memo) -> List[Any]:
+    return sorted(values, key=cmp_to_key(lambda a, b: _compare(a, b, memo)))
 
 
 def _cmp_scalar(a: Any, b: Any) -> int:
@@ -82,7 +104,7 @@ def _cmp_scalar(a: Any, b: Any) -> int:
     return 0
 
 
-def _cmp_sequences(a: Iterable[Any], b: Iterable[Any]) -> int:
+def _cmp_sequences(a: Iterable[Any], b: Iterable[Any], memo) -> int:
     a = list(a)
     b = list(b)
     for x, y in zip(a, b):
@@ -92,7 +114,7 @@ def _cmp_sequences(a: Iterable[Any], b: Iterable[Any]) -> int:
                 and not isinstance(x, bool) and not isinstance(y, bool):
             outcome = _cmp_scalar(x, y)
         else:
-            outcome = compare_values(x, y)
+            outcome = _compare(x, y, memo)
         if outcome != 0:
             return outcome
     return _cmp_scalar(len(a), len(b))
@@ -129,8 +151,9 @@ COMPARISONS = {
 
 
 def sort_values(values: Iterable[Any]) -> List[Any]:
-    """Sort values ascending under ``<_t`` (stable, deterministic)."""
-    return sorted(values, key=cmp_to_key(compare_values))
+    """Sort values ascending under ``<_t`` (stable, deterministic); a
+    collection nested at any depth is sorted once per call."""
+    return _sort(values, {})
 
 
 #: scalar types whose native Python order agrees with ``<_t`` and whose

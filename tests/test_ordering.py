@@ -1,17 +1,23 @@
 """Tests for the canonical linear order <_t (Sections 2 and 6)."""
 
+from functools import cmp_to_key
+
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.objects.array import Array
 from repro.objects.bag import Bag
 from repro.objects.exchange import dumps
 from repro.objects.ordering import (
+    _KIND_RANK,
+    canonical_elements,
     compare_values,
     rank_elements,
     sort_values,
     value_le,
     value_lt,
 )
+from repro.objects.values import value_kind
 
 from conftest import values
 
@@ -108,3 +114,96 @@ class TestSortAndRank:
         ordered = sort_values(collection)
         for left, right in zip(ordered, ordered[1:]):
             assert value_le(left, right)
+
+
+# -- sorting nested collections: once per collection, same order ------------
+
+def _reference_compare(a, b):
+    """``compare_values`` as first written: every comparison of two sets
+    or bags sorts both again, so sorting costs time exponential in the
+    nesting depth.  The order itself is the definition (arrays here by
+    dims, then cells, without the dense store's shortcut)."""
+    kind_a, kind_b = value_kind(a), value_kind(b)
+    if kind_a != kind_b:
+        if {kind_a, kind_b} == {"nat", "real"}:
+            return _reference_scalar(float(a), float(b)) or \
+                _reference_scalar(_KIND_RANK[kind_a], _KIND_RANK[kind_b])
+        return _reference_scalar(_KIND_RANK[kind_a], _KIND_RANK[kind_b])
+    if kind_a in ("bool", "nat", "real", "string"):
+        return _reference_scalar(a, b)
+    if kind_a == "tuple":
+        return _reference_sequences(a, b)
+    if kind_a in ("set", "bag"):
+        return _reference_sequences(_reference_sort(list(a)),
+                                    _reference_sort(list(b)))
+    return _reference_sequences(a.dims, b.dims) or \
+        _reference_sequences(a.flat, b.flat)
+
+
+def _reference_scalar(a, b):
+    return -1 if a < b else 1 if a > b else 0
+
+
+def _reference_sequences(a, b):
+    a, b = list(a), list(b)
+    for x, y in zip(a, b):
+        if isinstance(x, (bool, str)) and type(x) is type(y):
+            outcome = _reference_scalar(x, y)
+        elif isinstance(x, (int, float)) and isinstance(y, (int, float)) \
+                and not isinstance(x, bool) and not isinstance(y, bool):
+            outcome = _reference_scalar(x, y)
+        else:
+            outcome = _reference_compare(x, y)
+        if outcome != 0:
+            return outcome
+    return _reference_scalar(len(a), len(b))
+
+
+def _reference_sort(items):
+    return sorted(items, key=cmp_to_key(_reference_compare))
+
+
+def _nested(depth, partial=0):
+    """The value of ``test_setops.nested_join(depth)`` over its
+    ``NESTED_BINDS``: sets of sets ``depth`` deep whose innermost
+    elements add one of 0, 2, …, 10 per level."""
+    if depth == 0:
+        return partial
+    return frozenset(_nested(depth - 1, partial + b) for b in range(0, 12, 2))
+
+
+_NESTED_COLLECTIONS = st.recursive(
+    st.one_of(st.integers(-3, 3), st.sampled_from([0.5, -0.0, 2.0])),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(frozenset),
+        st.lists(children, max_size=4).map(Bag),
+        st.lists(children, min_size=2, max_size=2).map(tuple)),
+    max_leaves=24)
+
+
+class TestNestedSorting:
+    @given(st.lists(_NESTED_COLLECTIONS, max_size=6))
+    def test_nested_collections_sort_as_the_definition(self, items):
+        """The same objects in the same positions as the definition."""
+        assert [id(item) for item in sort_values(items)] == \
+            [id(item) for item in _reference_sort(items)]
+        for left, right in zip(items, items[1:]):
+            assert compare_values(left, right) == \
+                _reference_compare(left, right)
+
+    def test_nested_join_values_sort_as_the_definition(self):
+        for depth in range(1, 5):
+            elements = list(_nested(depth))
+            assert [id(item) for item in sort_values(elements)] == \
+                [id(item) for item in _reference_sort(elements)]
+
+    def test_a_depth_six_value_sorts(self):
+        """Each nested set is sorted once per call: the definition's
+        re-sorting took about 20 times longer per level of depth."""
+        value = _nested(6)
+        ordered = canonical_elements(value)
+        assert len(ordered) == len(value) == 6
+        for left, right in zip(ordered, ordered[1:]):
+            assert value_lt(left, right)
+        assert [rank for _, rank in rank_elements(value)] == \
+            list(range(1, 7))

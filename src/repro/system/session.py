@@ -290,16 +290,18 @@ class Session:
         The plan's code is used only on the unobserved fast path; an
         instrumented run generates probed code through the
         environment's evaluator (the ``codegen`` span) so counters stay
-        accurate, and keeps its source for EXPLAIN.  The run is not
-        timed or priced: EXPLAIN asks ``env.cost`` for the units of its
-        own core (see :meth:`profile`).
+        accurate, and keeps its source for EXPLAIN.  A hit's probed code
+        is typed like the plan the cache keeps, so EXPLAIN shows the text
+        a hit runs.  The run is not timed or priced: EXPLAIN asks
+        ``env.cost`` for the units of its own core (see :meth:`profile`).
         """
         env = self.env
         evaluator = plan.evaluator
         if evaluator is None or env.obs.enabled:
             evaluator = env.evaluator()
             with env.obs.tracer.span("codegen"):
-                evaluator.prepare(plan.core)
+                evaluator.prepare(plan.core, types=env.node_types(
+                    plan.core) if plan.cached else None)
             if plan.core is self._last_core:
                 self._last_code = evaluator.source
         with env.obs.tracer.span("evaluate"):

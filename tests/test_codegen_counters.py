@@ -360,3 +360,18 @@ def test_top_level_sum_counts_its_terms(n):
     assert report.value == sum(i % 7 for i in range(n))
     assert report.to_dict()["metrics"]["cells_vectorized"] == (
         n if n >= DEFAULT_MIN_CELLS else 0)
+
+
+def test_profiling_a_hit_runs_the_kept_plan(tmp_path):
+    """EXPLAIN of a plan-cache hit probes the plan the cache keeps (typed
+    from the optimized core), not the guarded text of a miss: the same
+    counters, and none of the guards its types prove, such as the
+    ``_HashKey`` wrapping of the nat-keyed ``join``."""
+    session = _session(tmp_path)
+    for label, text in QUERIES.items():
+        miss, hit = session.explain(text), session.explain(text)
+        assert hit.cache["hits"] > miss.cache["hits"], label
+        assert hit.to_dict()["metrics"] == miss.to_dict()["metrics"], label
+        if label == "join":
+            assert "_HashKey(" in miss.code
+            assert "_HashKey(" not in hit.code

@@ -170,6 +170,8 @@ def _co_writer(value: Any, args: Any) -> None:
 
 
 def _typed_field(text: str) -> Any:
+    """A CSV field as an int, else a float, else its text (the CSV and
+    SQL readers alike)."""
     try:
         return int(text)
     except ValueError:

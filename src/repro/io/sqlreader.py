@@ -30,6 +30,7 @@ import re
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import SessionError
+from repro.io.drivers import _typed_field
 from repro.objects.ordering import compare_values
 
 _TOKEN = re.compile(
@@ -145,25 +146,13 @@ def _parse(text: str) -> _Query:
     return _Query(columns, tables, predicates)
 
 
-def _typed(text: str) -> Any:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
 def _load_table(path: str) -> Tuple[List[str], List[List[Any]]]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(_csv.reader(handle))
     if not rows:
         raise SessionError(f"SQL: empty table file {path!r}")
     header = [name.strip() for name in rows[0]]
-    data = [[_typed(field) for field in row] for row in rows[1:] if row]
+    data = [[_typed_field(field) for field in row] for row in rows[1:] if row]
     return header, data
 
 

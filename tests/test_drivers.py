@@ -5,6 +5,7 @@ import pytest
 from repro.errors import RegistrationError, SessionError
 from repro.io.drivers import DriverRegistry, default_registry, make_netcdf_reader
 from repro.io.netcdf import write_netcdf
+from repro.io.sqlreader import make_sql_reader
 from repro.objects.array import Array
 from repro.objects.bag import Bag
 
@@ -159,3 +160,16 @@ class TestCSVDriver:
     def test_writer_rejects_non_sets(self, registry, tmp_path):
         with pytest.raises(SessionError):
             registry.writer("CSV")(42, str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("field, typed", [
+        ("7", 7), ("7.5", 7.5), ("-3", -3), ("1e3", 1000.0), ("x", "x")])
+    def test_csv_and_sql_type_a_field_alike(self, registry, tmp_path,
+                                            field, typed):
+        """int, else float, else the text: one typing for both readers."""
+        path = tmp_path / "t.csv"
+        path.write_text(f"c\n{field}\n")
+        csv_rows = registry.reader("CSV")(str(path))
+        sql_rows = make_sql_reader({"t": str(path)})("select c from t")
+        assert csv_rows == sql_rows == frozenset({typed})
+        (found,) = csv_rows
+        assert type(found) is type(next(iter(sql_rows))) is type(typed)

@@ -19,7 +19,7 @@ handy for deterministic printing.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.objects import dense
@@ -39,10 +39,10 @@ _KIND_RANK = {
 
 def compare_values(a: Any, b: Any) -> int:
     """Three-way comparison under ``<_t``: negative, zero, or positive."""
-    return _compare(a, b, {})
+    return _compare({}, a, b)
 
 
-def _compare(a: Any, b: Any, memo: Dict[int, Tuple[Any, List[Any]]]) -> int:
+def _compare(memo: Dict[int, Tuple[Any, List[Any]]], a: Any, b: Any) -> int:
     """:func:`compare_values`, sorting each set or bag at most once per
     ``memo`` (see :func:`_sorted`)."""
     kind_a = value_kind(a)
@@ -93,7 +93,7 @@ def _sorted(collection: Any, memo: Dict[int, Tuple[Any, List[Any]]]
 
 
 def _sort(values: Iterable[Any], memo) -> List[Any]:
-    return sorted(values, key=cmp_to_key(lambda a, b: _compare(a, b, memo)))
+    return sorted(values, key=cmp_to_key(partial(_compare, memo)))
 
 
 def _cmp_scalar(a: Any, b: Any) -> int:
@@ -114,7 +114,7 @@ def _cmp_sequences(a: Iterable[Any], b: Iterable[Any], memo) -> int:
                 and not isinstance(x, bool) and not isinstance(y, bool):
             outcome = _cmp_scalar(x, y)
         else:
-            outcome = _compare(x, y, memo)
+            outcome = _compare(memo, x, y)
         if outcome != 0:
             return outcome
     return _cmp_scalar(len(a), len(b))

@@ -273,7 +273,7 @@ class Compiler:
         return texts
 
     def _nested(self, emit: Callable[[], Any], level: int, start=None,
-                loops: int = 0, function: bool = False, depth: int = 0):
+                function: bool = False, depth: int = 0):
         """Run ``emit()`` into a fresh statement list at ``level``:
         ``(lines, text, free)``, ``free`` the numbers of the variables
         it read that were bound before ``start``."""
@@ -282,7 +282,7 @@ class Compiler:
                  self._reads)
         self._lines, self._level, self._depth, self._reads = \
             [], level, depth, set()
-        self._loops = loops if function else self._loops + loops
+        self._loops = 0 if function else self._loops  # a def counts anew
         text = emit()
         lines, reads = self._lines, self._reads
         (self._lines, self._level, self._loops, self._depth,
@@ -594,7 +594,7 @@ class Compiler:
                 self._line(f"_P.on_cells(len({acc}))")
 
         outer, self._boxed = self._boxed, set()
-        lines = self._nested(loop, self._level + fast, self._next)[0]
+        lines = self._nested(loop, self._level + fast)[0]
         boxed, self._boxed = self._boxed, outer
         if shape:
             state = self._join(expr, shape, body, scope, elements, acc,

@@ -21,9 +21,8 @@ def show(session: Session, title: str, source: str) -> None:
     print(f"--- {title}")
     print(f"  source       : {source}")
     print(f"  normal form  : {pprint(optimized)}")
-    cost = session.env.cost  # reads the bound vals' dims
-    print(f"  cost estimate: {cost.estimate(core)} -> "
-          f"{cost.estimate(optimized)}")
+    print(f"  nodes        : {ast.node_count(core)} -> "
+          f"{ast.node_count(optimized)}")
     tabs_before = sum(isinstance(t, ast.Tabulate)
                       for t in ast.subterms(core))
     tabs_after = sum(isinstance(t, ast.Tabulate)

@@ -31,7 +31,6 @@ from repro.core.typecheck import TypeChecker
 from repro.errors import RegistrationError, TypeCheckError
 from repro.io.drivers import DriverRegistry, default_registry
 from repro.obs import Observability
-from repro.optimizer.cost import CostRecord
 from repro.optimizer.engine import Optimizer, Rule, default_optimizer
 from repro.types.types import Type, TypeScheme, type_of_value
 from repro.types.unify import generalize
@@ -75,10 +74,9 @@ class TopEnv:
         #: Session-level tuning retunes live engines — including
         #: evaluators resident in a plan cache
         self.dispatch = DispatchConfig()
-        #: static unit-cost estimates — the paper's "rules/cost
-        #: functions" registered into the environment; asked by EXPLAIN
-        #: on demand, read by no dispatch decision
-        self.cost = CostRecord(self._vals)
+        #: always None; read only by the two ``env.cost`` guards of
+        #: benchmarks/suite/layers.py until ROADMAP item 0 removes them
+        self.cost = None
         #: the observability switch threaded through the whole pipeline
         #: (Section 4.1's openness applied to measurement); disabled by
         #: default, in which case every instrument is the zero-cost null

@@ -47,9 +47,6 @@ class ExplainReport:
     #: dense-store counter *deltas* over the profiled block
     #: (``repro.objects.dense.COUNTERS`` before/after difference)
     dense: Optional[Dict[str, int]] = None
-    #: ``{"units": …}``: the unit-cost estimate of :attr:`core`
-    #: (``CostRecord.estimate``; None when the core out-nests the stack)
-    cost: Optional[Dict[str, Any]] = None
     #: the emitted source of the query's plan (``<plan N>`` in tracebacks)
     code: str = ""
     value: Any = None
@@ -91,8 +88,6 @@ class ExplainReport:
             payload["plan_cache"] = dict(self.cache)
         if self.dense is not None:
             payload["dense_store"] = dict(self.dense)
-        if self.cost is not None:
-            payload["cost_model"] = dict(self.cost)
         if self.code:
             payload["code"] = self.code
         return payload
@@ -118,9 +113,6 @@ class ExplainReport:
             sections += ["", "== plan cache ==", _render_cache(self.cache)]
         if self.dense is not None:
             sections += ["", "== dense store ==", _render_dense(self.dense)]
-        if self.cost is not None:
-            sections += ["", "== cost model ==",
-                         f"units                 {self.cost['units']}"]
         if self.code:
             sections += ["", "== code ==", self.code.rstrip("\n")]
         return "\n".join(sections)

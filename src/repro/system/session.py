@@ -292,8 +292,7 @@ class Session:
         environment's evaluator (the ``codegen`` span) so counters stay
         accurate, and keeps its source for EXPLAIN.  A hit's probed code
         is typed like the plan the cache keeps, so EXPLAIN shows the text
-        a hit runs.  The run is not timed or priced: EXPLAIN asks
-        ``env.cost`` for the units of its own core (see :meth:`profile`).
+        a hit runs.
         """
         env = self.env
         evaluator = plan.evaluator
@@ -340,13 +339,12 @@ class Session:
         """Execute ``source`` with observability on; attach the report.
 
         The last output carries an :class:`~repro.obs.ExplainReport`
-        covering the whole block (the optimizer stats, the rendered core
-        and its unit-cost estimate, priced here, describe the block's
-        final query).  The environment's observability state is
-        captured up front and restored exactly afterwards: an
-        uninstrumented session returns to zero-cost nulls, and a caller
-        that had observability on gets its own tracer and accumulated
-        counters back untouched.
+        covering the whole block (the optimizer stats and the rendered
+        core describe the block's final query).  The environment's
+        observability state is captured up front and restored exactly
+        afterwards: an uninstrumented session returns to zero-cost
+        nulls, and a caller that had observability on gets its own
+        tracer and accumulated counters back untouched.
         """
         from repro.objects import dense
 
@@ -373,8 +371,6 @@ class Session:
                 metrics=obs.metrics,
                 cache=self.plan_cache.snapshot(),
                 dense=dense_delta,
-                cost=None if self._last_core is None
-                else {"units": self.env.cost.estimate(self._last_core)},
                 code=self._last_code,
                 value=last.value,
                 has_value=last.has_value,

@@ -405,11 +405,6 @@ class TestKnobCensus:
                             for name in _imports(path))]
         assert not importers
 
-    def test_core_does_not_import_the_cost_estimator(self):
-        importers = [path.name for path in (SRC / "core").rglob("*.py")
-                     if "repro.optimizer.cost" in _imports(path)]
-        assert not importers
-
 
 def _uses_outside(node, names, allowed, inside=False):
     """Line numbers of the references to ``names`` under ``node`` that no

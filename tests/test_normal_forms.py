@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ast
+from repro.core.compile import CompiledEvaluator
 from repro.errors import BottomError
+from repro.obs.metrics import EvalMetrics
 from repro.objects.array import Array
 from repro.optimizer.analysis import strip_bounds_checks
 
-from conftest import aql_core, nat_arrays, nat_matrices
+from conftest import SCALAR, aql_core, nat_arrays, nat_matrices
 
 V = ast.Var
 
@@ -180,6 +182,29 @@ class TestEtaPipelines:
         arr = Array.from_list([1, 2, 3])
         assert run(std_env, out, {"A": arr}) == \
             Array.from_list([3, 5, 7])
+
+
+class TestNormalFormsRunFewerNodes:
+    """The derived transpose rule and map fusion save work, counted as
+    node evaluations of the scalar plan.  β^p and η^p are counted by
+    ``test_shape_claims.py``'s ``TestC5ArrayRules``."""
+
+    @pytest.mark.parametrize("text, binds", [
+        (TRANSPOSE_OF_ROWS, {"m": 6, "n": 5}),
+        (MAP_OF_MAP, {"A": Array.from_list(list(range(20)))}),
+    ], ids=["transpose", "map-fusion"])
+    def test_optimized_plan_evaluates_fewer_nodes(self, std_env, text,
+                                                  binds):
+        counted = []
+        for optimize in (False, True):
+            probe = EvalMetrics()
+            evaluator = CompiledEvaluator(std_env._prim_impls, probe=probe,
+                                          dispatch=SCALAR)
+            counted.append((evaluator.run(
+                aql_core(std_env, text, optimize), binds), probe.node_evals))
+        (raw, raw_nodes), (optimized, optimized_nodes) = counted
+        assert optimized == raw
+        assert optimized_nodes < raw_nodes
 
 
 #: why the stdlib spellings of the C3/C4 pipelines stop short of their

@@ -11,6 +11,7 @@ from repro.optimizer.engine import (
     RuleBase,
     default_optimizer,
 )
+from repro.system.session import Session
 
 N = ast.NatLit
 
@@ -314,3 +315,35 @@ def test_rule_surface(assume_error_free):
     assert {phase.name: [(rule.name, rule.roots) for rule in phase.rules]
             for phase in optimizer.phases} == RULE_SURFACE
     assert [phase.name for phase in optimizer.phases] == list(RULE_SURFACE)
+
+
+class TestPhaseSkipping:
+    """A phase none of whose rule roots occur is provably the identity,
+    and the optimizer skips it."""
+
+    ARITH = ast.Arith("+", N(1), ast.Arith("*", N(2), N(3)))
+
+    def test_absent_roots_skips_loop_phases(self):
+        optimizer = default_optimizer()
+        assert optimizer.optimize(self.ARITH) == N(7)
+        stats = optimizer.report()
+        assert stats["motion"].skipped == "absent-roots"
+        assert stats["bounds"].skipped == "absent-roots"
+        assert stats["normalize"].skipped == ""
+        # profiles still show every phase: spans are emitted regardless
+        report = Session().explain("1 + 2 * 3;")
+        for name in ("normalize", "bounds", "motion"):
+            assert report.span(f"phase:{name}") is not None
+        assert report.phase_stats["motion"].skipped == "absent-roots"
+
+    def test_skipping_preserves_values(self):
+        query = "summap(fn \\x => x + 1)!(gen!30);"
+        assert Session().query_value(query) \
+            == Session(optimize=False).query_value(query)
+
+    def test_skipped_stats_serialize(self):
+        optimizer = default_optimizer()
+        optimizer.optimize(self.ARITH)
+        payload = optimizer.report()["motion"].to_dict()
+        assert payload["skipped"] == "absent-roots"
+        assert payload["passes"] == 0

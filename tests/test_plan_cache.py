@@ -9,8 +9,10 @@ same value as a cold pipeline run.
 """
 
 import dataclasses
+import gc
 import re
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +25,6 @@ from repro.core.eval import Evaluator
 from repro.env.environment import TopEnv
 from repro.errors import BottomError, SessionError
 from repro.objects.array import Array
-from repro.optimizer.cost import CostEstimator
 from repro.optimizer.engine import Optimizer
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression, parse_program
@@ -321,12 +322,8 @@ class TestSessionCaching:
         assert payload["plan_cache"]["hits"] >= 1
         assert "== plan cache ==" in report.render()
 
-    def test_no_cost_walk_outside_explain(self, session, monkeypatch,
-                                          tmp_path):
-        def refuse(self, expr):
-            raise AssertionError("cost walk")
-
-        monkeypatch.setattr(CostEstimator, "cost", refuse)
+    def test_a_rebound_val_hits_and_round_trips_through_co(self, session,
+                                                            tmp_path):
         source = r"[[ A[i] * 2 | \i < len!A ]];"
         session.env.set_val("A", Array.from_list([1, 2]))
         assert session.query_value(source) == Array.from_list([2, 4])  # miss
@@ -341,8 +338,6 @@ class TestSessionCaching:
         session.run(f'readval \\B using CO at "{path}";')
         assert session.query_value("B;") == Array.from_list([5, 6, 7])
         assert Session(plan_cache_capacity=0).query_value("1 + 1;") == 2
-        with pytest.raises(AssertionError, match="cost walk"):
-            session.explain(source)
 
 
 class TestInvalidation:
@@ -569,9 +564,35 @@ class TestCachedPlansArePure:
             assert outcome == _cold_value(session.env, expr, session.optimize)
 
 
+class _Tracked(Array):
+    """An ``Array`` a test can hold weakly (``Array`` has no
+    ``__weakref__`` slot)."""
+
+    __slots__ = ("__weakref__",)
+
+
 class TestValParameters:
     """A val is a parameter of the plans that name it: a rebinding to a
     value of the same type keeps them, and they read the new value."""
+
+    def test_rebound_vals_are_collected(self):
+        """No plan, cache entry or environment table keeps a val's old
+        array alive after the val is rebound."""
+        session = Session()
+        bound = []
+
+        def reader(args):
+            array = _Tracked((64,), [float(cell) for cell in range(64)])
+            bound.append(weakref.ref(array))
+            return array
+
+        session.env.drivers.register_reader("TRACKED", reader)
+        for _ in range(50):
+            session.run('readval \\Y using TRACKED at "anywhere";'
+                        ' summap(fn \\i => Y[i])!(gen!64);')
+        gc.collect()
+        assert bound[0]() is None
+        assert sum(1 for ref in bound if ref() is not None) <= 2
 
     @staticmethod
     def _counts(session):

@@ -570,15 +570,17 @@ class Compiler:
             expr = ast.Ext(expr.var, ast.Ext(inner.var, ast.If(
                 inner.body.cond, body, inner.body.orelse), inner.source),
                 expr.source)
+        elif type(expr.source) is ast.Singleton and kind in (ast.Ext, ast.Sum):
+            elements = expr.source  # _for binds its element
         else:  # a kernel needs its size first
             elements, size = self._elements(expr.source, scope, gen)
         if gen:
             extents, vector = f"({size},)", (f"_ksum({{}}, {size})", "0", size)
         if kind is not ast.Tabulate:  # a literal Σ body adds exactly
-            literal = gen or kind is ast.Sum and type(expr.body) is ast.NatLit
-            heads = [(tuple(getattr(expr, name) for name in
-                            expr.BINDER_FIELDS),
-                      elements if literal else walk.format(elements))]
+            literal = gen or type(elements) is ast.Singleton \
+                or kind is ast.Sum and type(expr.body) is ast.NatLit
+            names = tuple(getattr(expr, name) for name in expr.BINDER_FIELDS)
+            heads = [(names, elements if literal else walk.format(elements))]
         kernel = extents and self._kernel(
             [name for names, _ in heads for name in names], expr.body, extents)
         acc = self._fresh("s" if join is None else "t")  # a set or a value
@@ -619,17 +621,22 @@ class Compiler:
 
     def _for(self, heads, scope, body, guard: Optional[str] = None) -> None:
         """Nested ``for`` statements binding each head's binders to its
-        elements, under ``if guard:`` if given, with ``body(scope)``
-        emitting the innermost body."""
-        level, loops = self._level, self._loops
+        elements (``v = e`` for elements ``{e}``; ``v, = {e}``, counting
+        the set, when probed), under ``if guard:`` if given, with
+        ``body(scope)`` emitting the innermost body."""
+        level, loops, probed = self._level, self._loops, self.probe is not None
         if guard is not None:  # a nested block, counted as a loop
             self._line(f"if {guard}:")
             self._level, self._loops = level + 1, loops + 1
         for names, elements in heads:
             numbers = [self._bind() for _ in names]
-            self._line(f"for {', '.join(f'v{n}' for n in numbers)} "
-                       f"in {elements}:")
-            self._level, self._loops = self._level + 1, self._loops + 1
+            targets = ", ".join(f"v{n}" for n in numbers)
+            if type(elements) is ast.Singleton:
+                self._line(f"{targets}{',' * probed} = " + self._emit(
+                    elements if probed else elements.expr, scope))
+            else:
+                self._line(f"for {targets} in {elements}:")
+                self._level, self._loops = self._level + 1, self._loops + 1
             scope = {**scope, **dict(zip(names, numbers))}
         body(scope)
         self._level, self._loops = level, loops
@@ -720,8 +727,9 @@ class Compiler:
             if probed:  # the nested ext's own set, for its count
                 self._line("_on('Ext')")
                 self._line(f"{into} = set()")
-            self._for([((member.var,), self._elements(member.source,
-                                                      scope)[0])],
+            source = member.source
+            self._for([((member.var,), source if type(source) is ast.Singleton
+                        else self._elements(source, scope)[0])],
                       scope, lambda inner: self._add(member.body, inner, into))
             if probed:
                 self._line(f"{acc} |= {into}")

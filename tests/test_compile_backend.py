@@ -361,3 +361,37 @@ class TestLoopShapes:
             ("x",), (N(8),),
             ast.Sum("e", ast.Arith("+", V("e"), V("x")), ast.Gen(N(50))))
         assert agree(nested)[0] == "value"
+
+
+#: ``[[ i * i | \i < 5 ]]`` and an array whose cell 1 is ⊥ (``1 / 0``)
+SQUARES = ast.Tabulate(("i",), (N(5),), ast.Arith("*", V("i"), V("i")))
+POISONED = ast.Tabulate(("i",), (N(3),), ast.Arith(
+    "/", N(1), ast.Arith("-", N(1), V("i"))))
+
+
+def _over_singleton(kind, element):
+    """``⋃{{x[2]} | x ∈ {element}}`` or ``Σ{x[2] | x ∈ {element}}``;
+    ``nested`` puts the ⋃ inside a ⋃ over ``gen!3``, where its loop is
+    fused into the outer one's body."""
+    cell = ast.Subscript(V("x"), (N(2),))
+    if kind == "sum":
+        return ast.Sum("x", cell, ast.Singleton(element))
+    union = ast.Ext("x", ast.Singleton(cell), ast.Singleton(element))
+    return union if kind == "union" else \
+        ast.Ext("y", union, ast.Gen(N(3)))
+
+
+class TestSingletonSource:
+    """A comprehension over ``{e}`` (the desugarer's ``\\x == e``) binds
+    ``x = e``: no set is built or hashed, and the value or ⊥ reason is
+    the reference's."""
+
+    @pytest.mark.parametrize("kind", ["union", "sum", "nested"])
+    @pytest.mark.parametrize("element, outcome", [
+        (SQUARES, "value"), (POISONED, "bottom")], ids=["array", "bottom"])
+    def test_binds_by_assignment(self, kind, element, outcome):
+        expr = _over_singleton(kind, element)
+        evaluator = CompiledEvaluator()
+        evaluator.prepare(expr)
+        assert "in frozenset((" not in evaluator.source
+        assert agree(expr, binds={})[0] == outcome

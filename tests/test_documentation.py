@@ -1,13 +1,17 @@
-"""Documentation conformance: every public item carries a doc comment.
+"""Documentation conformance: every public item carries a doc comment,
+and every name the documents cite exists.
 
 This enforces the documentation deliverable mechanically: every module
 under ``repro``, every public class, function and method (not
-underscore-prefixed, not inherited) must have a docstring.
+underscore-prefixed, not inherited) must have a docstring, and every
+dotted ``repro.…`` name in README.md, DESIGN.md and docs/ must import.
 """
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ def _iter_modules():
 
 
 MODULES = list(_iter_modules())
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("module", MODULES,
@@ -60,3 +65,37 @@ def test_public_members_have_docstrings(module):
     assert not undocumented, (
         f"{module.__name__}: missing docstrings on {undocumented}"
     )
+
+
+#: the prose that cites code by dotted name
+DOCS = sorted([ROOT / "README.md", ROOT / "DESIGN.md",
+               *(ROOT / "docs").glob("*.md")])
+
+
+def _cited_names():
+    """Every distinct ``repro.…`` dotted name the documents cite."""
+    return sorted({match for path in DOCS for match in
+                   re.findall(r"\brepro(?:\.\w+)+", path.read_text("utf-8"))})
+
+
+def _resolves(name):
+    """Import the longest importable prefix of ``name``; ``getattr`` the
+    rest."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def test_every_cited_repro_name_exists():
+    cited = _cited_names()
+    assert cited
+    assert [name for name in cited if not _resolves(name)] == []

@@ -106,7 +106,7 @@ class TestSumDeterminism:
 @pytest.mark.xfail(strict=True, reason=(
     "known deviation: an empty Σ is the nat 0 whatever its body's type "
     "(typ says real); both engines agree, and fixing it needs the body's "
-    "type at emission — docs/LANGUAGE.md, ROADMAP item 3"))
+    "type at emission — docs/LANGUAGE.md, ROADMAP item 19"))
 def test_empty_real_sum_is_the_real_zero(session):
     value = session.query_value(r"summap(fn \i => 1.5)!(gen!0);")
     assert type(value) is float and value == 0.0
@@ -117,7 +117,7 @@ def test_empty_real_sum_is_the_real_zero(session):
     "known deviation: a nat val may be negative, and β^p "
     "(optimizer/rules_arrays.py) guards only `i < bound`, so the optimized "
     "plan returns -3 where the unoptimized one is ⊥ — docs/LANGUAGE.md; "
-    "the fix is a boundary rule or a β^p guard (ROADMAP item 3)"))
+    "the fix is a boundary rule or a β^p guard (ROADMAP item 19)"))
 def test_a_negative_nat_subscript_is_bottom_with_the_optimizer_on():
     outcomes = []
     for optimize in (False, True):

@@ -84,12 +84,6 @@ def test_mutated_statements_raise_only_aql_errors(mutant):
     _survives(*mutant)
 
 
-@functools.lru_cache(maxsize=None)
-def _reader():
-    """The one session every corrupt file is read in."""
-    return Session()
-
-
 def _netcdf_bytes(path):
     """A classic file whose record variables interleave, one of them
     holding a NaN, with global and per-variable attributes."""
@@ -109,6 +103,12 @@ def _co_bytes(path):
                                             5.25]))
     session.run(f'writeval (T, {{1, 2}}, "x") using CO at "{path}";')
     return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def reader():
+    """The one session every corrupt file is read in."""
+    return Session()
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +140,10 @@ def flips(draw, size):
 @pytest.mark.slow
 @settings(max_examples=600, **_SETTINGS)
 @given(data=st.data())
-def test_corrupted_files_raise_only_aql_errors(files, data):
+def test_corrupted_files_raise_only_aql_errors(reader, files, data):
     raw, path, statement = data.draw(st.sampled_from(files))
     flipped = bytearray(raw)
     for offset, mask in data.draw(flips(len(raw))):
         flipped[offset] ^= mask
     path.write_bytes(bytes(flipped))
-    _survives(_reader(), statement)
+    _survives(reader, statement)

@@ -185,14 +185,17 @@ class TestEtaPipelines:
 
 
 class TestNormalFormsRunFewerNodes:
-    """The derived transpose rule and map fusion save work, counted as
-    node evaluations of the scalar plan.  β^p and η^p are counted by
-    ``test_shape_claims.py``'s ``TestC5ArrayRules``."""
+    """β^p, η^p, the derived transpose rule and map fusion save work,
+    counted as node evaluations of the scalar plan.  How that work grows
+    with the array under β^p and η^p is ``test_shape_claims.py``'s
+    ``TestC5ArrayRules``."""
 
     @pytest.mark.parametrize("text, binds", [
+        (r"([[ i * 2 | \i < 1000 ]])[5]", {}),
+        (r"maparr!(fn \x => x, A)", {"A": Array.from_list(list(range(20)))}),
         (TRANSPOSE_OF_ROWS, {"m": 6, "n": 5}),
         (MAP_OF_MAP, {"A": Array.from_list(list(range(20)))}),
-    ], ids=["transpose", "map-fusion"])
+    ], ids=["beta-p", "eta-p", "transpose", "map-fusion"])
     def test_optimized_plan_evaluates_fewer_nodes(self, std_env, text,
                                                   binds):
         counted = []

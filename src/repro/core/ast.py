@@ -733,6 +733,14 @@ def transform_bottom_up(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     return fn(expr.with_parts(children))
 
 
+def extents(array: Expr, rank: int) -> Tuple[Expr, ...]:
+    """The bounds of a tabulation over the whole domain of ``array``:
+    ``dim_1(array)``, or each ``π_j(dim_k(array))``."""
+    whole = Dim(array, rank)
+    return (whole,) if rank == 1 else tuple(
+        Proj(axis, rank, whole) for axis in range(1, rank + 1))
+
+
 def subterms(expr: Expr) -> Iterator[Expr]:
     """Iterate over all subterms of ``expr`` (including itself), pre-order."""
     yield expr
@@ -839,7 +847,7 @@ __all__ = [
     "Get", "Bottom", "MkArray", "Prim", "Const",
     "EmptyBag", "SingletonBag", "BagUnion", "BagExt", "ExtRank", "BagExtRank",
     "CMP_OPS", "ARITH_OPS", "fresh_var", "free_vars", "substitute",
-    "count_free_occurrences",
+    "count_free_occurrences", "extents",
     "transform_bottom_up", "subterms", "node_count", "fingerprint",
     "alpha_equal", "LOOP_NODES", "NRC_NODES", "AGGR_NODES", "NRCA_NODES",
 ]

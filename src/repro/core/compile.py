@@ -84,6 +84,28 @@ _COLLECTIONS = frozenset((
     ast.If, ast.Proj, ast.Get, ast.Subscript, ast.Union, ast.BagUnion))
 
 
+def _group_sum(fn: ast.Lam, arg: ast.Expr) -> Optional[int]:
+    """``e`` of ``(λA. [[ Σ{e | x ∈ A[i…]} | i… < dim_k(A) ]])(index_k(P))``
+    with ``e`` a nat literal and ``A`` read nowhere else (the strict
+    pipeline keeps the cell bound: ``(λS. Σ{e | x ∈ S})(A[i…])``), whose
+    Σs ``index_k``'s grouping pass computes; else ``None``."""
+    table, name = fn.body, ast.Var(fn.param)
+    if type(arg) is not ast.IndexSet or type(table) is not ast.Tabulate \
+            or fn.param in table.vars:
+        return None
+    body = table.body
+    if type(body) is ast.App and type(body.fn) is ast.Lam \
+            and type(body.fn.body) is ast.Sum \
+            and body.fn.body.source == ast.Var(body.fn.param):
+        body = ast.Sum(body.fn.body.var, body.fn.body.body, body.arg)
+    if type(body) is ast.Sum and type(body.body) is ast.NatLit \
+            and body.source == ast.Subscript(name, tuple(map(ast.Var,
+                                                             table.vars))) \
+            and table.bounds == ast.extents(name, arg.rank):
+        return body.body.value
+    return None
+
+
 class Compiler:
     """Compiles core expressions against a primitive registry.
 
@@ -348,6 +370,10 @@ class Compiler:
         if type(fn) is ast.Lam:  # (fn x => body)!arg binds x as a local
             if self.probe is not None:
                 self._line("_on('Lam')")
+            weight = _group_sum(fn, expr.arg)
+            if weight is not None:  # the Σs run in index_k's grouping pass
+                return f"_indexed({self._emit(expr.arg.expr, scope)}, " \
+                    f"{expr.arg.rank}, _P, {self._const(weight)})"
             argument = self._emit(expr.arg, scope)
             param = self._bind()
             self._line(f"v{param} = {argument}")

@@ -101,9 +101,10 @@ def bottom(reason: str):
     raise BottomError(reason)
 
 
-def indexed(pairs: Any, rank: int, probe: Any) -> Array:
-    """``index_rank``: the reference grouping, counted when probed."""
-    result, groups, max_group = index_set_stats(pairs, rank)
+def indexed(pairs: Any, rank: int, probe: Any, weight: Any = None) -> Array:
+    """``index_rank``: the reference grouping (with ``weight``, each
+    cell's Σ of it), counted when probed."""
+    result, groups, max_group = index_set_stats(pairs, rank, weight)
     if probe is not None:
         probe.on_index(result.size, groups, len(pairs), max_group=max_group)
     return result

@@ -45,6 +45,7 @@ Readers must snapshot a slot into a local before branching on it.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import mul
 from typing import Any, Dict, Iterable, Iterator, Optional, Sequence
 
@@ -531,7 +532,7 @@ def _index_key(pair, rank: int):
     return key
 
 
-def index_set_stats(pairs, rank: int):
+def index_set_stats(pairs, rank: int, weight: Optional[int] = None):
     """``index_k`` with its sizes: ``(Array, groups, max_group)``.
 
     The one grouping routine, shared by both engines, in one pass: each
@@ -541,28 +542,36 @@ def index_set_stats(pairs, rank: int):
     deduplication).  Each group lands at its key's row-major offset (at
     rank 1 the key is the offset) and every hole is one shared empty
     frozenset, so the fill costs O(pairs + cells) however sparse the keys.
+
+    With a ``weight`` it is also the Σ of each cell: a cell holds
+    ``Σ{weight | x ∈ group}`` and a hole 0.  The pairs are a set, so a
+    key's values are distinct and a group's count is its size: no group
+    is built.
     """
-    keyed: Dict[Any, set] = {}
-    one = rank == 1
-    for pair in pairs:
-        if one and type(pair) is tuple and len(pair) == 2 \
-                and type(pair[0]) is int and pair[0] >= 0:
-            key, value = pair  # a bare natural key: nothing left to check
+    keyed: Dict[Any, Any] = {}
+    one, counted, keys = rank == 1, weight is not None, []
+    for pair in pairs:  # a bare natural key leaves nothing to check
+        if not (one and type(pair) is tuple and len(pair) == 2
+                and type(key := pair[0]) is int and key >= 0):
+            key = _index_key(pair, rank)
+        if counted:
+            keys.append(key)
+        elif (group := keyed.get(key)) is None:
+            keyed[key] = {pair[1]}
         else:
-            key, value = _index_key(pair, rank), pair[1]
-        group = keyed.get(key)
-        if group is None:
-            keyed[key] = {value}
-        else:
-            group.add(value)
+            group.add(pair[1])
+    if counted:
+        keyed = Counter(keys)
     if not keyed:
         return Array((0,) * rank, []), 0, 0
     dims = [max(keyed) + 1] if one else [m + 1 for m in map(max, zip(*keyed))]
     strides = _row_major_strides(dims)
-    values = [_HOLE] * (strides[0] * dims[0])
+    values = [0 if counted else _HOLE] * (strides[0] * dims[0])
     for key, group in keyed.items():
-        values[key if one else sum(map(mul, key, strides))] = frozenset(group)
-    return Array(dims, values), len(keyed), max(map(len, keyed.values()))
+        values[key if one else sum(map(mul, key, strides))] = \
+            group * weight if counted else frozenset(group)
+    sizes = keyed.values() if counted else map(len, keyed.values())
+    return Array(dims, values), len(keyed), max(sizes)
 
 
 def index_set(pairs: frozenset, rank: int) -> Array:

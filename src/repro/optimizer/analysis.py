@@ -29,11 +29,15 @@ def is_error_free(expr: ast.Expr) -> bool:
       the number of items;
     * applications (the function may embed any of the above — we do not
       do interprocedural analysis);
-    * primitives (external code may fail).
+    * primitives (external code may fail);
+    * ``index_k`` (a negative key, or one of the wrong arity, is an error).
+      A nat is assumed natural, though ``gen!n`` and a tabulation bound
+      raise ⊥ at ``n = -3`` too: a hole left to ROADMAP item 19(b).
     """
     if isinstance(expr, ast.Bottom):
         return False
-    if isinstance(expr, (ast.Subscript, ast.Get, ast.Prim, ast.App)):
+    if isinstance(expr, (ast.Subscript, ast.Get, ast.Prim, ast.App,
+                         ast.IndexSet)):
         return False
     if isinstance(expr, ast.Arith) and expr.op in ("/", "%"):
         denominator = expr.right
@@ -59,9 +63,11 @@ def is_duplication_safe(expr: ast.Expr, budget: int = 12) -> bool:
     """Heuristic: is ``expr`` cheap enough to duplicate during rewriting?
 
     Used by rules that would substitute an argument into several
-    occurrences of a variable (β): literals, variables and small
-    arithmetic are fine; loops and tabulations are not.
+    occurrences of a variable (β): literals, variables, small arithmetic
+    and any λ are fine; loops and tabulations are not.
     """
+    if isinstance(expr, ast.Lam):
+        return True
     if budget <= 0:
         return False
     if isinstance(expr, _EXPENSIVE):
@@ -142,7 +148,8 @@ def substituted(assume_error_free: bool, body: ast.Expr, var: str,
     inlining would re-evaluate it per occurrence — e.g. the ``index``
     array of Section 2's ``hist'`` would be rebuilt for every bin,
     destroying the O(m + n log n) bound.  Such redexes are left alone;
-    the evaluator's closure application shares the argument value.
+    the plan binds the argument once.  A λ always passes (a closure
+    copies code, not work), and β splits a refused tuple holding one.
     """
     if not discardable(assume_error_free, (arg,)):
         return None

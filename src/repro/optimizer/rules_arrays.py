@@ -72,24 +72,10 @@ def _eta_p(expr: ast.Expr) -> Optional[ast.Expr]:
             and isinstance(expr.body, ast.Subscript)):
         return None
     array = expr.body.array
-    rank = expr.rank
-    indices = expr.body.indices
-    if len(indices) != rank:
+    if expr.body.indices != tuple(map(ast.Var, expr.vars)) \
+            or not ast.free_vars(array).isdisjoint(expr.vars) \
+            or expr.bounds != ast.extents(array, expr.rank):
         return None
-    for position, index in enumerate(indices):
-        if not (isinstance(index, ast.Var)
-                and index.name == expr.vars[position]):
-            return None
-    array_fvs = ast.free_vars(array)
-    if any(var in array_fvs for var in expr.vars):
-        return None
-    for axis, bound in enumerate(expr.bounds, start=1):
-        if rank == 1:
-            expected: ast.Expr = ast.Dim(array, 1)
-        else:
-            expected = ast.Proj(axis, rank, ast.Dim(array, rank))
-        if bound != expected:
-            return None
     return array
 
 

@@ -16,8 +16,9 @@ Soundness: hoisting evaluates the candidate even when the loop would
 have run zero times, so the candidate must be *error-free* (this guard
 is never waived — unlike δ^p's, since hoisting can introduce a ⊥ that
 the original program never raised, rather than merely dropping one).
-Only *expensive* candidates (loops, tabulations, group-bys) are hoisted;
-cheap arithmetic is left for the evaluator.
+Only *expensive* candidates (loops, tabulations) are hoisted: cheap
+arithmetic stays, and so does a λ, since a closure is not work and a
+hoisted one would be called, not inlined.
 
 Let-floating moves a loop-invariant *binding* — the singleton generator
 ``x ∈ {e}`` that a ``:==`` qualifier desugars to — out of the loop

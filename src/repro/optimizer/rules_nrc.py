@@ -44,16 +44,50 @@ COMPREHENSIONS = {
 }
 
 
+def _projections(expr: ast.Expr, name: str,
+                 names: List[str]) -> Optional[ast.Expr]:
+    """``expr`` with each ``π_k(name)`` read as ``names[k - 1]`` (only its
+    spine rebuilt), or ``None`` where ``name`` occurs otherwise."""
+    if type(expr) is ast.Proj and expr.expr == ast.Var(name):
+        return ast.Var(names[expr.index - 1]) \
+            if expr.arity == len(names) else None
+    if expr == ast.Var(name):
+        return None
+    parts = expr.parts()
+    children = [child if name in bound else _projections(child, name, names)
+                for child, bound in parts]
+    if any(new is not old for new, (old, _) in zip(children, parts)):
+        return None if None in children else expr.with_parts(children)
+    return expr
+
+
 def make_beta(assume_error_free: bool):
     """``(λx.e1)(e2) ⇝ e1{x := e2}``, under both guards of
     :func:`~repro.optimizer.analysis.substituted` (application is
-    call-by-value, so the original always evaluates ``e2``)."""
+    call-by-value, so the original always evaluates ``e2``).  A refused
+    tuple ``e2`` holding a λ, with ``x`` only under ``π_k``, is split
+    (Ricciotti & Cheney's product step): its λs are substituted, the
+    rest bound left to right by one redex each.  Splitting a tuple with
+    no λ costs the optimizer more than the plans gain."""
 
     def _beta(expr: ast.Expr) -> Optional[ast.Expr]:
-        if isinstance(expr, ast.App) and isinstance(expr.fn, ast.Lam):
-            return substituted(assume_error_free, expr.fn.body,
-                               expr.fn.param, expr.arg)
-        return None
+        if not (isinstance(expr, ast.App) and isinstance(expr.fn, ast.Lam)):
+            return None
+        fn, arg = expr.fn, expr.arg
+        reduced = substituted(assume_error_free, fn.body, fn.param, arg)
+        if reduced is not None or type(arg) is not ast.TupleE \
+                or ast.Lam not in map(type, arg.items):
+            return reduced
+        names = [ast.fresh_var(fn.param) for _ in arg.items]
+        body = _projections(fn.body, fn.param, names)
+        if body is None:
+            return None
+        lams = {name: item for name, item in zip(names, arg.items)
+                if type(item) is ast.Lam}
+        body = ast.substitute(body, lams)  # before the rest are bound
+        for name, item in zip(reversed(names), reversed(arg.items)):
+            body = body if name in lams else ast.App(ast.Lam(name, body), item)
+        return body
 
     return _beta
 

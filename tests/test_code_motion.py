@@ -59,6 +59,19 @@ class TestHoisting:
         loop = ast.Tabulate(("i",), (N(10),), ast.Cmp("=", risky, risky))
         assert motion_only(loop) is None
 
+    def test_lambda_not_hoisted(self):
+        # a loop-invariant λ holding a tabulation: building its closure
+        # is no work, and a hoisted one would be called per cell
+        inner = ast.Tabulate(("j",), (V("x"),), ast.Arith("*", V("x"),
+                                                          V("j")))
+        lam = ast.Lam("x", ast.Subscript(inner, (N(1),)))
+        loop = ast.Tabulate(("i",), (N(6),), ast.App(lam, V("i")))
+        assert motion_only(loop) is None
+        motion = default_optimizer().phase("motion")
+        moved = motion.run(loop)
+        assert moved is loop and not motion.stats.applications
+        assert agree(moved) == reference_outcome(loop)
+
     def test_inner_binder_reference_not_hoisted(self):
         # Σ{y | y ∈ S} where S itself mentions an inner binder is fine,
         # but a candidate mentioning the loop var through an inner lambda

@@ -5,8 +5,11 @@
 * ``zip ∘ (subseq, subseq)`` and ``subseq ∘ zip`` normalize to the same
   query up to redundant bound checks;
 * a property-based soundness check: optimization never changes the value
-  of a query.
+  of a query;
+* first-order normal forms: no kept plan calls a λ.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +21,14 @@ from repro.errors import BottomError
 from repro.obs.metrics import EvalMetrics
 from repro.objects.array import Array
 from repro.optimizer.analysis import strip_bounds_checks
+from repro.optimizer.engine import default_optimizer
+from repro.surface.desugar import desugar_expression
+from repro.surface.parser import parse_expression
+from repro.system.session import Session
+from repro.types.types import TArray, TArrow, TNat, TProduct, TReal
 
 from conftest import SCALAR, aql_core, nat_arrays, nat_matrices
+from test_plan_digests import _sessions, _workload_texts
 
 V = ast.Var
 
@@ -303,3 +312,57 @@ class TestOptimizerSoundness:
                 run(std_env, optimized, binds)
             return
         assert run(std_env, optimized, binds) == before
+
+
+def _suite_sessions(assume_error_free: bool):
+    """``_sessions``'s corpus, then the benchmark suite's other query
+    statements, per workload, over small vals of its types (a plan is
+    only prepared here, never run)."""
+    yield from _sessions(assume_error_free)
+    pairs = frozenset((k % 7, k) for k in range(20))
+    cube = Array((4, 3, 3), [float(n) for n in range(36)])
+    grid = Array((3, 3), list(range(9)))
+    workloads = {
+        "SCALAR_STATEMENTS": {
+            "T": Array.from_list([70.0] * 48),
+            "RH": Array.from_list([60.0] * 48),
+            "WS": Array((96, 4), [5.0] * 384), "T3": cube,
+            "threshold": 96.0, "NYlat": 40.78, "NYlon": 73.97, "R": pairs,
+            "S": pairs, "P": pairs, "needle": 3,
+            "H": Array.from_list([3, 1, 4, 1, 5]), "C": cube},
+        "DENSE_STATEMENTS": {"G": grid, "H": grid, "C": cube},
+        "SHARDED_STATEMENTS": {"G": grid},
+        "NETCDF_STATEMENTS": {"Y": cube, "T": cube, "threshold": 96.0},
+    }
+    for name, vals in workloads.items():
+        session = Session()
+        session.env.optimizer = default_optimizer(assume_error_free)
+        session.register_co("heatindex", lambda day: 90.0, TArrow(TArray(
+            TProduct((TReal(), TReal(), TReal())), 1), TReal()))
+        session.register_co("june_sunset", lambda args: 20, TArrow(
+            TProduct((TReal(), TReal(), TNat())), TNat()))
+        for val, value in vals.items():
+            session.env.set_val(val, value)
+        texts = [text for text in _workload_texts(
+            name, days=2, n=50, s=1, d0=1, len=24)
+            if not text.startswith(("readval", "writeval"))]
+        yield name, session, dict(enumerate(texts))
+
+
+@pytest.mark.parametrize("assume_error_free", [True, False],
+                         ids=["default", "strict"])
+def test_no_kept_plan_calls_a_lambda(assume_error_free):
+    """First-order normal forms: β splits a tuple holding a λ and
+    substitutes any λ, so no kept plan of the plan-digest corpus or of
+    the benchmark's statements defines a function for one (a join's
+    match body is a ``def v<n>``, not a λ)."""
+    found = {}
+    for prefix, session, texts in _suite_sessions(assume_error_free):
+        for key, text in texts.items():
+            core = desugar_expression(parse_expression(text.rstrip(";")))
+            session.prepare(core)
+            kept = session.prepare(core)
+            assert kept.cached
+            if re.search(r"\bdef f\d+\(", kept.evaluator.source):
+                found[f"{prefix}{key}"] = kept.evaluator.source
+    assert not found, found

@@ -5,17 +5,18 @@ import pytest
 
 from repro.core import ast
 from repro.core import evaluate
-from repro.errors import BottomError
+from repro.errors import BottomError, EvalError
 from repro.objects.array import Array
 from repro.optimizer.analysis import (
     is_duplication_safe,
     is_error_free,
     strip_bounds_checks,
 )
-from repro.optimizer.engine import Phase, RuleBase
+from repro.optimizer.engine import Phase, RuleBase, default_optimizer
 from repro.optimizer.rules_arith import arith_rules
 from repro.optimizer.rules_arrays import array_rules
 from repro.optimizer.rules_nrc import nrc_rules
+from repro.system.session import Session
 
 N = ast.NatLit
 V = ast.Var
@@ -37,6 +38,57 @@ class TestNRCRules:
 
     def test_beta_no_fire_on_plain_app(self):
         e = ast.App(V("f"), N(1))
+        assert apply_named(self.rules, "beta", e) is None
+
+    #: (fn \z => [[ π1(z)!(π2(z)[i]) | \i < dim_1(π2 z) ]])!(f, index_1(P)),
+    #: β's duplication guard refusing the tuple as a whole
+    GROUPS = ast.IndexSet(V("P"), 1)
+    MAPPED = ast.Tabulate(
+        ("i",), (ast.Dim(ast.Proj(2, 2, V("z")), 1),),
+        ast.App(ast.Proj(1, 2, V("z")),
+                ast.Subscript(ast.Proj(2, 2, V("z")), (V("i"),))))
+    COUNT = ast.Lam("S", ast.Sum("x", N(1), V("S")))
+
+    def test_beta_splits_a_tuple_holding_a_lambda(self):
+        e = ast.App(ast.Lam("z", self.MAPPED),
+                    ast.TupleE((self.COUNT, self.GROUPS)))
+        split = apply_named(self.rules, "beta", e)
+        # (fn \z2 => b'{z1 := count})!(index_1(P)): the λ substituted,
+        # the index bound once
+        assert split.arg == self.GROUPS
+        second = split.fn.param
+        assert split.fn.body == ast.Tabulate(
+            ("i",), (ast.Dim(V(second), 1),),
+            ast.App(self.COUNT, ast.Subscript(V(second), (V("i"),))))
+        # the λ passes both guards, the index stays bound once (and where
+        # the cell may be discarded, count's β inlines it too)
+        out = Phase("normalize", RuleBase(nrc_rules(True))).run(e)
+        assert out.arg == self.GROUPS and isinstance(out.fn.body.body, ast.Sum)
+        binds = {"P": frozenset({(0, 5), (2, 6), (2, 7)})}
+        assert evaluate(out, binds) == evaluate(e, binds) == \
+            Array.from_list([1, 0, 2])
+
+    def test_beta_splits_no_tuple_without_a_lambda(self):
+        # splitting every tuple costs the optimizer more than plans gain
+        e = ast.App(ast.Lam("z", self.MAPPED),
+                    ast.TupleE((V("f"), self.GROUPS)))
+        assert apply_named(self.rules, "beta", e) is None
+
+    def test_beta_split_keeps_the_components_in_order(self):
+        # (fn \z => π3(z) + π1(z) * π1(z))!(Σ S, f, Σ S'): Σ S binds first
+        sums = [ast.Sum("x", V("x"), V(name)) for name in ("S", "T")]
+        body = ast.Arith("+", ast.Proj(3, 3, V("z")), ast.Arith(
+            "*", ast.Proj(1, 3, V("z")), ast.Proj(1, 3, V("z"))))
+        e = ast.App(ast.Lam("z", body), ast.TupleE(
+            (sums[0], ast.Lam("y", V("y")), sums[1])))
+        split = apply_named(nrc_rules(True), "beta", e)
+        assert split.arg == sums[0] and split.fn.body.arg == sums[1]
+        binds = {"S": frozenset({1, 2}), "T": frozenset({4})}
+        assert evaluate(split, binds) == evaluate(e, binds) == 13
+
+    def test_beta_splits_no_tuple_read_whole(self):
+        body = ast.TupleE((self.MAPPED, V("z")))
+        e = ast.App(ast.Lam("z", body), ast.TupleE((self.COUNT, self.GROUPS)))
         assert apply_named(self.rules, "beta", e) is None
 
     def test_proj_tuple(self):
@@ -355,6 +407,17 @@ class TestAnalysis:
         assert not is_error_free(ast.Arith("/", V("x"), V("y")))
         assert not is_error_free(ast.App(V("f"), N(1)))
         assert not is_error_free(ast.MkArray((N(2),), (N(1),)))
+        # a negative key is an error of index_k
+        assert not is_error_free(ast.IndexSet(V("P"), 1))
+
+    def test_strict_pipeline_keeps_an_index_key_error(self):
+        want = "bad index key -3 for rank 1"
+        for optimize in (False, True):
+            session = Session(optimize=optimize)
+            session.env.optimizer = default_optimizer(False)
+            session.env.set_val("Q", frozenset({(-3, 1), (0, 2)}))
+            with pytest.raises(EvalError, match=want):
+                session.query_value(r"(fn \x => 5)!(index!Q);")
 
     def test_duplication_safety(self):
         assert is_duplication_safe(V("x"))
@@ -362,6 +425,9 @@ class TestAnalysis:
         assert not is_duplication_safe(
             ast.Ext("x", ast.Singleton(V("x")), V("S"))
         )
+        # copying a closure copies code, not work
+        assert is_duplication_safe(ast.Lam("y", ast.Ext(
+            "x", ast.Singleton(V("x")), V("y"))))
 
     def test_strip_bounds_checks(self):
         e = ast.If(ast.Cmp("<", V("i"), V("n")), V("x"), ast.Bottom())

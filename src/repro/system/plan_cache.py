@@ -45,6 +45,10 @@ Structural registrations flush eagerly through the listener
 the per-entry checks in :meth:`PlanCache.lookup` judge every rebinding
 and are the backstop for mutations behind the listener's back.
 
+A statement table maps a query's source text (and ``optimize``) to the
+key its desugared core had: parse and desugar read no environment, so
+:meth:`PlanCache.probe` finds a repeated text's entry without them.
+
 The cache is LRU-bounded (``capacity`` entries, 0 disables) and fully
 observable: hit/miss/eviction/invalidation counters are surfaced in
 :class:`~repro.obs.explain.ExplainReport`, ``:profile``, and the REPL's
@@ -88,6 +92,14 @@ class PlanEntry:
     #: because most entries of a cold workload are never hit and the
     #: function (with its slots) is the bulk of an entry
     evaluator: Any = None
+    types: Any = None
+
+    def node_types(self, env) -> Any:
+        """``TopEnv.node_types`` of :attr:`core`, computed by the first
+        typed emission and reused by every probed one."""
+        if self.types is None:
+            self.types = env.node_types(self.core)
+        return self.types
 
 
 @dataclass
@@ -143,6 +155,8 @@ class PlanCache:
         self.capacity = capacity
         self.stats = PlanCacheStats()
         self._entries: "OrderedDict[Hashable, PlanEntry]" = OrderedDict()
+        #: the statement table: (source text, optimize) -> entry key
+        self._texts: "OrderedDict[Tuple[str, bool], Any]" = OrderedDict()
 
     # -- basics -----------------------------------------------------------
 
@@ -180,6 +194,28 @@ class PlanCache:
         self._entries.move_to_end(key)
         self.stats.hits += 1
         return entry
+
+    def probe(self, text: str, optimize: bool, env) -> Optional[PlanEntry]:
+        """The statement table's entry for ``text`` if valid (a counted,
+        LRU-touched hit), else None; a stale entry counts nothing here,
+        for the fallback path's :meth:`lookup` to judge and count."""
+        entry = self._entries.get(self._texts.get((text, optimize)))
+        if entry is None or not self._valid(entry, env):
+            return None
+        self._texts.move_to_end((text, optimize))
+        self._entries.move_to_end(entry.key)
+        self.stats.hits += 1
+        return entry
+
+    def record(self, text: str, optimize: bool,
+               entry: Optional[PlanEntry]) -> None:
+        """Map ``text`` to ``entry``'s key (LRU, ``capacity`` texts)."""
+        if entry is None:
+            return
+        self._texts[(text, optimize)] = entry.key
+        self._texts.move_to_end((text, optimize))
+        if len(self._texts) > self.capacity:
+            self._texts.popitem(last=False)
 
     def _valid(self, entry: PlanEntry, env) -> bool:
         if entry.generation != env.generation \
@@ -233,13 +269,14 @@ class PlanCache:
     def invalidate_all(self) -> int:
         """Drop every entry (structural environment change)."""
         count = len(self._entries)
-        self._entries.clear()
+        self.clear()
         self.stats.invalidations += count
         return count
 
     def clear(self) -> None:
         """Empty the cache without counting invalidations (``:cache clear``)."""
         self._entries.clear()
+        self._texts.clear()
 
     # -- reporting --------------------------------------------------------
 

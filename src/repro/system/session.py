@@ -10,8 +10,9 @@ with one serving-path refinement: compilation results are memoized in a
 per-session :class:`~repro.system.plan_cache.PlanCache`, so a repeated
 query (the million-user serving path) skips resolve → typecheck →
 optimize — and, from its second repetition on, code generation — and
-goes straight to evaluation.  Environment mutations invalidate affected
-plans (see ``docs/PLAN_CACHE.md``).
+goes straight to evaluation (a one-query source, again by its exact
+text, skips parse and desugar too).  Environment mutations invalidate
+affected plans (see ``docs/PLAN_CACHE.md``).
 
 Each statement yields an :class:`Output` that renders exactly like the
 paper's sample session::
@@ -27,14 +28,15 @@ from typing import Any, List, Optional
 
 from repro.core import ast
 from repro.env.environment import TopEnv
-from repro.errors import BottomError, NestingError, SessionError
+from repro.errors import BottomError, NestingError, ParseError, SessionError
 from repro.obs import ExplainReport
 from repro.objects.array import Array
 from repro.objects.exchange import pretty
 from repro.surface.desugar import Desugarer
 from repro.surface.parser import parse_program
 from repro.surface import sast as S
-from repro.system.plan_cache import DEFAULT_CAPACITY, Plan, PlanCache
+from repro.system.plan_cache import (DEFAULT_CAPACITY, Plan, PlanCache,
+                                     PlanEntry)
 from repro.types.types import Type, TypeScheme
 
 #: the session-level profiling command recognized by :meth:`Session.run`
@@ -150,10 +152,15 @@ class Session:
                 f"unknown command {command!r} (sessions accept AQL "
                 f"statements and the {PROFILE_PREFIX} prefix)"
             )
-        tracer = self.env.obs.tracer
-        with tracer.span("parse"):
+        env = self.env
+        if not env.obs.enabled:  # a repeated text: the statement table
+            entry = self.plan_cache.probe(source, self.optimize, env)
+            if entry is not None:
+                return [self.execute(entry)]
+        with env.obs.tracer.span("parse"):
             statements = parse_program(source)
-        return [self.execute(statement) for statement in statements]
+        text = source if len(statements) == 1 else None
+        return [self.execute(statement, text) for statement in statements]
 
     def run_script(self, source: str, echo: bool = False) -> List[str]:
         """Execute and render each statement (optionally printing)."""
@@ -174,8 +181,6 @@ class Session:
         position refers to the source the caller actually wrote rather
         than the silently modified retry text.
         """
-        from repro.errors import ParseError
-
         try:
             statements = parse_program(source)
         except ParseError as original:
@@ -193,29 +198,38 @@ class Session:
             raise SessionError("statement did not produce a value")
         return last.value
 
-    def execute(self, statement: S.Statement) -> Output:
-        """Execute one parsed top-level statement.  A host
-        ``RecursionError`` from any stage (the desugarer recurses once
-        per operator of a chain the parser read by a loop) is a
-        :class:`~repro.errors.NestingError`."""
+    def execute(self, statement: S.Statement | PlanEntry,
+                text: Optional[str] = None) -> Output:
+        """Execute one parsed statement (``text``: the whole source, if
+        only it) or a statement-table entry.  A host ``RecursionError``
+        from any stage (the desugarer recurses once per operator of a
+        chain the parser read by a loop) is a ``NestingError``."""
         try:
-            return self._execute(statement)
+            return self._execute(statement, text)
         except RecursionError:
             raise NestingError(
                 "expression too deeply nested for this host's stack"
             ) from None
 
-    def _execute(self, statement: S.Statement) -> Output:
+    def _execute(self, statement: S.Statement | PlanEntry,
+                 text: Optional[str]) -> Output:
+        if isinstance(statement, PlanEntry):  # a statement-table hit
+            self._last_core = statement.core
+            return self._answer(self._kept(statement), "it")
         if isinstance(statement, S.Query):
-            return self._query(statement.expr, "it")
+            plan = self._compile(statement.expr)
+            if text is not None:
+                self.plan_cache.record(text, self.optimize, plan.entry)
+            return self._answer(plan, "it")
         if isinstance(statement, S.ValDecl):
-            output = self._query(statement.expr, statement.name)
+            output = self._answer(self._compile(statement.expr),
+                                  statement.name)
             self.env.set_val(statement.name, output.value)
             return output
         if isinstance(statement, S.MacroDecl):
             body = self._desugarer.desugar(statement.expr)
             sig = self.env.register_macro(statement.name, body)
-            return Output("macro", statement.name, _scheme_text(sig))
+            return Output("macro", statement.name, str(sig.body))
         if isinstance(statement, S.ReadVal):
             return self._readval(statement)
         if isinstance(statement, S.WriteVal):
@@ -248,26 +262,30 @@ class Session:
             entry = cache.lookup(key, env)
             tracer.annotate(hit=entry is not None, entries=len(cache))
         if entry is not None:
-            if entry.evaluator is None:  # the plan it keeps, typed once
-                entry.evaluator = self._codegen(entry.core, typed=True)
-            return Plan(entry.core, entry.inferred, cached=True,
-                        evaluator=entry.evaluator, entry=entry)
+            return self._kept(entry)
         compiled, inferred = env.compile(core, optimize=self.optimize)
         evaluator = self._codegen(compiled)
         entry = cache.insert(key, compiled, inferred, ast.free_vars(core), env)
         return Plan(compiled, inferred, evaluator=evaluator, entry=entry)
 
-    def _codegen(self, core: ast.Expr, typed: bool = False) -> Any:
+    def _kept(self, entry: PlanEntry) -> Plan:
+        """The plan a cache entry keeps, emitted on its first hit."""
+        if entry.evaluator is None:
+            entry.evaluator = self._codegen(entry.core, entry)
+        return Plan(entry.core, entry.inferred, cached=True,
+                    evaluator=entry.evaluator, entry=entry)
+
+    def _codegen(self, core: ast.Expr, entry: PlanEntry | None = None) -> Any:
         """An evaluator holding the unprobed plan function for ``core``,
         or ``None`` while observability is on: an observed run executes
         probed code (see :meth:`_evaluate`), so the plain one would be
-        built for nothing.  ``typed`` (a plan the cache keeps) types the
-        core first and drops the host-type guards its types prove."""
+        built for nothing.  A plan the cache keeps (``entry``) is typed
+        first and drops the host-type guards its types prove."""
         if self.env.obs.enabled:
             return None
         evaluator = self.env.plan_evaluator()
-        evaluator.prepare(core, types=self.env.node_types(core)
-                          if typed else None)
+        evaluator.prepare(core, types=entry.node_types(self.env)
+                          if entry is not None else None)
         return evaluator
 
     # -- helpers ---------------------------------------------------------------------
@@ -299,15 +317,14 @@ class Session:
         if evaluator is None or env.obs.enabled:
             evaluator = env.evaluator()
             with env.obs.tracer.span("codegen"):
-                evaluator.prepare(plan.core, types=env.node_types(
-                    plan.core) if plan.cached else None)
+                evaluator.prepare(plan.core, types=plan.entry.node_types(
+                    env) if plan.cached else None)
             if plan.core is self._last_core:
                 self._last_code = evaluator.source
         with env.obs.tracer.span("evaluate"):
             return evaluator.run(plan.core)
 
-    def _query(self, surface: S.SExpr, name: str) -> Output:
-        plan = self._compile(surface)
+    def _answer(self, plan: Plan, name: str) -> Output:
         value = self._evaluate(plan)
         return Output("query" if name == "it" else "val", name,
                       str(plan.inferred), value, has_value=True)
@@ -395,10 +412,6 @@ class Session:
                     replace: bool = False) -> None:
         """The paper's ``TopEnv.RegisterCO``: add an external primitive."""
         self.env.register_co(name, fn, signature, replace)
-
-
-def _scheme_text(scheme: TypeScheme) -> str:
-    return str(scheme.body)
 
 
 __all__ = ["Session", "Output", "PROFILE_PREFIX"]

@@ -489,9 +489,216 @@ class TestPlanClosures:
         assert hot.span("codegen") is not None
         assert hot.value == cold.value == 10
 
+    def test_a_kept_plan_is_typed_once(self, session, monkeypatch):
+        """The first hit's typed emission types the kept core; every
+        later probed emission reuses that table."""
+        typed = []
+        node_types = TopEnv.node_types
+
+        def counting(self, core):
+            typed.append(core)
+            return node_types(self, core)
+
+        monkeypatch.setattr(TopEnv, "node_types", counting)
+        source = self.SOURCE + ";"
+        assert session.query_value(source) == 10            # miss
+        assert session.query_value(source) == 10            # hit
+        for _ in range(3):
+            (output,) = session.run(":profile " + source)
+            assert output.value == 10
+            assert output.explain.span("plan_cache").meta["hit"] is True
+        (entry,) = session.plan_cache._entries.values()
+        assert typed == [entry.core]
+
     def test_key_has_no_engine_component(self):
         core = _core("1 + 1")
         assert PlanCache.key_for(core, True) == (fingerprint(core), True)
+
+
+def _parses(monkeypatch):
+    """Record every source the session hands to the parser."""
+    from repro.system import session as session_module
+
+    seen = []
+    parse = session_module.parse_program
+
+    def recording(source):
+        seen.append(source)
+        return parse(source)
+
+    monkeypatch.setattr(session_module, "parse_program", recording)
+    return seen
+
+
+def _bypassed(session, source):
+    """``source`` run statement by statement, past the statement table."""
+    return [session.execute(statement)
+            for statement in parse_program(source)]
+
+
+#: statement sequences for the counting tests: a text runs through
+#: ``Session.run``, a pair ``(name, value)`` binds a val behind it
+_COUNTED = {
+    "repeat": ["1 + 1;", "1 + 1;", "1 + 1;"],
+    "stale": [("A", Array.from_list([1, 2])), "(A, 1);", "(A, 1);",
+              ("A", Array.from_list([0.5])), "(A, 1);", "(A, 1);"],
+    "same type": [("A", Array.from_list([1, 2])), "(A, 1);",
+                  ("A", Array.from_list([3])), "(A, 1);", "(A, 1);"],
+    "whitespace": ["1 + 1;", "1  +  1 ;", "1 + 1;", "1  +  1 ;"],
+    "evicted": ["1;", "2;", "3;", "1;", "2;", "3;", "1;"],
+}
+
+
+class TestStatementTable:
+    """A source that is one query is remembered by its text: running the
+    same text again skips parse and desugar, and finds the entry the
+    fingerprint would have found, under the same checks and counts."""
+
+    TEXT = r"summap(fn \x => x * x)!(gen!6);"
+
+    @staticmethod
+    def _counts(session):
+        return session.plan_cache.stats.to_dict()
+
+    def test_a_table_hit_counts_one_hit_and_parses_nothing(
+            self, session, monkeypatch):
+        parsed = _parses(monkeypatch)
+        assert session.run(self.TEXT)[0].value == 55
+        before = self._counts(session)
+        (output,) = session.run(self.TEXT)
+        assert (output.kind, output.name, output.type_text,
+                output.value) == ("query", "it", "nat", 55)
+        assert parsed == [self.TEXT]
+        assert self._counts(session) == {**before, "hits": before["hits"] + 1}
+        assert session._last_core is \
+            next(iter(session.plan_cache._entries.values())).core
+
+    def test_a_stale_entry_counts_one_miss_and_one_invalidation(
+            self, session, monkeypatch):
+        session.env.set_val("A", Array.from_list([1, 2]))
+        session.run("(A, 1);")
+        session.run("(A, 1);")
+        session.env.set_val("A", Array.from_list([0.5]))
+        before = self._counts(session)
+        parsed = _parses(monkeypatch)
+        (output,) = session.run("(A, 1);")
+        assert output.type_text == "([[real]]_1 * nat)"
+        assert parsed == ["(A, 1);"]          # judged by the fallback path
+        assert self._counts(session) == {
+            **before, "misses": before["misses"] + 1,
+            "invalidations": before["invalidations"] + 1}
+
+    def test_a_whitespace_variant_is_one_fingerprint_hit(self, session,
+                                                         monkeypatch):
+        session.run("1 + 1;")
+        before = self._counts(session)
+        parsed = _parses(monkeypatch)
+        assert session.run("1  +  1 ;")[0].value == 2
+        assert parsed == ["1  +  1 ;"]
+        assert self._counts(session) == {**before, "hits": before["hits"] + 1}
+
+    @pytest.mark.parametrize("case", sorted(_COUNTED))
+    def test_counts_equal_those_with_the_table_bypassed(self, case):
+        tabled = Session(plan_cache_capacity=2)
+        bypassed = Session(plan_cache_capacity=2)
+        for step in _COUNTED[case]:
+            if isinstance(step, tuple):
+                tabled.env.set_val(*step)
+                bypassed.env.set_val(*step)
+                continue
+            (output,) = tabled.run(step)
+            (expected,) = _bypassed(bypassed, step)
+            assert (output.value, output.type_text) == \
+                (expected.value, expected.type_text)
+            assert self._counts(tabled) == self._counts(bypassed), step
+        assert tabled.plan_cache._texts    # the table did serve
+
+    def test_each_optimize_mode_gets_its_own_plan(self, session):
+        text = "[[1, 2, 3]][5];"
+        reasons = {}
+        for optimize in (True, False, True, False):
+            session.optimize = optimize
+            with pytest.raises(BottomError) as caught:
+                session.run(text)
+            reasons.setdefault(optimize, set()).add(caught.value.reason)
+        assert reasons == {True: {"index out of bounds"},
+                           False: {"index (5,) out of bounds for dims (3,)"}}
+        assert self._counts(session)["hits"] == 2
+
+    def test_a_redefined_macro_replans(self, session):
+        session.run(r"macro \c = 1;")
+        assert session.run("c + 1;")[0].value == 2
+        assert session.run("c + 1;")[0].value == 2
+        session.env.register_macro("c", _core("5"), replace=True)
+        assert session.run("c + 1;")[0].value == 6
+        assert session.run("c + 1;")[0].value == 6
+
+    def test_a_name_between_macro_and_val_replans(self, session):
+        cold = Session(plan_cache_capacity=0)
+        script = [r"macro \c = 1;", "c + 1;", "c + 1;", r"val \c = 2.5;",
+                  "c + 1;", r"val \d = 1;", "d + 1;", "d + 1;",
+                  r"macro \d = 41;", "d + 1;", "d + 1;"]
+        for text in script:
+            assert _statement_outcome(session, text) == \
+                _statement_outcome(cold, text), text
+        assert session.run("d + 1;")[0].value == 42
+        assert session.run("c + 1;")[0].value == 2
+
+    def test_a_val_of_another_type_replans(self, session):
+        session.run(r"val \v = 1;")
+        assert session.run("(v, 1);")[0].type_text == "(nat * nat)"
+        assert session.run("(v, 1);")[0].type_text == "(nat * nat)"
+        session.run(r"val \v = 2.5;")
+        (output,) = session.run("(v, 1);")
+        assert (output.value, output.type_text) == ((2.5, 1), "(real * nat)")
+
+    def test_profile_of_a_tabled_text_shows_the_front_end(self, session):
+        session.run(self.TEXT)
+        session.run(self.TEXT)                 # a table hit
+        (output,) = session.run(":profile " + self.TEXT)
+        report = output.explain
+        assert report.span("parse") is not None
+        assert report.span("desugar") is not None
+        assert report.span("plan_cache").meta["hit"] is True
+        assert report.value == 55
+
+    @pytest.mark.parametrize("source", [
+        "1; 1;", r"val \x = 3;", r"macro \m = 4;",
+        'writeval [[1]] using CO at "{path}";',
+        'readval \\y using CO at "{path}";'])
+    def test_only_one_query_sources_are_recorded(self, session, tmp_path,
+                                                 source):
+        session.run(f'writeval [[1]] using CO at "{tmp_path}/a.co";')
+        source = source.format(path=f"{tmp_path}/a.co")
+        for _ in range(1 if "macro" in source else 2):
+            session.run(source)
+        assert session.plan_cache._texts == {}
+
+    def test_capacity_zero_records_nothing(self):
+        session = Session(plan_cache_capacity=0)
+        for _ in range(3):
+            assert session.run(self.TEXT)[0].value == 55
+        assert session.plan_cache._texts == {}
+        assert set(self._counts(session).values()) == {0}
+
+    def test_the_table_holds_at_most_capacity_texts(self, monkeypatch):
+        session = Session(plan_cache_capacity=3)
+        texts = [f"{n} + 1;" for n in range(8)]
+        for text in texts + texts[-3:]:
+            session.run(text)
+            assert len(session.plan_cache._texts) <= 3
+        assert [text for text, _ in session.plan_cache._texts] == texts[-3:]
+        parsed = _parses(monkeypatch)
+        session.run(texts[-1])
+        assert parsed == []
+
+    def test_invalidate_all_and_clear_empty_the_table(self, session):
+        for flush in (session.plan_cache.invalidate_all,
+                      session.plan_cache.clear):
+            session.run(self.TEXT)
+            assert session.plan_cache._texts
+            flush()
+            assert session.plan_cache._texts == {}
 
 
 class TestSessionBugfixes:
@@ -734,48 +941,96 @@ _VAL_GROUPS = [["5", "7"], ["2.5", "0.5"], ["[[1, 2, 3]]", "[[4]]"],
 _QUERY_TEXTS = ["(a, b);", "(b, a);", "a;", "a + 1;", r"{x + 1 | \x <- a};",
                 "len!a;", r"summap(fn \i => a[i])!(gen!2);",
                 r"[[ a[i] * 2 | \i < len!a ]];", "a[1, 1];",
-                r"(fn \a => a)!b;", "a = b;"]
+                r"(fn \a => a)!b;", "a = b;", "c;", "(c, a);", "c + 1;",
+                "[[1, 2, 3]][5];"]
+#: the bodies a macro step gives ``b`` or ``c``; one captures the val
+#: ``a`` as it is at definition
+_MACRO_BODIES = ["1", "2.5", "a + 1", "{a}", "[[7, 8]]"]
 
 #: a (re)binding: how, which name, whether to keep the name's current
 #: type, and a group and member of :data:`_VAL_GROUPS`
 _BIND = st.tuples(st.sampled_from(["val", "readval"]),
                   st.sampled_from(["a", "b"]), st.booleans(),
                   st.integers(0, len(_VAL_GROUPS) - 1), st.integers(0, 1))
-_QUERY = st.tuples(st.just("query"), st.sampled_from(_QUERY_TEXTS))
-#: both names bound first, then queries twice as often as rebindings
-_STEPS = st.builds(lambda a, b, rest: [a, b, *rest],
-                   _BIND.map(lambda bind: ("val", "a", False, *bind[3:])),
-                   _BIND.map(lambda bind: ("val", "b", False, *bind[3:])),
-                   st.lists(st.one_of(_BIND, _QUERY, _QUERY),
-                            min_size=1, max_size=12))
+#: a macro definition, or a redefinition of one already there
+_MACRO = st.tuples(st.just("macro"), st.sampled_from(["b", "c"]),
+                   st.sampled_from(_MACRO_BODIES))
+#: a flip of both sessions' ``optimize`` flag
+_OPTIMIZE = st.just(("optimize",))
+
+
+@st.composite
+def _steps(draw):
+    """Both names bound first, then queries twice as often as each other
+    kind of step.  A query, run once or twice in a row, is one of at
+    most three texts, so that texts repeat verbatim across the other
+    steps."""
+    texts = draw(st.lists(st.sampled_from(_QUERY_TEXTS), min_size=1,
+                          max_size=3, unique=True))
+    query = st.tuples(st.just("query"), st.sampled_from(texts),
+                      st.integers(1, 2))
+    first = [draw(_BIND.map(lambda bind: ("val", name, False, *bind[3:])))
+             for name in "ab"]
+    return first + draw(st.lists(
+        st.one_of(_BIND, query, query, _MACRO, _OPTIMIZE),
+        min_size=1, max_size=12))
 
 
 def _statement_outcome(session, text):
-    """A statement's value and type text, or its ⊥ reason or error; type
-    variables are numbered per process, so their numbers are dropped."""
+    """A statement's value and type text, or its ⊥ reason or error, with
+    the fingerprint of the plan it ran; type variables are numbered per
+    process, so their numbers are dropped."""
     try:
         (output,) = session.run(text)
     except BottomError as exc:
-        return ("bottom", exc.reason)
+        return ("bottom", exc.reason, _last_plan(session))
     except Exception as exc:  # noqa: BLE001 - ill-typed steps included
         return ("error", type(exc).__name__, re.sub(r"'t\d+", "'t", str(exc)))
-    return ("value", output.value, re.sub(r"'t\d+", "'t", output.type_text))
+    return ("value", output.value, re.sub(r"'t\d+", "'t", output.type_text),
+            _last_plan(session))
+
+
+def _last_plan(session):
+    """The fingerprint of the optimized core the session ran last."""
+    core = session._last_core
+    return None if core is None else fingerprint(core)
+
+
+def _macro_outcome(session, name, body):
+    """``macro \\name = body;``, or, once ``name`` is a macro, its
+    redefinition through the environment (a statement cannot replace a
+    macro)."""
+    if name not in session.env.macro_names():
+        return _statement_outcome(session, f"macro \\{name} = {body};")
+    try:
+        session.env.register_macro(name, _core(body), replace=True)
+    except Exception as exc:  # noqa: BLE001 - ill-typed bodies included
+        return ("error", type(exc).__name__, re.sub(r"'t\d+", "'t", str(exc)))
+    return ("redefined", name)
 
 
 class TestRebindingDifferential:
-    """Random interleavings of ``val``/``readval`` and queries agree with
-    a session that caches nothing."""
+    """Random interleavings of ``val``/``readval``, ``macro``
+    (re)definitions, ``optimize`` flips and queries, each repeated
+    verbatim or not, agree with a session that caches nothing."""
 
     @_SETTINGS
-    @given(steps=_STEPS)
+    @given(steps=_steps())
     def test_cached_session_agrees_with_uncached(self, steps):
         cached, cold = Session(), Session(plan_cache_capacity=0)
         groups = {}
         with tempfile.TemporaryDirectory() as workdir:
             path = f"{workdir}/v.co"
             for step in steps:
+                if step[0] == "optimize":
+                    cached.optimize = cold.optimize = not cold.optimize
+                    continue
+                if step[0] == "macro":
+                    assert _macro_outcome(cached, *step[1:]) == \
+                        _macro_outcome(cold, *step[1:]), (step, steps)
+                    continue
                 if step[0] == "query":
-                    texts = [step[1]]
+                    texts = [step[1]] * step[2]
                 else:
                     how, name, keep, group, member = step
                     group = groups[name] = \

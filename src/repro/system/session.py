@@ -200,8 +200,8 @@ class Session:
 
     def execute(self, statement: S.Statement | PlanEntry,
                 text: Optional[str] = None) -> Output:
-        """Execute one parsed statement (``text``: the whole source, if
-        only it) or a statement-table entry.  A host ``RecursionError``
+        """Execute a parsed statement (``text``: the source, if it held
+        only this one) or a statement-table entry.  A ``RecursionError``
         from any stage (the desugarer recurses once per operator of a
         chain the parser read by a loop) is a ``NestingError``."""
         try:

@@ -530,12 +530,6 @@ def _parses(monkeypatch):
     return seen
 
 
-def _bypassed(session, source):
-    """``source`` run statement by statement, past the statement table."""
-    return [session.execute(statement)
-            for statement in parse_program(source)]
-
-
 #: statement sequences for the counting tests: a text runs through
 #: ``Session.run``, a pair ``(name, value)`` binds a val behind it
 _COUNTED = {
@@ -607,7 +601,9 @@ class TestStatementTable:
                 bypassed.env.set_val(*step)
                 continue
             (output,) = tabled.run(step)
-            (expected,) = _bypassed(bypassed, step)
+            # execute() of a parsed statement never sees the table
+            (expected,) = [bypassed.execute(statement)
+                           for statement in parse_program(step)]
             assert (output.value, output.type_text) == \
                 (expected.value, expected.type_text)
             assert self._counts(tabled) == self._counts(bypassed), step

@@ -31,6 +31,10 @@ Design constraints:
   is a strided *view*; only the rest (``A[B[i]]``, ``A[i, i]``) is
   fancy-indexed.  Temporaries the block allocated are overwritten in
   place, and int results publish the interval the analysis proved.
+* **One width rule.**  An int op runs at the width
+  :func:`repro.objects.dense.int_dtype` gives the hull of its operands'
+  intervals and the one it proves, as an explicit ``dtype=``: nothing
+  wraps, and no result rests on numpy's promotion rules.
 
 Semantics preserved cell-for-cell:
 
@@ -44,7 +48,7 @@ Semantics preserved cell-for-cell:
   conversion rounds identically in both);
 * Python ints are unbounded but int64 is not: an interval analysis runs
   alongside evaluation and falls back before any intermediate could
-  exceed ``±2**62``;
+  exceed ``±2**62``, and the same intervals pick each op's width;
 * IEEE real arithmetic is the same in both, so numpy's floating-point
   warnings are silenced (every ⊥ is declined before a ufunc runs).
 """
@@ -104,11 +108,12 @@ def _dense_block(array: Array):
 # ---------------------------------------------------------------------------
 
 def grids(extents: Sequence[int]) -> List[Any]:
-    """One term per index axis of the grid of ``extents``: an int64
+    """One term per index axis of the grid of ``extents``: an
     ``arange`` shaped to broadcast along its own axis."""
-    return [(_np.arange(extent, dtype=_np.int64).reshape(
-        [extent if other == axis else 1 for other in range(len(extents))]),
-        0, extent - 1, False) for axis, extent in enumerate(extents)]
+    return [(_np.arange(extent, dtype=dense.int_dtype(0, extent - 1))
+             .reshape([extent if other == axis else 1
+                       for other in range(len(extents))]),
+             0, extent - 1, False) for axis, extent in enumerate(extents)]
 
 
 def _check(lo: int, hi: int):
@@ -179,7 +184,7 @@ def gather(operand: Any, keys: Sequence[Any]):
 def _view(block, keys):
     """``block[keys]`` as a strided view of ``block``, or ``None``.
 
-    Each key must be one value, or an int64 vector varying along one
+    Each key must be one value, or an int vector varying along one
     index axis of its own as an arithmetic progression with a non-zero
     step — an affine map of one variable, however spelled (``i + c``,
     ``2*i``, ``n - 1 - i`` through monus).  It becomes a ``slice``; the
@@ -228,7 +233,7 @@ def _is_int_operand(value: Any) -> bool:
         return True
     if isinstance(value, float):
         return False
-    # an ndarray we built: int64 or float64 by construction
+    # an ndarray we built: int32/int64 or float64 by construction
     return value.dtype.kind == "i"
 
 
@@ -236,8 +241,7 @@ def arith(op: str, left, right):
     """The term of ``left op right``: exact Python arithmetic on two
     values, else the ufunc, written into an owned operand's buffer when
     it has the result's shape and dtype."""
-    a, la, ha, own_a = left
-    b, lb, hb, own_b = right
+    a, b = left[0], right[0]
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         # exact Python arithmetic, the very code the scalar loop runs
         try:
@@ -249,16 +253,19 @@ def arith(op: str, left, right):
         return result, None, None, False
     int_a = _is_int_operand(a)
     int_b = _is_int_operand(b)
-    # an operand buffer this block allocated, shaped and typed like the
-    # result, receives it: same ufunc, same dtypes, so the same bits
-    dtype = _np.int64 if int_a and int_b else _np.float64
-    out = next((value for value, owned, other in ((a, own_a, b),
-                                                  (b, own_b, a))
-                if owned and type(value) is _np.ndarray
-                and value.dtype == dtype and _fits(other, value)), None)
     if int_a and int_b:
-        return _int_arith(op, a, la, ha, b, lb, hb, out) + (True,)
-    return _float_arith(op, a, int_a, b, int_b, out) + (True,)
+        return _int_arith(op, left, right) + (True,)
+    return _float_arith(op, a, int_a, b, int_b,
+                        _owned(left, right, _np.float64)) + (True,)
+
+
+def _owned(left, right, dtype):
+    """An operand buffer this block allocated, shaped like the result and
+    of its ``dtype``, to receive it (the same ufunc, so the same bits)."""
+    return next((value for (value, _, _, owned), (other, *_) in
+                 ((left, right), (right, left))
+                 if owned and type(value) is _np.ndarray
+                 and value.dtype == dtype and _fits(other, value)), None)
 
 
 def _fits(value, target) -> bool:
@@ -267,27 +274,38 @@ def _fits(value, target) -> bool:
         n == 1 or n == m for n, m in zip(value.shape, target.shape))
 
 
-def _int_arith(op: str, a, la, ha, b, lb, hb, out):
+def _int_arith(op: str, left, right):
+    """Nat ``left op right`` at the width of the hull of the operands'
+    intervals and the one the op proves (monus: before the clamp)."""
+    a, la, ha, _ = left
+    b, lb, hb, _ = right
     if op == "+":
         lo, hi = _check(la + lb, ha + hb)
-        return _np.add(a, b, out=out), lo, hi
-    if op == "-":  # monus: clamp at zero, like apply_arith on nats
-        _check(la - hb, ha - lb)  # the pre-clamp intermediate
-        diff = _np.subtract(a, b, out=out)
-        clamp = diff if isinstance(diff, _np.ndarray) else None
-        return (_np.maximum(diff, 0, out=clamp),
-                max(0, la - hb), max(0, ha - lb))
-    if op == "*":
+    elif op == "-":  # monus: clamp at zero, like apply_arith on nats
+        lo, hi = _check(la - hb, ha - lb)  # the pre-clamp intermediate
+    elif op == "*":
         corners = (la * lb, la * hb, ha * lb, ha * hb)
         lo, hi = _check(min(corners), max(corners))
-        return _np.multiply(a, b, out=out), lo, hi
-    _nonzero(b)
+    else:
+        _nonzero(b)
+        limit = max(abs(la), abs(ha)) + 1 if op == "/" else \
+            max(abs(lb), abs(hb))
+        lo, hi = -limit, limit
+    dtype = dense.int_dtype(min(lo, la, lb), max(hi, ha, hb))
+    out = _owned(left, right, dtype)
+    if op == "+":
+        return _np.add(a, b, out=out, dtype=dtype), lo, hi
+    if op == "-":
+        diff = _np.subtract(a, b, out=out, dtype=dtype)
+        clamp = diff if isinstance(diff, _np.ndarray) else None
+        return (_np.maximum(diff, 0, out=clamp, dtype=dtype),
+                max(0, lo), max(0, hi))
+    if op == "*":
+        return _np.multiply(a, b, out=out, dtype=dtype), lo, hi
     if op == "/":
-        limit = max(abs(la), abs(ha)) + 1
-        return _np.floor_divide(a, b, out=out), -limit, limit
+        return _np.floor_divide(a, b, out=out, dtype=dtype), lo, hi
     if op == "%":
-        limit = max(abs(lb), abs(hb))
-        return _np.remainder(a, b, out=out), -limit, limit
+        return _np.remainder(a, b, out=out, dtype=dtype), lo, hi
     raise _Fallback()  # pragma: no cover - ARITH_OPS is exhaustive
 
 
@@ -315,20 +333,23 @@ def _float_arith(op: str, a, int_a: bool, b, int_b: bool, out):
 
 def publish(term, extents: tuple) -> Array:
     """The tabulation over the grid of ``extents`` whose body is ``term``.
-    A scalar body fills losslessly (it is inside the int guard); only a
-    buffer the block allocated is published uncopied, so a result never
-    pins an operand's buffer."""
+    Only a buffer the block allocated, of the block's shape and width, is
+    published uncopied, so a result never pins an operand's buffer; the
+    rest is copied once into a fresh block of the canonical width."""
     out, lo, hi, owned = term
-    if _np.shape(out) != extents:
-        out = _np.broadcast_to(out, extents)
-    data = _np.ascontiguousarray(out) if owned else _np.array(out, order="C")
-    return Array(extents, data, None if lo is None else (lo, hi))
+    dtype = _np.float64 if lo is None else dense.int_dtype(lo, hi)
+    if not owned or _np.shape(out) != extents or out.dtype != dtype:
+        data = _np.empty(extents, dtype)
+        data[...] = out  # one pass at the block's width, a scalar body too
+        out = data
+    return Array(extents, out, None if lo is None else (lo, hi))
 
 
 def total(term, n: int) -> Any:
     """``Σ`` of the ``n`` terms of ``term`` in the scalar fold's order.
-    Nat terms are summed in int64 only where the interval proof keeps
-    the total inside the guard; real terms are added left to right from
+    Nat terms are summed into an int64 accumulator only where the
+    interval proof keeps the total inside the guard; real terms are
+    added left to right from
     ``0.0`` by the sequential ``np.add.accumulate`` (``np.sum`` is
     pairwise): the scalar fold's bits, ``-0.0``, NaN and inf included."""
     out, lo, hi, _ = term
@@ -336,7 +357,7 @@ def total(term, n: int) -> Any:
     if lo is not None:
         if n * max(-lo, hi) > INT_GUARD:
             raise _Fallback()
-        return int(terms.sum())
+        return int(terms.sum(dtype=_np.int64))
     partial = _np.concatenate(((0.0,), terms))
     return float(_np.add.accumulate(partial, out=partial)[-1])
 

@@ -26,8 +26,8 @@ Tags and their invariants
 =========  ==============  ==========================================
 tag        numpy dtype     element invariant
 =========  ==============  ==========================================
-``int``    ``int64``       every element is exactly ``int`` (never
-                           ``bool``) with ``|v| <= INT_GUARD``
+``int``    ``int32`` or    every element is exactly ``int`` (never
+           ``int64``       ``bool``) with ``|v| <= INT_GUARD``
 ``real``   ``float64``     every element is exactly ``float``
 ``bool``   ``bool_``       every element is exactly ``bool``
 =========  ==============  ==========================================
@@ -37,7 +37,8 @@ falls back to the object tuple representation.  ``int`` blocks carry
 sound ``lo``/``hi`` value bounds inside ``INT_GUARD`` — measured by a
 scan, or the interval a kernel proved for the cells it computed — so
 the kernel interval analysis starts from real ranges rather than the
-worst-case guard.
+worst-case guard.  They also fix the block's width, in one place
+(:func:`int_dtype`); no observation can tell the two widths apart.
 
 Proof-or-fallback discipline: every function here either returns a
 block whose invariant provably holds, or ``None`` so the caller stays
@@ -54,7 +55,7 @@ try:  # numpy is optional; every entry point degrades to None without it
 except Exception:  # pragma: no cover - exercised by the no-numpy CI lane
     _np = None
 
-#: Magnitude guard for int64 blocks.  Kept well under 2**63 so the kernel
+#: Magnitude guard for int blocks.  Kept well under 2**63 so the kernel
 #: interval analysis (repro.core.kernels) can add/multiply guarded values
 #: a few times before overflow checks trigger.
 INT_GUARD = 2 ** 62
@@ -142,6 +143,12 @@ def is_ndarray(values: Any) -> bool:
     return _np is not None and isinstance(values, _np.ndarray)
 
 
+def int_dtype(lo: int, hi: int) -> Any:
+    """The width of an int block or kernel term whose values lie in
+    ``[lo, hi]``: ``int32`` inside its range, else ``int64``."""
+    return _np.int32 if -2 ** 31 <= lo and hi < 2 ** 31 else _np.int64
+
+
 def _int_bounds(data: Any) -> Optional[Tuple[int, int]]:
     """Exact (lo, hi) of an integer ndarray, or None if outside the guard."""
     if data.size == 0:
@@ -158,22 +165,21 @@ def adopt(values: Any, dims: Tuple[int, ...],
     """Wrap an ndarray whose size already matches ``dims`` as a block.
 
     The ndarray is taken over: it is reshaped (a view when contiguous),
-    upcast to the canonical dtype if needed, and marked read-only.
+    cast to the canonical dtype if needed, and marked read-only.
     Returns ``None`` — caller falls back to boxed elements — when the
     dtype has no tag or an integer value falls outside ``INT_GUARD``.
     ``bounds`` is an interval the caller proved holds every integer
     value; inside ``INT_GUARD`` it becomes the block's ``lo``/``hi``
-    and the min/max scan is skipped.
+    and the min/max scan is skipped.  Either way it picks the width.
     """
     kind = values.dtype.kind
     if kind == "i":
-        if values.dtype != _np.int64:
-            values = values.astype(_np.int64)
         if bounds is None or bounds[0] < -INT_GUARD or bounds[1] > INT_GUARD:
             bounds = _int_bounds(values)
             if bounds is None:
                 return None
         lo, hi = bounds
+        values = _narrow(values, lo, hi)
         tag = TAG_INT
     elif kind == "f":
         if values.dtype != _np.float64:
@@ -215,6 +221,7 @@ def probe_block(flat: Sequence[Any],
             COUNTERS.probe_rejects += 1
             return None
         lo, hi = bounds
+        data = _narrow(data, lo, hi)
         tag = TAG_INT
     elif all(type(v) is float for v in flat):
         data = _np.array(flat, dtype=_np.float64)
@@ -231,6 +238,12 @@ def probe_block(flat: Sequence[Any],
     return DenseBlock(data, tag, lo, hi)
 
 
+def _narrow(values: Any, lo: int, hi: int) -> Any:
+    """``values`` at the width :func:`int_dtype` gives ``[lo, hi]``."""
+    dtype = int_dtype(lo, hi)
+    return values if values.dtype == dtype else values.astype(dtype)
+
+
 def materialize(block: DenseBlock) -> Tuple[Any, ...]:
     """Box every element of a block into the canonical Python carriers.
 
@@ -243,9 +256,10 @@ def materialize(block: DenseBlock) -> Tuple[Any, ...]:
 
 
 def decode_bytes(raw: bytes, dtype: str) -> Optional[Any]:
-    """Decode a big-endian payload to a canonical int64/float64 ndarray.
+    """Decode a big-endian payload to a canonical-width ndarray.
 
-    ``dtype`` is a numpy dtype string (``">i2"``, ``">f4"``, ...).  The
+    ``dtype`` is a numpy dtype string (``">i2"``, ``">f4"``, ...); an
+    int decodes to the width of its type's range (``>i4``: int32).  The
     widening casts are exact, so element values equal what a per-element
     ``struct.unpack`` + ``int()``/``float()`` walk produces.  Returns
     ``None`` without numpy — the caller keeps its struct path.
@@ -255,7 +269,8 @@ def decode_bytes(raw: bytes, dtype: str) -> Optional[Any]:
     data = _np.frombuffer(raw, dtype=dtype)
     if data.dtype.kind == "f":
         return data.astype(_np.float64)
-    return data.astype(_np.int64)
+    info = _np.iinfo(data.dtype)
+    return data.astype(int_dtype(int(info.min), int(info.max)))
 
 
 def encode_ndarray(values: Any, dtype: str) -> Optional[bytes]:
@@ -316,7 +331,7 @@ def compare_blocks(a: DenseBlock, b: DenseBlock) -> Optional[int]:
 __all__ = [
     "DenseBlock", "DenseCounters", "COUNTERS", "INT_GUARD",
     "TAG_INT", "TAG_REAL", "TAG_BOOL", "KIND_CHARS",
-    "available", "is_ndarray",
+    "available", "is_ndarray", "int_dtype",
     "adopt", "probe_block", "materialize",
     "decode_bytes", "encode_ndarray",
     "blocks_equal", "compare_blocks",

@@ -248,6 +248,35 @@ class TestOneEngine:
         }
         assert importers == {"objects/dense.py", "core/kernels.py"}
 
+    def test_int_widths_are_chosen_in_one_place(self):
+        """The kernel library names an int width only through
+        ``dense.int_dtype``, except for ``total``'s int64 accumulator,
+        and gives every ufunc of ``_int_arith`` its ``dtype=``, so no
+        int result depends on numpy's promotion rules."""
+        widths = {"int8", "int16", "int32", "int64", "intp", "int_"}
+        tree = pyast.parse((SRC / "core" / "kernels.py").read_text())
+        named = [
+            (function.name, node.attr if isinstance(node, pyast.Attribute)
+             else getattr(node, "id", getattr(node, "value", None)))
+            for function in tree.body
+            if isinstance(function, pyast.FunctionDef)
+            for node in pyast.walk(function)
+            if isinstance(node, pyast.Attribute) and node.attr in widths
+            or isinstance(node, pyast.Name) and node.id in widths
+            or isinstance(node, pyast.Constant) and node.value in widths]
+        assert named == [("total", "int64")]
+        (arith,) = [node for node in tree.body
+                    if isinstance(node, pyast.FunctionDef)
+                    and node.name == "_int_arith"]
+        ufuncs = [node for node in pyast.walk(arith)
+                  if isinstance(node, pyast.Call)
+                  and isinstance(node.func, pyast.Attribute)
+                  and isinstance(node.func.value, pyast.Name)
+                  and node.func.value.id == "_np"]
+        assert len(ufuncs) == 6
+        assert all("dtype" in {keyword.arg for keyword in call.keywords}
+                   for call in ufuncs)
+
     def test_kernel_library_imports_nothing_from_core(self):
         """The kernel helpers are a run-time library over values: the
         emitter is the only reader of the AST."""

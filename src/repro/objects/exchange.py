@@ -107,20 +107,21 @@ def _write_block(block: Any, out: List[str]) -> None:
     The transient ``tolist`` yields exactly the ints/floats/bools the
     object path would have walked, so the emitted text — including the
     negative-natural rejection, in row-major first-occurrence order —
-    is byte-identical to per-element :func:`_write` dispatch.
+    is byte-identical to per-element :func:`_write` dispatch.  A list's
+    ``repr`` joins its items' ``repr`` with ``", "``: for an int that is
+    its ``str``, and a float's ``repr`` always holds ``.``, ``e``,
+    ``inf`` or ``nan``, so :func:`_format_real` would append nothing —
+    a block of numbers is written in one call.
     """
     values = block.data.ravel().tolist()
-    if block.tag == "int":
-        pieces = []
+    if block.tag == "bool":
+        out.append(", ".join("true" if item else "false" for item in values))
+        return
+    if block.tag == "int" and block.lo < 0:  # a negative cell is possible
         for item in values:
             if item < 0:
                 raise ExchangeFormatError(f"negative natural {item}")
-            pieces.append(str(item))
-        out.append(", ".join(pieces))
-    elif block.tag == "real":
-        out.append(", ".join(_format_real(item) for item in values))
-    else:
-        out.append(", ".join("true" if item else "false" for item in values))
+    out.append(repr(values)[1:-1])
 
 
 def _format_real(value: float) -> str:

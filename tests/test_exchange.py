@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExchangeFormatError
+from repro.objects import dense
 from repro.objects.array import Array
 from repro.objects.bag import Bag
 from repro.objects.exchange import dumps, loads, pretty
@@ -41,6 +42,67 @@ class TestDumps:
 
     def test_string_escaping(self):
         assert loads(dumps('say "hi"\\now')) == 'say "hi"\\now'
+
+
+@pytest.mark.skipif(not dense.available(), reason="numpy not installed")
+class TestBlockWriter:
+    """A dense block is written in one call; its text is the
+    per-element writer's, byte for byte, errors included."""
+
+    @staticmethod
+    def _both(cells, dtype):
+        """``dumps`` of a block-backed and an object-backed array."""
+        np = pytest.importorskip("numpy")
+        block = Array((len(cells),), np.array(cells, dtype=dtype))
+        assert block.block is not None
+        boxed = Array((len(cells),), block.flat)  # never probed
+        assert boxed.block is None
+        return dumps(block), dumps(boxed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(), max_size=30))
+    def test_random_reals(self, cells):
+        text, per_element = self._both(cells, "float64")
+        assert text == per_element
+
+    def test_special_reals(self):
+        cells = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                 1e22, -1e16, 1.0, 123456789.0, 0.1]
+        text, per_element = self._both(cells, "float64")
+        assert text == per_element
+        assert text == ("[[12; -0.0, 0.0, nan, inf, -inf, 5e-324, 1e+16, "
+                        "1e+22, -1e+16, 1.0, 123456789.0, 0.1]]")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 62), max_size=30))
+    def test_random_naturals(self, cells):
+        text, per_element = self._both(cells, "int64")
+        assert text == per_element
+
+    @pytest.mark.parametrize("cells", [
+        [0, 2 ** 31 - 1], [2 ** 31, 0, 2 ** 62], [2 ** 31 - 1] * 3, []])
+    def test_naturals_at_both_width_limits(self, cells):
+        text, per_element = self._both(cells, "int64")
+        assert text == per_element
+        assert text == f"[[{len(cells)}; {', '.join(map(str, cells))}]]"
+
+    @pytest.mark.parametrize("cells", [
+        [3, -(2 ** 31), -1], [0, 2 ** 31, -(2 ** 31) - 1], [-5]])
+    def test_a_negative_cell_is_the_same_error(self, cells):
+        np = pytest.importorskip("numpy")
+        block = Array((len(cells),), np.array(cells))
+        boxed = Array((len(cells),), block.flat)
+        errors = []
+        for array in (block, boxed):
+            with pytest.raises(ExchangeFormatError) as caught:
+                dumps(array)
+            errors.append(str(caught.value))
+        first = next(cell for cell in cells if cell < 0)
+        assert errors[0] == errors[1] == f"negative natural {first}"
+
+    def test_bools(self):
+        text, per_element = self._both([True, False, True], "bool")
+        assert text == per_element == "[[3; true, false, true]]"
 
 
 class TestLoads:

@@ -37,7 +37,9 @@ from repro.surface.parser import parse_program
 from repro.surface import sast as S
 from repro.system.plan_cache import (DEFAULT_CAPACITY, Plan, PlanCache,
                                      PlanEntry)
-from repro.types.types import Type, TypeScheme
+from repro.types.types import (NUMERIC, TBase, Type, TypeScheme,
+                               free_tvars)
+from repro.types.unify import zonk
 
 #: the session-level profiling command recognized by :meth:`Session.run`
 PROFILE_PREFIX = ":profile"
@@ -59,6 +61,18 @@ def _driver_boundary(fn: Any, *args: Any) -> Any:
         raise
     except ValueError as exc:
         raise BottomError(f"host value error: {exc}") from exc
+
+
+def _shown(t: Type) -> str:
+    """``t`` as an echo prints it: its type variables renamed ``'a``,
+    ``'b``, … (``#a`` … for a numeric one) in order of first appearance,
+    so the text does not depend on how many variables the process has
+    minted before.  (Error messages keep the numbers.)"""
+    names = {ident: TBase(("#" if var.constraint == NUMERIC else "'")
+                          + chr(ord("a") + n % 26)
+                          + (str(n // 26) if n >= 26 else ""))
+             for n, (ident, var) in enumerate(free_tvars(t).items())}
+    return str(zonk(t, names) if names else t)
 
 
 @dataclass
@@ -229,7 +243,7 @@ class Session:
         if isinstance(statement, S.MacroDecl):
             body = self._desugarer.desugar(statement.expr)
             sig = self.env.register_macro(statement.name, body)
-            return Output("macro", statement.name, str(sig.body))
+            return Output("macro", statement.name, _shown(sig.body))
         if isinstance(statement, S.ReadVal):
             return self._readval(statement)
         if isinstance(statement, S.WriteVal):
@@ -327,7 +341,7 @@ class Session:
     def _answer(self, plan: Plan, name: str) -> Output:
         value = self._evaluate(plan)
         return Output("query" if name == "it" else "val", name,
-                      str(plan.inferred), value, has_value=True)
+                      _shown(plan.inferred), value, has_value=True)
 
     def _readval(self, statement: S.ReadVal) -> Output:
         reader = self.env.drivers.reader(statement.reader)
@@ -338,7 +352,7 @@ class Session:
         if isinstance(value, Array):
             value.dense_block()  # probed once: the tag types the array
         return Output("readval", statement.name,
-                      str(self.env.val_scheme(statement.name).body),
+                      _shown(self.env.val_scheme(statement.name).body),
                       value, has_value=True)
 
     def _writeval(self, statement: S.WriteVal) -> Output:
@@ -348,7 +362,7 @@ class Session:
         args_plan = self._compile(statement.args, record=False)
         args_value = self._evaluate(args_plan)
         _driver_boundary(writer, value, args_value)
-        return Output("writeval", "it", str(plan.inferred))
+        return Output("writeval", "it", _shown(plan.inferred))
 
     # -- observability (EXPLAIN / :profile) ----------------------------------------
 

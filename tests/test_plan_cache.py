@@ -974,16 +974,15 @@ def _steps(draw):
 
 def _statement_outcome(session, text):
     """A statement's value and type text, or its ⊥ reason or error, with
-    the fingerprint of the plan it ran; type variables are numbered per
-    process, so their numbers are dropped."""
+    the fingerprint of the plan it ran; an error's type variables are
+    numbered per process, so their numbers are dropped."""
     try:
         (output,) = session.run(text)
     except BottomError as exc:
         return ("bottom", exc.reason, _last_plan(session))
     except Exception as exc:  # noqa: BLE001 - ill-typed steps included
         return ("error", type(exc).__name__, re.sub(r"'t\d+", "'t", str(exc)))
-    return ("value", output.value, re.sub(r"'t\d+", "'t", output.type_text),
-            _last_plan(session))
+    return ("value", output.value, output.type_text, _last_plan(session))
 
 
 def _last_plan(session):

@@ -108,7 +108,7 @@ class TestErrorRecovery:
                             io.StringIO("fn \\x => x;\n(gen, 2);\n3;\n"))
         assert repl.main([]) == 0
         out = capsys.readouterr().out
-        assert "typ it : 't" in out and "val it = fn\n" in out
+        assert "typ it : 'a -> 'a\n" in out and "val it = fn\n" in out
         assert "val it = (fn, 2)" in out
         assert "val it = 3" in out
 

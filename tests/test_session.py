@@ -95,6 +95,22 @@ class TestMacroDeclarations:
         assert session.query_value('first!(1, "x");') == 1
         assert session.query_value('first!("y", 2);') == "y"
 
+    def test_echoed_type_variables_do_not_depend_on_history(self):
+        """An echo names type variables by first appearance, not by how
+        many the process minted before: the same in a fresh session and
+        after other statements ran."""
+        macro = "macro \\sqnorm = fn \\u => dot!(u, u);"
+        (fresh,) = Session().run(macro)
+        busy = Session()
+        busy.run("macro \\swap = fn (\\a, \\b) => (b, a);")
+        busy.run("{};")
+        busy.run("[[ i | \\i < 3 ]];")
+        (later,) = busy.run(macro)
+        assert fresh.type_text == later.type_text == "[[#a]]_1 -> #a"
+        (pair,) = busy.run("macro \\pair = fn (\\a, \\b) => (b, a, b);")
+        assert pair.type_text == "('a * 'b) -> ('b * 'a * 'b)"
+        assert busy.run("{};")[0].type_text == "{'a}"
+
     def test_ill_typed_macro_rejected(self, session):
         with pytest.raises(TypeCheckError):
             session.run("macro \\bad = 1 + true;")

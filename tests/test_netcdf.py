@@ -3,6 +3,7 @@
 import os
 import struct
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -480,7 +481,7 @@ class TestTouchesOnlyTheRegion:
         path = nc(dimensions={"t": None, "x": 2},
                   variables={"a": ("int", ("t", "x"), [1, 2, 3, 4]),
                              "b": ("int", ("t",), [5, 6])})
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         for name in (b"a", b"b"):
             at = raw.index(struct.pack(">I", 1) + name + b"\0\0\0")
             # ... dimension ids, no attributes, NC_INT, then vsize
@@ -507,7 +508,7 @@ class TestCorruptHeaders:
         )
 
     def test_truncation_at_every_byte(self, nc, tmp_path):
-        raw = open(self._file_with_attributes(nc), "rb").read()
+        raw = Path(self._file_with_attributes(nc)).read_bytes()
         session = Session()
         cut = tmp_path / "cut.nc"
         served = []
@@ -525,7 +526,7 @@ class TestCorruptHeaders:
         assert served == [len(raw) - 2, len(raw) - 1, len(raw)]
 
     def test_non_utf8_name(self, nc, tmp_path):
-        raw = open(self._file_with_attributes(nc), "rb").read()
+        raw = Path(self._file_with_attributes(nc)).read_bytes()
         bad = tmp_path / "name.nc"
         bad.write_bytes(raw.replace(b"units", b"un\xff\xfes"))
         with pytest.raises(NetCDFError, match="not UTF-8"):

@@ -46,6 +46,8 @@ Readers must snapshot a slot into a local before branching on it.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
+from math import prod
 from operator import mul
 from typing import Any, Dict, Iterable, Iterator, Optional, Sequence
 
@@ -60,6 +62,9 @@ def _row_major_strides(dims: Sequence[int]) -> tuple[int, ...]:
         strides[axis] = strides[axis + 1] * dims[axis + 1]
     return tuple(strides)
 
+
+#: :func:`_row_major_strides` memoized by dims, for the constructor
+_strides_of = lru_cache(maxsize=1024)(_row_major_strides)
 
 #: Kind-signature codes for the scalar carriers.  ``bool`` must be checked
 #: by exact type (it subclasses ``int``); all lookups here are by ``type``
@@ -117,17 +122,16 @@ class Array:
 
     def __init__(self, dims: Sequence[int], values: Iterable[Any],
                  bounds: Optional[tuple[int, int]] = None):
-        dims_t = tuple(int(d) for d in dims)
+        dims_t = tuple(map(int, dims))
         if not dims_t:
             raise ValueError("arrays must have at least one dimension")
-        if any(d < 0 for d in dims_t):
+        if min(dims_t) < 0:
             raise ValueError(f"negative dimension in {dims_t}")
-        expected = 1
-        for d in dims_t:
-            expected *= d
+        expected = prod(dims_t)
         flat: Optional[tuple] = None
         block: Any = None  # None = not probed, False = probed & declined
-        if dense.is_ndarray(values):
+        # a list or tuple (exact types) needs no ndarray probe
+        if type(values) not in (list, tuple) and dense.is_ndarray(values):
             if values.size != expected:
                 raise ValueError(
                     f"dims {dims_t} require {expected} values, "
@@ -144,7 +148,7 @@ class Array:
                 )
         self._dims = dims_t
         self._size = expected
-        self._strides = _row_major_strides(dims_t)
+        self._strides = _strides_of(dims_t)
         self._flat = flat
         self._block = block
         self._ksig: Optional[str] = None

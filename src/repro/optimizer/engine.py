@@ -306,7 +306,7 @@ class Optimizer:
 
     def versions(self) -> Tuple[Tuple["Phase", int], ...]:
         """Each phase with its rule base's version (equal: same rules)."""
-        return tuple((phase, phase.rules.version) for phase in self.phases)
+        return tuple([(phase, phase.rules.version) for phase in self.phases])
 
     def optimize(self, expr: ast.Expr, tracer=NULL_TRACER) -> ast.Expr:
         """Run every phase in order.  ``tracer`` wraps each phase in a

@@ -5,8 +5,9 @@ optimize → evaluate) is re-run from scratch for every statement a
 :class:`~repro.system.session.Session` executes, and the observability
 layer shows the ``optimize`` span dominating repeated-query latency.
 This module caches the *result* of that pipeline — the optimized core,
-its inferred type, and (from the entry's first hit on) the generated
-plan function — so a repeated query goes straight to evaluation.
+its inferred type as the echo prints it, and (from the entry's first
+hit on) the generated plan function — so a repeated query goes straight
+to evaluation.
 
 Keying
 ------
@@ -47,7 +48,8 @@ and are the backstop for mutations behind the listener's back.
 
 A statement table maps a query's source text (and ``optimize``) to the
 key its desugared core had: parse and desugar read no environment, so
-:meth:`PlanCache.probe` finds a repeated text's entry without them.
+:meth:`PlanCache.probe` finds a repeated text's entry without them, and
+the session runs that entry's plan function directly.
 
 The cache is LRU-bounded (``capacity`` entries, 0 disables) and fully
 observable: hit/miss/eviction/invalidation counters are surfaced in
@@ -79,7 +81,8 @@ class PlanEntry:
 
     key: Hashable
     core: ast.Expr
-    inferred: Any                     # the inferred Type
+    #: the inferred type as an echo prints it, shown once by the miss
+    echo: str
     generation: int                   # TopEnv.generation at compile time
     #: per free name of the *pre-resolve* core: val generation and val
     #: scheme (None: not a val) when the plan was last validated
@@ -107,7 +110,7 @@ class Plan:
     """An executable query plan handed to the session's evaluate step."""
 
     core: ast.Expr
-    inferred: Any
+    echo: str                         # as for :attr:`PlanEntry.echo`
     cached: bool = False
     #: the :class:`~repro.core.compile.CompiledEvaluator` holding the
     #: unprobed plan function for :attr:`core`, or None when the plan was
@@ -115,6 +118,19 @@ class Plan:
     evaluator: Any = None
     #: the backing :class:`PlanEntry` (None when caching is disabled)
     entry: Any = None
+
+
+class _Key(tuple):
+    """A cache key, ``(fingerprint, optimize)``, hashed once: the
+    fingerprint is a deep tuple and a table hit looks the key up twice."""
+
+    def __new__(cls, *parts: Any) -> "_Key":
+        key = super().__new__(cls, parts)
+        key.hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self.hash
 
 
 @dataclass
@@ -171,7 +187,7 @@ class PlanCache:
     @staticmethod
     def key_for(core: ast.Expr, optimize: bool) -> Hashable:
         """The cache key: canonical fingerprint + pipeline configuration."""
-        return (fingerprint(core), bool(optimize))
+        return _Key(fingerprint(core), bool(optimize))
 
     # -- lookup / insert --------------------------------------------------
 
@@ -233,7 +249,7 @@ class PlanCache:
                           for name, (_, scheme) in entry.vals.items()}
         return True
 
-    def insert(self, key: Hashable, core: ast.Expr, inferred: Any,
+    def insert(self, key: Hashable, core: ast.Expr, echo: str,
                free_names: Iterable[str], env) -> Optional[PlanEntry]:
         """Record a freshly compiled plan; evicts LRU entries over capacity."""
         if not self.enabled:
@@ -241,7 +257,7 @@ class PlanCache:
         entry = PlanEntry(
             key=key,
             core=core,
-            inferred=inferred,
+            echo=echo,
             generation=env.generation,
             vals={name: (env.val_generation(name), env.val_scheme(name))
                   for name in free_names},

@@ -10,8 +10,9 @@ with one serving-path refinement: compilation results are memoized in a
 per-session :class:`~repro.system.plan_cache.PlanCache`, so a repeated
 query (the million-user serving path) skips resolve → typecheck →
 optimize — and, from its second repetition on, code generation — and
-goes straight to evaluation (a one-query source, again by its exact
-text, skips parse and desugar too).  Environment mutations invalidate
+goes straight to evaluation; a one-query source run again by its exact
+text skips parse and desugar too, running the entry's plan function and
+echoing the type text the entry keeps.  Environment mutations invalidate
 affected plans (see ``docs/PLAN_CACHE.md``).
 
 Each statement yields an :class:`Output` that renders exactly like the
@@ -166,8 +167,14 @@ class Session:
                 f"unknown command {command!r} (sessions accept AQL "
                 f"statements and the {PROFILE_PREFIX} prefix)"
             )
+        return self._run(source)
+
+    def _run(self, source: str) -> List[Output]:
+        """Parse and execute ``source``; a one-query source is recorded
+        in the statement table by its text, and a recorded text runs its
+        kept plan without parse or desugar."""
         env = self.env
-        if not env.obs.enabled:  # a repeated text: the statement table
+        if not env.obs.enabled:
             entry = self.plan_cache.probe(source, self.optimize, env)
             if entry is not None:
                 return [self.execute(entry)]
@@ -193,20 +200,20 @@ class Session:
         retried), so one-off expressions read naturally.  When the
         retry fails too, the *original* error is re-raised, so its
         position refers to the source the caller actually wrote rather
-        than the silently modified retry text.
+        than the silently modified retry text.  The text that parsed
+        goes through the statement table as in :meth:`run`.
         """
         try:
-            statements = parse_program(source)
+            outputs = self._run(source)
         except ParseError as original:
             try:
-                statements = parse_program(source + ";")
+                outputs = self._run(source + ";")
             except ParseError:
                 raise original from None
-        if not statements:
+        if not outputs:
             raise SessionError(
                 "empty source: nothing to evaluate"
             )
-        outputs = [self.execute(statement) for statement in statements]
         last = outputs[-1]
         if not last.has_value:
             raise SessionError("statement did not produce a value")
@@ -229,7 +236,8 @@ class Session:
                  text: Optional[str]) -> Output:
         if isinstance(statement, PlanEntry):  # a statement-table hit
             self._last_core = statement.core
-            return self._answer(self._kept(statement), "it")
+            return Output("query", "it", statement.echo, self._kept(
+                statement).run(statement.core), has_value=True)
         if isinstance(statement, S.Query):
             plan = self._compile(statement.expr)
             if text is not None:
@@ -268,7 +276,7 @@ class Session:
         env, cache = self.env, self.plan_cache
         if not cache.enabled:
             compiled, inferred = env.compile(core, optimize=self.optimize)
-            return Plan(compiled, inferred,
+            return Plan(compiled, _shown(inferred),
                         evaluator=self._codegen(compiled))
         tracer = env.obs.tracer
         with tracer.span("plan_cache"):
@@ -276,18 +284,20 @@ class Session:
             entry = cache.lookup(key, env)
             tracer.annotate(hit=entry is not None, entries=len(cache))
         if entry is not None:
-            return self._kept(entry)
+            return Plan(entry.core, entry.echo, cached=True,
+                        evaluator=self._kept(entry), entry=entry)
         compiled, inferred = env.compile(core, optimize=self.optimize)
         evaluator = self._codegen(compiled)
-        entry = cache.insert(key, compiled, inferred, ast.free_vars(core), env)
-        return Plan(compiled, inferred, evaluator=evaluator, entry=entry)
+        echo = _shown(inferred)
+        entry = cache.insert(key, compiled, echo, ast.free_vars(core), env)
+        return Plan(compiled, echo, evaluator=evaluator, entry=entry)
 
-    def _kept(self, entry: PlanEntry) -> Plan:
-        """The plan a cache entry keeps, emitted on its first hit."""
+    def _kept(self, entry: PlanEntry) -> Any:
+        """The evaluator of the plan a cache entry keeps, emitted on the
+        entry's first hit (``None`` while observability is on)."""
         if entry.evaluator is None:
             entry.evaluator = self._codegen(entry.core, entry)
-        return Plan(entry.core, entry.inferred, cached=True,
-                    evaluator=entry.evaluator, entry=entry)
+        return entry.evaluator
 
     def _codegen(self, core: ast.Expr, entry: PlanEntry | None = None) -> Any:
         """An evaluator holding the unprobed plan function for ``core``,
@@ -341,7 +351,7 @@ class Session:
     def _answer(self, plan: Plan, name: str) -> Output:
         value = self._evaluate(plan)
         return Output("query" if name == "it" else "val", name,
-                      _shown(plan.inferred), value, has_value=True)
+                      plan.echo, value, has_value=True)
 
     def _readval(self, statement: S.ReadVal) -> Output:
         reader = self.env.drivers.reader(statement.reader)
@@ -362,7 +372,7 @@ class Session:
         args_plan = self._compile(statement.args, record=False)
         args_value = self._evaluate(args_plan)
         _driver_boundary(writer, value, args_value)
-        return Output("writeval", "it", _shown(plan.inferred))
+        return Output("writeval", "it", plan.echo)
 
     # -- observability (EXPLAIN / :profile) ----------------------------------------
 

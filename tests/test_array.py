@@ -2,14 +2,15 @@
 
 import pickle
 import threading
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BottomError
 from repro.objects import dense
-from repro.objects.array import Array, iter_indices
+from repro.objects.array import Array, _row_major_strides, iter_indices
 
 
 class TestConstruction:
@@ -83,6 +84,82 @@ class TestConstruction:
     def test_tabulate(self):
         m = Array.tabulate((2, 3), lambda i, j: i * 10 + j)
         assert m.flat == (0, 1, 2, 10, 11, 12)
+
+
+class TestConstructor:
+    """``Array.__init__``'s validation texts, its ``int(d)`` reading of
+    dims and its strides, whatever form the dims and values come in."""
+
+    @pytest.mark.parametrize("dims, values, message", [
+        ((), [], "arrays must have at least one dimension"),
+        ([], (), "arrays must have at least one dimension"),
+        ((2, -1), [], "negative dimension in (2, -1)"),
+        ((-3,), [], "negative dimension in (-3,)"),
+        ((2, 2), [1, 2, 3], "dims (2, 2) require 4 values, got 3"),
+        ((2, 2), (1, 2, 3, 4, 5), "dims (2, 2) require 4 values, got 5"),
+        ((3,), (n for n in range(2)), "dims (3,) require 3 values, got 2"),
+        ((0,), range(1), "dims (0,) require 0 values, got 1"),
+    ], ids=["no-dims", "no-dims-list", "negative", "negative-1d", "list",
+            "tuple", "generator", "range"])
+    def test_value_error_texts(self, dims, values, message):
+        with pytest.raises(ValueError) as caught:
+            Array(dims, values)
+        assert str(caught.value) == message
+
+    def test_ndarray_count_mismatch_text(self):
+        np = pytest.importorskip("numpy", exc_type=ImportError)
+        with pytest.raises(ValueError) as caught:
+            Array((2, 2), np.arange(3))
+        assert str(caught.value) == "dims (2, 2) require 4 values, got 3"
+
+    @pytest.mark.parametrize("dims, expected", [
+        ([2, 3], (2, 3)),
+        ((2, 3), (2, 3)),
+        ((d for d in (2, 3)), (2, 3)),
+        ((True, 3), (1, 3)),
+        ((True,), (1,)),
+        ((False, 3), (0, 3)),
+    ], ids=["list", "tuple", "generator", "true", "true-1d", "false"])
+    def test_dims_read_as_ints(self, dims, expected):
+        a = Array(dims, range(prod(expected)))
+        assert a.dims == expected
+        assert all(type(d) is int for d in a.dims)
+
+    def test_numpy_int_dims(self):
+        np = pytest.importorskip("numpy", exc_type=ImportError)
+        a = Array((np.int64(2), np.int32(3)), list(range(6)))
+        assert a.dims == (2, 3)
+        assert all(type(d) is int for d in a.dims)
+        assert a[1, 2] == 5
+
+    @pytest.mark.parametrize("dims", [
+        (5,), (2, 3), (2, 3, 4), (2, 3, 4, 5), (0,), (3, 0), (0, 4, 2),
+        (2, 0, 3, 1), (1, 1, 1, 1)])
+    def test_strides_are_row_major(self, dims):
+        a = Array(dims, list(range(prod(dims))))
+        assert a._strides == _row_major_strides(dims)
+        assert a._strides[-1] == 1
+
+    def test_strides_survive_many_shapes(self):
+        for n in range(1500):       # more shapes than any memo keeps
+            assert Array((0, n, 2), [])._strides == (2 * n, 2, 1)
+        assert Array((3, 4), range(12))._strides == (4, 1)
+
+    @settings(derandomize=True, max_examples=80)
+    @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1,
+                    max_size=4).flatmap(lambda dims: st.tuples(
+                        st.just(tuple(dims)), st.lists(
+                            st.integers(-5, 5), min_size=prod(dims),
+                            max_size=prod(dims)))))
+    def test_nested_round_trip(self, case):
+        dims, values = case
+        a = Array(dims, values)
+        nested = a.to_nested()
+        b = Array.from_nested(nested, len(dims))
+        assert b.to_nested() == nested
+        if 0 not in dims:               # an empty level ends the probe
+            assert b == a
+            assert b.dims == dims and b._strides == a._strides
 
 
 class TestSubscript:

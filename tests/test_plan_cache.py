@@ -23,7 +23,8 @@ from repro.core.ast import fingerprint
 from repro.core.compile import Compiler
 from repro.core.eval import Evaluator
 from repro.env.environment import TopEnv
-from repro.errors import BottomError, SessionError
+from repro.errors import (BottomError, NestingError, ParseError,
+                          SessionError)
 from repro.objects.array import Array
 from repro.optimizer.engine import Optimizer
 from repro.surface.desugar import desugar_expression
@@ -174,7 +175,7 @@ class TestPlanCacheUnit:
         assert cache.lookup(self._key(1), env) is None
         cache.insert(self._key(1), _nat(1), "nat", (), env)
         entry = cache.lookup(self._key(1), env)
-        assert entry is not None and entry.inferred == "nat"
+        assert entry is not None and entry.echo == "nat"
         assert cache.stats.misses == 1 and cache.stats.hits == 1
 
     def test_lru_eviction_order(self):
@@ -696,6 +697,138 @@ class TestStatementTable:
             flush()
             assert session.plan_cache._texts == {}
 
+    def test_query_value_uses_the_table(self, session, monkeypatch):
+        parsed = _parses(monkeypatch)
+        for _ in range(3):
+            assert session.query_value(self.TEXT) == 55
+        assert parsed == [self.TEXT]
+        assert self._counts(session)["hits"] == 2
+        assert list(session.plan_cache._texts) == [(self.TEXT, True)]
+
+    def test_query_value_records_the_text_that_parsed(self, session,
+                                                      monkeypatch):
+        parsed = _parses(monkeypatch)
+        for _ in range(3):
+            assert session.query_value("2 * 3") == 6
+        # each call's own text fails to parse; the retry text, recorded
+        # by the first call, is a table hit from the second on
+        assert parsed == ["2 * 3", "2 * 3;", "2 * 3", "2 * 3"]
+        assert list(session.plan_cache._texts) == [("2 * 3;", True)]
+        assert self._counts(session)["hits"] == 2
+
+    def test_query_value_errors_are_unchanged(self, session):
+        assert session.query_value("1 + 1") == 2  # the table holds "1 + 1;"
+        for source in ("(1", "1 +", "1 + 1 +"):
+            with pytest.raises(ParseError) as caught:
+                session.query_value(source)
+            with pytest.raises(ParseError) as direct:
+                parse_program(source)
+            assert str(caught.value) == str(direct.value)
+        with pytest.raises(SessionError, match="empty source"):
+            session.query_value("")
+        with pytest.raises(SessionError, match="did not produce"):
+            session.query_value(r"macro \m = 4;")
+
+
+class TestTableHitPath:
+    """A statement-table hit runs the entry's kept plan and builds its
+    output from the entry: the same output, error mappings and
+    bookkeeping as the parsed path."""
+
+    TEXT = r"(fn \s => (s, s))!{};"      # a polymorphic type: ({'a} * {'a})
+
+    @staticmethod
+    def _output(session, text):
+        (output,) = session.run(text)
+        return (output.kind, output.name, output.type_text, output.value)
+
+    def test_a_type_is_shown_once_per_entry(self, session, monkeypatch):
+        from repro.system import session as session_module
+
+        shown = []
+        show = session_module._shown
+        monkeypatch.setattr(session_module, "_shown",
+                            lambda t: shown.append(t) or show(t))
+        for _ in range(5):
+            session.run(self.TEXT)
+        assert len(shown) == 1
+        assert self._output(session, self.TEXT)[2] == "({'a} * {'a})"
+        assert len(shown) == 1
+
+    def test_miss_fingerprint_hit_and_table_hit_agree(self, session):
+        miss = self._output(session, self.TEXT)
+        before = session.plan_cache.stats.hits
+        fingerprint_hit = self._output(session, r"(fn \t=>(t,t))!{} ;")
+        table_hit = self._output(session, self.TEXT)
+        assert session.plan_cache.stats.hits == before + 2
+        assert miss == fingerprint_hit == table_hit == (
+            "query", "it", "({'a} * {'a})", (frozenset(), frozenset()))
+
+    def test_bottom_keeps_its_reason_on_every_path(self, session):
+        reasons = []
+        for text in ("[[1, 2, 3]][5];", "[[1,2,3]][5] ;", "[[1, 2, 3]][5];"):
+            with pytest.raises(BottomError) as caught:
+                session.run(text)
+            reasons.append(str(caught.value))
+        assert reasons == [reasons[0]] * 3
+        assert "index out of bounds" in reasons[0]
+        assert self._counts(session) == (2, 1)
+
+    def test_a_host_value_error_is_bottom_on_a_table_hit(self, session):
+        session.register_co("bad", lambda n: Array((2,), [n]),
+                            TArrow(TNat(), TArray(TNat(), 1)))
+        reasons = []
+        for _ in range(3):
+            with pytest.raises(BottomError) as caught:
+                session.run("bad!1;")
+            reasons.append(caught.value.reason)
+        assert reasons == ["host value error: dims (2,) require 2 values, "
+                           "got 1"] * 3
+        assert self._counts(session) == (2, 1)
+
+    def test_past_the_host_stack_is_a_nesting_error(self, session):
+        deep = "1" + " + 1" * 4999 + ";"
+        for _ in range(2):
+            with pytest.raises(NestingError, match="too deeply nested"):
+                session.run(deep)
+        assert session.plan_cache._texts == {}
+
+    def test_a_table_hit_maps_recursion_to_nesting_error(self, session,
+                                                          monkeypatch):
+        session.run(self.TEXT)                 # a miss: no kept plan yet
+
+        def overflow(core):
+            raise RecursionError
+
+        monkeypatch.setattr(session.env, "node_types", overflow)
+        with pytest.raises(NestingError, match="too deeply nested"):
+            session.run(self.TEXT)             # the first hit emits it
+
+    def test_a_same_type_rebinding_is_served_by_the_table(self, session,
+                                                          monkeypatch):
+        session.env.set_val("A", Array.from_list([1, 2]))
+        assert session.run("A;")[0].value == Array.from_list([1, 2])
+        assert session.run("A;")[0].value == Array.from_list([1, 2])
+        session.env.set_val("A", Array.from_list([3, 4, 5]))
+        parsed = _parses(monkeypatch)
+        assert self._output(session, "A;") == (
+            "query", "it", "[[nat]]_1", Array.from_list([3, 4, 5]))
+        assert parsed == []
+        assert self._counts(session) == (2, 1)
+
+    def test_last_core_is_the_entrys_after_a_table_hit(self, session):
+        session.run(self.TEXT)
+        session.run("1 + 1;")
+        session.run(self.TEXT)
+        entry = session.plan_cache._entries[
+            session.plan_cache._texts[(self.TEXT, True)]]
+        assert session._last_core is entry.core
+        assert self._counts(session) == (1, 2)
+
+    @staticmethod
+    def _counts(session):
+        return session.plan_cache.stats.hits, session.plan_cache.stats.misses
+
 
 class TestSessionBugfixes:
     """Regression tests for the four pre-existing session bugs."""
@@ -938,7 +1071,7 @@ _QUERY_TEXTS = ["(a, b);", "(b, a);", "a;", "a + 1;", r"{x + 1 | \x <- a};",
                 "len!a;", r"summap(fn \i => a[i])!(gen!2);",
                 r"[[ a[i] * 2 | \i < len!a ]];", "a[1, 1];",
                 r"(fn \a => a)!b;", "a = b;", "c;", "(c, a);", "c + 1;",
-                "[[1, 2, 3]][5];"]
+                "[[1, 2, 3]][5];", "g!a;"]
 #: the bodies a macro step gives ``b`` or ``c``; one captures the val
 #: ``a`` as it is at definition
 _MACRO_BODIES = ["1", "2.5", "a + 1", "{a}", "[[7, 8]]"]
@@ -953,22 +1086,36 @@ _MACRO = st.tuples(st.just("macro"), st.sampled_from(["b", "c"]),
                    st.sampled_from(_MACRO_BODIES))
 #: a flip of both sessions' ``optimize`` flag
 _OPTIMIZE = st.just(("optimize",))
+#: ``normalize`` rules, each with a text whose plan (or ⊥ reason) it
+#: changes whatever the bindings
+_RULE_WITNESSES = {"beta": r"(fn \x => x)!3;", "arith-fold": "1 + 2;",
+                   "subscript-mkarray": "[[1, 2, 3]][5];"}
+#: one removed through the ablation API, which the environment never
+#: hears of, or put back (last) once removed
+_RULE = st.tuples(st.just("rule"), st.sampled_from(sorted(_RULE_WITNESSES)))
+#: ``register_co`` of the primitive ``g``, a new definition replacing
+#: the last; two share a type
+_COS = [(lambda n: n + 1, TArrow(TNat(), TNat())),
+        (lambda n: n * 2, TArrow(TNat(), TNat())),
+        (len, TArrow(TSet(TNat()), TNat()))]
+_CO = st.tuples(st.just("co"), st.integers(0, len(_COS) - 1))
 
 
 @st.composite
 def _steps(draw):
-    """Both names bound first, then queries twice as often as each other
-    kind of step.  A query, run once or twice in a row, is one of at
-    most three texts, so that texts repeat verbatim across the other
-    steps."""
+    """Both names bound and each text and rule witness run once first,
+    then queries twice as often as each other kind of step.  A query,
+    run once or twice in a row, is one of at most three texts, so that
+    texts repeat verbatim across the other steps."""
     texts = draw(st.lists(st.sampled_from(_QUERY_TEXTS), min_size=1,
                           max_size=3, unique=True))
     query = st.tuples(st.just("query"), st.sampled_from(texts),
                       st.integers(1, 2))
     first = [draw(_BIND.map(lambda bind: ("val", name, False, *bind[3:])))
-             for name in "ab"]
+             for name in "ab"] + [("query", text, 1) for text in
+                                  texts + list(_RULE_WITNESSES.values())]
     return first + draw(st.lists(
-        st.one_of(_BIND, query, query, _MACRO, _OPTIMIZE),
+        st.one_of(_BIND, query, query, _MACRO, _OPTIMIZE, _RULE, _CO),
         min_size=1, max_size=12))
 
 
@@ -1004,28 +1151,49 @@ def _macro_outcome(session, name, body):
     return ("redefined", name)
 
 
+def _toggle_rule(session, name, removed):
+    """Remove the ``normalize`` rule ``name`` (kept in ``removed``), or
+    add it back if it is out."""
+    rules = session.env.optimizer.phase("normalize").rules
+    if name in rules.names():
+        removed[name] = next(rule for rule in rules if rule.name == name)
+        rules.remove(name)
+    else:
+        rules.add(removed.pop(name))
+
+
 class TestRebindingDifferential:
     """Random interleavings of ``val``/``readval``, ``macro``
-    (re)definitions, ``optimize`` flips and queries, each repeated
-    verbatim or not, agree with a session that caches nothing."""
+    (re)definitions, ``optimize`` flips, rule removals and re-additions,
+    primitive replacements and queries, each repeated verbatim or not,
+    agree with a session that caches nothing.  Every step but a query
+    is followed by each query text run so far, which the statement
+    table holds: a table hit must judge every change as a miss does."""
 
     @_SETTINGS
     @given(steps=_steps())
     def test_cached_session_agrees_with_uncached(self, steps):
         cached, cold = Session(), Session(plan_cache_capacity=0)
-        groups = {}
+        groups, removed, ran = {}, ({}, {}), {}
         with tempfile.TemporaryDirectory() as workdir:
             path = f"{workdir}/v.co"
             for step in steps:
+                texts = []
                 if step[0] == "optimize":
                     cached.optimize = cold.optimize = not cold.optimize
-                    continue
-                if step[0] == "macro":
+                elif step[0] == "macro":
                     assert _macro_outcome(cached, *step[1:]) == \
                         _macro_outcome(cold, *step[1:]), (step, steps)
-                    continue
-                if step[0] == "query":
+                elif step[0] == "rule":
+                    for session, out in zip((cached, cold), removed):
+                        _toggle_rule(session, step[1], out)
+                elif step[0] == "co":
+                    for session in (cached, cold):
+                        session.register_co("g", *_COS[step[1]],
+                                            replace=True)
+                elif step[0] == "query":
                     texts = [step[1]] * step[2]
+                    ran[step[1]] = None
                 else:
                     how, name, keep, group, member = step
                     group = groups[name] = \
@@ -1035,6 +1203,9 @@ class TestRebindingDifferential:
                     texts = [f"val \\{name} = {value};"] if how == "val" \
                         else [f'writeval {value} using CO at "{path}";',
                               f'readval \\{name} using CO at "{path}";']
+                if step[0] != "query":
+                    # every text run so far again: the table holds them
+                    texts += list(ran)
                 for text in texts:
                     assert _statement_outcome(cached, text) == \
                         _statement_outcome(cold, text), (text, steps)

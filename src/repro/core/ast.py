@@ -716,17 +716,6 @@ def substitute(expr: Expr, mapping: Dict[str, Expr]) -> Expr:
     return expr.with_parts(new_children)
 
 
-def count_free_occurrences(expr: Expr, name: str) -> int:
-    """Number of free occurrences of ``name`` in ``expr``."""
-    if isinstance(expr, Var):
-        return 1 if expr.name == name else 0
-    total = 0
-    for child, bound in expr.parts():
-        if name not in bound:
-            total += count_free_occurrences(child, name)
-    return total
-
-
 def transform_bottom_up(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     """Rebuild ``expr`` bottom-up, applying ``fn`` at every node."""
     children = [transform_bottom_up(child, fn) for child, _ in expr.parts()]
@@ -847,7 +836,7 @@ __all__ = [
     "Get", "Bottom", "MkArray", "Prim", "Const",
     "EmptyBag", "SingletonBag", "BagUnion", "BagExt", "ExtRank", "BagExtRank",
     "CMP_OPS", "ARITH_OPS", "fresh_var", "free_vars", "substitute",
-    "count_free_occurrences", "extents",
+    "extents",
     "transform_bottom_up", "subterms", "node_count", "fingerprint",
     "alpha_equal", "LOOP_NODES", "NRC_NODES", "AGGR_NODES", "NRCA_NODES",
 ]

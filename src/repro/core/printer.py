@@ -37,13 +37,6 @@ def _pp(expr: ast.Expr, depth: int) -> str:
     return method(expr, depth + 1)
 
 
-def _paren(text: str) -> str:
-    if text and (text[0].isalnum() or text[0] in "([{\\\"" or text in
-                 ("true", "false", "bottom")):
-        return text
-    return f"({text})"
-
-
 def _var(e: ast.Var, d):
     return e.name
 

@@ -17,12 +17,16 @@ The environment holds four name spaces:
 
 plus the optimizer, whose rule bases are extensible through
 :meth:`TopEnv.register_rule`.
+
+Registrations bump :attr:`TopEnv.generation`, a val (re)binding that
+name's :meth:`TopEnv.val_generation`; a plan cache reads both when next
+accessed (``repro.system.plan_cache``): nothing here refers to a cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core import ast
 from repro.core.compile import CompiledEvaluator, NativePrim
@@ -54,8 +58,7 @@ class TopEnv:
 
     def __init__(self,
                  drivers: Optional[DriverRegistry] = None,
-                 optimizer: Optional[Optimizer] = None,
-                 observe: bool = False):
+                 optimizer: Optional[Optimizer] = None):
         self._prim_impls: Dict[str, NativePrim] = {}
         self._prim_schemes: Dict[str, TypeScheme] = {}
         self._macros: Dict[str, Macro] = {}
@@ -78,17 +81,13 @@ class TopEnv:
         #: benchmarks/suite/layers.py until ROADMAP item 0 removes them
         self.cost = None
         #: the observability switch threaded through the whole pipeline
-        #: (Section 4.1's openness applied to measurement); disabled by
-        #: default, in which case every instrument is the zero-cost null
-        self.obs = Observability(enabled=observe)
-        # mutation accounting for plan-cache invalidation: structural
-        # registrations bump the global generation, val (re)bindings a
-        # per-name one, and listeners hear about every mutation
-        self._generation = 0
+        #: (Section 4.1's openness applied to measurement); disabled
+        #: until ``:profile``, so every instrument is the zero-cost null
+        self.obs = Observability()
+        #: bumped by every structural registration (primitive, macro,
+        #: optimization rule); val (re)bindings bump a per-name counter
+        self.generation = 0
         self._val_generations: Dict[str, int] = {}
-        self._mutation_listeners: List[
-            Callable[[str, Optional[str]], None]
-        ] = []
 
     # -- construction -----------------------------------------------------------
 
@@ -112,14 +111,7 @@ class TopEnv:
                                desugarer.desugar(statement.expr))
         return env
 
-    # -- mutation accounting (plan-cache invalidation) ---------------------------
-
-    @property
-    def generation(self) -> int:
-        """Monotone counter bumped by every structural registration
-        (primitive, macro, or optimization rule); cached plans compiled
-        under an older generation are stale."""
-        return self._generation
+    # -- mutation accounting (plan-cache validity) ------------------------------
 
     def val_generation(self, name: str) -> int:
         """How many times ``name`` has been (re)bound via :meth:`set_val`
@@ -138,22 +130,6 @@ class TopEnv:
             self._val_schemes[name] = generalize(found, {})
         return self._val_schemes.get(name)
 
-    def add_mutation_listener(
-            self, listener: Callable[[str, Optional[str]], None]) -> None:
-        """Subscribe ``listener(kind, name)`` to every environment
-        mutation (kinds: ``primitive``/``macro``/``rule``/``val``); used
-        by sessions to flush the plan cache on a structural one."""
-        self._mutation_listeners.append(listener)
-
-    def _note_mutation(self, kind: str, name: Optional[str] = None) -> None:
-        if kind == "val":
-            self._val_generations[name] = \
-                self._val_generations.get(name, 0) + 1
-        else:
-            self._generation += 1
-        for listener in self._mutation_listeners:
-            listener(kind, name)
-
     # -- registration (Section 4.1) ------------------------------------------------
 
     def register_primitive(self, name: str,
@@ -167,7 +143,7 @@ class TopEnv:
             signature = generalize(signature, {})
         self._prim_impls[name] = impl
         self._prim_schemes[name] = signature
-        self._note_mutation("primitive", name)
+        self.generation += 1
 
     def register_co(self, name: str, fn: Callable[[Any], Any],
                     signature: TypeScheme | Type,
@@ -195,7 +171,7 @@ class TopEnv:
             raise TypeCheckError(f"in macro {name!r}: {exc}") from exc
         self._macros[name] = Macro(resolved, sig)
         self._index_macros()
-        self._note_mutation("macro", name)
+        self.generation += 1
         return sig
 
     def _normal_body(self, macro: Macro) -> ast.Expr:
@@ -228,13 +204,13 @@ class TopEnv:
     def register_rule(self, phase: str, rule: Rule) -> None:
         """Inject an optimization rule into a named phase."""
         self.optimizer.register_rule(phase, rule)
-        self._note_mutation("rule", getattr(rule, "name", None))
+        self.generation += 1
 
     def set_val(self, name: str, value: Any) -> None:
         """Bind a complex-object value (``val``/``readval`` declarations)."""
         self._vals[name] = value
         self._val_schemes.pop(name, None)
-        self._note_mutation("val", name)
+        self._val_generations[name] = self._val_generations.get(name, 0) + 1
 
     def get_val(self, name: str) -> Any:
         """The value bound to ``name`` (KeyError if unbound)."""

@@ -166,10 +166,40 @@ def _sort_set(value: Any) -> Any:
     return Array((len(ordered),), ordered)
 
 
+def _real(value: Any) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise BottomError("real of a nat beyond the largest real") from None
+
+
+def _whole(name: str, fn: Callable[[float], Any]) -> Callable[[Any], int]:
+    """``floor``/``round``: ⊥ for an infinite or NaN argument."""
+    def apply(value: Any) -> int:
+        value = float(value)
+        if not math.isfinite(value):
+            raise BottomError(f"{name} of a non-finite real")
+        return int(fn(value))
+
+    return apply
+
+
 def _sqrt(value: Any) -> float:
     if value < 0:
         raise BottomError("sqrt of negative real")
     return math.sqrt(float(value))
+
+
+def _rpow(x: float, y: float) -> float:
+    try:
+        result = x ** y
+    except OverflowError:
+        raise BottomError("rpow overflows the reals") from None
+    except ZeroDivisionError:
+        raise BottomError("rpow of zero to a negative power") from None
+    if type(result) is not float:  # a negative base to a fraction
+        raise BottomError("rpow result is not real")
+    return result
 
 
 def _pair_real(fn: Callable[[float, float], float]) -> Callable[[Any], float]:
@@ -196,14 +226,13 @@ def builtin_primitives() -> Dict[str, PrimEntry]:
         "sort": (simple_prim(_sort_set),
                  scheme(TArrow(TSet(c), TArray(c, 1)))),
         # numeric conveniences for external-style computations
-        "real": (simple_prim(lambda v: float(v)),
-                 scheme(TArrow(TNat(), TReal()))),
-        "floor": (simple_prim(lambda v: int(math.floor(float(v)))),
+        "real": (simple_prim(_real), scheme(TArrow(TNat(), TReal()))),
+        "floor": (simple_prim(_whole("floor", math.floor)),
                   scheme(TArrow(TReal(), TNat()))),
-        "round": (simple_prim(lambda v: int(round(float(v)))),
+        "round": (simple_prim(_whole("round", round)),
                   scheme(TArrow(TReal(), TNat()))),
         "sqrt": (simple_prim(_sqrt), scheme(TArrow(TReal(), TReal()))),
-        "rpow": (simple_prim(_pair_real(lambda x, y: x ** y)),
+        "rpow": (simple_prim(_pair_real(_rpow)),
                  scheme(TArrow(real2, TReal()))),
         "rmax": (simple_prim(_pair_real(max)),
                  scheme(TArrow(real2, TReal()))),

@@ -21,7 +21,6 @@ from repro.objects.values import (
     is_value,
     value_equal,
     value_kind,
-    value_repr,
 )
 from repro.objects.exchange import dumps, loads, pretty
 
@@ -35,7 +34,6 @@ __all__ = [
     "is_value",
     "value_equal",
     "value_kind",
-    "value_repr",
     "dumps",
     "loads",
     "pretty",

@@ -154,32 +154,3 @@ ARITH_HOST = {
     "/": (((int,), "{a} // {b}"), ((float,), "{a} / {b}")),
     "%": (((int,), "{a} % {b}"),),
 }
-
-
-def value_repr(value: Any) -> str:
-    """A short deterministic display string (sets printed in canonical order)."""
-    from repro.objects.ordering import sort_values
-
-    kind = value_kind(value)
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "nat":
-        return str(value)
-    if kind == "real":
-        return repr(value)
-    if kind == "string":
-        return f'"{value}"'
-    if kind == "tuple":
-        return "(" + ", ".join(value_repr(v) for v in value) + ")"
-    if kind == "set":
-        return "{" + ", ".join(value_repr(v) for v in sort_values(value)) + "}"
-    if kind == "bag":
-        parts = []
-        for item, count in sorted(value.items(), key=lambda kv: repr(kv[0])):
-            parts.extend([value_repr(item)] * count)
-        return "{|" + ", ".join(parts) + "|}"
-    if kind == "array":
-        dims = ",".join(str(d) for d in value.dims)
-        body = ", ".join(value_repr(v) for v in value.flat)
-        return f"[[{dims}; {body}]]"
-    raise AssertionError(kind)

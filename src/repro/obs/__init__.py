@@ -26,41 +26,25 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 class Observability:
     """The observability switch carried by a :class:`~repro.env.TopEnv`.
 
-    Disabled (the default) it hands out :data:`NULL_TRACER` and no probe,
-    so every instrumented code path stays on its original fast route.
-    :meth:`enable` installs a fresh :class:`Tracer` and
-    :class:`EvalMetrics`; :meth:`reset` re-arms them between queries so a
-    ``:profile`` report covers exactly one statement.
+    Disabled (as constructed) it hands out :data:`NULL_TRACER` and no
+    probe, so every instrumented code path stays on its original fast
+    route.  ``:profile`` saves the state with :meth:`capture`, installs a
+    fresh :class:`Tracer` and :class:`EvalMetrics` with :meth:`enable`,
+    and puts the state back with :meth:`restore`.
     """
 
     __slots__ = ("enabled", "tracer", "metrics")
 
-    def __init__(self, enabled: bool = False):
+    def __init__(self):
         self.enabled = False
         self.tracer: Union[Tracer, NullTracer] = NULL_TRACER
         self.metrics: Optional[EvalMetrics] = None
-        if enabled:
-            self.enable()
 
     def enable(self) -> "Observability":
         """Switch on, with fresh instruments; returns self for chaining."""
         self.enabled = True
         self.tracer = Tracer()
         self.metrics = EvalMetrics()
-        return self
-
-    def disable(self) -> "Observability":
-        """Switch off and drop the instruments; returns self."""
-        self.enabled = False
-        self.tracer = NULL_TRACER
-        self.metrics = None
-        return self
-
-    def reset(self) -> "Observability":
-        """Fresh instruments (no-op while disabled); returns self."""
-        if self.enabled:
-            self.tracer = Tracer()
-            self.metrics = EvalMetrics()
         return self
 
     def capture(self):

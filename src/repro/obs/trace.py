@@ -150,23 +150,6 @@ class Tracer:
         """JSON-safe dump of the whole trace tree."""
         return self.root.to_dict()
 
-    def render(self, indent: str = "  ") -> str:
-        """A human-readable indented tree with millisecond timings."""
-        lines = []
-        for depth, span in self.root.walk():
-            if span is self.root:
-                continue
-            extra = ""
-            if span.meta:
-                extra = "  " + " ".join(
-                    f"{k}={v}" for k, v in sorted(span.meta.items())
-                )
-            lines.append(
-                f"{indent * (depth - 1)}{span.name:<24s} "
-                f"{span.seconds * 1e3:9.3f} ms{extra}"
-            )
-        return "\n".join(lines)
-
 
 class _NullSpanContext:
     """The reusable no-op context manager handed out by NullTracer."""
@@ -201,10 +184,6 @@ class NullTracer:
     def to_dict(self) -> Dict[str, Any]:
         """An empty trace."""
         return {}
-
-    def render(self, indent: str = "  ") -> str:
-        """An empty rendering."""
-        return ""
 
 
 #: the shared do-nothing tracer; safe because it holds no state

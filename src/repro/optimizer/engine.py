@@ -304,10 +304,6 @@ class Optimizer:
         """Dynamically inject an optimization rule (Section 4.1)."""
         self.phase(phase_name).rules.add(rule)
 
-    def versions(self) -> Tuple[Tuple["Phase", int], ...]:
-        """Each phase with its rule base's version (equal: same rules)."""
-        return tuple([(phase, phase.rules.version) for phase in self.phases])
-
     def optimize(self, expr: ast.Expr, tracer=NULL_TRACER) -> ast.Expr:
         """Run every phase in order.  ``tracer`` wraps each phase in a
         span; an enabled one also turns on :meth:`Phase.run`'s per-rule

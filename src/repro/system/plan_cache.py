@@ -24,27 +24,25 @@ through substitution, which keeps a cache probe O(|query|) — resolution
 Invalidation contract
 ---------------------
 
-Correctness hinges on never reusing a stale plan.  No value enters a
-plan (a val is a parameter its code reads), so staleness is driven by
-:class:`~repro.env.environment.TopEnv` mutation accounting:
+Correctness hinges on never reusing a stale plan, and this module alone
+decides it.  No value enters a plan (a val is a parameter its code
+reads), so staleness is read off counters the environment keeps:
 
-* **structural registrations** (primitives, macros, rewrite rules) bump
-  the environment's global generation; every cached plan was compiled
-  under some generation and is invalidated when it changes;
+* **the stamp** — the environment's generation (bumped by every
+  primitive, macro and rule registration) and each optimizer phase with
+  its rule base's version (moved also by a direct
+  ``optimizer.phase(p).rules`` edit, which the environment never hears
+  of).  The cache holds one and compares it before serving any plan;
+  when it has moved, every entry and the statement table are dropped,
+  each entry counted as an invalidation;
 * **value (re)bindings** (``set_val``, including the ``readval`` path)
   bump a per-name generation; each entry records it per free name with
   the val's type scheme.  When it has moved, the entry stands if the new
   value has the same type, and is dropped otherwise — an empty
-  collection's type has fresh variables;
-* **rule-base versions** — each entry records the optimizer's phases
-  with their rule bases' versions, so a rule added to or removed from a
-  phase directly (``optimizer.phase(p).rules.remove(...)``, the
-  ablation API, which the environment never hears of) also stales it.
+  collection's type has fresh variables.
 
-Structural registrations flush eagerly through the listener
-:meth:`PlanCache.on_env_mutation` (subscribed by the owning session);
-the per-entry checks in :meth:`PlanCache.lookup` judge every rebinding
-and are the backstop for mutations behind the listener's back.
+So a registration empties a cache at its next access, whatever path the
+mutation took; the environment holds no reference to any cache.
 
 A statement table maps a query's source text (and ``optimize``) to the
 key its desugared core had: parse and desugar read no environment, so
@@ -60,7 +58,7 @@ observable: hit/miss/eviction/invalidation counters are surfaced in
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core import ast
@@ -83,13 +81,9 @@ class PlanEntry:
     core: ast.Expr
     #: the inferred type as an echo prints it, shown once by the miss
     echo: str
-    generation: int                   # TopEnv.generation at compile time
     #: per free name of the *pre-resolve* core: val generation and val
     #: scheme (None: not a val) when the plan was last validated
     vals: Dict[str, Tuple[int, Optional[TypeScheme]]]
-    #: ``Optimizer.versions()`` at compile time: the phases and the
-    #: versions of their rule bases
-    rule_versions: Tuple[Any, ...] = ()
     #: the :class:`~repro.core.compile.CompiledEvaluator` holding the
     #: generated plan function; ``None`` until the entry's first hit,
     #: because most entries of a cold workload are never hit and the
@@ -144,12 +138,7 @@ class PlanCacheStats:
 
     def to_dict(self) -> Dict[str, int]:
         """A JSON-safe snapshot of every counter."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         """The one-line counter summary used by ``:cache``/``:profile``."""
@@ -173,6 +162,8 @@ class PlanCache:
         self._entries: "OrderedDict[Hashable, PlanEntry]" = OrderedDict()
         #: the statement table: (source text, optimize) -> entry key
         self._texts: "OrderedDict[Tuple[str, bool], Any]" = OrderedDict()
+        #: what every entry was compiled under (see :meth:`_restamp`)
+        self._stamp: Any = None
 
     # -- basics -----------------------------------------------------------
 
@@ -194,10 +185,10 @@ class PlanCache:
     def lookup(self, key: Hashable, env) -> Optional[PlanEntry]:
         """Return a *valid* entry for ``key`` (LRU-touched), else None.
 
-        Validity re-checks the environment's generation counters, so a
-        mutation that somehow bypassed eager invalidation still cannot
-        resurrect a stale plan — it is dropped here and counted.
+        The stamp is compared first; an entry whose vals were rebound to
+        another type is dropped here and counted.
         """
+        self._restamp(env)
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -213,13 +204,18 @@ class PlanCache:
 
     def probe(self, text: str, optimize: bool, env) -> Optional[PlanEntry]:
         """The statement table's entry for ``text`` if valid (a counted,
-        LRU-touched hit), else None; a stale entry counts nothing here,
-        for the fallback path's :meth:`lookup` to judge and count."""
-        entry = self._entries.get(self._texts.get((text, optimize)))
+        LRU-touched hit), else None; an entry stale by its vals counts
+        nothing here, for the fallback path's :meth:`lookup` to judge
+        and count."""
+        key = self._texts.get((text, optimize))
+        if key is None:
+            return None
+        self._restamp(env)
+        entry = self._entries.get(key)
         if entry is None or not self._valid(entry, env):
             return None
         self._texts.move_to_end((text, optimize))
-        self._entries.move_to_end(entry.key)
+        self._entries.move_to_end(key)
         self.stats.hits += 1
         return entry
 
@@ -233,10 +229,19 @@ class PlanCache:
         if len(self._texts) > self.capacity:
             self._texts.popitem(last=False)
 
+    def _restamp(self, env) -> None:
+        """Drop every entry, counted, when the stamp has moved: the
+        environment's generation, or the optimizer's phases and their
+        rule-base versions."""
+        stamp = (env.generation, [(phase, phase.rules.version)
+                                  for phase in env.optimizer.phases])
+        if stamp != self._stamp:
+            self._stamp = stamp
+            self.invalidate_all()
+
     def _valid(self, entry: PlanEntry, env) -> bool:
-        if entry.generation != env.generation \
-                or entry.rule_versions != env.optimizer.versions():
-            return False
+        """Whether ``entry``'s vals still have the types it was planned
+        for (the stamp is compared before this runs)."""
         moved = False
         for name, (generation, scheme) in entry.vals.items():
             if env.val_generation(name) != generation:
@@ -251,17 +256,18 @@ class PlanCache:
 
     def insert(self, key: Hashable, core: ast.Expr, echo: str,
                free_names: Iterable[str], env) -> Optional[PlanEntry]:
-        """Record a freshly compiled plan; evicts LRU entries over capacity."""
+        """Record a plan compiled under the stamp its miss's :meth:`lookup`
+        took (or takes one); evicts LRU entries over capacity."""
         if not self.enabled:
             return None
+        if self._stamp is None:
+            self._restamp(env)
         entry = PlanEntry(
             key=key,
             core=core,
             echo=echo,
-            generation=env.generation,
             vals={name: (env.val_generation(name), env.val_scheme(name))
                   for name in free_names},
-            rule_versions=env.optimizer.versions(),
         )
         self._entries[key] = entry
         self._entries.move_to_end(key)
@@ -272,18 +278,8 @@ class PlanCache:
 
     # -- invalidation -----------------------------------------------------
 
-    def on_env_mutation(self, kind: str, name: Optional[str] = None) -> None:
-        """The :meth:`TopEnv.add_mutation_listener` hook.
-
-        Structural registrations (primitive/macro/rule) flush everything
-        — their effect on resolution and optimization is global; a
-        ``val`` rebinding is left to :meth:`lookup`'s type check.
-        """
-        if kind != "val":
-            self.invalidate_all()
-
     def invalidate_all(self) -> int:
-        """Drop every entry (structural environment change)."""
+        """Drop every entry and text, counting each entry invalidated."""
         count = len(self._entries)
         self.clear()
         self.stats.invalidations += count

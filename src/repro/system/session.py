@@ -12,8 +12,8 @@ query (the million-user serving path) skips resolve → typecheck →
 optimize — and, from its second repetition on, code generation — and
 goes straight to evaluation; a one-query source run again by its exact
 text skips parse and desugar too, running the entry's plan function and
-echoing the type text the entry keeps.  Environment mutations invalidate
-affected plans (see ``docs/PLAN_CACHE.md``).
+echoing the type text the entry keeps.  Whether a kept plan may still
+run is the cache's alone to decide (see ``docs/PLAN_CACHE.md``).
 
 Each statement yields an :class:`Output` that renders exactly like the
 paper's sample session::
@@ -141,7 +141,6 @@ class Session:
         #: the compiled-query plan cache (``plan_cache_capacity=0``
         #: disables caching entirely)
         self.plan_cache = PlanCache(plan_cache_capacity)
-        self.env.add_mutation_listener(self.plan_cache.on_env_mutation)
 
     # -- statement execution -----------------------------------------------------
 
@@ -201,15 +200,23 @@ class Session:
         retry fails too, the *original* error is re-raised, so its
         position refers to the source the caller actually wrote rather
         than the silently modified retry text.  The text that parsed
-        goes through the statement table as in :meth:`run`.
+        goes through the statement table as in :meth:`run`, and a retry
+        text found there runs without the failing parse (:meth:`run`
+        never looks the caller's text up under the retry's).
         """
-        try:
-            outputs = self._run(source)
-        except ParseError as original:
+        retry = source + ";"
+        entry = None if self.env.obs.enabled else self.plan_cache.probe(
+            retry, self.optimize, self.env)
+        if entry is not None:
+            outputs = [self.execute(entry)]
+        else:
             try:
-                outputs = self._run(source + ";")
-            except ParseError:
-                raise original from None
+                outputs = self._run(source)
+            except ParseError as original:
+                try:
+                    outputs = self._run(retry)
+                except ParseError:
+                    raise original from None
         if not outputs:
             raise SessionError(
                 "empty source: nothing to evaluate"

@@ -1,13 +1,19 @@
 """Tests for the environment module (Section 4.1 openness)."""
 
+import math
+
 import pytest
 
 from repro.core import ast
+from repro.core.compile import Compiler
 from repro.env.environment import TopEnv
-from repro.env.primitives import simple_prim
-from repro.errors import RegistrationError, TypeCheckError
+from repro.env.primitives import builtin_primitives, simple_prim
+from repro.errors import BottomError, RegistrationError, TypeCheckError
 from repro.objects.array import Array
+from repro.system.session import Session
 from repro.types.types import TArrow, TNat, TypeScheme
+
+from conftest import reference_query_value
 
 N = ast.NatLit
 V = ast.Var
@@ -141,3 +147,101 @@ class TestCompilePipeline:
         env.set_val("A", Array.from_list([4, 5, 6]))
         e = ast.Subscript(V("A"), (N(1),))
         assert env.evaluate(e) == 5
+
+
+class _Bottom(str):
+    """An expected ⊥, by its reason."""
+
+
+_INF = "1.0e308 * 10.0"
+_NAN = f"{_INF} - {_INF}"
+_NOT_FINITE = {"floor": _Bottom("floor of a non-finite real"),
+               "round": _Bottom("round of a non-finite real")}
+
+#: every builtin on ordinary and edge inputs: (name, argument text, the
+#: value with its exact host type, or the ⊥ reason)
+BUILTIN_CASES = [
+    ("min", "{3, 1, 2}", 1), ("min", "{}", _Bottom("min of empty set")),
+    ("max", "{3, 1, 2}", 3), ("max", "{}", _Bottom("max of empty set")),
+    ("sort", "{3, 1, 2}", Array.from_list([1, 2, 3])),
+    ("real", "3", 3.0),
+    ("real", "1" + "0" * 400,
+     _Bottom("real of a nat beyond the largest real")),
+    ("floor", "2.7", 2), ("floor", _INF, _NOT_FINITE["floor"]),
+    ("floor", _NAN, _NOT_FINITE["floor"]),
+    ("round", "2.5", 2), ("round", "3.5", 4),
+    ("round", f"0.0 - {_INF}", _NOT_FINITE["round"]),
+    ("round", _NAN, _NOT_FINITE["round"]),
+    ("sqrt", "2.25", 1.5), ("sqrt", _INF, math.inf),
+    ("sqrt", "0.0 - 1.0", _Bottom("sqrt of negative real")),
+    ("rpow", "(2.0, 3.0)", 8.0), ("rpow", "(0.0 - 8.0, 3.0)", -512.0),
+    ("rpow", "(10.0, 400.0)", _Bottom("rpow overflows the reals")),
+    ("rpow", "(0.0 - 8.0, 0.5)", _Bottom("rpow result is not real")),
+    ("rpow", "(0.0, 0.0 - 1.0)",
+     _Bottom("rpow of zero to a negative power")),
+    ("rmax", "(1.0, 2.5)", 2.5), ("rmin", "(1.0, 2.5)", 1.0),
+    ("even", "4", True), ("even", "3", False),
+    ("odd", "3", True), ("odd", "0", False),
+]
+
+
+def _outcome(run):
+    """``run()``'s value, or its ⊥ as a :class:`_Bottom`: any other
+    host exception escapes and fails the test."""
+    try:
+        return run()
+    except BottomError as exc:
+        return _Bottom(exc.reason)
+
+
+def _assert_same(got, want):
+    """Equal, and of the same exact type: ``2`` is not ``2.0``, nor
+    ``True`` ``1``."""
+    assert (type(got), got) == (type(want), want)
+
+
+class TestBuiltinTable:
+    """Every builtin primitive lets out only values and ⊥ — never a host
+    exception — on the plan a miss runs, the plan an entry keeps, as a
+    function value, and in the reference evaluator alike."""
+
+    def test_the_table_covers_every_builtin(self):
+        assert {name for name, _, _ in BUILTIN_CASES} == \
+            set(builtin_primitives())
+
+    @pytest.mark.parametrize("name,argument,want", BUILTIN_CASES,
+                             ids=[f"{case[0]}-{n}" for n, case
+                                  in enumerate(BUILTIN_CASES)])
+    def test_a_builtin_applied(self, name, argument, want):
+        text = f"{name}!({argument})"
+        session = Session()
+        for _ in range(2):  # a miss, then the plan the entry keeps
+            _assert_same(_outcome(lambda: session.query_value(text + ";")),
+                         want)
+        assert session.plan_cache.stats.hits == 1
+        _assert_same(_outcome(
+            lambda: reference_query_value(session.env, text)), want)
+
+    @pytest.mark.parametrize("name,argument,want", BUILTIN_CASES,
+                             ids=[f"{case[0]}-{n}" for n, case
+                                  in enumerate(BUILTIN_CASES)])
+    def test_a_builtin_as_a_function_value(self, name, argument, want,
+                                           monkeypatch):
+        """Unoptimised, ``maparr``'s parameter holds the primitive
+        itself: the emitter's ``Prim`` value, not an application."""
+        emitted = []
+        emit = Compiler._NODES[ast.Prim]
+        monkeypatch.setitem(Compiler._NODES, ast.Prim, lambda *args: (
+            emitted.append(args[1].name) or emit(*args)))
+        text = f"maparr!({name}, [[{argument}]])"
+        expected = want if isinstance(want, _Bottom) \
+            else Array.from_list([want])
+        session = Session(optimize=False)
+        for _ in range(2):
+            got = _outcome(lambda: session.query_value(text + ";"))
+            _assert_same(got, expected)
+            if not isinstance(want, _Bottom):
+                _assert_same(got.flat[0], want)
+        assert emitted == [name, name]
+        _assert_same(_outcome(lambda: reference_query_value(
+            session.env, text, optimize=False)), expected)

@@ -26,7 +26,7 @@ from repro.env.environment import TopEnv
 from repro.errors import (BottomError, NestingError, ParseError,
                           SessionError)
 from repro.objects.array import Array
-from repro.optimizer.engine import Optimizer
+from repro.optimizer.engine import Optimizer, Rule
 from repro.surface.desugar import desugar_expression
 from repro.surface.parser import parse_expression, parse_program
 from repro.system.plan_cache import DEFAULT_CAPACITY, PlanCache
@@ -341,41 +341,55 @@ class TestSessionCaching:
         assert Session(plan_cache_capacity=0).query_value("1 + 1;") == 2
 
 
+def _assert_flushed_by_the_next_query(session):
+    """The cache held ``1 + 1;``'s entry before a registration: the next
+    query drops it, counted, and its own plan is the only entry left."""
+    assert session.query_value("2 + 2;") == 4
+    assert len(session.plan_cache) == 1
+    assert session.plan_cache.stats.invalidations == 1
+
+
 class TestInvalidation:
     def test_register_co_flushes_cache(self, session):
         session.query_value("1 + 1;")
         session.register_co("dbl", lambda x: x * 2, TArrow(TNat(), TNat()))
-        assert len(session.plan_cache) == 0
-        assert session.plan_cache.stats.invalidations == 1
+        _assert_flushed_by_the_next_query(session)
 
     def test_register_primitive_flushes_cache(self, session):
         session.query_value("1 + 1;")
         session.env.register_primitive(
             "tri", lambda v, ev: v * 3, TArrow(TNat(), TNat()))
-        assert len(session.plan_cache) == 0
+        _assert_flushed_by_the_next_query(session)
 
     def test_register_macro_flushes_cache(self, session):
         session.query_value("1 + 1;")
         session.run("macro \\five = 5;")
-        assert len(session.plan_cache) == 0
-        assert session.plan_cache.stats.invalidations >= 1
+        _assert_flushed_by_the_next_query(session)
         # the macro is actually picked up by the recompiled plan
         assert session.query_value("five + 1;") == 6
 
     def test_register_rule_flushes_cache(self, session):
         session.query_value("1 + 1;")
+        # a rule that never fires: an invalidation trigger only
+        session.env.register_rule("bounds", Rule("test-noop", lambda e: None))
+        _assert_flushed_by_the_next_query(session)
 
-        class NoopRule:
-            """A rule that never fires (invalidation trigger only)."""
-            name = "test-noop"
-
-            def apply(self, expr):
-                """Decline every expression."""
-                return None
-
-        session.env.register_rule("bounds", NoopRule())
-        assert len(session.plan_cache) == 0
-        assert session.plan_cache.stats.invalidations == 1
+    def test_a_dropped_session_leaves_no_cache_behind(self):
+        """The environment holds no reference to a session's cache: a
+        session dropped from a shared environment is collected whole,
+        and later registrations reach no cache of it."""
+        env = TopEnv.standard()
+        keeper = Session(env)
+        dropped = Session(env)
+        dropped.query_value("1 + 1;")
+        cache = weakref.ref(dropped.plan_cache)
+        del dropped
+        gc.collect()
+        assert cache() is None
+        keeper.query_value("1 + 1;")
+        env.register_co("dbl", lambda x: x * 2, TArrow(TNat(), TNat()))
+        assert keeper.query_value("dbl!(1 + 1);") == 4
+        assert keeper.plan_cache.stats.invalidations == 1
 
     def test_val_rebinding_invalidates_referencing_plan(self, session):
         session.run("val \\m = 5;")
@@ -710,11 +724,14 @@ class TestStatementTable:
         parsed = _parses(monkeypatch)
         for _ in range(3):
             assert session.query_value("2 * 3") == 6
-        # each call's own text fails to parse; the retry text, recorded
-        # by the first call, is a table hit from the second on
-        assert parsed == ["2 * 3", "2 * 3;", "2 * 3", "2 * 3"]
+        # the first call's own text fails to parse; the retry text it
+        # records is a table hit from the second call on, with no parse
+        assert parsed == ["2 * 3", "2 * 3;"]
         assert list(session.plan_cache._texts) == [("2 * 3;", True)]
         assert self._counts(session)["hits"] == 2
+        # run() never reaches the retry's entry through the caller's text
+        with pytest.raises(ParseError):
+            session.run("2 * 3")
 
     def test_query_value_errors_are_unchanged(self, session):
         assert session.query_value("1 + 1") == 2  # the table holds "1 + 1;"

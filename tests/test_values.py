@@ -1,11 +1,13 @@
-"""Tests for value classification and structural equality."""
+"""Tests for value classification, structural equality and the
+exchange text of values."""
 
 import pytest
 from hypothesis import given
 
 from repro.objects.array import Array
 from repro.objects.bag import Bag
-from repro.objects.values import is_value, value_equal, value_kind, value_repr
+from repro.objects.exchange import dumps
+from repro.objects.values import is_value, value_equal, value_kind
 
 from conftest import values
 
@@ -72,20 +74,22 @@ class TestValueEqual:
 
 
 class TestValueRepr:
+    """A value's text is its exchange form, :func:`dumps`."""
+
     def test_scalars(self):
-        assert value_repr(True) == "true"
-        assert value_repr(3) == "3"
-        assert value_repr("hi") == '"hi"'
+        assert dumps(True) == "true"
+        assert dumps(3) == "3"
+        assert dumps("hi") == '"hi"'
 
     def test_set_canonical_order(self):
-        assert value_repr(frozenset({3, 1, 2})) == "{1, 2, 3}"
+        assert dumps(frozenset({3, 1, 2})) == "{1, 2, 3}"
 
     def test_array_shows_dims(self):
-        assert value_repr(Array((2, 1), [5, 6])) == "[[2,1; 5, 6]]"
+        assert dumps(Array((2, 1), [5, 6])) == "[[2, 1; 5, 6]]"
 
     def test_bag_with_multiplicity(self):
-        assert value_repr(Bag([1, 1])) == "{|1, 1|}"
+        assert dumps(Bag([1, 1])) == "{|1, 1|}"
 
     @given(values)
     def test_repr_total(self, v):
-        assert isinstance(value_repr(v), str)
+        assert isinstance(dumps(v), str)

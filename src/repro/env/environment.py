@@ -18,9 +18,10 @@ The environment holds four name spaces:
 plus the optimizer, whose rule bases are extensible through
 :meth:`TopEnv.register_rule`.
 
-Registrations bump :attr:`TopEnv.generation`, a val (re)binding that
-name's :meth:`TopEnv.val_generation`; a plan cache reads both when next
-accessed (``repro.system.plan_cache``): nothing here refers to a cache.
+Registrations bump :attr:`TopEnv.generation`; a val (re)binding drops
+that name's memoized scheme, so :meth:`TopEnv.val_scheme` answers with a
+new object.  A plan cache reads both when next accessed
+(``repro.system.plan_cache``): nothing here refers to a cache.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class TopEnv:
         #: scheme of a body they meet instead of inferring it again
         self._macro_schemes: Dict[int, Tuple[ast.Expr, TypeScheme]] = {}
         self._vals: Dict[str, Any] = {}
-        #: ``name -> generalize(type_of_value(val))``, once per binding
+        #: ``name -> generalize(type_of_value(val))``, once per binding:
+        #: a new object exactly when :meth:`set_val` has rebound the name
         self._val_schemes: Dict[str, TypeScheme] = {}
         self.drivers = drivers if drivers is not None else default_registry()
         self.optimizer = (optimizer if optimizer is not None
@@ -85,9 +87,8 @@ class TopEnv:
         #: until ``:profile``, so every instrument is the zero-cost null
         self.obs = Observability()
         #: bumped by every structural registration (primitive, macro,
-        #: optimization rule); val (re)bindings bump a per-name counter
+        #: optimization rule); a val (re)binding renews its scheme
         self.generation = 0
-        self._val_generations: Dict[str, int] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -111,24 +112,21 @@ class TopEnv:
                                desugarer.desugar(statement.expr))
         return env
 
-    # -- mutation accounting (plan-cache validity) ------------------------------
-
-    def val_generation(self, name: str) -> int:
-        """How many times ``name`` has been (re)bound via :meth:`set_val`
-        (0 if never); a cache compares a name's scheme only when this
-        has moved."""
-        return self._val_generations.get(name, 0)
+    # -- val schemes (plan-cache validity) --------------------------------------
 
     def val_scheme(self, name: str) -> Optional[TypeScheme]:
-        """The scheme of ``name``'s val (None if unbound), once a binding."""
-        if name in self._vals and name not in self._val_schemes:
+        """The scheme of ``name``'s val (None if unbound), computed once
+        per binding: the same object until :meth:`set_val` rebinds the
+        name, so a cache compares a name's scheme only when it is new."""
+        scheme = self._val_schemes.get(name)
+        if scheme is None and name in self._vals:
             try:
                 found = type_of_value(self._vals[name])
             except (TypeError, TypeCheckError) as exc:
                 raise TypeCheckError(f"val {name!r} has no type: {exc}") \
                     from None
-            self._val_schemes[name] = generalize(found, {})
-        return self._val_schemes.get(name)
+            scheme = self._val_schemes[name] = generalize(found, {})
+        return scheme
 
     # -- registration (Section 4.1) ------------------------------------------------
 
@@ -210,7 +208,6 @@ class TopEnv:
         """Bind a complex-object value (``val``/``readval`` declarations)."""
         self._vals[name] = value
         self._val_schemes.pop(name, None)
-        self._val_generations[name] = self._val_generations.get(name, 0) + 1
 
     def get_val(self, name: str) -> Any:
         """The value bound to ``name`` (KeyError if unbound)."""

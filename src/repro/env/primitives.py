@@ -202,6 +202,17 @@ def _rpow(x: float, y: float) -> float:
     return result
 
 
+def _ieee(pick: Callable[..., Any]) -> Callable[[float, float], float]:
+    """``rmax``/``rmin`` as IEEE 754-2019 ``maximum``/``minimum``: NaN
+    when either operand is NaN, and -0.0 below +0.0, in either order."""
+    def apply(x: float, y: float) -> float:
+        if x != x or y != y:
+            return math.nan
+        return pick((x, math.copysign(1.0, x)), (y, math.copysign(1.0, y)))[0]
+
+    return apply
+
+
 def _pair_real(fn: Callable[[float, float], float]) -> Callable[[Any], float]:
     def apply(value: Any) -> float:
         if not isinstance(value, tuple) or len(value) != 2:
@@ -234,9 +245,9 @@ def builtin_primitives() -> Dict[str, PrimEntry]:
         "sqrt": (simple_prim(_sqrt), scheme(TArrow(TReal(), TReal()))),
         "rpow": (simple_prim(_pair_real(_rpow)),
                  scheme(TArrow(real2, TReal()))),
-        "rmax": (simple_prim(_pair_real(max)),
+        "rmax": (simple_prim(_pair_real(_ieee(max))),
                  scheme(TArrow(real2, TReal()))),
-        "rmin": (simple_prim(_pair_real(min)),
+        "rmin": (simple_prim(_pair_real(_ieee(min))),
                  scheme(TArrow(real2, TReal()))),
         "even": (simple_prim(lambda v: v % 2 == 0),
                  scheme(TArrow(TNat(), TBool()))),

@@ -75,7 +75,10 @@ class RuleBase:
         self.version = next(_versions)
 
     def add(self, rule: Rule) -> None:
-        """Register a rule (Section 4.1's dynamic rule injection)."""
+        """Register a rule (Section 4.1's dynamic rule injection): a
+        :class:`Rule`, whose ``roots`` and ``apply`` the engine reads."""
+        if not isinstance(rule, Rule):
+            raise RegistrationError(f"not a Rule: {rule!r}")
         if rule.name in self._names:
             raise RegistrationError(f"rule {rule.name!r} already registered")
         self._rules.append(rule)

@@ -17,7 +17,7 @@ structural fingerprint of the desugared core expression: binders are
 numbered by de-Bruijn-style levels, so any two α-equivalent spellings of
 the same query (different binder names, whitespace, sugar that desugars
 identically) share one entry.  The environment's *meaning* for the
-query's free names is folded in through generation counters rather than
+query's free names is folded in through a counter and val schemes, not
 through substitution, which keeps a cache probe O(|query|) — resolution
 (which splices in full macro bodies) never runs on the hit path.
 
@@ -26,7 +26,7 @@ Invalidation contract
 
 Correctness hinges on never reusing a stale plan, and this module alone
 decides it.  No value enters a plan (a val is a parameter its code
-reads), so staleness is read off counters the environment keeps:
+reads), so staleness is read off what the environment keeps:
 
 * **the stamp** — the environment's generation (bumped by every
   primitive, macro and rule registration) and each optimizer phase with
@@ -36,10 +36,11 @@ reads), so staleness is read off counters the environment keeps:
   when it has moved, every entry and the statement table are dropped,
   each entry counted as an invalidation;
 * **value (re)bindings** (``set_val``, including the ``readval`` path)
-  bump a per-name generation; each entry records it per free name with
-  the val's type scheme.  When it has moved, the entry stands if the new
-  value has the same type, and is dropped otherwise — an empty
-  collection's type has fresh variables.
+  give the name a new scheme object (:meth:`TopEnv.val_scheme` returns
+  one per binding); each entry records, per free name, the one it was
+  planned under (``None``: not a val).  A new object keeps the entry if
+  it equals the recorded scheme (the same type) and drops it otherwise —
+  an empty collection's type has fresh variables.
 
 So a registration empties a cache at its next access, whatever path the
 mutation took; the environment holds no reference to any cache.
@@ -81,9 +82,9 @@ class PlanEntry:
     core: ast.Expr
     #: the inferred type as an echo prints it, shown once by the miss
     echo: str
-    #: per free name of the *pre-resolve* core: val generation and val
-    #: scheme (None: not a val) when the plan was last validated
-    vals: Dict[str, Tuple[int, Optional[TypeScheme]]]
+    #: per free name of the *pre-resolve* core: the ``TopEnv.val_scheme``
+    #: object the plan was last validated under (None: not a val)
+    vals: Dict[str, Optional[TypeScheme]]
     #: the :class:`~repro.core.compile.CompiledEvaluator` holding the
     #: generated plan function; ``None`` until the entry's first hit,
     #: because most entries of a cold workload are never hit and the
@@ -242,16 +243,14 @@ class PlanCache:
     def _valid(self, entry: PlanEntry, env) -> bool:
         """Whether ``entry``'s vals still have the types it was planned
         for (the stamp is compared before this runs)."""
-        moved = False
-        for name, (generation, scheme) in entry.vals.items():
-            if env.val_generation(name) != generation:
+        vals = entry.vals
+        for name, scheme in vals.items():
+            now = env.val_scheme(name)
+            if now is not scheme:
                 # type variables are fresh per binding: never equal
-                if scheme is None or env.val_scheme(name) != scheme:
+                if scheme is None or now != scheme:
                     return False
-                moved = True
-        if moved:  # rebound to the same type: the plan reads the new value
-            entry.vals = {name: (env.val_generation(name), scheme)
-                          for name, (_, scheme) in entry.vals.items()}
+                vals[name] = now  # the same type: the plan reads the value
         return True
 
     def insert(self, key: Hashable, core: ast.Expr, echo: str,
@@ -266,8 +265,7 @@ class PlanCache:
             key=key,
             core=core,
             echo=echo,
-            vals={name: (env.val_generation(name), env.val_scheme(name))
-                  for name in free_names},
+            vals={name: env.val_scheme(name) for name in free_names},
         )
         self._entries[key] = entry
         self._entries.move_to_end(key)

@@ -12,8 +12,9 @@ query (the million-user serving path) skips resolve → typecheck →
 optimize — and, from its second repetition on, code generation — and
 goes straight to evaluation; a one-query source run again by its exact
 text skips parse and desugar too, running the entry's plan function and
-echoing the type text the entry keeps.  Whether a kept plan may still
-run is the cache's alone to decide (see ``docs/PLAN_CACHE.md``).
+echoing the type text the entry keeps — observed or not, and from
+:meth:`Session.query_value` too.  Whether a kept plan may still run is
+the cache's alone to decide (see ``docs/PLAN_CACHE.md``).
 
 Each statement yields an :class:`Output` that renders exactly like the
 paper's sample session::
@@ -171,12 +172,11 @@ class Session:
     def _run(self, source: str) -> List[Output]:
         """Parse and execute ``source``; a one-query source is recorded
         in the statement table by its text, and a recorded text runs its
-        kept plan without parse or desugar."""
+        kept plan without parse or desugar, observed or not."""
         env = self.env
-        if not env.obs.enabled:
-            entry = self.plan_cache.probe(source, self.optimize, env)
-            if entry is not None:
-                return [self.execute(entry)]
+        entry = self.plan_cache.probe(source, self.optimize, env)
+        if entry is not None:
+            return [self.execute(entry)]
         with env.obs.tracer.span("parse"):
             statements = parse_program(source)
         text = source if len(statements) == 1 else None
@@ -195,28 +195,20 @@ class Session:
     def query_value(self, source: str) -> Any:
         """Evaluate a single query expression and return its value.
 
-        A missing final ``;`` is forgiven (it is appended and the parse
-        retried), so one-off expressions read naturally.  When the
-        retry fails too, the *original* error is re-raised, so its
-        position refers to the source the caller actually wrote rather
-        than the silently modified retry text.  The text that parsed
-        goes through the statement table as in :meth:`run`, and a retry
-        text found there runs without the failing parse (:meth:`run`
-        never looks the caller's text up under the retry's).
+        A missing final ``;`` is forgiven: the source runs with one
+        appended unless it ends in one already, through the statement
+        table as in :meth:`run`.  If that text fails to parse (so nothing
+        ran), the caller's own text runs: it raises the caller's own
+        error, or answers when the source ends in a comment after its
+        ``;``.
         """
-        retry = source + ";"
-        entry = None if self.env.obs.enabled else self.plan_cache.probe(
-            retry, self.optimize, self.env)
-        if entry is not None:
-            outputs = [self.execute(entry)]
-        else:
-            try:
-                outputs = self._run(source)
-            except ParseError as original:
-                try:
-                    outputs = self._run(retry)
-                except ParseError:
-                    raise original from None
+        text = source if source.rstrip().endswith(";") else source + ";"
+        try:
+            outputs = self._run(text)
+        except ParseError:
+            outputs = None
+        if outputs is None:  # outside the handler: no chained error
+            outputs = self._run(source)
         if not outputs:
             raise SessionError(
                 "empty source: nothing to evaluate"
@@ -243,6 +235,12 @@ class Session:
                  text: Optional[str]) -> Output:
         if isinstance(statement, PlanEntry):  # a statement-table hit
             self._last_core = statement.core
+            if self.env.obs.enabled:  # its probed plan, typed like the kept
+                with self.env.obs.tracer.span(
+                        "plan_cache", hit=True, entries=len(self.plan_cache)):
+                    plan = Plan(statement.core, statement.echo, cached=True,
+                                entry=statement)
+                return self._answer(plan, "it")
             return Output("query", "it", statement.echo, self._kept(
                 statement).run(statement.core), has_value=True)
         if isinstance(statement, S.Query):

@@ -64,6 +64,29 @@ class TestRegistration:
         assert env.get_val("x") == 42
         assert env.evaluate(V("x")) == 42
 
+    def test_a_rule_that_is_not_a_rule_is_rejected(self):
+        """An object with a ``name`` and ``apply`` but no ``roots`` is
+        refused at registration, before the generation moves, instead of
+        failing the next query with a host ``AttributeError``."""
+
+        class Impostor:
+            name = "impostor"
+
+            def apply(self, expr):
+                return None
+
+        session = Session()
+        assert session.query_value("1 + 2") == 3
+        env, generation = session.env, session.env.generation
+        with pytest.raises(RegistrationError, match="not a Rule"):
+            env.register_rule("normalize", Impostor())
+        with pytest.raises(RegistrationError, match="not a Rule"):
+            env.optimizer.phase("normalize").rules.add(Impostor())
+        assert env.generation == generation
+        assert "impostor" not in env.optimizer.phase("normalize").rules.names()
+        assert session.query_value("1 + 2") == 3
+        assert session.query_value("2 + 2") == 4
+
 
 class TestResolution:
     def test_bound_variables_not_resolved(self, env):
@@ -155,6 +178,7 @@ class _Bottom(str):
 
 _INF = "1.0e308 * 10.0"
 _NAN = f"{_INF} - {_INF}"
+_NEG_ZERO = "0.0 * (0.0 - 1.0)"
 _NOT_FINITE = {"floor": _Bottom("floor of a non-finite real"),
                "round": _Bottom("round of a non-finite real")}
 
@@ -182,6 +206,12 @@ BUILTIN_CASES = [
     ("rmax", "(1.0, 2.5)", 2.5), ("rmin", "(1.0, 2.5)", 1.0),
     ("even", "4", True), ("even", "3", False),
     ("odd", "3", True), ("odd", "0", False),
+    # IEEE 754-2019 maximum/minimum: NaN wins and -0.0 < 0.0, either order
+    ("rmax", f"({_NAN}, 1.0)", math.nan), ("rmax", f"(1.0, {_NAN})", math.nan),
+    ("rmin", f"({_NAN}, 1.0)", math.nan), ("rmin", f"(1.0, {_NAN})", math.nan),
+    ("rmax", f"({_NEG_ZERO}, 0.0)", 0.0), ("rmax", f"(0.0, {_NEG_ZERO})", 0.0),
+    ("rmin", f"({_NEG_ZERO}, 0.0)", -0.0),
+    ("rmin", f"(0.0, {_NEG_ZERO})", -0.0),
 ]
 
 
@@ -196,8 +226,18 @@ def _outcome(run):
 
 def _assert_same(got, want):
     """Equal, and of the same exact type: ``2`` is not ``2.0``, nor
-    ``True`` ``1``."""
-    assert (type(got), got) == (type(want), want)
+    ``True`` ``1``, nor ``-0.0`` ``0.0``; NaN matches NaN."""
+    assert _same_key(got) == _same_key(want)
+
+
+def _same_key(value):
+    """What :func:`_assert_same` compares: the exact type and the value,
+    a float by its ``repr`` (its sign, and NaN as one value)."""
+    if isinstance(value, Array):
+        return Array, value.dims, [_same_key(cell) for cell in value.flat]
+    if type(value) is float:
+        return float, repr(value)
+    return type(value), value
 
 
 class TestBuiltinTable:

@@ -146,23 +146,19 @@ class TestFingerprintKeysUnchanged:
 
 
 class _FakeEnv:
-    """A minimal generation-counter double for unit-testing the cache."""
+    """A minimal environment double for unit-testing the cache: a
+    generation counter and one val scheme object per binding."""
 
     def __init__(self):
         self.generation = 0
-        self._vals = {}
         self._schemes = {}
         self.optimizer = Optimizer()
-
-    def val_generation(self, name):
-        return self._vals.get(name, 0)
 
     def val_scheme(self, name):
         return self._schemes.get(name)
 
     def bind(self, name, value_type):
         """A (re)binding of ``name`` to a value of ``value_type``."""
-        self._vals[name] = self._vals.get(name, 0) + 1
         self._schemes[name] = generalize(value_type, {})
 
 
@@ -198,7 +194,7 @@ class TestPlanCacheUnit:
         assert cache.stats.invalidations == 1
 
     def test_val_generation_backstop(self):
-        # a moved generation drops the entry when the name's type changed,
+        # a new scheme object drops the entry when the name's type changed,
         # when the name became a val, or when its type has variables
         cache, env = PlanCache(4), _FakeEnv()
         env.bind("m", TNat())
@@ -221,8 +217,9 @@ class TestPlanCacheUnit:
         for n in (1, 2, 1):
             assert cache.lookup(self._key(n), env) is not None
         assert cache.stats.invalidations == 0 and len(cache) == 2
-        assert cache.lookup(self._key(1), env).vals["m"][0] == \
-            env.val_generation("m")
+        # the entry now records the new binding's scheme object
+        assert cache.lookup(self._key(1), env).vals["m"] is \
+            env.val_scheme("m")
 
     def test_invalidate_all_counts_and_clear_does_not(self):
         cache, env = PlanCache(4), _FakeEnv()
@@ -663,15 +660,28 @@ class TestStatementTable:
         (output,) = session.run("(v, 1);")
         assert (output.value, output.type_text) == ((2.5, 1), "(real * nat)")
 
-    def test_profile_of_a_tabled_text_shows_the_front_end(self, session):
+    def test_profile_of_a_tabled_text_shows_the_hit(self, session,
+                                                    monkeypatch):
+        """``:profile`` of a repeat takes the table as a plain run does:
+        no parse or desugar, one counted hit, and the probed plan typed
+        like the kept one — the counters and code of a fingerprint hit."""
         session.run(self.TEXT)
         session.run(self.TEXT)                 # a table hit
+        before = self._counts(session)
+        parsed = _parses(monkeypatch)
         (output,) = session.run(":profile " + self.TEXT)
         report = output.explain
-        assert report.span("parse") is not None
-        assert report.span("desugar") is not None
+        assert parsed == []
+        assert [span.name for span in report.spans.children] == \
+            ["plan_cache", "codegen", "evaluate"]
         assert report.span("plan_cache").meta["hit"] is True
         assert report.value == 55
+        assert self._counts(session) == {**before, "hits": before["hits"] + 1}
+        fingerprint_hit = session.explain(self.TEXT[:-1] + " ;")
+        assert fingerprint_hit.span("parse") is not None
+        assert fingerprint_hit.to_dict()["metrics"] == \
+            report.to_dict()["metrics"]
+        assert fingerprint_hit.code == report.code
 
     @pytest.mark.parametrize("source", [
         "1; 1;", r"val \x = 3;", r"macro \m = 4;",
@@ -724,9 +734,9 @@ class TestStatementTable:
         parsed = _parses(monkeypatch)
         for _ in range(3):
             assert session.query_value("2 * 3") == 6
-        # the first call's own text fails to parse; the retry text it
-        # records is a table hit from the second call on, with no parse
-        assert parsed == ["2 * 3", "2 * 3;"]
+        # the first call parses the text with its final `;` and records
+        # it; every later call is a table hit, with no parse
+        assert parsed == ["2 * 3;"]
         assert list(session.plan_cache._texts) == [("2 * 3;", True)]
         assert self._counts(session)["hits"] == 2
         # run() never reaches the retry's entry through the caller's text
@@ -745,6 +755,16 @@ class TestStatementTable:
             session.query_value("")
         with pytest.raises(SessionError, match="did not produce"):
             session.query_value(r"macro \m = 4;")
+
+    def test_query_value_answers_a_source_ending_in_a_comment(
+            self, session, monkeypatch):
+        parsed = _parses(monkeypatch)
+        source = "2 * 3; (* done *)"
+        assert session.query_value(source) == 6
+        # the appended `;` is an empty statement: the caller's text runs
+        assert parsed == [source + ";", source]
+        assert session.query_value("2 * 3;  ") == 6   # ends in `;`: as is
+        assert parsed[2:] == ["2 * 3;  "]
 
 
 class TestTableHitPath:
@@ -1116,6 +1136,10 @@ _COS = [(lambda n: n + 1, TArrow(TNat(), TNat())),
         (lambda n: n * 2, TArrow(TNat(), TNat())),
         (len, TArrow(TSet(TNat()), TNat()))]
 _CO = st.tuples(st.just("co"), st.integers(0, len(_COS) - 1))
+#: ``:profile`` of a text run before (by its index among those run), on
+#: the cached session only: a table hit must judge it as a plain run does
+_PROFILE = st.tuples(st.just("profile"), st.integers(0, 15))
+_PROFILED = ":profile "
 
 
 @st.composite
@@ -1132,7 +1156,8 @@ def _steps(draw):
              for name in "ab"] + [("query", text, 1) for text in
                                   texts + list(_RULE_WITNESSES.values())]
     return first + draw(st.lists(
-        st.one_of(_BIND, query, query, _MACRO, _OPTIMIZE, _RULE, _CO),
+        st.one_of(_BIND, query, query, _MACRO, _OPTIMIZE, _RULE, _CO,
+                  _PROFILE),
         min_size=1, max_size=12))
 
 
@@ -1184,8 +1209,11 @@ class TestRebindingDifferential:
     (re)definitions, ``optimize`` flips, rule removals and re-additions,
     primitive replacements and queries, each repeated verbatim or not,
     agree with a session that caches nothing.  Every step but a query
-    is followed by each query text run so far, which the statement
-    table holds: a table hit must judge every change as a miss does."""
+    or a profile is followed by each query text run so far, which the
+    statement table holds: a table hit must judge every change as a miss
+    does.  A profile step, and the first of those reruns, runs
+    ``:profile`` of a text run before on the cached session, against the
+    uncached session's plain run."""
 
     @_SETTINGS
     @given(steps=_steps())
@@ -1194,7 +1222,7 @@ class TestRebindingDifferential:
         groups, removed, ran = {}, ({}, {}), {}
         with tempfile.TemporaryDirectory() as workdir:
             path = f"{workdir}/v.co"
-            for step in steps:
+            for position, step in enumerate(steps):
                 texts = []
                 if step[0] == "optimize":
                     cached.optimize = cold.optimize = not cold.optimize
@@ -1211,6 +1239,8 @@ class TestRebindingDifferential:
                 elif step[0] == "query":
                     texts = [step[1]] * step[2]
                     ran[step[1]] = None
+                elif step[0] == "profile":
+                    texts = [_PROFILED + list(ran)[step[1] % len(ran)]]
                 else:
                     how, name, keep, group, member = step
                     group = groups[name] = \
@@ -1220,9 +1250,16 @@ class TestRebindingDifferential:
                     texts = [f"val \\{name} = {value};"] if how == "val" \
                         else [f'writeval {value} using CO at "{path}";',
                               f'readval \\{name} using CO at "{path}";']
-                if step[0] != "query":
-                    # every text run so far again: the table holds them
-                    texts += list(ran)
+                if step[0] not in ("query", "profile"):
+                    # every text run so far again: the table holds them;
+                    # one of them first under :profile, to meet the change
+                    reruns = list(ran)
+                    if reruns:
+                        texts.append(_PROFILED
+                                     + reruns[position % len(reruns)])
+                    texts += reruns
                 for text in texts:
+                    # the uncached session runs a profiled text plainly
                     assert _statement_outcome(cached, text) == \
-                        _statement_outcome(cold, text), (text, steps)
+                        _statement_outcome(cold, text.removeprefix(
+                            _PROFILED)), (text, steps)

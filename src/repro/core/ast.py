@@ -11,11 +11,20 @@ Design notes
 
 * Nodes are frozen dataclasses: structural equality is exact syntactic
   equality (α-equivalence is :func:`alpha_equal`, by :func:`fingerprint`).
-* Binding structure is exposed uniformly through :meth:`Expr.parts`, which
-  yields ``(child, bound_names)`` pairs, and ``BINDER_FIELDS``, naming the
-  dataclass fields that hold binder names.  All generic operations —
-  :func:`free_vars`, :func:`substitute`, :func:`transform_bottom_up`,
-  :func:`fingerprint` — are written once against that interface.
+* A node class states its shape once, beside its fields: ``CHILDREN``
+  names the fields holding sub-expressions in evaluation order (``*name``
+  for a tuple of them), ``BINDER_FIELDS`` those holding binder names, and
+  the binders scope over ``body`` alone.  From these :func:`_declare`
+  generates ``parts()`` (``(child, bound_names)`` pairs), ``with_parts(
+  children)`` (the node rebuilt in the same shape) and ``LABEL_FIELDS``;
+  every generic operation — :func:`free_vars`, :func:`substitute`,
+  :func:`fingerprint`, the rewrite engine — is written against these.
+* The generated methods are closures over ``operator.attrgetter``, one
+  per shape (leaf; one, two or more children; λ; loops; each tuple-child
+  pattern), not generated text: turning text into code is the code
+  generator's alone.  ``parts`` reads the fields in one C call; a node
+  with a tuple child is rebuilt by its constructor, any other by setting
+  its fields, as its checks cannot fail again.
 * Substitution is capture-avoiding: binders are freshened on demand via
   :func:`fresh_var`.
 """
@@ -25,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Tuple
 
 # ---------------------------------------------------------------------------
@@ -56,32 +66,136 @@ def fresh_var(hint: str = "x") -> str:
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Base class of all core-calculus expressions."""
+    """Base class of all core-calculus expressions (see the design notes)."""
 
-    #: dataclass fields holding binder names (a str or a tuple of strs)
+    #: the fields holding sub-expressions, in evaluation order; ``*name``
+    #: marks a field holding a tuple of them
+    CHILDREN: Tuple[str, ...] = ()
+    #: the fields holding the names bound around ``body``: one name each,
+    #: but a tabulation's one field holds a tuple, a name per bound
     BINDER_FIELDS: Tuple[str, ...] = ()
+    #: generated: the fields a fingerprint labels with, in field order, as
+    #: ``(name, is a tuple child)``: a value always, a tuple child if empty
+    LABEL_FIELDS: Tuple[Tuple[str, bool], ...] = ()
 
-    def parts(self) -> List[Tuple["Expr", Tuple[str, ...]]]:
-        """Children with the variables bound around each child."""
-        raise NotImplementedError
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _declare(cls)
 
-    def with_parts(self, children: List["Expr"]) -> "Expr":
-        """Rebuild this node with replacement children (same order/shape)."""
-        raise NotImplementedError
-
-    # convenience
     def children(self) -> List["Expr"]:
         """Child expressions without binding information."""
         return [child for child, _ in self.parts()]
 
 
-def _no_parts(self: Expr) -> List[Tuple[Expr, Tuple[str, ...]]]:
-    return []
+#: the bound names of every child that no binder scopes over
+_UNBOUND = itertools.repeat(())
+_new, _set = object.__new__, object.__setattr__
 
 
-def _identity_with_parts(self: Expr, children: List[Expr]) -> Expr:
-    assert not children
-    return self
+def _declare(cls: type) -> None:
+    """Generate ``parts``, ``with_parts`` and ``LABEL_FIELDS`` for
+    ``cls`` from its ``CHILDREN`` and ``BINDER_FIELDS``."""
+    declared, binder_fields = cls.CHILDREN, cls.BINDER_FIELDS
+    names = tuple(name.lstrip("*") for name in declared)
+    shape = "".join("*" if name[0] == "*" else "1" for name in declared)
+    shape += "λ" * len(binder_fields)  # one per name bound around body
+    fields = tuple(vars(cls).get("__annotations__", {}))
+    kept = tuple(name for name in fields if name not in names)
+    assert not binder_fields or names[-1] == "body", cls.__name__
+    # a node with a tuple child is rebuilt by its positional constructor
+    assert "*" not in shape or fields == binder_fields + names, cls.__name__
+    cls.LABEL_FIELDS = tuple((name, "*" + name in declared) for name in fields
+                             if name not in binder_fields + declared)
+    get = attrgetter(*names, *binder_fields) if names else None
+    if not names:
+        def parts(self):
+            return []
+
+        def with_parts(self, children):
+            assert not children
+            return self
+    elif shape == "*":
+        def parts(self):
+            return [*zip(get(self), _UNBOUND)]
+
+        def with_parts(self, children):
+            return cls(tuple(children))
+    elif shape == "1*":
+        def parts(self):
+            first, rest = get(self)
+            return [(first, ()), *zip(rest, _UNBOUND)]
+
+        def with_parts(self, children):
+            first, *rest = children
+            return cls(first, tuple(rest))
+    elif shape == "**":
+        def parts(self):
+            first, rest = get(self)
+            return [*zip(first, _UNBOUND), *zip(rest, _UNBOUND)]
+
+        def with_parts(self, children):  # the first keeps its length
+            size = len(get(self)[0])
+            return cls(tuple(children[:size]), tuple(children[size:]))
+    elif shape == "*1λ":  # a tabulation: one bound per name it binds
+        def parts(self):
+            bounds, body, bound = get(self)
+            return [*zip(bounds, _UNBOUND), (body, bound)]
+
+        def with_parts(self, children):
+            *bounds, body = children
+            return cls(get(self)[2], tuple(bounds), body)
+    elif "*" in shape or "λ" in shape and len(names) > 2:
+        raise TypeError(f"{cls.__name__}: no shape for {declared}")
+    # below, the shape cannot change: ``with_parts`` copies the node's
+    # other fields and runs no check
+    elif len(names) == 1:
+        (name,) = names
+        if shape == "1":
+            def parts(self):
+                return [(get(self), ())]
+        else:  # λ
+            def parts(self):
+                body, *bound = get(self)
+                return [(body, tuple(bound))]
+
+        def with_parts(self, children):
+            (child,) = children
+            new = _new(cls)
+            for field in kept:
+                _set(new, field, getattr(self, field))
+            _set(new, name, child)
+            return new
+    elif len(names) == 2:
+        first, second = names
+        if shape == "11":
+            def parts(self):
+                one, two = get(self)
+                return [(one, ()), (two, ())]
+        else:  # a loop
+            def parts(self):
+                source, body, *bound = get(self)
+                return [(source, ()), (body, tuple(bound))]
+
+        def with_parts(self, children):
+            one, two = children
+            new = _new(cls)
+            for field in kept:
+                _set(new, field, getattr(self, field))
+            _set(new, first, one)
+            _set(new, second, two)
+            return new
+    else:
+        def parts(self):
+            return [*zip(get(self), _UNBOUND)]
+
+        def with_parts(self, children):
+            new = _new(cls)
+            for field in kept:
+                _set(new, field, getattr(self, field))
+            for field, child in zip(names, children, strict=True):
+                _set(new, field, child)
+            return new
+    cls.parts, cls.with_parts = parts, with_parts
 
 
 @dataclass(frozen=True)
@@ -90,9 +204,6 @@ class Var(Expr):
 
     name: str
 
-    parts = _no_parts
-    with_parts = _identity_with_parts
-
 
 @dataclass(frozen=True)
 class Lam(Expr):
@@ -100,15 +211,8 @@ class Lam(Expr):
 
     param: str
     body: Expr
-
+    CHILDREN = ("body",)
     BINDER_FIELDS = ("param",)
-
-    def parts(self):
-        return [(self.body, (self.param,))]
-
-    def with_parts(self, children):
-        (body,) = children
-        return Lam(self.param, body)
 
 
 @dataclass(frozen=True)
@@ -117,13 +221,7 @@ class App(Expr):
 
     fn: Expr
     arg: Expr
-
-    def parts(self):
-        return [(self.fn, ()), (self.arg, ())]
-
-    def with_parts(self, children):
-        fn, arg = children
-        return App(fn, arg)
+    CHILDREN = ("fn", "arg")
 
 
 @dataclass(frozen=True)
@@ -131,16 +229,11 @@ class TupleE(Expr):
     """k-tuple formation ``(e1, ..., ek)``, k >= 2."""
 
     items: Tuple[Expr, ...]
+    CHILDREN = ("*items",)
 
     def __post_init__(self):
         if len(self.items) < 2:
             raise ValueError("tuples have arity >= 2")
-
-    def parts(self):
-        return [(item, ()) for item in self.items]
-
-    def with_parts(self, children):
-        return TupleE(tuple(children))
 
 
 @dataclass(frozen=True)
@@ -150,25 +243,16 @@ class Proj(Expr):
     index: int
     arity: int
     expr: Expr
+    CHILDREN = ("expr",)
 
     def __post_init__(self):
         if not (1 <= self.index <= self.arity) or self.arity < 2:
             raise ValueError(f"bad projection π_{self.index},{self.arity}")
 
-    def parts(self):
-        return [(self.expr, ())]
-
-    def with_parts(self, children):
-        (expr,) = children
-        return Proj(self.index, self.arity, expr)
-
 
 @dataclass(frozen=True)
 class EmptySet(Expr):
     """The empty set ``{}``."""
-
-    parts = _no_parts
-    with_parts = _identity_with_parts
 
 
 @dataclass(frozen=True)
@@ -176,13 +260,7 @@ class Singleton(Expr):
     """Singleton set ``{e}``."""
 
     expr: Expr
-
-    def parts(self):
-        return [(self.expr, ())]
-
-    def with_parts(self, children):
-        (expr,) = children
-        return Singleton(expr)
+    CHILDREN = ("expr",)
 
 
 @dataclass(frozen=True)
@@ -191,13 +269,7 @@ class Union(Expr):
 
     left: Expr
     right: Expr
-
-    def parts(self):
-        return [(self.left, ()), (self.right, ())]
-
-    def with_parts(self, children):
-        left, right = children
-        return Union(left, right)
+    CHILDREN = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -207,15 +279,8 @@ class Ext(Expr):
     var: str
     body: Expr
     source: Expr
-
+    CHILDREN = ("source", "body")
     BINDER_FIELDS = ("var",)
-
-    def parts(self):
-        return [(self.source, ()), (self.body, (self.var,))]
-
-    def with_parts(self, children):
-        source, body = children
-        return Ext(self.var, body, source)
 
 
 @dataclass(frozen=True)
@@ -223,9 +288,6 @@ class BoolLit(Expr):
     """``true`` / ``false``."""
 
     value: bool
-
-    parts = _no_parts
-    with_parts = _identity_with_parts
 
 
 @dataclass(frozen=True)
@@ -235,13 +297,7 @@ class If(Expr):
     cond: Expr
     then: Expr
     orelse: Expr
-
-    def parts(self):
-        return [(self.cond, ()), (self.then, ()), (self.orelse, ())]
-
-    def with_parts(self, children):
-        cond, then, orelse = children
-        return If(cond, then, orelse)
+    CHILDREN = ("cond", "then", "orelse")
 
 
 @dataclass(frozen=True)
@@ -251,17 +307,11 @@ class Cmp(Expr):
     op: str
     left: Expr
     right: Expr
+    CHILDREN = ("left", "right")
 
     def __post_init__(self):
         if self.op not in CMP_OPS:
             raise ValueError(f"bad comparison operator {self.op!r}")
-
-    def parts(self):
-        return [(self.left, ()), (self.right, ())]
-
-    def with_parts(self, children):
-        left, right = children
-        return Cmp(self.op, left, right)
 
 
 @dataclass(frozen=True)
@@ -274,9 +324,6 @@ class NatLit(Expr):
         if self.value < 0:
             raise ValueError("naturals are non-negative")
 
-    parts = _no_parts
-    with_parts = _identity_with_parts
-
 
 @dataclass(frozen=True)
 class RealLit(Expr):
@@ -284,18 +331,12 @@ class RealLit(Expr):
 
     value: float
 
-    parts = _no_parts
-    with_parts = _identity_with_parts
-
 
 @dataclass(frozen=True)
 class StrLit(Expr):
     """A string constant (interpreted base type)."""
 
     value: str
-
-    parts = _no_parts
-    with_parts = _identity_with_parts
 
 
 @dataclass(frozen=True)
@@ -308,17 +349,11 @@ class Arith(Expr):
     op: str
     left: Expr
     right: Expr
+    CHILDREN = ("left", "right")
 
     def __post_init__(self):
         if self.op not in ARITH_OPS:
             raise ValueError(f"bad arithmetic operator {self.op!r}")
-
-    def parts(self):
-        return [(self.left, ()), (self.right, ())]
-
-    def with_parts(self, children):
-        left, right = children
-        return Arith(self.op, left, right)
 
 
 @dataclass(frozen=True)
@@ -326,13 +361,7 @@ class Gen(Expr):
     """``gen(e) = {0, ..., e-1}`` — initial segments of the naturals."""
 
     expr: Expr
-
-    def parts(self):
-        return [(self.expr, ())]
-
-    def with_parts(self, children):
-        (expr,) = children
-        return Gen(expr)
+    CHILDREN = ("expr",)
 
 
 @dataclass(frozen=True)
@@ -342,15 +371,8 @@ class Sum(Expr):
     var: str
     body: Expr
     source: Expr
-
+    CHILDREN = ("source", "body")
     BINDER_FIELDS = ("var",)
-
-    def parts(self):
-        return [(self.source, ()), (self.body, (self.var,))]
-
-    def with_parts(self, children):
-        source, body = children
-        return Sum(self.var, body, source)
 
 
 @dataclass(frozen=True)
@@ -364,7 +386,7 @@ class Tabulate(Expr):
     vars: Tuple[str, ...]
     bounds: Tuple[Expr, ...]
     body: Expr
-
+    CHILDREN = ("*bounds", "body")
     BINDER_FIELDS = ("vars",)
 
     def __post_init__(self):
@@ -377,15 +399,6 @@ class Tabulate(Expr):
     def rank(self) -> int:
         return len(self.vars)
 
-    def parts(self):
-        out = [(bound, ()) for bound in self.bounds]
-        out.append((self.body, self.vars))
-        return out
-
-    def with_parts(self, children):
-        *bounds, body = children
-        return Tabulate(self.vars, tuple(bounds), body)
-
 
 @dataclass(frozen=True)
 class Subscript(Expr):
@@ -393,6 +406,7 @@ class Subscript(Expr):
 
     array: Expr
     indices: Tuple[Expr, ...]
+    CHILDREN = ("array", "*indices")
 
     def __post_init__(self):
         if not self.indices:
@@ -402,13 +416,6 @@ class Subscript(Expr):
     def rank(self) -> int:
         return len(self.indices)
 
-    def parts(self):
-        return [(self.array, ())] + [(i, ()) for i in self.indices]
-
-    def with_parts(self, children):
-        array, *indices = children
-        return Subscript(array, tuple(indices))
-
 
 @dataclass(frozen=True)
 class Dim(Expr):
@@ -416,17 +423,11 @@ class Dim(Expr):
 
     expr: Expr
     rank: int
+    CHILDREN = ("expr",)
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("dim rank must be >= 1")
-
-    def parts(self):
-        return [(self.expr, ())]
-
-    def with_parts(self, children):
-        (expr,) = children
-        return Dim(expr, self.rank)
 
 
 @dataclass(frozen=True)
@@ -438,17 +439,11 @@ class IndexSet(Expr):
 
     expr: Expr
     rank: int
+    CHILDREN = ("expr",)
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("index rank must be >= 1")
-
-    def parts(self):
-        return [(self.expr, ())]
-
-    def with_parts(self, children):
-        (expr,) = children
-        return IndexSet(expr, self.rank)
 
 
 @dataclass(frozen=True)
@@ -456,13 +451,7 @@ class Get(Expr):
     """``get(e)``: the unique element of a singleton set, else ⊥."""
 
     expr: Expr
-
-    def parts(self):
-        return [(self.expr, ())]
-
-    def with_parts(self, children):
-        (expr,) = children
-        return Get(expr)
+    CHILDREN = ("expr",)
 
 
 @dataclass(frozen=True)
@@ -471,9 +460,6 @@ class Bottom(Expr):
     the message it raises with: a ⊥ the optimizer folds keeps its cause."""
 
     reason: str = "explicit bottom"
-
-    parts = _no_parts
-    with_parts = _identity_with_parts
 
 
 @dataclass(frozen=True)
@@ -486,6 +472,7 @@ class MkArray(Expr):
 
     dims: Tuple[Expr, ...]
     items: Tuple[Expr, ...]
+    CHILDREN = ("*dims", "*items")
 
     def __post_init__(self):
         if not self.dims:
@@ -495,14 +482,6 @@ class MkArray(Expr):
     def rank(self) -> int:
         return len(self.dims)
 
-    def parts(self):
-        return [(d, ()) for d in self.dims] + [(i, ()) for i in self.items]
-
-    def with_parts(self, children):
-        dims = tuple(children[: len(self.dims)])
-        items = tuple(children[len(self.dims):])
-        return MkArray(dims, items)
-
 
 @dataclass(frozen=True)
 class Prim(Expr):
@@ -510,18 +489,12 @@ class Prim(Expr):
 
     name: str
 
-    parts = _no_parts
-    with_parts = _identity_with_parts
-
 
 @dataclass(frozen=True)
 class Const(Expr):
     """An embedded complex-object constant (e.g. a value read by readval)."""
 
     value: Any
-
-    parts = _no_parts
-    with_parts = _identity_with_parts
 
     def __hash__(self):
         return hash(("Const", _hashable(self.value)))
@@ -541,22 +514,13 @@ def _hashable(value: Any) -> Any:
 class EmptyBag(Expr):
     """The empty bag ``{||}`` (NBC)."""
 
-    parts = _no_parts
-    with_parts = _identity_with_parts
-
 
 @dataclass(frozen=True)
 class SingletonBag(Expr):
     """Singleton bag ``{|e|}`` (NBC)."""
 
     expr: Expr
-
-    def parts(self):
-        return [(self.expr, ())]
-
-    def with_parts(self, children):
-        (expr,) = children
-        return SingletonBag(expr)
+    CHILDREN = ("expr",)
 
 
 @dataclass(frozen=True)
@@ -565,13 +529,7 @@ class BagUnion(Expr):
 
     left: Expr
     right: Expr
-
-    def parts(self):
-        return [(self.left, ()), (self.right, ())]
-
-    def with_parts(self, children):
-        left, right = children
-        return BagUnion(left, right)
+    CHILDREN = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -581,15 +539,8 @@ class BagExt(Expr):
     var: str
     body: Expr
     source: Expr
-
+    CHILDREN = ("source", "body")
     BINDER_FIELDS = ("var",)
-
-    def parts(self):
-        return [(self.source, ()), (self.body, (self.var,))]
-
-    def with_parts(self, children):
-        source, body = children
-        return BagExt(self.var, body, source)
 
 
 @dataclass(frozen=True)
@@ -604,15 +555,8 @@ class ExtRank(Expr):
     idx: str
     body: Expr
     source: Expr
-
+    CHILDREN = ("source", "body")
     BINDER_FIELDS = ("var", "idx")
-
-    def parts(self):
-        return [(self.source, ()), (self.body, (self.var, self.idx))]
-
-    def with_parts(self, children):
-        source, body = children
-        return ExtRank(self.var, self.idx, body, source)
 
 
 @dataclass(frozen=True)
@@ -623,15 +567,8 @@ class BagExtRank(Expr):
     idx: str
     body: Expr
     source: Expr
-
+    CHILDREN = ("source", "body")
     BINDER_FIELDS = ("var", "idx")
-
-    def parts(self):
-        return [(self.source, ()), (self.body, (self.var, self.idx))]
-
-    def with_parts(self, children):
-        source, body = children
-        return BagExtRank(self.var, self.idx, body, source)
 
 
 # ---------------------------------------------------------------------------
@@ -648,19 +585,8 @@ def free_vars(expr: Expr) -> FrozenSet[str]:
     return frozenset(out)
 
 
-def _binder_names(expr: Expr) -> List[str]:
-    names: List[str] = []
-    for field_name in expr.BINDER_FIELDS:
-        value = getattr(expr, field_name)
-        if isinstance(value, tuple):
-            names.extend(value)
-        else:
-            names.append(value)
-    return names
-
-
 def _rename_binders(expr: Expr, renaming: Dict[str, str]) -> Expr:
-    """Return ``expr`` with binder fields renamed and bodies adjusted."""
+    """Return ``expr`` with binder fields renamed in it and its body."""
     replacements: Dict[str, Any] = {}
     for field_name in expr.BINDER_FIELDS:
         value = getattr(expr, field_name)
@@ -668,16 +594,9 @@ def _rename_binders(expr: Expr, renaming: Dict[str, str]) -> Expr:
             replacements[field_name] = tuple(renaming.get(v, v) for v in value)
         else:
             replacements[field_name] = renaming.get(value, value)
-    renamed = dataclasses.replace(expr, **replacements)
-    # adjust children that the binders scope over
-    substitutions = {old: Var(new) for old, new in renaming.items()}
-    new_children: List[Expr] = []
-    for child, bound in expr.parts():
-        if any(b in renaming for b in bound):
-            new_children.append(substitute(child, substitutions))
-        else:
-            new_children.append(child)
-    return renamed.with_parts(new_children)
+    body = substitute(expr.body, {old: Var(new)
+                                  for old, new in renaming.items()})
+    return dataclasses.replace(expr, body=body, **replacements)
 
 
 def substitute(expr: Expr, mapping: Dict[str, Expr]) -> Expr:
@@ -697,13 +616,11 @@ def substitute(expr: Expr, mapping: Dict[str, Expr]) -> Expr:
     parts = expr.parts()
     maps = [{k: v for k, v in mapping.items() if k not in bound}
             if bound else mapping for _, bound in parts]
-    if expr.BINDER_FIELDS:
+    if expr.BINDER_FIELDS:  # they scope over the last part, the body
         replacement_fvs: set = set()
-        for (_, bound), child_map in zip(parts, maps):
-            if bound:
-                for value in child_map.values():
-                    replacement_fvs |= free_vars(value)
-        capturing = [b for b in _binder_names(expr) if b in replacement_fvs]
+        for value in maps[-1].values():
+            replacement_fvs |= free_vars(value)
+        capturing = [b for b in parts[-1][1] if b in replacement_fvs]
         if capturing:
             expr = _rename_binders(
                 expr, {b: fresh_var(b) for b in capturing}
@@ -755,24 +672,6 @@ def fingerprint(expr: Expr) -> Any:
     return _fp(expr, {}, [0])
 
 
-#: per node class, the fields that label a node, in declaration order:
-#: ``(name, False)`` for a value field (operator, rank, literal …) and
-#: ``(name, True)`` for a tuple of sub-expressions, which labels the
-#: node with ``()`` when empty; binders and single sub-expressions are
-#: left out (children are reached through ``parts()``)
-_LABEL_FIELDS: Dict[type, Tuple[Tuple[str, bool], ...]] = {}
-
-
-def _label_fields(cls: type) -> Tuple[Tuple[str, bool], ...]:
-    fields = _LABEL_FIELDS.get(cls)
-    if fields is None:
-        fields = _LABEL_FIELDS[cls] = tuple(
-            (fld.name, fld.type == "Tuple[Expr, ...]")
-            for fld in dataclasses.fields(cls)
-            if fld.name not in cls.BINDER_FIELDS and fld.type != "Expr")
-    return fields
-
-
 def _fp(expr: Expr, env: Dict[str, int], counter) -> Any:
     if isinstance(expr, Var):
         level = env.get(expr.name)
@@ -781,7 +680,7 @@ def _fp(expr: Expr, env: Dict[str, int], counter) -> Any:
         return ("free", expr.name)
     cls = type(expr)
     label = [cls.__name__]
-    for name, exprs in _label_fields(cls):
+    for name, exprs in cls.LABEL_FIELDS:
         value = getattr(expr, name)
         if not exprs:
             label.append(_hashable(value))
@@ -836,7 +735,6 @@ __all__ = [
     "Get", "Bottom", "MkArray", "Prim", "Const",
     "EmptyBag", "SingletonBag", "BagUnion", "BagExt", "ExtRank", "BagExtRank",
     "CMP_OPS", "ARITH_OPS", "fresh_var", "free_vars", "substitute",
-    "extents",
-    "transform_bottom_up", "subterms", "node_count", "fingerprint",
+    "extents", "transform_bottom_up", "subterms", "node_count", "fingerprint",
     "alpha_equal", "LOOP_NODES", "NRC_NODES", "AGGR_NODES", "NRCA_NODES",
 ]

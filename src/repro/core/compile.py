@@ -605,7 +605,7 @@ class Compiler:
         if kind is not ast.Tabulate:  # a literal Σ body adds exactly
             literal = gen or type(elements) is ast.Singleton \
                 or kind is ast.Sum and type(expr.body) is ast.NatLit
-            names = tuple(getattr(expr, name) for name in expr.BINDER_FIELDS)
+            names = expr.parts()[-1][1]  # bound around the body
             heads = [(names, elements if literal else walk.format(elements))]
         kernel = extents and self._kernel(
             [name for names, _ in heads for name in names], expr.body, extents)

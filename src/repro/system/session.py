@@ -30,11 +30,13 @@ from typing import Any, List, Optional
 
 from repro.core import ast
 from repro.env.environment import TopEnv
-from repro.errors import BottomError, NestingError, ParseError, SessionError
+from repro.errors import (BottomError, LexError, NestingError, ParseError,
+                          SessionError)
 from repro.obs import ExplainReport
 from repro.objects.array import Array
 from repro.objects.exchange import pretty
 from repro.surface.desugar import Desugarer
+from repro.surface.lexer import END, lex
 from repro.surface.parser import parse_program
 from repro.surface import sast as S
 from repro.system.plan_cache import (DEFAULT_CAPACITY, Plan, PlanCache,
@@ -75,6 +77,18 @@ def _shown(t: Type) -> str:
                           + (str(n // 26) if n >= 26 else ""))
              for n, (ident, var) in enumerate(free_tvars(t).items())}
     return str(zonk(t, names) if names else t)
+
+
+def _ends_in_semicolon(source: str) -> bool:
+    """Whether the last token of ``source`` is ``;``.  Only a source
+    ending in ``*)`` is lexed, to see past its trailing comments."""
+    tail = source.rstrip()
+    if not tail.endswith("*)"):
+        return tail.endswith(";")
+    try:
+        return lex(source)[0][-2:] == [";", END]
+    except LexError:  # appending changes nothing: the same error
+        return False
 
 
 @dataclass
@@ -196,13 +210,12 @@ class Session:
         """Evaluate a single query expression and return its value.
 
         A missing final ``;`` is forgiven: the source runs with one
-        appended unless it ends in one already, through the statement
-        table as in :meth:`run`.  If that text fails to parse (so nothing
-        ran), the caller's own text runs: it raises the caller's own
-        error, or answers when the source ends in a comment after its
-        ``;``.
+        appended unless its last token is one already (past any
+        trailing comment), through the statement table as in
+        :meth:`run`.  If that text fails to parse (so nothing ran), the
+        caller's own text runs and raises the caller's own error.
         """
-        text = source if source.rstrip().endswith(";") else source + ";"
+        text = source if _ends_in_semicolon(source) else source + ";"
         try:
             outputs = self._run(text)
         except ParseError:
@@ -385,8 +398,9 @@ class Session:
         """Execute ``source`` with observability on; attach the report.
 
         The last output carries an :class:`~repro.obs.ExplainReport`
-        covering the whole block (the optimizer stats and the rendered
-        core describe the block's final query).  The environment's
+        covering the whole block (the rendered core describes the
+        block's final query, the optimizer stats the phases that ran in
+        the block: none for a plan-cache hit).  The environment's
         observability state is captured up front and restored exactly
         afterwards: an uninstrumented session returns to zero-cost
         nulls, and a caller that had observability on gets its own
@@ -398,6 +412,7 @@ class Session:
         saved = obs.capture()
         obs.enable()
         dense_before = dense.COUNTERS.snapshot()
+        stats_before = self.env.optimizer.report()
         try:
             outputs = self.run(source)
             if not outputs:
@@ -413,7 +428,10 @@ class Session:
                 type_text=last.type_text,
                 core=self._last_core,
                 spans=spans,
-                phase_stats=dict(self.env.optimizer.report()),
+                phase_stats={  # a phase that ran installed new stats
+                    name: stats for name, stats
+                    in self.env.optimizer.report().items()
+                    if stats is not stats_before.get(name)},
                 metrics=obs.metrics,
                 cache=self.plan_cache.snapshot(),
                 dense=dense_delta,

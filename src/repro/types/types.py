@@ -15,7 +15,7 @@ definable, so we make them primitive), hence need no constraint.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 

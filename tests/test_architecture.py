@@ -491,3 +491,65 @@ def test_every_top_level_definition_is_referenced():
     unreferenced = sorted(f"{where[name]} {name}" for name in definitions
                           if words[name] <= definitions[name])
     assert not unreferenced
+
+
+def _module_imports(tree):
+    """``(bound name, line)`` of every import outside a ``def`` or
+    ``class`` (inside a module-level ``try`` or ``if`` too)."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, pyast.Import):
+            found += [((alias.asname or alias.name).split(".")[0],
+                       node.lineno) for alias in node.names]
+        elif isinstance(node, pyast.ImportFrom) \
+                and node.module != "__future__":
+            found += [(alias.asname or alias.name, node.lineno)
+                      for alias in node.names if alias.name != "*"]
+        elif isinstance(node, (pyast.Try, pyast.If)):
+            stack += node.body + node.orelse + getattr(node, "finalbody", [])
+            stack += [line for handler in getattr(node, "handlers", ())
+                      for line in handler.body]
+    return found
+
+
+def _string_annotation_names(tree):
+    """The names a quoted annotation (``x: "Expr"``) mentions."""
+    annotations = [node.annotation for node in pyast.walk(tree)
+                   if isinstance(node, (pyast.arg, pyast.AnnAssign))
+                   and node.annotation is not None]
+    annotations += [node.returns for node in pyast.walk(tree)
+                    if isinstance(node, (pyast.FunctionDef,
+                                         pyast.AsyncFunctionDef))
+                    and node.returns is not None]
+    names = set()
+    for annotation in annotations:
+        for node in pyast.walk(annotation):
+            if isinstance(node, pyast.Constant) \
+                    and isinstance(node.value, str):
+                names |= {inner.id for inner in pyast.walk(
+                    pyast.parse(node.value, mode="eval"))
+                    if isinstance(inner, pyast.Name)}
+    return names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A module-level import that the module never reads, exports in
+    ``__all__`` or names in a quoted annotation is dead: no linter runs
+    in CI, so this is the check that a deleted helper's imports went
+    with it."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = pyast.parse(path.read_text("utf-8"))
+        used = {node.id for node in pyast.walk(tree)
+                if isinstance(node, pyast.Name)}
+        used |= _string_annotation_names(tree)
+        for node in tree.body:
+            if isinstance(node, pyast.Assign) and any(
+                    isinstance(target, pyast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                used |= set(pyast.literal_eval(node.value))
+        unused += [f"{path.relative_to(SRC)}:{line} {name}"
+                   for name, line in _module_imports(tree)
+                   if name not in used]
+    assert not unused

@@ -1,5 +1,9 @@
 """Tests for the core AST machinery: free vars, substitution, α-equivalence."""
 
+import dataclasses
+
+import pytest
+
 from repro.core import ast
 from repro.core.ast import (
     App,
@@ -179,11 +183,6 @@ class TestTraversal:
 
         assert transform_bottom_up(e, fold) == NatLit(6)
 
-    def test_with_parts_identity_shape(self):
-        e = Sum("x", Var("x"), Gen(NatLit(3)))
-        rebuilt = e.with_parts([child for child, _ in e.parts()])
-        assert rebuilt == e
-
     def test_fresh_var_unique_and_marked(self):
         a, b = fresh_var("x"), fresh_var("x")
         assert a != b
@@ -218,3 +217,118 @@ class TestNodeInvariants:
         import pytest
         with pytest.raises(ValueError):
             ast.Proj(3, 2, Var("x"))
+
+
+#: one node of every class, its children distinct and its binders bound
+SAMPLES = [
+    Var("x"), Lam("x", Var("x")), App(Var("f"), NatLit(1)),
+    TupleE((NatLit(1), Var("y"), NatLit(2))), ast.Proj(2, 2, Var("p")),
+    ast.EmptySet(), Singleton(Var("x")), ast.Union(Var("a"), Var("b")),
+    Ext("x", Singleton(Var("x")), Var("S")), ast.BoolLit(True),
+    If(ast.BoolLit(False), NatLit(1), NatLit(2)),
+    Cmp("<", Var("a"), NatLit(1)), NatLit(3), ast.RealLit(1.5),
+    ast.StrLit("s"), Arith("-", Var("a"), NatLit(1)), Gen(NatLit(3)),
+    Sum("x", Var("x"), Gen(NatLit(3))),
+    Tabulate(("i", "j"), (NatLit(2), Var("i")), Arith("+", Var("i"),
+                                                       Var("j"))),
+    Subscript(Var("A"), (NatLit(0), Var("k"))), ast.Dim(Var("A"), 2),
+    ast.IndexSet(Var("S"), 1), ast.Get(Var("S")), ast.Bottom("why"),
+    ast.MkArray((NatLit(2),), (NatLit(1), Var("v"))),
+    ast.MkArray((NatLit(0),), ()), ast.Prim("plus"),
+    ast.Const(frozenset({1})), ast.EmptyBag(), ast.SingletonBag(Var("x")),
+    ast.BagUnion(Var("a"), Var("b")),
+    ast.BagExt("x", ast.SingletonBag(Var("x")), Var("B")),
+    ast.ExtRank("x", "r", Singleton(Var("r")), Var("S")),
+    ast.BagExtRank("x", "r", ast.SingletonBag(Var("x")), Var("B")),
+]
+
+
+def _layout(node):
+    """The declared child field of each part, in order, read off the
+    dataclass fields: a tuple child gives one entry per element."""
+    return [name.lstrip("*") for name in type(node).CHILDREN
+            for _ in (getattr(node, name.lstrip("*"))
+                      if name.startswith("*") else (None,))]
+
+
+def _bound(node):
+    """The binder fields' values, flattened in field order."""
+    names = []
+    for field in node.BINDER_FIELDS:
+        value = getattr(node, field)
+        names += value if isinstance(value, tuple) else [value]
+    return tuple(names)
+
+
+def test_every_class_has_a_sample():
+    assert {type(node) for node in SAMPLES} == set(
+        ast.Expr.__subclasses__())
+    assert len(ast.Expr.__subclasses__()) == 33
+
+
+@pytest.mark.parametrize("node", SAMPLES, ids=lambda n: type(n).__name__)
+class TestDeclaredShape:
+    """Each class's ``parts``/``with_parts``, generated from its
+    ``CHILDREN`` and ``BINDER_FIELDS``."""
+
+    def test_with_parts_of_its_own_children_is_equal(self, node):
+        rebuilt = node.with_parts([child for child, _ in node.parts()])
+        assert rebuilt == node and type(rebuilt) is type(node)
+        if not node.CHILDREN:
+            assert rebuilt is node
+
+    def test_parts_follow_the_fields(self, node):
+        flat = [child for name in type(node).CHILDREN for child in (
+            getattr(node, name[1:]) if name.startswith("*")
+            else (getattr(node, name),))]
+        assert [child for child, _ in node.parts()] == flat
+        for name, (_, bound) in zip(_layout(node), node.parts()):
+            assert bound == (_bound(node) if name == "body" else ())
+
+    def test_with_parts_places_each_child_in_its_field(self, node):
+        layout = _layout(node)
+        fresh = [Var(f"c{k}") for k in range(len(layout))]
+        values = {}
+        for name, child in zip(layout, fresh):
+            if "*" + name in type(node).CHILDREN:
+                values[name] = values.get(name, ()) + (child,)
+            else:
+                values[name] = child
+        for name in type(node).CHILDREN:  # an empty tuple child
+            values.setdefault(name.lstrip("*"), ())
+        assert node.with_parts(fresh) == dataclasses.replace(node, **values)
+
+    def test_a_wrong_child_count_raises(self, node):
+        children = [child for child, _ in node.parts()]
+        if not node.CHILDREN:
+            with pytest.raises(AssertionError):
+                node.with_parts([NatLit(0)])
+        elif not any(name.startswith("*") for name in node.CHILDREN):
+            for wrong in (children[:-1], children + [NatLit(0)]):
+                with pytest.raises(ValueError):
+                    node.with_parts(wrong)
+
+
+#: per tuple-child class, a child list that changes a tuple field's
+#: length past what the constructor accepts, and the fields it means
+SHRUNK = [
+    (TupleE((NatLit(1), NatLit(2))), [NatLit(1)],
+     {"items": (NatLit(1),)}),
+    (Tabulate(("i", "j"), (NatLit(2), NatLit(3)), Var("i")),
+     [NatLit(2), Var("i")], {"bounds": (NatLit(2),), "body": Var("i")}),
+    (Subscript(Var("A"), (NatLit(0),)), [Var("A")],
+     {"array": Var("A"), "indices": ()}),
+    (ast.MkArray((NatLit(1),), (NatLit(7),)), [],
+     {"dims": (), "items": ()}),
+]
+
+
+@pytest.mark.parametrize("node, children, fields", SHRUNK,
+                         ids=lambda v: type(v).__name__
+                         if isinstance(v, ast.Expr) else "")
+def test_with_parts_keeps_the_constructor_check(node, children, fields):
+    with pytest.raises(ValueError) as direct:
+        dataclasses.replace(node, **fields)
+    with pytest.raises(ValueError) as rebuilt:
+        node.with_parts(children)
+    assert str(rebuilt.value) == str(direct.value)

@@ -219,6 +219,21 @@ class TestSessionProfile:
         assert normalize.time_by_rule["beta"] >= 0.0
         assert normalize.attempts > 0
 
+    def test_profile_of_a_hit_reports_no_other_statements_firings(
+            self, session):
+        first = "summap(fn \\x => x * x)!(gen!10);"
+        second = "[[ i * 2 | \\i < 5 ]][3] + (fn \\y => y)!4;"
+        session.run(first)
+        session.run(second)  # the optimizer's last run
+        report = session.explain(first)  # a table hit: nothing optimized
+        assert report.span("optimize") is None
+        assert report.phase_stats == {}
+        assert "== optimizer rule firings ==" not in report.render()
+        assert "phases" not in report.to_dict()
+        # a profiled cold statement still reports its own firings
+        fresh = session.explain("summap(fn \\x => x + 1)!(gen!4);")
+        assert fresh.phase_stats["normalize"].by_rule.get("beta", 0) >= 1
+
     def test_profile_reports_evaluator_counters(self, session):
         report = session.explain(
             "[[i * j | \\i < 3, \\j < 4]];"

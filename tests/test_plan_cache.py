@@ -137,12 +137,17 @@ class TestFingerprintKeysUnchanged:
         expr, _ = pair
         assert fingerprint(expr) == _reference_fp(expr, {}, [0])
 
-    def test_every_expression_field_is_declared_as_one(self):
-        """The label table reads a field's role from its annotation."""
+    def test_every_expression_field_is_a_declared_child(self):
+        """A field annotated ``Expr`` or ``Tuple[Expr, ...]`` is declared
+        in ``CHILDREN`` (``*`` marking the tuple), and each declared
+        child is such a field: the label fields are the rest."""
+        marks = {"Expr": "", "Tuple[Expr, ...]": "*"}
         for cls in ast.Expr.__subclasses__():
-            for fld in dataclasses.fields(cls):
-                assert "Expr" not in fld.type or fld.type in (
-                    "Expr", "Tuple[Expr, ...]"), (cls.__name__, fld.name)
+            typed = {marks.get(fld.type, "?") + fld.name
+                     for fld in dataclasses.fields(cls)
+                     if "Expr" in fld.type}
+            assert typed == set(cls.CHILDREN), cls.__name__
+            assert len(cls.CHILDREN) == len(typed)
 
 
 class _FakeEnv:
@@ -745,7 +750,8 @@ class TestStatementTable:
 
     def test_query_value_errors_are_unchanged(self, session):
         assert session.query_value("1 + 1") == 2  # the table holds "1 + 1;"
-        for source in ("(1", "1 +", "1 + 1 +"):
+        for source in ("(1", "1 +", "1 + 1 +", "(1 (* c *)",
+                       "1 +; (* c *)"):
             with pytest.raises(ParseError) as caught:
                 session.query_value(source)
             with pytest.raises(ParseError) as direct:
@@ -760,11 +766,14 @@ class TestStatementTable:
             self, session, monkeypatch):
         parsed = _parses(monkeypatch)
         source = "2 * 3; (* done *)"
-        assert session.query_value(source) == 6
-        # the appended `;` is an empty statement: the caller's text runs
-        assert parsed == [source + ";", source]
+        for _ in range(3):
+            assert session.query_value(source) == 6
+        # its last token is `;`: it runs as is, then from the table
+        assert parsed == [source]
         assert session.query_value("2 * 3;  ") == 6   # ends in `;`: as is
-        assert parsed[2:] == ["2 * 3;  "]
+        assert parsed[1:] == ["2 * 3;  "]
+        assert session.query_value("2 * 3 (* c *)") == 6  # `;` appended
+        assert parsed[2:] == ["2 * 3 (* c *);"]
 
 
 class TestTableHitPath:
